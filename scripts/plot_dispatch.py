@@ -2,9 +2,9 @@
 """Plot a dispatch run from its CSV outputs.
 
 Reads the dispatch.csv (and, when present, iterations.csv) written by
-``cellflex dispatch`` or the run_flex_* scripts and renders a three-panel
-figure: realized vs requested PCC change, per-technology shares, and the
-optimizer's global-best trace per step.  Requires matplotlib.
+``cellflex dispatch`` and renders a three-panel figure: realized vs requested
+PCC change, per-technology shares, and the optimizer's global-best trace per
+step.  Requires matplotlib.
 """
 
 import argparse

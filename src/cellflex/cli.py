@@ -21,17 +21,9 @@ import logging
 import pathlib
 import sys
 
-import numpy as np
-
 from .dispatch import run_dispatch
 from .errors import CellflexError, ConfigurationError, DispatchError, PowerFlowError
-from .optimizer import (
-    BasinHoppingConfig,
-    CostTable,
-    FlexibilityRequest,
-    NelderMeadSettings,
-    basin_hopping,
-)
+from .optimizer import BasinHoppingConfig, FlexibilityRequest, NelderMeadSettings
 from .reporting import (
     summary_dict,
     write_dispatch_csv,
@@ -90,6 +82,7 @@ def _cmd_validate(args):
 
 def _cmd_simulate(args):
     scenario = _load(args)
+    scenario.check_horizon(args.steps)
     twin = CellTwin(scenario)
     ref = twin.run_warmup(_warmup_s(args))
     twin.set_offsets([0.0] * twin.n_plants)
@@ -164,25 +157,21 @@ def _cmd_sweep_temperature(args):
 
 
 def _cmd_oracle(args):
-    from .oracle import grid_search_oracle, make_toy_scenario, single_step_objective
+    from .oracle import grid_search_oracle, make_toy_scenario
 
     scenario = make_toy_scenario()
     request = FlexibilityRequest(args.dp_kw, args.dq_kvar)
     oracle = grid_search_oracle(scenario, request, resolution=args.resolution)
-
-    twin = CellTwin(scenario)
-    ref = twin.run_warmup()
-    f, bounds = single_step_objective(twin, ref, request, CostTable())
-    config = _config(args)
-    result = basin_hopping(f, np.zeros(twin.n_plants), config, bounds=bounds)
+    step = run_dispatch(scenario, request, n_steps=1,
+                        config=_config(args)).steps[0]
 
     report = {
         "oracle_of": oracle.of,
         "oracle_x": [float(v) for v in oracle.x],
         "oracle_evals": oracle.n_evals,
-        "dispatcher_of": result.of,
-        "dispatcher_x": [float(v) for v in result.x],
-        "gap": result.of - oracle.of,
+        "dispatcher_of": step.of,
+        "dispatcher_x": [float(v) for v in step.offsets],
+        "gap": step.of - oracle.of,
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

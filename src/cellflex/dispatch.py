@@ -1,11 +1,13 @@
 """Receding-horizon dispatch of a flexibility request.
 
-``run_dispatch`` captures the pre-request reference state, then for each
-15 s dispatch step runs one Basin Hopping round over the plant-offset vector,
-commits the best found vector to the twin and records the realized PCC
-reading, per-class shares and cost.  Each step's search is warm-started from
-the previous step's solution: the start vector is evaluated as iteration 0
-and becomes the first incumbent.
+``run_dispatch`` checks that the run fits the scenario's profile window,
+captures the pre-request reference state, then for each 15 s dispatch step
+runs one Basin Hopping round over the plant-offset vector, scored by
+``single_step_objective`` (the same objective the grid-search oracle
+minimizes), commits the best found vector to the twin and records the
+realized PCC reading, per-class shares and cost.  Each step's search is
+warm-started from the previous step's solution: the start vector is
+evaluated as iteration 0 and becomes the first incumbent.
 
 Two warm-start candidates are compared before each step and the better one
 (feasible first, then lower objective) is kept.  The raw carry reuses the
@@ -43,7 +45,8 @@ from .twin import CellTwin
 
 log = logging.getLogger("cellflex.dispatch")
 
-__all__ = ["StepRecord", "DispatchRun", "run_dispatch", "technology_shares"]
+__all__ = ["StepRecord", "DispatchRun", "run_dispatch", "single_step_objective",
+           "technology_shares"]
 
 _SHARE_CLASSES = ("bes", "ehp", "bev", "inv_q")
 
@@ -69,6 +72,32 @@ def technology_shares(plant_deltas, plant_classes, dp_target_kw, dq_target_kvar)
     shares["inv_q"] = sums["inv_q"] / dq_target_kvar \
         if abs(dq_target_kvar) > 1e-9 else sums["inv_q"]
     return shares
+
+
+def single_step_objective(twin, ref, request, costs: CostTable):
+    """Objective closure for one dispatch step from ``ref``.
+
+    Returns ``(f, bounds)`` where ``f(x) -> (of, feasible)``.  The PCC targets
+    are taken from ``ref``, whose PCC reading stays frozen across
+    ``advance_reference``, so every step of a run scores against the same
+    targets.
+    """
+    weights = costs.weights_for(twin.plant_classes)
+    p_target = ref.pcc_p_kw + request.dp_kw
+    q_target = ref.pcc_q_kvar + request.dq_kvar
+    collapse_of = costs.k_infeasible * (len(twin.topology.lines) + 1)
+
+    def f(x):
+        ev = twin.evaluate_dispatch(ref, x)
+        if ev.failure is not None:
+            return collapse_of, False
+        bd = objective_breakdown(
+            ev.plant_values - ref.plant_values, weights,
+            ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
+            ev.n_violations, costs)
+        return bd.of, ev.feasible
+
+    return f, twin.plant_bounds()
 
 
 @dataclass
@@ -125,13 +154,16 @@ def run_dispatch(scenario, request, *, n_steps,
 
     ``initial_bes_soc`` overrides every battery's state of charge after warmup
     and before the reference capture (depletion studies).  Raises
-    :class:`DispatchError` if a committed step fails to solve; partial results
-    travel in the exception's ``trace`` attribute.
+    :class:`ConfigurationError` before the warmup if the run outlasts the
+    scenario's profile window, and :class:`DispatchError` if a committed step
+    fails to solve; partial results travel in the exception's ``trace``
+    attribute.
     """
     config = config or BasinHoppingConfig()
     costs = costs or CostTable()
     t_start = time.perf_counter()
 
+    scenario.check_horizon(n_steps)
     twin = CellTwin(scenario)
     ref = twin.run_warmup(warmup_s)
     if initial_bes_soc is not None:
@@ -144,30 +176,17 @@ def run_dispatch(scenario, request, *, n_steps,
     q_target = ref.pcc_q_kvar + request.dq_kvar
     bounds = twin.plant_bounds()
     rng = np.random.default_rng(config.seed)
-    collapse_of = costs.k_infeasible * (len(twin.topology.lines) + 1)
 
     log.info("dispatch: request (%+.3f kW, %+.3f kVAr) on '%s', %d steps, "
              "T=%.3g, n_iter=%d, seed=%s",
              request.dp_kw, request.dq_kvar, scenario.name, n_steps,
              config.temperature, config.n_iter, config.seed)
 
-    def make_objective(current_ref):
-        def f(dv):
-            ev = twin.evaluate_dispatch(current_ref, dv)
-            if ev.failure is not None:
-                return collapse_of, False
-            bd = objective_breakdown(
-                ev.plant_values - current_ref.plant_values, weights,
-                ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
-                ev.n_violations, costs)
-            return bd.of, ev.feasible
-        return f
-
     steps = []
     x = np.zeros(twin.n_plants)
     for k in range(n_steps):
-        result = basin_hopping(make_objective(ref), x, config,
-                               bounds=bounds, rng=rng)
+        f, _ = single_step_objective(twin, ref, request, costs)
+        result = basin_hopping(f, x, config, bounds=bounds, rng=rng)
         x = result.x
         try:
             ref, ev = twin.advance_reference(ref, x)
@@ -209,7 +228,7 @@ def run_dispatch(scenario, request, *, n_steps,
             if base.failure is None:
                 x_clean = np.clip(ev.plant_values - base.plant_values,
                                   bounds[:, 0], bounds[:, 1])
-                f_next = make_objective(ref)
+                f_next, _ = single_step_objective(twin, ref, request, costs)
                 of_raw, feas_raw = f_next(x)
                 of_clean, feas_clean = f_next(x_clean)
                 if (feas_clean, -of_clean) > (feas_raw, -of_raw):

@@ -1,29 +1,21 @@
-"""Low-order transfer-function blocks and a clamped PID controller.
+"""First-order lag block shared by the controllable plants.
 
-Every controllable plant in the cell approximates its power response with one
-of these blocks.  The workhorse is the first-order lag
+Every controllable plant in the cell approximates its power response with the
+first-order lag
 
-    dy/dt = (c*u - y) / T
+    dy/dt = (c*u - y) / T.
 
-integrated with a classic RK4 step.  RK4 is only unconditionally adequate for
-small steps, so `FirstOrderLag.step` applies it when dt <= T/5 and otherwise
-falls back to the exact discrete solution for piecewise-constant input,
+Plants hold their input constant over each substep, so `FirstOrderLag.step`
+applies the exact discrete solution for piecewise-constant input,
 
     y <- y + (c*u - y) * (1 - exp(-dt/T)),
 
-which is stable and exact at any step width.  Both branches agree to the RK4
-truncation error, which the test suite pins down.
+which is stable and exact at any step width.
 """
 
 import math
 
-__all__ = [
-    "FirstOrderLag",
-    "SecondOrderLag",
-    "TransportDelay",
-    "PidController",
-    "clamp",
-]
+__all__ = ["FirstOrderLag", "clamp"]
 
 
 def clamp(value, lo, hi):
@@ -50,10 +42,6 @@ class FirstOrderLag:
 
     __slots__ = ("gain", "time_constant", "y")
 
-    # RK4 on this linear ODE is accurate and stable for dt/T <= 1/5; beyond
-    # that the exact exponential update is used instead of sub-stepping.
-    _RK4_LIMIT = 0.2
-
     def __init__(self, gain=1.0, time_constant=1.0, y0=0.0):
         if time_constant <= 0.0:
             raise ValueError(f"time_constant must be > 0, got {time_constant}")
@@ -65,130 +53,10 @@ class FirstOrderLag:
         """Advance the state by dt seconds with input held at `u`; returns y."""
         if dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        T = self.time_constant
         target = self.gain * u
-        h = dt / T
-        if h <= self._RK4_LIMIT:
-            y = self.y
-            k1 = (target - y) / T
-            k2 = (target - (y + 0.5 * dt * k1)) / T
-            k3 = (target - (y + 0.5 * dt * k2)) / T
-            k4 = (target - (y + dt * k3)) / T
-            self.y = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        else:
-            self.y += (target - self.y) * (1.0 - math.exp(-h))
+        self.y += (target - self.y) * (1.0 - math.exp(-(dt / self.time_constant)))
         return self.y
 
     def reset(self, y):
         """Force the output state (used when a plant pins at a hard bound)."""
         self.y = y
-
-
-class SecondOrderLag:
-    """Second-order lag  y'' = w0^2*(gain*u - y) - 2*zeta*w0*y'.
-
-    Provided for plants whose measured response is visibly oscillatory; the
-    bundled device set parameterizes first-order lags only.
-    """
-
-    __slots__ = ("gain", "omega0", "zeta", "y", "dy")
-
-    def __init__(self, gain=1.0, omega0=1.0, zeta=0.7, y0=0.0, dy0=0.0):
-        if omega0 <= 0.0:
-            raise ValueError(f"omega0 must be > 0, got {omega0}")
-        if zeta < 0.0:
-            raise ValueError(f"zeta must be >= 0, got {zeta}")
-        self.gain = gain
-        self.omega0 = omega0
-        self.zeta = zeta
-        self.y = y0
-        self.dy = dy0
-
-    def _deriv(self, y, dy, u):
-        return dy, self.omega0 ** 2 * (self.gain * u - y) - 2.0 * self.zeta * self.omega0 * dy
-
-    def step(self, u, dt):
-        if dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        # sub-step so that w0*h stays small enough for RK4 stability
-        n = max(1, math.ceil(self.omega0 * dt / 0.5))
-        h = dt / n
-        y, dy = self.y, self.dy
-        for _ in range(n):
-            k1y, k1v = self._deriv(y, dy, u)
-            k2y, k2v = self._deriv(y + 0.5 * h * k1y, dy + 0.5 * h * k1v, u)
-            k3y, k3v = self._deriv(y + 0.5 * h * k2y, dy + 0.5 * h * k2v, u)
-            k4y, k4v = self._deriv(y + h * k3y, dy + h * k3v, u)
-            y += h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-            dy += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-        self.y, self.dy = y, dy
-        return self.y
-
-
-class TransportDelay:
-    """Pure dead time on a fixed sampling grid.
-
-    The buffer holds ceil(dead_time/dt) past samples, so for dead times that
-    are integer multiples of dt the output at step k is exactly the input at
-    step k - n; other dead times are quantized up to the next grid multiple.
-    """
-
-    __slots__ = ("n", "_buf")
-
-    def __init__(self, dead_time, dt, initial=0.0):
-        if dead_time < 0.0:
-            raise ValueError(f"dead_time must be >= 0, got {dead_time}")
-        if dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        self.n = math.ceil(dead_time / dt - 1e-12) if dead_time > 0.0 else 0
-        self._buf = [initial] * self.n
-
-    def step(self, u):
-        if self.n == 0:
-            return u
-        self._buf.append(u)
-        return self._buf.pop(0)
-
-
-class PidController:
-    """PID with output clamping and conditional-integration anti-windup.
-
-    output = clamp(kp*e + ki*I + kd*de/dt, out_lo, out_hi); the integral I is
-    only advanced when the unclamped output lies inside the limits, so a
-    saturated controller does not wind up.
-    """
-
-    __slots__ = ("kp", "ki", "kd", "out_lo", "out_hi", "integral", "_prev_error")
-
-    def __init__(self, kp, ki=0.0, kd=0.0, out_lo=-math.inf, out_hi=math.inf):
-        if out_lo > out_hi:
-            raise ValueError(f"out_lo {out_lo} exceeds out_hi {out_hi}")
-        self.kp = kp
-        self.ki = ki
-        self.kd = kd
-        self.out_lo = out_lo
-        self.out_hi = out_hi
-        self.integral = 0.0
-        self._prev_error = None
-
-    def step(self, error, dt):
-        if dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        derivative = 0.0
-        if self._prev_error is not None:
-            derivative = (error - self._prev_error) / dt
-        self._prev_error = error
-        candidate = self.integral + error * dt
-        raw = self.kp * error + self.ki * candidate + self.kd * derivative
-        if raw > self.out_hi:
-            return self.out_hi
-        if raw < self.out_lo:
-            return self.out_lo
-        self.integral = candidate
-        return raw
-
-    def state(self):
-        return (self.integral, self._prev_error)
-
-    def restore(self, state):
-        self.integral, self._prev_error = state

@@ -178,10 +178,6 @@ class GridTopology:
     def bus_ids(self):
         return [b.id for b in self.buses]
 
-    @property
-    def line_ids(self):
-        return [ln.id for ln in self.lines]
-
 
 def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0):
     """Solve the radial power flow for three-phase injections in kW/kVAr.

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispatch import single_step_objective
 from .errors import ConfigurationError
-from .optimizer import CostTable, objective_breakdown
+from .optimizer import CostTable
 from .twin import CellTwin
 
-__all__ = ["make_toy_scenario", "single_step_objective",
-           "grid_search_oracle", "OracleResult"]
+__all__ = ["make_toy_scenario", "grid_search_oracle", "OracleResult"]
 
 _MAX_ORACLE_PLANTS = 3
 
@@ -65,29 +65,6 @@ def make_toy_scenario():
             "bevs": [],
         }],
     })
-
-
-def single_step_objective(twin, ref, request, costs: CostTable):
-    """Objective closure for one dispatch step, shared by oracle and dispatcher.
-
-    Returns ``(f, bounds)`` where ``f(x) -> (of, feasible)``.
-    """
-    weights = costs.weights_for(twin.plant_classes)
-    p_target = ref.pcc_p_kw + request.dp_kw
-    q_target = ref.pcc_q_kvar + request.dq_kvar
-    collapse_of = costs.k_infeasible * (len(twin.topology.lines) + 1)
-
-    def f(x):
-        ev = twin.evaluate_dispatch(ref, x)
-        if ev.failure is not None:
-            return collapse_of, False
-        bd = objective_breakdown(
-            ev.plant_values - ref.plant_values, weights,
-            ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
-            ev.n_violations, costs)
-        return bd.of, ev.feasible
-
-    return f, twin.plant_bounds()
 
 
 @dataclass

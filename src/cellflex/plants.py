@@ -1,4 +1,4 @@
-"""Controllable and inflexible plant models of the energy cell.
+"""Controllable plant models of the energy cell.
 
 Sign conventions used everywhere in the package:
 
@@ -26,7 +26,6 @@ __all__ = [
     "PvInverter",
     "HeatPumpSystem",
     "ElectricVehicle",
-    "HouseholdLoad",
     "heat_pump_cop",
 ]
 
@@ -47,8 +46,8 @@ def heat_pump_cop(t_sink_c, t_source_c, effectiveness):
     return effectiveness * (t_sink_c + 273.15) / (t_sink_c - t_source_c)
 
 
-class BatteryStorage:
-    """Stationary battery with SOC bookkeeping and a lagged power response.
+class _Storage:
+    """SOC bookkeeping and lagged power response shared by batteries and EVs.
 
     Charging (P > 0) stores P*eta_charge, discharging (P < 0) drains
     |P|/eta_discharge from the store.  The per-substep SOC headroom is turned
@@ -57,25 +56,16 @@ class BatteryStorage:
     to the bound.
     """
 
-    __slots__ = (
-        "capacity_kwh", "p_max_charge_kw", "p_max_discharge_kw",
-        "eta_charge", "eta_discharge", "lag", "soc", "p_kw", "saturated",
-    )
+    __slots__ = ("capacity_kwh", "eta_charge", "eta_discharge", "lag", "soc",
+                 "p_kw", "saturated")
 
-    def __init__(self, capacity_kwh, p_max_charge_kw, p_max_discharge_kw,
-                 eta_charge=0.95, eta_discharge=0.95, soc0=0.5,
-                 time_constant_s=2.0, p0_kw=0.0):
+    def __init__(self, capacity_kwh, eta_charge, eta_discharge, soc0,
+                 time_constant_s, p0_kw):
         if capacity_kwh <= 0.0:
             raise ValueError(f"capacity_kwh must be > 0, got {capacity_kwh}")
-        if p_max_charge_kw < 0.0 or p_max_discharge_kw < 0.0:
-            raise ValueError("power limits must be >= 0")
-        if not 0.0 < eta_charge <= 1.0 or not 0.0 < eta_discharge <= 1.0:
-            raise ValueError("efficiencies must lie in (0, 1]")
         if not 0.0 <= soc0 <= 1.0:
             raise ValueError(f"soc0 must lie in [0, 1], got {soc0}")
         self.capacity_kwh = capacity_kwh
-        self.p_max_charge_kw = p_max_charge_kw
-        self.p_max_discharge_kw = p_max_discharge_kw
         self.eta_charge = eta_charge
         self.eta_discharge = eta_discharge
         self.lag = FirstOrderLag(1.0, time_constant_s, y0=p0_kw)
@@ -83,8 +73,12 @@ class BatteryStorage:
         self.p_kw = p0_kw
         self.saturated = False
 
-    def _headroom_clamp(self, p_kw, dt):
-        """Limit `p_kw` so the SOC stays in [0, 1] over a dt-second substep."""
+    def _limit(self, p_kw, lo, hi, dt):
+        """Clamp `p_kw` into [lo, hi], then so the SOC stays in [0, 1] over dt."""
+        if p_kw < lo:
+            p_kw = lo
+        elif p_kw > hi:
+            p_kw = hi
         if p_kw > 0.0:
             room = (1.0 - self.soc) * self.capacity_kwh * 3600.0 / (self.eta_charge * dt)
             if p_kw > room:
@@ -95,19 +89,12 @@ class BatteryStorage:
                 return -room
         return p_kw
 
-    def feasible_command(self, wish_kw, dt):
-        """Local-control wish reduced to what the plant can deliver right now."""
-        return self._headroom_clamp(
-            clamp(wish_kw, -self.p_max_discharge_kw, self.p_max_charge_kw), dt)
-
-    def step(self, setpoint_kw, dt):
-        """Advance one substep toward `setpoint_kw`; returns realized power."""
-        cmd = self._headroom_clamp(
-            clamp(setpoint_kw, -self.p_max_discharge_kw, self.p_max_charge_kw), dt)
-        self.saturated = cmd != setpoint_kw
+    def _follow(self, wanted_kw, lo, hi, dt):
+        """Advance one substep toward `wanted_kw`; returns realized power."""
+        cmd = self._limit(wanted_kw, lo, hi, dt)
+        self.saturated = cmd != wanted_kw
         p = self.lag.step(cmd, dt)
-        pinned = self._headroom_clamp(
-            clamp(p, -self.p_max_discharge_kw, self.p_max_charge_kw), dt)
+        pinned = self._limit(p, lo, hi, dt)
         if pinned != p:
             p = pinned
             self.lag.reset(p)
@@ -119,6 +106,34 @@ class BatteryStorage:
         self.soc = clamp(self.soc, 0.0, 1.0)
         self.p_kw = p
         return p
+
+
+class BatteryStorage(_Storage):
+    """Stationary battery with SOC bookkeeping and a lagged power response."""
+
+    __slots__ = ("p_max_charge_kw", "p_max_discharge_kw")
+
+    def __init__(self, capacity_kwh, p_max_charge_kw, p_max_discharge_kw,
+                 eta_charge=0.95, eta_discharge=0.95, soc0=0.5,
+                 time_constant_s=2.0, p0_kw=0.0):
+        super().__init__(capacity_kwh, eta_charge, eta_discharge, soc0,
+                         time_constant_s, p0_kw)
+        if p_max_charge_kw < 0.0 or p_max_discharge_kw < 0.0:
+            raise ValueError("power limits must be >= 0")
+        if not 0.0 < eta_charge <= 1.0 or not 0.0 < eta_discharge <= 1.0:
+            raise ValueError("efficiencies must lie in (0, 1]")
+        self.p_max_charge_kw = p_max_charge_kw
+        self.p_max_discharge_kw = p_max_discharge_kw
+
+    def feasible_command(self, wish_kw, dt):
+        """Local-control wish reduced to what the plant can deliver right now."""
+        return self._limit(wish_kw, -self.p_max_discharge_kw,
+                           self.p_max_charge_kw, dt)
+
+    def step(self, setpoint_kw, dt):
+        """Advance one substep toward `setpoint_kw`; returns realized power."""
+        return self._follow(setpoint_kw, -self.p_max_discharge_kw,
+                            self.p_max_charge_kw, dt)
 
     def get_state(self):
         return (self.soc, self.lag.y, self.p_kw, self.saturated)
@@ -312,7 +327,7 @@ class HeatPumpSystem:
          self.last_p_element_kw) = state
 
 
-class ElectricVehicle:
+class ElectricVehicle(_Storage):
     """Plug-in vehicle with daily trips and optional bidirectional charging.
 
     The vehicle is disconnected from its first departure to its last return
@@ -323,19 +338,14 @@ class ElectricVehicle:
     [-p_rated, p_rated] (V2G).
     """
 
-    __slots__ = (
-        "capacity_kwh", "p_rated_kw", "v2g", "eta_charge", "eta_discharge",
-        "trips", "_away", "lag", "soc", "p_kw", "saturated", "trip_drain_kwh",
-    )
+    __slots__ = ("p_rated_kw", "v2g", "trips", "_away", "trip_drain_kwh")
 
     def __init__(self, capacity_kwh, p_rated_kw, v2g=False, eta_charge=0.95,
                  eta_discharge=0.95, soc0=0.7, trips=(), time_constant_s=1.0):
-        if capacity_kwh <= 0.0:
-            raise ValueError(f"capacity_kwh must be > 0, got {capacity_kwh}")
+        super().__init__(capacity_kwh, eta_charge, eta_discharge, soc0,
+                         time_constant_s, 0.0)
         if p_rated_kw <= 0.0:
             raise ValueError(f"p_rated_kw must be > 0, got {p_rated_kw}")
-        if not 0.0 <= soc0 <= 1.0:
-            raise ValueError(f"soc0 must lie in [0, 1], got {soc0}")
         trips = tuple(sorted((float(d), float(r), float(e)) for d, r, e in trips))
         prev_ret = 0.0
         for dep, ret, energy in trips:
@@ -346,17 +356,10 @@ class ElectricVehicle:
             if energy < 0.0:
                 raise ValueError(f"trip energy must be >= 0, got {energy}")
             prev_ret = ret
-        self.capacity_kwh = capacity_kwh
         self.p_rated_kw = p_rated_kw
         self.v2g = bool(v2g)
-        self.eta_charge = eta_charge
-        self.eta_discharge = eta_discharge
         self.trips = trips
         self._away = (trips[0][0], trips[-1][1]) if trips else None
-        self.lag = FirstOrderLag(1.0, time_constant_s, y0=0.0)
-        self.soc = soc0
-        self.p_kw = 0.0
-        self.saturated = False
         self.trip_drain_kwh = 0.0
 
     def connected(self, time_of_day_s):
@@ -364,21 +367,6 @@ class ElectricVehicle:
             return True
         dep, ret = self._away
         return not (dep <= time_of_day_s < ret)
-
-    def _headroom_clamp(self, p_kw, dt):
-        if p_kw > 0.0:
-            room = (1.0 - self.soc) * self.capacity_kwh * 3600.0 / (self.eta_charge * dt)
-            if p_kw > room:
-                return room
-        elif p_kw < 0.0:
-            room = self.soc * self.capacity_kwh * 3600.0 * self.eta_discharge / dt
-            if -p_kw > room:
-                return -room
-        return p_kw
-
-    def feasible_command(self, wish_kw, dt):
-        lo = -self.p_rated_kw if self.v2g else 0.0
-        return self._headroom_clamp(clamp(wish_kw, lo, self.p_rated_kw), dt)
 
     def local_command(self):
         """Uncontrolled behavior: charge at rated power until full."""
@@ -398,55 +386,11 @@ class ElectricVehicle:
             self.saturated = offset_kw != 0.0
             return 0.0
         lo = -self.p_rated_kw if self.v2g else 0.0
-        wanted = self.local_command() + offset_kw
-        cmd = self._headroom_clamp(clamp(wanted, lo, self.p_rated_kw), dt)
-        self.saturated = cmd != wanted
-        p = self.lag.step(cmd, dt)
-        pinned = self._headroom_clamp(clamp(p, lo, self.p_rated_kw), dt)
-        if pinned != p:
-            p = pinned
-            self.lag.reset(p)
-            self.saturated = True
-        if p > 0.0:
-            self.soc += p * self.eta_charge * dt / 3600.0 / self.capacity_kwh
-        elif p < 0.0:
-            self.soc += p / self.eta_discharge * dt / 3600.0 / self.capacity_kwh
-        self.soc = clamp(self.soc, 0.0, 1.0)
-        self.p_kw = p
-        return p
+        return self._follow(self.local_command() + offset_kw, lo,
+                            self.p_rated_kw, dt)
 
     def get_state(self):
         return (self.soc, self.lag.y, self.p_kw, self.saturated, self.trip_drain_kwh)
 
     def set_state(self, state):
         self.soc, self.lag.y, self.p_kw, self.saturated, self.trip_drain_kwh = state
-
-
-class HouseholdLoad:
-    """Inflexible household demand sampled from profile series.
-
-    `p_series`/`q_series`/`heat_series` are any objects exposing value(t_s);
-    sample() caches the last values for the bus balance.
-    """
-
-    __slots__ = ("p_series", "q_series", "heat_series", "p_kw", "q_kvar", "heat_kw")
-
-    def __init__(self, p_series, q_series, heat_series):
-        self.p_series = p_series
-        self.q_series = q_series
-        self.heat_series = heat_series
-        self.p_kw = 0.0
-        self.q_kvar = 0.0
-        self.heat_kw = 0.0
-
-    def sample(self, t_s):
-        self.p_kw = self.p_series.value(t_s)
-        self.q_kvar = self.q_series.value(t_s)
-        self.heat_kw = self.heat_series.value(t_s)
-        return self.p_kw, self.q_kvar, self.heat_kw
-
-    def get_state(self):
-        return (self.p_kw, self.q_kvar, self.heat_kw)
-
-    def set_state(self, state):
-        self.p_kw, self.q_kvar, self.heat_kw = state

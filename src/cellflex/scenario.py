@@ -25,7 +25,6 @@ from .plants import (
     BatteryStorage,
     ElectricVehicle,
     HeatPumpSystem,
-    HouseholdLoad,
     PvInverter,
 )
 
@@ -197,6 +196,17 @@ class Scenario:
         d = self.start_datetime()
         return d.hour * 3600.0 + d.minute * 60.0 + d.second
 
+    def check_horizon(self, n_steps):
+        """Raise ConfigurationError if ``n_steps`` steps outrun the profile window."""
+        sim = self.simulation
+        horizon_s = n_steps * sim.dispatch_step_s
+        window_s = sim.profile_forward_days * 86400.0
+        if horizon_s > window_s:
+            raise ConfigurationError(
+                f"{n_steps} steps of {sim.dispatch_step_s:g} s ({horizon_s:g} s) "
+                f"exceed the profile window of {window_s:g} s "
+                f"(simulation.profile_forward_days={sim.profile_forward_days:g})")
+
     def plant_census(self):
         n_pv = sum(1 for p in self.prosumers if p.pv is not None)
         n_bes = sum(1 for p in self.prosumers if p.bes is not None)
@@ -311,11 +321,6 @@ def build_profiles(scenario, grid_s=900.0):
             StepSeries(t_lo, grid_s, heat_vals),
         )
     return ProfileSet(ambient, irradiance, household)
-
-
-def build_household(pro_id, profiles):
-    p, q, heat = profiles.household[pro_id]
-    return HouseholdLoad(p, q, heat)
 
 
 # ---------------------------------------------------------------------------

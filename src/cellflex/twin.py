@@ -18,6 +18,9 @@ optimizer:
 Controllable-plant ordering is class-major and scenario-ordered within each
 class: all batteries, then all heat pumps, then all EV chargers, then all PV
 inverters.  Offsets are ΔP in kW except for inverters, which take ΔQ in kVAr.
+``set_offsets`` writes them into one list that every prosumer reads by plant
+index; ``plant_values`` reads each plant's realized P (Q for inverters) in
+the same order.
 """
 
 from dataclasses import dataclass
@@ -26,22 +29,9 @@ import numpy as np
 
 from .errors import ConfigurationError, PowerFlowError
 from .grid import check_line_limits, solve_power_flow
-from .scenario import (
-    build_bes,
-    build_bev,
-    build_ehp,
-    build_household,
-    build_profiles,
-    build_pv,
-)
+from .scenario import build_bes, build_bev, build_ehp, build_profiles, build_pv
 
-__all__ = ["ReferenceState", "EvaluationResult", "CellTwin",
-           "PLANT_KIND_BES", "PLANT_KIND_EHP", "PLANT_KIND_BEV", "PLANT_KIND_INV"]
-
-PLANT_KIND_BES = "bes"
-PLANT_KIND_EHP = "ehp"
-PLANT_KIND_BEV = "bev"
-PLANT_KIND_INV = "inv"
+__all__ = ["ReferenceState", "EvaluationResult", "CellTwin"]
 
 _WARMUP_SUBSTEP_S = 15.0
 _WARMUP_BLOCK_S = 900.0
@@ -71,54 +61,63 @@ class EvaluationResult:
     n_violations: int
     feasible: bool
     failure: str | None = None
-    violations: tuple = ()
     trace: dict | None = None
 
 
 class _ProsumerTwin:
-    __slots__ = ("id", "bus", "household", "pv", "bes", "ehp", "bevs",
-                 "off_bes", "off_ehp", "off_inv", "off_bevs",
+    """One prosumer's plants plus its sampled inputs and bus injection.
+
+    ``offsets`` is the twin's shared offset list; ``i_bes``, ``i_ehp``,
+    ``i_inv`` and ``bev_slots`` (pairs of EV and index) locate this
+    prosumer's plants in it.
+    """
+
+    __slots__ = ("id", "bus", "load_series", "pv", "bes", "ehp", "bevs",
+                 "offsets", "i_bes", "i_ehp", "i_inv", "bev_slots",
                  "load_p", "load_q", "heat", "irr", "amb",
                  "p_kw", "q_kvar")
 
     def __init__(self, spec, profiles):
         self.id = spec.id
         self.bus = spec.bus
-        self.household = build_household(spec.id, profiles)
+        self.load_series = profiles.household[spec.id]
         self.pv = build_pv(spec.pv) if spec.pv else None
         self.bes = build_bes(spec.bes) if spec.bes else None
         self.ehp = build_ehp(spec.ehp) if spec.ehp else None
         self.bevs = [build_bev(b) for b in spec.bevs]
-        self.off_bes = 0.0
-        self.off_ehp = 0.0
-        self.off_inv = 0.0
-        self.off_bevs = [0.0] * len(self.bevs)
+        self.offsets = []
+        self.i_bes = self.i_ehp = self.i_inv = None
+        self.bev_slots = ()
         self.load_p = self.load_q = self.heat = 0.0
         self.irr = self.amb = 0.0
         self.p_kw = self.q_kvar = 0.0
 
     def sample_inputs(self, t_s, ambient, irradiance):
-        self.load_p, self.load_q, self.heat = self.household.sample(t_s)
+        p, q, heat = self.load_series
+        self.load_p = p.value(t_s)
+        self.load_q = q.value(t_s)
+        self.heat = heat.value(t_s)
         self.amb = ambient.value(t_s)
         self.irr = irradiance.value(t_s)
 
     def substep(self, tod_s, dt):
+        off = self.offsets
         p = self.load_p
         q = self.load_q
         if self.pv is not None:
-            p_pv, q_pv = self.pv.step(self.irr, self.off_inv)
+            p_pv, q_pv = self.pv.step(self.irr, off[self.i_inv])
             p -= p_pv
             q += q_pv
         if self.bes is not None:
             bes = self.bes
             wish = bes.feasible_command((p_pv if self.pv is not None else 0.0)
                                         - self.load_p, dt)
-            p += bes.step(wish + self.off_bes, dt)
+            p += bes.step(wish + off[self.i_bes], dt)
         if self.ehp is not None:
-            p += self.ehp.step(self.heat, self.amb, self.off_ehp, dt)
+            p += self.ehp.step(self.heat, self.amb, off[self.i_ehp], dt)
             q += self.ehp.q_kvar
-        for k, bev in enumerate(self.bevs):
-            p += bev.step(self.off_bevs[k], tod_s, dt)
+        for bev, i in self.bev_slots:
+            p += bev.step(off[i], tod_s, dt)
         self.p_kw = p
         self.q_kvar = q
 
@@ -166,66 +165,43 @@ class CellTwin:
     # plant table
 
     def _build_plant_table(self):
-        labels, kinds, classes, bounds, setters, getters = [], [], [], [], [], []
+        labels, classes, bounds, values = [], [], [], []
 
-        def add(label, kind, cls, lo, hi, setter, getter):
+        def add(label, cls, span, plant, attr):
             labels.append(label)
-            kinds.append(kind)
             classes.append(cls)
-            bounds.append((lo, hi))
-            setters.append(setter)
-            getters.append(getter)
-
-        def bes_setter(pro):
-            def set_(v):
-                pro.off_bes = v
-            return set_
-
-        def ehp_setter(pro):
-            def set_(v):
-                pro.off_ehp = v
-            return set_
-
-        def inv_setter(pro):
-            def set_(v):
-                pro.off_inv = v
-            return set_
-
-        def bev_setter(pro, k):
-            def set_(v):
-                pro.off_bevs[k] = v
-            return set_
+            bounds.append((-span, span))
+            values.append((plant, attr))
+            return len(labels) - 1
 
         for pro in self.prosumers:
             if pro.bes is not None:
                 span = pro.bes.p_max_charge_kw + pro.bes.p_max_discharge_kw
-                add(f"bes:{pro.id}", PLANT_KIND_BES, "bes", -span, span,
-                    bes_setter(pro), (lambda p: (lambda: p.bes.p_kw))(pro))
+                pro.i_bes = add(f"bes:{pro.id}", "bes", span, pro.bes, "p_kw")
         for pro in self.prosumers:
             if pro.ehp is not None:
                 span = pro.ehp.p_el_max_kw + pro.ehp.p_element_kw
-                add(f"ehp:{pro.id}", PLANT_KIND_EHP, "ehp", -span, span,
-                    ehp_setter(pro), (lambda p: (lambda: p.ehp.p_kw))(pro))
+                pro.i_ehp = add(f"ehp:{pro.id}", "ehp", span, pro.ehp, "p_kw")
         for pro in self.prosumers:
+            slots = []
             for k, bev in enumerate(pro.bevs):
                 cls = "bev_v2g" if bev.v2g else "bev_v1g"
                 span = 2.0 * bev.p_rated_kw if bev.v2g else bev.p_rated_kw
-                add(f"bev:{pro.id}.{k}", PLANT_KIND_BEV, cls, -span, span,
-                    bev_setter(pro, k),
-                    (lambda b: (lambda: b.p_kw))(bev))
+                slots.append((bev, add(f"bev:{pro.id}.{k}", cls, span, bev, "p_kw")))
+            pro.bev_slots = tuple(slots)
         for pro in self.prosumers:
             if pro.pv is not None:
                 span = pro.pv.q_fraction_limit * pro.pv.s_rated_kva
-                add(f"inv:{pro.id}", PLANT_KIND_INV, "inv", -span, span,
-                    inv_setter(pro), (lambda p: (lambda: p.pv.q_kvar))(pro))
+                pro.i_inv = add(f"inv:{pro.id}", "inv", span, pro.pv, "q_kvar")
 
         self.plant_labels = tuple(labels)
-        self.plant_kinds = tuple(kinds)
         self.plant_classes = tuple(classes)
-        self._offset_setters = setters
-        self._value_getters = getters
         self.n_plants = len(labels)
         self._bounds = np.array(bounds, dtype=float) if bounds else np.empty((0, 2))
+        self._plant_values = values
+        self._offsets = [0.0] * self.n_plants
+        for pro in self.prosumers:
+            pro.offsets = self._offsets
 
     def plant_bounds(self):
         return self._bounds.copy()
@@ -235,12 +211,11 @@ class CellTwin:
             raise ConfigurationError(
                 f"offset vector has {len(offsets)} entries, "
                 f"expected {self.n_plants}")
-        for setter, v in zip(self._offset_setters, offsets):
-            setter(float(v))
+        self._offsets[:] = map(float, offsets)
 
     def plant_values(self):
         """Realized costed quantity per plant (P in kW; Q in kVAr for inverters)."""
-        return np.array([g() for g in self._value_getters])
+        return np.array([getattr(plant, attr) for plant, attr in self._plant_values])
 
     # ------------------------------------------------------------------
     # integration
@@ -327,6 +302,8 @@ class CellTwin:
 
     def override_bes_soc(self, soc):
         """Force every battery's state of charge (scenario-study hook)."""
+        if not 0.0 <= soc <= 1.0:
+            raise ConfigurationError(f"battery SOC override {soc} outside [0, 1]")
         for pro in self.prosumers:
             if pro.bes is not None:
                 pro.bes.soc = float(soc)
@@ -354,7 +331,6 @@ class CellTwin:
             plant_values=self.plant_values(),
             n_violations=len(violations),
             feasible=not violations,
-            violations=tuple(violations),
             trace=trace,
         )
 

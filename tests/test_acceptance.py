@@ -15,7 +15,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 
 from cellflex.cli import main as cli_main
-from cellflex.dispatch import run_dispatch
+from cellflex.dispatch import run_dispatch, single_step_objective
 from cellflex.dynamics import FirstOrderLag
 from cellflex.grid import solve_power_flow, worst_balance_error_pu
 from cellflex.optimizer import (
@@ -26,11 +26,7 @@ from cellflex.optimizer import (
     basin_hopping,
     metropolis_accept,
 )
-from cellflex.oracle import (
-    grid_search_oracle,
-    make_toy_scenario,
-    single_step_objective,
-)
+from cellflex.oracle import grid_search_oracle, make_toy_scenario
 from cellflex.scenario import load_bundled_scenario
 from cellflex.twin import CellTwin
 

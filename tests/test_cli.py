@@ -59,6 +59,11 @@ class TestSimulate:
                      "--steps", "1"]) == 0
         assert capsys.readouterr().out.startswith("t_s,p_pcc_kw,q_pcc_kvar")
 
+    def test_horizon_beyond_profile_window_exits_1(self, toy_path, capsys):
+        assert main(["simulate", "--scenario", str(toy_path),
+                     "--steps", "5761"]) == 1
+        assert "profile_forward_days" in capsys.readouterr().err
+
 
 class TestDispatch:
     def test_writes_result_files(self, toy_path, tmp_path, capsys):
@@ -101,6 +106,13 @@ class TestDispatch:
                      "--seed", "1", "--bes-soc", "0.05",
                      "--out", str(out)]) == 0
         capsys.readouterr()
+
+    def test_bes_soc_outside_unit_interval_exits_1(self, toy_path, tmp_path,
+                                                   capsys):
+        assert main(["dispatch", "--scenario", str(toy_path),
+                     "--dp-kw", "-0.5", "--steps", "1", "--n-iter", "5",
+                     "--bes-soc", "1.5", "--out", str(tmp_path / "soc")]) == 1
+        assert "outside [0, 1]" in capsys.readouterr().err
 
 
 class TestSweepTemperature:

@@ -47,6 +47,21 @@ class TestTechnologyShares:
             technology_shares([1.0], ("geothermal",), 5.0, 1.0)
 
 
+class TestHorizon:
+    def test_horizon_beyond_profile_window_rejected_before_warmup(
+            self, monkeypatch):
+        # toy cell: one forward profile day holds 5760 steps of 15 s
+        def fail(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("cellflex.dispatch.basin_hopping", fail)
+        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+        with pytest.raises(ConfigurationError, match="profile_forward_days"):
+            run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=5761,
+                         config=TOY_CONFIG)
+        make_toy_scenario().check_horizon(5760)
+
+
 class TestToyTracking:
     def test_tracks_request_every_step(self, toy_run):
         assert len(toy_run.steps) == 3

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellflex.dynamics import (
-    FirstOrderLag,
-    PidController,
-    SecondOrderLag,
-    TransportDelay,
-    clamp,
-)
+from cellflex.dynamics import FirstOrderLag, clamp
 
 
 class TestFirstOrderLag:
@@ -40,15 +34,15 @@ class TestFirstOrderLag:
             y = blk.step(3.0, 0.05)
         assert y == pytest.approx(6.0, rel=1e-9)
 
-    def test_exact_branch_agrees_with_rk4_branch(self):
-        # dt above T/5 switches to the exponential update; both integrate the
-        # same trajectory for piecewise-constant input
+    def test_result_does_not_depend_on_step_size(self):
+        # the exponential update is exact for piecewise-constant input, so
+        # 150 steps of 0.1 s and one 15 s step end at the same state
         fine = FirstOrderLag(1.0, 2.0, y0=0.3)
         coarse = FirstOrderLag(1.0, 2.0, y0=0.3)
         for _ in range(150):
             fine.step(4.0, 0.1)
         coarse.step(4.0, 15.0)
-        assert coarse.y == pytest.approx(fine.y, abs=1e-6)
+        assert coarse.y == pytest.approx(fine.y, abs=1e-12)
 
     def test_exact_branch_is_exact(self):
         blk = FirstOrderLag(1.0, 2.0, y0=0.0)
@@ -79,79 +73,6 @@ class TestFirstOrderLag:
             y = blk.step(u, time_constant / 10.0)
             if side:
                 assert math.copysign(1.0, target - y) == side or abs(target - y) < 1e-12
-
-
-class TestSecondOrderLag:
-    def test_converges_to_gain_times_input(self):
-        blk = SecondOrderLag(gain=1.5, omega0=2.0, zeta=0.7)
-        for _ in range(2000):
-            y = blk.step(2.0, 0.01)
-        assert y == pytest.approx(3.0, abs=1e-6)
-
-    def test_internal_substepping_keeps_stability(self):
-        blk = SecondOrderLag(gain=1.0, omega0=5.0, zeta=0.3)
-        for _ in range(200):
-            y = blk.step(1.0, 1.0)  # dt far above the single-step RK4 range
-        assert y == pytest.approx(1.0, abs=1e-3)
-
-    def test_parameter_errors(self):
-        with pytest.raises(ValueError):
-            SecondOrderLag(omega0=0.0)
-        with pytest.raises(ValueError):
-            SecondOrderLag(zeta=-0.1)
-
-
-class TestTransportDelay:
-    def test_exact_shift_on_grid(self):
-        d = TransportDelay(dead_time=0.5, dt=0.1, initial=0.0)
-        inputs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        outputs = [d.step(u) for u in inputs]
-        # first 5 samples replay the initial value, then inputs shifted by 5
-        assert outputs == [0.0] * 5 + inputs[:3]
-
-    def test_zero_dead_time_is_passthrough(self):
-        d = TransportDelay(0.0, 0.1)
-        assert d.step(3.5) == 3.5
-
-    @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=30),
-           st.integers(1, 8))
-    def test_shift_property(self, values, n):
-        d = TransportDelay(dead_time=n * 0.25, dt=0.25, initial=-1.0)
-        out = [d.step(u) for u in values]
-        expected = [-1.0] * min(n, len(values)) + values[: max(0, len(values) - n)]
-        assert out == expected
-
-
-class TestPidController:
-    def test_saturated_output_keeps_integral(self):
-        pid = PidController(kp=10.0, ki=1.0, kd=0.0, out_lo=0.0, out_hi=1.0)
-        out = pid.step(5.0, 1.0)
-        assert out == 1.0
-        assert pid.integral == 0.0  # anti-windup: no accumulation while clamped
-
-    def test_integral_accumulates_inside_limits(self):
-        pid = PidController(kp=1.0, ki=1.0, kd=0.0, out_lo=-10.0, out_hi=10.0)
-        out = pid.step(0.1, 1.0)
-        assert out == pytest.approx(0.2)
-        assert pid.integral == pytest.approx(0.1)
-
-    def test_derivative_term(self):
-        pid = PidController(kp=0.0, ki=0.0, kd=2.0)
-        assert pid.step(1.0, 0.5) == 0.0  # no previous error yet
-        assert pid.step(2.0, 0.5) == pytest.approx(2.0 * (2.0 - 1.0) / 0.5)
-
-    def test_drives_first_order_plant_to_setpoint(self):
-        pid = PidController(kp=2.0, ki=0.5, kd=0.0, out_lo=0.0, out_hi=10.0)
-        plant = FirstOrderLag(1.0, 5.0, y0=0.0)
-        y = 0.0
-        for _ in range(5000):
-            u = pid.step(3.0 - y, 0.1)
-            y = plant.step(u, 0.1)
-        assert y == pytest.approx(3.0, abs=1e-6)
-
-    def test_bad_limits(self):
-        with pytest.raises(ValueError):
-            PidController(1.0, out_lo=1.0, out_hi=0.0)
 
 
 def test_clamp():

@@ -162,6 +162,15 @@ class TestWarmup:
         ev = twin.evaluate_dispatch(ref, np.zeros(2), record_trace=True)
         assert ev.trace["bes_soc"][0] <= 0.05
 
+    @pytest.mark.parametrize("soc", [-0.01, 1.5])
+    def test_override_bes_soc_outside_unit_interval_rejected(self, soc):
+        twin = CellTwin(make_toy_scenario())
+        twin.run_warmup()
+        soc_before = twin.prosumers[0].bes.soc
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 1\]"):
+            twin.override_bes_soc(soc)
+        assert twin.prosumers[0].bes.soc == soc_before
+
 
 @pytest.fixture(scope="module")
 def traced():
