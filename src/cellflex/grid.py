@@ -6,7 +6,10 @@ solver works on the single-phase equivalent: per-phase voltages in volts,
 three-phase powers in kW/kVAr (consumption positive).  A backward sweep
 accumulates branch currents from the leaves, a forward sweep updates the
 voltage drops; iteration stops once the largest per-sweep voltage change
-falls below `tol` (in per unit).
+falls below `tol` (in per unit).  The sweep plan -- the BFS bus order with
+each bus's parent, feeding line and impedance, the lines leaving the PCC and
+the line limits -- is built once with the topology, so a solve only does
+arithmetic.
 
 The PCC reading is defined as the complex sum of all bus injections plus all
 series losses (3 * |I|^2 * Z per line) — by construction it equals the power
@@ -169,10 +172,23 @@ class GridTopology:
             missing = sorted(self.buses[i].id for i in range(n) if not seen[i])
             raise ConfigurationError(f"buses not connected to the PCC: {missing}")
 
-        self._order = order
-        self._parent = parent
-        self._parent_line = parent_line
-        self._z_ohm = [complex(ln.r_ohm, ln.x_ohm) for ln in self.lines]
+        # sweep plan: (bus, parent, line, z) in BFS order for the forward
+        # sweep and reversed for the backward one, plus the lines leaving
+        # the root in bus order (the slack inflow's summation order)
+        z = [complex(ln.r_ohm, ln.x_ohm) for ln in self.lines]
+        self._root = root
+        self._forward = tuple((bus, parent[bus], parent_line[bus], z[parent_line[bus]])
+                              for bus in order[1:])
+        self._backward = self._forward[::-1]
+        self._root_lines = tuple(parent_line[bus] for bus in range(n)
+                                 if parent[bus] == root)
+        self._non_root = tuple(i for i in range(n) if i != root)
+        self._z_ohm = z
+        self._non_slack = frozenset(b.id for b in self.buses if b.id != self.pcc_bus)
+        self._bus_ids = tuple(b.id for b in self.buses)
+        self._line_ids = tuple(ln.id for ln in self.lines)
+        self._v_ph_nom = self.v_nom_ll_v / math.sqrt(3.0)
+        self.line_limits = {ln.id: ln.i_max_a for ln in self.lines}
 
     @property
     def bus_ids(self):
@@ -187,26 +203,26 @@ def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0)
     the sweep does not converge within `max_sweeps` and InfeasibleNetworkError
     if any voltage drops below 0.5 pu on the way.
     """
-    non_slack = [b.id for b in topology.buses if b.id != topology.pcc_bus]
-    missing = [b for b in non_slack if b not in injections]
-    if missing:
-        raise ConfigurationError(f"injections missing for buses: {missing}")
-    extra = [b for b in injections if b not in non_slack]
-    if extra:
+    if injections.keys() != topology._non_slack:
+        non_slack = [b.id for b in topology.buses if b.id != topology.pcc_bus]
+        missing = [b for b in non_slack if b not in injections]
+        if missing:
+            raise ConfigurationError(f"injections missing for buses: {missing}")
+        extra = [b for b in injections if b not in non_slack]
         raise ConfigurationError(f"injections given for slack/unknown buses: {extra}")
 
-    v_ph_nom = topology.v_nom_ll_v / math.sqrt(3.0)
+    v_ph_nom = topology._v_ph_nom
+    v_floor = V_COLLAPSE_PU * v_ph_nom
     idx = topology._bus_index
-    order = topology._order
-    parent = topology._parent
-    parent_line = topology._parent_line
-    z = topology._z_ohm
+    forward = topology._forward
+    backward = topology._backward
     n = len(topology.buses)
 
     # per-phase apparent power in VA (three-phase total / 3), consumption positive
     s_ph = [0j] * n
     for bid, (p_kw, q_kvar) in injections.items():
         s_ph[idx[bid]] = complex(p_kw, q_kvar) * (1000.0 / 3.0)
+    loads = [(i, s_ph[i]) for i in topology._non_root if s_ph[i] != 0j]
 
     v = [complex(v_ph_nom, 0.0)] * n
     i_branch = [0j] * len(topology.lines)
@@ -215,21 +231,20 @@ def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0)
     for sweeps in range(1, max_sweeps + 1):
         # backward: load currents, then accumulate toward the root
         acc = [0j] * n
-        for i in range(n):
-            if i != order[0] and s_ph[i] != 0j:
-                acc[i] = (s_ph[i] / v[i]).conjugate()
-        for bus in reversed(order[1:]):
-            i_branch[parent_line[bus]] = acc[bus]
-            acc[parent[bus]] += acc[bus]
+        for i, s in loads:
+            acc[i] = (s / v[i]).conjugate()
+        for bus, par, li, _ in backward:
+            i_branch[li] = acc[bus]
+            acc[par] += acc[bus]
         # forward: voltage drops from the root outward
         max_dv = 0.0
-        for bus in order[1:]:
-            v_new = v[parent[bus]] - z[parent_line[bus]] * i_branch[parent_line[bus]]
+        for bus, par, li, z in forward:
+            v_new = v[par] - z * i_branch[li]
             dv = abs(v_new - v[bus])
             if dv > max_dv:
                 max_dv = dv
             v[bus] = v_new
-            if abs(v_new) < V_COLLAPSE_PU * v_ph_nom:
+            if abs(v_new) < v_floor:
                 raise InfeasibleNetworkError(
                     f"voltage collapse at bus '{topology.buses[bus].id}' "
                     f"({abs(v_new) / v_ph_nom:.3f} pu)")
@@ -242,27 +257,24 @@ def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0)
             f"(last voltage change {max_dv / v_ph_nom:.2e} pu)")
 
     loss = 0j
-    for li in range(len(topology.lines)):
-        i_mag2 = (i_branch[li] * i_branch[li].conjugate()).real
-        loss += 3.0 * i_mag2 * z[li]
+    for i_l, z in zip(i_branch, topology._z_ohm):
+        i_mag2 = (i_l * i_l.conjugate()).real
+        loss += 3.0 * i_mag2 * z
     s_total = sum(s_ph) * 3.0 + loss          # VA, three-phase
 
     # cross-check against the physical slack inflow (root branch currents)
-    root = order[0]
     i_root = 0j
-    for bus in range(n):
-        if parent[bus] == root:
-            i_root += i_branch[parent_line[bus]]
-    s_slack = 3.0 * v[root] * i_root.conjugate()
+    for li in topology._root_lines:
+        i_root += i_branch[li]
+    s_slack = 3.0 * v[topology._root] * i_root.conjugate()
     s_base = topology.transformer_kva * 1000.0
     balance_error = abs(s_slack - s_total) / s_base
     global _worst_balance_error_pu
     if balance_error > _worst_balance_error_pu:
         _worst_balance_error_pu = balance_error
 
-    v_pu = {topology.buses[i].id: abs(v[i]) / v_ph_nom for i in range(n)}
-    currents = {topology.lines[li].id: abs(i_branch[li])
-                for li in range(len(topology.lines))}
+    v_pu = {bid: abs(v_i) / v_ph_nom for bid, v_i in zip(topology._bus_ids, v)}
+    currents = {lid: abs(i_l) for lid, i_l in zip(topology._line_ids, i_branch)}
     return PowerFlowResult(
         pcc=PccReading(s_total.real / 1000.0, s_total.imag / 1000.0, t_s),
         v_pu=v_pu,
@@ -276,7 +288,7 @@ def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0)
 
 def check_line_limits(result, topology):
     """Return a LineLoading entry for every line whose current exceeds its limit."""
-    limits = {ln.id: ln.i_max_a for ln in topology.lines}
+    limits = topology.line_limits
     violations = []
     for lid, amps in result.currents_a.items():
         limit = limits[lid]

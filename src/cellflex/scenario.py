@@ -197,7 +197,10 @@ class Scenario:
         return d.hour * 3600.0 + d.minute * 60.0 + d.second
 
     def check_horizon(self, n_steps):
-        """Raise ConfigurationError if ``n_steps`` steps outrun the profile window."""
+        """Raise ConfigurationError unless ``n_steps`` is at least one step and
+        the steps fit the profile window."""
+        if n_steps < 1:
+            raise ConfigurationError(f"the run needs at least 1 step, got {n_steps}")
         sim = self.simulation
         horizon_s = n_steps * sim.dispatch_step_s
         window_s = sim.profile_forward_days * 86400.0

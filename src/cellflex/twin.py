@@ -15,6 +15,13 @@ optimizer:
                               the end state becomes the next step's snapshot
                               while the frozen baseline powers are kept.
 
+Profile inputs (household load and heat demand, ambient temperature,
+irradiance) are sampled at the start of each interval and held constant over
+it; the twin samples them again only when the interval start time changes,
+so the evaluations of one dispatch step share one sample.  The PV inverters
+keep no state and see constant inputs, so each steps once per interval and
+every substep reuses its output.
+
 Controllable-plant ordering is class-major and scenario-ordered within each
 class: all batteries, then all heat pumps, then all EV chargers, then all PV
 inverters.  Offsets are ΔP in kW except for inverters, which take ΔQ in kVAr.
@@ -75,7 +82,7 @@ class _ProsumerTwin:
     __slots__ = ("id", "bus", "load_series", "pv", "bes", "ehp", "bevs",
                  "offsets", "i_bes", "i_ehp", "i_inv", "bev_slots",
                  "load_p", "load_q", "heat", "irr", "amb",
-                 "p_kw", "q_kvar")
+                 "p_base", "q_base", "pv_surplus", "p_kw", "q_kvar")
 
     def __init__(self, spec, profiles):
         self.id = spec.id
@@ -90,6 +97,7 @@ class _ProsumerTwin:
         self.bev_slots = ()
         self.load_p = self.load_q = self.heat = 0.0
         self.irr = self.amb = 0.0
+        self.p_base = self.q_base = self.pv_surplus = 0.0
         self.p_kw = self.q_kvar = 0.0
 
     def sample_inputs(self, t_s, ambient, irradiance):
@@ -100,18 +108,31 @@ class _ProsumerTwin:
         self.amb = ambient.value(t_s)
         self.irr = irradiance.value(t_s)
 
+    def begin_interval(self):
+        """Step the PV inverter, which keeps no state, once for the interval.
+
+        Its output depends only on the sampled irradiance and its offset,
+        both fixed over one interval, so every substep reuses the result:
+        the bus base load ``p_base``/``q_base`` and the battery's local wish
+        ``pv_surplus``.
+        """
+        if self.pv is not None:
+            p_pv, q_pv = self.pv.step(self.irr, self.offsets[self.i_inv])
+            self.p_base = self.load_p - p_pv
+            self.q_base = self.load_q + q_pv
+            self.pv_surplus = p_pv - self.load_p
+        else:
+            self.p_base = self.load_p
+            self.q_base = self.load_q
+            self.pv_surplus = 0.0 - self.load_p
+
     def substep(self, tod_s, dt):
         off = self.offsets
-        p = self.load_p
-        q = self.load_q
-        if self.pv is not None:
-            p_pv, q_pv = self.pv.step(self.irr, off[self.i_inv])
-            p -= p_pv
-            q += q_pv
+        p = self.p_base
+        q = self.q_base
         if self.bes is not None:
             bes = self.bes
-            wish = bes.feasible_command((p_pv if self.pv is not None else 0.0)
-                                        - self.load_p, dt)
+            wish = bes.feasible_command(self.pv_surplus, dt)
             p += bes.step(wish + off[self.i_bes], dt)
         if self.ehp is not None:
             p += self.ehp.step(self.heat, self.amb, off[self.i_ehp], dt)
@@ -156,10 +177,10 @@ class CellTwin:
         self.dispatch_step_s = scenario.simulation.dispatch_step_s
         self.start_tod_s = scenario.start_tod_s()
         self.t_s = 0.0
+        self._inputs_t0 = None
         self._build_plant_table()
         self._junctions = [b.id for b in scenario.buses
                            if b.id != scenario.pcc_bus and b.prosumer is None]
-        self._line_limit = {ln.id: ln.i_max_a for ln in self.topology.lines}
 
     # ------------------------------------------------------------------
     # plant table
@@ -221,16 +242,22 @@ class CellTwin:
     # integration
 
     def _step_interval(self, dt_total, substep):
-        ambient, irradiance = self.profiles.ambient, self.profiles.irradiance
         t0 = self.t_s
-        for pro in self.prosumers:
-            pro.sample_inputs(t0, ambient, irradiance)
+        prosumers = self.prosumers
+        if t0 != self._inputs_t0:
+            # profiles are fixed once the twin is built, so the inputs at t0
+            # only change when the clock does
+            ambient, irradiance = self.profiles.ambient, self.profiles.irradiance
+            for pro in prosumers:
+                pro.sample_inputs(t0, ambient, irradiance)
+            self._inputs_t0 = t0
         n = round(dt_total / substep)
         if n < 1 or abs(n * substep - dt_total) > 1e-9 * max(1.0, dt_total):
             raise ConfigurationError(
                 f"interval {dt_total} s is not a multiple of substep {substep} s")
+        for pro in prosumers:
+            pro.begin_interval()
         base_tod = self.start_tod_s + t0
-        prosumers = self.prosumers
         for k in range(n):
             tod = (base_tod + k * substep) % 86400.0
             for pro in prosumers:
@@ -273,8 +300,14 @@ class CellTwin:
         """
         if duration_s is None:
             duration_s = self.scenario.simulation.warmup_s
-        if duration_s < 0:
-            raise ConfigurationError("warmup duration must be >= 0")
+        if not duration_s >= 0:         # also rejects NaN
+            raise ConfigurationError(f"warmup duration must be >= 0, got {duration_s}")
+        back_days = self.scenario.simulation.profile_back_days
+        if duration_s > back_days * 86400.0:
+            raise ConfigurationError(
+                f"warmup of {duration_s:g} s reaches back beyond the profile "
+                f"window of {back_days * 86400.0:g} s "
+                f"(simulation.profile_back_days={back_days:g})")
         self.set_offsets([0.0] * self.n_plants)
         self.t_s = -float(duration_s)
         substep = max(self.internal_dt_s, _WARMUP_SUBSTEP_S)
@@ -395,7 +428,7 @@ class CellTwin:
             "inv_s_rated_kva": tuple(inv_s),
             "v_min_pu": min(res.v_pu.values()),
             "line_loading_max": max(
-                (amps / self._line_limit[lid]
+                (amps / self.topology.line_limits[lid]
                  for lid, amps in res.currents_a.items()),
                 default=0.0),
         }

@@ -1,0 +1,52 @@
+"""The benchmark's patch points still reach the package.
+
+``bench/tracing.py`` wraps cellflex callables by name from outside the
+package.  If a refactor renames or bypasses one of them, the benchmark's
+traced metrics silently read zero; this test catches that in the unit suite
+by running one toy evaluation under each probe.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import cellflex.dispatch
+from cellflex.dispatch import run_dispatch
+from cellflex.optimizer import BasinHoppingConfig, FlexibilityRequest
+from cellflex.oracle import make_toy_scenario
+from cellflex.twin import CellTwin
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import tracing  # noqa: E402
+
+
+def test_step_clock_marks_each_dispatch_step_and_uninstalls():
+    original = cellflex.dispatch.basin_hopping
+    clock = tracing.StepClock()
+    undo = clock.install()
+    try:
+        run_dispatch(make_toy_scenario(), FlexibilityRequest(1.0, 0.3),
+                     n_steps=2, config=BasinHoppingConfig(n_iter=1, seed=1))
+    finally:
+        undo()
+    assert len(clock.step_marks) == 2
+    assert cellflex.dispatch.basin_hopping is original
+
+
+def test_tracer_counts_every_layer_of_an_evaluation():
+    twin = CellTwin(make_toy_scenario())
+    ref = twin.run_warmup()
+    original = CellTwin.evaluate_dispatch
+    tracer = tracing.Tracer()
+    undo = tracer.install()
+    try:
+        twin.evaluate_dispatch(ref, np.array([0.5, 0.2]))
+    finally:
+        undo()
+    assert CellTwin.evaluate_dispatch is original
+    counts = {key: agg[0] for key, agg in tracer.root.agg.items()}
+    counts.update({key: agg[0] for key, agg in tracer.root.inner.items()})
+    for key in ("twin.evaluate", "twin.restore", "twin.integrate",
+                "grid.solve", "plants.bes"):
+        assert counts.get(key, 0) >= 1, key

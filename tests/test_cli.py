@@ -64,6 +64,18 @@ class TestSimulate:
                      "--steps", "5761"]) == 1
         assert "profile_forward_days" in capsys.readouterr().err
 
+    def test_negative_steps_exit_1(self, toy_path, capsys):
+        assert main(["simulate", "--scenario", str(toy_path),
+                     "--steps", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert "at least 1 step" in captured.err
+        assert captured.out == ""
+
+    def test_warmup_beyond_profile_window_exits_1(self, toy_path, capsys):
+        assert main(["simulate", "--scenario", str(toy_path),
+                     "--warmup-days", "1.5"]) == 1
+        assert "profile_back_days" in capsys.readouterr().err
+
 
 class TestDispatch:
     def test_writes_result_files(self, toy_path, tmp_path, capsys):
@@ -93,6 +105,14 @@ class TestDispatch:
         capsys.readouterr()
         for name in ("dispatch.csv", "iterations.csv", "summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_zero_steps_exit_1(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "none"
+        assert main(["dispatch", "--scenario", str(toy_path),
+                     "--dp-kw", "1.0", "--steps", "0",
+                     "--out", str(out)]) == 1
+        assert "at least 1 step" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_request_is_a_usage_error(self, toy_path):
         with pytest.raises(SystemExit) as err:

@@ -61,6 +61,11 @@ class TestHorizon:
                          config=TOY_CONFIG)
         make_toy_scenario().check_horizon(5760)
 
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least 1 step, got 0"):
+            run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=0,
+                         config=TOY_CONFIG)
+
 
 class TestToyTracking:
     def test_tracks_request_every_step(self, toy_run):

@@ -5,6 +5,7 @@ import pytest
 
 from cellflex.errors import ConfigurationError, PowerFlowError
 from cellflex.oracle import make_toy_scenario
+from cellflex.plants import PvInverter
 from cellflex.scenario import load_bundled_scenario, scenario_from_dict
 from cellflex.twin import CellTwin
 
@@ -14,6 +15,19 @@ def toy():
     twin = CellTwin(make_toy_scenario())
     ref = twin.run_warmup()
     return twin, ref
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    twin = CellTwin(load_bundled_scenario())
+    ref = twin.run_warmup()
+    return twin, ref
+
+
+def fingerprint(ev):
+    """Everything an evaluation reports, with floats at full precision."""
+    return (ev.pcc_p_kw.hex(), ev.pcc_q_kvar.hex(), ev.plant_values.tobytes(),
+            ev.n_violations, ev.feasible, ev.failure, repr(ev.trace))
 
 
 def weak_feeder_scenario():
@@ -102,6 +116,42 @@ class TestEvaluation:
         assert np.array_equal(ref.plant_values, before)
         assert ref.t_s == 0.0
 
+    def test_result_does_not_depend_on_evaluation_history(self, bundled):
+        twin, ref = bundled
+        rng = np.random.default_rng(11)
+        bounds = twin.plant_bounds()
+        x1, x2 = rng.uniform(bounds[:, 0], bounds[:, 1], size=(2, twin.n_plants))
+        first = twin.evaluate_dispatch(ref, x1, record_trace=True)
+        twin.evaluate_dispatch(ref, x2, record_trace=True)
+        again = twin.evaluate_dispatch(ref, x1, record_trace=True)
+        assert fingerprint(again) == fingerprint(first)
+
+    def test_inputs_follow_the_clock_after_a_commit(self, bundled):
+        # the cell's ambient temperature moves every second, so an evaluation
+        # that reused the previous interval's inputs would differ in its bits
+        twin, ref = bundled
+        x = np.full(twin.n_plants, 0.1)
+        twin.evaluate_dispatch(ref, x)
+        new_ref, _ = twin.advance_reference(ref, x)
+        after_commit = twin.evaluate_dispatch(new_ref, x, record_trace=True)
+        fresh = CellTwin(twin.scenario)
+        on_fresh_twin = fresh.evaluate_dispatch(new_ref, x, record_trace=True)
+        assert fingerprint(after_commit) == fingerprint(on_fresh_twin)
+
+    def test_pv_inverter_steps_once_per_interval(self, toy, monkeypatch):
+        twin, ref = toy
+        calls = []
+        step = PvInverter.step
+
+        def counting_step(inverter, *args):
+            calls.append(args)
+            return step(inverter, *args)
+
+        monkeypatch.setattr(PvInverter, "step", counting_step)
+        twin.evaluate_dispatch(ref, np.array([0.5, 0.3]))
+        twin.evaluate_dispatch(ref, np.array([0.5, -0.2]))
+        assert [q for _, q in calls] == [0.3, -0.2]
+
     def test_trace_only_on_request(self, toy):
         twin, ref = toy
         assert twin.evaluate_dispatch(ref, np.zeros(2)).trace is None
@@ -154,6 +204,21 @@ class TestWarmup:
         with pytest.raises(ConfigurationError, match=">= 0"):
             twin.run_warmup(duration_s=-1.0)
 
+    def test_nan_duration_rejected(self):
+        # NaN fails every comparison, so it used to skip the warmup silently
+        twin = CellTwin(make_toy_scenario())
+        with pytest.raises(ConfigurationError, match=">= 0, got nan"):
+            twin.run_warmup(duration_s=float("nan"))
+
+    def test_warmup_beyond_profile_window_rejected_before_integrating(self):
+        # the toy cell's profiles reach one day back
+        twin = CellTwin(make_toy_scenario())
+        with pytest.raises(ConfigurationError,
+                           match=r"129600 s .*simulation\.profile_back_days=1\)"):
+            twin.run_warmup(duration_s=1.5 * 86400.0)
+        assert twin.t_s == 0.0
+        assert twin.run_warmup(duration_s=86400.0).t_s == 0.0
+
     def test_override_bes_soc(self):
         twin = CellTwin(make_toy_scenario())
         ref = twin.run_warmup()
@@ -173,9 +238,8 @@ class TestWarmup:
 
 
 @pytest.fixture(scope="module")
-def traced():
-    twin = CellTwin(load_bundled_scenario())
-    ref = twin.run_warmup()
+def traced(bundled):
+    twin, ref = bundled
     ev = twin.evaluate_dispatch(ref, np.zeros(twin.n_plants),
                                 record_trace=True)
     return twin, ev
