@@ -190,10 +190,6 @@ class GridTopology:
         self._v_ph_nom = self.v_nom_ll_v / math.sqrt(3.0)
         self.line_limits = {ln.id: ln.i_max_a for ln in self.lines}
 
-    @property
-    def bus_ids(self):
-        return [b.id for b in self.buses]
-
 
 def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0):
     """Solve the radial power flow for three-phase injections in kW/kVAr.

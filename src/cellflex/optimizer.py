@@ -78,6 +78,12 @@ class FlexibilityRequest:
     dp_kw: float
     dq_kvar: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.dp_kw) and math.isfinite(self.dq_kvar)):
+            raise ConfigurationError(
+                f"flexibility request must be finite, got dp_kw={self.dp_kw}, "
+                f"dq_kvar={self.dq_kvar}")
+
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
@@ -246,13 +252,14 @@ class BasinHoppingConfig:
     nm: NelderMeadSettings = field(default_factory=NelderMeadSettings)
 
     def __post_init__(self):
-        if self.temperature < 0.0:
+        # each check states what must hold, so that NaN fails it
+        if not self.temperature >= 0.0:
             raise ConfigurationError("temperature must be >= 0")
-        if self.n_iter < 0:
+        if not self.n_iter >= 0:
             raise ConfigurationError("n_iter must be >= 0")
-        if self.step_size <= 0.0:
-            raise ConfigurationError("step_size must be > 0")
-        if self.adjust_interval < 1:
+        if not 0.0 < self.step_size < math.inf:
+            raise ConfigurationError("step_size must be finite and > 0")
+        if not self.adjust_interval >= 1:
             raise ConfigurationError("adjust_interval must be >= 1")
         if not 0.0 < self.adjust_factor <= 1.0:
             raise ConfigurationError("adjust_factor must lie in (0, 1]")

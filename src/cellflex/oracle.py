@@ -84,7 +84,7 @@ def grid_search_oracle(scenario, request, *, resolution=0.05,
         raise ConfigurationError(
             f"grid-search oracle handles at most {_MAX_ORACLE_PLANTS} plants, "
             f"scenario has {twin.n_plants}")
-    if resolution <= 0.0:
+    if not resolution > 0.0:         # written so that NaN fails it too
         raise ConfigurationError("resolution must be > 0")
 
     ref = twin.run_warmup(warmup_s)

@@ -15,6 +15,10 @@ offset is added on top, and the sum is clamped again — so a request beyond the
 feasible range pins at the bound and the excess is ignored; the plant flags
 this via its `saturated` attribute.  Commanded power then passes through a
 first-order lag before it acts on the stored energy.
+
+Each plant is built from its scenario params record (``BesParams``,
+``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
+which holds every parameter default; the constructors only validate it.
 """
 
 import math
@@ -59,17 +63,16 @@ class _Storage:
     __slots__ = ("capacity_kwh", "eta_charge", "eta_discharge", "lag", "soc",
                  "p_kw", "saturated")
 
-    def __init__(self, capacity_kwh, eta_charge, eta_discharge, soc0,
-                 time_constant_s, p0_kw):
-        if capacity_kwh <= 0.0:
-            raise ValueError(f"capacity_kwh must be > 0, got {capacity_kwh}")
-        if not 0.0 <= soc0 <= 1.0:
-            raise ValueError(f"soc0 must lie in [0, 1], got {soc0}")
-        self.capacity_kwh = capacity_kwh
-        self.eta_charge = eta_charge
-        self.eta_discharge = eta_discharge
-        self.lag = FirstOrderLag(1.0, time_constant_s, y0=p0_kw)
-        self.soc = soc0
+    def __init__(self, params, p0_kw):
+        if params.capacity_kwh <= 0.0:
+            raise ValueError(f"capacity_kwh must be > 0, got {params.capacity_kwh}")
+        if not 0.0 <= params.soc0 <= 1.0:
+            raise ValueError(f"soc0 must lie in [0, 1], got {params.soc0}")
+        self.capacity_kwh = params.capacity_kwh
+        self.eta_charge = params.eta_charge
+        self.eta_discharge = params.eta_discharge
+        self.lag = FirstOrderLag(1.0, params.time_constant_s, y0=p0_kw)
+        self.soc = params.soc0
         self.p_kw = p0_kw
         self.saturated = False
 
@@ -113,17 +116,14 @@ class BatteryStorage(_Storage):
 
     __slots__ = ("p_max_charge_kw", "p_max_discharge_kw")
 
-    def __init__(self, capacity_kwh, p_max_charge_kw, p_max_discharge_kw,
-                 eta_charge=0.95, eta_discharge=0.95, soc0=0.5,
-                 time_constant_s=2.0, p0_kw=0.0):
-        super().__init__(capacity_kwh, eta_charge, eta_discharge, soc0,
-                         time_constant_s, p0_kw)
-        if p_max_charge_kw < 0.0 or p_max_discharge_kw < 0.0:
+    def __init__(self, params, p0_kw=0.0):
+        super().__init__(params, p0_kw)
+        if params.p_max_charge_kw < 0.0 or params.p_max_discharge_kw < 0.0:
             raise ValueError("power limits must be >= 0")
-        if not 0.0 < eta_charge <= 1.0 or not 0.0 < eta_discharge <= 1.0:
+        if not 0.0 < params.eta_charge <= 1.0 or not 0.0 < params.eta_discharge <= 1.0:
             raise ValueError("efficiencies must lie in (0, 1]")
-        self.p_max_charge_kw = p_max_charge_kw
-        self.p_max_discharge_kw = p_max_discharge_kw
+        self.p_max_charge_kw = params.p_max_charge_kw
+        self.p_max_discharge_kw = params.p_max_discharge_kw
 
     def feasible_command(self, wish_kw, dt):
         """Local-control wish reduced to what the plant can deliver right now."""
@@ -155,16 +155,17 @@ class PvInverter:
     __slots__ = ("s_rated_kva", "p_peak_kwp", "q_fraction_limit",
                  "p_ac_kw", "q_kvar", "saturated")
 
-    def __init__(self, s_rated_kva, p_peak_kwp, q_fraction_limit=0.30):
-        if s_rated_kva <= 0.0:
-            raise ValueError(f"s_rated_kva must be > 0, got {s_rated_kva}")
-        if p_peak_kwp < 0.0:
-            raise ValueError(f"p_peak_kwp must be >= 0, got {p_peak_kwp}")
-        if not 0.0 <= q_fraction_limit <= 1.0:
-            raise ValueError(f"q_fraction_limit must lie in [0, 1], got {q_fraction_limit}")
-        self.s_rated_kva = s_rated_kva
-        self.p_peak_kwp = p_peak_kwp
-        self.q_fraction_limit = q_fraction_limit
+    def __init__(self, params):
+        if params.s_rated_kva <= 0.0:
+            raise ValueError(f"s_rated_kva must be > 0, got {params.s_rated_kva}")
+        if params.p_peak_kwp < 0.0:
+            raise ValueError(f"p_peak_kwp must be >= 0, got {params.p_peak_kwp}")
+        if not 0.0 <= params.q_fraction_limit <= 1.0:
+            raise ValueError(
+                f"q_fraction_limit must lie in [0, 1], got {params.q_fraction_limit}")
+        self.s_rated_kva = params.s_rated_kva
+        self.p_peak_kwp = params.p_peak_kwp
+        self.q_fraction_limit = params.q_fraction_limit
         self.p_ac_kw = 0.0
         self.q_kvar = 0.0
         self.saturated = False
@@ -222,35 +223,33 @@ class HeatPumpSystem:
         "saturated", "last_cop", "last_p_compressor_kw", "last_p_element_kw",
     )
 
-    def __init__(self, p_el_max_kw, p_element_kw, storage_kwh_per_k,
-                 effectiveness=0.5, t_on_c=42.0, t_off_c=48.0, t_min_c=35.0,
-                 t_max_c=90.0, t_element_threshold_c=50.0, t0_c=45.0,
-                 heating0=False, time_constant_s=8.0, power_factor=0.95):
-        if p_el_max_kw <= 0.0:
-            raise ValueError(f"p_el_max_kw must be > 0, got {p_el_max_kw}")
-        if p_element_kw < 0.0:
-            raise ValueError(f"p_element_kw must be >= 0, got {p_element_kw}")
-        if storage_kwh_per_k <= 0.0:
-            raise ValueError(f"storage_kwh_per_k must be > 0, got {storage_kwh_per_k}")
-        if not t_min_c <= t_on_c < t_off_c <= t_element_threshold_c <= t_max_c:
+    def __init__(self, params):
+        p = params
+        if p.p_el_max_kw <= 0.0:
+            raise ValueError(f"p_el_max_kw must be > 0, got {p.p_el_max_kw}")
+        if p.p_element_kw < 0.0:
+            raise ValueError(f"p_element_kw must be >= 0, got {p.p_element_kw}")
+        if p.storage_kwh_per_k <= 0.0:
+            raise ValueError(f"storage_kwh_per_k must be > 0, got {p.storage_kwh_per_k}")
+        if not p.t_min_c <= p.t_on_c < p.t_off_c <= p.t_element_threshold_c <= p.t_max_c:
             raise ValueError("need t_min <= t_on < t_off <= t_element_threshold <= t_max")
-        if not t_min_c <= t0_c <= t_max_c:
-            raise ValueError(f"t0_c {t0_c} outside [{t_min_c}, {t_max_c}]")
-        if not 0.0 < power_factor <= 1.0:
-            raise ValueError(f"power_factor must lie in (0, 1], got {power_factor}")
-        self.p_el_max_kw = p_el_max_kw
-        self.p_element_kw = p_element_kw
-        self.storage_kwh_per_k = storage_kwh_per_k
-        self.effectiveness = effectiveness
-        self.t_on_c = t_on_c
-        self.t_off_c = t_off_c
-        self.t_min_c = t_min_c
-        self.t_max_c = t_max_c
-        self.t_element_threshold_c = t_element_threshold_c
-        self.tan_phi = math.tan(math.acos(power_factor))
-        self.heating = bool(heating0)
-        self.lag = FirstOrderLag(1.0, time_constant_s, y0=0.0)
-        self.t_storage_c = t0_c
+        if not p.t_min_c <= p.t0_c <= p.t_max_c:
+            raise ValueError(f"t0_c {p.t0_c} outside [{p.t_min_c}, {p.t_max_c}]")
+        if not 0.0 < p.power_factor <= 1.0:
+            raise ValueError(f"power_factor must lie in (0, 1], got {p.power_factor}")
+        self.p_el_max_kw = p.p_el_max_kw
+        self.p_element_kw = p.p_element_kw
+        self.storage_kwh_per_k = p.storage_kwh_per_k
+        self.effectiveness = p.effectiveness
+        self.t_on_c = p.t_on_c
+        self.t_off_c = p.t_off_c
+        self.t_min_c = p.t_min_c
+        self.t_max_c = p.t_max_c
+        self.t_element_threshold_c = p.t_element_threshold_c
+        self.tan_phi = math.tan(math.acos(p.power_factor))
+        self.heating = bool(p.heating0)
+        self.lag = FirstOrderLag(1.0, p.time_constant_s, y0=0.0)
+        self.t_storage_c = p.t0_c
         self.p_kw = 0.0
         self.q_kvar = 0.0
         self.saturated = False
@@ -335,18 +334,18 @@ class ElectricVehicle(_Storage):
     over the trip interval and the charger output is exactly zero.  While
     connected, local control charges at rated power until the battery is full.
     Dispatch offsets move the command in [0, p_rated] (unidirectional) or
-    [-p_rated, p_rated] (V2G).
+    [-p_rated, p_rated] (V2G).  Trip windows are given in hours of the day
+    and kept in seconds.
     """
 
     __slots__ = ("p_rated_kw", "v2g", "trips", "_away", "trip_drain_kwh")
 
-    def __init__(self, capacity_kwh, p_rated_kw, v2g=False, eta_charge=0.95,
-                 eta_discharge=0.95, soc0=0.7, trips=(), time_constant_s=1.0):
-        super().__init__(capacity_kwh, eta_charge, eta_discharge, soc0,
-                         time_constant_s, 0.0)
-        if p_rated_kw <= 0.0:
-            raise ValueError(f"p_rated_kw must be > 0, got {p_rated_kw}")
-        trips = tuple(sorted((float(d), float(r), float(e)) for d, r, e in trips))
+    def __init__(self, params):
+        super().__init__(params, 0.0)
+        if params.p_rated_kw <= 0.0:
+            raise ValueError(f"p_rated_kw must be > 0, got {params.p_rated_kw}")
+        trips = tuple(sorted((d * 3600.0, r * 3600.0, float(e))
+                             for d, r, e in params.trips))
         prev_ret = 0.0
         for dep, ret, energy in trips:
             if not 0.0 <= dep < ret <= 86400.0:
@@ -356,8 +355,8 @@ class ElectricVehicle(_Storage):
             if energy < 0.0:
                 raise ValueError(f"trip energy must be >= 0, got {energy}")
             prev_ret = ret
-        self.p_rated_kw = p_rated_kw
-        self.v2g = bool(v2g)
+        self.p_rated_kw = params.p_rated_kw
+        self.v2g = bool(params.v2g)
         self.trips = trips
         self._away = (trips[0][0], trips[-1][1]) if trips else None
         self.trip_drain_kwh = 0.0

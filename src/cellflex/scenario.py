@@ -8,14 +8,21 @@ a clear-sky bell for irradiance.  Profiles are materialized once over
 [start - profile_back_days, start + profile_forward_days]; sampling outside
 that window raises a configuration error.
 
+The frozen ``*Params`` dataclasses are the single declaration of every
+scenario parameter: the loader reads each JSON block by walking its record's
+fields (a missing key takes the field's default, a field without a default is
+required), the writer emits the same fields, and the plant classes take the
+record itself.
+
 All loader errors are ConfigurationError instances naming the offending JSON
 path (e.g. "prosumers[3].bes.capacity_kwh").
 """
 
+import inspect
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime
 from importlib import resources
 
@@ -36,7 +43,6 @@ __all__ = [
     "StepSeries", "LinearSeries", "ProfileSet",
     "load_scenario", "scenario_from_dict", "scenario_to_dict", "save_scenario",
     "load_bundled_scenario", "build_profiles",
-    "build_bes", "build_pv", "build_ehp", "build_bev",
 ]
 
 
@@ -228,38 +234,6 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# device builders (single source of parameter validation)
-
-def build_bes(p: BesParams):
-    return BatteryStorage(p.capacity_kwh, p.p_max_charge_kw, p.p_max_discharge_kw,
-                          eta_charge=p.eta_charge, eta_discharge=p.eta_discharge,
-                          soc0=p.soc0, time_constant_s=p.time_constant_s)
-
-
-def build_pv(p: PvParams):
-    return PvInverter(p.s_rated_kva, p.p_peak_kwp, q_fraction_limit=p.q_fraction_limit)
-
-
-def build_ehp(p: EhpParams):
-    return HeatPumpSystem(p.p_el_max_kw, p.p_element_kw, p.storage_kwh_per_k,
-                          effectiveness=p.effectiveness,
-                          t_on_c=p.t_on_c, t_off_c=p.t_off_c,
-                          t_min_c=p.t_min_c, t_max_c=p.t_max_c,
-                          t_element_threshold_c=p.t_element_threshold_c, t0_c=p.t0_c,
-                          heating0=p.heating0,
-                          time_constant_s=p.time_constant_s,
-                          power_factor=p.power_factor)
-
-
-def build_bev(p: BevParams):
-    trips = tuple((d * 3600.0, r * 3600.0, e) for d, r, e in p.trips)
-    return ElectricVehicle(p.capacity_kwh, p.p_rated_kw, v2g=p.v2g,
-                           eta_charge=p.eta_charge, eta_discharge=p.eta_discharge,
-                           soc0=p.soc0, trips=trips,
-                           time_constant_s=p.time_constant_s)
-
-
-# ---------------------------------------------------------------------------
 # synthetic profiles
 
 def _gauss_bump(hour, center, width):
@@ -346,96 +320,72 @@ def _number(mapping, key, path, default=None):
     if key not in mapping:
         if default is None:
             raise ConfigurationError(f"{path}.{key}: missing required field")
-        return float(default)
+        return default
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _build_checked(builder, params, path):
     try:
-        builder(params)
+        number = float(value)
+    except OverflowError:            # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{path}.{key}: expected a finite number, got {number}")
+    return number
+
+
+# keys of one BEV trip object, in the order of a BevParams.trips tuple
+_TRIP_KEYS = ("depart_hour", "return_hour", "energy_kwh")
+
+
+def _parse_trips(raw, path):
+    if not isinstance(raw, list):
+        raise ConfigurationError(f"{path}: expected an array")
+    trips = []
+    for k, trip in enumerate(raw):
+        tpath = f"{path}[{k}]"
+        if not isinstance(trip, dict):
+            raise ConfigurationError(f"{tpath}: expected an object")
+        trips.append(tuple(_number(trip, key, tpath) for key in _TRIP_KEYS))
+    return tuple(trips)
+
+
+def _parse_params(cls, data, path):
+    """Build the params record ``cls`` from the JSON object ``data``.
+
+    Each field is read by its type; a missing key takes the field's default,
+    and a field without a default is required.  The only nested field,
+    ``BevParams.trips``, is a list of {depart_hour, return_hour, energy_kwh}.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: expected an object")
+    values = {}
+    for f in fields(cls):
+        default = None if f.default is MISSING else f.default
+        if f.type is float:
+            values[f.name] = _number(data, f.name, path, default)
+        elif f.type is tuple:
+            values[f.name] = _parse_trips(data.get(f.name, []), f"{path}.{f.name}")
+        elif f.name not in data and default is not None:
+            values[f.name] = default
+        else:
+            values[f.name] = _require(data, f.name, path, f.type)
+    return cls(**values)
+
+
+# optional single-device blocks of a prosumer: JSON key, plant class, params record
+_DEVICES = (("pv", PvInverter, PvParams), ("bes", BatteryStorage, BesParams),
+            ("ehp", HeatPumpSystem, EhpParams))
+_TRANSFORMER_KVA = inspect.signature(GridTopology).parameters["transformer_kva"].default
+
+
+def _parse_device(plant, cls, data, path):
+    """Parse a device block and check it by building its plant once."""
+    params = _parse_params(cls, data, path)
+    try:
+        plant(params)
     except ValueError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     return params
-
-
-def _parse_household(data, path):
-    return HouseholdParams(
-        p_base_kw=_number(data, "p_base_kw", path),
-        p_morning_kw=_number(data, "p_morning_kw", path),
-        p_evening_kw=_number(data, "p_evening_kw", path),
-        tan_phi=_number(data, "tan_phi", path, 0.20),
-        heat_ua_kw_per_k=_number(data, "heat_ua_kw_per_k", path, 0.0),
-        heat_base_kw=_number(data, "heat_base_kw", path, 0.0),
-    )
-
-
-def _parse_pv(data, path):
-    params = PvParams(
-        s_rated_kva=_number(data, "s_rated_kva", path),
-        p_peak_kwp=_number(data, "p_peak_kwp", path),
-        q_fraction_limit=_number(data, "q_fraction_limit", path, 0.30),
-    )
-    return _build_checked(build_pv, params, path)
-
-
-def _parse_bes(data, path):
-    params = BesParams(
-        capacity_kwh=_number(data, "capacity_kwh", path),
-        p_max_charge_kw=_number(data, "p_max_charge_kw", path),
-        p_max_discharge_kw=_number(data, "p_max_discharge_kw", path),
-        eta_charge=_number(data, "eta_charge", path, 0.95),
-        eta_discharge=_number(data, "eta_discharge", path, 0.95),
-        soc0=_number(data, "soc0", path, 0.5),
-        time_constant_s=_number(data, "time_constant_s", path, 2.0),
-    )
-    return _build_checked(build_bes, params, path)
-
-
-def _parse_ehp(data, path):
-    params = EhpParams(
-        p_el_max_kw=_number(data, "p_el_max_kw", path),
-        p_element_kw=_number(data, "p_element_kw", path),
-        storage_kwh_per_k=_number(data, "storage_kwh_per_k", path),
-        effectiveness=_number(data, "effectiveness", path, 0.5),
-        t_on_c=_number(data, "t_on_c", path, 42.0),
-        t_off_c=_number(data, "t_off_c", path, 48.0),
-        t_min_c=_number(data, "t_min_c", path, 35.0),
-        t_max_c=_number(data, "t_max_c", path, 90.0),
-        t_element_threshold_c=_number(data, "t_element_threshold_c", path, 50.0),
-        t0_c=_number(data, "t0_c", path, 45.0),
-        heating0=bool(data.get("heating0", False)),
-        time_constant_s=_number(data, "time_constant_s", path, 8.0),
-        power_factor=_number(data, "power_factor", path, 0.95),
-    )
-    return _build_checked(build_ehp, params, path)
-
-
-def _parse_bev(data, path):
-    trips_raw = data.get("trips", [])
-    if not isinstance(trips_raw, list):
-        raise ConfigurationError(f"{path}.trips: expected an array")
-    trips = []
-    for k, trip in enumerate(trips_raw):
-        tpath = f"{path}.trips[{k}]"
-        trips.append((
-            _number(trip, "depart_hour", tpath),
-            _number(trip, "return_hour", tpath),
-            _number(trip, "energy_kwh", tpath),
-        ))
-    params = BevParams(
-        capacity_kwh=_number(data, "capacity_kwh", path),
-        p_rated_kw=_number(data, "p_rated_kw", path),
-        v2g=bool(data.get("v2g", False)),
-        eta_charge=_number(data, "eta_charge", path, 0.95),
-        eta_discharge=_number(data, "eta_discharge", path, 0.95),
-        soc0=_number(data, "soc0", path, 1.0),
-        trips=tuple(trips),
-        time_constant_s=_number(data, "time_constant_s", path, 1.0),
-    )
-    return _build_checked(build_bev, params, path)
 
 
 def scenario_from_dict(data):
@@ -445,7 +395,7 @@ def scenario_from_dict(data):
 
     topo = _require(data, "topology", "scenario", dict)
     pcc_bus = _require(topo, "pcc_bus", "topology", str)
-    transformer_kva = _number(topo, "transformer_kva", "topology", 160.0)
+    transformer_kva = _number(topo, "transformer_kva", "topology", _TRANSFORMER_KVA)
 
     buses_raw = _require(topo, "buses", "topology", list)
     lines_raw = _require(topo, "lines", "topology", list)
@@ -468,22 +418,17 @@ def scenario_from_dict(data):
         if bus in seen_buses:
             raise ConfigurationError(f"{path}.bus: bus '{bus}' already has a prosumer")
         seen_buses.add(bus)
-        bevs = []
         bev_raw = pr.get("bevs", [])
         if not isinstance(bev_raw, list):
             raise ConfigurationError(f"{path}.bevs: expected an array")
-        for k, bv in enumerate(bev_raw):
-            bevs.append(_parse_bev(bv, f"{path}.bevs[{k}]"))
-        prosumers.append(ProsumerSpec(
-            id=pid,
-            bus=bus,
-            household=_parse_household(_require(pr, "household", path, dict),
-                                       f"{path}.household"),
-            pv=_parse_pv(pr["pv"], f"{path}.pv") if pr.get("pv") is not None else None,
-            bes=_parse_bes(pr["bes"], f"{path}.bes") if pr.get("bes") is not None else None,
-            ehp=_parse_ehp(pr["ehp"], f"{path}.ehp") if pr.get("ehp") is not None else None,
-            bevs=tuple(bevs),
-        ))
+        bevs = tuple(_parse_device(ElectricVehicle, BevParams, bv, f"{path}.bevs[{k}]")
+                     for k, bv in enumerate(bev_raw))
+        household = _parse_params(HouseholdParams, _require(pr, "household", path, dict),
+                                  f"{path}.household")
+        devices = {key: _parse_device(plant, cls, pr[key], f"{path}.{key}")
+                   for key, plant, cls in _DEVICES if pr.get(key) is not None}
+        prosumers.append(ProsumerSpec(id=pid, bus=bus, household=household,
+                                      bevs=bevs, **devices))
 
     prosumer_by_bus = {p.bus: p.id for p in prosumers}
     buses = []
@@ -492,7 +437,7 @@ def scenario_from_dict(data):
         bid = _require(b, "id", path, str)
         buses.append(Bus(
             id=bid,
-            v_nom_ll_v=_number(b, "v_nom_ll_v", path, 400.0),
+            v_nom_ll_v=_number(b, "v_nom_ll_v", path, Bus.v_nom_ll_v),
             prosumer=prosumer_by_bus.get(bid),
         ))
     bus_ids = {b.id for b in buses}
@@ -516,27 +461,13 @@ def scenario_from_dict(data):
             id=ln.get("id", ""),
         ))
 
-    weather_raw = _require(data, "weather", "scenario", dict)
-    weather = WeatherParams(
-        ambient_mean_c=_number(weather_raw, "ambient_mean_c", "weather"),
-        ambient_swing_c=_number(weather_raw, "ambient_swing_c", "weather"),
-        ambient_peak_hour=_number(weather_raw, "ambient_peak_hour", "weather", 14.0),
-        irradiance_peak_w_m2=_number(weather_raw, "irradiance_peak_w_m2", "weather", 280.0),
-        sunrise_hour=_number(weather_raw, "sunrise_hour", "weather", 8.4),
-        sunset_hour=_number(weather_raw, "sunset_hour", "weather", 16.7),
-    )
+    weather = _parse_params(WeatherParams, _require(data, "weather", "scenario", dict),
+                            "weather")
     if weather.sunset_hour <= weather.sunrise_hour:
         raise ConfigurationError("weather.sunset_hour: must exceed sunrise_hour")
 
-    sim_raw = _require(data, "simulation", "scenario", dict)
-    sim = SimulationParams(
-        start=_require(sim_raw, "start", "simulation", str),
-        internal_dt_s=_number(sim_raw, "internal_dt_s", "simulation", 0.1),
-        dispatch_step_s=_number(sim_raw, "dispatch_step_s", "simulation", 15.0),
-        warmup_s=_number(sim_raw, "warmup_s", "simulation", 86400.0),
-        profile_back_days=_number(sim_raw, "profile_back_days", "simulation", 8.0),
-        profile_forward_days=_number(sim_raw, "profile_forward_days", "simulation", 2.0),
-    )
+    sim = _parse_params(SimulationParams, _require(data, "simulation", "scenario", dict),
+                        "simulation")
     try:
         datetime.fromisoformat(sim.start)
     except ValueError:
@@ -599,45 +530,10 @@ def load_bundled_scenario(name="rural1_flex"):
 # serialization (inverse of the loader; round-trips to an identical Scenario)
 
 def scenario_to_dict(s: Scenario):
-    def household(hh):
-        return {
-            "p_base_kw": hh.p_base_kw,
-            "p_morning_kw": hh.p_morning_kw,
-            "p_evening_kw": hh.p_evening_kw,
-            "tan_phi": hh.tan_phi,
-            "heat_ua_kw_per_k": hh.heat_ua_kw_per_k,
-            "heat_base_kw": hh.heat_base_kw,
-        }
-
-    def pv(p):
-        return {"s_rated_kva": p.s_rated_kva, "p_peak_kwp": p.p_peak_kwp,
-                "q_fraction_limit": p.q_fraction_limit}
-
-    def bes(p):
-        return {"capacity_kwh": p.capacity_kwh,
-                "p_max_charge_kw": p.p_max_charge_kw,
-                "p_max_discharge_kw": p.p_max_discharge_kw,
-                "eta_charge": p.eta_charge, "eta_discharge": p.eta_discharge,
-                "soc0": p.soc0, "time_constant_s": p.time_constant_s}
-
-    def ehp(p):
-        return {"p_el_max_kw": p.p_el_max_kw, "p_element_kw": p.p_element_kw,
-                "storage_kwh_per_k": p.storage_kwh_per_k,
-                "effectiveness": p.effectiveness,
-                "t_on_c": p.t_on_c, "t_off_c": p.t_off_c, "t_min_c": p.t_min_c,
-                "t_max_c": p.t_max_c,
-                "t_element_threshold_c": p.t_element_threshold_c,
-                "t0_c": p.t0_c, "heating0": p.heating0,
-                "time_constant_s": p.time_constant_s,
-                "power_factor": p.power_factor}
-
     def bev(p):
-        return {"capacity_kwh": p.capacity_kwh, "p_rated_kw": p.p_rated_kw,
-                "v2g": p.v2g, "eta_charge": p.eta_charge,
-                "eta_discharge": p.eta_discharge, "soc0": p.soc0,
-                "trips": [{"depart_hour": d, "return_hour": r, "energy_kwh": e}
-                          for d, r, e in p.trips],
-                "time_constant_s": p.time_constant_s}
+        d = asdict(p)
+        d["trips"] = [dict(zip(_TRIP_KEYS, trip)) for trip in p.trips]
+        return d
 
     return {
         "name": s.name,
@@ -649,30 +545,15 @@ def scenario_to_dict(s: Scenario):
                        "r_ohm": ln.r_ohm, "x_ohm": ln.x_ohm,
                        "i_max_a": ln.i_max_a} for ln in s.lines],
         },
-        "weather": {
-            "ambient_mean_c": s.weather.ambient_mean_c,
-            "ambient_swing_c": s.weather.ambient_swing_c,
-            "ambient_peak_hour": s.weather.ambient_peak_hour,
-            "irradiance_peak_w_m2": s.weather.irradiance_peak_w_m2,
-            "sunrise_hour": s.weather.sunrise_hour,
-            "sunset_hour": s.weather.sunset_hour,
-        },
-        "simulation": {
-            "start": s.simulation.start,
-            "internal_dt_s": s.simulation.internal_dt_s,
-            "dispatch_step_s": s.simulation.dispatch_step_s,
-            "warmup_s": s.simulation.warmup_s,
-            "profile_back_days": s.simulation.profile_back_days,
-            "profile_forward_days": s.simulation.profile_forward_days,
-        },
+        "weather": asdict(s.weather),
+        "simulation": asdict(s.simulation),
         "prosumers": [
             {
                 "id": p.id,
                 "bus": p.bus,
-                "household": household(p.household),
-                **({"pv": pv(p.pv)} if p.pv else {}),
-                **({"bes": bes(p.bes)} if p.bes else {}),
-                **({"ehp": ehp(p.ehp)} if p.ehp else {}),
+                "household": asdict(p.household),
+                **{key: asdict(getattr(p, key)) for key, _, _ in _DEVICES
+                   if getattr(p, key) is not None},
                 "bevs": [bev(b) for b in p.bevs],
             }
             for p in s.prosumers

@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import ConfigurationError, PowerFlowError
 from .grid import check_line_limits, solve_power_flow
-from .scenario import build_bes, build_bev, build_ehp, build_profiles, build_pv
+from .plants import BatteryStorage, ElectricVehicle, HeatPumpSystem, PvInverter
+from .scenario import build_profiles
 
 __all__ = ["ReferenceState", "EvaluationResult", "CellTwin"]
 
@@ -88,10 +89,10 @@ class _ProsumerTwin:
         self.id = spec.id
         self.bus = spec.bus
         self.load_series = profiles.household[spec.id]
-        self.pv = build_pv(spec.pv) if spec.pv else None
-        self.bes = build_bes(spec.bes) if spec.bes else None
-        self.ehp = build_ehp(spec.ehp) if spec.ehp else None
-        self.bevs = [build_bev(b) for b in spec.bevs]
+        self.pv = PvInverter(spec.pv) if spec.pv else None
+        self.bes = BatteryStorage(spec.bes) if spec.bes else None
+        self.ehp = HeatPumpSystem(spec.ehp) if spec.ehp else None
+        self.bevs = [ElectricVehicle(b) for b in spec.bevs]
         self.offsets = []
         self.i_bes = self.i_ehp = self.i_inv = None
         self.bev_slots = ()

@@ -114,6 +114,14 @@ class TestDispatch:
         assert "at least 1 step" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_request_exits_1(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "nan"
+        assert main(["dispatch", "--scenario", str(toy_path),
+                     "--dp-kw", "nan", "--steps", "1", "--n-iter", "2",
+                     "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_request_is_a_usage_error(self, toy_path):
         with pytest.raises(SystemExit) as err:
             main(["dispatch", "--scenario", str(toy_path)])

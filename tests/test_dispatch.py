@@ -1,5 +1,7 @@
 """Continuous dispatch loop, technology shares, reporting, grid oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -205,9 +207,10 @@ class TestOracle:
             grid_search_oracle(load_bundled_scenario(), TOY_REQUEST)
 
     def test_oracle_rejects_bad_resolution(self):
-        with pytest.raises(ConfigurationError, match="resolution"):
-            grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
-                               resolution=0.0)
+        for resolution in (0.0, math.nan):
+            with pytest.raises(ConfigurationError, match="resolution"):
+                grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
+                                   resolution=resolution)
 
     def test_oracle_covers_the_offset_grid(self):
         result = grid_search_oracle(make_toy_scenario(), TOY_REQUEST,

@@ -288,10 +288,19 @@ class TestBasinHopping:
         {"adjust_interval": 0},
         {"adjust_factor": 0.0},
         {"adjust_factor": 1.5},
+        {"temperature": math.nan},
+        {"step_size": math.nan},
+        {"step_size": math.inf},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             BasinHoppingConfig(**kwargs)
+
+    @pytest.mark.parametrize("dp, dq", [(math.nan, 0.0), (0.0, math.nan),
+                                        (math.inf, 0.0), (0.0, -math.inf)])
+    def test_request_must_be_finite(self, dp, dq):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            FlexibilityRequest(dp, dq)
 
     def test_request_is_a_plain_value_pair(self):
         r = FlexibilityRequest(5.0, 1.0)

@@ -11,6 +11,7 @@ from cellflex.plants import (
     PvInverter,
     heat_pump_cop,
 )
+from cellflex.scenario import BesParams, BevParams, EhpParams, PvParams
 
 
 class TestCop:
@@ -39,40 +40,40 @@ class TestCop:
 class TestBatteryStorage:
     def test_soc_update_at_settled_power(self):
         # 5 kW for 15 s into 10 kWh at unit efficiency: d_soc = 5*15/3600/10
-        bes = BatteryStorage(10.0, 5.0, 5.0, eta_charge=1.0, eta_discharge=1.0,
-                             soc0=0.5, p0_kw=5.0)
+        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=1.0, eta_discharge=1.0,
+                                       soc0=0.5), p0_kw=5.0)
         p = bes.step(5.0, 15.0)
         assert p == pytest.approx(5.0, abs=1e-12)
         assert bes.soc == pytest.approx(0.5020833333333333, abs=1e-12)
 
     def test_charge_efficiency_applies(self):
-        bes = BatteryStorage(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
-                             soc0=0.0, p0_kw=4.0)
+        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
+                                       soc0=0.0), p0_kw=4.0)
         bes.step(4.0, 900.0)
         assert bes.soc == pytest.approx(4.0 * 0.95 * 900 / 3600 / 10.0, abs=1e-12)
 
     def test_discharge_efficiency_applies(self):
-        bes = BatteryStorage(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
-                             soc0=1.0, p0_kw=-4.0)
+        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
+                                       soc0=1.0), p0_kw=-4.0)
         bes.step(-4.0, 900.0)
         assert bes.soc == pytest.approx(1.0 - 4.0 / 0.95 * 900 / 3600 / 10.0, abs=1e-12)
 
     def test_full_battery_refuses_charge(self):
-        bes = BatteryStorage(10.0, 5.0, 5.0, soc0=1.0)
+        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=1.0))
         p = bes.step(5.0, 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert bes.soc == 1.0
         assert bes.saturated
 
     def test_empty_battery_refuses_discharge(self):
-        bes = BatteryStorage(10.0, 5.0, 5.0, soc0=0.0)
+        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.0))
         p = bes.step(-5.0, 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert bes.soc == 0.0
         assert bes.saturated
 
     def test_power_limit_clamp(self):
-        bes = BatteryStorage(10.0, 5.0, 3.0, soc0=0.5)
+        bes = BatteryStorage(BesParams(10.0, 5.0, 3.0, soc0=0.5))
         bes.step(99.0, 1.0)
         assert bes.saturated
         for _ in range(100):
@@ -83,25 +84,25 @@ class TestBatteryStorage:
         assert p == pytest.approx(-3.0, abs=1e-9)
 
     def test_feasible_command_reflects_soc(self):
-        bes = BatteryStorage(10.0, 5.0, 5.0, soc0=0.0)
+        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.0))
         assert bes.feasible_command(-2.0, 15.0) == 0.0
         assert bes.feasible_command(2.0, 15.0) == 2.0
 
     def test_lag_shapes_response(self):
-        bes = BatteryStorage(50.0, 10.0, 10.0, soc0=0.5, time_constant_s=2.0)
+        bes = BatteryStorage(BesParams(50.0, 10.0, 10.0, soc0=0.5, time_constant_s=2.0))
         p = bes.step(10.0, 1.0)
         assert 0.0 < p < 10.0  # still rising toward the setpoint
 
     @given(st.lists(st.floats(-20, 20, allow_nan=False), min_size=1, max_size=60))
     def test_soc_and_power_stay_bounded(self, setpoints):
-        bes = BatteryStorage(2.0, 5.0, 5.0, soc0=0.5)
+        bes = BatteryStorage(BesParams(2.0, 5.0, 5.0, soc0=0.5))
         for sp in setpoints:
             p = bes.step(sp, 5.0)
             assert 0.0 <= bes.soc <= 1.0
             assert -5.0 - 1e-9 <= p <= 5.0 + 1e-9
 
     def test_state_round_trip(self):
-        bes = BatteryStorage(10.0, 5.0, 5.0, soc0=0.5)
+        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.5))
         bes.step(3.0, 1.0)
         state = bes.get_state()
         bes.step(-2.0, 1.0)
@@ -110,61 +111,61 @@ class TestBatteryStorage:
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
-            BatteryStorage(0.0, 5.0, 5.0)
+            BatteryStorage(BesParams(0.0, 5.0, 5.0))
         with pytest.raises(ValueError):
-            BatteryStorage(10.0, -1.0, 5.0)
+            BatteryStorage(BesParams(10.0, -1.0, 5.0))
         with pytest.raises(ValueError):
-            BatteryStorage(10.0, 5.0, 5.0, eta_charge=0.0)
+            BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=0.0))
         with pytest.raises(ValueError):
-            BatteryStorage(10.0, 5.0, 5.0, soc0=1.5)
+            BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=1.5))
 
 
 class TestPvInverter:
     def test_reactive_band_at_night(self):
-        inv = PvInverter(10.0, 10.0, q_fraction_limit=0.30)
+        inv = PvInverter(PvParams(10.0, 10.0, q_fraction_limit=0.30))
         lo, hi = inv.q_capability(0.0)
         assert (lo, hi) == (-3.0, 3.0)
 
     def test_reactive_band_near_full_output(self):
-        inv = PvInverter(10.0, 10.0)
+        inv = PvInverter(PvParams(10.0, 10.0))
         lo, hi = inv.q_capability(9.8)
         assert hi == pytest.approx(math.sqrt(10.0 ** 2 - 9.8 ** 2), abs=1e-12)
         assert hi == pytest.approx(1.98997, abs=1e-5)
         assert lo == -hi
 
     def test_no_reactive_at_rated_active_power(self):
-        inv = PvInverter(10.0, 10.0)
+        inv = PvInverter(PvParams(10.0, 10.0))
         p, q = inv.step(1000.0, 2.0)
         assert p == 10.0
         assert q == 0.0
         assert inv.saturated
 
     def test_active_power_priority_clips_dc_surplus(self):
-        inv = PvInverter(5.0, 6.0)
+        inv = PvInverter(PvParams(5.0, 6.0))
         p, _ = inv.step(1200.0, 0.0)
         assert p == 5.0
 
     @given(irr=st.floats(0, 1500), q_set=st.floats(-10, 10), p_peak=st.floats(0, 12))
     def test_apparent_power_never_exceeds_rating(self, irr, q_set, p_peak):
-        inv = PvInverter(8.0, p_peak)
+        inv = PvInverter(PvParams(8.0, p_peak))
         p, q = inv.step(irr, q_set)
         assert math.hypot(p, q) <= 8.0 + 1e-9
         assert abs(q) <= 0.30 * 8.0 + 1e-9
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
-            PvInverter(0.0, 5.0)
+            PvInverter(PvParams(0.0, 5.0))
         with pytest.raises(ValueError):
-            PvInverter(10.0, -1.0)
+            PvInverter(PvParams(10.0, -1.0))
         with pytest.raises(ValueError):
-            PvInverter(10.0, 10.0, q_fraction_limit=1.5)
+            PvInverter(PvParams(10.0, 10.0, q_fraction_limit=1.5))
 
 
 def make_ehp(**kw):
     defaults = dict(p_el_max_kw=3.0, p_element_kw=5.0, storage_kwh_per_k=0.4,
                     effectiveness=0.5, t0_c=45.0)
     defaults.update(kw)
-    return HeatPumpSystem(**defaults)
+    return HeatPumpSystem(EhpParams(**defaults))
 
 
 class TestHeatPumpSystem:
@@ -279,16 +280,16 @@ class TestHeatPumpSystem:
         with pytest.raises(ValueError):
             make_ehp(t0_c=20.0)
         with pytest.raises(ValueError):
-            HeatPumpSystem(3.0, 5.0, 0.4, t_on_c=48.0, t_off_c=42.0)
+            HeatPumpSystem(EhpParams(3.0, 5.0, 0.4, t_on_c=48.0, t_off_c=42.0))
         with pytest.raises(ValueError):
-            HeatPumpSystem(3.0, 5.0, 0.4, t_off_c=60.0)  # above element threshold
+            HeatPumpSystem(EhpParams(3.0, 5.0, 0.4, t_off_c=60.0))  # above element threshold
 
 
 def make_bev(**kw):
     defaults = dict(capacity_kwh=40.0, p_rated_kw=11.0, soc0=0.5,
-                    trips=((8 * 3600.0, 18 * 3600.0, 8.0),))
+                    trips=((8.0, 18.0, 8.0),))
     defaults.update(kw)
-    return ElectricVehicle(**defaults)
+    return ElectricVehicle(BevParams(**defaults))
 
 
 class TestElectricVehicle:
@@ -338,7 +339,7 @@ class TestElectricVehicle:
         assert p == pytest.approx(-11.0, abs=1e-9)
 
     def test_no_trips_always_connected(self):
-        bev = ElectricVehicle(40.0, 11.0, trips=())
+        bev = ElectricVehicle(BevParams(40.0, 11.0, trips=()))
         assert bev.connected(12 * 3600.0)
 
     @given(st.lists(st.floats(-25, 25, allow_nan=False), min_size=4, max_size=40),
@@ -363,14 +364,13 @@ class TestElectricVehicle:
 
     def test_trip_validation(self):
         with pytest.raises(ValueError):
-            make_bev(trips=((10 * 3600.0, 9 * 3600.0, 5.0),))
+            make_bev(trips=((10.0, 9.0, 5.0),))
         with pytest.raises(ValueError):
-            make_bev(trips=((0.0, 90000.0, 5.0),))
+            make_bev(trips=((0.0, 25.0, 5.0),))
         with pytest.raises(ValueError):
-            make_bev(trips=((8 * 3600.0, 12 * 3600.0, 5.0),
-                            (11 * 3600.0, 14 * 3600.0, 5.0)))
+            make_bev(trips=((8.0, 12.0, 5.0), (11.0, 14.0, 5.0)))
         with pytest.raises(ValueError):
-            make_bev(trips=((8 * 3600.0, 12 * 3600.0, -5.0),))
+            make_bev(trips=((8.0, 12.0, -5.0),))
 
     def test_state_round_trip(self):
         bev = make_bev()

@@ -2,14 +2,23 @@
 
 import json
 import math
+from dataclasses import MISSING, fields
+from importlib import resources
 
 import pytest
 
 from cellflex.errors import ConfigurationError
+from cellflex.plants import BatteryStorage, ElectricVehicle, HeatPumpSystem
 from cellflex.scenario import (
+    BesParams,
+    BevParams,
+    EhpParams,
     HouseholdParams,
     LinearSeries,
+    PvParams,
+    SimulationParams,
     StepSeries,
+    WeatherParams,
     build_profiles,
     load_bundled_scenario,
     load_scenario,
@@ -100,11 +109,29 @@ class TestBundledScenario:
 
     def test_bundled_json_matches_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
-        from importlib import resources
         data_dir = resources.files("cellflex.data")
         schema = json.loads(data_dir.joinpath("scenario.schema.json").read_text())
         document = json.loads(data_dir.joinpath("rural1_flex.json").read_text())
         jsonschema.validate(document, schema)
+
+    def test_schema_blocks_match_params_fields(self):
+        schema = json.loads(resources.files("cellflex.data")
+                            .joinpath("scenario.schema.json").read_text())
+        prosumer = schema["properties"]["prosumers"]["items"]["properties"]
+        blocks = {
+            HouseholdParams: prosumer["household"],
+            PvParams: prosumer["pv"],
+            BesParams: prosumer["bes"],
+            EhpParams: prosumer["ehp"],
+            BevParams: prosumer["bevs"]["items"],
+            WeatherParams: schema["properties"]["weather"],
+            SimulationParams: schema["properties"]["simulation"],
+        }
+        for cls, block in blocks.items():
+            names = [f.name for f in fields(cls)]
+            required = [f.name for f in fields(cls) if f.default is MISSING]
+            assert list(block["properties"]) == names, cls.__name__
+            assert block["required"] == required, cls.__name__
 
     def test_buses_carry_prosumer_attachment(self):
         s = load_bundled_scenario()
@@ -182,10 +209,57 @@ class TestLoaderValidation:
             scenario_from_dict(d)
 
     def test_non_numeric_field(self):
+        bes = {"capacity_kwh": 10.0, "p_max_charge_kw": 2.0, "p_max_discharge_kw": 2.0}
+        ehp = {"p_el_max_kw": 3.0, "p_element_kw": 5.0, "storage_kwh_per_k": 0.4}
+        bev = {"capacity_kwh": 40.0, "p_rated_kw": 11.0}
+        trip = {"depart_hour": math.nan, "return_hour": 18.0, "energy_kwh": 8.0}
+        cases = [
+            ("household", {"p_base_kw": "half a kilowatt", "p_morning_kw": 0.4,
+                           "p_evening_kw": 1.0},
+             r"household\.p_base_kw: expected a number"),
+            ("bes", dict(bes, capacity_kwh=math.nan),
+             r"bes\.capacity_kwh: expected a finite number"),
+            ("bes", dict(bes, p_max_charge_kw=math.nan),
+             r"bes\.p_max_charge_kw: expected a finite number"),
+            ("bes", dict(bes, soc0=math.inf), r"bes\.soc0: expected a finite number"),
+            ("bes", dict(bes, capacity_kwh=10 ** 400),
+             r"bes\.capacity_kwh: expected a finite number"),
+            ("ehp", dict(ehp, heating0=1), r"ehp\.heating0: expected bool, got int"),
+            ("bevs", [dict(bev, v2g="no")], r"bevs\[0\]\.v2g: expected bool, got str"),
+            ("bevs", [dict(bev, trips=[trip])],
+             r"bevs\[0\]\.trips\[0\]\.depart_hour: expected a finite number"),
+            ("bevs", [dict(bev, trips=[5])], r"bevs\[0\]\.trips\[0\]: expected an object"),
+        ]
+        for key, block, message in cases:
+            d = minimal_dict()
+            d["prosumers"][0][key] = block
+            # through JSON text, where non-finite numbers are bare NaN/Infinity
+            d = json.loads(json.dumps(d))
+            with pytest.raises(ConfigurationError, match=r"prosumers\[0\]\." + message):
+                scenario_from_dict(d)
+
+    def test_omitted_fields_take_params_defaults(self):
         d = minimal_dict()
-        d["prosumers"][0]["household"]["p_base_kw"] = "half a kilowatt"
-        with pytest.raises(ConfigurationError, match="expected a number"):
-            scenario_from_dict(d)
+        d["prosumers"][0].update(
+            bes={"capacity_kwh": 10.0, "p_max_charge_kw": 2.0, "p_max_discharge_kw": 3.0},
+            ehp={"p_el_max_kw": 3.0, "p_element_kw": 5.0, "storage_kwh_per_k": 0.4},
+            bevs=[{"capacity_kwh": 40.0, "p_rated_kw": 11.0}])
+        pro = scenario_from_dict(d).prosumers[0]
+        assert pro.bes == BesParams(10.0, 2.0, 3.0)
+        assert pro.ehp == EhpParams(3.0, 5.0, 0.4)
+        assert pro.bevs == (BevParams(40.0, 11.0),)
+        bes = BatteryStorage(pro.bes)
+        assert (bes.soc, bes.eta_charge, bes.eta_discharge, bes.lag.time_constant) \
+            == (pro.bes.soc0, pro.bes.eta_charge, pro.bes.eta_discharge,
+                pro.bes.time_constant_s)
+        ehp = HeatPumpSystem(pro.ehp)
+        assert (ehp.t_storage_c, ehp.heating, ehp.t_on_c, ehp.t_off_c, ehp.effectiveness) \
+            == (pro.ehp.t0_c, pro.ehp.heating0, pro.ehp.t_on_c, pro.ehp.t_off_c,
+                pro.ehp.effectiveness)
+        bev = ElectricVehicle(pro.bevs[0])
+        assert bev.soc == 1.0
+        assert (bev.v2g, bev.trips, bev.lag.time_constant) \
+            == (False, (), pro.bevs[0].time_constant_s)
 
     def test_dispatch_step_not_multiple_of_internal_dt(self):
         d = minimal_dict(simulation={"internal_dt_s": 4.0,
