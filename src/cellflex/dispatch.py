@@ -184,8 +184,8 @@ def run_dispatch(scenario, request, *, n_steps,
 
     steps = []
     x = np.zeros(twin.n_plants)
+    f, _ = single_step_objective(twin, ref, request, costs)
     for k in range(n_steps):
-        f, _ = single_step_objective(twin, ref, request, costs)
         result = basin_hopping(f, x, config, bounds=bounds, rng=rng)
         x = result.x
         try:
@@ -224,13 +224,13 @@ def run_dispatch(scenario, request, *, n_steps,
         log.debug("step %d: OF=%.6g dP_err=%+.4f kW dQ_err=%+.4f kVAr",
                   k, bd.of, ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target)
         if k + 1 < n_steps:
+            f, _ = single_step_objective(twin, ref, request, costs)
             base = twin.evaluate_dispatch(ref, np.zeros(twin.n_plants))
             if base.failure is None:
                 x_clean = np.clip(ev.plant_values - base.plant_values,
                                   bounds[:, 0], bounds[:, 1])
-                f_next, _ = single_step_objective(twin, ref, request, costs)
-                of_raw, feas_raw = f_next(x)
-                of_clean, feas_clean = f_next(x_clean)
+                of_raw, feas_raw = f(x)
+                of_clean, feas_clean = f(x_clean)
                 if (feas_clean, -of_clean) > (feas_raw, -of_raw):
                     x = x_clean
 

@@ -13,8 +13,12 @@ plant's local control.  The local command is reduced to what the plant can
 actually do first (an empty battery's discharge wish collapses to zero), the
 offset is added on top, and the sum is clamped again — so a request beyond the
 feasible range pins at the bound and the excess is ignored; the plant flags
-this via its `saturated` attribute.  Commanded power then passes through a
-first-order lag before it acts on the stored energy.
+this via its `saturated` attribute.  Commanded power then passes through the
+first-order lag  dy/dt = (u - y)/T  before it acts on the stored energy.  The
+lag's state is the plant's realized power (``p_kw``; the compressor's
+``last_p_compressor_kw`` in a heat pump), pinned values included.  Input is
+held over each substep, so `first_order_lag` applies the exact solution
+y <- y + (u - y)*(1 - exp(-dt/T)), which is stable at any step width.
 
 Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
@@ -23,15 +27,29 @@ which holds every parameter default; the constructors only validate it.
 
 import math
 
-from .dynamics import FirstOrderLag, clamp
-
 __all__ = [
     "BatteryStorage",
     "PvInverter",
     "HeatPumpSystem",
     "ElectricVehicle",
+    "clamp",
+    "first_order_lag",
     "heat_pump_cop",
 ]
+
+
+def clamp(value, lo, hi):
+    """Clamp `value` into [lo, hi]."""
+    if value < lo:
+        return lo
+    if value > hi:
+        return hi
+    return value
+
+
+def first_order_lag(y, u, dt, time_constant_s):
+    """Output of the lag  dy/dt = (u - y)/T  after dt seconds at constant input u."""
+    return y + (u - y) * (1.0 - math.exp(-(dt / time_constant_s)))
 
 
 def heat_pump_cop(t_sink_c, t_source_c, effectiveness):
@@ -60,18 +78,20 @@ class _Storage:
     to the bound.
     """
 
-    __slots__ = ("capacity_kwh", "eta_charge", "eta_discharge", "lag", "soc",
-                 "p_kw", "saturated")
+    __slots__ = ("capacity_kwh", "eta_charge", "eta_discharge", "time_constant_s",
+                 "soc", "p_kw", "saturated")
 
     def __init__(self, params, p0_kw):
         if params.capacity_kwh <= 0.0:
             raise ValueError(f"capacity_kwh must be > 0, got {params.capacity_kwh}")
         if not 0.0 <= params.soc0 <= 1.0:
             raise ValueError(f"soc0 must lie in [0, 1], got {params.soc0}")
+        if not params.time_constant_s > 0.0:     # also rejects NaN
+            raise ValueError(f"time_constant_s must be > 0, got {params.time_constant_s}")
         self.capacity_kwh = params.capacity_kwh
         self.eta_charge = params.eta_charge
         self.eta_discharge = params.eta_discharge
-        self.lag = FirstOrderLag(1.0, params.time_constant_s, y0=p0_kw)
+        self.time_constant_s = params.time_constant_s
         self.soc = params.soc0
         self.p_kw = p0_kw
         self.saturated = False
@@ -96,11 +116,10 @@ class _Storage:
         """Advance one substep toward `wanted_kw`; returns realized power."""
         cmd = self._limit(wanted_kw, lo, hi, dt)
         self.saturated = cmd != wanted_kw
-        p = self.lag.step(cmd, dt)
+        p = first_order_lag(self.p_kw, cmd, dt, self.time_constant_s)
         pinned = self._limit(p, lo, hi, dt)
         if pinned != p:
             p = pinned
-            self.lag.reset(p)
             self.saturated = True
         if p > 0.0:
             self.soc += p * self.eta_charge * dt / 3600.0 / self.capacity_kwh
@@ -136,10 +155,10 @@ class BatteryStorage(_Storage):
                             self.p_max_charge_kw, dt)
 
     def get_state(self):
-        return (self.soc, self.lag.y, self.p_kw, self.saturated)
+        return (self.soc, self.p_kw, self.saturated)
 
     def set_state(self, state):
-        self.soc, self.lag.y, self.p_kw, self.saturated = state
+        self.soc, self.p_kw, self.saturated = state
 
 
 class PvInverter:
@@ -219,7 +238,7 @@ class HeatPumpSystem:
     __slots__ = (
         "p_el_max_kw", "p_element_kw", "storage_kwh_per_k", "effectiveness",
         "t_on_c", "t_off_c", "t_min_c", "t_max_c", "t_element_threshold_c",
-        "tan_phi", "heating", "lag", "t_storage_c", "p_kw", "q_kvar",
+        "tan_phi", "time_constant_s", "heating", "t_storage_c", "p_kw", "q_kvar",
         "saturated", "last_cop", "last_p_compressor_kw", "last_p_element_kw",
     )
 
@@ -237,6 +256,10 @@ class HeatPumpSystem:
             raise ValueError(f"t0_c {p.t0_c} outside [{p.t_min_c}, {p.t_max_c}]")
         if not 0.0 < p.power_factor <= 1.0:
             raise ValueError(f"power_factor must lie in (0, 1], got {p.power_factor}")
+        if not 0.0 < p.effectiveness <= 1.0:
+            raise ValueError(f"effectiveness must lie in (0, 1], got {p.effectiveness}")
+        if not p.time_constant_s > 0.0:          # also rejects NaN
+            raise ValueError(f"time_constant_s must be > 0, got {p.time_constant_s}")
         self.p_el_max_kw = p.p_el_max_kw
         self.p_element_kw = p.p_element_kw
         self.storage_kwh_per_k = p.storage_kwh_per_k
@@ -247,8 +270,8 @@ class HeatPumpSystem:
         self.t_max_c = p.t_max_c
         self.t_element_threshold_c = p.t_element_threshold_c
         self.tan_phi = math.tan(math.acos(p.power_factor))
+        self.time_constant_s = p.time_constant_s
         self.heating = bool(p.heating0)
-        self.lag = FirstOrderLag(1.0, p.time_constant_s, y0=0.0)
         self.t_storage_c = p.t0_c
         self.p_kw = 0.0
         self.q_kvar = 0.0
@@ -277,7 +300,8 @@ class HeatPumpSystem:
         else:
             cmd_comp = min(cmd_total, self.p_el_max_kw)
             cmd_elem = min(cmd_total - cmd_comp, self.p_element_kw)
-        p_comp = self.lag.step(cmd_comp, dt)
+        p_comp = first_order_lag(self.last_p_compressor_kw, cmd_comp, dt,
+                                 self.time_constant_s)
         p_elem = cmd_elem
         c3600 = self.storage_kwh_per_k * 3600.0
         t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
@@ -287,7 +311,6 @@ class HeatPumpSystem:
             self.heating = True
             need = heat_demand_kw + (self.t_min_c - t) * c3600 / dt
             p_comp = clamp(need / cop, 0.0, self.p_el_max_kw)
-            self.lag.reset(p_comp)
             p_elem = clamp(need - cop * p_comp, 0.0, self.p_element_kw)
             t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
             if t_new < self.t_min_c:  # undersized for this demand: pin
@@ -300,7 +323,6 @@ class HeatPumpSystem:
             if cop * p_comp + p_elem > allowed:
                 p_elem = 0.0
                 p_comp = max(0.0, allowed) / cop
-                self.lag.reset(p_comp)
             t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
             if t_new > self.t_max_c:
                 t_new = self.t_max_c
@@ -316,12 +338,12 @@ class HeatPumpSystem:
         return p_total
 
     def get_state(self):
-        return (self.t_storage_c, self.lag.y, self.heating, self.p_kw,
-                self.q_kvar, self.saturated, self.last_cop,
-                self.last_p_compressor_kw, self.last_p_element_kw)
+        return (self.t_storage_c, self.heating, self.p_kw, self.q_kvar,
+                self.saturated, self.last_cop, self.last_p_compressor_kw,
+                self.last_p_element_kw)
 
     def set_state(self, state):
-        (self.t_storage_c, self.lag.y, self.heating, self.p_kw, self.q_kvar,
+        (self.t_storage_c, self.heating, self.p_kw, self.q_kvar,
          self.saturated, self.last_cop, self.last_p_compressor_kw,
          self.last_p_element_kw) = state
 
@@ -380,7 +402,6 @@ class ElectricVehicle(_Storage):
                     self.soc -= drain / self.capacity_kwh
                     self.trip_drain_kwh += drain
                     break
-            self.lag.reset(0.0)
             self.p_kw = 0.0
             self.saturated = offset_kw != 0.0
             return 0.0
@@ -389,7 +410,7 @@ class ElectricVehicle(_Storage):
                             self.p_rated_kw, dt)
 
     def get_state(self):
-        return (self.soc, self.lag.y, self.p_kw, self.saturated, self.trip_drain_kwh)
+        return (self.soc, self.p_kw, self.saturated, self.trip_drain_kwh)
 
     def set_state(self, state):
-        self.soc, self.lag.y, self.p_kw, self.saturated, self.trip_drain_kwh = state
+        self.soc, self.p_kw, self.saturated, self.trip_drain_kwh = state

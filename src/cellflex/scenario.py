@@ -391,7 +391,7 @@ def _parse_device(plant, cls, data, path):
 def scenario_from_dict(data):
     if not isinstance(data, dict):
         raise ConfigurationError("scenario root: expected a JSON object")
-    name = data.get("name", "unnamed")
+    name = _require(data, "name", "scenario", str) if "name" in data else "unnamed"
 
     topo = _require(data, "topology", "scenario", dict)
     pcc_bus = _require(topo, "pcc_bus", "topology", str)
@@ -458,7 +458,7 @@ def scenario_from_dict(data):
             r_ohm=_number(ln, "r_ohm", path),
             x_ohm=_number(ln, "x_ohm", path),
             i_max_a=_number(ln, "i_max_a", path),
-            id=ln.get("id", ""),
+            id=_require(ln, "id", path, str) if "id" in ln else "",
         ))
 
     weather = _parse_params(WeatherParams, _require(data, "weather", "scenario", dict),

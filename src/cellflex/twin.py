@@ -28,6 +28,10 @@ inverters.  Offsets are ΔP in kW except for inverters, which take ΔQ in kVAr.
 ``set_offsets`` writes them into one list that every prosumer reads by plant
 index; ``plant_values`` reads each plant's realized P (Q for inverters) in
 the same order.
+
+A snapshot is the flat tuple ``(t_s, plant states in plant-table order,
+per-prosumer bus injections (p_kw, q_kvar))``; it holds each state variable
+once.
 """
 
 from dataclasses import dataclass
@@ -143,27 +147,6 @@ class _ProsumerTwin:
         self.p_kw = p
         self.q_kvar = q
 
-    def get_state(self):
-        return (
-            self.pv.get_state() if self.pv is not None else None,
-            self.bes.get_state() if self.bes is not None else None,
-            self.ehp.get_state() if self.ehp is not None else None,
-            tuple(b.get_state() for b in self.bevs),
-            (self.p_kw, self.q_kvar),
-        )
-
-    def set_state(self, state):
-        pv_s, bes_s, ehp_s, bev_s, bus_s = state
-        if self.pv is not None:
-            self.pv.set_state(pv_s)
-        if self.bes is not None:
-            self.bes.set_state(bes_s)
-        if self.ehp is not None:
-            self.ehp.set_state(ehp_s)
-        for bev, s in zip(self.bevs, bev_s):
-            bev.set_state(s)
-        self.p_kw, self.q_kvar = bus_s
-
 
 class CellTwin:
     """Simulation state machine for one scenario."""
@@ -173,7 +156,6 @@ class CellTwin:
         self.topology = scenario.build_topology()
         self.profiles = build_profiles(scenario)
         self.prosumers = [_ProsumerTwin(p, self.profiles) for p in scenario.prosumers]
-        self._by_id = {p.id: p for p in self.prosumers}
         self.internal_dt_s = scenario.simulation.internal_dt_s
         self.dispatch_step_s = scenario.simulation.dispatch_step_s
         self.start_tod_s = scenario.start_tod_s()
@@ -221,6 +203,7 @@ class CellTwin:
         self.n_plants = len(labels)
         self._bounds = np.array(bounds, dtype=float) if bounds else np.empty((0, 2))
         self._plant_values = values
+        self._plants = tuple(plant for plant, _ in values)
         self._offsets = [0.0] * self.n_plants
         for pro in self.prosumers:
             pro.offsets = self._offsets
@@ -281,12 +264,17 @@ class CellTwin:
     # snapshots
 
     def snapshot(self):
-        return (self.t_s, tuple(p.get_state() for p in self.prosumers))
+        return (self.t_s,
+                tuple(plant.get_state() for plant in self._plants),
+                tuple((pro.p_kw, pro.q_kvar) for pro in self.prosumers))
 
     def restore(self, snap):
-        self.t_s = snap[0]
-        for pro, state in zip(self.prosumers, snap[1]):
-            pro.set_state(state)
+        self.t_s, plant_states, bus_states = snap
+        for plant, state in zip(self._plants, plant_states):
+            plant.set_state(state)
+        for pro, (p_kw, q_kvar) in zip(self.prosumers, bus_states):
+            pro.p_kw = p_kw
+            pro.q_kvar = q_kvar
 
     # ------------------------------------------------------------------
     # reference handling

@@ -16,7 +16,6 @@ from conftest import ACCEPTANCE_LINES
 
 from cellflex.cli import main as cli_main
 from cellflex.dispatch import run_dispatch, single_step_objective
-from cellflex.dynamics import FirstOrderLag
 from cellflex.grid import solve_power_flow, worst_balance_error_pu
 from cellflex.optimizer import (
     BasinHoppingConfig,
@@ -27,6 +26,7 @@ from cellflex.optimizer import (
     metropolis_accept,
 )
 from cellflex.oracle import grid_search_oracle, make_toy_scenario
+from cellflex.plants import first_order_lag
 from cellflex.scenario import load_bundled_scenario
 from cellflex.twin import CellTwin
 
@@ -191,10 +191,10 @@ def test_6_temperature_controls_exploration():
 def test_7_integrator_matches_analytic_response():
     worst = 0.0
     for time_constant in (0.5, 8.0, 120.0):
-        lag = FirstOrderLag(gain=1.0, time_constant=time_constant, y0=0.0)
+        y = 0.0
         dt = time_constant / 100.0
         for k in range(1, 501):
-            y = lag.step(1.0, dt)
+            y = first_order_lag(y, 1.0, dt, time_constant)
             exact = 1.0 - math.exp(-k * dt / time_constant)
             worst = max(worst, abs(y - exact) / exact)
     ok = worst <= 1e-4

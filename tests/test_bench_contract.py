@@ -3,7 +3,9 @@
 ``bench/tracing.py`` wraps cellflex callables by name from outside the
 package.  If a refactor renames or bypasses one of them, the benchmark's
 traced metrics silently read zero; this test catches that in the unit suite
-by running one toy evaluation under each probe.
+by running one evaluation under each probe: a toy dispatch for the step
+clock, and a bundled-cell evaluation, which steps every plant class, for the
+tracer.
 """
 
 import sys
@@ -15,6 +17,7 @@ import cellflex.dispatch
 from cellflex.dispatch import run_dispatch
 from cellflex.optimizer import BasinHoppingConfig, FlexibilityRequest
 from cellflex.oracle import make_toy_scenario
+from cellflex.scenario import load_bundled_scenario
 from cellflex.twin import CellTwin
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -35,18 +38,19 @@ def test_step_clock_marks_each_dispatch_step_and_uninstalls():
 
 
 def test_tracer_counts_every_layer_of_an_evaluation():
-    twin = CellTwin(make_toy_scenario())
+    twin = CellTwin(load_bundled_scenario())
     ref = twin.run_warmup()
     original = CellTwin.evaluate_dispatch
     tracer = tracing.Tracer()
     undo = tracer.install()
     try:
-        twin.evaluate_dispatch(ref, np.array([0.5, 0.2]))
+        twin.evaluate_dispatch(ref, np.full(twin.n_plants, 0.2))
     finally:
         undo()
     assert CellTwin.evaluate_dispatch is original
     counts = {key: agg[0] for key, agg in tracer.root.agg.items()}
     counts.update({key: agg[0] for key, agg in tracer.root.inner.items()})
     for key in ("twin.evaluate", "twin.restore", "twin.integrate",
-                "grid.solve", "plants.bes"):
+                "grid.solve", "plants.bes", "plants.ehp", "plants.bev",
+                "plants.pv"):
         assert counts.get(key, 0) >= 1, key

@@ -8,7 +8,7 @@ import pytest
 
 from cellflex.cli import main
 from cellflex.oracle import make_toy_scenario
-from cellflex.scenario import save_scenario
+from cellflex.scenario import load_bundled_scenario, save_scenario, scenario_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,15 @@ class TestValidate:
         bad.write_text("]")
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_heat_pump_effectiveness_out_of_range_exits_1(self, tmp_path, capsys):
+        data = scenario_to_dict(load_bundled_scenario())
+        i, pro = next((i, p) for i, p in enumerate(data["prosumers"]) if "ehp" in p)
+        pro["ehp"]["effectiveness"] = 0.0
+        bad = tmp_path / "bad_ehp.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert f"prosumers[{i}].ehp: effectiveness" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -9,6 +9,8 @@ from cellflex.plants import (
     ElectricVehicle,
     HeatPumpSystem,
     PvInverter,
+    clamp,
+    first_order_lag,
     heat_pump_cop,
 )
 from cellflex.scenario import BesParams, BevParams, EhpParams, PvParams
@@ -35,6 +37,70 @@ class TestCop:
         cop_wider = heat_pump_cop(t_sink, t_sink - spread - 1.0, eff)
         assert cop > 0.0
         assert cop_wider < cop
+
+
+class TestFirstOrderResponse:
+    def test_step_response_matches_analytic(self):
+        # y(t) = u*(1 - exp(-t/T)); at t = T the response is 1 - e^-1
+        y = 0.0
+        dt = 0.1  # T/100
+        for _ in range(100):
+            y = first_order_lag(y, 1.0, dt, 10.0)
+        expected = 1.0 - math.exp(-1.0)  # 0.6321205588285577
+        assert abs(y - expected) / expected < 1e-4
+        assert y == pytest.approx(0.6321205588285577, rel=1e-6)
+
+    def test_analytic_error_over_five_time_constants(self):
+        y = 0.0
+        dt = 0.02  # T/100
+        t = 0.0
+        for _ in range(int(5 * 2.0 / dt)):
+            y = first_order_lag(y, 1.0, dt, 2.0)
+            t += dt
+            exact = 1.0 - math.exp(-t / 2.0)
+            assert abs(y - exact) / exact < 1e-4
+
+    def test_result_does_not_depend_on_step_size(self):
+        # the exponential update is exact for piecewise-constant input, so
+        # 150 steps of 0.1 s and one 15 s step end at the same state
+        fine = 0.3
+        for _ in range(150):
+            fine = first_order_lag(fine, 4.0, 0.1, 2.0)
+        coarse = first_order_lag(0.3, 4.0, 15.0, 2.0)
+        assert coarse == pytest.approx(fine, abs=1e-12)
+
+    def test_exact_branch_is_exact(self):
+        y = first_order_lag(0.0, 1.0, 6.0, 2.0)
+        assert y == pytest.approx(1.0 - math.exp(-3.0), abs=1e-14)
+
+    def test_parameter_errors(self):
+        for time_constant_s in (0.0, -2.0, math.nan):
+            with pytest.raises(ValueError, match="time_constant_s"):
+                BatteryStorage(BesParams(10.0, 5.0, 5.0, time_constant_s=time_constant_s))
+            with pytest.raises(ValueError, match="time_constant_s"):
+                make_ehp(time_constant_s=time_constant_s)
+            with pytest.raises(ValueError, match="time_constant_s"):
+                make_bev(time_constant_s=time_constant_s)
+
+    @given(
+        y0=st.floats(-10, 10),
+        u=st.floats(-10, 10),
+        time_constant=st.floats(0.5, 20),
+    )
+    def test_never_overshoots_constant_target(self, y0, u, time_constant):
+        y = y0
+        target = u
+        side = math.copysign(1.0, target - y0) if target != y0 else 0.0
+        for _ in range(50):
+            y = first_order_lag(y, u, time_constant / 10.0, time_constant)
+            if side:
+                assert math.copysign(1.0, target - y) == side or abs(target - y) < 1e-12
+
+
+def test_clamp():
+    assert clamp(5.0, 0.0, 1.0) == 1.0
+    assert clamp(-5.0, 0.0, 1.0) == 0.0
+    assert clamp(0.5, 0.0, 1.0) == 0.5
 
 
 class TestBatteryStorage:
@@ -283,6 +349,10 @@ class TestHeatPumpSystem:
             HeatPumpSystem(EhpParams(3.0, 5.0, 0.4, t_on_c=48.0, t_off_c=42.0))
         with pytest.raises(ValueError):
             HeatPumpSystem(EhpParams(3.0, 5.0, 0.4, t_off_c=60.0))  # above element threshold
+        with pytest.raises(ValueError):
+            make_ehp(effectiveness=0.0)
+        with pytest.raises(ValueError):
+            make_ehp(effectiveness=1.5)
 
 
 def make_bev(**kw):

@@ -194,12 +194,23 @@ class TestLoaderValidation:
             scenario_from_dict(d)
 
     def test_bad_device_parameter_names_json_path(self):
-        d = minimal_dict()
-        d["prosumers"][0]["bes"] = {"capacity_kwh": -5.0,
-                                    "p_max_charge_kw": 2.0,
-                                    "p_max_discharge_kw": 2.0}
-        with pytest.raises(ConfigurationError, match=r"prosumers\[0\].bes"):
-            scenario_from_dict(d)
+        bes = {"capacity_kwh": 10.0, "p_max_charge_kw": 2.0, "p_max_discharge_kw": 2.0}
+        ehp = {"p_el_max_kw": 3.0, "p_element_kw": 5.0, "storage_kwh_per_k": 0.4}
+        bev = {"capacity_kwh": 40.0, "p_rated_kw": 11.0}
+        cases = [
+            ("bes", dict(bes, capacity_kwh=-5.0), r"prosumers\[0\].bes"),
+            ("bes", dict(bes, time_constant_s=0), r"prosumers\[0\]\.bes: time_constant"),
+            ("ehp", dict(ehp, time_constant_s=-1), r"prosumers\[0\]\.ehp: time_constant"),
+            ("bevs", [dict(bev, time_constant_s=0)],
+             r"prosumers\[0\]\.bevs\[0\]: time_constant"),
+            ("ehp", dict(ehp, effectiveness=0.0), r"prosumers\[0\]\.ehp: effectiveness"),
+            ("ehp", dict(ehp, effectiveness=1.5), r"prosumers\[0\]\.ehp: effectiveness"),
+        ]
+        for key, block, message in cases:
+            d = minimal_dict()
+            d["prosumers"][0][key] = block
+            with pytest.raises(ConfigurationError, match=message):
+                scenario_from_dict(d)
 
     def test_missing_required_field_names_json_path(self):
         d = minimal_dict()
@@ -237,6 +248,17 @@ class TestLoaderValidation:
             d = json.loads(json.dumps(d))
             with pytest.raises(ConfigurationError, match=r"prosumers\[0\]\." + message):
                 scenario_from_dict(d)
+        line_id = r"topology\.lines\[0\]\.id: expected str, got "
+        for field, value, message in [
+                ("name", 7, r"scenario\.name: expected str, got int"),
+                ("id", ["x"], line_id + "list"),
+                ("id", 5, line_id + "int"),
+                ("id", None, line_id + "NoneType")]:
+            d = minimal_dict()
+            target = d if field == "name" else d["topology"]["lines"][0]
+            target[field] = value
+            with pytest.raises(ConfigurationError, match=message):
+                scenario_from_dict(json.loads(json.dumps(d)))
 
     def test_omitted_fields_take_params_defaults(self):
         d = minimal_dict()
@@ -249,7 +271,7 @@ class TestLoaderValidation:
         assert pro.ehp == EhpParams(3.0, 5.0, 0.4)
         assert pro.bevs == (BevParams(40.0, 11.0),)
         bes = BatteryStorage(pro.bes)
-        assert (bes.soc, bes.eta_charge, bes.eta_discharge, bes.lag.time_constant) \
+        assert (bes.soc, bes.eta_charge, bes.eta_discharge, bes.time_constant_s) \
             == (pro.bes.soc0, pro.bes.eta_charge, pro.bes.eta_discharge,
                 pro.bes.time_constant_s)
         ehp = HeatPumpSystem(pro.ehp)
@@ -258,7 +280,7 @@ class TestLoaderValidation:
                 pro.ehp.effectiveness)
         bev = ElectricVehicle(pro.bevs[0])
         assert bev.soc == 1.0
-        assert (bev.v2g, bev.trips, bev.lag.time_constant) \
+        assert (bev.v2g, bev.trips, bev.time_constant_s) \
             == (False, (), pro.bevs[0].time_constant_s)
 
     def test_dispatch_step_not_multiple_of_internal_dt(self):
