@@ -129,15 +129,16 @@ def _cmd_sweep_temperature(args):
     temperatures = [float(t) for t in args.temperatures.split(",") if t.strip()]
     if not temperatures:
         raise ConfigurationError("--temperatures must name at least one value")
+    configs = [_config(args, temperature=t_bh) for t_bh in temperatures]
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sweep = {}
-    for t_bh in temperatures:
+    for t_bh, config in zip(temperatures, configs):
         run = run_dispatch(
             scenario,
             FlexibilityRequest(args.dp_kw, args.dq_kvar),
             n_steps=args.steps,
-            config=_config(args, temperature=t_bh),
+            config=config,
             warmup_s=_warmup_s(args),
         )
         tag = f"{t_bh:g}".replace(".", "p")
@@ -161,9 +162,9 @@ def _cmd_oracle(args):
 
     scenario = make_toy_scenario()
     request = FlexibilityRequest(args.dp_kw, args.dq_kvar)
+    config = _config(args)
     oracle = grid_search_oracle(scenario, request, resolution=args.resolution)
-    step = run_dispatch(scenario, request, n_steps=1,
-                        config=_config(args)).steps[0]
+    step = run_dispatch(scenario, request, n_steps=1, config=config).steps[0]
 
     report = {
         "oracle_of": oracle.of,

@@ -25,6 +25,7 @@ the unconditional minimum and is therefore monotone non-increasing.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +143,15 @@ class NelderMeadSettings:
     fatol: float = 1e-9
     xatol: float = 1e-9
     maxfev: int = 200
+
+    def __post_init__(self):
+        # each check states what must hold, so that NaN fails it
+        if not self.maxfev >= 1:
+            raise ConfigurationError(f"nm maxfev must be >= 1, got {self.maxfev}")
+        if not self.fatol >= 0.0:
+            raise ConfigurationError(f"nm fatol must be >= 0, got {self.fatol}")
+        if not self.xatol >= 0.0:
+            raise ConfigurationError(f"nm xatol must be >= 0, got {self.xatol}")
 
 
 def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings()):
@@ -263,6 +273,10 @@ class BasinHoppingConfig:
             raise ConfigurationError("adjust_interval must be >= 1")
         if not 0.0 < self.adjust_factor <= 1.0:
             raise ConfigurationError("adjust_factor must lie in (0, 1]")
+        if self.seed is not None and not (
+                isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigurationError(
+                f"seed must be None or an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

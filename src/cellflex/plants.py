@@ -17,8 +17,20 @@ this via its `saturated` attribute.  Commanded power then passes through the
 first-order lag  dy/dt = (u - y)/T  before it acts on the stored energy.  The
 lag's state is the plant's realized power (``p_kw``; the compressor's
 ``last_p_compressor_kw`` in a heat pump), pinned values included.  Input is
-held over each substep, so `first_order_lag` applies the exact solution
-y <- y + (u - y)*(1 - exp(-dt/T)), which is stable at any step width.
+held over each substep, so the plants apply the exact solution
+y <- y + (u - y)*(1 - exp(-dt/T)) (`first_order_lag`, with `lag_factor`
+computed once per call), which is stable at any step width.
+
+A stateful plant's ``step`` advances it over all n substeps of one interval
+in a single call: parameters and state are read into local variables once,
+the substeps run in a loop, and the state is written back at the end.  The
+inputs (heat demand, ambient temperature, a battery's PV surplus, the offset)
+are held over the interval; only an EV's time of day moves from substep to
+substep.  The value a ``step`` returns, and the ``p_kw`` and ``saturated``
+it leaves, are those of the last substep.  Batteries and EVs share one
+storage loop (`_Storage._integrate`).  The PV inverter keeps no state and is
+stepped once per interval.  ``get_state`` holds each state variable once; a
+heat pump's ``p_kw`` and ``q_kvar`` are re-derived by ``set_state``.
 
 Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
@@ -47,9 +59,14 @@ def clamp(value, lo, hi):
     return value
 
 
+def lag_factor(dt, time_constant_s):
+    """Share of the gap to a constant input that the lag closes in dt seconds."""
+    return 1.0 - math.exp(-(dt / time_constant_s))
+
+
 def first_order_lag(y, u, dt, time_constant_s):
     """Output of the lag  dy/dt = (u - y)/T  after dt seconds at constant input u."""
-    return y + (u - y) * (1.0 - math.exp(-(dt / time_constant_s)))
+    return y + (u - y) * lag_factor(dt, time_constant_s)
 
 
 def heat_pump_cop(t_sink_c, t_source_c, effectiveness):
@@ -81,11 +98,15 @@ class _Storage:
     __slots__ = ("capacity_kwh", "eta_charge", "eta_discharge", "time_constant_s",
                  "soc", "p_kw", "saturated")
 
+    _away = None        # trip window (first departure, last return) in s of day
+
     def __init__(self, params, p0_kw):
         if params.capacity_kwh <= 0.0:
             raise ValueError(f"capacity_kwh must be > 0, got {params.capacity_kwh}")
         if not 0.0 <= params.soc0 <= 1.0:
             raise ValueError(f"soc0 must lie in [0, 1], got {params.soc0}")
+        if not 0.0 < params.eta_charge <= 1.0 or not 0.0 < params.eta_discharge <= 1.0:
+            raise ValueError("efficiencies must lie in (0, 1]")
         if not params.time_constant_s > 0.0:     # also rejects NaN
             raise ValueError(f"time_constant_s must be > 0, got {params.time_constant_s}")
         self.capacity_kwh = params.capacity_kwh
@@ -96,37 +117,83 @@ class _Storage:
         self.p_kw = p0_kw
         self.saturated = False
 
-    def _limit(self, p_kw, lo, hi, dt):
-        """Clamp `p_kw` into [lo, hi], then so the SOC stays in [0, 1] over dt."""
-        if p_kw < lo:
-            p_kw = lo
-        elif p_kw > hi:
-            p_kw = hi
-        if p_kw > 0.0:
-            room = (1.0 - self.soc) * self.capacity_kwh * 3600.0 / (self.eta_charge * dt)
-            if p_kw > room:
-                return room
-        elif p_kw < 0.0:
-            room = self.soc * self.capacity_kwh * 3600.0 * self.eta_discharge / dt
-            if -p_kw > room:
-                return -room
-        return p_kw
+    def _integrate(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0):
+        """Advance n substeps of dt seconds; returns the last one's realized power.
 
-    def _follow(self, wanted_kw, lo, hi, dt):
-        """Advance one substep toward `wanted_kw`; returns realized power."""
-        cmd = self._limit(wanted_kw, lo, hi, dt)
-        self.saturated = cmd != wanted_kw
-        p = first_order_lag(self.p_kw, cmd, dt, self.time_constant_s)
-        pinned = self._limit(p, lo, hi, dt)
-        if pinned != p:
-            p = pinned
-            self.saturated = True
-        if p > 0.0:
-            self.soc += p * self.eta_charge * dt / 3600.0 / self.capacity_kwh
-        elif p < 0.0:
-            self.soc += p / self.eta_discharge * dt / 3600.0 / self.capacity_kwh
-        self.soc = clamp(self.soc, 0.0, 1.0)
+        Each substep commands the local wish plus `offset_kw`, limited to
+        [lo, hi] and to the SOC headroom.  The local wish is `wish_kw` reduced
+        to what the store can deliver (a battery's PV surplus) or, when
+        `wish_kw` is None, `hi` until full (an EV charging).  Substeps whose
+        time of day falls in the `_away` window take the trip branch instead.
+        """
+        cap = self.capacity_kwh
+        eta_c = self.eta_charge
+        eta_d = self.eta_discharge
+        charge_div = eta_c * dt
+        lag = lag_factor(dt, self.time_constant_s)
+        away = self._away
+        soc = self.soc
+        p = self.p_kw
+        saturated = self.saturated
+        for k in range(n):
+            if away is not None:
+                tod = (base_tod_s + k * dt) % 86400.0
+                if away[0] <= tod < away[1]:
+                    soc = self._drain(soc, tod, dt)
+                    p = 0.0
+                    saturated = offset_kw != 0.0
+                    continue
+            # SOC headroom over this substep, as charge and discharge power
+            room_c = (1.0 - soc) * cap * 3600.0 / charge_div
+            room_d = soc * cap * 3600.0 * eta_d / dt
+            if wish_kw is None:
+                wanted = (hi if soc < 1.0 else 0.0) + offset_kw
+            else:
+                w = wish_kw
+                if w < lo:
+                    w = lo
+                elif w > hi:
+                    w = hi
+                if w > 0.0 and w > room_c:
+                    w = room_c
+                elif w < 0.0 and -w > room_d:
+                    w = -room_d
+                wanted = w + offset_kw
+            cmd = wanted
+            if cmd < lo:
+                cmd = lo
+            elif cmd > hi:
+                cmd = hi
+            if cmd > 0.0 and cmd > room_c:
+                cmd = room_c
+            elif cmd < 0.0 and -cmd > room_d:
+                cmd = -room_d
+            saturated = cmd != wanted
+            p = p + (cmd - p) * lag
+            # pin an overshoot of the lag to the same bounds
+            pinned = p
+            if pinned < lo:
+                pinned = lo
+            elif pinned > hi:
+                pinned = hi
+            if pinned > 0.0 and pinned > room_c:
+                pinned = room_c
+            elif pinned < 0.0 and -pinned > room_d:
+                pinned = -room_d
+            if pinned != p:
+                p = pinned
+                saturated = True
+            if p > 0.0:
+                soc += p * eta_c * dt / 3600.0 / cap
+            elif p < 0.0:
+                soc += p / eta_d * dt / 3600.0 / cap
+            if soc < 0.0:
+                soc = 0.0
+            elif soc > 1.0:
+                soc = 1.0
+        self.soc = soc
         self.p_kw = p
+        self.saturated = saturated
         return p
 
 
@@ -139,20 +206,16 @@ class BatteryStorage(_Storage):
         super().__init__(params, p0_kw)
         if params.p_max_charge_kw < 0.0 or params.p_max_discharge_kw < 0.0:
             raise ValueError("power limits must be >= 0")
-        if not 0.0 < params.eta_charge <= 1.0 or not 0.0 < params.eta_discharge <= 1.0:
-            raise ValueError("efficiencies must lie in (0, 1]")
         self.p_max_charge_kw = params.p_max_charge_kw
         self.p_max_discharge_kw = params.p_max_discharge_kw
 
-    def feasible_command(self, wish_kw, dt):
-        """Local-control wish reduced to what the plant can deliver right now."""
-        return self._limit(wish_kw, -self.p_max_discharge_kw,
-                           self.p_max_charge_kw, dt)
+    def step(self, wish_kw, offset_kw, n, dt):
+        """Advance n substeps toward the feasible part of `wish_kw` plus `offset_kw`.
 
-    def step(self, setpoint_kw, dt):
-        """Advance one substep toward `setpoint_kw`; returns realized power."""
-        return self._follow(setpoint_kw, -self.p_max_discharge_kw,
-                            self.p_max_charge_kw, dt)
+        Returns the last substep's realized power.
+        """
+        return self._integrate(wish_kw, offset_kw, -self.p_max_discharge_kw,
+                               self.p_max_charge_kw, n, dt)
 
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated)
@@ -280,72 +343,97 @@ class HeatPumpSystem:
         self.last_p_compressor_kw = 0.0
         self.last_p_element_kw = 0.0
 
-    def step(self, heat_demand_kw, ambient_c, offset_kw, dt):
-        """Advance one substep; returns total electric power (compressor + element)."""
-        t = self.t_storage_c
-        # keep the source strictly below the sink so the cycle stays defined
-        cop = heat_pump_cop(t, min(ambient_c, t - 1.0), self.effectiveness)
-        if self.heating:
-            if t >= self.t_off_c:
-                self.heating = False
-        elif t <= self.t_on_c:
-            self.heating = True
-        local = self.p_el_max_kw if self.heating else 0.0
-        wanted = local + offset_kw
-        cmd_total = clamp(wanted, 0.0, self.p_el_max_kw + self.p_element_kw)
-        self.saturated = cmd_total != wanted
-        if t >= self.t_element_threshold_c:
-            cmd_comp = 0.0
-            cmd_elem = min(cmd_total, self.p_element_kw)
-        else:
-            cmd_comp = min(cmd_total, self.p_el_max_kw)
-            cmd_elem = min(cmd_total - cmd_comp, self.p_element_kw)
-        p_comp = first_order_lag(self.last_p_compressor_kw, cmd_comp, dt,
-                                 self.time_constant_s)
-        p_elem = cmd_elem
+    def step(self, heat_demand_kw, ambient_c, offset_kw, n, dt):
+        """Advance n substeps of dt seconds; returns the last one's electric power.
+
+        The electric power is compressor plus element.
+        """
+        p_el_max = self.p_el_max_kw
+        p_element = self.p_element_kw
+        p_max_total = p_el_max + p_element
+        effectiveness = self.effectiveness
+        t_on, t_off = self.t_on_c, self.t_off_c
+        t_min, t_max = self.t_min_c, self.t_max_c
+        t_threshold = self.t_element_threshold_c
         c3600 = self.storage_kwh_per_k * 3600.0
-        t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
-
-        if t_new < self.t_min_c:
-            # floor hold: cover demand plus the shortfall down to t_min
-            self.heating = True
-            need = heat_demand_kw + (self.t_min_c - t) * c3600 / dt
-            p_comp = clamp(need / cop, 0.0, self.p_el_max_kw)
-            p_elem = clamp(need - cop * p_comp, 0.0, self.p_element_kw)
+        lag = lag_factor(dt, self.time_constant_s)
+        t = self.t_storage_c
+        heating = self.heating
+        saturated = self.saturated
+        cop = self.last_cop
+        p_comp = self.last_p_compressor_kw
+        p_elem = self.last_p_element_kw
+        for _ in range(n):
+            # keep the source strictly below the sink so the cycle stays defined
+            cop = heat_pump_cop(t, min(ambient_c, t - 1.0), effectiveness)
+            if heating:
+                if t >= t_off:
+                    heating = False
+            elif t <= t_on:
+                heating = True
+            wanted = (p_el_max if heating else 0.0) + offset_kw
+            if wanted < 0.0:
+                cmd_total = 0.0
+            elif wanted > p_max_total:
+                cmd_total = p_max_total
+            else:
+                cmd_total = wanted
+            saturated = cmd_total != wanted
+            if t >= t_threshold:
+                cmd_comp = 0.0
+                cmd_elem = min(cmd_total, p_element)
+            else:
+                cmd_comp = min(cmd_total, p_el_max)
+                cmd_elem = min(cmd_total - cmd_comp, p_element)
+            p_comp = p_comp + (cmd_comp - p_comp) * lag
+            p_elem = cmd_elem
             t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
-            if t_new < self.t_min_c:  # undersized for this demand: pin
-                t_new = self.t_min_c
-            self.saturated = True
-        elif t_new > self.t_max_c:
-            # ceiling: shed the element first, then the compressor
-            allowed = heat_demand_kw + (self.t_max_c - t) * c3600 / dt
-            p_elem = clamp(allowed - cop * p_comp, 0.0, p_elem)
-            if cop * p_comp + p_elem > allowed:
-                p_elem = 0.0
-                p_comp = max(0.0, allowed) / cop
-            t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
-            if t_new > self.t_max_c:
-                t_new = self.t_max_c
-            self.saturated = True
 
-        self.t_storage_c = t_new
-        p_total = p_comp + p_elem
-        self.p_kw = p_total
-        self.q_kvar = p_total * self.tan_phi
+            if t_new < t_min:
+                # floor hold: cover demand plus the shortfall down to t_min
+                heating = True
+                need = heat_demand_kw + (t_min - t) * c3600 / dt
+                p_comp = clamp(need / cop, 0.0, p_el_max)
+                p_elem = clamp(need - cop * p_comp, 0.0, p_element)
+                t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
+                if t_new < t_min:  # undersized for this demand: pin
+                    t_new = t_min
+                saturated = True
+            elif t_new > t_max:
+                # ceiling: shed the element first, then the compressor
+                allowed = heat_demand_kw + (t_max - t) * c3600 / dt
+                p_elem = clamp(allowed - cop * p_comp, 0.0, p_elem)
+                if cop * p_comp + p_elem > allowed:
+                    p_elem = 0.0
+                    p_comp = max(0.0, allowed) / cop
+                t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
+                if t_new > t_max:
+                    t_new = t_max
+                saturated = True
+            t = t_new
+
+        self.t_storage_c = t
+        self.heating = heating
+        self.saturated = saturated
         self.last_cop = cop
         self.last_p_compressor_kw = p_comp
         self.last_p_element_kw = p_elem
-        return p_total
+        self._derive_power()
+        return self.p_kw
+
+    def _derive_power(self):
+        p_total = self.last_p_compressor_kw + self.last_p_element_kw
+        self.p_kw = p_total
+        self.q_kvar = p_total * self.tan_phi
 
     def get_state(self):
-        return (self.t_storage_c, self.heating, self.p_kw, self.q_kvar,
-                self.saturated, self.last_cop, self.last_p_compressor_kw,
-                self.last_p_element_kw)
+        return (self.t_storage_c, self.heating, self.saturated,
+                self.last_p_compressor_kw, self.last_p_element_kw)
 
     def set_state(self, state):
-        (self.t_storage_c, self.heating, self.p_kw, self.q_kvar,
-         self.saturated, self.last_cop, self.last_p_compressor_kw,
-         self.last_p_element_kw) = state
+        (self.t_storage_c, self.heating, self.saturated,
+         self.last_p_compressor_kw, self.last_p_element_kw) = state
+        self._derive_power()
 
 
 class ElectricVehicle(_Storage):
@@ -389,25 +477,23 @@ class ElectricVehicle(_Storage):
         dep, ret = self._away
         return not (dep <= time_of_day_s < ret)
 
-    def local_command(self):
-        """Uncontrolled behavior: charge at rated power until full."""
-        return self.p_rated_kw if self.soc < 1.0 else 0.0
+    def step(self, offset_kw, base_tod_s, n, dt):
+        """Advance n substeps, the first starting at time of day `base_tod_s`.
 
-    def step(self, offset_kw, time_of_day_s, dt):
-        """Advance one substep; returns charger power (0 while away)."""
-        if not self.connected(time_of_day_s):
-            for dep, ret, energy in self.trips:
-                if dep <= time_of_day_s < ret:
-                    drain = min(energy * dt / (ret - dep), self.soc * self.capacity_kwh)
-                    self.soc -= drain / self.capacity_kwh
-                    self.trip_drain_kwh += drain
-                    break
-            self.p_kw = 0.0
-            self.saturated = offset_kw != 0.0
-            return 0.0
+        Returns the last substep's charger power (0 while away).
+        """
         lo = -self.p_rated_kw if self.v2g else 0.0
-        return self._follow(self.local_command() + offset_kw, lo,
-                            self.p_rated_kw, dt)
+        return self._integrate(None, offset_kw, lo, self.p_rated_kw, n, dt,
+                               base_tod_s)
+
+    def _drain(self, soc, time_of_day_s, dt):
+        """SOC after one away substep: the running trip drains it uniformly."""
+        for dep, ret, energy in self.trips:
+            if dep <= time_of_day_s < ret:
+                drain = min(energy * dt / (ret - dep), soc * self.capacity_kwh)
+                self.trip_drain_kwh += drain
+                return soc - drain / self.capacity_kwh
+        return soc
 
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated, self.trip_drain_kwh)

@@ -18,9 +18,22 @@ optimizer:
 Profile inputs (household load and heat demand, ambient temperature,
 irradiance) are sampled at the start of each interval and held constant over
 it; the twin samples them again only when the interval start time changes,
-so the evaluations of one dispatch step share one sample.  The PV inverters
-keep no state and see constant inputs, so each steps once per interval and
-every substep reuses its output.
+so the evaluations of one dispatch step share one sample.  Each plant
+integrates a whole interval in one ``step`` call (see :mod:`cellflex.plants`),
+so every prosumer is called once per interval, not once per substep; the PV
+inverters keep no state and step once per interval too.
+
+An evaluation re-integrates only the plants whose offset changed.  A plant's
+end state depends only on the snapshot it starts from and its own offset, so
+when the twin still holds the end state of the same snapshot object, a plant
+whose offset is the same float as in that integration (sign of zero
+included; NaN never is) keeps its state, and only the others are restored
+and stepped.  The bus injections are then summed from every plant's final
+power.  Anything else that moves plant state -- ``restore``, the warmup,
+``override_bes_soc``, ``step_dispatch_interval`` outside an evaluation --
+makes the next evaluation re-integrate every plant.  The trace reads an EV's
+connection where its last substep started, since its ``p_kw`` is that
+substep's power.
 
 Controllable-plant ordering is class-major and scenario-ordered within each
 class: all batteries, then all heat pumps, then all EV chargers, then all PV
@@ -35,6 +48,7 @@ once.
 """
 
 from dataclasses import dataclass
+from math import copysign
 
 import numpy as np
 
@@ -112,38 +126,43 @@ class _ProsumerTwin:
         self.heat = heat.value(t_s)
         self.amb = ambient.value(t_s)
         self.irr = irradiance.value(t_s)
-
-    def begin_interval(self):
-        """Step the PV inverter, which keeps no state, once for the interval.
-
-        Its output depends only on the sampled irradiance and its offset,
-        both fixed over one interval, so every substep reuses the result:
-        the bus base load ``p_base``/``q_base`` and the battery's local wish
-        ``pv_surplus``.
-        """
-        if self.pv is not None:
-            p_pv, q_pv = self.pv.step(self.irr, self.offsets[self.i_inv])
-            self.p_base = self.load_p - p_pv
-            self.q_base = self.load_q + q_pv
-            self.pv_surplus = p_pv - self.load_p
-        else:
+        if self.pv is None:
             self.p_base = self.load_p
             self.q_base = self.load_q
             self.pv_surplus = 0.0 - self.load_p
 
-    def substep(self, tod_s, dt):
+    def integrate(self, stale, base_tod_s, n, dt):
+        """Step the plants flagged in `stale` over one interval of n substeps.
+
+        Each flagged plant makes one ``step`` call for the whole interval;
+        the others already hold their end state.  The PV inverter, which
+        keeps no state, sets the bus base load ``p_base``/``q_base`` and the
+        battery's local wish ``pv_surplus``.  The bus injection is then
+        summed from every plant's final power.
+        """
         off = self.offsets
+        if self.pv is not None and stale[self.i_inv]:
+            p_pv, q_pv = self.pv.step(self.irr, off[self.i_inv])
+            self.p_base = self.load_p - p_pv
+            self.q_base = self.load_q + q_pv
+            self.pv_surplus = p_pv - self.load_p
         p = self.p_base
         q = self.q_base
-        if self.bes is not None:
-            bes = self.bes
-            wish = bes.feasible_command(self.pv_surplus, dt)
-            p += bes.step(wish + off[self.i_bes], dt)
-        if self.ehp is not None:
-            p += self.ehp.step(self.heat, self.amb, off[self.i_ehp], dt)
-            q += self.ehp.q_kvar
+        bes = self.bes
+        if bes is not None:
+            if stale[self.i_bes]:
+                bes.step(self.pv_surplus, off[self.i_bes], n, dt)
+            p += bes.p_kw
+        ehp = self.ehp
+        if ehp is not None:
+            if stale[self.i_ehp]:
+                ehp.step(self.heat, self.amb, off[self.i_ehp], n, dt)
+            p += ehp.p_kw
+            q += ehp.q_kvar
         for bev, i in self.bev_slots:
-            p += bev.step(off[i], tod_s, dt)
+            if stale[i]:
+                bev.step(off[i], base_tod_s, n, dt)
+            p += bev.p_kw
         self.p_kw = p
         self.q_kvar = q
 
@@ -161,6 +180,11 @@ class CellTwin:
         self.start_tod_s = scenario.start_tod_s()
         self.t_s = 0.0
         self._inputs_t0 = None
+        self._last_substep_tod = None
+        # the snapshot the plants' current state was integrated from, and the
+        # offsets it was integrated under; None once anything else moved it
+        self._end_of = None
+        self._end_offsets = None
         self._build_plant_table()
         self._junctions = [b.id for b in scenario.buses
                            if b.id != scenario.pcc_bus and b.prosumer is None]
@@ -204,6 +228,7 @@ class CellTwin:
         self._bounds = np.array(bounds, dtype=float) if bounds else np.empty((0, 2))
         self._plant_values = values
         self._plants = tuple(plant for plant, _ in values)
+        self._all_stale = (True,) * self.n_plants
         self._offsets = [0.0] * self.n_plants
         for pro in self.prosumers:
             pro.offsets = self._offsets
@@ -212,11 +237,14 @@ class CellTwin:
         return self._bounds.copy()
 
     def set_offsets(self, offsets):
+        self._offsets[:] = self._checked_offsets(offsets)
+
+    def _checked_offsets(self, offsets):
         if len(offsets) != self.n_plants:
             raise ConfigurationError(
                 f"offset vector has {len(offsets)} entries, "
                 f"expected {self.n_plants}")
-        self._offsets[:] = map(float, offsets)
+        return list(map(float, offsets))
 
     def plant_values(self):
         """Realized costed quantity per plant (P in kW; Q in kVAr for inverters)."""
@@ -225,7 +253,9 @@ class CellTwin:
     # ------------------------------------------------------------------
     # integration
 
-    def _step_interval(self, dt_total, substep):
+    def _step_interval(self, dt_total, substep, stale=None):
+        """Integrate one interval; `stale` flags the plants to step (all if None)."""
+        self._end_of = None
         t0 = self.t_s
         prosumers = self.prosumers
         if t0 != self._inputs_t0:
@@ -239,17 +269,16 @@ class CellTwin:
         if n < 1 or abs(n * substep - dt_total) > 1e-9 * max(1.0, dt_total):
             raise ConfigurationError(
                 f"interval {dt_total} s is not a multiple of substep {substep} s")
-        for pro in prosumers:
-            pro.begin_interval()
+        if stale is None:
+            stale = self._all_stale
         base_tod = self.start_tod_s + t0
-        for k in range(n):
-            tod = (base_tod + k * substep) % 86400.0
-            for pro in prosumers:
-                pro.substep(tod, substep)
+        for pro in prosumers:
+            pro.integrate(stale, base_tod, n, substep)
+        self._last_substep_tod = (base_tod + (n - 1) * substep) % 86400.0
         self.t_s = t0 + dt_total
 
-    def step_dispatch_interval(self):
-        self._step_interval(self.dispatch_step_s, self.internal_dt_s)
+    def step_dispatch_interval(self, stale=None):
+        self._step_interval(self.dispatch_step_s, self.internal_dt_s, stale)
 
     def injections(self):
         inj = {bus: (0.0, 0.0) for bus in self._junctions}
@@ -268,8 +297,15 @@ class CellTwin:
                 tuple(plant.get_state() for plant in self._plants),
                 tuple((pro.p_kw, pro.q_kvar) for pro in self.prosumers))
 
-    def restore(self, snap):
+    def restore(self, snap, stale=None):
+        """Restore `snap`; with `stale`, only the flagged plants and the clock."""
+        self._end_of = None
         self.t_s, plant_states, bus_states = snap
+        if stale is not None:
+            for plant, state, s in zip(self._plants, plant_states, stale):
+                if s:
+                    plant.set_state(state)
+            return
         for plant, state in zip(self._plants, plant_states):
             plant.set_state(state)
         for pro, (p_kw, q_kvar) in zip(self.prosumers, bus_states):
@@ -326,6 +362,7 @@ class CellTwin:
         """Force every battery's state of charge (scenario-study hook)."""
         if not 0.0 <= soc <= 1.0:
             raise ConfigurationError(f"battery SOC override {soc} outside [0, 1]")
+        self._end_of = None
         for pro in self.prosumers:
             if pro.bes is not None:
                 pro.bes.soc = float(soc)
@@ -333,10 +370,27 @@ class CellTwin:
     # ------------------------------------------------------------------
     # dispatch evaluation
 
+    def _stale_plants(self, snap, offsets):
+        """Flags of the plants whose end state from `snap` under `offsets` is
+        not already held; None for all of them.
+
+        A plant's end state depends only on the snapshot and its own offset,
+        so a plant is up to date when its offset is the same float as in the
+        integration that left it there, sign of zero included.  NaN never is.
+        """
+        if snap is not self._end_of:
+            return None
+        return [not (a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b)))
+                for a, b in zip(offsets, self._end_offsets)]
+
     def _integrate_offsets(self, ref, offsets, record_trace):
-        self.restore(ref.snapshot)
-        self.set_offsets(offsets)
-        self.step_dispatch_interval()
+        offsets = self._checked_offsets(offsets)
+        stale = self._stale_plants(ref.snapshot, offsets)
+        self.restore(ref.snapshot, stale)
+        self._offsets[:] = offsets
+        self.step_dispatch_interval(stale)
+        self._end_of = ref.snapshot
+        self._end_offsets = offsets
         try:
             res = self.solve()
         except PowerFlowError as exc:
@@ -391,7 +445,8 @@ class CellTwin:
     def _trace_row(self, res):
         bes_soc, ehp_t, bev_soc, bev_conn, bev_p = [], [], [], [], []
         inv_p, inv_q, inv_s = [], [], []
-        tod = (self.start_tod_s + self.t_s) % 86400.0
+        # the EVs' last substep started here; their p_kw is that substep's
+        tod = self._last_substep_tod
         for pro in self.prosumers:
             if pro.bes is not None:
                 bes_soc.append(pro.bes.soc)

@@ -5,7 +5,8 @@ package.  If a refactor renames or bypasses one of them, the benchmark's
 traced metrics silently read zero; this test catches that in the unit suite
 by running one evaluation under each probe: a toy dispatch for the step
 clock, and a bundled-cell evaluation, which steps every plant class, for the
-tracer.
+tracer.  A second traced evaluation that moves one battery offset checks
+that an evaluation re-integrating only that plant is still seen.
 """
 
 import sys
@@ -54,3 +55,26 @@ def test_tracer_counts_every_layer_of_an_evaluation():
                 "grid.solve", "plants.bes", "plants.ehp", "plants.bev",
                 "plants.pv"):
         assert counts.get(key, 0) >= 1, key
+
+
+def test_tracer_sees_the_plants_an_incremental_evaluation_re_integrates():
+    # an evaluation that changes only a battery offset still passes through
+    # restore, integration and the power flow, and steps that battery alone
+    twin = CellTwin(load_bundled_scenario())
+    ref = twin.run_warmup()
+    x = np.full(twin.n_plants, 0.2)
+    tracer = tracing.Tracer()
+    undo = tracer.install()
+    try:
+        twin.evaluate_dispatch(ref, x)
+        first = {key: agg[0] for key, agg in tracer.root.inner.items()}
+        x[twin.plant_classes.index("bes")] = -0.2
+        twin.evaluate_dispatch(ref, x)
+    finally:
+        undo()
+    calls = {key: agg[0] - first.get(key, 0)
+             for key, agg in tracer.root.inner.items()}
+    for key in ("twin.restore", "twin.integrate", "grid.solve", "plants.bes"):
+        assert calls.get(key, 0) >= 1, key
+    for key in ("plants.ehp", "plants.bev"):
+        assert calls.get(key, 0) == 0, key

@@ -171,6 +171,15 @@ class TestSweepTemperature:
                      "--temperatures", " , "]) == 1
         assert "at least one" in capsys.readouterr().err
 
+    def test_bad_temperature_exits_1_before_any_run(self, toy_path, tmp_path,
+                                                    capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep-temperature", "--scenario", str(toy_path),
+                     "--temperatures", "0.5,-1", "--steps", "1",
+                     "--n-iter", "5", "--out", str(out)]) == 1
+        assert "temperature must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_reports_gap(self, capsys):
@@ -179,6 +188,19 @@ class TestOracleCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["gap"] <= 1e-3
         assert report["oracle_evals"] > 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "seed must be None or an integer >= 0"),
+        (["--nm-maxfev", "0"], "nm maxfev must be >= 1"),
+        (["--nm-maxfev", "-5"], "nm maxfev must be >= 1"),
+    ])
+    def test_bad_optimizer_settings_exit_1(self, flags, message, capsys):
+        # rejected before the grid search, with a message and no traceback
+        assert main(["oracle", *flags]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestModuleEntryPoint:

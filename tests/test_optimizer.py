@@ -291,9 +291,19 @@ class TestBasinHopping:
         {"temperature": math.nan},
         {"step_size": math.nan},
         {"step_size": math.inf},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"nm": {"maxfev": 0}},
+        {"nm": {"maxfev": -5}},
+        {"nm": {"fatol": -1e-9}},
+        {"nm": {"xatol": -1.0}},
+        {"nm": {"fatol": math.nan}},
+        {"nm": {"xatol": math.nan}},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
+            if "nm" in kwargs:
+                kwargs = {**kwargs, "nm": NelderMeadSettings(**kwargs["nm"])}
             BasinHoppingConfig(**kwargs)
 
     @pytest.mark.parametrize("dp, dq", [(math.nan, 0.0), (0.0, math.nan),

@@ -108,70 +108,74 @@ class TestBatteryStorage:
         # 5 kW for 15 s into 10 kWh at unit efficiency: d_soc = 5*15/3600/10
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=1.0, eta_discharge=1.0,
                                        soc0=0.5), p0_kw=5.0)
-        p = bes.step(5.0, 15.0)
+        p = bes.step(0.0, 5.0, 1, 15.0)
         assert p == pytest.approx(5.0, abs=1e-12)
         assert bes.soc == pytest.approx(0.5020833333333333, abs=1e-12)
 
     def test_charge_efficiency_applies(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
                                        soc0=0.0), p0_kw=4.0)
-        bes.step(4.0, 900.0)
+        bes.step(0.0, 4.0, 1, 900.0)
         assert bes.soc == pytest.approx(4.0 * 0.95 * 900 / 3600 / 10.0, abs=1e-12)
 
     def test_discharge_efficiency_applies(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
                                        soc0=1.0), p0_kw=-4.0)
-        bes.step(-4.0, 900.0)
+        bes.step(0.0, -4.0, 1, 900.0)
         assert bes.soc == pytest.approx(1.0 - 4.0 / 0.95 * 900 / 3600 / 10.0, abs=1e-12)
 
     def test_full_battery_refuses_charge(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=1.0))
-        p = bes.step(5.0, 15.0)
+        p = bes.step(0.0, 5.0, 1, 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert bes.soc == 1.0
         assert bes.saturated
 
     def test_empty_battery_refuses_discharge(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.0))
-        p = bes.step(-5.0, 15.0)
+        p = bes.step(0.0, -5.0, 1, 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert bes.soc == 0.0
         assert bes.saturated
 
     def test_power_limit_clamp(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 3.0, soc0=0.5))
-        bes.step(99.0, 1.0)
+        bes.step(0.0, 99.0, 1, 1.0)
         assert bes.saturated
         for _ in range(100):
-            p = bes.step(99.0, 1.0)
+            p = bes.step(0.0, 99.0, 1, 1.0)
         assert p == pytest.approx(5.0, abs=1e-9)
         for _ in range(200):
-            p = bes.step(-99.0, 1.0)
+            p = bes.step(0.0, -99.0, 1, 1.0)
         assert p == pytest.approx(-3.0, abs=1e-9)
 
     def test_feasible_command_reflects_soc(self):
-        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.0))
-        assert bes.feasible_command(-2.0, 15.0) == 0.0
-        assert bes.feasible_command(2.0, 15.0) == 2.0
+        # the local wish is reduced to what an empty battery can deliver; a
+        # lag far faster than the step realizes the reduced wish exactly
+        def empty():
+            return BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.0,
+                                            time_constant_s=1e-3))
+        assert empty().step(-2.0, 0.0, 1, 15.0) == 0.0
+        assert empty().step(2.0, 0.0, 1, 15.0) == 2.0
 
     def test_lag_shapes_response(self):
         bes = BatteryStorage(BesParams(50.0, 10.0, 10.0, soc0=0.5, time_constant_s=2.0))
-        p = bes.step(10.0, 1.0)
+        p = bes.step(0.0, 10.0, 1, 1.0)
         assert 0.0 < p < 10.0  # still rising toward the setpoint
 
     @given(st.lists(st.floats(-20, 20, allow_nan=False), min_size=1, max_size=60))
     def test_soc_and_power_stay_bounded(self, setpoints):
         bes = BatteryStorage(BesParams(2.0, 5.0, 5.0, soc0=0.5))
         for sp in setpoints:
-            p = bes.step(sp, 5.0)
+            p = bes.step(0.0, sp, 1, 5.0)
             assert 0.0 <= bes.soc <= 1.0
             assert -5.0 - 1e-9 <= p <= 5.0 + 1e-9
 
     def test_state_round_trip(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.5))
-        bes.step(3.0, 1.0)
+        bes.step(0.0, 3.0, 1, 1.0)
         state = bes.get_state()
-        bes.step(-2.0, 1.0)
+        bes.step(0.0, -2.0, 1, 1.0)
         bes.set_state(state)
         assert bes.get_state() == state
 
@@ -241,7 +245,7 @@ class TestHeatPumpSystem:
         heat_in = 0.0
         n = int(12 * 3600 / 15)
         for _ in range(n):
-            ehp.step(2.0, 0.0, 0.0, 15.0)
+            ehp.step(2.0, 0.0, 0.0, 1, 15.0)
             temps.append(ehp.t_storage_c)
             powers.append(ehp.p_kw)
             heat_in += (ehp.last_cop * ehp.last_p_compressor_kw
@@ -266,7 +270,7 @@ class TestHeatPumpSystem:
         for k in range(600):
             demand = 2.0 + 1.5 * math.sin(k / 25.0)
             offset = 1.0 if 100 <= k < 250 else 0.0
-            ehp.step(demand, -2.0, offset, dt)
+            ehp.step(demand, -2.0, offset, 1, dt)
             assert 35.0 < ehp.t_storage_c < 90.0  # balance only claimed inside bounds
             heat_in += (ehp.last_cop * ehp.last_p_compressor_kw
                         + ehp.last_p_element_kw) * dt / 3600.0
@@ -277,7 +281,7 @@ class TestHeatPumpSystem:
     def test_floor_hold_covers_demand(self):
         ehp = make_ehp(t0_c=35.5)
         for _ in range(400):
-            ehp.step(4.0, -5.0, -99.0, 15.0)  # large negative offset pushes down
+            ehp.step(4.0, -5.0, -99.0, 1, 15.0)  # large negative offset pushes down
             assert ehp.t_storage_c >= 35.0 - 1e-9
         # at the floor the system pumps exactly the demand-covering power
         assert ehp.t_storage_c == pytest.approx(35.0, abs=0.05)
@@ -288,14 +292,14 @@ class TestHeatPumpSystem:
     def test_undersized_system_pins_at_floor(self):
         ehp = make_ehp(p_el_max_kw=0.5, p_element_kw=0.3, t0_c=36.0)
         for _ in range(400):
-            ehp.step(5.0, -5.0, 0.0, 15.0)
+            ehp.step(5.0, -5.0, 0.0, 1, 15.0)
         assert ehp.t_storage_c == pytest.approx(35.0, abs=1e-9)
 
     def test_element_extends_beyond_compressor_threshold(self):
         ehp = make_ehp()
         seen_above_threshold = False
         for _ in range(int(4 * 3600 / 15)):
-            ehp.step(0.0, 0.0, 99.0, 15.0)
+            ehp.step(0.0, 0.0, 99.0, 1, 15.0)
             assert ehp.t_storage_c <= 90.0 + 1e-9
             if ehp.t_storage_c > 51.0:
                 seen_above_threshold = True
@@ -308,33 +312,33 @@ class TestHeatPumpSystem:
     def test_element_inactive_without_offset(self):
         ehp = make_ehp(t0_c=45.0)
         for _ in range(200):
-            ehp.step(2.0, 0.0, 0.0, 15.0)
+            ehp.step(2.0, 0.0, 0.0, 1, 15.0)
             assert ehp.last_p_element_kw == 0.0
 
     def test_negative_offset_clamps_at_zero_power(self):
         # tank above t_on: thermostat off, a negative command cannot realize
         ehp = make_ehp(t0_c=46.0)
-        p = ehp.step(1.0, 0.0, -5.0, 15.0)
+        p = ehp.step(1.0, 0.0, -5.0, 1, 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert ehp.saturated
 
     def test_reactive_power_tracks_fixed_power_factor(self):
         ehp = make_ehp()
-        ehp.step(3.0, 0.0, 1.0, 15.0)
+        ehp.step(3.0, 0.0, 1.0, 1, 15.0)
         assert ehp.q_kvar == pytest.approx(ehp.p_kw * math.tan(math.acos(0.95)), abs=1e-12)
 
     @given(st.lists(st.floats(-8, 8, allow_nan=False), min_size=1, max_size=50))
     def test_temperature_stays_bounded(self, offsets):
         ehp = make_ehp(t0_c=40.0)
         for off in offsets:
-            ehp.step(3.0, -2.0, off, 15.0)
+            ehp.step(3.0, -2.0, off, 1, 15.0)
             assert 35.0 - 1e-9 <= ehp.t_storage_c <= 90.0 + 1e-9
 
     def test_state_round_trip(self):
         ehp = make_ehp()
-        ehp.step(2.0, 0.0, 0.5, 15.0)
+        ehp.step(2.0, 0.0, 0.5, 1, 15.0)
         state = ehp.get_state()
-        ehp.step(3.0, 1.0, -0.5, 15.0)
+        ehp.step(3.0, 1.0, -0.5, 1, 15.0)
         ehp.set_state(state)
         assert ehp.get_state() == state
 
@@ -372,7 +376,7 @@ class TestElectricVehicle:
 
     def test_away_power_is_exactly_zero(self):
         bev = make_bev()
-        p = bev.step(5.0, 12 * 3600.0, 900.0)
+        p = bev.step(5.0, 12 * 3600.0, 1, 900.0)
         assert p == 0.0
         assert bev.p_kw == 0.0
 
@@ -381,31 +385,31 @@ class TestElectricVehicle:
         # whole trip window at 900 s steps: 8 kWh over 10 h
         t = 8 * 3600.0
         while t < 18 * 3600.0:
-            bev.step(0.0, t, 900.0)
+            bev.step(0.0, t, 1, 900.0)
             t += 900.0
         assert bev.soc == pytest.approx(0.9 - 8.0 / 40.0, abs=1e-9)
         assert bev.trip_drain_kwh == pytest.approx(8.0, abs=1e-9)
 
     def test_charges_at_rated_until_full(self):
         bev = make_bev(soc0=0.995, eta_charge=1.0, time_constant_s=1e-3)
-        p = bev.step(0.0, 19 * 3600.0, 60.0)
+        p = bev.step(0.0, 19 * 3600.0, 1, 60.0)
         assert p == pytest.approx(11.0, abs=1e-6)
         for _ in range(60):
-            p = bev.step(0.0, 19 * 3600.0, 60.0)
+            p = bev.step(0.0, 19 * 3600.0, 1, 60.0)
         assert bev.soc == pytest.approx(1.0, abs=1e-12)
         assert p == pytest.approx(0.0, abs=1e-9)
 
     def test_unidirectional_floor_is_zero(self):
         bev = make_bev(v2g=False)
         for _ in range(20):
-            p = bev.step(-99.0, 19 * 3600.0, 5.0)
+            p = bev.step(-99.0, 19 * 3600.0, 1, 5.0)
         assert p == pytest.approx(0.0, abs=1e-9)
         assert bev.saturated
 
     def test_v2g_discharges_to_negative_rated(self):
         bev = make_bev(v2g=True)
         for _ in range(40):
-            p = bev.step(-99.0, 19 * 3600.0, 5.0)
+            p = bev.step(-99.0, 19 * 3600.0, 1, 5.0)
         assert p == pytest.approx(-11.0, abs=1e-9)
 
     def test_no_trips_always_connected(self):
@@ -421,7 +425,7 @@ class TestElectricVehicle:
         dt = 86400.0 / len(offsets)
         t = 0.0
         for off in offsets:
-            p = bev.step(off, t % 86400.0, dt)
+            p = bev.step(off, t % 86400.0, 1, dt)
             assert 0.0 <= bev.soc <= 1.0
             if p > 0:
                 charged += p * bev.eta_charge * dt / 3600.0
@@ -431,6 +435,14 @@ class TestElectricVehicle:
         delta = (bev.soc - 0.6) * bev.capacity_kwh
         assert delta == pytest.approx(charged - discharged - bev.trip_drain_kwh,
                                       abs=1e-7)
+
+    def test_efficiency_validation(self):
+        # checked by the storage base class, as for batteries
+        for eta in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="efficiencies"):
+                make_bev(eta_charge=eta)
+            with pytest.raises(ValueError, match="efficiencies"):
+                make_bev(eta_discharge=eta)
 
     def test_trip_validation(self):
         with pytest.raises(ValueError):
@@ -444,8 +456,8 @@ class TestElectricVehicle:
 
     def test_state_round_trip(self):
         bev = make_bev()
-        bev.step(2.0, 19 * 3600.0, 5.0)
+        bev.step(2.0, 19 * 3600.0, 1, 5.0)
         state = bev.get_state()
-        bev.step(-2.0, 20 * 3600.0, 5.0)
+        bev.step(-2.0, 20 * 3600.0, 1, 5.0)
         bev.set_state(state)
         assert bev.get_state() == state

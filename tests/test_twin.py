@@ -6,7 +6,11 @@ import pytest
 from cellflex.errors import ConfigurationError, PowerFlowError
 from cellflex.oracle import make_toy_scenario
 from cellflex.plants import PvInverter
-from cellflex.scenario import load_bundled_scenario, scenario_from_dict
+from cellflex.scenario import (
+    load_bundled_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 from cellflex.twin import CellTwin
 
 
@@ -160,6 +164,99 @@ class TestEvaluation:
         assert traced.trace["t_s"] == 15.0
 
 
+def result_bits(ev):
+    """The evaluation result the optimizer scores, at full precision."""
+    return (ev.pcc_p_kw.hex(), ev.pcc_q_kvar.hex(), ev.plant_values.tobytes(),
+            ev.n_violations, ev.feasible)
+
+
+class TestIncrementalEvaluation:
+    """An evaluation re-integrates only the plants whose offsets changed.
+
+    Every result must be bit-equal to the same evaluation on a fresh twin,
+    whatever happened to the twin in between.
+    """
+
+    @pytest.mark.parametrize("make", [make_toy_scenario, load_bundled_scenario])
+    def test_matches_a_fresh_twin_through_mixed_sequences(self, make):
+        scenario = make()
+        twin = CellTwin(scenario)
+        ref = twin.run_warmup()
+        bounds = twin.plant_bounds()
+        n = twin.n_plants
+        rng = np.random.default_rng(3)
+        classes = twin.plant_classes
+        i_bes, i_inv = classes.index("bes"), classes.index("inv")
+
+        def check(r, x):
+            # the trace also shows plant states that the result does not
+            got = twin.evaluate_dispatch(r, x, record_trace=True)
+            want = CellTwin(scenario).evaluate_dispatch(r, x, record_trace=True)
+            assert result_bits(got) == result_bits(want)
+            assert repr(got.trace) == repr(want.trace)
+
+        x0 = 0.5 * rng.uniform(bounds[:, 0], bounds[:, 1])
+        check(ref, x0)
+        # single-coordinate moves, as in Nelder-Mead's initial simplex
+        for j in sorted({0, i_inv, n - 1, int(rng.integers(n))}):
+            x = x0.copy()
+            x[j] += 0.1
+            check(ref, x)
+        check(ref, x0)
+        check(ref, x0)                      # repeat
+        x = x0.copy()
+        x[i_bes] = bounds[i_bes, 1]         # held at a bound
+        check(ref, x)
+        x[i_inv] = bounds[i_inv, 0]
+        check(ref, x)
+        # the sign of a zero offset reaches the result
+        z = np.zeros(n)
+        check(ref, z)
+        z[i_inv] = -0.0
+        z[i_bes] = -0.0
+        check(ref, z)
+        check(ref, np.zeros(n))
+        # whatever moves plant state outside an evaluation
+        new_ref, _ = twin.advance_reference(ref, x0)
+        check(new_ref, x0)
+        check(ref, x0)
+        check(new_ref, x0)
+        twin.restore(ref.snapshot)
+        check(new_ref, x0)
+        twin.override_bes_soc(0.3)
+        check(new_ref, x0)
+        twin.step_dispatch_interval()
+        check(new_ref, x0)
+        twin.set_offsets(x)
+        twin.step_dispatch_interval()
+        check(new_ref, x0)
+        x = x0.copy()
+        x[i_bes] = -x[i_bes]
+        check(new_ref, x)
+
+    @pytest.mark.parametrize("make", [make_toy_scenario, load_bundled_scenario])
+    def test_each_plant_depends_only_on_its_own_offset(self, make):
+        # the invariant that lets an evaluation skip unchanged plants: a
+        # coupling between plants must fail here
+        twin = CellTwin(make())
+        ref = twin.run_warmup()
+        bounds = twin.plant_bounds()
+        rng = np.random.default_rng(7)
+
+        def integrated(x):
+            twin.restore(ref.snapshot)      # re-integrates every plant
+            ev = twin.evaluate_dispatch(ref, x)
+            return ev.plant_values, twin.snapshot()[1]
+
+        for j in range(twin.n_plants):
+            x1, x2 = rng.uniform(bounds[:, 0], bounds[:, 1], size=(2, twin.n_plants))
+            x2[j] = x1[j]
+            values1, states1 = integrated(x1)
+            values2, states2 = integrated(x2)
+            assert values1[j].tobytes() == values2[j].tobytes(), twin.plant_labels[j]
+            assert states1[j] == states2[j], twin.plant_labels[j]
+
+
 class TestCommit:
     def test_advance_keeps_frozen_baseline(self, toy):
         twin, ref = toy
@@ -243,6 +340,28 @@ def traced(bundled):
     ev = twin.evaluate_dispatch(ref, np.zeros(twin.n_plants),
                                 record_trace=True)
     return twin, ev
+
+
+class TestEvConnectionTrace:
+    def test_connection_is_read_where_the_last_substep_started(self):
+        # toy cell plus an EV that leaves at 20:15, 900 s after the start:
+        # the step ending at t=900 still charged through its last substep
+        data = scenario_to_dict(make_toy_scenario())
+        data["prosumers"][0]["bevs"] = [{
+            "capacity_kwh": 40.0, "p_rated_kw": 3.7, "soc0": 0.5,
+            "trips": [{"depart_hour": 20.25, "return_hour": 22.0,
+                       "energy_kwh": 5.0}],
+        }]
+        twin = CellTwin(scenario_from_dict(data))
+        ref = twin.run_warmup()
+        rows = {}
+        while ref.t_s < 915.0:
+            ref, ev = twin.advance_reference(ref, np.zeros(twin.n_plants))
+            rows[ev.trace["t_s"]] = ev.trace
+        assert rows[900.0]["bev_connected"] == (True,)
+        assert rows[900.0]["bev_p_kw"] == (3.7,)
+        assert rows[915.0]["bev_connected"] == (False,)
+        assert rows[915.0]["bev_p_kw"] == (0.0,)
 
 
 class TestBundledTrace:
