@@ -126,7 +126,14 @@ def _cmd_dispatch(args):
 
 def _cmd_sweep_temperature(args):
     scenario = _load(args)
-    temperatures = [float(t) for t in args.temperatures.split(",") if t.strip()]
+    temperatures = []
+    for entry in args.temperatures.split(","):
+        if entry.strip():
+            try:
+                temperatures.append(float(entry))
+            except ValueError:
+                raise ConfigurationError(
+                    f"--temperatures: '{entry.strip()}' is not a number") from None
     if not temperatures:
         raise ConfigurationError("--temperatures must name at least one value")
     configs = [_config(args, temperature=t_bh) for t_bh in temperatures]

@@ -137,19 +137,12 @@ class DispatchRun:
     steps: list
     runtime_s: float               # wall time; never written to output files
 
-    @property
-    def x0_contract(self):
-        """Per step, the of_local of iteration 0 (the warm-start evaluation)."""
-        return [s.iterations[0].of_local if s.iterations else float("nan")
-                for s in self.steps]
-
 
 def run_dispatch(scenario, request, *, n_steps,
                  config: BasinHoppingConfig = None,
                  costs: CostTable = None,
                  warmup_s=None,
-                 initial_bes_soc=None,
-                 record_iterations=True):
+                 initial_bes_soc=None):
     """Disaggregate ``request`` across the cell's plants over ``n_steps`` steps.
 
     ``initial_bes_soc`` overrides every battery's state of charge after warmup
@@ -218,7 +211,7 @@ def run_dispatch(scenario, request, *, n_steps,
             pcc_cost=bd.pcc_cost,
             penalty=bd.penalty,
             n_evals=result.n_evals,
-            iterations=result.iterations if record_iterations else [],
+            iterations=result.iterations,
             trace=ev.trace,
         ))
         log.debug("step %d: OF=%.6g dP_err=%+.4f kW dQ_err=%+.4f kVAr",

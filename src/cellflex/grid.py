@@ -6,10 +6,13 @@ solver works on the single-phase equivalent: per-phase voltages in volts,
 three-phase powers in kW/kVAr (consumption positive).  A backward sweep
 accumulates branch currents from the leaves, a forward sweep updates the
 voltage drops; iteration stops once the largest per-sweep voltage change
-falls below `tol` (in per unit).  The sweep plan -- the BFS bus order with
-each bus's parent, feeding line and impedance, the lines leaving the PCC and
-the line limits -- is built once with the topology, so a solve only does
-arithmetic.
+falls below `tol` (in per unit).  Each branch current is held once, on the
+bus the branch feeds: the backward sweep visits children before parents, so
+a bus's accumulated current is final once it has been passed to its parent.
+The sweep plan -- the BFS bus order with each bus's parent and feeding
+impedance, the bus and impedance of each line, the PCC's children -- is
+built once with the topology, so a solve only does arithmetic.  Results come
+as tuples in ``topology.buses`` and ``topology.lines`` order.
 
 The PCC reading is defined as the complex sum of all bus injections plus all
 series losses (3 * |I|^2 * Z per line) — by construction it equals the power
@@ -17,7 +20,7 @@ entering through the slack once the sweep has converged.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, InfeasibleNetworkError, PowerFlowError
 
@@ -73,7 +76,6 @@ class PccReading:
     """Active/reactive power crossing the PCC (consumption positive)."""
     p_kw: float
     q_kvar: float
-    t_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class LineLoading:
 @dataclass(frozen=True)
 class PowerFlowResult:
     pcc: PccReading
-    v_pu: dict                      # bus id -> |V| in per unit
-    currents_a: dict                # line id -> |I| per phase in ampere
+    v_pu: tuple                     # |V| in per unit, in topology.buses order
+    currents_a: tuple               # |I| per phase in ampere, in topology.lines order
     loss_p_kw: float
     loss_q_kvar: float
     sweeps: int
@@ -172,26 +174,26 @@ class GridTopology:
             missing = sorted(self.buses[i].id for i in range(n) if not seen[i])
             raise ConfigurationError(f"buses not connected to the PCC: {missing}")
 
-        # sweep plan: (bus, parent, line, z) in BFS order for the forward
-        # sweep and reversed for the backward one, plus the lines leaving
-        # the root in bus order (the slack inflow's summation order)
+        # sweep plan: (bus, parent, z of the feeding line) in BFS order for
+        # the forward sweep, (bus, parent) reversed for the backward one,
+        # (fed bus, z) per line in line order for the losses, and the PCC's
+        # children in bus order (the slack inflow's summation order)
         z = [complex(ln.r_ohm, ln.x_ohm) for ln in self.lines]
+        fed = [0] * len(self.lines)
+        for bus in order[1:]:
+            fed[parent_line[bus]] = bus
         self._root = root
-        self._forward = tuple((bus, parent[bus], parent_line[bus], z[parent_line[bus]])
+        self._forward = tuple((bus, parent[bus], z[parent_line[bus]])
                               for bus in order[1:])
-        self._backward = self._forward[::-1]
-        self._root_lines = tuple(parent_line[bus] for bus in range(n)
-                                 if parent[bus] == root)
+        self._backward = tuple((bus, par) for bus, par, _ in reversed(self._forward))
+        self._line_plan = tuple(zip(fed, z))
+        self._root_children = tuple(bus for bus in range(n) if parent[bus] == root)
         self._non_root = tuple(i for i in range(n) if i != root)
-        self._z_ohm = z
         self._non_slack = frozenset(b.id for b in self.buses if b.id != self.pcc_bus)
-        self._bus_ids = tuple(b.id for b in self.buses)
-        self._line_ids = tuple(ln.id for ln in self.lines)
         self._v_ph_nom = self.v_nom_ll_v / math.sqrt(3.0)
-        self.line_limits = {ln.id: ln.i_max_a for ln in self.lines}
 
 
-def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0):
+def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100):
     """Solve the radial power flow for three-phase injections in kW/kVAr.
 
     `injections` must contain exactly the non-slack bus ids, each mapping to a
@@ -221,21 +223,20 @@ def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0)
     loads = [(i, s_ph[i]) for i in topology._non_root if s_ph[i] != 0j]
 
     v = [complex(v_ph_nom, 0.0)] * n
-    i_branch = [0j] * len(topology.lines)
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        # backward: load currents, then accumulate toward the root
+        # backward: load currents, then accumulate toward the root; acc[bus]
+        # ends as the current of the branch feeding bus
         acc = [0j] * n
         for i, s in loads:
             acc[i] = (s / v[i]).conjugate()
-        for bus, par, li, _ in backward:
-            i_branch[li] = acc[bus]
+        for bus, par in backward:
             acc[par] += acc[bus]
         # forward: voltage drops from the root outward
         max_dv = 0.0
-        for bus, par, li, z in forward:
-            v_new = v[par] - z * i_branch[li]
+        for bus, par, z in forward:
+            v_new = v[par] - z * acc[bus]
             dv = abs(v_new - v[bus])
             if dv > max_dv:
                 max_dv = dv
@@ -253,15 +254,16 @@ def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0)
             f"(last voltage change {max_dv / v_ph_nom:.2e} pu)")
 
     loss = 0j
-    for i_l, z in zip(i_branch, topology._z_ohm):
+    for bus, z in topology._line_plan:
+        i_l = acc[bus]
         i_mag2 = (i_l * i_l.conjugate()).real
         loss += 3.0 * i_mag2 * z
     s_total = sum(s_ph) * 3.0 + loss          # VA, three-phase
 
     # cross-check against the physical slack inflow (root branch currents)
     i_root = 0j
-    for li in topology._root_lines:
-        i_root += i_branch[li]
+    for bus in topology._root_children:
+        i_root += acc[bus]
     s_slack = 3.0 * v[topology._root] * i_root.conjugate()
     s_base = topology.transformer_kva * 1000.0
     balance_error = abs(s_slack - s_total) / s_base
@@ -269,12 +271,12 @@ def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0)
     if balance_error > _worst_balance_error_pu:
         _worst_balance_error_pu = balance_error
 
-    v_pu = {bid: abs(v_i) / v_ph_nom for bid, v_i in zip(topology._bus_ids, v)}
-    currents = {lid: abs(i_l) for lid, i_l in zip(topology._line_ids, i_branch)}
+    # tuples of list comprehensions: tuple() over a generator grows the tuple
+    # by resizing, which raised the benchmark's peak RSS by ~0.8 MB
     return PowerFlowResult(
-        pcc=PccReading(s_total.real / 1000.0, s_total.imag / 1000.0, t_s),
-        v_pu=v_pu,
-        currents_a=currents,
+        pcc=PccReading(s_total.real / 1000.0, s_total.imag / 1000.0),
+        v_pu=tuple([abs(v_i) / v_ph_nom for v_i in v]),
+        currents_a=tuple([abs(acc[bus]) for bus, _ in topology._line_plan]),
         loss_p_kw=loss.real / 1000.0,
         loss_q_kvar=loss.imag / 1000.0,
         sweeps=sweeps,
@@ -284,10 +286,8 @@ def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100, t_s=0.0)
 
 def check_line_limits(result, topology):
     """Return a LineLoading entry for every line whose current exceeds its limit."""
-    limits = topology.line_limits
     violations = []
-    for lid, amps in result.currents_a.items():
-        limit = limits[lid]
-        if amps > limit:
-            violations.append(LineLoading(lid, amps, limit, amps / limit))
+    for ln, amps in zip(topology.lines, result.currents_a):
+        if amps > ln.i_max_a:
+            violations.append(LineLoading(ln.id, amps, ln.i_max_a, amps / ln.i_max_a))
     return violations

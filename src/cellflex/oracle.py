@@ -8,6 +8,7 @@ same problem must not exceed the oracle's best by more than the grid gap.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,8 @@ def grid_search_oracle(scenario, request, *, resolution=0.05,
         raise ConfigurationError(
             f"grid-search oracle handles at most {_MAX_ORACLE_PLANTS} plants, "
             f"scenario has {twin.n_plants}")
-    if not resolution > 0.0:         # written so that NaN fails it too
-        raise ConfigurationError("resolution must be > 0")
+    if not 0.0 < resolution < math.inf:     # written so that NaN fails it too
+        raise ConfigurationError(f"resolution must be > 0 and finite, got {resolution}")
 
     ref = twin.run_warmup(warmup_s)
     f, bounds = single_step_objective(twin, ref, request, costs)

@@ -143,43 +143,34 @@ class _Storage:
                     p = 0.0
                     saturated = offset_kw != 0.0
                     continue
-            # SOC headroom over this substep, as charge and discharge power
+            # SOC headroom over this substep, as charge and discharge power,
+            # folded into the rating bounds (on a tie the rating is kept)
             room_c = (1.0 - soc) * cap * 3600.0 / charge_div
             room_d = soc * cap * 3600.0 * eta_d / dt
+            lo_k = -room_d if -room_d > lo else lo
+            hi_k = room_c if room_c < hi else hi
             if wish_kw is None:
                 wanted = (hi if soc < 1.0 else 0.0) + offset_kw
             else:
                 w = wish_kw
-                if w < lo:
-                    w = lo
-                elif w > hi:
-                    w = hi
-                if w > 0.0 and w > room_c:
-                    w = room_c
-                elif w < 0.0 and -w > room_d:
-                    w = -room_d
+                if w < lo_k:
+                    w = lo_k
+                elif w > hi_k:
+                    w = hi_k
                 wanted = w + offset_kw
             cmd = wanted
-            if cmd < lo:
-                cmd = lo
-            elif cmd > hi:
-                cmd = hi
-            if cmd > 0.0 and cmd > room_c:
-                cmd = room_c
-            elif cmd < 0.0 and -cmd > room_d:
-                cmd = -room_d
+            if cmd < lo_k:
+                cmd = lo_k
+            elif cmd > hi_k:
+                cmd = hi_k
             saturated = cmd != wanted
             p = p + (cmd - p) * lag
             # pin an overshoot of the lag to the same bounds
             pinned = p
-            if pinned < lo:
-                pinned = lo
-            elif pinned > hi:
-                pinned = hi
-            if pinned > 0.0 and pinned > room_c:
-                pinned = room_c
-            elif pinned < 0.0 and -pinned > room_d:
-                pinned = -room_d
+            if pinned < lo_k:
+                pinned = lo_k
+            elif pinned > hi_k:
+                pinned = hi_k
             if pinned != p:
                 p = pinned
                 saturated = True

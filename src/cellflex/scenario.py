@@ -481,8 +481,8 @@ def scenario_from_dict(data):
     if abs(n_sub - round(n_sub)) > 1e-9:
         raise ConfigurationError(
             "simulation.dispatch_step_s: must be an integer multiple of internal_dt_s")
-    if sim.warmup_s < 0.0:
-        raise ConfigurationError("simulation.warmup_s: must be >= 0")
+    if not sim.warmup_s > 0.0:
+        raise ConfigurationError("simulation.warmup_s: must be > 0")
     if sim.warmup_s > sim.profile_back_days * 86400.0:
         raise ConfigurationError(
             "simulation.warmup_s: exceeds the covered profile window "

@@ -287,7 +287,7 @@ class CellTwin:
         return inj
 
     def solve(self):
-        return solve_power_flow(self.topology, self.injections(), t_s=self.t_s)
+        return solve_power_flow(self.topology, self.injections())
 
     # ------------------------------------------------------------------
     # snapshots
@@ -325,8 +325,10 @@ class CellTwin:
         """
         if duration_s is None:
             duration_s = self.scenario.simulation.warmup_s
-        if not duration_s >= 0:         # also rejects NaN
-            raise ConfigurationError(f"warmup duration must be >= 0, got {duration_s}")
+        if not duration_s > 0:          # also rejects NaN
+            # a zero warmup would capture the reference before any plant has
+            # been integrated, i.e. with every bus injection still zero
+            raise ConfigurationError(f"warmup duration must be > 0, got {duration_s}")
         back_days = self.scenario.simulation.profile_back_days
         if duration_s > back_days * 86400.0:
             raise ConfigurationError(
@@ -470,9 +472,9 @@ class CellTwin:
             "inv_p_kw": tuple(inv_p),
             "inv_q_kvar": tuple(inv_q),
             "inv_s_rated_kva": tuple(inv_s),
-            "v_min_pu": min(res.v_pu.values()),
+            "v_min_pu": min(res.v_pu),
             "line_loading_max": max(
-                (amps / self.topology.line_limits[lid]
-                 for lid, amps in res.currents_a.items()),
+                (amps / ln.i_max_a
+                 for ln, amps in zip(self.topology.lines, res.currents_a)),
                 default=0.0),
         }

@@ -10,7 +10,11 @@ from cellflex.grid import Bus, GridTopology, Line
 
 
 def gauss_seidel_pf(topology, injections, tol=1e-12, max_iter=50000):
-    """Return (v_pu dict, slack complex power in kVA) for the given injections."""
+    """Return (v_pu, slack complex power in kVA, complex voltages) for the injections.
+
+    ``v_pu`` maps bus id to |V| in per unit; the third item maps bus id to the
+    complex per-phase voltage in volts.
+    """
     buses = topology.buses
     n = len(buses)
     idx = {b.id: i for i, b in enumerate(buses)}
@@ -51,7 +55,7 @@ def gauss_seidel_pf(topology, injections, tol=1e-12, max_iter=50000):
     i_slack = sum(ybus[slack][j] * v[j] for j in range(n))
     s_slack = 3.0 * v[slack] * i_slack.conjugate() / 1000.0  # kVA, consumption positive
     v_pu = {buses[i].id: abs(v[i]) / v_ph for i in range(n)}
-    return v_pu, s_slack
+    return v_pu, s_slack, {buses[i].id: v[i] for i in range(n)}
 
 
 def random_radial_case(rng, n_buses=5):

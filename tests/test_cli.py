@@ -131,6 +131,15 @@ class TestDispatch:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_warmup_exits_1(self, toy_path, tmp_path, capsys):
+        # a zero warmup would capture an all-zero reference PCC reading
+        out = tmp_path / "cold"
+        assert main(["dispatch", "--scenario", str(toy_path),
+                     "--dp-kw", "1.0", "--steps", "2", "--n-iter", "1",
+                     "--warmup-days", "0", "--out", str(out)]) == 1
+        assert "warmup duration must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_request_is_a_usage_error(self, toy_path):
         with pytest.raises(SystemExit) as err:
             main(["dispatch", "--scenario", str(toy_path)])
@@ -180,6 +189,15 @@ class TestSweepTemperature:
         assert "temperature must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_numeric_temperature_exits_1(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep-temperature", "--scenario", str(toy_path),
+                     "--temperatures", "a,b", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: --temperatures: 'a' is not a number" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_reports_gap(self, capsys):
@@ -199,6 +217,14 @@ class TestOracleCommand:
         assert main(["oracle", *flags]) == 1
         captured = capsys.readouterr()
         assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_infinite_resolution_exits_1(self, capsys):
+        # an infinite step leaves no grid point; rejected before the warmup
+        assert main(["oracle", "--resolution", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert "resolution must be > 0 and finite, got inf" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

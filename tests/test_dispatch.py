@@ -94,7 +94,7 @@ class TestToyTracking:
         c = CostTable()
         cold = c.k_pcc_p * abs(TOY_REQUEST.dp_kw) \
             + c.k_pcc_q * abs(TOY_REQUEST.dq_kvar)
-        x0 = toy_run.x0_contract
+        x0 = [s.iterations[0].of_local for s in toy_run.steps]
         assert x0[0] == pytest.approx(cold, abs=1e-4)
         assert x0[1] < 0.1 * cold
         assert x0[2] < 0.1 * cold
@@ -120,12 +120,6 @@ class TestToyTracking:
             assert a.pcc_q_kvar == b.pcc_q_kvar
             assert np.array_equal(a.offsets, b.offsets)
             assert a.of == b.of
-
-    def test_record_iterations_toggle(self):
-        run = run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=1,
-                           config=BasinHoppingConfig(n_iter=5, seed=1),
-                           record_iterations=False)
-        assert run.steps[0].iterations == []
 
     def test_initial_bes_soc_override(self):
         run = run_dispatch(make_toy_scenario(), FlexibilityRequest(-1.0, 0.0),
@@ -207,7 +201,7 @@ class TestOracle:
             grid_search_oracle(load_bundled_scenario(), TOY_REQUEST)
 
     def test_oracle_rejects_bad_resolution(self):
-        for resolution in (0.0, math.nan):
+        for resolution in (0.0, math.nan, math.inf):
             with pytest.raises(ConfigurationError, match="resolution"):
                 grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
                                    resolution=resolution)

@@ -39,19 +39,19 @@ class TestTwoBus:
         assert res.pcc.p_kw == pytest.approx(expected_kw, abs=1e-9)
         assert res.pcc.p_kw == pytest.approx(10.063, abs=1e-3)
         assert res.pcc.q_kvar == pytest.approx(0.0, abs=1e-9)
-        assert res.currents_a["pcc-b1"] == pytest.approx(i, abs=1e-6)
+        assert res.currents_a[0] == pytest.approx(i, abs=1e-6)
 
     def test_no_load_means_no_flow(self):
         res = solve_power_flow(two_bus(), {"b1": (0.0, 0.0)})
         assert res.pcc.p_kw == 0.0
         assert res.pcc.q_kvar == 0.0
-        assert res.v_pu["b1"] == 1.0
+        assert res.v_pu[1] == 1.0
 
     def test_generation_reverses_flow(self):
         res = solve_power_flow(two_bus(), {"b1": (-10.0, 0.0)})
         assert res.pcc.p_kw < -9.9
         assert res.loss_p_kw > 0.0
-        assert res.v_pu["b1"] > 1.0  # injection lifts the voltage
+        assert res.v_pu[1] > 1.0  # injection lifts the voltage
 
     def test_reactive_injection_shifts_q(self):
         res = solve_power_flow(two_bus(x=0.08), {"b1": (5.0, 3.0)})
@@ -59,14 +59,14 @@ class TestTwoBus:
 
     def test_loading_monotone_in_power(self):
         topo = two_bus()
-        currents = [solve_power_flow(topo, {"b1": (p, 0.0)}).currents_a["pcc-b1"]
+        currents = [solve_power_flow(topo, {"b1": (p, 0.0)}).currents_a[0]
                     for p in np.linspace(0.0, 50.0, 11)]
         assert all(b > a for a, b in zip(currents, currents[1:]))
 
     def test_voltage_drops_with_load(self):
         res = solve_power_flow(two_bus(), {"b1": (30.0, 10.0)})
-        assert res.v_pu["b1"] < 1.0
-        assert res.v_pu["pcc"] == 1.0
+        assert res.v_pu[1] < 1.0
+        assert res.v_pu[0] == 1.0
 
 
 class TestConservationAndOracle:
@@ -84,11 +84,28 @@ class TestConservationAndOracle:
     def test_agrees_with_gauss_seidel(self, seed):
         topo, inj = random_radial_case(np.random.default_rng(seed))
         res = solve_power_flow(topo, inj)
-        v_ref, s_slack = gauss_seidel_pf(topo, inj)
-        for bid, v in res.v_pu.items():
-            assert v == pytest.approx(v_ref[bid], abs=1e-6)
+        v_ref, s_slack, _ = gauss_seidel_pf(topo, inj)
+        for bus, v in zip(topo.buses, res.v_pu):
+            assert v == pytest.approx(v_ref[bus.id], abs=1e-6)
         assert res.pcc.p_kw == pytest.approx(s_slack.real, abs=1e-3)
         assert res.pcc.q_kvar == pytest.approx(s_slack.imag, abs=1e-3)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_line_currents_agree_with_gauss_seidel(self, seed):
+        # the current through a line is its voltage drop over its impedance;
+        # the lines are shuffled so that their order is not the order of the
+        # buses they feed
+        rng = np.random.default_rng(seed)
+        topo, inj = random_radial_case(rng)
+        lines = list(topo.lines)
+        rng.shuffle(lines)
+        topo = GridTopology(topo.buses, lines, pcc_bus="pcc",
+                            transformer_kva=topo.transformer_kva)
+        res = solve_power_flow(topo, inj)
+        _, _, v = gauss_seidel_pf(topo, inj)
+        for ln, amps in zip(topo.lines, res.currents_a):
+            i_ref = abs(v[ln.from_bus] - v[ln.to_bus]) / abs(complex(ln.r_ohm, ln.x_ohm))
+            assert amps == pytest.approx(i_ref, rel=1e-6)
 
     def test_line_order_does_not_matter(self):
         rng = np.random.default_rng(3)
@@ -99,8 +116,8 @@ class TestConservationAndOracle:
         topo_b = GridTopology(topo.buses, shuffled, pcc_bus="pcc",
                               transformer_kva=topo.transformer_kva)
         res_b = solve_power_flow(topo_b, inj)
-        for bid in res_a.v_pu:
-            assert res_a.v_pu[bid] == pytest.approx(res_b.v_pu[bid], abs=1e-12)
+        for v_a, v_b in zip(res_a.v_pu, res_b.v_pu):
+            assert v_a == pytest.approx(v_b, abs=1e-12)
         assert res_a.pcc.p_kw == pytest.approx(res_b.pcc.p_kw, abs=1e-12)
 
 
@@ -204,7 +221,7 @@ class TestTopologyValidation:
             res = solve_power_flow(topo, inj)
         except InfeasibleNetworkError:
             try:
-                v_ref, _ = gauss_seidel_pf(topo, inj)
+                v_ref, _, _ = gauss_seidel_pf(topo, inj)
             except RuntimeError:
                 return
             assert min(v_ref.values()) < V_COLLAPSE_PU

@@ -295,6 +295,11 @@ class TestLoaderValidation:
         with pytest.raises(ConfigurationError, match="warmup_s"):
             scenario_from_dict(d)
 
+    def test_zero_warmup_rejected(self):
+        d = minimal_dict(simulation={"warmup_s": 0.0})
+        with pytest.raises(ConfigurationError, match=r"warmup_s: must be > 0"):
+            scenario_from_dict(d)
+
     def test_sunset_before_sunrise(self):
         d = minimal_dict(weather={"ambient_mean_c": 5.0, "ambient_swing_c": 3.0,
                                   "sunrise_hour": 18.0, "sunset_hour": 6.0})

@@ -298,13 +298,19 @@ class TestWarmup:
 
     def test_negative_duration_rejected(self):
         twin = CellTwin(make_toy_scenario())
-        with pytest.raises(ConfigurationError, match=">= 0"):
+        with pytest.raises(ConfigurationError, match="> 0"):
             twin.run_warmup(duration_s=-1.0)
+
+    def test_zero_duration_rejected(self):
+        # nothing would be integrated, so the reference PCC would read 0 kW
+        twin = CellTwin(make_toy_scenario())
+        with pytest.raises(ConfigurationError, match="> 0, got 0.0"):
+            twin.run_warmup(duration_s=0.0)
 
     def test_nan_duration_rejected(self):
         # NaN fails every comparison, so it used to skip the warmup silently
         twin = CellTwin(make_toy_scenario())
-        with pytest.raises(ConfigurationError, match=">= 0, got nan"):
+        with pytest.raises(ConfigurationError, match="> 0, got nan"):
             twin.run_warmup(duration_s=float("nan"))
 
     def test_warmup_beyond_profile_window_rejected_before_integrating(self):
