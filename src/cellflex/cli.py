@@ -21,7 +21,7 @@ import logging
 import pathlib
 import sys
 
-from .dispatch import run_dispatch
+from .dispatch import STALL_ITERATIONS, run_dispatch
 from .errors import CellflexError, ConfigurationError, DispatchError, PowerFlowError
 from .optimizer import BasinHoppingConfig, FlexibilityRequest, NelderMeadSettings
 from .reporting import (
@@ -57,7 +57,11 @@ def _add_optimizer_flags(parser):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--t-bh", type=float, default=0.5,
                         help="Basin Hopping temperature")
-    parser.add_argument("--n-iter", type=int, default=50)
+    parser.add_argument("--n-iter", type=int, default=50,
+                        help="Basin Hopping iterations per dispatch step, at "
+                             "most; a dispatch step stops after "
+                             f"{STALL_ITERATIONS} iterations without a better "
+                             "candidate")
     parser.add_argument("--step-size", type=float, default=1.0)
     parser.add_argument("--nm-maxfev", type=int, default=200)
 

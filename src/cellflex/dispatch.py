@@ -2,24 +2,22 @@
 
 ``run_dispatch`` checks that the run fits the scenario's profile window,
 captures the pre-request reference state, then for each 15 s dispatch step
-runs one Basin Hopping round over the plant-offset vector, scored by
+runs one Basin Hopping (BH) round over the plant-offset vector, scored by
 ``single_step_objective`` (the same objective the grid-search oracle
 minimizes), commits the best found vector to the twin and records the
-realized PCC reading, per-class shares and cost.  Each step's search is
-warm-started from the previous step's solution: the start vector is
-evaluated as iteration 0 and becomes the first incumbent.
+realized PCC reading, per-class shares and cost.  The start vector is
+evaluated as BH iteration 0 and becomes the first incumbent, and a step's
+search stops after ``STALL_ITERATIONS`` iterations in a row without a better
+candidate, so a good start directly saves evaluations.
 
-Two warm-start candidates are compared before each step and the better one
-(feasible first, then lower objective) is kept.  The raw carry reuses the
-previous offsets unchanged, which tracks precisely while plant states drift
-slowly.  The re-anchored variant maps the previous step's realized plant
-powers back to minimal equivalent offsets against a fresh zero-offset
-baseline: a raw offset can sit far beyond a plant's saturation point (a
-storage heater clamped at zero ignores how negative its command is), and on
-that flat plateau junk accumulates silently and poisons later searches.
-Re-anchoring cleans that up but is only approximate for plants with
-path-dependent dynamics, so neither candidate dominates and the cheap
-two-evaluation comparison settles it per step.
+Every step starts from a merit-order dispatch (``merit_order_start``), the
+classical economic dispatch: a plant's realized power depends only on its own
+offset, so the plant cost is separable and, losses and lags aside, the
+cheapest dispatch fills the request in ascending order of the cost weights.
+A few re-evaluated passes absorb the losses and lags.  From step 1 on it is
+compared with the raw carry, the previous step's offsets unchanged, which
+tracks precisely while plant states drift slowly; the better of the two
+(feasible first, then lower objective, the carry on a tie) is the start.
 
 Per-class shares: share_x = (sum of realized deviations of class x) divided by
 the requested change (active classes against dP, inverter reactive against
@@ -46,9 +44,15 @@ from .twin import CellTwin
 log = logging.getLogger("cellflex.dispatch")
 
 __all__ = ["StepRecord", "DispatchRun", "run_dispatch", "single_step_objective",
-           "technology_shares"]
+           "technology_shares", "merit_order_start", "STALL_ITERATIONS"]
 
 _SHARE_CLASSES = ("bes", "ehp", "bev", "inv_q")
+
+# BH iterations in a row without a better candidate that end a dispatch step
+STALL_ITERATIONS = 10
+# re-evaluated merit-order passes; later passes absorb losses and lags
+_MERIT_PASSES = 3
+_MERIT_P_TOL_KW = 1e-6          # active-power error that ends a pass
 
 
 def technology_shares(plant_deltas, plant_classes, dp_target_kw, dq_target_kvar):
@@ -100,6 +104,55 @@ def single_step_objective(twin, ref, request, costs: CostTable):
     return f, twin.plant_bounds()
 
 
+def merit_order_start(twin, ref, request, costs: CostTable):
+    """Offsets that fill ``request`` from ``ref`` in merit order of cost.
+
+    Starting from zero offsets, each pass walks the active-power plants
+    (every class but ``inv``) in ascending cost weight, ties in plant-table
+    order.  Each plant's offset takes the remaining PCC active-power error,
+    clipped to its bounds; the move is kept if the evaluation solved and the
+    plant's realized value changed (a saturated plant passes the error on).
+    The pass ends once the error is below 1e-6 kW; the remaining reactive
+    error is then split evenly over the inverters, clipped, and kept if it
+    shrank.  ``_MERIT_PASSES`` passes absorb losses and plant lags.
+    """
+    weights = costs.weights_for(twin.plant_classes)
+    bounds = twin.plant_bounds()
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    p_target = ref.pcc_p_kw + request.dp_kw
+    q_target = ref.pcc_q_kvar + request.dq_kvar
+    classes = twin.plant_classes
+    inv = [i for i, c in enumerate(classes) if c == "inv"]
+    merit = [i for i in np.argsort(weights, kind="stable") if classes[i] != "inv"]
+
+    x = np.zeros(twin.n_plants)
+    ev = twin.evaluate_dispatch(ref, x)
+    if ev.failure is not None:
+        return x
+    for _ in range(_MERIT_PASSES):
+        for i in merit:
+            dp_err = p_target - ev.pcc_p_kw
+            if abs(dp_err) < _MERIT_P_TOL_KW:
+                break
+            trial = x.copy()
+            trial[i] = min(max(x[i] + dp_err, lo[i]), hi[i])
+            if trial[i] == x[i]:
+                continue
+            ev_trial = twin.evaluate_dispatch(ref, trial)
+            if (ev_trial.failure is None
+                    and ev_trial.plant_values[i] != ev.plant_values[i]):
+                x, ev = trial, ev_trial
+        if inv:
+            dq_err = q_target - ev.pcc_q_kvar
+            trial = x.copy()
+            trial[inv] = np.clip(x[inv] + dq_err / len(inv), lo[inv], hi[inv])
+            ev_trial = twin.evaluate_dispatch(ref, trial)
+            if (ev_trial.failure is None
+                    and abs(q_target - ev_trial.pcc_q_kvar) < abs(dq_err)):
+                x, ev = trial, ev_trial
+    return x
+
+
 @dataclass
 class StepRecord:
     index: int
@@ -118,7 +171,8 @@ class StepRecord:
     plant_cost: float              # same in OF units
     pcc_cost: float
     penalty: float
-    n_evals: int
+    n_evals: int                   # Basin Hopping evaluations of the step
+    start: str                     # start vector: "merit" or "carry"
     iterations: list = field(default_factory=list)
     trace: dict | None = None
 
@@ -176,10 +230,11 @@ def run_dispatch(scenario, request, *, n_steps,
              config.temperature, config.n_iter, config.seed)
 
     steps = []
-    x = np.zeros(twin.n_plants)
     f, _ = single_step_objective(twin, ref, request, costs)
+    x, start = merit_order_start(twin, ref, request, costs), "merit"
     for k in range(n_steps):
-        result = basin_hopping(f, x, config, bounds=bounds, rng=rng)
+        result = basin_hopping(f, x, config, bounds=bounds, rng=rng,
+                               patience=STALL_ITERATIONS)
         x = result.x
         try:
             ref, ev = twin.advance_reference(ref, x)
@@ -211,21 +266,22 @@ def run_dispatch(scenario, request, *, n_steps,
             pcc_cost=bd.pcc_cost,
             penalty=bd.penalty,
             n_evals=result.n_evals,
+            start=start,
             iterations=result.iterations,
             trace=ev.trace,
         ))
-        log.debug("step %d: OF=%.6g dP_err=%+.4f kW dQ_err=%+.4f kVAr",
-                  k, bd.of, ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target)
+        log.debug("step %d: OF=%.6g dP_err=%+.4f kW dQ_err=%+.4f kVAr, "
+                  "%d BH iterations from the %s start",
+                  k, bd.of, ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
+                  len(result.iterations) - 1, start)
         if k + 1 < n_steps:
             f, _ = single_step_objective(twin, ref, request, costs)
-            base = twin.evaluate_dispatch(ref, np.zeros(twin.n_plants))
-            if base.failure is None:
-                x_clean = np.clip(ev.plant_values - base.plant_values,
-                                  bounds[:, 0], bounds[:, 1])
-                of_raw, feas_raw = f(x)
-                of_clean, feas_clean = f(x_clean)
-                if (feas_clean, -of_clean) > (feas_raw, -of_raw):
-                    x = x_clean
+            x_merit = merit_order_start(twin, ref, request, costs)
+            of_merit, feas_merit = f(x_merit)
+            of_carry, feas_carry = f(x)
+            start = "carry"
+            if (feas_merit, -of_merit) > (feas_carry, -of_carry):
+                x, start = x_merit, "merit"
 
     return DispatchRun(
         scenario_name=scenario.name,

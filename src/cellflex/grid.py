@@ -89,12 +89,19 @@ class LineLoading:
 @dataclass(frozen=True)
 class PowerFlowResult:
     pcc: PccReading
-    v_pu: tuple                     # |V| in per unit, in topology.buses order
+    v: tuple                        # complex phase voltage in V, in topology.buses order
+    v_ph_nom: float                 # nominal phase voltage in V
     currents_a: tuple               # |I| per phase in ampere, in topology.lines order
     loss_p_kw: float
     loss_q_kvar: float
     sweeps: int
     balance_error_pu: float         # |slack flow - (sum inj + losses)| / S_base
+
+    @property
+    def v_pu(self):
+        """|V| in per unit, in topology.buses order; computed on each access,
+        since within an evaluation only the trace reads it."""
+        return tuple([abs(v_i) / self.v_ph_nom for v_i in self.v])
 
 
 class GridTopology:
@@ -275,7 +282,8 @@ def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100):
     # by resizing, which raised the benchmark's peak RSS by ~0.8 MB
     return PowerFlowResult(
         pcc=PccReading(s_total.real / 1000.0, s_total.imag / 1000.0),
-        v_pu=tuple([abs(v_i) / v_ph_nom for v_i in v]),
+        v=tuple(v),
+        v_ph_nom=v_ph_nom,
         currents_a=tuple([abs(acc[bus]) for bus, _ in topology._line_plan]),
         loss_p_kw=loss.real / 1000.0,
         loss_q_kvar=loss.imag / 1000.0,

@@ -18,6 +18,14 @@ exp(-delta/T)).  Every ``adjust_interval`` iterations the step size is scaled
 to steer the acceptance rate toward 50 %: divided by ``adjust_factor`` when
 acceptance was above target (bolder exploration), multiplied when below.
 
+``n_iter`` is the number of iterations run; with ``patience`` set it is a
+cap instead.  The search then stops before the next iteration once
+``patience`` consecutive iterations have changed neither the global best nor
+the best feasible candidate (the stall rule of Wales & Doye 1997), since a
+further random perturbation of a long-unbeaten incumbent rarely pays for its
+Nelder-Mead budget.  Every record, ``n_evals`` and the returned solution keep
+their meaning; the run only has fewer iterations.
+
 The candidate objective series and the running global best (minimum over all
 candidates including the start point) are logged per iteration.  The returned
 solution prefers network-feasible candidates; the global-best log column is
@@ -313,14 +321,21 @@ def _normalize_objective(f):
     return call
 
 
-def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None):
+def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
+                  patience=None):
     """Global search over ``f`` starting from (and warm-started by) ``x0``.
 
     ``f`` maps a vector to an objective value, optionally paired with a
     network-feasibility flag.  The start point is evaluated as iteration 0 and
     becomes the first incumbent; the first candidate of a warm-started run is
     therefore refined from the previous solution, not from scratch.
+    ``patience`` (an integer >= 1, or None for no stall stop) ends the search
+    after that many iterations in a row without a better candidate.
     """
+    if patience is not None and not (
+            isinstance(patience, numbers.Integral) and patience >= 1):
+        raise ConfigurationError(
+            f"patience must be None or an integer >= 1, got {patience!r}")
     call = _normalize_objective(f)
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -343,8 +358,11 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None):
     step = config.step_size
     n_accepted_total = 0
     window_accepted = 0
+    stalled = 0
 
     for i in range(1, config.n_iter + 1):
+        if patience is not None and stalled >= patience:
+            break
         x_try = incumbent_x + rng.uniform(-step, step, size=x0.size)
         if bounds is not None:
             x_try = np.clip(x_try, bounds[:, 0], bounds[:, 1])
@@ -373,12 +391,15 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None):
             n_accepted_total += 1
             window_accepted += 1
 
+        stalled += 1
         if of_cand < best_any["of"]:
             best_any = {"x": x_cand.copy(), "of": of_cand,
                         "feasible": cand_feasible}
+            stalled = 0
         if cand_feasible and (best_feasible is None
                               or of_cand < best_feasible["of"]):
             best_feasible = {"x": x_cand.copy(), "of": of_cand}
+            stalled = 0
 
         records.append(IterationRecord(i, of_cand, best_any["of"], step, accepted))
 

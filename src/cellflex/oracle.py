@@ -21,6 +21,8 @@ from .twin import CellTwin
 __all__ = ["make_toy_scenario", "grid_search_oracle", "OracleResult"]
 
 _MAX_ORACLE_PLANTS = 3
+# about 25 s of evaluations on the toy cell; the default 0.05 grid has 5,957
+_MAX_ORACLE_POINTS = 1_000_000
 
 
 def make_toy_scenario():
@@ -78,7 +80,12 @@ class OracleResult:
 
 def grid_search_oracle(scenario, request, *, resolution=0.05,
                        costs: CostTable = None, warmup_s=None):
-    """Exhaustively minimize one dispatch step's objective on an offset grid."""
+    """Exhaustively minimize one dispatch step's objective on an offset grid.
+
+    Raises :class:`ConfigurationError` before the warmup if the cell has
+    more than three plants, the resolution is not finite and positive, or
+    the grid would hold more than ``_MAX_ORACLE_POINTS`` points.
+    """
     costs = costs or CostTable()
     twin = CellTwin(scenario)
     if twin.n_plants > _MAX_ORACLE_PLANTS:
@@ -87,6 +94,14 @@ def grid_search_oracle(scenario, request, *, resolution=0.05,
             f"scenario has {twin.n_plants}")
     if not 0.0 < resolution < math.inf:     # written so that NaN fails it too
         raise ConfigurationError(f"resolution must be > 0 and finite, got {resolution}")
+    # a float estimate of the point count (Python floats, so that an
+    # overflow reads as inf without a warning)
+    n_points = math.prod((hi - lo) / resolution + 1.0
+                         for lo, hi in twin.plant_bounds().tolist())
+    if n_points > _MAX_ORACLE_POINTS:
+        raise ConfigurationError(
+            f"resolution {resolution:g} gives a grid of about {n_points:.3g} "
+            f"points; the oracle enumerates at most {_MAX_ORACLE_POINTS:,}")
 
     ref = twin.run_warmup(warmup_s)
     f, bounds = single_step_objective(twin, ref, request, costs)

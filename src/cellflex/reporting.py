@@ -56,6 +56,7 @@ def summary_dict(run):
     dq_errs = [abs(st.dq_pcc_kvar - st.dq_target_kvar) for st in run.steps]
     n = len(run.steps)
     last = run.steps[-1] if run.steps else None
+    bh_iters = [len(st.iterations) - 1 for st in run.steps]
     return {
         "scenario": run.scenario_name,
         "request": {"dp_kw": run.request.dp_kw, "dq_kvar": run.request.dq_kvar},
@@ -67,6 +68,14 @@ def summary_dict(run):
             "nm_maxfev": run.config.nm.maxfev,
         },
         "n_steps": n,
+        "search": {
+            "evaluations": sum(st.n_evals for st in run.steps),
+            "bh_iterations_mean": sum(bh_iters) / n if n else 0.0,
+            "bh_iterations_max": max(bh_iters, default=0),
+            "steps_started_from": {
+                start: sum(1 for st in run.steps if st.start == start)
+                for start in ("carry", "merit")},
+        },
         "reference_pcc": {"p_kw": run.ref_pcc_p_kw,
                           "q_kvar": run.ref_pcc_q_kvar},
         "tracking": {

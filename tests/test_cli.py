@@ -229,6 +229,15 @@ class TestOracleCommand:
         assert captured.out == ""
 
 
+    def test_oversized_grid_exits_1(self, capsys):
+        # 1.44e9 points would run for hours; rejected before the warmup
+        assert main(["oracle", "--resolution", "1e-4"]) == 1
+        captured = capsys.readouterr()
+        assert "the oracle enumerates at most 1,000,000" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, toy_path):
         proc = subprocess.run(

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cellflex.dispatch import DispatchRun, run_dispatch, technology_shares
+from cellflex.dispatch import (
+    DispatchRun,
+    merit_order_start,
+    run_dispatch,
+    single_step_objective,
+    technology_shares,
+)
 from cellflex.errors import ConfigurationError, DispatchError, PowerFlowError
 from cellflex.optimizer import BasinHoppingConfig, CostTable, FlexibilityRequest
 from cellflex.oracle import grid_search_oracle, make_toy_scenario
@@ -89,15 +95,27 @@ class TestToyTracking:
             assert st.shares["bev"] == 0.0
 
     def test_warm_start_contract(self, toy_run):
-        # step 0 starts from the zero vector: its iteration-0 objective is the
-        # pure PCC mismatch cost; later steps start from the previous solution
+        # step 0 starts from the merit-order dispatch: its iteration-0
+        # objective is that start's, far below the pure PCC mismatch cost of
+        # the zero vector; later steps start from the carry or a new merit
+        # start
         c = CostTable()
         cold = c.k_pcc_p * abs(TOY_REQUEST.dp_kw) \
             + c.k_pcc_q * abs(TOY_REQUEST.dq_kvar)
+        twin = CellTwin(make_toy_scenario())
+        ref = twin.run_warmup()
+        f, _ = single_step_objective(twin, ref, TOY_REQUEST, c)
+        merit_of, _ = f(merit_order_start(twin, ref, TOY_REQUEST, c))
         x0 = [s.iterations[0].of_local for s in toy_run.steps]
-        assert x0[0] == pytest.approx(cold, abs=1e-4)
+        assert toy_run.steps[0].start == "merit"
+        assert x0[0] == merit_of
+        assert x0[0] < 0.1 * cold
         assert x0[1] < 0.1 * cold
         assert x0[2] < 0.1 * cold
+
+    def test_committed_step_never_worse_than_its_start(self, toy_run):
+        for st in toy_run.steps:
+            assert st.of <= st.iterations[0].of_local
 
     def test_offsets_respect_plant_bounds(self, toy_run):
         bounds = CellTwin(make_toy_scenario()).plant_bounds()
@@ -164,7 +182,8 @@ class TestReporting:
         write_iterations_csv(toy_run, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(ITERATION_COLUMNS)
-        assert len(lines) == 1 + 3 * (TOY_CONFIG.n_iter + 1)
+        assert len(lines) == 1 + sum(len(st.iterations)
+                                     for st in toy_run.steps)
         row = lines[1].split(",")
         assert row[0] == "0" and row[1] == "0"
         assert row[5] in ("0", "1")  # booleans written as integers
@@ -188,11 +207,59 @@ class TestReporting:
         assert s["totals"]["cost_eur"] == pytest.approx(
             sum(st.cost_eur for st in toy_run.steps))
 
+    def test_summary_search_counters_sum_the_steps(self, toy_run):
+        search = summary_dict(toy_run)["search"]
+        bh_iters = [len(st.iterations) - 1 for st in toy_run.steps]
+        assert search["evaluations"] == sum(st.n_evals for st in toy_run.steps)
+        assert search["bh_iterations_mean"] == sum(bh_iters) / len(bh_iters)
+        assert search["bh_iterations_max"] == max(bh_iters)
+        starts = search["steps_started_from"]
+        assert set(starts) == {"carry", "merit"}
+        for start, count in starts.items():
+            assert count == sum(st.start == start for st in toy_run.steps)
+        assert sum(starts.values()) == len(toy_run.steps)
+
     def test_summary_json_round_trips(self, toy_run, tmp_path):
         import json
         path = tmp_path / "summary.json"
         write_summary_json(toy_run, path)
         assert json.loads(path.read_text()) == summary_dict(toy_run)
+
+
+class TestMeritOrderStart:
+    @pytest.mark.parametrize("scenario, request_", [
+        (make_toy_scenario, TOY_REQUEST),
+        (load_bundled_scenario, FlexibilityRequest(5.0, 1.0)),
+        (load_bundled_scenario, FlexibilityRequest(-5.0, -1.0)),
+    ])
+    def test_tracks_the_request_cheapest_class_first(self, scenario, request_):
+        twin = CellTwin(scenario())
+        ref = twin.run_warmup()
+        costs = CostTable()
+        evaluated = []
+        evaluate = twin.evaluate_dispatch
+
+        def counted(ref_, offsets, record_trace=False):
+            evaluated.append(np.array(offsets, copy=True))
+            return evaluate(ref_, offsets, record_trace)
+
+        twin.evaluate_dispatch = counted
+        x = merit_order_start(twin, ref, request_, costs)
+        assert len(evaluated) <= 40
+        assert not evaluated[0].any()          # the walk starts from zeros
+        moved = np.flatnonzero(evaluated[1])
+        weights = costs.weights_for(twin.plant_classes)
+        p_weights = [w for w, c in zip(weights, twin.plant_classes)
+                     if c != "inv"]
+        assert len(moved) == 1
+        assert twin.plant_classes[moved[0]] != "inv"
+        assert weights[moved[0]] == min(p_weights)
+
+        bounds = twin.plant_bounds()
+        assert np.all((bounds[:, 0] <= x) & (x <= bounds[:, 1]))
+        ev = evaluate(ref, x)
+        assert abs(ev.pcc_p_kw - ref.pcc_p_kw - request_.dp_kw) <= 0.1
+        assert abs(ev.pcc_q_kvar - ref.pcc_q_kvar - request_.dq_kvar) <= 0.05
 
 
 class TestOracle:
@@ -205,6 +272,20 @@ class TestOracle:
             with pytest.raises(ConfigurationError, match="resolution"):
                 grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
                                    resolution=resolution)
+
+    def test_oracle_rejects_oversized_grid_before_warmup(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the warmup started")
+
+        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+        # 80,001 x 18,001 points on the toy cell
+        with pytest.raises(ConfigurationError,
+                           match=r"about 1\.44e\+09 points.*at most 1,000,000"):
+            grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
+                               resolution=1e-4)
+        with pytest.raises(ConfigurationError, match="about inf points"):
+            grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
+                               resolution=5e-324)
 
     def test_oracle_covers_the_offset_grid(self):
         result = grid_search_oracle(make_toy_scenario(), TOY_REQUEST,

@@ -15,14 +15,14 @@ DISPATCH_ARGS = ["dispatch", "--dp-kw", "5", "--dq-kvar", "1", "--steps", "2",
                  "--n-iter", "10", "--seed", "5"]
 DISPATCH_DIGESTS = {
     "dispatch.csv":
-        "4357f5fe2c169a3687dde3d0dd4666b92cd95641131fe7991c200678514d9769",
+        "f10cfc4495961ade09cf922d41ba5e18e9c211f3e2fd547e78f543b5770aff0d",
     "iterations.csv":
-        "b6396f45b1fe71cf192455241c4d239db086e74de512ad2e5dcb1663cf1f7df3",
+        "c2f27c7c99a8f823dd94ad407bff731edf801e6980d36eb9886c9cbf6981b331",
     "summary.json":
-        "bb0abc8564070380b8ea7029f4515da0bbaeaeb8d3324c2668fae8816dec3531",
+        "90ae137a9b01e99dd177aa889532daf1e59f71ccc30bd6c70ad01fdac9eb6f04",
 }
 ORACLE_ARGS = ["oracle", "--n-iter", "30", "--seed", "2"]
-ORACLE_DIGEST = "caa1855dc00e6fcbfb4db403f7e9c09ae7cbeebf0163b645b558ce184993c318"
+ORACLE_DIGEST = "2afe7744bcbc867574631fc02d8e0b678692f56c9505a3d7da2b5bb3715904e8"
 
 
 def _sha256(data):

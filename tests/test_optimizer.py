@@ -275,6 +275,39 @@ class TestBasinHopping:
         assert steps[20] == pytest.approx(1.0 / 0.9)
         assert result.acceptance_rate == 1.0
 
+    def test_patience_stops_a_start_at_the_minimum(self):
+        f = lambda x: float(np.sum(x ** 2))
+        nm = NelderMeadSettings(maxfev=20)
+        result = basin_hopping(f, np.zeros(3),
+                               BasinHoppingConfig(n_iter=50, seed=5, nm=nm),
+                               patience=4)
+        # no candidate beats the start, so iterations 1-4 run and no more
+        assert [r.iteration for r in result.iterations] == [0, 1, 2, 3, 4]
+        assert result.of == 0.0
+        assert np.array_equal(result.x, np.zeros(3))
+        assert result.n_evals == 1 + 4 * nm.maxfev
+
+    def test_no_patience_runs_every_iteration(self):
+        f = lambda x: float(np.sum(x ** 2))
+        cfg = BasinHoppingConfig(n_iter=12, seed=5)
+        result = basin_hopping(f, np.zeros(3), cfg, patience=None)
+        assert len(result.iterations) == cfg.n_iter + 1
+
+    def test_patience_same_seed_same_records(self):
+        cfg = BasinHoppingConfig(n_iter=60, seed=9)
+        a = basin_hopping(double_well, np.array([2.0]), cfg, patience=3)
+        b = basin_hopping(double_well, np.array([2.0]), cfg, patience=3)
+        assert len(a.iterations) < cfg.n_iter + 1
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.x, b.x) and a.n_evals == b.n_evals
+
+    @pytest.mark.parametrize("patience", [0, -1, 2.5, math.nan])
+    def test_patience_below_one_rejected(self, patience):
+        with pytest.raises(ConfigurationError, match="patience"):
+            basin_hopping(lambda x: 0.0, np.zeros(1),
+                          BasinHoppingConfig(n_iter=1, seed=1),
+                          patience=patience)
+
     def test_bounds_shape_mismatch(self):
         with pytest.raises(ConfigurationError, match="bounds shape"):
             basin_hopping(lambda x: 0.0, np.zeros(2),
