@@ -66,12 +66,12 @@ def _add_optimizer_flags(parser):
     parser.add_argument("--nm-maxfev", type=int, default=200)
 
 
-def _config(args, seed=None, temperature=None):
+def _config(args, temperature=None):
     return BasinHoppingConfig(
         temperature=args.t_bh if temperature is None else temperature,
         n_iter=args.n_iter,
         step_size=args.step_size,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         nm=NelderMeadSettings(maxfev=args.nm_maxfev),
     )
 
@@ -130,14 +130,24 @@ def _cmd_dispatch(args):
 
 def _cmd_sweep_temperature(args):
     scenario = _load(args)
-    temperatures = []
+    temperatures, entry_of_tag = [], {}
     for entry in args.temperatures.split(","):
-        if entry.strip():
-            try:
-                temperatures.append(float(entry))
-            except ValueError:
-                raise ConfigurationError(
-                    f"--temperatures: '{entry.strip()}' is not a number") from None
+        entry = entry.strip()
+        if not entry:
+            continue
+        try:
+            t_bh = float(entry)
+        except ValueError:
+            raise ConfigurationError(
+                f"--temperatures: '{entry}' is not a number") from None
+        # a run's outputs are keyed by the %g tag of its temperature
+        tag = f"{t_bh:g}"
+        if tag in entry_of_tag:
+            raise ConfigurationError(
+                f"--temperatures: '{entry_of_tag[tag]}' and '{entry}' share the "
+                f"output tag '{tag}'")
+        entry_of_tag[tag] = entry
+        temperatures.append(t_bh)
     if not temperatures:
         raise ConfigurationError("--temperatures must name at least one value")
     configs = [_config(args, temperature=t_bh) for t_bh in temperatures]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DispatchError, PowerFlowError
+from .errors import ConfigurationError, DispatchError, PowerFlowError
 from .optimizer import (
     BasinHoppingConfig,
     CostTable,
@@ -46,29 +46,24 @@ log = logging.getLogger("cellflex.dispatch")
 __all__ = ["StepRecord", "DispatchRun", "run_dispatch", "single_step_objective",
            "technology_shares", "merit_order_start", "STALL_ITERATIONS"]
 
-_SHARE_CLASSES = ("bes", "ehp", "bev", "inv_q")
-
 # BH iterations in a row without a better candidate that end a dispatch step
 STALL_ITERATIONS = 10
 # re-evaluated merit-order passes; later passes absorb losses and lags
 _MERIT_PASSES = 3
 _MERIT_P_TOL_KW = 1e-6          # active-power error that ends a pass
+# share key of each plant class
+_SHARE_OF_CLASS = {"bes": "bes", "ehp": "ehp", "bev_v1g": "bev",
+                   "bev_v2g": "bev", "inv": "inv_q"}
 
 
 def technology_shares(plant_deltas, plant_classes, dp_target_kw, dq_target_kvar):
     """Aggregate per-plant deviations into per-technology shares of the request."""
     sums = {"bes": 0.0, "ehp": 0.0, "bev": 0.0, "inv_q": 0.0}
     for delta, cls in zip(plant_deltas, plant_classes):
-        if cls == "bes":
-            sums["bes"] += delta
-        elif cls == "ehp":
-            sums["ehp"] += delta
-        elif cls in ("bev_v1g", "bev_v2g"):
-            sums["bev"] += delta
-        elif cls == "inv":
-            sums["inv_q"] += delta
-        else:
+        key = _SHARE_OF_CLASS.get(cls)
+        if key is None:
             raise DispatchError(f"unknown plant class '{cls}'")
+        sums[key] += delta
     shares = {}
     for key in ("bes", "ehp", "bev"):
         shares[key] = sums[key] / dp_target_kw if abs(dp_target_kw) > 1e-9 \
@@ -182,7 +177,6 @@ class DispatchRun:
     scenario_name: str
     request: FlexibilityRequest
     config: BasinHoppingConfig
-    costs: CostTable
     n_steps: int
     plant_labels: tuple
     plant_classes: tuple
@@ -194,7 +188,6 @@ class DispatchRun:
 
 def run_dispatch(scenario, request, *, n_steps,
                  config: BasinHoppingConfig = None,
-                 costs: CostTable = None,
                  warmup_s=None,
                  initial_bes_soc=None):
     """Disaggregate ``request`` across the cell's plants over ``n_steps`` steps.
@@ -202,19 +195,22 @@ def run_dispatch(scenario, request, *, n_steps,
     ``initial_bes_soc`` overrides every battery's state of charge after warmup
     and before the reference capture (depletion studies).  Raises
     :class:`ConfigurationError` before the warmup if the run outlasts the
-    scenario's profile window, and :class:`DispatchError` if a committed step
-    fails to solve; partial results travel in the exception's ``trace``
-    attribute.
+    scenario's profile window or the cell has no controllable plant, and
+    :class:`DispatchError` if a committed step fails to solve; partial results
+    travel in the exception's ``trace`` attribute.
     """
     config = config or BasinHoppingConfig()
-    costs = costs or CostTable()
+    costs = CostTable()
     t_start = time.perf_counter()
 
     scenario.check_horizon(n_steps)
     twin = CellTwin(scenario)
+    if twin.n_plants == 0:
+        raise ConfigurationError(
+            f"scenario '{scenario.name}' has no controllable plants to dispatch "
+            f"(no battery, heat pump, EV or PV inverter)")
     ref = twin.run_warmup(warmup_s)
     if initial_bes_soc is not None:
-        twin.restore(ref.snapshot)
         twin.override_bes_soc(initial_bes_soc)
         ref = twin.capture_reference()
 
@@ -287,7 +283,6 @@ def run_dispatch(scenario, request, *, n_steps,
         scenario_name=scenario.name,
         request=request,
         config=config,
-        costs=costs,
         n_steps=n_steps,
         plant_labels=twin.plant_labels,
         plant_classes=twin.plant_classes,

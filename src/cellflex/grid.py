@@ -6,7 +6,7 @@ solver works on the single-phase equivalent: per-phase voltages in volts,
 three-phase powers in kW/kVAr (consumption positive).  A backward sweep
 accumulates branch currents from the leaves, a forward sweep updates the
 voltage drops; iteration stops once the largest per-sweep voltage change
-falls below `tol` (in per unit).  Each branch current is held once, on the
+falls below `SWEEP_TOL_PU`.  Each branch current is held once, on the
 bus the branch feeds: the backward sweep visits children before parents, so
 a bus's accumulated current is final once it has been passed to its parent.
 The sweep plan -- the BFS bus order with each bus's parent and feeding
@@ -39,6 +39,8 @@ __all__ = [
 
 # magnitude floor below which a solution is treated as voltage collapse
 V_COLLAPSE_PU = 0.5
+# largest per-sweep voltage change (per unit) that ends the iteration
+SWEEP_TOL_PU = 1e-8
 
 # worst slack-vs-injection mismatch seen by any solve in this process;
 # lets test suites assert conservation across entire runs
@@ -200,7 +202,7 @@ class GridTopology:
         self._v_ph_nom = self.v_nom_ll_v / math.sqrt(3.0)
 
 
-def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100):
+def solve_power_flow(topology, injections, *, max_sweeps=100):
     """Solve the radial power flow for three-phase injections in kW/kVAr.
 
     `injections` must contain exactly the non-slack bus ids, each mapping to a
@@ -252,7 +254,7 @@ def solve_power_flow(topology, injections, *, tol=1e-8, max_sweeps=100):
                 raise InfeasibleNetworkError(
                     f"voltage collapse at bus '{topology.buses[bus].id}' "
                     f"({abs(v_new) / v_ph_nom:.3f} pu)")
-        if max_dv / v_ph_nom < tol:
+        if max_dv / v_ph_nom < SWEEP_TOL_PU:
             converged = True
             break
     if not converged:

@@ -14,9 +14,10 @@ the targets are the frozen reference PCC reading plus the requested change.
 Basin Hopping: each iteration perturbs the incumbent uniformly within the
 current step size, runs a budgeted Nelder-Mead refinement and accepts the
 result via the Metropolis criterion (worsening moves pass with probability
-exp(-delta/T)).  Every ``adjust_interval`` iterations the step size is scaled
-to steer the acceptance rate toward 50 %: divided by ``adjust_factor`` when
-acceptance was above target (bolder exploration), multiplied when below.
+exp(-delta/T)).  Every ``ADJUST_INTERVAL`` (10) iterations the step size is
+scaled to steer the acceptance rate toward ``TARGET_ACCEPTANCE`` (50 %):
+divided by ``ADJUST_FACTOR`` (0.9) when acceptance was above target (bolder
+exploration), multiplied when below.  ``bounds=None`` is the unbounded box.
 
 ``n_iter`` is the number of iterations run; with ``patience`` set it is a
 cap instead.  The search then stops before the next iteration once
@@ -45,7 +46,13 @@ __all__ = [
     "BasinHoppingConfig", "IterationRecord", "BasinHoppingResult",
     "ObjectiveBreakdown", "objective_breakdown",
     "metropolis_accept", "adapt_step_size", "nelder_mead", "basin_hopping",
+    "TARGET_ACCEPTANCE", "ADJUST_INTERVAL", "ADJUST_FACTOR",
 ]
+
+# Basin Hopping step-size adaptation (see the module docstring)
+TARGET_ACCEPTANCE = 0.5
+ADJUST_INTERVAL = 10
+ADJUST_FACTOR = 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +140,13 @@ def metropolis_accept(delta_y, temperature, rng):
     return rng.random() < math.exp(-delta_y / temperature)
 
 
-def adapt_step_size(step_size, n_accepted, interval, target=0.5, factor=0.9):
-    """Steer acceptance toward the target rate by rescaling the step size."""
+def adapt_step_size(step_size, n_accepted, interval):
+    """Steer acceptance toward ``TARGET_ACCEPTANCE`` by rescaling the step size."""
     rate = n_accepted / interval
-    if rate > target:
-        return step_size / factor
-    if rate < target:
-        return step_size * factor
+    if rate > TARGET_ACCEPTANCE:
+        return step_size / ADJUST_FACTOR
+    if rate < TARGET_ACCEPTANCE:
+        return step_size * ADJUST_FACTOR
     return step_size
 
 
@@ -162,9 +169,21 @@ class NelderMeadSettings:
             raise ConfigurationError(f"nm xatol must be >= 0, got {self.xatol}")
 
 
+def _box(bounds, size):
+    """``bounds`` as a ``(size, 2)`` float array; None is the unbounded box."""
+    if bounds is None:
+        return np.tile([-math.inf, math.inf], (size, 1))
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.shape != (size, 2):
+        raise ConfigurationError(
+            f"bounds shape {bounds.shape} does not match vector size {size}")
+    return bounds
+
+
 def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings()):
     """Downhill-simplex minimization with clamp-at-evaluation box handling.
 
+    The initial simplex displaces each coordinate of ``x0`` by ``scale``.
     The simplex itself may wander outside ``bounds``; every objective
     evaluation sees the clamped point and the returned minimizer is clamped.
     Returns ``(x_best, f_best, n_evals)`` and never returns a point worse
@@ -174,16 +193,14 @@ def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings())
     d = x0.size
     if d == 0:
         raise ConfigurationError("cannot optimize a zero-dimensional vector")
-    if bounds is not None:
-        bounds = np.asarray(bounds, dtype=float)
-        lo, hi = bounds[:, 0], bounds[:, 1]
+    lo, hi = _box(bounds, d).T
 
     best = {"f": math.inf, "x": None}
     n_evals = 0
 
     def evaluate(x):
         nonlocal n_evals
-        xe = np.clip(x, lo, hi) if bounds is not None else x
+        xe = np.clip(x, lo, hi)
         fx = float(f(xe))
         n_evals += 1
         if fx < best["f"]:
@@ -192,7 +209,6 @@ def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings())
         return fx
 
     maxfev = settings.maxfev
-    scale_vec = np.broadcast_to(np.asarray(scale, dtype=float), (d,))
 
     # initial simplex: start point plus one displaced vertex per dimension
     simplex = [x0.copy()]
@@ -201,7 +217,7 @@ def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings())
         if n_evals >= maxfev:
             return best["x"], best["f"], n_evals
         v = x0.copy()
-        v[i] += scale_vec[i] if scale_vec[i] != 0.0 else 0.1
+        v[i] += scale
         simplex.append(v)
         fvals.append(evaluate(v))
     simplex = np.array(simplex)
@@ -263,9 +279,6 @@ class BasinHoppingConfig:
     temperature: float = 0.5
     n_iter: int = 50
     step_size: float = 1.0
-    target_acceptance: float = 0.5
-    adjust_interval: int = 10
-    adjust_factor: float = 0.9
     seed: int | None = None
     nm: NelderMeadSettings = field(default_factory=NelderMeadSettings)
 
@@ -277,10 +290,6 @@ class BasinHoppingConfig:
             raise ConfigurationError("n_iter must be >= 0")
         if not 0.0 < self.step_size < math.inf:
             raise ConfigurationError("step_size must be finite and > 0")
-        if not self.adjust_interval >= 1:
-            raise ConfigurationError("adjust_interval must be >= 1")
-        if not 0.0 < self.adjust_factor <= 1.0:
-            raise ConfigurationError("adjust_factor must lie in (0, 1]")
         if self.seed is not None and not (
                 isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ConfigurationError(
@@ -341,12 +350,9 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
         rng = np.random.default_rng(config.seed)
 
     x0 = np.asarray(x0, dtype=float)
-    if bounds is not None:
-        bounds = np.asarray(bounds, dtype=float)
-        if bounds.shape != (x0.size, 2):
-            raise ConfigurationError(
-                f"bounds shape {bounds.shape} does not match vector size {x0.size}")
-        x0 = np.clip(x0, bounds[:, 0], bounds[:, 1])
+    bounds = _box(bounds, x0.size)
+    lo, hi = bounds.T
+    x0 = np.clip(x0, lo, hi)
 
     of0, feas0 = call(x0)
     n_evals = 1
@@ -360,29 +366,28 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
     window_accepted = 0
     stalled = 0
 
+    # best point of an iteration's local refinement; reset every iteration
+    local = {"of": math.inf, "feasible": False}
+
+    def scalar_f(x):
+        of, feas = call(x)
+        if of < local["of"]:
+            local["of"] = of
+            local["feasible"] = feas
+        return of
+
     for i in range(1, config.n_iter + 1):
         if patience is not None and stalled >= patience:
             break
-        x_try = incumbent_x + rng.uniform(-step, step, size=x0.size)
-        if bounds is not None:
-            x_try = np.clip(x_try, bounds[:, 0], bounds[:, 1])
+        x_try = np.clip(incumbent_x + rng.uniform(-step, step, size=x0.size),
+                        lo, hi)
 
-        # budgeted local refinement; track feasibility of its best point
-        local = {"of": math.inf, "x": None, "feasible": False}
-
-        def scalar_f(x, _local=local):
-            of, feas = call(x)
-            if of < _local["of"]:
-                _local["of"] = of
-                _local["x"] = np.array(x, dtype=float, copy=True)
-                _local["feasible"] = feas
-            return of
-
-        nm_scale = max(0.25 * step, 0.01)
+        local["of"], local["feasible"] = math.inf, False
         x_cand, of_cand, evals = nelder_mead(
-            scalar_f, x_try, bounds=bounds, scale=nm_scale, settings=config.nm)
+            scalar_f, x_try, bounds=bounds, scale=max(0.25 * step, 0.01),
+            settings=config.nm)
         n_evals += evals
-        cand_feasible = local["feasible"] if local["x"] is not None else False
+        cand_feasible = local["feasible"]
 
         accepted = metropolis_accept(of_cand - incumbent_of,
                                      config.temperature, rng)
@@ -403,9 +408,8 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
 
         records.append(IterationRecord(i, of_cand, best_any["of"], step, accepted))
 
-        if i % config.adjust_interval == 0:
-            step = adapt_step_size(step, window_accepted, config.adjust_interval,
-                                   config.target_acceptance, config.adjust_factor)
+        if i % ADJUST_INTERVAL == 0:
+            step = adapt_step_size(step, window_accepted, ADJUST_INTERVAL)
             window_accepted = 0
 
     if best_feasible is not None:

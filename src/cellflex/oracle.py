@@ -78,15 +78,13 @@ class OracleResult:
     resolution: float
 
 
-def grid_search_oracle(scenario, request, *, resolution=0.05,
-                       costs: CostTable = None, warmup_s=None):
+def grid_search_oracle(scenario, request, *, resolution=0.05):
     """Exhaustively minimize one dispatch step's objective on an offset grid.
 
     Raises :class:`ConfigurationError` before the warmup if the cell has
     more than three plants, the resolution is not finite and positive, or
     the grid would hold more than ``_MAX_ORACLE_POINTS`` points.
     """
-    costs = costs or CostTable()
     twin = CellTwin(scenario)
     if twin.n_plants > _MAX_ORACLE_PLANTS:
         raise ConfigurationError(
@@ -103,8 +101,8 @@ def grid_search_oracle(scenario, request, *, resolution=0.05,
             f"resolution {resolution:g} gives a grid of about {n_points:.3g} "
             f"points; the oracle enumerates at most {_MAX_ORACLE_POINTS:,}")
 
-    ref = twin.run_warmup(warmup_s)
-    f, bounds = single_step_objective(twin, ref, request, costs)
+    ref = twin.run_warmup()
+    f, bounds = single_step_objective(twin, ref, request, CostTable())
 
     axes = []
     for lo, hi in bounds:

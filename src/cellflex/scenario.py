@@ -18,10 +18,12 @@ All loader errors are ConfigurationError instances naming the offending JSON
 path (e.g. "prosumers[3].bes.capacity_kwh").
 """
 
+import functools
 import inspect
 import json
 import logging
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime
 from importlib import resources
@@ -42,8 +44,12 @@ __all__ = [
     "ProsumerSpec", "WeatherParams", "SimulationParams", "Scenario",
     "StepSeries", "LinearSeries", "ProfileSet",
     "load_scenario", "scenario_from_dict", "scenario_to_dict", "save_scenario",
-    "load_bundled_scenario", "build_profiles",
+    "load_bundled_scenario", "build_profiles", "warmup_schedule",
 ]
+
+# shortest warmup substep and longest warmup block (see warmup_schedule)
+_WARMUP_SUBSTEP_S = 15.0
+_WARMUP_BLOCK_S = 900.0
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +269,10 @@ def _heat_demand_kw(hh, ambient):
     return hh.heat_base_kw + hh.heat_ua_kw_per_k * max(0.0, 17.0 - ambient)
 
 
+# sample spacing of the materialized profiles (15 minutes)
+_PROFILE_GRID_S = 900.0
+
+
 @dataclass
 class ProfileSet:
     ambient: LinearSeries
@@ -270,21 +280,21 @@ class ProfileSet:
     household: dict                  # prosumer id -> (p, q, heat) series
 
 
-def build_profiles(scenario, grid_s=900.0):
+def build_profiles(scenario):
     """Materialize all profiles over the scenario's coverage window."""
     sim = scenario.simulation
     t_lo = -sim.profile_back_days * 86400.0
     t_hi = sim.profile_forward_days * 86400.0
-    n = int((t_hi - t_lo) / grid_s) + 2
+    n = int((t_hi - t_lo) / _PROFILE_GRID_S) + 2
     tod0 = scenario.start_tod_s()
 
     def hour_at(k):
-        return ((tod0 + t_lo + k * grid_s) % 86400.0) / 3600.0
+        return ((tod0 + t_lo + k * _PROFILE_GRID_S) % 86400.0) / 3600.0
 
     amb_vals = tuple(_ambient_c(scenario.weather, hour_at(k)) for k in range(n))
     irr_vals = tuple(_irradiance_w_m2(scenario.weather, hour_at(k)) for k in range(n))
-    ambient = LinearSeries(t_lo, grid_s, amb_vals)
-    irradiance = LinearSeries(t_lo, grid_s, irr_vals)
+    ambient = LinearSeries(t_lo, _PROFILE_GRID_S, amb_vals)
+    irradiance = LinearSeries(t_lo, _PROFILE_GRID_S, irr_vals)
 
     household = {}
     for pro in scenario.prosumers:
@@ -293,11 +303,33 @@ def build_profiles(scenario, grid_s=900.0):
         q_vals = tuple(p * hh.tan_phi for p in p_vals)
         heat_vals = tuple(_heat_demand_kw(hh, amb_vals[k]) for k in range(n))
         household[pro.id] = (
-            StepSeries(t_lo, grid_s, p_vals),
-            StepSeries(t_lo, grid_s, q_vals),
-            StepSeries(t_lo, grid_s, heat_vals),
+            StepSeries(t_lo, _PROFILE_GRID_S, p_vals),
+            StepSeries(t_lo, _PROFILE_GRID_S, q_vals),
+            StepSeries(t_lo, _PROFILE_GRID_S, heat_vals),
         )
     return ProfileSet(ambient, irradiance, household)
+
+
+def warmup_schedule(internal_dt_s, duration_s):
+    """Substep and per-block substep counts of a warmup of ``duration_s``.
+
+    The substep is ``max(internal_dt_s, 15 s)``; each block holds the largest
+    whole number of substeps that fits in 900 s (at least one), and the last
+    block the rest.  Raises ConfigurationError unless ``duration_s`` is a
+    whole number of substeps.
+    """
+    substep = max(internal_dt_s, _WARMUP_SUBSTEP_S)
+    n = round(duration_s / substep)
+    if n < 1 or abs(n * substep - duration_s) > 1e-9 * max(1.0, duration_s):
+        raise ConfigurationError(
+            f"warmup of {duration_s:g} s is not a whole number of "
+            f"{substep:g} s warmup substeps")
+    per_block = max(1, int(_WARMUP_BLOCK_S / substep + 1e-9))
+    full, rest = divmod(n, per_block)
+    blocks = [per_block] * full
+    if rest:
+        blocks.append(rest)
+    return substep, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +348,24 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
-def _number(mapping, key, path, default=None):
+# JSON-schema bound keywords: the comparison that must hold, and its text
+_BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
+           "maximum": (operator.le, "<="), "exclusiveMaximum": (operator.lt, "<")}
+
+
+def _check_bounds(value, spec, where):
+    """Raise unless ``value`` lies within the bounds of the schema node ``spec``."""
+    for keyword, bound in spec.items():
+        if keyword in _BOUNDS:
+            holds, text = _BOUNDS[keyword]
+            if not holds(value, bound):
+                raise ConfigurationError(
+                    f"{where}: must be {text} {bound:g}, got {value:g}")
+
+
+def _number(mapping, key, path, default=None, props=None):
+    """Read a finite number; with the schema ``props`` of the object, check
+    its bounds."""
     if key not in mapping:
         if default is None:
             raise ConfigurationError(f"{path}.{key}: missing required field")
@@ -330,6 +379,8 @@ def _number(mapping, key, path, default=None):
         number = math.inf
     if not math.isfinite(number):
         raise ConfigurationError(f"{path}.{key}: expected a finite number, got {number}")
+    if props is not None:
+        _check_bounds(number, props[key], f"{path}.{key}")
     return number
 
 
@@ -337,7 +388,7 @@ def _number(mapping, key, path, default=None):
 _TRIP_KEYS = ("depart_hour", "return_hour", "energy_kwh")
 
 
-def _parse_trips(raw, path):
+def _parse_trips(raw, path, props):
     if not isinstance(raw, list):
         raise ConfigurationError(f"{path}: expected an array")
     trips = []
@@ -345,31 +396,47 @@ def _parse_trips(raw, path):
         tpath = f"{path}[{k}]"
         if not isinstance(trip, dict):
             raise ConfigurationError(f"{tpath}: expected an object")
-        trips.append(tuple(_number(trip, key, tpath) for key in _TRIP_KEYS))
+        trips.append(tuple(_number(trip, key, tpath, props=props)
+                           for key in _TRIP_KEYS))
     return tuple(trips)
 
 
-def _parse_params(cls, data, path):
+def _parse_params(cls, data, path, props, plant=None):
     """Build the params record ``cls`` from the JSON object ``data``.
 
     Each field is read by its type; a missing key takes the field's default,
     and a field without a default is required.  The only nested field,
     ``BevParams.trips``, is a list of {depart_hour, return_hour, energy_kwh}.
+    A device block is then checked by building its ``plant`` once, and every
+    number against the bounds of its field in the block's schema ``props``.
     """
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected an object")
     values = {}
-    for f in fields(cls):
+    cls_fields = fields(cls)
+    for f in cls_fields:
         default = None if f.default is MISSING else f.default
         if f.type is float:
             values[f.name] = _number(data, f.name, path, default)
         elif f.type is tuple:
-            values[f.name] = _parse_trips(data.get(f.name, []), f"{path}.{f.name}")
+            values[f.name] = _parse_trips(data.get(f.name, []), f"{path}.{f.name}",
+                                          props[f.name]["items"]["properties"])
         elif f.name not in data and default is not None:
             values[f.name] = default
         else:
             values[f.name] = _require(data, f.name, path, f.type)
-    return cls(**values)
+    params = cls(**values)
+    if plant is not None:
+        try:
+            plant(params)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+    # after the plant, so a value both reject gets the plant's message, which
+    # names the rule (e.g. "efficiencies must lie in (0, 1]")
+    for f in cls_fields:
+        if f.type is float:
+            _check_bounds(values[f.name], props[f.name], f"{path}.{f.name}")
+    return params
 
 
 # optional single-device blocks of a prosumer: JSON key, plant class, params record
@@ -378,24 +445,26 @@ _DEVICES = (("pv", PvInverter, PvParams), ("bes", BatteryStorage, BesParams),
 _TRANSFORMER_KVA = inspect.signature(GridTopology).parameters["transformer_kva"].default
 
 
-def _parse_device(plant, cls, data, path):
-    """Parse a device block and check it by building its plant once."""
-    params = _parse_params(cls, data, path)
-    try:
-        plant(params)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-    return params
+@functools.cache
+def _schema():
+    """Property schemas of a scenario document, from scenario.schema.json;
+    the loader enforces their numeric bounds."""
+    text = resources.files("cellflex.data").joinpath("scenario.schema.json").read_text()
+    return json.loads(text)["properties"]
 
 
 def scenario_from_dict(data):
     if not isinstance(data, dict):
         raise ConfigurationError("scenario root: expected a JSON object")
+    schema = _schema()
+    topo_props = schema["topology"]["properties"]
+    pro_props = schema["prosumers"]["items"]["properties"]
     name = _require(data, "name", "scenario", str) if "name" in data else "unnamed"
 
     topo = _require(data, "topology", "scenario", dict)
     pcc_bus = _require(topo, "pcc_bus", "topology", str)
-    transformer_kva = _number(topo, "transformer_kva", "topology", _TRANSFORMER_KVA)
+    transformer_kva = _number(topo, "transformer_kva", "topology", _TRANSFORMER_KVA,
+                              topo_props)
 
     buses_raw = _require(topo, "buses", "topology", list)
     lines_raw = _require(topo, "lines", "topology", list)
@@ -421,23 +490,28 @@ def scenario_from_dict(data):
         bev_raw = pr.get("bevs", [])
         if not isinstance(bev_raw, list):
             raise ConfigurationError(f"{path}.bevs: expected an array")
-        bevs = tuple(_parse_device(ElectricVehicle, BevParams, bv, f"{path}.bevs[{k}]")
+        bevs = tuple(_parse_params(BevParams, bv, f"{path}.bevs[{k}]",
+                                   pro_props["bevs"]["items"]["properties"],
+                                   ElectricVehicle)
                      for k, bv in enumerate(bev_raw))
         household = _parse_params(HouseholdParams, _require(pr, "household", path, dict),
-                                  f"{path}.household")
-        devices = {key: _parse_device(plant, cls, pr[key], f"{path}.{key}")
+                                  f"{path}.household",
+                                  pro_props["household"]["properties"])
+        devices = {key: _parse_params(cls, pr[key], f"{path}.{key}",
+                                      pro_props[key]["properties"], plant)
                    for key, plant, cls in _DEVICES if pr.get(key) is not None}
         prosumers.append(ProsumerSpec(id=pid, bus=bus, household=household,
                                       bevs=bevs, **devices))
 
     prosumer_by_bus = {p.bus: p.id for p in prosumers}
+    bus_props = topo_props["buses"]["items"]["properties"]
     buses = []
     for i, b in enumerate(buses_raw):
         path = f"topology.buses[{i}]"
         bid = _require(b, "id", path, str)
         buses.append(Bus(
             id=bid,
-            v_nom_ll_v=_number(b, "v_nom_ll_v", path, Bus.v_nom_ll_v),
+            v_nom_ll_v=_number(b, "v_nom_ll_v", path, Bus.v_nom_ll_v, bus_props),
             prosumer=prosumer_by_bus.get(bid),
         ))
     bus_ids = {b.id for b in buses}
@@ -449,44 +523,43 @@ def scenario_from_dict(data):
             raise ConfigurationError(
                 f"prosumers[{i}].bus: prosumer may not sit on the PCC bus")
 
+    line_props = topo_props["lines"]["items"]["properties"]
     lines = []
     for i, ln in enumerate(lines_raw):
         path = f"topology.lines[{i}]"
         lines.append(Line(
             from_bus=_require(ln, "from", path, str),
             to_bus=_require(ln, "to", path, str),
-            r_ohm=_number(ln, "r_ohm", path),
-            x_ohm=_number(ln, "x_ohm", path),
-            i_max_a=_number(ln, "i_max_a", path),
+            r_ohm=_number(ln, "r_ohm", path, props=line_props),
+            x_ohm=_number(ln, "x_ohm", path, props=line_props),
+            i_max_a=_number(ln, "i_max_a", path, props=line_props),
             id=_require(ln, "id", path, str) if "id" in ln else "",
         ))
 
     weather = _parse_params(WeatherParams, _require(data, "weather", "scenario", dict),
-                            "weather")
+                            "weather", schema["weather"]["properties"])
     if weather.sunset_hour <= weather.sunrise_hour:
         raise ConfigurationError("weather.sunset_hour: must exceed sunrise_hour")
 
     sim = _parse_params(SimulationParams, _require(data, "simulation", "scenario", dict),
-                        "simulation")
+                        "simulation", schema["simulation"]["properties"])
     try:
         datetime.fromisoformat(sim.start)
     except ValueError:
         raise ConfigurationError(
             f"simulation.start: not an ISO timestamp: '{sim.start}'") from None
-    if sim.internal_dt_s <= 0.0:
-        raise ConfigurationError("simulation.internal_dt_s: must be > 0")
-    if sim.dispatch_step_s <= 0.0:
-        raise ConfigurationError("simulation.dispatch_step_s: must be > 0")
     n_sub = sim.dispatch_step_s / sim.internal_dt_s
     if abs(n_sub - round(n_sub)) > 1e-9:
         raise ConfigurationError(
             "simulation.dispatch_step_s: must be an integer multiple of internal_dt_s")
-    if not sim.warmup_s > 0.0:
-        raise ConfigurationError("simulation.warmup_s: must be > 0")
     if sim.warmup_s > sim.profile_back_days * 86400.0:
         raise ConfigurationError(
             "simulation.warmup_s: exceeds the covered profile window "
             "(profile_back_days)")
+    try:
+        warmup_schedule(sim.internal_dt_s, sim.warmup_s)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"simulation.warmup_s: {exc}") from None
 
     scenario = Scenario(
         name=name,

@@ -55,12 +55,9 @@ import numpy as np
 from .errors import ConfigurationError, PowerFlowError
 from .grid import check_line_limits, solve_power_flow
 from .plants import BatteryStorage, ElectricVehicle, HeatPumpSystem, PvInverter
-from .scenario import build_profiles
+from .scenario import build_profiles, warmup_schedule
 
 __all__ = ["ReferenceState", "EvaluationResult", "CellTwin"]
-
-_WARMUP_SUBSTEP_S = 15.0
-_WARMUP_BLOCK_S = 900.0
 
 
 @dataclass
@@ -319,9 +316,11 @@ class CellTwin:
         """Integrate local-control-only operation, then capture the baseline.
 
         The warmup rewinds the clock to ``-duration_s`` and integrates forward
-        to t=0 with all offsets zero, using coarse substeps (first-order lags
-        use exact exponential updates, so coarse stepping does not degrade the
-        settled state).  Must be called once, right after construction.
+        to t=0 with all offsets zero, on the coarse schedule of
+        :func:`~cellflex.scenario.warmup_schedule` (first-order lags use exact
+        exponential updates, so coarse stepping does not degrade the settled
+        state).  The schedule is checked before anything is integrated.  Must
+        be called once, right after construction.
         """
         if duration_s is None:
             duration_s = self.scenario.simulation.warmup_s
@@ -335,18 +334,11 @@ class CellTwin:
                 f"warmup of {duration_s:g} s reaches back beyond the profile "
                 f"window of {back_days * 86400.0:g} s "
                 f"(simulation.profile_back_days={back_days:g})")
+        substep, blocks = warmup_schedule(self.internal_dt_s, duration_s)
         self.set_offsets([0.0] * self.n_plants)
         self.t_s = -float(duration_s)
-        substep = max(self.internal_dt_s, _WARMUP_SUBSTEP_S)
-        remaining = float(duration_s)
-        while remaining > 1e-9:
-            block = min(_WARMUP_BLOCK_S, remaining)
-            n_sub = block / substep
-            if abs(n_sub - round(n_sub)) > 1e-9 or block < substep:
-                self._step_interval(block, self.internal_dt_s)
-            else:
-                self._step_interval(block, substep)
-            remaining = -self.t_s
+        for n in blocks:
+            self._step_interval(n * substep, substep)
         self.t_s = 0.0
         return self.capture_reference()
 

@@ -9,6 +9,7 @@ import pytest
 from cellflex.cli import main
 from cellflex.oracle import make_toy_scenario
 from cellflex.scenario import load_bundled_scenario, save_scenario, scenario_to_dict
+from cellflex.twin import CellTwin
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +141,21 @@ class TestDispatch:
         assert "warmup duration must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_warmup_off_the_substep_grid_exits_1_before_integrating(
+            self, toy_path, tmp_path, capsys, monkeypatch):
+        # 0.3333 days is 28797.12 s, not a whole number of 15 s substeps
+        def fail(*args, **kwargs):
+            raise AssertionError("the warmup started integrating")
+
+        monkeypatch.setattr(CellTwin, "_step_interval", fail)
+        out = tmp_path / "odd"
+        assert main(["dispatch", "--scenario", str(toy_path),
+                     "--dp-kw", "1.0", "--steps", "1", "--n-iter", "1",
+                     "--warmup-days", "0.3333", "--out", str(out)]) == 1
+        assert "28797.1 s is not a whole number of 15 s warmup substeps" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_request_is_a_usage_error(self, toy_path):
         with pytest.raises(SystemExit) as err:
             main(["dispatch", "--scenario", str(toy_path)])
@@ -187,6 +203,17 @@ class TestSweepTemperature:
                      "--temperatures", "0.5,-1", "--steps", "1",
                      "--n-iter", "5", "--out", str(out)]) == 1
         assert "temperature must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_temperatures_sharing_a_tag_exit_1_before_any_run(
+            self, toy_path, tmp_path, capsys):
+        # both print as 0.123457, so they would write the same outputs
+        out = tmp_path / "sweep"
+        assert main(["sweep-temperature", "--scenario", str(toy_path),
+                     "--temperatures", "0.5, 0.1234567,0.1234568",
+                     "--out", str(out)]) == 1
+        assert "'0.1234567' and '0.1234568' share the output tag '0.123457'" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_numeric_temperature_exits_1(self, toy_path, tmp_path, capsys):

@@ -23,7 +23,11 @@ from cellflex.reporting import (
     write_iterations_csv,
     write_summary_json,
 )
-from cellflex.scenario import load_bundled_scenario
+from cellflex.scenario import (
+    load_bundled_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 from cellflex.twin import CellTwin
 
 TOY_REQUEST = FlexibilityRequest(1.0, 0.3)
@@ -68,6 +72,18 @@ class TestHorizon:
             run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=5761,
                          config=TOY_CONFIG)
         make_toy_scenario().check_horizon(5760)
+
+    def test_cell_without_plants_rejected_before_warmup(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        data = scenario_to_dict(make_toy_scenario())
+        del data["prosumers"][0]["pv"], data["prosumers"][0]["bes"]
+        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+        with pytest.raises(ConfigurationError,
+                           match="'toy2' has no controllable plants"):
+            run_dispatch(scenario_from_dict(data), TOY_REQUEST, n_steps=1,
+                         config=TOY_CONFIG)
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ConfigurationError, match="at least 1 step, got 0"):

@@ -266,8 +266,7 @@ class TestBasinHopping:
 
     def test_flat_objective_grows_step_each_window(self):
         f = lambda x: 0.0  # every move is a tie -> always accepted
-        cfg = BasinHoppingConfig(n_iter=20, step_size=1.0, seed=8,
-                                 adjust_interval=10, adjust_factor=0.9)
+        cfg = BasinHoppingConfig(n_iter=20, step_size=1.0, seed=8)
         result = basin_hopping(f, np.zeros(2), cfg)
         steps = [r.step_size for r in result.iterations]
         assert steps[1] == steps[10] == 1.0
@@ -318,9 +317,6 @@ class TestBasinHopping:
         {"temperature": -0.1},
         {"n_iter": -1},
         {"step_size": 0.0},
-        {"adjust_interval": 0},
-        {"adjust_factor": 0.0},
-        {"adjust_factor": 1.5},
         {"temperature": math.nan},
         {"step_size": math.nan},
         {"step_size": math.inf},

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import MISSING, fields
 from importlib import resources
 
@@ -25,6 +26,7 @@ from cellflex.scenario import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    warmup_schedule,
 )
 
 
@@ -149,7 +151,109 @@ class TestBundledScenario:
             load_bundled_scenario("no_such_cell")
 
 
+def full_dict():
+    """minimal_dict with every optional block and field group present."""
+    data = minimal_dict()
+    data["topology"]["buses"][0]["v_nom_ll_v"] = 400.0
+    data["topology"]["lines"][0]["id"] = "l01"
+    data["prosumers"][0].update(
+        pv={"s_rated_kva": 5.0, "p_peak_kwp": 4.0},
+        bes={"capacity_kwh": 10.0, "p_max_charge_kw": 2.0,
+             "p_max_discharge_kw": 2.0},
+        ehp={"p_el_max_kw": 3.0, "p_element_kw": 5.0, "storage_kwh_per_k": 0.4},
+        bevs=[{"capacity_kwh": 40.0, "p_rated_kw": 11.0,
+               "trips": [{"depart_hour": 8.0, "return_hour": 17.0,
+                          "energy_kwh": 8.0}]}])
+    return data
+
+
+def schema_bounds(node, keys=()):
+    """(keys, keyword, bound) of every numeric bound below a schema node;
+    an array's items are addressed by index 0."""
+    for keyword in ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum"):
+        if keyword in node:
+            yield keys, keyword, node[keyword]
+    for key, child in node.get("properties", {}).items():
+        yield from schema_bounds(child, keys + (key,))
+    if "items" in node:
+        yield from schema_bounds(node["items"], keys + (0,))
+
+
+# a value just outside each kind of bound
+_OUTSIDE = {"minimum": lambda b: b - 1e-6, "exclusiveMinimum": lambda b: b,
+            "maximum": lambda b: b + 1e-6, "exclusiveMaximum": lambda b: b}
+
+
 class TestLoaderValidation:
+    def test_full_dict_loads(self):
+        scenario_from_dict(full_dict())
+
+    def test_every_schema_bound_is_enforced(self):
+        schema = json.loads(resources.files("cellflex.data")
+                            .joinpath("scenario.schema.json").read_text())
+        bounds = list(schema_bounds(schema))
+        assert len(bounds) > 40
+        for keys, keyword, bound in bounds:
+            data = full_dict()
+            parent = data
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = _OUTSIDE[keyword](bound)
+            # the message names the JSON object that holds the field
+            block = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                            for k in keys[:-1]).lstrip(".")
+            with pytest.raises(ConfigurationError, match=re.escape(block)):
+                scenario_from_dict(data)
+
+    def test_zero_ratings_the_plants_allow_load(self):
+        data = full_dict()
+        data["prosumers"][0]["pv"]["p_peak_kwp"] = 0.0
+        data["prosumers"][0]["bes"].update(p_max_charge_kw=0.0,
+                                           p_max_discharge_kw=0.0)
+        pro = scenario_from_dict(data).prosumers[0]
+        assert (pro.pv.p_peak_kwp, pro.bes.p_max_charge_kw,
+                pro.bes.p_max_discharge_kw) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("topology", "buses", 0, "v_nom_ll_v"), 0.0,
+         "topology.buses[0].v_nom_ll_v: must be > 0, got 0"),
+        (("topology", "buses", 0, "v_nom_ll_v"), -400.0,
+         "topology.buses[0].v_nom_ll_v: must be > 0, got -400"),
+        (("prosumers", 0, "household", "p_base_kw"), -0.5,
+         "prosumers[0].household.p_base_kw: must be >= 0, got -0.5"),
+        (("weather", "sunrise_hour"), 25.0,
+         "weather.sunrise_hour: must be <= 24, got 25"),
+        (("weather", "ambient_swing_c"), -1.0,
+         "weather.ambient_swing_c: must be >= 0, got -1"),
+        (("simulation", "profile_forward_days"), -1.0,
+         "simulation.profile_forward_days: must be >= 0, got -1"),
+    ], ids=["zero_v_nom", "negative_v_nom", "negative_household_load",
+            "hour_past_24", "negative_swing", "negative_forward_days"])
+    def test_out_of_bounds_field_names_json_path(self, keys, value, message):
+        data = minimal_dict()
+        parent = data
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            scenario_from_dict(data)
+
+    def test_warmup_off_the_substep_grid_rejected(self):
+        d = minimal_dict(simulation={"warmup_s": 3600.5})
+        with pytest.raises(ConfigurationError,
+                           match=r"simulation\.warmup_s: warmup of 3600\.5 s is "
+                                 r"not a whole number of 15 s warmup substeps"):
+            scenario_from_dict(d)
+
+    def test_warmup_schedule(self):
+        assert warmup_schedule(1.0, 7200.0) == (15.0, [60] * 8)
+        assert warmup_schedule(20.0, 1800.0) == (20.0, [45, 45])
+        assert warmup_schedule(40.0, 86400.0) == (40.0, [22] * 98 + [4])
+        assert warmup_schedule(1000.0, 3000.0) == (1000.0, [1, 1, 1])
+        for duration in (0.0, 7.5, 86400.5, 28797.12):
+            with pytest.raises(ConfigurationError, match="whole number"):
+                warmup_schedule(5.0, duration)
+
     def test_minimal_loads(self):
         s = scenario_from_dict(minimal_dict())
         assert s.name == "mini"

@@ -322,6 +322,33 @@ class TestWarmup:
         assert twin.t_s == 0.0
         assert twin.run_warmup(duration_s=86400.0).t_s == 0.0
 
+    def test_warmup_off_the_substep_grid_rejected_before_integrating(
+            self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the warmup started integrating")
+
+        twin = CellTwin(make_toy_scenario())
+        monkeypatch.setattr(CellTwin, "_step_interval", fail)
+        with pytest.raises(ConfigurationError,
+                           match="3600.5 s is not a whole number of 15 s"):
+            twin.run_warmup(duration_s=3600.5)
+
+    def test_coarse_internal_step_warms_up_in_whole_substeps(self, monkeypatch):
+        # 40 s substeps: 22 of them (880 s) per block, 180 in the 7200 s warmup
+        data = scenario_to_dict(make_toy_scenario())
+        data["simulation"].update(internal_dt_s=40.0, dispatch_step_s=40.0)
+        twin = CellTwin(scenario_from_dict(data))
+        intervals = []
+        step_interval = CellTwin._step_interval
+
+        def record(self, dt_total, substep, stale=None):
+            intervals.append((dt_total, substep))
+            step_interval(self, dt_total, substep, stale)
+
+        monkeypatch.setattr(CellTwin, "_step_interval", record)
+        assert twin.run_warmup().t_s == 0.0
+        assert intervals == [(880.0, 40.0)] * 8 + [(160.0, 40.0)]
+
     def test_override_bes_soc(self):
         twin = CellTwin(make_toy_scenario())
         ref = twin.run_warmup()
