@@ -328,6 +328,9 @@ class TestBasinHopping:
         {"nm": {"xatol": -1.0}},
         {"nm": {"fatol": math.nan}},
         {"nm": {"xatol": math.nan}},
+        {"temperature": -math.inf},
+        {"n_iter": math.nan},
+        {"nm": {"maxfev": math.nan}},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
