@@ -195,7 +195,8 @@ def run_dispatch(scenario, request, *, n_steps,
     ``initial_bes_soc`` overrides every battery's state of charge after warmup
     and before the reference capture (depletion studies).  Raises
     :class:`ConfigurationError` before the warmup if the run outlasts the
-    scenario's profile window or the cell has no controllable plant, and
+    scenario's profile window, the cell has no controllable plant or
+    ``initial_bes_soc`` lies outside [0, 1], and
     :class:`DispatchError` if a committed step fails to solve; partial results
     travel in the exception's ``trace`` attribute.
     """
@@ -209,6 +210,8 @@ def run_dispatch(scenario, request, *, n_steps,
         raise ConfigurationError(
             f"scenario '{scenario.name}' has no controllable plants to dispatch "
             f"(no battery, heat pump, EV or PV inverter)")
+    if initial_bes_soc is not None:
+        twin.check_bes_soc(initial_bes_soc)
     ref = twin.run_warmup(warmup_s)
     if initial_bes_soc is not None:
         twin.override_bes_soc(initial_bes_soc)

@@ -20,6 +20,7 @@ entering through the slack once the sweep has converged.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, InfeasibleNetworkError, PowerFlowError
@@ -208,8 +209,14 @@ def solve_power_flow(topology, injections, *, max_sweeps=100):
     `injections` must contain exactly the non-slack bus ids, each mapping to a
     (p_kw, q_kvar) pair with consumption positive.  Raises PowerFlowError if
     the sweep does not converge within `max_sweeps` and InfeasibleNetworkError
-    if any voltage drops below 0.5 pu on the way.
+    if any voltage drops below 0.5 pu on the way.  `max_sweeps` must be an
+    integer >= 1.
     """
+    # a plain int is tested first: this check runs on every evaluation
+    if not (type(max_sweeps) is int or isinstance(max_sweeps, numbers.Integral)) \
+            or max_sweeps < 1:
+        raise ConfigurationError(
+            f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     if injections.keys() != topology._non_slack:
         non_slack = [b.id for b in topology.buses if b.id != topology.pcc_bus]
         missing = [b for b in non_slack if b not in injections]

@@ -161,8 +161,9 @@ class NelderMeadSettings:
 
     def __post_init__(self):
         # each check states what must hold, so that NaN fails it
-        if not self.maxfev >= 1:
-            raise ConfigurationError(f"nm maxfev must be >= 1, got {self.maxfev}")
+        if not (isinstance(self.maxfev, numbers.Integral) and self.maxfev >= 1):
+            raise ConfigurationError(
+                f"nm maxfev must be >= 1 and an integer, got {self.maxfev!r}")
         if not self.fatol >= 0.0:
             raise ConfigurationError(f"nm fatol must be >= 0, got {self.fatol}")
         if not self.xatol >= 0.0:
@@ -286,8 +287,9 @@ class BasinHoppingConfig:
         # each check states what must hold, so that NaN fails it
         if not self.temperature >= 0.0:
             raise ConfigurationError("temperature must be >= 0")
-        if not self.n_iter >= 0:
-            raise ConfigurationError("n_iter must be >= 0")
+        if not (isinstance(self.n_iter, numbers.Integral) and self.n_iter >= 0):
+            raise ConfigurationError(
+                f"n_iter must be an integer >= 0, got {self.n_iter!r}")
         if not 0.0 < self.step_size < math.inf:
             raise ConfigurationError("step_size must be finite and > 0")
         if self.seed is not None and not (

@@ -35,6 +35,21 @@ heat pump's ``p_kw`` and ``q_kvar`` are re-derived by ``set_state``.
 Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
 which holds every parameter default; the constructors only validate it.
+
+A stateful plant's ``step`` also records the offsets that cannot change the
+interval it just integrated, as the closed range ``[ray_lo, ray_hi]`` (the
+*ray*; empty as NaN bounds).  If the command was clamped at the upper bound on
+every substep (``wanted > hi_k`` for a store, ``wanted > p_max_total`` for a
+heat pump), the ray is ``[offset, inf]``: the wish plus the offset is monotone
+in the offset and the state it starts each substep from is the same, so any
+larger offset is clamped to the same bound on every substep and ends in the
+same state, bit for bit.  Clamped at the lower bound every time (``wanted <
+lo_k``; ``wanted < 0`` for a heat pump) it is ``[-inf, offset]``.  An EV's
+away substep reads the offset only through ``offset != 0``, so it counts
+toward the upper ray when the offset was > 0 and toward the lower one when it
+was < 0.  Otherwise the ray is empty.  Clamped and away substeps are counted
+in the branches that already handle them, so a connected, unclamped substep
+does no extra work.  The PV inverter has no ray.
 """
 
 import math
@@ -96,7 +111,7 @@ class _Storage:
     """
 
     __slots__ = ("capacity_kwh", "eta_charge", "eta_discharge", "time_constant_s",
-                 "soc", "p_kw", "saturated")
+                 "soc", "p_kw", "saturated", "ray_lo", "ray_hi")
 
     _away = None        # trip window (first departure, last return) in s of day
 
@@ -116,6 +131,7 @@ class _Storage:
         self.soc = params.soc0
         self.p_kw = p0_kw
         self.saturated = False
+        self.ray_lo = self.ray_hi = math.nan
 
     def _integrate(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0):
         """Advance n substeps of dt seconds; returns the last one's realized power.
@@ -125,6 +141,7 @@ class _Storage:
         to what the store can deliver (a battery's PV surplus) or, when
         `wish_kw` is None, `hi` until full (an EV charging).  Substeps whose
         time of day falls in the `_away` window take the trip branch instead.
+        Records the ray of offsets that leave the interval unchanged.
         """
         cap = self.capacity_kwh
         eta_c = self.eta_charge
@@ -135,6 +152,7 @@ class _Storage:
         soc = self.soc
         p = self.p_kw
         saturated = self.saturated
+        n_lo = n_hi = n_away = 0
         for k in range(n):
             if away is not None:
                 tod = (base_tod_s + k * dt) % 86400.0
@@ -142,6 +160,7 @@ class _Storage:
                     soc = self._drain(soc, tod, dt)
                     p = 0.0
                     saturated = offset_kw != 0.0
+                    n_away += 1
                     continue
             # SOC headroom over this substep, as charge and discharge power,
             # folded into the rating bounds (on a tie the rating is kept)
@@ -161,8 +180,10 @@ class _Storage:
             cmd = wanted
             if cmd < lo_k:
                 cmd = lo_k
+                n_lo += 1
             elif cmd > hi_k:
                 cmd = hi_k
+                n_hi += 1
             saturated = cmd != wanted
             p = p + (cmd - p) * lag
             # pin an overshoot of the lag to the same bounds
@@ -182,6 +203,19 @@ class _Storage:
                 soc = 0.0
             elif soc > 1.0:
                 soc = 1.0
+        if n_away:
+            if offset_kw > 0.0:
+                n_hi += n_away
+            elif offset_kw < 0.0:
+                n_lo += n_away
+        if n_hi == n:
+            self.ray_lo = offset_kw
+            self.ray_hi = math.inf
+        elif n_lo == n:
+            self.ray_lo = -math.inf
+            self.ray_hi = offset_kw
+        else:
+            self.ray_lo = self.ray_hi = math.nan
         self.soc = soc
         self.p_kw = p
         self.saturated = saturated
@@ -227,6 +261,8 @@ class PvInverter:
 
     __slots__ = ("s_rated_kva", "p_peak_kwp", "q_fraction_limit",
                  "p_ac_kw", "q_kvar", "saturated")
+
+    ray_lo = ray_hi = math.nan
 
     def __init__(self, params):
         if params.s_rated_kva <= 0.0:
@@ -294,6 +330,7 @@ class HeatPumpSystem:
         "t_on_c", "t_off_c", "t_min_c", "t_max_c", "t_element_threshold_c",
         "tan_phi", "time_constant_s", "heating", "t_storage_c", "p_kw", "q_kvar",
         "saturated", "last_cop", "last_p_compressor_kw", "last_p_element_kw",
+        "ray_lo", "ray_hi",
     )
 
     def __init__(self, params):
@@ -333,11 +370,13 @@ class HeatPumpSystem:
         self.last_cop = 0.0
         self.last_p_compressor_kw = 0.0
         self.last_p_element_kw = 0.0
+        self.ray_lo = self.ray_hi = math.nan
 
     def step(self, heat_demand_kw, ambient_c, offset_kw, n, dt):
         """Advance n substeps of dt seconds; returns the last one's electric power.
 
-        The electric power is compressor plus element.
+        The electric power is compressor plus element.  Records the ray of
+        offsets that leave the interval unchanged.
         """
         p_el_max = self.p_el_max_kw
         p_element = self.p_element_kw
@@ -354,6 +393,7 @@ class HeatPumpSystem:
         cop = self.last_cop
         p_comp = self.last_p_compressor_kw
         p_elem = self.last_p_element_kw
+        n_lo = n_hi = 0
         for _ in range(n):
             # keep the source strictly below the sink so the cycle stays defined
             cop = heat_pump_cop(t, min(ambient_c, t - 1.0), effectiveness)
@@ -365,8 +405,10 @@ class HeatPumpSystem:
             wanted = (p_el_max if heating else 0.0) + offset_kw
             if wanted < 0.0:
                 cmd_total = 0.0
+                n_lo += 1
             elif wanted > p_max_total:
                 cmd_total = p_max_total
+                n_hi += 1
             else:
                 cmd_total = wanted
             saturated = cmd_total != wanted
@@ -403,6 +445,14 @@ class HeatPumpSystem:
                 saturated = True
             t = t_new
 
+        if n_hi == n:
+            self.ray_lo = offset_kw
+            self.ray_hi = math.inf
+        elif n_lo == n:
+            self.ray_lo = -math.inf
+            self.ray_hi = offset_kw
+        else:
+            self.ray_lo = self.ray_hi = math.nan
         self.t_storage_c = t
         self.heating = heating
         self.saturated = saturated

@@ -23,17 +23,21 @@ integrates a whole interval in one ``step`` call (see :mod:`cellflex.plants`),
 so every prosumer is called once per interval, not once per substep; the PV
 inverters keep no state and step once per interval too.
 
-An evaluation re-integrates only the plants whose offset changed.  A plant's
-end state depends only on the snapshot it starts from and its own offset, so
-when the twin still holds the end state of the same snapshot object, a plant
-whose offset is the same float as in that integration (sign of zero
-included; NaN never is) keeps its state, and only the others are restored
-and stepped.  The bus injections are then summed from every plant's final
-power.  Anything else that moves plant state -- ``restore``, the warmup,
-``override_bes_soc``, ``step_dispatch_interval`` outside an evaluation --
-makes the next evaluation re-integrate every plant.  The trace reads an EV's
-connection where its last substep started, since its ``p_kw`` is that
-substep's power.
+An evaluation re-integrates only the plants whose interval the new offset
+can change.  A plant's end state depends only on the snapshot it starts from
+and its own offset, so when the twin still holds the end state of the same
+snapshot object, a plant keeps its state if its offset is the same float as
+in that integration (sign of zero included; NaN never is) or lies on the ray
+its last ``step`` recorded: a plant clamped at the same bound on every
+substep ends in the same state under any offset further past that bound (see
+:mod:`cellflex.plants`).  A kept plant keeps its ray, so the covered range
+never shrinks while the twin holds that end state.  Only the other plants
+are restored and stepped.  The bus injections are then summed from every
+plant's final power.  Anything else that moves plant state -- ``restore``,
+the warmup, ``override_bes_soc``, ``step_dispatch_interval`` outside an
+evaluation -- makes the next evaluation re-integrate every plant.  The
+trace reads an EV's connection where its last substep started, since its
+``p_kw`` is that substep's power.
 
 Controllable-plant ordering is class-major and scenario-ordered within each
 class: all batteries, then all heat pumps, then all EV chargers, then all PV
@@ -352,10 +356,15 @@ class CellTwin:
             t_s=self.t_s,
         )
 
+    @staticmethod
+    def check_bes_soc(soc):
+        """Raise ConfigurationError unless `soc` is a state of charge in [0, 1]."""
+        if not 0.0 <= soc <= 1.0:      # also rejects NaN
+            raise ConfigurationError(f"battery SOC override {soc} outside [0, 1]")
+
     def override_bes_soc(self, soc):
         """Force every battery's state of charge (scenario-study hook)."""
-        if not 0.0 <= soc <= 1.0:
-            raise ConfigurationError(f"battery SOC override {soc} outside [0, 1]")
+        self.check_bes_soc(soc)
         self._end_of = None
         for pro in self.prosumers:
             if pro.bes is not None:
@@ -370,12 +379,14 @@ class CellTwin:
 
         A plant's end state depends only on the snapshot and its own offset,
         so a plant is up to date when its offset is the same float as in the
-        integration that left it there, sign of zero included.  NaN never is.
+        integration that left it there, sign of zero included, or lies on the
+        ray ``[ray_lo, ray_hi]`` its last step recorded.  NaN never is.
         """
         if snap is not self._end_of:
             return None
-        return [not (a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b)))
-                for a, b in zip(offsets, self._end_offsets)]
+        return [not (a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b))
+                     or plant.ray_lo <= a <= plant.ray_hi)
+                for a, b, plant in zip(offsets, self._end_offsets, self._plants)]
 
     def _integrate_offsets(self, ref, offsets, record_trace):
         offsets = self._checked_offsets(offsets)

@@ -85,6 +85,17 @@ class TestHorizon:
             run_dispatch(scenario_from_dict(data), TOY_REQUEST, n_steps=1,
                          config=TOY_CONFIG)
 
+    @pytest.mark.parametrize("soc", [1.5, -0.1, math.nan])
+    def test_bes_soc_outside_unit_interval_rejected_before_warmup(
+            self, monkeypatch, soc):
+        def fail(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 1\]"):
+            run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=1,
+                         config=TOY_CONFIG, initial_bes_soc=soc)
+
     def test_zero_steps_rejected(self):
         with pytest.raises(ConfigurationError, match="at least 1 step, got 0"):
             run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=0,

@@ -130,6 +130,11 @@ class TestFailureModes:
         with pytest.raises(PowerFlowError):
             solve_power_flow(two_bus(), {"b1": (20.0, 5.0)}, max_sweeps=1)
 
+    @pytest.mark.parametrize("max_sweeps", [0, -1, 2.5, math.nan])
+    def test_sweep_budget_below_one_rejected(self, max_sweeps):
+        with pytest.raises(ConfigurationError, match="max_sweeps must be an integer"):
+            solve_power_flow(two_bus(), {"b1": (20.0, 5.0)}, max_sweeps=max_sweeps)
+
     def test_missing_injection_rejected(self):
         with pytest.raises(ConfigurationError, match="b1"):
             solve_power_flow(two_bus(), {})

@@ -331,6 +331,9 @@ class TestBasinHopping:
         {"temperature": -math.inf},
         {"n_iter": math.nan},
         {"nm": {"maxfev": math.nan}},
+        {"n_iter": 2.5},
+        {"nm": {"maxfev": 2.5}},
+        {"n_iter": "3"},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -461,3 +461,115 @@ class TestElectricVehicle:
         bev.step(-2.0, 20 * 3600.0, 1, 5.0)
         bev.set_state(state)
         assert bev.get_state() == state
+
+
+def end_bits(plant):
+    """A plant's end state and power, with floats at full precision."""
+    return repr((plant.get_state(), plant.p_kw))
+
+
+def check_ray(plant, run, start, offset, depth):
+    """Step from `start` under `offset`; every offset on the ray the step
+    records must end in the same state.  Returns whether a ray was recorded."""
+    plant.set_state(start)
+    run(offset)
+    lo, hi = plant.ray_lo, plant.ray_hi
+    if not lo <= offset <= hi:
+        assert math.isnan(lo) and math.isnan(hi)
+        return False
+    want = end_bits(plant)
+    if hi == math.inf:
+        assert lo == offset
+        others = [offset + depth, math.inf]
+    else:
+        assert lo == -math.inf and hi == offset
+        others = [offset - depth, -math.inf]
+    # the anchor itself, and either zero the ray reaches
+    others += [offset] + [z for z in (0.0, -0.0) if lo <= z <= hi]
+    for other in others:
+        plant.set_state(start)
+        run(other)
+        assert end_bits(plant) == want, other
+    return True
+
+
+depths = st.one_of(st.floats(0.0, 50.0), st.just(math.inf))
+substeps = st.sampled_from([(1, 15.0), (3, 5.0), (15, 1.0)])
+
+
+class TestClampRay:
+    """A step clamped at one bound on every substep records the ray of
+    offsets further past it; any offset on that ray ends in the same state,
+    bit for bit."""
+
+    @given(soc=st.floats(0.0, 1.0), p0=st.floats(-3.0, 5.0),
+           wish=st.floats(-10.0, 10.0), frac=st.floats(-3.0, 3.0),
+           depth=depths, grid=substeps)
+    def test_battery(self, soc, p0, wish, frac, depth, grid):
+        bes = BatteryStorage(BesParams(0.05, 5.0, 3.0))
+        n, dt = grid
+        check_ray(bes, lambda off: bes.step(wish, off, n, dt),
+                  (soc, p0, False), 8.0 * frac, depth)
+
+    @given(soc=st.floats(0.0, 1.0), p0=st.floats(-11.0, 11.0),
+           drained=st.floats(0.0, 5.0), v2g=st.booleans(),
+           tod_h=st.sampled_from([7.99, 8.0, 12.0, 17.99, 18.0, 19.0, 23.99]),
+           frac=st.floats(-3.0, 3.0), depth=depths, grid=substeps)
+    def test_ev(self, soc, p0, drained, v2g, tod_h, frac, depth, grid):
+        # 7.99 h and 17.99 h put the trip edge inside the interval, 12 h
+        # makes the whole interval a trip
+        bev = make_bev(capacity_kwh=0.5, v2g=v2g)
+        n, dt = grid
+        if not v2g:
+            p0 = abs(p0)
+        check_ray(bev, lambda off: bev.step(off, tod_h * 3600.0, n, dt),
+                  (soc, p0, False, drained), 22.0 * frac, depth)
+
+    @given(t0=st.one_of(st.floats(35.0, 90.0), st.sampled_from([35.0, 90.0])),
+           heating=st.booleans(), p_comp=st.floats(0.0, 3.0),
+           p_elem=st.floats(0.0, 5.0), demand=st.floats(0.0, 40.0),
+           ambient=st.floats(-10.0, 20.0), frac=st.floats(-3.0, 3.0),
+           depth=depths, grid=substeps)
+    def test_heat_pump(self, t0, heating, p_comp, p_elem, demand, ambient,
+                       frac, depth, grid):
+        ehp = make_ehp()
+        n, dt = grid
+        check_ray(ehp, lambda off: ehp.step(demand, ambient, off, n, dt),
+                  (t0, heating, False, p_comp, p_elem), 8.0 * frac, depth)
+
+    def test_rays_are_recorded_at_each_bound(self):
+        bes = BatteryStorage(BesParams(10.0, 5.0, 3.0))
+        assert check_ray(bes, lambda off: bes.step(0.0, off, 3, 5.0),
+                         bes.get_state(), 9.0, 1.0)
+        assert check_ray(bes, lambda off: bes.step(0.0, off, 3, 5.0),
+                         bes.get_state(), -9.0, 1.0)
+        assert not check_ray(bes, lambda off: bes.step(0.0, off, 3, 5.0),
+                             bes.get_state(), 1.0, 1.0)
+        # an EV that charges at rated power: any offset up is clamped
+        bev = make_bev()
+        charging = (0.5, 11.0, False, 0.0)
+        assert check_ray(bev, lambda off: bev.step(off, 20 * 3600.0, 3, 5.0),
+                         charging, 1e-9, 1.0)
+        assert not check_ray(bev, lambda off: bev.step(off, 20 * 3600.0, 3, 5.0),
+                             charging, 0.0, 1.0)
+        # a whole-interval trip reads only whether the offset is zero
+        trip = (0.5, 0.0, False, 0.0)
+        assert check_ray(bev, lambda off: bev.step(off, 12 * 3600.0, 3, 5.0),
+                         trip, 2.0, 1.0)
+        assert check_ray(bev, lambda off: bev.step(off, 12 * 3600.0, 3, 5.0),
+                         trip, -2.0, 1.0)
+        assert not check_ray(bev, lambda off: bev.step(off, 12 * 3600.0, 3, 5.0),
+                             trip, 0.0, 1.0)
+        # a heat pump at its floor and at its ceiling
+        ehp = make_ehp()
+        assert check_ray(ehp, lambda off: ehp.step(30.0, -5.0, off, 3, 5.0),
+                         (35.0, True, False, 3.0, 0.0), -20.0, 1.0)
+        assert check_ray(ehp, lambda off: ehp.step(0.0, 5.0, off, 3, 5.0),
+                         (90.0, False, False, 0.0, 5.0), 20.0, 1.0)
+        assert not check_ray(ehp, lambda off: ehp.step(2.0, 5.0, off, 3, 5.0),
+                             (45.0, False, False, 0.0, 0.0), 1.0, 1.0)
+
+    def test_a_nan_offset_records_no_ray(self):
+        bes = BatteryStorage(BesParams(10.0, 5.0, 3.0))
+        bes.step(0.0, math.nan, 3, 5.0)
+        assert math.isnan(bes.ray_lo) and math.isnan(bes.ray_hi)

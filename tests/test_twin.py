@@ -5,7 +5,12 @@ import pytest
 
 from cellflex.errors import ConfigurationError, PowerFlowError
 from cellflex.oracle import make_toy_scenario
-from cellflex.plants import PvInverter
+from cellflex.plants import (
+    BatteryStorage,
+    ElectricVehicle,
+    HeatPumpSystem,
+    PvInverter,
+)
 from cellflex.scenario import (
     load_bundled_scenario,
     scenario_from_dict,
@@ -209,6 +214,30 @@ class TestIncrementalEvaluation:
         check(ref, x)
         x[i_inv] = bounds[i_inv, 0]
         check(ref, x)
+        # past each bound, deeper, back to the anchor, back inside: a plant
+        # clamped at one bound on every substep is kept while its offset
+        # stays on the ray its last step recorded
+        stateful = [j for j, c in enumerate(classes) if c != "inv"]
+        for side in (1, 0):
+            far = bounds[stateful, side]
+            y = x0.copy()
+            y[stateful] = far
+            check(ref, y)
+            y[stateful] = 2.0 * far
+            check(ref, y)
+            y[stateful[0]] = far[0]         # one back at its anchor, the rest deeper
+            check(ref, y)
+            y[stateful] = far
+            check(ref, y)
+            y[stateful] = 0.5 * far
+            check(ref, y)
+            y[stateful] = far
+            check(ref, y)
+            for zero in (0.0, -0.0, 0.0):   # a zero anchor, then its sign
+                y[stateful] = zero
+                check(ref, y)
+            y[stateful] = 2.0 * far
+            check(ref, y)
         # the sign of a zero offset reaches the result
         z = np.zeros(n)
         check(ref, z)
@@ -233,6 +262,39 @@ class TestIncrementalEvaluation:
         x = x0.copy()
         x[i_bes] = -x[i_bes]
         check(new_ref, x)
+
+    def test_a_saturated_plant_is_not_re_integrated(self, monkeypatch):
+        # an EV charging at rated power is clamped on every substep once its
+        # offset points up; moving it further up steps no plant, moving it
+        # back inside steps that EV alone
+        twin = CellTwin(load_bundled_scenario())
+        ref = twin.run_warmup()
+        j = twin.plant_labels.index("bev:p02.0")
+        ev = next(p for p in twin.prosumers if p.id == "p02").bevs[0]
+        assert ref.plant_values[j] == ev.p_rated_kw
+        stepped = []
+        for cls in (BatteryStorage, HeatPumpSystem, ElectricVehicle, PvInverter):
+            def counting_step(plant, *args, _step=cls.step):
+                stepped.append(plant)
+                return _step(plant, *args)
+            monkeypatch.setattr(cls, "step", counting_step)
+
+        def plants_stepped(x):
+            want = CellTwin(twin.scenario).evaluate_dispatch(ref, x)
+            stepped.clear()
+            assert result_bits(twin.evaluate_dispatch(ref, x)) == result_bits(want)
+            return list(stepped)
+
+        x = np.zeros(twin.n_plants)
+        assert len(plants_stepped(x)) == twin.n_plants
+        x[j] = 1.0
+        assert plants_stepped(x) == [ev]
+        x[j] = 3.0
+        assert plants_stepped(x) == []
+        x[j] = 1.0
+        assert plants_stepped(x) == []
+        x[j] = -1.0
+        assert plants_stepped(x) == [ev]
 
     @pytest.mark.parametrize("make", [make_toy_scenario, load_bundled_scenario])
     def test_each_plant_depends_only_on_its_own_offset(self, make):
