@@ -59,9 +59,10 @@ def _add_optimizer_flags(parser):
                         help="Basin Hopping temperature")
     parser.add_argument("--n-iter", type=int, default=50,
                         help="Basin Hopping iterations per dispatch step, at "
-                             "most; a dispatch step stops after "
-                             f"{STALL_ITERATIONS} iterations without a better "
-                             "candidate")
+                             "most; Basin Hopping refines the step's start (a "
+                             "merit-order dispatch, then an exchange pass) "
+                             f"and stops after {STALL_ITERATIONS} iteration(s) "
+                             "in a row without a better candidate")
     parser.add_argument("--step-size", type=float, default=1.0)
     parser.add_argument("--nm-maxfev", type=int, default=200)
 

@@ -2,22 +2,31 @@
 
 ``run_dispatch`` checks that the run fits the scenario's profile window,
 captures the pre-request reference state, then for each 15 s dispatch step
-runs one Basin Hopping (BH) round over the plant-offset vector, scored by
-``single_step_objective`` (the same objective the grid-search oracle
-minimizes), commits the best found vector to the twin and records the
-realized PCC reading, per-class shares and cost.  The start vector is
-evaluated as BH iteration 0 and becomes the first incumbent, and a step's
-search stops after ``STALL_ITERATIONS`` iterations in a row without a better
-candidate, so a good start directly saves evaluations.
+builds a start vector in two phases, refines it with one Basin Hopping (BH)
+round over the plant-offset vector, scored by ``single_step_objective`` (the
+same objective the grid-search oracle minimizes), commits the best found
+vector to the twin and records the realized PCC reading, per-class shares and
+cost.  The start vector is evaluated as BH iteration 0 and becomes the first
+incumbent, and a step's search stops after ``STALL_ITERATIONS`` (1)
+iteration without a better candidate: BH runs one Nelder-Mead refinement of
+the start and goes on only while it keeps finding better candidates.
 
-Every step starts from a merit-order dispatch (``merit_order_start``), the
-classical economic dispatch: a plant's realized power depends only on its own
-offset, so the plant cost is separable and, losses and lags aside, the
-cheapest dispatch fills the request in ascending order of the cost weights.
-A few re-evaluated passes absorb the losses and lags.  From step 1 on it is
+Phase 1 is a merit-order dispatch (``merit_order_start``), the classical
+economic dispatch: a plant's realized power depends only on its own offset,
+so the plant cost is separable and, losses and lags aside, the cheapest
+dispatch fills the request in ascending order of the cost weights.  A few
+re-evaluated passes absorb the losses and lags.  From step 1 on it is
 compared with the raw carry, the previous step's offsets unchanged, which
 tracks precisely while plant states drift slowly; the better of the two
-(feasible first, then lower objective, the carry on a tie) is the start.
+(feasible first, then lower objective, the carry on a tie) goes on to
+phase 2, the exchange pass (``exchange_pass``).  The objective is an L1
+plant cost plus an L1 tracking term, and every plant weight is below the
+tracking weight, so its linear relaxation is solved greedily in order of
+signed marginal cost (equal incremental cost).  The exchange brings the
+costly plants' realized deviations back to zero and refills the PCC error
+from the cheapest capacity, counting a move that shrinks a deviation as a
+saving.  Most of its evaluations move one plant, which the incremental twin
+re-integrates alone.
 
 Per-class shares: share_x = (sum of realized deviations of class x) divided by
 the requested change (active classes against dP, inverter reactive against
@@ -26,6 +35,7 @@ sum in kW (kVAr) is reported instead.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -44,13 +54,16 @@ from .twin import CellTwin
 log = logging.getLogger("cellflex.dispatch")
 
 __all__ = ["StepRecord", "DispatchRun", "run_dispatch", "single_step_objective",
-           "technology_shares", "merit_order_start", "STALL_ITERATIONS"]
+           "technology_shares", "merit_order_start", "exchange_pass",
+           "STALL_ITERATIONS"]
 
 # BH iterations in a row without a better candidate that end a dispatch step
-STALL_ITERATIONS = 10
+STALL_ITERATIONS = 1
 # re-evaluated merit-order passes; later passes absorb losses and lags
 _MERIT_PASSES = 3
-_MERIT_P_TOL_KW = 1e-6          # active-power error that ends a pass
+_P_TOL_KW = 1e-6                # active power (kW) that counts as zero
+_CORRECTIONS = 4                # exchange: corrections that drive one δ_i to 0
+_REFILL_PASSES = 6              # exchange: passes that refill the PCC error
 # share key of each plant class
 _SHARE_OF_CLASS = {"bes": "bes", "ehp": "ehp", "bev_v1g": "bev",
                    "bev_v2g": "bev", "inv": "inv_q"}
@@ -73,6 +86,25 @@ def technology_shares(plant_deltas, plant_classes, dp_target_kw, dq_target_kvar)
     return shares
 
 
+def _scorer(twin, ref, request, costs: CostTable):
+    """``score(ev) -> (of, feasible)`` of an evaluation from ``ref``."""
+    weights = costs.weights_for(twin.plant_classes)
+    p_target = ref.pcc_p_kw + request.dp_kw
+    q_target = ref.pcc_q_kvar + request.dq_kvar
+    collapse_of = costs.k_infeasible * (len(twin.topology.lines) + 1)
+
+    def score(ev):
+        if ev.failure is not None:
+            return collapse_of, False
+        bd = objective_breakdown(
+            ev.plant_values - ref.plant_values, weights,
+            ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
+            ev.n_violations, costs)
+        return bd.of, ev.feasible
+
+    return score
+
+
 def single_step_objective(twin, ref, request, costs: CostTable):
     """Objective closure for one dispatch step from ``ref``.
 
@@ -81,20 +113,10 @@ def single_step_objective(twin, ref, request, costs: CostTable):
     ``advance_reference``, so every step of a run scores against the same
     targets.
     """
-    weights = costs.weights_for(twin.plant_classes)
-    p_target = ref.pcc_p_kw + request.dp_kw
-    q_target = ref.pcc_q_kvar + request.dq_kvar
-    collapse_of = costs.k_infeasible * (len(twin.topology.lines) + 1)
+    score = _scorer(twin, ref, request, costs)
 
     def f(x):
-        ev = twin.evaluate_dispatch(ref, x)
-        if ev.failure is not None:
-            return collapse_of, False
-        bd = objective_breakdown(
-            ev.plant_values - ref.plant_values, weights,
-            ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
-            ev.n_violations, costs)
-        return bd.of, ev.feasible
+        return score(twin.evaluate_dispatch(ref, x))
 
     return f, twin.plant_bounds()
 
@@ -127,7 +149,7 @@ def merit_order_start(twin, ref, request, costs: CostTable):
     for _ in range(_MERIT_PASSES):
         for i in merit:
             dp_err = p_target - ev.pcc_p_kw
-            if abs(dp_err) < _MERIT_P_TOL_KW:
+            if abs(dp_err) < _P_TOL_KW:
                 break
             trial = x.copy()
             trial[i] = min(max(x[i] + dp_err, lo[i]), hi[i])
@@ -148,6 +170,117 @@ def merit_order_start(twin, ref, request, costs: CostTable):
     return x
 
 
+def exchange_pass(twin, ref, request, costs: CostTable, x):
+    """``x`` improved by exchanging costly deviations for cheap ones.
+
+    The merit walk fills the request by offsets, so leftover error and plant
+    drift land on whichever plant responds.  The exchange works on realized
+    deviations δ_i instead, in three stages:
+
+    1. walk the active-power plants in descending cost weight, ties in
+       plant-table order, and drive each one's δ_i toward 0 with up to
+       ``_CORRECTIONS`` corrections ``x_i -= δ_i``, clipped to its bounds,
+       until |δ_i| < 1e-6 kW; a correction is kept if the evaluation solved
+       and |δ_i| shrank;
+    2. refill the remaining PCC active-power error in ascending signed
+       marginal cost: moving plant j costs -k_j while the move shrinks |δ_j|
+       (at most down to δ_j = 0) and +k_j beyond, ties in plant-table order.
+       A move is kept if it lowers the objective (feasible first).  A pass
+       ends when the error changes sign; the next one re-sorts the moves.
+       Line losses make a move return more than itself at the PCC (~1.06 kW
+       per kW for the battery a +5 kW request loads on the bundled cell), so
+       each pass leaves a few percent of the error before it;
+       ``_REFILL_PASSES`` passes bring that case below 1e-5 kW;
+    3. split the reactive error evenly over the inverters again, kept if it
+       lowers the objective.
+
+    Returns the exchanged offsets if they score better than ``x`` (feasible
+    first, then lower objective), else ``x`` unchanged.
+    """
+    score = _scorer(twin, ref, request, costs)
+    weights = costs.weights_for(twin.plant_classes)
+    bounds = twin.plant_bounds()
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    p_target = ref.pcc_p_kw + request.dp_kw
+    q_target = ref.pcc_q_kvar + request.dq_kvar
+    classes = twin.plant_classes
+    inv = [i for i, c in enumerate(classes) if c == "inv"]
+    active = [i for i in np.argsort(-weights, kind="stable") if classes[i] != "inv"]
+    ref_values = ref.plant_values
+
+    x_in = x
+    x = np.array(x, dtype=float)
+    ev = twin.evaluate_dispatch(ref, x)
+    of_in, feas_in = score(ev)
+    if ev.failure is not None:
+        return x_in
+
+    for i in active:
+        for _ in range(_CORRECTIONS):
+            d = ev.plant_values[i] - ref_values[i]
+            if abs(d) < _P_TOL_KW:
+                break
+            trial = x.copy()
+            trial[i] = min(max(x[i] - d, lo[i]), hi[i])
+            if trial[i] == x[i]:
+                break
+            ev_trial = twin.evaluate_dispatch(ref, trial)
+            if (ev_trial.failure is not None
+                    or abs(ev_trial.plant_values[i] - ref_values[i]) >= abs(d)):
+                break
+            x, ev = trial, ev_trial
+
+    of, feas = score(ev)
+    for _ in range(_REFILL_PASSES):
+        dp_err = p_target - ev.pcc_p_kw
+        if abs(dp_err) < _P_TOL_KW:
+            break
+        sign = math.copysign(1.0, dp_err)
+        deltas = ev.plant_values - ref_values
+        moves = sorted([(weights[j], j, math.inf) for j in active]
+                       + [(-weights[j], j, abs(deltas[j])) for j in active
+                          if sign * deltas[j] <= -_P_TOL_KW])
+        for _cost, j, room in moves:
+            dp_err = p_target - ev.pcc_p_kw
+            if abs(dp_err) < _P_TOL_KW or sign * dp_err < 0.0:
+                break
+            trial = x.copy()
+            trial[j] = min(max(x[j] + sign * min(abs(dp_err), room), lo[j]), hi[j])
+            if trial[j] == x[j]:
+                continue
+            ev_trial = twin.evaluate_dispatch(ref, trial)
+            of_trial, feas_trial = score(ev_trial)
+            if (feas_trial, -of_trial) > (feas, -of):
+                x, ev, of, feas = trial, ev_trial, of_trial, feas_trial
+
+    if inv:
+        trial = x.copy()
+        trial[inv] = np.clip(x[inv] + (q_target - ev.pcc_q_kvar) / len(inv),
+                             lo[inv], hi[inv])
+        of_trial, feas_trial = score(twin.evaluate_dispatch(ref, trial))
+        if (feas_trial, -of_trial) > (feas, -of):
+            x, of, feas = trial, of_trial, feas_trial
+
+    return x if (feas, -of) > (feas_in, -of_in) else x_in
+
+
+def _step_start(twin, ref, request, costs: CostTable, carry):
+    """Start vector of a dispatch step and its label, "merit" or "carry".
+
+    The merit-order start, or ``carry`` (None on the first step) if it scores
+    at least as well (feasible first, then lower objective), refined by
+    :func:`exchange_pass`.
+    """
+    x, start = merit_order_start(twin, ref, request, costs), "merit"
+    if carry is not None:
+        f, _ = single_step_objective(twin, ref, request, costs)
+        of_merit, feas_merit = f(x)
+        of_carry, feas_carry = f(carry)
+        if (feas_carry, -of_carry) >= (feas_merit, -of_merit):
+            x, start = carry, "carry"
+    return exchange_pass(twin, ref, request, costs, x), start
+
+
 @dataclass
 class StepRecord:
     index: int
@@ -166,6 +299,7 @@ class StepRecord:
     plant_cost: float              # same in OF units
     pcc_cost: float
     penalty: float
+    start_evals: int               # start evaluations: merit, carry, exchange
     n_evals: int                   # Basin Hopping evaluations of the step
     start: str                     # start vector: "merit" or "carry"
     iterations: list = field(default_factory=list)
@@ -229,9 +363,12 @@ def run_dispatch(scenario, request, *, n_steps,
              config.temperature, config.n_iter, config.seed)
 
     steps = []
-    f, _ = single_step_objective(twin, ref, request, costs)
-    x, start = merit_order_start(twin, ref, request, costs), "merit"
+    x = None
     for k in range(n_steps):
+        n_evals_before = twin.n_evaluations
+        x, start = _step_start(twin, ref, request, costs, carry=x)
+        start_evals = twin.n_evaluations - n_evals_before
+        f, _ = single_step_objective(twin, ref, request, costs)
         result = basin_hopping(f, x, config, bounds=bounds, rng=rng,
                                patience=STALL_ITERATIONS)
         x = result.x
@@ -264,23 +401,16 @@ def run_dispatch(scenario, request, *, n_steps,
             plant_cost=bd.plant_cost,
             pcc_cost=bd.pcc_cost,
             penalty=bd.penalty,
+            start_evals=start_evals,
             n_evals=result.n_evals,
             start=start,
             iterations=result.iterations,
             trace=ev.trace,
         ))
         log.debug("step %d: OF=%.6g dP_err=%+.4f kW dQ_err=%+.4f kVAr, "
-                  "%d BH iterations from the %s start",
+                  "%d BH iterations from the %s start (%d start evaluations)",
                   k, bd.of, ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
-                  len(result.iterations) - 1, start)
-        if k + 1 < n_steps:
-            f, _ = single_step_objective(twin, ref, request, costs)
-            x_merit = merit_order_start(twin, ref, request, costs)
-            of_merit, feas_merit = f(x_merit)
-            of_carry, feas_carry = f(x)
-            start = "carry"
-            if (feas_merit, -of_merit) > (feas_carry, -of_carry):
-                x, start = x_merit, "merit"
+                  len(result.iterations) - 1, start, start_evals)
 
     return DispatchRun(
         scenario_name=scenario.name,

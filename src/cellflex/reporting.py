@@ -70,6 +70,7 @@ def summary_dict(run):
         "n_steps": n,
         "search": {
             "evaluations": sum(st.n_evals for st in run.steps),
+            "start_evaluations": sum(st.start_evals for st in run.steps),
             "bh_iterations_mean": sum(bh_iters) / n if n else 0.0,
             "bh_iterations_max": max(bh_iters, default=0),
             "steps_started_from": {

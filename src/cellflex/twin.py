@@ -186,6 +186,7 @@ class CellTwin:
         # offsets it was integrated under; None once anything else moved it
         self._end_of = None
         self._end_offsets = None
+        self.n_evaluations = 0          # evaluate_dispatch calls so far
         self._build_plant_table()
         self._junctions = [b.id for b in scenario.buses
                            if b.id != scenario.pcc_bus and b.prosumer is None]
@@ -419,8 +420,9 @@ class CellTwin:
         """Integrate one dispatch step from the reference snapshot.
 
         Does not mutate ``ref``; the twin's own state is scratch space and is
-        left at the end of the evaluated step.
+        left at the end of the evaluated step.  Counted in ``n_evaluations``.
         """
+        self.n_evaluations += 1
         return self._integrate_offsets(ref, offsets, record_trace)
 
     def advance_reference(self, ref, offsets, record_trace=True):

@@ -7,6 +7,7 @@ import pytest
 
 from cellflex.dispatch import (
     DispatchRun,
+    exchange_pass,
     merit_order_start,
     run_dispatch,
     single_step_objective,
@@ -122,10 +123,10 @@ class TestToyTracking:
             assert st.shares["bev"] == 0.0
 
     def test_warm_start_contract(self, toy_run):
-        # step 0 starts from the merit-order dispatch: its iteration-0
-        # objective is that start's, far below the pure PCC mismatch cost of
-        # the zero vector; later steps start from the carry or a new merit
-        # start
+        # step 0 starts from the merit-order dispatch refined by the exchange
+        # pass: its iteration-0 objective is at most the merit start's, far
+        # below the pure PCC mismatch cost of the zero vector; later steps
+        # start from the carry or a new merit start, each exchanged
         c = CostTable()
         cold = c.k_pcc_p * abs(TOY_REQUEST.dp_kw) \
             + c.k_pcc_q * abs(TOY_REQUEST.dq_kvar)
@@ -135,7 +136,7 @@ class TestToyTracking:
         merit_of, _ = f(merit_order_start(twin, ref, TOY_REQUEST, c))
         x0 = [s.iterations[0].of_local for s in toy_run.steps]
         assert toy_run.steps[0].start == "merit"
-        assert x0[0] == merit_of
+        assert x0[0] <= merit_of
         assert x0[0] < 0.1 * cold
         assert x0[1] < 0.1 * cold
         assert x0[2] < 0.1 * cold
@@ -238,6 +239,8 @@ class TestReporting:
         search = summary_dict(toy_run)["search"]
         bh_iters = [len(st.iterations) - 1 for st in toy_run.steps]
         assert search["evaluations"] == sum(st.n_evals for st in toy_run.steps)
+        assert search["start_evaluations"] \
+            == sum(st.start_evals for st in toy_run.steps)
         assert search["bh_iterations_mean"] == sum(bh_iters) / len(bh_iters)
         assert search["bh_iterations_max"] == max(bh_iters)
         starts = search["steps_started_from"]
@@ -287,6 +290,92 @@ class TestMeritOrderStart:
         ev = evaluate(ref, x)
         assert abs(ev.pcc_p_kw - ref.pcc_p_kw - request_.dp_kw) <= 0.1
         assert abs(ev.pcc_q_kvar - ref.pcc_q_kvar - request_.dq_kvar) <= 0.05
+
+
+class TestExchangePass:
+    @pytest.mark.parametrize("scenario, request_, bes_soc", [
+        (make_toy_scenario, TOY_REQUEST, None),
+        (load_bundled_scenario, FlexibilityRequest(5.0, 1.0), None),
+        (load_bundled_scenario, FlexibilityRequest(-5.0, -1.0), 0.04),
+    ])
+    def test_lowers_the_objective_within_bounds_and_budget(
+            self, scenario, request_, bes_soc):
+        twin = CellTwin(scenario())
+        ref = twin.run_warmup()
+        if bes_soc is not None:
+            twin.override_bes_soc(bes_soc)
+            ref = twin.capture_reference()
+        costs = CostTable()
+        f, bounds = single_step_objective(twin, ref, request_, costs)
+        x0 = merit_order_start(twin, ref, request_, costs)
+        of0, _ = f(x0)
+        calls = []
+        evaluate = twin.evaluate_dispatch
+
+        def counted(ref_, offsets, record_trace=False):
+            calls.append(1)
+            return evaluate(ref_, offsets, record_trace)
+
+        twin.evaluate_dispatch = counted
+        x = exchange_pass(twin, ref, request_, costs, x0)
+        twin.evaluate_dispatch = evaluate
+        assert len(calls) <= 60
+
+        assert np.all((bounds[:, 0] <= x) & (x <= bounds[:, 1]))
+        of, feasible = f(x)
+        assert feasible
+        assert of <= of0
+        ev = twin.evaluate_dispatch(ref, x)
+        assert abs(ev.pcc_p_kw - ref.pcc_p_kw - request_.dp_kw) <= 0.1
+        assert abs(ev.pcc_q_kvar - ref.pcc_q_kvar - request_.dq_kvar) <= 0.05
+
+    def test_returns_the_input_when_nothing_improves(self):
+        # on the toy cell the exchange finds nothing better than the merit
+        # start, and hands back the vector it was given
+        twin = CellTwin(make_toy_scenario())
+        ref = twin.run_warmup()
+        costs = CostTable()
+        x0 = merit_order_start(twin, ref, TOY_REQUEST, costs)
+        assert exchange_pass(twin, ref, TOY_REQUEST, costs, x0) is x0
+
+
+class TestEvaluationBudget:
+    @staticmethod
+    def calls_per_step(monkeypatch, scenario, request_, n_steps, config):
+        """Run a dispatch; evaluate_dispatch calls between its commits."""
+        calls, marks = [], []
+        evaluate = CellTwin.evaluate_dispatch
+        advance = CellTwin.advance_reference
+
+        def counted(self, ref, offsets, record_trace=False):
+            calls.append(1)
+            return evaluate(self, ref, offsets, record_trace)
+
+        def marked(self, ref, offsets, record_trace=True):
+            marks.append(len(calls))
+            return advance(self, ref, offsets, record_trace)
+
+        monkeypatch.setattr(CellTwin, "evaluate_dispatch", counted)
+        monkeypatch.setattr(CellTwin, "advance_reference", marked)
+        run = run_dispatch(scenario, request_, n_steps=n_steps, config=config)
+        return run, np.diff([0] + marks)
+
+    def test_start_and_search_evaluations_add_up_to_the_calls(
+            self, monkeypatch):
+        run, per_step = self.calls_per_step(
+            monkeypatch, make_toy_scenario(), TOY_REQUEST, 3, TOY_CONFIG)
+        assert [st.start_evals + st.n_evals for st in run.steps] \
+            == per_step.tolist()
+        assert all(st.start_evals > 0 for st in run.steps)
+
+    def test_bundled_gain_step_spends_at_most_500_evaluations(
+            self, monkeypatch):
+        run, per_step = self.calls_per_step(
+            monkeypatch, load_bundled_scenario(), FlexibilityRequest(5.0, 1.0),
+            3, BasinHoppingConfig(seed=42))
+        assert max(per_step) <= 500
+        assert [st.start_evals + st.n_evals for st in run.steps] \
+            == per_step.tolist()
 
 
 class TestOracle:

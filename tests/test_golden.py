@@ -17,24 +17,24 @@ DISPATCH_ARGS = ["dispatch", "--dp-kw", "5", "--dq-kvar", "1", "--steps", "2",
                  "--n-iter", "10", "--seed", "5"]
 DISPATCH_DIGESTS = {
     "dispatch.csv":
-        "f10cfc4495961ade09cf922d41ba5e18e9c211f3e2fd547e78f543b5770aff0d",
+        "e1f653f7edd94a24e82c1e9098e5e0e3deefb30d58fbae136e02fa4a7d49de92",
     "iterations.csv":
-        "c2f27c7c99a8f823dd94ad407bff731edf801e6980d36eb9886c9cbf6981b331",
+        "aedc634fe22aa3b1030347ab67c82da406128de962338255279a509683283218",
     "summary.json":
-        "90ae137a9b01e99dd177aa889532daf1e59f71ccc30bd6c70ad01fdac9eb6f04",
+        "51baa27d767d843e405adde213ed7766af7700b89afc21cecf579fd647c2eacc",
 }
 BES_SOC_ARGS = ["dispatch", "--dp-kw", "-5", "--dq-kvar", "-1", "--steps", "2",
                 "--n-iter", "5", "--seed", "5", "--bes-soc", "0.04"]
 BES_SOC_DIGESTS = {
     "dispatch.csv":
-        "45168af40e345927bedd2bb3a50c79672f98f64aa2d1a63e9622643c22e6f1c1",
+        "21e45a230de9ea43b8825b4827b042e5cbe4d0d14f4d05c20d5d583021b9492d",
     "iterations.csv":
-        "f9e9aba73b40ab999c6c2c2928e05a8d58487f99bc36618a9c7b1c1d12f76915",
+        "7af79cf0b2ba0df33ad87bd98c0fe5be978ba5f595c2c9962ecc89164ce8e45e",
     "summary.json":
-        "40ca00058a8b883155d0e9794ff365ef82f2c75817bd2a00f54b5a878325007a",
+        "0a03133f1697de8f43122f482df38f1ebf2914ac182ed1634a688fcbe1f2b683",
 }
 ORACLE_ARGS = ["oracle", "--n-iter", "30", "--seed", "2"]
-ORACLE_DIGEST = "2afe7744bcbc867574631fc02d8e0b678692f56c9505a3d7da2b5bb3715904e8"
+ORACLE_DIGEST = "e6cdea0a53bc1fa65a82693d211d3a97356bdf94281084ccedd65cbfeecd8610"
 
 
 def _sha256(data):

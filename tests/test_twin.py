@@ -296,12 +296,23 @@ class TestIncrementalEvaluation:
         x[j] = -1.0
         assert plants_stepped(x) == [ev]
 
-    @pytest.mark.parametrize("make", [make_toy_scenario, load_bundled_scenario])
-    def test_each_plant_depends_only_on_its_own_offset(self, make):
+    @pytest.mark.parametrize("make, bes_soc", [
+        pytest.param(make_toy_scenario, None, id="make_toy_scenario"),
+        pytest.param(load_bundled_scenario, None, id="load_bundled_scenario"),
+        pytest.param(load_bundled_scenario, 0.04,
+                     id="load_bundled_scenario-bes_soc_0.04"),
+    ])
+    def test_each_plant_depends_only_on_its_own_offset(self, make, bes_soc):
         # the invariant that lets an evaluation skip unchanged plants: a
-        # coupling between plants must fail here
+        # coupling between plants must fail here.  From the depletion run's
+        # start (batteries at 4 % SOC) the evaluation of x2 right after x1,
+        # which keeps plant j and every plant whose new offset lies on its
+        # clamp ray, must also match a full re-integration of x2
         twin = CellTwin(make())
         ref = twin.run_warmup()
+        if bes_soc is not None:
+            twin.override_bes_soc(bes_soc)
+            ref = twin.capture_reference()
         bounds = twin.plant_bounds()
         rng = np.random.default_rng(7)
 
@@ -314,9 +325,15 @@ class TestIncrementalEvaluation:
             x1, x2 = rng.uniform(bounds[:, 0], bounds[:, 1], size=(2, twin.n_plants))
             x2[j] = x1[j]
             values1, states1 = integrated(x1)
+            if bes_soc is not None:
+                kept = twin.evaluate_dispatch(ref, x2).plant_values
+                kept_states = twin.snapshot()[1]
             values2, states2 = integrated(x2)
             assert values1[j].tobytes() == values2[j].tobytes(), twin.plant_labels[j]
             assert states1[j] == states2[j], twin.plant_labels[j]
+            if bes_soc is not None:
+                assert kept.tobytes() == values2.tobytes(), twin.plant_labels[j]
+                assert kept_states == states2, twin.plant_labels[j]
 
 
 class TestCommit:
