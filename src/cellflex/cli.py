@@ -59,8 +59,9 @@ def _add_optimizer_flags(parser):
                         help="Basin Hopping temperature")
     parser.add_argument("--n-iter", type=int, default=50,
                         help="Basin Hopping iterations per dispatch step, at "
-                             "most; Basin Hopping refines the step's start (a "
-                             "merit-order dispatch, then an exchange pass) "
+                             "most; Basin Hopping refines the step's start "
+                             "(step 0's merit-order dispatch or the previous "
+                             "step's offsets, then an exchange pass) "
                              f"and stops after {STALL_ITERATIONS} iteration(s) "
                              "in a row without a better candidate")
     parser.add_argument("--step-size", type=float, default=1.0)

@@ -15,11 +15,11 @@ Phase 1 is a merit-order dispatch (``merit_order_start``), the classical
 economic dispatch: a plant's realized power depends only on its own offset,
 so the plant cost is separable and, losses and lags aside, the cheapest
 dispatch fills the request in ascending order of the cost weights.  A few
-re-evaluated passes absorb the losses and lags.  From step 1 on it is
-compared with the raw carry, the previous step's offsets unchanged, which
-tracks precisely while plant states drift slowly; the better of the two
-(feasible first, then lower objective, the carry on a tie) goes on to
-phase 2, the exchange pass (``exchange_pass``).  The objective is an L1
+re-evaluated passes absorb the losses and lags.  Only step 0 builds it:
+every later step starts from the carry, the previous step's committed
+offsets, which track precisely while plant states drift slowly.  Either
+start goes on to phase 2, the exchange pass (``exchange_pass``), which
+re-fits it to the step's plant states.  The objective is an L1
 plant cost plus an L1 tracking term, and every plant weight is below the
 tracking weight, so its linear relaxation is solved greedily in order of
 signed marginal cost (equal incremental cost).  The exchange brings the
@@ -86,21 +86,32 @@ def technology_shares(plant_deltas, plant_classes, dp_target_kw, dq_target_kvar)
     return shares
 
 
-def _scorer(twin, ref, request, costs: CostTable):
-    """``score(ev) -> (of, feasible)`` of an evaluation from ``ref``."""
+def _breakdown(twin, ref, request, costs: CostTable):
+    """``breakdown(ev) -> ObjectiveBreakdown`` of a solved evaluation from
+    ``ref`` or from any later reference: ``advance_reference`` keeps the
+    baseline plant powers and PCC reading the targets are taken from."""
     weights = costs.weights_for(twin.plant_classes)
     p_target = ref.pcc_p_kw + request.dp_kw
     q_target = ref.pcc_q_kvar + request.dq_kvar
+
+    def breakdown(ev):
+        return objective_breakdown(
+            ev.plant_values - ref.plant_values, weights,
+            ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
+            ev.n_violations, costs)
+
+    return breakdown
+
+
+def _scorer(twin, ref, request, costs: CostTable):
+    """``score(ev) -> (of, feasible)`` of an evaluation from ``ref``."""
+    breakdown = _breakdown(twin, ref, request, costs)
     collapse_of = costs.k_infeasible * (len(twin.topology.lines) + 1)
 
     def score(ev):
         if ev.failure is not None:
             return collapse_of, False
-        bd = objective_breakdown(
-            ev.plant_values - ref.plant_values, weights,
-            ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
-            ev.n_violations, costs)
-        return bd.of, ev.feasible
+        return breakdown(ev).of, ev.feasible
 
     return score
 
@@ -264,23 +275,6 @@ def exchange_pass(twin, ref, request, costs: CostTable, x):
     return x if (feas, -of) > (feas_in, -of_in) else x_in
 
 
-def _step_start(twin, ref, request, costs: CostTable, carry):
-    """Start vector of a dispatch step and its label, "merit" or "carry".
-
-    The merit-order start, or ``carry`` (None on the first step) if it scores
-    at least as well (feasible first, then lower objective), refined by
-    :func:`exchange_pass`.
-    """
-    x, start = merit_order_start(twin, ref, request, costs), "merit"
-    if carry is not None:
-        f, _ = single_step_objective(twin, ref, request, costs)
-        of_merit, feas_merit = f(x)
-        of_carry, feas_carry = f(carry)
-        if (feas_carry, -of_carry) >= (feas_merit, -of_merit):
-            x, start = carry, "carry"
-    return exchange_pass(twin, ref, request, costs, x), start
-
-
 @dataclass
 class StepRecord:
     index: int
@@ -299,9 +293,8 @@ class StepRecord:
     plant_cost: float              # same in OF units
     pcc_cost: float
     penalty: float
-    start_evals: int               # start evaluations: merit, carry, exchange
+    start_evals: int               # start evaluations: merit (step 0), exchange
     n_evals: int                   # Basin Hopping evaluations of the step
-    start: str                     # start vector: "merit" or "carry"
     iterations: list = field(default_factory=list)
     trace: dict | None = None
 
@@ -351,9 +344,7 @@ def run_dispatch(scenario, request, *, n_steps,
         twin.override_bes_soc(initial_bes_soc)
         ref = twin.capture_reference()
 
-    weights = costs.weights_for(twin.plant_classes)
-    p_target = ref.pcc_p_kw + request.dp_kw
-    q_target = ref.pcc_q_kvar + request.dq_kvar
+    breakdown = _breakdown(twin, ref, request, costs)
     bounds = twin.plant_bounds()
     rng = np.random.default_rng(config.seed)
 
@@ -363,10 +354,11 @@ def run_dispatch(scenario, request, *, n_steps,
              config.temperature, config.n_iter, config.seed)
 
     steps = []
-    x = None
     for k in range(n_steps):
         n_evals_before = twin.n_evaluations
-        x, start = _step_start(twin, ref, request, costs, carry=x)
+        if k == 0:                 # the only step without a carry
+            x = merit_order_start(twin, ref, request, costs)
+        x = exchange_pass(twin, ref, request, costs, x)
         start_evals = twin.n_evaluations - n_evals_before
         f, _ = single_step_objective(twin, ref, request, costs)
         result = basin_hopping(f, x, config, bounds=bounds, rng=rng,
@@ -378,10 +370,7 @@ def run_dispatch(scenario, request, *, n_steps,
             raise DispatchError(
                 f"step {k}: committed dispatch failed to solve: {exc}",
                 trace=steps) from exc
-        bd = objective_breakdown(
-            ev.plant_values - ref.plant_values, weights,
-            ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
-            ev.n_violations, costs)
+        bd = breakdown(ev)
         steps.append(StepRecord(
             index=k,
             t_s=ref.t_s,
@@ -403,14 +392,14 @@ def run_dispatch(scenario, request, *, n_steps,
             penalty=bd.penalty,
             start_evals=start_evals,
             n_evals=result.n_evals,
-            start=start,
             iterations=result.iterations,
             trace=ev.trace,
         ))
         log.debug("step %d: OF=%.6g dP_err=%+.4f kW dQ_err=%+.4f kVAr, "
-                  "%d BH iterations from the %s start (%d start evaluations)",
-                  k, bd.of, ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
-                  len(result.iterations) - 1, start, start_evals)
+                  "%d BH iterations (%d start evaluations)",
+                  k, bd.of, ev.pcc_p_kw - ref.pcc_p_kw - request.dp_kw,
+                  ev.pcc_q_kvar - ref.pcc_q_kvar - request.dq_kvar,
+                  len(result.iterations) - 1, start_evals)
 
     return DispatchRun(
         scenario_name=scenario.name,

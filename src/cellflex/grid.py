@@ -121,7 +121,7 @@ class GridTopology:
             raise ConfigurationError(f"duplicate bus ids: {dup}")
         if pcc_bus not in ids:
             raise ConfigurationError(f"pcc bus '{pcc_bus}' is not a declared bus")
-        if transformer_kva <= 0.0:
+        if not transformer_kva > 0.0:
             raise ConfigurationError(f"transformer_kva must be > 0, got {transformer_kva}")
         v_noms = {b.v_nom_ll_v for b in self.buses}
         if len(v_noms) != 1:
@@ -136,10 +136,13 @@ class GridTopology:
                     raise ConfigurationError(
                         f"line '{ln.id or ln.from_bus + '-' + ln.to_bus}' references "
                         f"unknown bus '{end}'")
-            if ln.r_ohm < 0.0 or ln.x_ohm < 0.0:
-                raise ConfigurationError(f"line '{ln.id}' has negative impedance")
-            if ln.i_max_a <= 0.0:
-                raise ConfigurationError(f"line '{ln.id}' needs i_max_a > 0")
+            if not (ln.r_ohm >= 0.0 and ln.x_ohm >= 0.0):
+                raise ConfigurationError(
+                    f"line '{ln.id}' needs r_ohm >= 0 and x_ohm >= 0, got "
+                    f"{ln.r_ohm} and {ln.x_ohm}")
+            if not ln.i_max_a > 0.0:
+                raise ConfigurationError(
+                    f"line '{ln.id}' needs i_max_a > 0, got {ln.i_max_a}")
             lid = ln.id or f"{ln.from_bus}-{ln.to_bus}"
             if lid in seen_line_ids:
                 raise ConfigurationError(f"duplicate line id '{lid}'")
@@ -254,10 +257,10 @@ def solve_power_flow(topology, injections, *, max_sweeps=100):
         for bus, par, z in forward:
             v_new = v[par] - z * acc[bus]
             dv = abs(v_new - v[bus])
-            if dv > max_dv:
+            if not dv <= max_dv:        # NaN counts as the largest change
                 max_dv = dv
             v[bus] = v_new
-            if abs(v_new) < v_floor:
+            if not abs(v_new) >= v_floor:  # NaN counts as a collapse
                 raise InfeasibleNetworkError(
                     f"voltage collapse at bus '{topology.buses[bus].id}' "
                     f"({abs(v_new) / v_ph_nom:.3f} pu)")

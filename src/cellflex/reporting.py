@@ -73,9 +73,6 @@ def summary_dict(run):
             "start_evaluations": sum(st.start_evals for st in run.steps),
             "bh_iterations_mean": sum(bh_iters) / n if n else 0.0,
             "bh_iterations_max": max(bh_iters, default=0),
-            "steps_started_from": {
-                start: sum(1 for st in run.steps if st.start == start)
-                for start in ("carry", "merit")},
         },
         "reference_pcc": {"p_kw": run.ref_pcc_p_kw,
                           "q_kvar": run.ref_pcc_q_kvar},

@@ -43,6 +43,14 @@ def report(n, ok, detail):
     return ok
 
 
+def search_budget(run):
+    """Mean evaluations per step, split into the start and Basin Hopping."""
+    start = sum(st.start_evals for st in run.steps) / len(run.steps)
+    bh = sum(st.n_evals for st in run.steps) / len(run.steps)
+    return (f"{start + bh:.1f} evaluations per step (start {start:.1f} + "
+            f"BH {bh:.1f})")
+
+
 @pytest.fixture(scope="session")
 def gain_run():
     """+5 kW / +1 kVAr on the bundled cell, winter evening, 40 steps."""
@@ -74,7 +82,8 @@ def test_1_pcc_tracking(gain_run):
            f"{sum(within)}/{len(within)} steps within "
            f"({DP_TOL_KW} kW, {DQ_TOL_KVAR} kVAr); worst dP "
            f"{worst_dp:.4f} kW, worst dQ {worst_dq:.4f} kVAr; "
-           f"runtime {gain_run.runtime_s:.0f}s (600s expected budget)")
+           f"runtime {gain_run.runtime_s:.0f}s (600s expected budget); "
+           f"{search_budget(gain_run)}")
     assert ok
 
 
@@ -99,7 +108,8 @@ def test_2_reduction_reallocates_to_bev(reduction_run):
     report(2, ok,
            f"battery share slope {bes_slope:+.5f}/step, EV share slope "
            f"{bev_slope:+.5f}/step, batteries empty at step {sat}, "
-           f"cost non-decreasing afterwards: {cost_ok}")
+           f"cost non-decreasing afterwards: {cost_ok}; "
+           f"{search_budget(reduction_run)}")
     assert ok
 
 

@@ -126,7 +126,7 @@ class TestToyTracking:
         # step 0 starts from the merit-order dispatch refined by the exchange
         # pass: its iteration-0 objective is at most the merit start's, far
         # below the pure PCC mismatch cost of the zero vector; later steps
-        # start from the carry or a new merit start, each exchanged
+        # start from the carry, exchanged
         c = CostTable()
         cold = c.k_pcc_p * abs(TOY_REQUEST.dp_kw) \
             + c.k_pcc_q * abs(TOY_REQUEST.dq_kvar)
@@ -135,11 +135,31 @@ class TestToyTracking:
         f, _ = single_step_objective(twin, ref, TOY_REQUEST, c)
         merit_of, _ = f(merit_order_start(twin, ref, TOY_REQUEST, c))
         x0 = [s.iterations[0].of_local for s in toy_run.steps]
-        assert toy_run.steps[0].start == "merit"
         assert x0[0] <= merit_of
         assert x0[0] < 0.1 * cold
         assert x0[1] < 0.1 * cold
         assert x0[2] < 0.1 * cold
+
+    def test_merit_order_starts_step_0_and_the_carry_every_later_step(
+            self, monkeypatch):
+        merit_calls, exchanged = [], []
+
+        def counted_merit(*args):
+            merit_calls.append(1)
+            return merit_order_start(*args)
+
+        def recorded_exchange(twin, ref, request, costs, x):
+            exchanged.append(np.array(x, copy=True))
+            return exchange_pass(twin, ref, request, costs, x)
+
+        monkeypatch.setattr("cellflex.dispatch.merit_order_start", counted_merit)
+        monkeypatch.setattr("cellflex.dispatch.exchange_pass", recorded_exchange)
+        run = run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=3,
+                           config=TOY_CONFIG)
+        assert len(merit_calls) == 1
+        assert len(exchanged) == 3
+        for k in (1, 2):
+            assert np.array_equal(exchanged[k], run.steps[k - 1].offsets)
 
     def test_committed_step_never_worse_than_its_start(self, toy_run):
         for st in toy_run.steps:
@@ -243,11 +263,6 @@ class TestReporting:
             == sum(st.start_evals for st in toy_run.steps)
         assert search["bh_iterations_mean"] == sum(bh_iters) / len(bh_iters)
         assert search["bh_iterations_max"] == max(bh_iters)
-        starts = search["steps_started_from"]
-        assert set(starts) == {"carry", "merit"}
-        for start, count in starts.items():
-            assert count == sum(st.start == start for st in toy_run.steps)
-        assert sum(starts.values()) == len(toy_run.steps)
 
     def test_summary_json_round_trips(self, toy_run, tmp_path):
         import json

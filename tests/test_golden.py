@@ -21,7 +21,7 @@ DISPATCH_DIGESTS = {
     "iterations.csv":
         "aedc634fe22aa3b1030347ab67c82da406128de962338255279a509683283218",
     "summary.json":
-        "51baa27d767d843e405adde213ed7766af7700b89afc21cecf579fd647c2eacc",
+        "74f6292c7e6ec991a2b713fae7aebf9c5a0af10e44295c443d8fd6ec8e65df08",
 }
 BES_SOC_ARGS = ["dispatch", "--dp-kw", "-5", "--dq-kvar", "-1", "--steps", "2",
                 "--n-iter", "5", "--seed", "5", "--bes-soc", "0.04"]
@@ -31,7 +31,7 @@ BES_SOC_DIGESTS = {
     "iterations.csv":
         "7af79cf0b2ba0df33ad87bd98c0fe5be978ba5f595c2c9962ecc89164ce8e45e",
     "summary.json":
-        "0a03133f1697de8f43122f482df38f1ebf2914ac182ed1634a688fcbe1f2b683",
+        "d3c304ee0a864690807b6eab8438a614ab39aafaa78275abacd35db5928ad018",
 }
 ORACLE_ARGS = ["oracle", "--n-iter", "30", "--seed", "2"]
 ORACLE_DIGEST = "e6cdea0a53bc1fa65a82693d211d3a97356bdf94281084ccedd65cbfeecd8610"

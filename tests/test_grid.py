@@ -135,6 +135,15 @@ class TestFailureModes:
         with pytest.raises(ConfigurationError, match="max_sweeps must be an integer"):
             solve_power_flow(two_bus(), {"b1": (20.0, 5.0)}, max_sweeps=max_sweeps)
 
+    @pytest.mark.parametrize("injection", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_injection_raises(self, injection):
+        # NaN compares False both ways: a solve must not read it as converged
+        with pytest.raises(PowerFlowError):
+            solve_power_flow(two_bus(), {"b1": injection})
+        topo, inj = random_radial_case(np.random.default_rng(3), n_buses=6)
+        with pytest.raises(PowerFlowError):
+            solve_power_flow(topo, dict(inj, b4=injection))
+
     def test_missing_injection_rejected(self):
         with pytest.raises(ConfigurationError, match="b1"):
             solve_power_flow(two_bus(), {})
@@ -214,6 +223,20 @@ class TestTopologyValidation:
             GridTopology([Bus("pcc"), Bus("b1")],
                          [Line("pcc", "b1", -0.1, 0.0, 100.0)],
                          pcc_bus="pcc")
+
+    @pytest.mark.parametrize("r, x, i_max", [
+        (math.nan, 0.0, 100.0), (0.1, math.nan, 100.0), (0.1, 0.0, math.nan)])
+    def test_nan_line_parameters_rejected(self, r, x, i_max):
+        with pytest.raises(ConfigurationError, match="needs"):
+            GridTopology([Bus("pcc"), Bus("b1")],
+                         [Line("pcc", "b1", r, x, i_max)],
+                         pcc_bus="pcc")
+
+    def test_nan_transformer_rating_rejected(self):
+        with pytest.raises(ConfigurationError, match="transformer_kva"):
+            GridTopology([Bus("pcc"), Bus("b1")],
+                         [Line("pcc", "b1", 0.1, 0.0, 100.0)],
+                         pcc_bus="pcc", transformer_kva=math.nan)
 
     @given(n_buses=st.integers(3, 9), seed=st.integers(0, 10_000))
     @example(n_buses=9, seed=5697)      # collapses to 0.428 pu at b5

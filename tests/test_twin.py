@@ -1,5 +1,7 @@
 """Cell twin: reference capture, offset evaluation, commit semantics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,17 @@ class TestCommit:
         assert not ev.feasible
         assert ev.n_violations == len(twin.topology.lines)
 
+
+    @pytest.mark.parametrize("offsets", [[math.nan, 0.0], [0.0, math.nan]])
+    def test_nan_offset_reports_failure(self, offsets):
+        # a NaN offset reaches the power flow, which must not call it solved
+        twin = CellTwin(make_toy_scenario())
+        ref = twin.run_warmup()
+        zero = fingerprint(twin.evaluate_dispatch(ref, np.zeros(2)))
+        ev = twin.evaluate_dispatch(ref, offsets)
+        assert ev.failure is not None
+        assert ev.feasible is False
+        assert fingerprint(twin.evaluate_dispatch(ref, np.zeros(2))) == zero
 
 class TestWarmup:
     def test_warmup_is_deterministic(self):
