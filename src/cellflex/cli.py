@@ -193,6 +193,7 @@ def _cmd_oracle(args):
         "oracle_of": oracle.of,
         "oracle_x": [float(v) for v in oracle.x],
         "oracle_evals": oracle.n_evals,
+        "oracle_points": oracle.n_points,
         "dispatcher_of": step.of,
         "dispatcher_x": [float(v) for v in step.offsets],
         "gap": step.of - oracle.of,

@@ -5,6 +5,21 @@ plants at a fixed resolution and evaluates every grid point through exactly
 the same twin-plus-objective path the Basin Hopping dispatcher uses.  Serves
 as an independent optimality reference: the dispatcher's objective on the
 same problem must not exceed the oracle's best by more than the grid gap.
+Each axis runs from the plant's lower offset bound in steps of the
+resolution, clipped to its upper bound.
+
+Points that cannot change the answer are not evaluated.  A plant's end state
+depends only on the snapshot it starts from and its own offset (the
+separability the incremental twin rests on), and an evaluation depends only
+on the plants' end states.  So before the product loop, one probe per axis
+point moves that plant alone from the first grid point, and each axis keeps
+only the first offset of every bit-identical end state of its plant (floats
+compared by their bits, so -0.0 differs from 0.0; a state that holds a NaN
+is never merged).  A skipped point then has a kept representative, earlier
+in product order, whose objective has the same bits; the strict ``of <
+best_of`` update never takes the later of two equal values, so the result
+is the one the full grid gives, bit for bit.  On the toy cell the battery's
+clamp merges 78 of its 161 offsets at the default 0.05 kW.
 """
 
 import itertools
@@ -21,7 +36,9 @@ from .twin import CellTwin
 __all__ = ["make_toy_scenario", "grid_search_oracle", "OracleResult"]
 
 _MAX_ORACLE_PLANTS = 3
-# about 25 s of evaluations on the toy cell; the default 0.05 grid has 5,957
+# at most ~17 s of evaluations on the toy cell (~17 us each on a 2-core
+# Xeon); the default 0.05 grid has 5,957 points, of which 3,071 are
+# evaluated after 198 single-plant probes
 _MAX_ORACLE_POINTS = 1_000_000
 
 
@@ -74,8 +91,15 @@ def make_toy_scenario():
 class OracleResult:
     of: float
     x: np.ndarray
-    n_evals: int
+    n_evals: int        # evaluate_dispatch calls made, probes included
+    n_points: int       # points of the offset grid
     resolution: float
+
+
+def _state_key(state):
+    """Bytes equal only for bit-identical plant states; None if a NaN is held."""
+    values = np.array(state, dtype=float)
+    return None if np.isnan(values).any() else values.tobytes()
 
 
 def grid_search_oracle(scenario, request, *, resolution=0.05):
@@ -107,17 +131,30 @@ def grid_search_oracle(scenario, request, *, resolution=0.05):
     axes = []
     for lo, hi in bounds:
         n = int(round((hi - lo) / resolution))
-        axes.append(lo + resolution * np.arange(n + 1))
+        axes.append(np.clip(lo + resolution * np.arange(n + 1), lo, hi))
+
+    # keep the first offset of each distinct end state of the axis's plant
+    kept_axes = []
+    for i, axis in enumerate(axes):
+        seen, kept = set(), []
+        for value in axis:
+            probe = [a[0] for a in axes]
+            probe[i] = value
+            twin.evaluate_dispatch(ref, probe)
+            key = _state_key(twin.plant_state(i))
+            if key is None or key not in seen:
+                seen.add(key)
+                kept.append(value)
+        kept_axes.append(kept)
 
     best_of = float("inf")
     best_x = None
-    n_evals = 0
-    for point in itertools.product(*axes):
+    for point in itertools.product(*kept_axes):
         x = np.array(point)
         of, _feasible = f(x)
-        n_evals += 1
         if of < best_of:
             best_of = of
             best_x = x
-    return OracleResult(of=best_of, x=best_x, n_evals=n_evals,
+    return OracleResult(of=best_of, x=best_x, n_evals=twin.n_evaluations,
+                        n_points=math.prod(map(len, axes)),
                         resolution=resolution)

@@ -252,6 +252,10 @@ class CellTwin:
         """Realized costed quantity per plant (P in kW; Q in kVAr for inverters)."""
         return np.array([getattr(plant, attr) for plant, attr in self._plant_values])
 
+    def plant_state(self, i):
+        """Plant i's current state tuple, as held in ``snapshot()[1][i]``."""
+        return self._plants[i].get_state()
+
     # ------------------------------------------------------------------
     # integration
 

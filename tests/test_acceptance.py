@@ -125,7 +125,8 @@ def test_3_matches_grid_search_oracle():
     ok = worst <= 1e-3
     report(3, ok,
            f"10 seeds vs exhaustive search (res 0.05 kW): worst gap "
-           f"{worst:+.2e} (allowed +1e-3); oracle OF {oracle.of:.6f}")
+           f"{worst:+.2e} (allowed +1e-3); oracle OF {oracle.of:.6f} from "
+           f"{oracle.n_evals:,} evaluations on {oracle.n_points:,} grid points")
     assert ok
 
 

@@ -232,7 +232,9 @@ class TestOracleCommand:
                      "--resolution", "0.1"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["gap"] <= 1e-3
-        assert report["oracle_evals"] > 0
+        # 81 battery by 19 inverter points; the battery's clamp merges some
+        assert report["oracle_points"] == 81 * 19
+        assert 0 < report["oracle_evals"] < report["oracle_points"]
 
     @pytest.mark.parametrize("flags, message", [
         (["--seed", "-1"], "seed must be None or an integer >= 0"),

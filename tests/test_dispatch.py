@@ -1,6 +1,8 @@
 """Continuous dispatch loop, technology shares, reporting, grid oracle."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from cellflex.dispatch import (
 )
 from cellflex.errors import ConfigurationError, DispatchError, PowerFlowError
 from cellflex.optimizer import BasinHoppingConfig, CostTable, FlexibilityRequest
-from cellflex.oracle import grid_search_oracle, make_toy_scenario
+from cellflex.oracle import _state_key, grid_search_oracle, make_toy_scenario
 from cellflex.reporting import (
     DISPATCH_COLUMNS,
     ITERATION_COLUMNS,
@@ -30,6 +32,10 @@ from cellflex.scenario import (
     scenario_to_dict,
 )
 from cellflex.twin import CellTwin
+from oracle_reference import brute_force_oracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import toy_requests  # noqa: E402
 
 TOY_REQUEST = FlexibilityRequest(1.0, 0.3)
 TOY_CONFIG = BasinHoppingConfig(n_iter=20, seed=6)
@@ -422,8 +428,69 @@ class TestOracle:
         result = grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
                                     resolution=0.5)
         # bes spans [-4, 4] in 17 points, inverter [-0.9, 0.9] in 5
-        assert result.n_evals == 17 * 5
+        assert result.n_points == 17 * 5
+        # one probe per axis point, then every inverter point against the 11
+        # battery offsets that leave distinct end states: -4.0 stands for
+        # -4.0..-2.0, 3.0 for 3.0..4.0, where the +-2 kW clamp saturates
+        assert result.n_evals == (17 + 5) + 11 * 5
         assert result.resolution == 0.5
+
+    @pytest.mark.parametrize("resolution", [0.5, 0.7])
+    def test_oracle_grid_stays_inside_the_offset_box(self, monkeypatch,
+                                                     resolution):
+        # 0.5 and 0.7 do not divide the inverter's span of 1.8 kVAr, so the
+        # unclipped axis would end at 1.1 and 1.2 kVAr
+        points = []
+        evaluate = CellTwin.evaluate_dispatch
+
+        def recording(twin, ref, offsets, record_trace=False):
+            points.append(np.array(offsets, dtype=float))
+            return evaluate(twin, ref, offsets, record_trace)
+
+        monkeypatch.setattr(CellTwin, "evaluate_dispatch", recording)
+        result = grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
+                                    resolution=resolution)
+        bounds = CellTwin(make_toy_scenario()).plant_bounds()
+        assert len(points) == result.n_evals
+        for x in (*points, result.x):
+            assert np.all((bounds[:, 0] <= x) & (x <= bounds[:, 1])), x
+        assert max(x[1] for x in points) == bounds[1, 1]
+
+    def test_oracle_merges_only_bit_identical_plant_states(self):
+        assert _state_key((0.5, 1.0, False)) == _state_key((0.5, 1.0, False))
+        assert _state_key((0.0, 1.0, False)) != _state_key((-0.0, 1.0, False))
+        assert _state_key((0.5, 1.0, False)) != _state_key((0.5, 1.0, True))
+        assert _state_key((math.nan, 1.0, False)) is None
+
+    @pytest.mark.parametrize("request_index", range(4))
+    def test_oracle_matches_brute_force_on_toy_requests(self, request_index):
+        request, _seed = toy_requests(3, 4)[request_index]
+        result = grid_search_oracle(make_toy_scenario(), request)
+        of, x, n_points = brute_force_oracle(make_toy_scenario(), request, 0.05)
+        assert result.of.hex() == of.hex()
+        assert result.x.tobytes() == x.tobytes()
+        assert result.n_points == n_points == 161 * 37
+        assert result.n_evals < n_points
+
+    @pytest.mark.parametrize("plant", [
+        pytest.param({"ehp": {"p_el_max_kw": 3.0, "p_element_kw": 2.0,
+                              "storage_kwh_per_k": 0.4, "t0_c": 45.0}},
+                     id="heat_pump"),
+        pytest.param({"bevs": [{"capacity_kwh": 40.0, "p_rated_kw": 3.7,
+                                "soc0": 0.5}]},
+                     id="ev"),
+    ])
+    def test_oracle_matches_brute_force_on_a_three_plant_cell(self, plant):
+        data = scenario_to_dict(make_toy_scenario())
+        data["prosumers"][0].update(plant)
+        scenario = scenario_from_dict(data)
+        result = grid_search_oracle(scenario, TOY_REQUEST, resolution=0.5)
+        of, x, n_points = brute_force_oracle(scenario, TOY_REQUEST, 0.5)
+        assert len(x) == 3
+        assert result.of.hex() == of.hex()
+        assert result.x.tobytes() == x.tobytes()
+        assert result.n_points == n_points
+        assert result.n_evals < n_points
 
     def test_optimizer_matches_oracle_single_seed(self):
         oracle = grid_search_oracle(make_toy_scenario(), TOY_REQUEST)

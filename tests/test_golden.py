@@ -34,7 +34,7 @@ BES_SOC_DIGESTS = {
         "d3c304ee0a864690807b6eab8438a614ab39aafaa78275abacd35db5928ad018",
 }
 ORACLE_ARGS = ["oracle", "--n-iter", "30", "--seed", "2"]
-ORACLE_DIGEST = "e6cdea0a53bc1fa65a82693d211d3a97356bdf94281084ccedd65cbfeecd8610"
+ORACLE_DIGEST = "f344f3d5c0836730e93ee4aa35f4c9af0eb628e704811d60f1cfe0446636bcd9"
 
 
 def _sha256(data):

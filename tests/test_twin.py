@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellflex.errors import ConfigurationError, PowerFlowError
 from cellflex.oracle import make_toy_scenario
@@ -336,6 +338,124 @@ class TestIncrementalEvaluation:
             if bes_soc is not None:
                 assert kept.tobytes() == values2.tobytes(), twin.plant_labels[j]
                 assert kept_states == states2, twin.plant_labels[j]
+
+
+@st.composite
+def small_cells(draw):
+    """Scenario dicts built like ``make_toy_scenario``: two or three
+    controllable plants of distinct kinds (battery, heat pump, EV, PV
+    inverter) spread over one to three prosumers on a stub feeder, every
+    value inside ``scenario.schema.json``.  Power limits and SOCs stay off
+    zero and full, so that a plant can answer its offset; otherwise a
+    coupling between plants would rarely show."""
+    kinds = draw(st.lists(st.sampled_from(("bes", "ehp", "bev", "pv")),
+                          min_size=2, max_size=3, unique=True))
+    n_pro = draw(st.integers(1, len(kinds)))
+    owners = [draw(st.integers(0, n_pro - 1)) for _ in kinds]
+    prosumers = []
+    for k in range(n_pro):
+        kinds_here = {kind for kind, owner in zip(kinds, owners) if owner == k}
+        pro = {"id": f"p{k}", "bus": f"h{k}", "bevs": [], "household": {
+            "p_base_kw": draw(st.floats(0.0, 2.0)),
+            "p_morning_kw": draw(st.floats(0.0, 2.0)),
+            "p_evening_kw": draw(st.floats(0.0, 2.0)),
+            "tan_phi": draw(st.floats(0.0, 0.5)),
+            "heat_ua_kw_per_k": draw(st.floats(0.0, 0.2)),
+            "heat_base_kw": draw(st.floats(0.0, 1.0))}}
+        if "pv" in kinds_here:
+            pro["pv"] = {"s_rated_kva": draw(st.floats(0.5, 10.0)),
+                         "p_peak_kwp": draw(st.floats(0.0, 10.0)),
+                         "q_fraction_limit": draw(st.floats(0.05, 1.0))}
+        if "bes" in kinds_here:
+            pro["bes"] = {"capacity_kwh": draw(st.floats(0.5, 20.0)),
+                          "p_max_charge_kw": draw(st.floats(0.5, 6.0)),
+                          "p_max_discharge_kw": draw(st.floats(0.5, 6.0)),
+                          "soc0": draw(st.floats(0.05, 0.95)),
+                          "time_constant_s": draw(st.floats(0.5, 10.0))}
+        if "ehp" in kinds_here:
+            t_on = draw(st.floats(35.0, 45.0))
+            pro["ehp"] = {"p_el_max_kw": draw(st.floats(0.5, 5.0)),
+                          "p_element_kw": draw(st.floats(0.0, 6.0)),
+                          "storage_kwh_per_k": draw(st.floats(0.1, 1.0)),
+                          "t_on_c": t_on,
+                          "t_off_c": t_on + draw(st.floats(1.0, 5.0)),
+                          "t0_c": draw(st.floats(35.0, 90.0)),
+                          "heating0": draw(st.booleans())}
+        if "bev" in kinds_here:
+            depart = draw(st.floats(0.0, 22.0))
+            pro["bevs"].append({
+                "capacity_kwh": draw(st.floats(10.0, 80.0)),
+                "p_rated_kw": draw(st.floats(1.0, 11.0)),
+                "v2g": draw(st.booleans()),
+                "soc0": draw(st.floats(0.0, 1.0)),
+                "trips": [{"depart_hour": depart,
+                           "return_hour": depart + draw(st.floats(0.5, 2.0)),
+                           "energy_kwh": draw(st.floats(0.0, 10.0))}]})
+        prosumers.append(pro)
+    r_ohm = draw(st.lists(st.floats(0.005, 0.1), min_size=n_pro, max_size=n_pro))
+    return {
+        "name": "generated",
+        "topology": {
+            "pcc_bus": "pcc",
+            "transformer_kva": 100.0,
+            "buses": [{"id": "pcc"}] + [{"id": f"h{k}"} for k in range(n_pro)],
+            "lines": [{"from": "pcc", "to": f"h{k}", "r_ohm": r,
+                       "x_ohm": 0.4 * r, "i_max_a": 270.0}
+                      for k, r in enumerate(r_ohm)],
+        },
+        "weather": {
+            "ambient_mean_c": draw(st.floats(-10.0, 20.0)),
+            "ambient_swing_c": draw(st.floats(0.0, 6.0)),
+            "irradiance_peak_w_m2": draw(st.floats(0.0, 1000.0)),
+            "sunrise_hour": 8.0,
+            "sunset_hour": 16.0,
+        },
+        "simulation": {
+            "start": f"2023-01-16T{draw(st.integers(0, 23)):02d}:00:00",
+            "internal_dt_s": draw(st.sampled_from([1.0, 5.0, 15.0])),
+            "dispatch_step_s": 15.0,
+            "warmup_s": 7200.0,
+            "profile_back_days": 1.0,
+            "profile_forward_days": 1.0,
+        },
+        "prosumers": prosumers,
+    }
+
+
+def _state_bits(states):
+    return [np.array(state, dtype=float).tobytes() for state in states]
+
+
+class TestGeneratedCells:
+    @given(cell=small_cells(), seed=st.integers(0, 2**32 - 1))
+    def test_each_plant_depends_only_on_its_own_offset(self, cell, seed):
+        # changing every other coordinate leaves plant j's value and state
+        # bit-equal, and the evaluation of x right after x1, which keeps
+        # plant j and every plant whose new offset lies on its clamp ray,
+        # matches a full re-integration of x
+        twin = CellTwin(scenario_from_dict(cell))
+        ref = twin.run_warmup()
+        bounds = twin.plant_bounds()
+        rng = np.random.default_rng(seed)
+
+        def integrated(x):
+            twin.restore(ref.snapshot)      # re-integrates every plant
+            ev = twin.evaluate_dispatch(ref, x)
+            return ev.plant_values, _state_bits(twin.snapshot()[1])
+
+        for j in range(twin.n_plants):
+            for x1, x in rng.uniform(bounds[:, 0], bounds[:, 1],
+                                     size=(3, 2, twin.n_plants)):
+                x[j] = x1[j]
+                values1, states1 = integrated(x1)
+                kept = twin.evaluate_dispatch(ref, x).plant_values
+                kept_states = _state_bits(twin.snapshot()[1])
+                values, states = integrated(x)
+                label = twin.plant_labels[j]
+                assert values[j].tobytes() == values1[j].tobytes(), label
+                assert states[j] == states1[j], label
+                assert kept.tobytes() == values.tobytes(), label
+                assert kept_states == states, label
 
 
 class TestCommit:
