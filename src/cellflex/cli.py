@@ -60,8 +60,8 @@ def _add_optimizer_flags(parser):
     parser.add_argument("--n-iter", type=int, default=50,
                         help="Basin Hopping iterations per dispatch step, at "
                              "most; Basin Hopping refines the step's start "
-                             "(step 0's merit-order dispatch or the previous "
-                             "step's offsets, then an exchange pass) "
+                             "(an exchange pass from zero offsets on step 0, "
+                             "from the previous step's offsets later) "
                              f"and stops after {STALL_ITERATIONS} iteration(s) "
                              "in a row without a better candidate")
     parser.add_argument("--step-size", type=float, default=1.0)

@@ -2,31 +2,28 @@
 
 ``run_dispatch`` checks that the run fits the scenario's profile window,
 captures the pre-request reference state, then for each 15 s dispatch step
-builds a start vector in two phases, refines it with one Basin Hopping (BH)
-round over the plant-offset vector, scored by ``single_step_objective`` (the
-same objective the grid-search oracle minimizes), commits the best found
-vector to the twin and records the realized PCC reading, per-class shares and
-cost.  The start vector is evaluated as BH iteration 0 and becomes the first
-incumbent, and a step's search stops after ``STALL_ITERATIONS`` (1)
-iteration without a better candidate: BH runs one Nelder-Mead refinement of
-the start and goes on only while it keeps finding better candidates.
+builds a start vector with the exchange pass, refines it with one Basin
+Hopping (BH) round over the plant-offset vector, scored by
+``single_step_objective`` (the same objective the grid-search oracle
+minimizes), commits the best found vector to the twin and records the
+realized PCC reading, per-class shares and cost.  The start vector is
+evaluated as BH iteration 0 and becomes the first incumbent, and a step's
+search stops after ``STALL_ITERATIONS`` (1) iteration without a better
+candidate: BH runs one Nelder-Mead refinement of the start and goes on only
+while it keeps finding better candidates.
 
-Phase 1 is a merit-order dispatch (``merit_order_start``), the classical
+The exchange pass (``exchange_pass``) starts step 0 from zero offsets and
+every later step from the carry, the previous step's committed offsets,
+which track precisely while plant states drift slowly.  It is classical
 economic dispatch: a plant's realized power depends only on its own offset,
-so the plant cost is separable and, losses and lags aside, the cheapest
-dispatch fills the request in ascending order of the cost weights.  A few
-re-evaluated passes absorb the losses and lags.  Only step 0 builds it:
-every later step starts from the carry, the previous step's committed
-offsets, which track precisely while plant states drift slowly.  Either
-start goes on to phase 2, the exchange pass (``exchange_pass``), which
-re-fits it to the step's plant states.  The objective is an L1
-plant cost plus an L1 tracking term, and every plant weight is below the
-tracking weight, so its linear relaxation is solved greedily in order of
-signed marginal cost (equal incremental cost).  The exchange brings the
-costly plants' realized deviations back to zero and refills the PCC error
-from the cheapest capacity, counting a move that shrinks a deviation as a
-saving.  Most of its evaluations move one plant, which the incremental twin
-re-integrates alone.
+so the plant cost is separable.  The objective is an L1 plant cost plus an
+L1 tracking term, and every plant weight is below the tracking weight, so
+its linear relaxation is solved greedily in order of signed marginal cost
+(equal incremental cost).  The exchange brings the costly plants' realized
+deviations back to zero and refills the PCC error from the cheapest
+capacity, counting a move that shrinks a deviation as a saving; re-evaluated
+passes absorb losses and plant lags.  Most of its evaluations move one
+plant, which the incremental twin re-integrates alone.
 
 Per-class shares: share_x = (sum of realized deviations of class x) divided by
 the requested change (active classes against dP, inverter reactive against
@@ -54,14 +51,12 @@ from .twin import CellTwin
 log = logging.getLogger("cellflex.dispatch")
 
 __all__ = ["StepRecord", "DispatchRun", "run_dispatch", "single_step_objective",
-           "technology_shares", "merit_order_start", "exchange_pass",
+           "technology_shares", "exchange_pass",
            "STALL_ITERATIONS"]
 
 # BH iterations in a row without a better candidate that end a dispatch step
 STALL_ITERATIONS = 1
-# re-evaluated merit-order passes; later passes absorb losses and lags
-_MERIT_PASSES = 3
-_P_TOL_KW = 1e-6                # active power (kW) that counts as zero
+_ZERO_TOL = 1e-6                # power (kW or kVAr) that counts as zero
 _CORRECTIONS = 4                # exchange: corrections that drive one δ_i to 0
 _REFILL_PASSES = 6              # exchange: passes that refill the PCC error
 # share key of each plant class
@@ -132,78 +127,34 @@ def single_step_objective(twin, ref, request, costs: CostTable):
     return f, twin.plant_bounds()
 
 
-def merit_order_start(twin, ref, request, costs: CostTable):
-    """Offsets that fill ``request`` from ``ref`` in merit order of cost.
-
-    Starting from zero offsets, each pass walks the active-power plants
-    (every class but ``inv``) in ascending cost weight, ties in plant-table
-    order.  Each plant's offset takes the remaining PCC active-power error,
-    clipped to its bounds; the move is kept if the evaluation solved and the
-    plant's realized value changed (a saturated plant passes the error on).
-    The pass ends once the error is below 1e-6 kW; the remaining reactive
-    error is then split evenly over the inverters, clipped, and kept if it
-    shrank.  ``_MERIT_PASSES`` passes absorb losses and plant lags.
-    """
-    weights = costs.weights_for(twin.plant_classes)
-    bounds = twin.plant_bounds()
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    p_target = ref.pcc_p_kw + request.dp_kw
-    q_target = ref.pcc_q_kvar + request.dq_kvar
-    classes = twin.plant_classes
-    inv = [i for i, c in enumerate(classes) if c == "inv"]
-    merit = [i for i in np.argsort(weights, kind="stable") if classes[i] != "inv"]
-
-    x = np.zeros(twin.n_plants)
-    ev = twin.evaluate_dispatch(ref, x)
-    if ev.failure is not None:
-        return x
-    for _ in range(_MERIT_PASSES):
-        for i in merit:
-            dp_err = p_target - ev.pcc_p_kw
-            if abs(dp_err) < _P_TOL_KW:
-                break
-            trial = x.copy()
-            trial[i] = min(max(x[i] + dp_err, lo[i]), hi[i])
-            if trial[i] == x[i]:
-                continue
-            ev_trial = twin.evaluate_dispatch(ref, trial)
-            if (ev_trial.failure is None
-                    and ev_trial.plant_values[i] != ev.plant_values[i]):
-                x, ev = trial, ev_trial
-        if inv:
-            dq_err = q_target - ev.pcc_q_kvar
-            trial = x.copy()
-            trial[inv] = np.clip(x[inv] + dq_err / len(inv), lo[inv], hi[inv])
-            ev_trial = twin.evaluate_dispatch(ref, trial)
-            if (ev_trial.failure is None
-                    and abs(q_target - ev_trial.pcc_q_kvar) < abs(dq_err)):
-                x, ev = trial, ev_trial
-    return x
-
-
 def exchange_pass(twin, ref, request, costs: CostTable, x):
     """``x`` improved by exchanging costly deviations for cheap ones.
 
-    The merit walk fills the request by offsets, so leftover error and plant
-    drift land on whichever plant responds.  The exchange works on realized
-    deviations δ_i instead, in three stages:
+    Works on realized deviations δ_i rather than on offsets, so leftover
+    error and plant drift in ``x`` (zero offsets, or the carry) do not stay
+    on whichever plant responds.  Two stages:
 
     1. walk the active-power plants in descending cost weight, ties in
        plant-table order, and drive each one's δ_i toward 0 with up to
        ``_CORRECTIONS`` corrections ``x_i -= δ_i``, clipped to its bounds,
        until |δ_i| < 1e-6 kW; a correction is kept if the evaluation solved
        and |δ_i| shrank;
-    2. refill the remaining PCC active-power error in ascending signed
-       marginal cost: moving plant j costs -k_j while the move shrinks |δ_j|
-       (at most down to δ_j = 0) and +k_j beyond, ties in plant-table order.
-       A move is kept if it lowers the objective (feasible first).  A pass
-       ends when the error changes sign; the next one re-sorts the moves.
-       Line losses make a move return more than itself at the PCC (~1.06 kW
-       per kW for the battery a +5 kW request loads on the bundled cell), so
-       each pass leaves a few percent of the error before it;
-       ``_REFILL_PASSES`` passes bring that case below 1e-5 kW;
-    3. split the reactive error evenly over the inverters again, kept if it
-       lowers the objective.
+    2. up to ``_REFILL_PASSES`` passes, each of which
+       a. refills the remaining PCC active-power error in ascending signed
+          marginal cost: moving plant j costs -k_j while the move shrinks
+          |δ_j| (at most down to δ_j = 0) and +k_j beyond, ties in
+          plant-table order.  A move is kept if it lowers the objective
+          (feasible first).  The refill ends when the error changes sign;
+          the next pass re-sorts the moves.  Line losses make a move return
+          more than itself at the PCC (~1.06 kW per kW for the battery a
+          +5 kW request loads on the bundled cell), so each pass leaves a
+          few percent of the error before it, and ``_REFILL_PASSES`` passes
+          bring that case below 1e-5 kW;
+       b. splits the reactive error evenly over the inverters, clipped to
+          their bounds, kept if it lowers the objective; skipped when the
+          error is below 1e-6 kVAr or the clipped split leaves ``x`` as is.
+       The passes end after one that leaves the active-power error below
+       1e-6 kW without moving the inverters.
 
     Returns the exchanged offsets if they score better than ``x`` (feasible
     first, then lower objective), else ``x`` unchanged.
@@ -229,7 +180,7 @@ def exchange_pass(twin, ref, request, costs: CostTable, x):
     for i in active:
         for _ in range(_CORRECTIONS):
             d = ev.plant_values[i] - ref_values[i]
-            if abs(d) < _P_TOL_KW:
+            if abs(d) < _ZERO_TOL:
                 break
             trial = x.copy()
             trial[i] = min(max(x[i] - d, lo[i]), hi[i])
@@ -243,17 +194,14 @@ def exchange_pass(twin, ref, request, costs: CostTable, x):
 
     of, feas = score(ev)
     for _ in range(_REFILL_PASSES):
-        dp_err = p_target - ev.pcc_p_kw
-        if abs(dp_err) < _P_TOL_KW:
-            break
-        sign = math.copysign(1.0, dp_err)
+        sign = math.copysign(1.0, p_target - ev.pcc_p_kw)
         deltas = ev.plant_values - ref_values
         moves = sorted([(weights[j], j, math.inf) for j in active]
                        + [(-weights[j], j, abs(deltas[j])) for j in active
-                          if sign * deltas[j] <= -_P_TOL_KW])
+                          if sign * deltas[j] <= -_ZERO_TOL])
         for _cost, j, room in moves:
             dp_err = p_target - ev.pcc_p_kw
-            if abs(dp_err) < _P_TOL_KW or sign * dp_err < 0.0:
+            if abs(dp_err) < _ZERO_TOL or sign * dp_err < 0.0:
                 break
             trial = x.copy()
             trial[j] = min(max(x[j] + sign * min(abs(dp_err), room), lo[j]), hi[j])
@@ -264,13 +212,19 @@ def exchange_pass(twin, ref, request, costs: CostTable, x):
             if (feas_trial, -of_trial) > (feas, -of):
                 x, ev, of, feas = trial, ev_trial, of_trial, feas_trial
 
-    if inv:
-        trial = x.copy()
-        trial[inv] = np.clip(x[inv] + (q_target - ev.pcc_q_kvar) / len(inv),
-                             lo[inv], hi[inv])
-        of_trial, feas_trial = score(twin.evaluate_dispatch(ref, trial))
-        if (feas_trial, -of_trial) > (feas, -of):
-            x, of, feas = trial, of_trial, feas_trial
+        split = False
+        dq_err = q_target - ev.pcc_q_kvar
+        if inv and abs(dq_err) >= _ZERO_TOL:
+            trial = x.copy()
+            trial[inv] = np.clip(x[inv] + dq_err / len(inv), lo[inv], hi[inv])
+            if not np.array_equal(trial, x):
+                ev_trial = twin.evaluate_dispatch(ref, trial)
+                of_trial, feas_trial = score(ev_trial)
+                if (feas_trial, -of_trial) > (feas, -of):
+                    x, ev, of, feas = trial, ev_trial, of_trial, feas_trial
+                    split = True
+        if abs(p_target - ev.pcc_p_kw) < _ZERO_TOL and not split:
+            break
 
     return x if (feas, -of) > (feas_in, -of_in) else x_in
 
@@ -293,7 +247,7 @@ class StepRecord:
     plant_cost: float              # same in OF units
     pcc_cost: float
     penalty: float
-    start_evals: int               # start evaluations: merit (step 0), exchange
+    start_evals: int               # exchange-pass evaluations of the start
     n_evals: int                   # Basin Hopping evaluations of the step
     iterations: list = field(default_factory=list)
     trace: dict | None = None
@@ -354,10 +308,9 @@ def run_dispatch(scenario, request, *, n_steps,
              config.temperature, config.n_iter, config.seed)
 
     steps = []
+    x = np.zeros(twin.n_plants)    # step 0 starts from zero offsets
     for k in range(n_steps):
         n_evals_before = twin.n_evaluations
-        if k == 0:                 # the only step without a carry
-            x = merit_order_start(twin, ref, request, costs)
         x = exchange_pass(twin, ref, request, costs, x)
         start_evals = twin.n_evaluations - n_evals_before
         f, _ = single_step_objective(twin, ref, request, costs)

@@ -95,10 +95,11 @@ class FlexibilityRequest:
     dq_kvar: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.dp_kw) and math.isfinite(self.dq_kvar)):
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                   for v in (self.dp_kw, self.dq_kvar)):
             raise ConfigurationError(
-                f"flexibility request must be finite, got dp_kw={self.dp_kw}, "
-                f"dq_kvar={self.dq_kvar}")
+                f"flexibility request must be finite numbers, got "
+                f"dp_kw={self.dp_kw!r}, dq_kvar={self.dq_kvar!r}")
 
 
 @dataclass(frozen=True)

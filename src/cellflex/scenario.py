@@ -23,6 +23,7 @@ import inspect
 import json
 import logging
 import math
+import numbers
 import operator
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime
@@ -209,10 +210,11 @@ class Scenario:
         return d.hour * 3600.0 + d.minute * 60.0 + d.second
 
     def check_horizon(self, n_steps):
-        """Raise ConfigurationError unless ``n_steps`` is at least one step and
-        the steps fit the profile window."""
-        if n_steps < 1:
-            raise ConfigurationError(f"the run needs at least 1 step, got {n_steps}")
+        """Raise ConfigurationError unless ``n_steps`` is an integer of at least
+        one step and the steps fit the profile window."""
+        if not (isinstance(n_steps, numbers.Integral) and n_steps >= 1):
+            raise ConfigurationError(
+                f"the run needs a whole number of at least 1 step, got {n_steps!r}")
         sim = self.simulation
         horizon_s = n_steps * sim.dispatch_step_s
         window_s = sim.profile_forward_days * 86400.0

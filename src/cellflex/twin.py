@@ -299,9 +299,10 @@ class CellTwin:
     # snapshots
 
     def snapshot(self):
+        # list comprehensions, not generators: see solve_power_flow in grid.py
         return (self.t_s,
-                tuple(plant.get_state() for plant in self._plants),
-                tuple((pro.p_kw, pro.q_kvar) for pro in self.prosumers))
+                tuple([plant.get_state() for plant in self._plants]),
+                tuple([(pro.p_kw, pro.q_kvar) for pro in self.prosumers]))
 
     def restore(self, snap, stale=None):
         """Restore `snap`; with `stale`, only the flagged plants and the clock."""

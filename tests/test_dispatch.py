@@ -10,7 +10,6 @@ import pytest
 from cellflex.dispatch import (
     DispatchRun,
     exchange_pass,
-    merit_order_start,
     run_dispatch,
     single_step_objective,
     technology_shares,
@@ -108,6 +107,18 @@ class TestHorizon:
             run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=0,
                          config=TOY_CONFIG)
 
+    @pytest.mark.parametrize("n_steps", [2.5, math.nan])
+    def test_non_integer_steps_rejected_before_warmup(self, monkeypatch,
+                                                      n_steps):
+        def fail(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+        with pytest.raises(ConfigurationError,
+                           match=f"at least 1 step, got {n_steps!r}"):
+            run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=n_steps,
+                         config=TOY_CONFIG)
+
 
 class TestToyTracking:
     def test_tracks_request_every_step(self, toy_run):
@@ -129,41 +140,30 @@ class TestToyTracking:
             assert st.shares["bev"] == 0.0
 
     def test_warm_start_contract(self, toy_run):
-        # step 0 starts from the merit-order dispatch refined by the exchange
-        # pass: its iteration-0 objective is at most the merit start's, far
-        # below the pure PCC mismatch cost of the zero vector; later steps
-        # start from the carry, exchanged
+        # step 0 starts from zero offsets exchanged, later steps from the
+        # carry exchanged: every iteration-0 objective lies far below the
+        # pure PCC mismatch cost of the zero vector
         c = CostTable()
         cold = c.k_pcc_p * abs(TOY_REQUEST.dp_kw) \
             + c.k_pcc_q * abs(TOY_REQUEST.dq_kvar)
-        twin = CellTwin(make_toy_scenario())
-        ref = twin.run_warmup()
-        f, _ = single_step_objective(twin, ref, TOY_REQUEST, c)
-        merit_of, _ = f(merit_order_start(twin, ref, TOY_REQUEST, c))
         x0 = [s.iterations[0].of_local for s in toy_run.steps]
-        assert x0[0] <= merit_of
         assert x0[0] < 0.1 * cold
         assert x0[1] < 0.1 * cold
         assert x0[2] < 0.1 * cold
 
-    def test_merit_order_starts_step_0_and_the_carry_every_later_step(
+    def test_each_step_exchanges_once_from_zeros_or_the_carry(
             self, monkeypatch):
-        merit_calls, exchanged = [], []
-
-        def counted_merit(*args):
-            merit_calls.append(1)
-            return merit_order_start(*args)
+        exchanged = []
 
         def recorded_exchange(twin, ref, request, costs, x):
             exchanged.append(np.array(x, copy=True))
             return exchange_pass(twin, ref, request, costs, x)
 
-        monkeypatch.setattr("cellflex.dispatch.merit_order_start", counted_merit)
         monkeypatch.setattr("cellflex.dispatch.exchange_pass", recorded_exchange)
         run = run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=3,
                            config=TOY_CONFIG)
-        assert len(merit_calls) == 1
         assert len(exchanged) == 3
+        assert np.array_equal(exchanged[0], np.zeros(len(run.plant_labels)))
         for k in (1, 2):
             assert np.array_equal(exchanged[k], run.steps[k - 1].offsets)
 
@@ -278,6 +278,9 @@ class TestReporting:
 
 
 class TestMeritOrderStart:
+    """Step 0's start, the exchange pass from zero offsets, fills the request
+    in merit order: the cheapest active-power plant moves first."""
+
     @pytest.mark.parametrize("scenario, request_", [
         (make_toy_scenario, TOY_REQUEST),
         (load_bundled_scenario, FlexibilityRequest(5.0, 1.0)),
@@ -295,9 +298,9 @@ class TestMeritOrderStart:
             return evaluate(ref_, offsets, record_trace)
 
         twin.evaluate_dispatch = counted
-        x = merit_order_start(twin, ref, request_, costs)
+        x = exchange_pass(twin, ref, request_, costs, np.zeros(twin.n_plants))
         assert len(evaluated) <= 40
-        assert not evaluated[0].any()          # the walk starts from zeros
+        assert not evaluated[0].any()          # the exchange starts from zeros
         moved = np.flatnonzero(evaluated[1])
         weights = costs.weights_for(twin.plant_classes)
         p_weights = [w for w, c in zip(weights, twin.plant_classes)
@@ -328,7 +331,7 @@ class TestExchangePass:
             ref = twin.capture_reference()
         costs = CostTable()
         f, bounds = single_step_objective(twin, ref, request_, costs)
-        x0 = merit_order_start(twin, ref, request_, costs)
+        x0 = np.zeros(twin.n_plants)
         of0, _ = f(x0)
         calls = []
         evaluate = twin.evaluate_dispatch
@@ -351,12 +354,13 @@ class TestExchangePass:
         assert abs(ev.pcc_q_kvar - ref.pcc_q_kvar - request_.dq_kvar) <= 0.05
 
     def test_returns_the_input_when_nothing_improves(self):
-        # on the toy cell the exchange finds nothing better than the merit
-        # start, and hands back the vector it was given
+        # on the toy cell a second exchange finds nothing better than the
+        # first one's result, and hands back the vector it was given
         twin = CellTwin(make_toy_scenario())
         ref = twin.run_warmup()
         costs = CostTable()
-        x0 = merit_order_start(twin, ref, TOY_REQUEST, costs)
+        x0 = exchange_pass(twin, ref, TOY_REQUEST, costs,
+                           np.zeros(twin.n_plants))
         assert exchange_pass(twin, ref, TOY_REQUEST, costs, x0) is x0
 
 

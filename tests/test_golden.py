@@ -17,24 +17,24 @@ DISPATCH_ARGS = ["dispatch", "--dp-kw", "5", "--dq-kvar", "1", "--steps", "2",
                  "--n-iter", "10", "--seed", "5"]
 DISPATCH_DIGESTS = {
     "dispatch.csv":
-        "e1f653f7edd94a24e82c1e9098e5e0e3deefb30d58fbae136e02fa4a7d49de92",
+        "489f4047098cd06ad627c0abf3c2dfc574e8e4150d934e7f75a6bf01dee2864c",
     "iterations.csv":
-        "aedc634fe22aa3b1030347ab67c82da406128de962338255279a509683283218",
+        "5bad6a572001b147ecbf55f103d0e5d4af9d70beafea139b9aa1401275e3c47a",
     "summary.json":
-        "74f6292c7e6ec991a2b713fae7aebf9c5a0af10e44295c443d8fd6ec8e65df08",
+        "022f8476cf76ff54251a50a7e092ce82c43537f7cc7c73305c02857acfe05ef1",
 }
 BES_SOC_ARGS = ["dispatch", "--dp-kw", "-5", "--dq-kvar", "-1", "--steps", "2",
                 "--n-iter", "5", "--seed", "5", "--bes-soc", "0.04"]
 BES_SOC_DIGESTS = {
     "dispatch.csv":
-        "21e45a230de9ea43b8825b4827b042e5cbe4d0d14f4d05c20d5d583021b9492d",
+        "07f7a3bee16ea426e035de8ab237300d89225e37613c0e9c87b102d6ad9f77a4",
     "iterations.csv":
-        "7af79cf0b2ba0df33ad87bd98c0fe5be978ba5f595c2c9962ecc89164ce8e45e",
+        "3608a2b3371a90e0778223b2ed9a433d6767250c88e669154dca8431e1afe581",
     "summary.json":
-        "d3c304ee0a864690807b6eab8438a614ab39aafaa78275abacd35db5928ad018",
+        "4297fc17f6b6745d7c5438e1c807c905f48be4db6cd356f95bba9d75bab23fe9",
 }
 ORACLE_ARGS = ["oracle", "--n-iter", "30", "--seed", "2"]
-ORACLE_DIGEST = "f344f3d5c0836730e93ee4aa35f4c9af0eb628e704811d60f1cfe0446636bcd9"
+ORACLE_DIGEST = "54c4a8e5d3812fdf4030347ebc3a389190b3b977d5763976b7d9535748ef057c"
 
 
 def _sha256(data):

@@ -342,7 +342,8 @@ class TestBasinHopping:
             BasinHoppingConfig(**kwargs)
 
     @pytest.mark.parametrize("dp, dq", [(math.nan, 0.0), (0.0, math.nan),
-                                        (math.inf, 0.0), (0.0, -math.inf)])
+                                        (math.inf, 0.0), (0.0, -math.inf),
+                                        ("1", 0.0), (0.0, None)])
     def test_request_must_be_finite(self, dp, dq):
         with pytest.raises(ConfigurationError, match="must be finite"):
             FlexibilityRequest(dp, dq)
