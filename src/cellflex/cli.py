@@ -54,18 +54,21 @@ def _add_common(parser):
 
 
 def _add_optimizer_flags(parser):
+    defaults = BasinHoppingConfig()
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--t-bh", type=float, default=0.5,
+    parser.add_argument("--t-bh", type=float, default=defaults.temperature,
                         help="Basin Hopping temperature")
-    parser.add_argument("--n-iter", type=int, default=50,
+    parser.add_argument("--n-iter", type=int, default=defaults.n_iter,
                         help="Basin Hopping iterations per dispatch step, at "
                              "most; Basin Hopping refines the step's start "
                              "(an exchange pass from zero offsets on step 0, "
                              "from the previous step's offsets later) "
                              f"and stops after {STALL_ITERATIONS} iteration(s) "
                              "in a row without a better candidate")
-    parser.add_argument("--step-size", type=float, default=1.0)
-    parser.add_argument("--nm-maxfev", type=int, default=200)
+    parser.add_argument("--step-size", type=float, default=defaults.step_size)
+    parser.add_argument("--nm-maxfev", type=int, default=defaults.nm.maxfev,
+                        help="Nelder-Mead evaluations per Basin Hopping "
+                             "iteration, at most (default %(default)s)")
 
 
 def _config(args, temperature=None):

@@ -10,7 +10,8 @@ realized PCC reading, per-class shares and cost.  The start vector is
 evaluated as BH iteration 0 and becomes the first incumbent, and a step's
 search stops after ``STALL_ITERATIONS`` (1) iteration without a better
 candidate: BH runs one Nelder-Mead refinement of the start and goes on only
-while it keeps finding better candidates.
+while it keeps finding better candidates.  Each refinement spends at most
+``NelderMeadSettings.maxfev`` evaluations (40 by default, see there).
 
 The exchange pass (``exchange_pass``) starts step 0 from zero offsets and
 every later step from the carry, the previous step's committed offsets,

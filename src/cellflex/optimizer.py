@@ -12,8 +12,9 @@ where delta_i is the realized plant power minus its frozen reference value and
 the targets are the frozen reference PCC reading plus the requested change.
 
 Basin Hopping: each iteration perturbs the incumbent uniformly within the
-current step size, runs a budgeted Nelder-Mead refinement and accepts the
-result via the Metropolis criterion (worsening moves pass with probability
+current step size, runs a Nelder-Mead refinement of at most
+``NelderMeadSettings.maxfev`` evaluations and accepts the result via the
+Metropolis criterion (worsening moves pass with probability
 exp(-delta/T)).  Every ``ADJUST_INTERVAL`` (10) iterations the step size is
 scaled to steer the acceptance rate toward ``TARGET_ACCEPTANCE`` (50 %):
 divided by ``ADJUST_FACTOR`` (0.9) when acceptance was above target (bolder
@@ -156,9 +157,16 @@ def adapt_step_size(step_size, n_accepted, interval):
 
 @dataclass(frozen=True)
 class NelderMeadSettings:
+    """Tolerances and evaluation budget of one Nelder-Mead call.
+
+    ``maxfev`` counts the initial simplex: in d dimensions its d + 1
+    vertices come first, so on the bundled 38-plant cell the default 40 is
+    the simplex plus one reflection.  A larger budget there bought no better
+    committed dispatch on either acceptance run.
+    """
     fatol: float = 1e-9
     xatol: float = 1e-9
-    maxfev: int = 200
+    maxfev: int = 40
 
     def __post_init__(self):
         # each check states what must hold, so that NaN fails it
@@ -286,8 +294,9 @@ class BasinHoppingConfig:
 
     def __post_init__(self):
         # each check states what must hold, so that NaN fails it
-        if not self.temperature >= 0.0:
-            raise ConfigurationError("temperature must be >= 0")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ConfigurationError(
+                f"temperature must be >= 0 and finite, got {self.temperature!r}")
         if not (isinstance(self.n_iter, numbers.Integral) and self.n_iter >= 0):
             raise ConfigurationError(
                 f"n_iter must be an integer >= 0, got {self.n_iter!r}")

@@ -73,6 +73,10 @@ def summary_dict(run):
             "start_evaluations": sum(st.start_evals for st in run.steps),
             "bh_iterations_mean": sum(bh_iters) / n if n else 0.0,
             "bh_iterations_max": max(bh_iters, default=0),
+            # steps where Basin Hopping found a candidate below its start
+            "bh_improved_steps": sum(
+                st.iterations[-1].of_global_best < st.iterations[0].of_local
+                for st in run.steps),
         },
         "reference_pcc": {"p_kw": run.ref_pcc_p_kw,
                           "q_kvar": run.ref_pcc_q_kvar},

@@ -27,6 +27,7 @@ from cellflex.optimizer import (
 )
 from cellflex.oracle import grid_search_oracle, make_toy_scenario
 from cellflex.plants import first_order_lag
+from cellflex.reporting import summary_dict
 from cellflex.scenario import load_bundled_scenario
 from cellflex.twin import CellTwin
 
@@ -44,11 +45,14 @@ def report(n, ok, detail):
 
 
 def search_budget(run):
-    """Mean evaluations per step, split into the start and Basin Hopping."""
+    """Mean evaluations per step, split into the start and Basin Hopping,
+    and the steps on which Basin Hopping improved on its start."""
     start = sum(st.start_evals for st in run.steps) / len(run.steps)
     bh = sum(st.n_evals for st in run.steps) / len(run.steps)
+    improved = summary_dict(run)["search"]["bh_improved_steps"]
     return (f"{start + bh:.1f} evaluations per step (start {start:.1f} + "
-            f"BH {bh:.1f})")
+            f"BH {bh:.1f}); BH improved on its start on {improved}/"
+            f"{len(run.steps)} steps")
 
 
 @pytest.fixture(scope="session")

@@ -132,6 +132,16 @@ class TestDispatch:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_temperature_exits_1(self, toy_path, tmp_path, capsys):
+        # summary.json would hold "temperature": Infinity, which is not JSON
+        out = tmp_path / "hot"
+        assert main(["dispatch", "--scenario", str(toy_path),
+                     "--dp-kw", "1.0", "--steps", "1", "--n-iter", "2",
+                     "--t-bh", "inf", "--out", str(out)]) == 1
+        assert "temperature must be >= 0 and finite, got inf" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_warmup_exits_1(self, toy_path, tmp_path, capsys):
         # a zero warmup would capture an all-zero reference PCC reading
         out = tmp_path / "cold"

@@ -15,7 +15,12 @@ from cellflex.dispatch import (
     technology_shares,
 )
 from cellflex.errors import ConfigurationError, DispatchError, PowerFlowError
-from cellflex.optimizer import BasinHoppingConfig, CostTable, FlexibilityRequest
+from cellflex.optimizer import (
+    BasinHoppingConfig,
+    CostTable,
+    FlexibilityRequest,
+    NelderMeadSettings,
+)
 from cellflex.oracle import _state_key, grid_search_oracle, make_toy_scenario
 from cellflex.reporting import (
     DISPATCH_COLUMNS,
@@ -269,6 +274,9 @@ class TestReporting:
             == sum(st.start_evals for st in toy_run.steps)
         assert search["bh_iterations_mean"] == sum(bh_iters) / len(bh_iters)
         assert search["bh_iterations_max"] == max(bh_iters)
+        assert search["bh_improved_steps"] == sum(
+            min(rec.of_local for rec in st.iterations[1:])
+            < st.iterations[0].of_local for st in toy_run.steps)
 
     def test_summary_json_round_trips(self, toy_run, tmp_path):
         import json
@@ -401,6 +409,18 @@ class TestEvaluationBudget:
         assert max(per_step) <= 500
         assert [st.start_evals + st.n_evals for st in run.steps] \
             == per_step.tolist()
+
+    def test_larger_nm_budget_commits_the_same_gain_dispatch(self):
+        # the default Nelder-Mead budget is small because a larger one buys
+        # nothing here; if that stops holding, this fails
+        def committed(nm):
+            run = run_dispatch(
+                load_bundled_scenario(), FlexibilityRequest(5.0, 1.0),
+                n_steps=3, config=BasinHoppingConfig(seed=42, nm=nm))
+            return [(st.offsets.tobytes(), st.of) for st in run.steps]
+
+        assert committed(NelderMeadSettings(maxfev=200)) \
+            == committed(NelderMeadSettings())
 
 
 class TestOracle:

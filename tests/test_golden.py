@@ -19,9 +19,9 @@ DISPATCH_DIGESTS = {
     "dispatch.csv":
         "489f4047098cd06ad627c0abf3c2dfc574e8e4150d934e7f75a6bf01dee2864c",
     "iterations.csv":
-        "5bad6a572001b147ecbf55f103d0e5d4af9d70beafea139b9aa1401275e3c47a",
+        "5cbbc645c12f5f7bf0e7d7d808c2b6a613989fb96d52b9f77269fb3a95dbe7ad",
     "summary.json":
-        "022f8476cf76ff54251a50a7e092ce82c43537f7cc7c73305c02857acfe05ef1",
+        "3154abaff24bbebe5ba11107afe1cecb621c2fa7d47e55e63d1c367d966e2dec",
 }
 BES_SOC_ARGS = ["dispatch", "--dp-kw", "-5", "--dq-kvar", "-1", "--steps", "2",
                 "--n-iter", "5", "--seed", "5", "--bes-soc", "0.04"]
@@ -29,12 +29,12 @@ BES_SOC_DIGESTS = {
     "dispatch.csv":
         "07f7a3bee16ea426e035de8ab237300d89225e37613c0e9c87b102d6ad9f77a4",
     "iterations.csv":
-        "3608a2b3371a90e0778223b2ed9a433d6767250c88e669154dca8431e1afe581",
+        "98a24d4061c50ff1d7878431c22d73b5e2b8d9628c6fbca733703c2abb6fc648",
     "summary.json":
-        "4297fc17f6b6745d7c5438e1c807c905f48be4db6cd356f95bba9d75bab23fe9",
+        "152e2803624c711a4352ec511209ad32e45b98982a915b79b2e80db4aabbf889",
 }
 ORACLE_ARGS = ["oracle", "--n-iter", "30", "--seed", "2"]
-ORACLE_DIGEST = "54c4a8e5d3812fdf4030347ebc3a389190b3b977d5763976b7d9535748ef057c"
+ORACLE_DIGEST = "38e03f1fe42b3d9e52838b8d94baae584ef1ba0ed631f04fd66f2b3d69337833"
 
 
 def _sha256(data):

@@ -127,7 +127,8 @@ class TestAdaptiveStep:
 class TestNelderMead:
     def test_quadratic_minimum(self):
         f = lambda x: float((x[0] - 3.0) ** 2 + (x[1] + 1.0) ** 2)
-        x, fx, _ = nelder_mead(f, np.array([0.0, 0.0]))
+        x, fx, _ = nelder_mead(f, np.array([0.0, 0.0]),
+                               settings=NelderMeadSettings(maxfev=200))
         assert x == pytest.approx([3.0, -1.0], abs=1e-4)
         assert fx < 1e-7
 
@@ -329,6 +330,7 @@ class TestBasinHopping:
         {"nm": {"fatol": math.nan}},
         {"nm": {"xatol": math.nan}},
         {"temperature": -math.inf},
+        {"temperature": math.inf},
         {"n_iter": math.nan},
         {"nm": {"maxfev": math.nan}},
         {"n_iter": 2.5},
