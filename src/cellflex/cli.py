@@ -6,28 +6,35 @@ Subcommands:
 * ``simulate``           - zero-offset baseline run; prints/writes PCC series.
 * ``dispatch``           - disaggregate a flexibility request; writes
                            dispatch.csv, iterations.csv and summary.json.
-* ``sweep-temperature``  - dispatch at several Basin Hopping temperatures,
-                           writing one iteration log per temperature.
+* ``sweep-temperature``  - Basin Hopping's temperature panel on one dispatch
+                           step (``temperature_panel``; its defaults are
+                           acceptance criterion 6's): the mean candidate OF
+                           per temperature over several seeds, written to
+                           sweep_summary.json plus one iteration log per
+                           temperature.
 * ``oracle``             - compare the dispatcher against the exhaustive
                            grid-search oracle on the built-in toy cell.
 
-Exit codes: 0 success, 1 configuration/scenario errors, 2 runtime failures
-(power-flow or dispatch aborts; argparse usage errors also exit 2).
+Exit codes: 0 success, 1 configuration/scenario errors and unusable output
+paths, 2 runtime failures (power-flow or dispatch aborts; argparse usage
+errors also exit 2).
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import pathlib
 import sys
 
-from .dispatch import STALL_ITERATIONS, run_dispatch
+from .dispatch import STALL_ITERATIONS, run_dispatch, temperature_panel
 from .errors import CellflexError, ConfigurationError, DispatchError, PowerFlowError
 from .optimizer import BasinHoppingConfig, FlexibilityRequest, NelderMeadSettings
 from .reporting import (
     summary_dict,
     write_dispatch_csv,
     write_iterations_csv,
+    write_panel,
     write_summary_json,
 )
 from .scenario import load_bundled_scenario, load_scenario
@@ -57,7 +64,10 @@ def _add_optimizer_flags(parser):
     defaults = BasinHoppingConfig()
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--t-bh", type=float, default=defaults.temperature,
-                        help="Basin Hopping temperature")
+                        help="Basin Hopping temperature; with the stall stop "
+                             "it can change only the 'accepted' column, "
+                             "unless an infeasible incumbent meets a "
+                             "feasible candidate")
     parser.add_argument("--n-iter", type=int, default=defaults.n_iter,
                         help="Basin Hopping iterations per dispatch step, at "
                              "most; Basin Hopping refines the step's start "
@@ -71,14 +81,49 @@ def _add_optimizer_flags(parser):
                              "iteration, at most (default %(default)s)")
 
 
-def _config(args, temperature=None):
+def _config(args):
     return BasinHoppingConfig(
-        temperature=args.t_bh if temperature is None else temperature,
+        temperature=args.t_bh,
         n_iter=args.n_iter,
         step_size=args.step_size,
         seed=args.seed,
         nm=NelderMeadSettings(maxfev=args.nm_maxfev),
     )
+
+
+def _parse_list(flag, text, kind, noun):
+    """The comma-separated ``kind`` values of ``text``, blank entries skipped."""
+    values = []
+    for entry in text.split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        try:
+            value = kind(entry)
+        except ValueError:
+            raise ConfigurationError(f"{flag}: '{entry}' is not {noun}") from None
+        if value in values:
+            raise ConfigurationError(f"{flag}: '{entry}' is named twice")
+        values.append(value)
+    if not values:
+        raise ConfigurationError(f"{flag} must name at least one value")
+    return values
+
+
+@contextlib.contextmanager
+def _output_dir(path):
+    """Create the output directory ``path`` before the work it holds, so an
+    unusable path fails first; a run that is then rejected removes the
+    directories this made again."""
+    out = pathlib.Path(path)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
+    except CellflexError:
+        for d in made:
+            d.rmdir()
+        raise
 
 
 def _cmd_validate(args):
@@ -113,16 +158,15 @@ def _cmd_simulate(args):
 
 def _cmd_dispatch(args):
     scenario = _load(args)
-    run = run_dispatch(
-        scenario,
-        FlexibilityRequest(args.dp_kw, args.dq_kvar),
-        n_steps=args.steps,
-        config=_config(args),
-        warmup_s=_warmup_s(args),
-        initial_bes_soc=args.bes_soc,
-    )
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _output_dir(args.out) as out:
+        run = run_dispatch(
+            scenario,
+            FlexibilityRequest(args.dp_kw, args.dq_kvar),
+            n_steps=args.steps,
+            config=_config(args),
+            warmup_s=_warmup_s(args),
+            initial_bes_soc=args.bes_soc,
+        )
     write_dispatch_csv(run, out / "dispatch.csv")
     write_iterations_csv(run, out / "iterations.csv")
     write_summary_json(run, out / "summary.json")
@@ -135,51 +179,26 @@ def _cmd_dispatch(args):
 
 def _cmd_sweep_temperature(args):
     scenario = _load(args)
-    temperatures, entry_of_tag = [], {}
-    for entry in args.temperatures.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        try:
-            t_bh = float(entry)
-        except ValueError:
-            raise ConfigurationError(
-                f"--temperatures: '{entry}' is not a number") from None
-        # a run's outputs are keyed by the %g tag of its temperature
+    temperatures = _parse_list("--temperatures", args.temperatures, float,
+                               "a number")
+    seeds = _parse_list("--seeds", args.seeds, int, "an integer")
+    tag_of = {}
+    for t_bh in temperatures:
+        # a temperature's outputs are keyed by its %g tag
         tag = f"{t_bh:g}"
-        if tag in entry_of_tag:
+        if tag in tag_of:
             raise ConfigurationError(
-                f"--temperatures: '{entry_of_tag[tag]}' and '{entry}' share the "
+                f"--temperatures: '{tag_of[tag]!r}' and '{t_bh!r}' share the "
                 f"output tag '{tag}'")
-        entry_of_tag[tag] = entry
-        temperatures.append(t_bh)
-    if not temperatures:
-        raise ConfigurationError("--temperatures must name at least one value")
-    configs = [_config(args, temperature=t_bh) for t_bh in temperatures]
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sweep = {}
-    for t_bh, config in zip(temperatures, configs):
-        run = run_dispatch(
-            scenario,
-            FlexibilityRequest(args.dp_kw, args.dq_kvar),
-            n_steps=args.steps,
-            config=config,
-            warmup_s=_warmup_s(args),
-        )
-        tag = f"{t_bh:g}".replace(".", "p")
-        write_iterations_csv(run, out / f"iterations_T{tag}.csv")
-        locals_ = [rec.of_local for st in run.steps for rec in st.iterations
-                   if rec.iteration > 0]
-        bests = [rec.of_global_best for st in run.steps for rec in st.iterations]
-        sweep[f"{t_bh:g}"] = {
-            "mean_of_local": sum(locals_) / len(locals_) if locals_ else 0.0,
-            "final_of_global_best": bests[-1] if bests else 0.0,
-        }
-    with open(out / "sweep_summary.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(sweep, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(sweep, indent=2, sort_keys=True))
+        tag_of[tag] = t_bh
+    config = BasinHoppingConfig(n_iter=args.n_iter, step_size=args.step_size,
+                                nm=NelderMeadSettings(maxfev=args.nm_maxfev))
+    with _output_dir(args.out) as out:
+        means, results = temperature_panel(
+            scenario, FlexibilityRequest(args.dp_kw, args.dq_kvar),
+            temperatures, seeds, config, warmup_s=_warmup_s(args))
+    summary = write_panel(temperatures, seeds, means, results, out)
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
@@ -231,13 +250,20 @@ def build_parser():
     p.add_argument("--out", default="out")
 
     p = sub.add_parser("sweep-temperature",
-                       help="dispatch at several Basin Hopping temperatures")
+                       help="Basin Hopping's temperature panel on one "
+                            "dispatch step (acceptance criterion 6)")
     _add_common(p)
-    _add_optimizer_flags(p)
     p.add_argument("--temperatures", default="0.2,0.5,2,10")
-    p.add_argument("--dp-kw", type=float, default=5.0)
+    p.add_argument("--seeds", default="5,11,23,31,47",
+                   help="one Basin Hopping search per seed and temperature")
+    p.add_argument("--dp-kw", type=float, default=28.0)
     p.add_argument("--dq-kvar", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--n-iter", type=int, default=120,
+                   help="Basin Hopping iterations per search, all run")
+    p.add_argument("--step-size", type=float, default=4.0)
+    p.add_argument("--nm-maxfev", type=int, default=45,
+                   help="Nelder-Mead evaluations per Basin Hopping "
+                        "iteration, at most (default %(default)s)")
     p.add_argument("--out", default="out/sweep")
 
     p = sub.add_parser("oracle",
@@ -272,6 +298,10 @@ def main(argv=None):
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     except CellflexError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an output path that cannot be created or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,12 @@ candidate: BH runs one Nelder-Mead refinement of the start and goes on only
 while it keeps finding better candidates.  Each refinement spends at most
 ``NelderMeadSettings.maxfev`` evaluations (40 by default, see there).
 
+Since a step's search stops at its first worse candidate, the BH temperature
+can change only whether that candidate is marked accepted, unless an
+infeasible incumbent meets a feasible candidate.  ``temperature_panel``
+studies the temperature on one step instead, with searches that run all
+their iterations.
+
 The exchange pass (``exchange_pass``) starts step 0 from zero offsets and
 every later step from the carry, the previous step's committed offsets,
 which track precisely while plant states drift slowly.  It is classical
@@ -35,7 +41,7 @@ sum in kW (kVAr) is reported instead.
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +58,7 @@ from .twin import CellTwin
 log = logging.getLogger("cellflex.dispatch")
 
 __all__ = ["StepRecord", "DispatchRun", "run_dispatch", "single_step_objective",
-           "technology_shares", "exchange_pass",
+           "temperature_panel", "technology_shares", "exchange_pass",
            "STALL_ITERATIONS"]
 
 # BH iterations in a row without a better candidate that end a dispatch step
@@ -126,6 +132,34 @@ def single_step_objective(twin, ref, request, costs: CostTable):
         return score(twin.evaluate_dispatch(ref, x))
 
     return f, twin.plant_bounds()
+
+
+def temperature_panel(scenario, request, temperatures, seeds, config, *,
+                      warmup_s=None):
+    """Basin Hopping's temperature study on one dispatch step.
+
+    From one warmed-up reference, runs one BH search per temperature and
+    seed from zero offsets, without a stall stop, on
+    ``single_step_objective``; ``config`` gives ``n_iter``, ``step_size``
+    and ``nm``.  Returns ``(means, results)``: per temperature, the mean
+    over seeds of each search's mean candidate OF (iterations >= 1), and
+    the seeds' ``BasinHoppingResult`` list.  Invalid input raises
+    :class:`ConfigurationError` before the warmup.
+    """
+    configs = [[replace(config, temperature=t_bh, seed=seed) for seed in seeds]
+               for t_bh in temperatures]
+    if not (temperatures and seeds and config.n_iter >= 1):
+        raise ConfigurationError(
+            f"a temperature panel needs a temperature, a seed and n_iter >= 1, "
+            f"got {len(temperatures)}, {len(seeds)} and {config.n_iter}")
+    twin = CellTwin(scenario)
+    f, bounds = single_step_objective(twin, twin.run_warmup(warmup_s), request,
+                                      CostTable())
+    results = [[basin_hopping(f, np.zeros(twin.n_plants), cfg, bounds=bounds)
+                for cfg in row] for row in configs]
+    per_seed = [[sum(r.of_local for r in res.iterations[1:])
+                 / (len(res.iterations) - 1) for res in row] for row in results]
+    return [sum(row) / len(row) for row in per_seed], results
 
 
 def exchange_pass(twin, ref, request, costs: CostTable, x):

@@ -1,4 +1,4 @@
-"""Deterministic CSV/JSON writers for dispatch results.
+"""Deterministic CSV/JSON writers for dispatch and temperature-panel results.
 
 All numbers are formatted with %.9g and files use fixed "\n" newlines, so a
 re-run with the same seed produces byte-identical output.  No wall-clock
@@ -8,7 +8,7 @@ timestamps are ever written.
 import json
 
 __all__ = ["write_dispatch_csv", "write_iterations_csv",
-           "write_summary_json", "summary_dict"]
+           "write_summary_json", "summary_dict", "write_panel"]
 
 DISPATCH_COLUMNS = (
     "t_s", "p_pcc_kw", "q_pcc_kvar", "dp_target_kw", "dq_target_kvar",
@@ -41,14 +41,21 @@ def write_dispatch_csv(run, path):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_iterations_csv(run, path):
+def _write_iteration_blocks(path, key_column, blocks):
+    """One row per Basin Hopping iteration; ``blocks`` yields
+    ``(key, iterations)`` and the key fills the first column."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(ITERATION_COLUMNS) + "\n")
-        for st in run.steps:
-            for rec in st.iterations:
-                row = (st.index, rec.iteration, rec.of_local,
+        fh.write(",".join((key_column,) + ITERATION_COLUMNS[1:]) + "\n")
+        for key, records in blocks:
+            for rec in records:
+                row = (key, rec.iteration, rec.of_local,
                        rec.of_global_best, rec.step_size, rec.accepted)
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def write_iterations_csv(run, path):
+    _write_iteration_blocks(path, "step",
+                            ((st.index, st.iterations) for st in run.steps))
 
 
 def summary_dict(run):
@@ -99,7 +106,36 @@ def summary_dict(run):
     }
 
 
-def write_summary_json(run, path):
+def _write_json(data, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary_dict(run), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_summary_json(run, path):
+    _write_json(summary_dict(run), path)
+
+
+def write_panel(temperatures, seeds, means, results, out_dir):
+    """Write a temperature panel to ``out_dir`` and return its summary.
+
+    ``sweep_summary.json`` holds, keyed by each temperature's %g tag, the
+    mean candidate OF and, over the seeds, the lowest final global best, the
+    mean acceptance rate and the total evaluations.  Each temperature's
+    ``iterations_T<tag>.csv`` ("." written as "p") has one block of rows
+    per seed.
+    """
+    summary = {}
+    for t_bh, mean, row in zip(temperatures, means, results):
+        summary[f"{t_bh:g}"] = {
+            "mean_of_local": mean,
+            "final_of_global_best": min(r.iterations[-1].of_global_best
+                                        for r in row),
+            "acceptance_rate": sum(r.acceptance_rate for r in row) / len(row),
+            "evaluations": sum(r.n_evals for r in row),
+        }
+        tag = f"{t_bh:g}".replace(".", "p")
+        _write_iteration_blocks(out_dir / f"iterations_T{tag}.csv", "seed",
+                                zip(seeds, (r.iterations for r in row)))
+    _write_json(summary, out_dir / "sweep_summary.json")
+    return summary

@@ -15,11 +15,10 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 
 from cellflex.cli import main as cli_main
-from cellflex.dispatch import run_dispatch, single_step_objective
+from cellflex.dispatch import run_dispatch, temperature_panel
 from cellflex.grid import solve_power_flow, worst_balance_error_pu
 from cellflex.optimizer import (
     BasinHoppingConfig,
-    CostTable,
     FlexibilityRequest,
     NelderMeadSettings,
     basin_hopping,
@@ -29,7 +28,6 @@ from cellflex.oracle import grid_search_oracle, make_toy_scenario
 from cellflex.plants import first_order_lag
 from cellflex.reporting import summary_dict
 from cellflex.scenario import load_bundled_scenario
-from cellflex.twin import CellTwin
 
 from gs_reference import gauss_seidel_pf, random_radial_case
 
@@ -168,36 +166,24 @@ def test_5_adaptive_step_keeps_acceptance_centered():
 
 def test_6_temperature_controls_exploration():
     temperatures = (0.2, 0.5, 2.0, 10.0)
-    seeds = (5, 11, 23, 31, 47)
-    twin = CellTwin(load_bundled_scenario())
-    ref = twin.run_warmup()
-    f, bounds = single_step_objective(
-        twin, ref, FlexibilityRequest(28.0, 1.0), CostTable())
-
-    panel_means = []
-    traces_monotone = True
-    for t_bh in temperatures:
-        per_seed = []
-        for seed in seeds:
-            cfg = BasinHoppingConfig(
-                temperature=t_bh, n_iter=120, step_size=4.0, seed=seed,
-                nm=NelderMeadSettings(maxfev=45))
-            res = basin_hopping(f, np.zeros(twin.n_plants), cfg,
-                                bounds=bounds)
-            locals_ = [r.of_local for r in res.iterations if r.iteration > 0]
-            per_seed.append(sum(locals_) / len(locals_))
-            bests = [r.of_global_best for r in res.iterations]
-            traces_monotone &= all(
-                b <= a + 1e-15 for a, b in zip(bests, bests[1:]))
-        panel_means.append(sum(per_seed) / len(per_seed))
+    panel_means, results = temperature_panel(
+        load_bundled_scenario(), FlexibilityRequest(28.0, 1.0), temperatures,
+        (5, 11, 23, 31, 47), BasinHoppingConfig(
+            n_iter=120, step_size=4.0, nm=NelderMeadSettings(maxfev=45)))
+    traces_monotone = all(
+        b.of_global_best <= a.of_global_best + 1e-15
+        for row in results for res in row
+        for a, b in zip(res.iterations, res.iterations[1:]))
+    rates = [sum(res.acceptance_rate for res in row) / len(row)
+             for row in results]
 
     non_decreasing = all(b >= a - 1e-12
                          for a, b in zip(panel_means, panel_means[1:]))
     ok = non_decreasing and traces_monotone
     report(6, ok,
-           "mean candidate OF by temperature "
-           + ", ".join(f"T={t:g}: {m:.4f}"
-                       for t, m in zip(temperatures, panel_means))
+           "mean candidate OF (acceptance rate) by temperature "
+           + ", ".join(f"T={t:g}: {m:.4f} ({r:.2f})"
+                       for t, m, r in zip(temperatures, panel_means, rates))
            + f"; non-decreasing: {non_decreasing}; every global-best trace "
              f"monotone: {traces_monotone}")
     assert ok

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import cellflex.cli
 from cellflex.cli import main
 from cellflex.oracle import make_toy_scenario
 from cellflex.scenario import load_bundled_scenario, save_scenario, scenario_to_dict
@@ -86,6 +87,13 @@ class TestSimulate:
                      "--warmup-days", "1.5"]) == 1
         assert "profile_back_days" in capsys.readouterr().err
 
+    def test_out_in_missing_directory_exits_1(self, toy_path, tmp_path, capsys):
+        assert main(["simulate", "--scenario", str(toy_path), "--steps", "1",
+                     "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestDispatch:
     def test_writes_result_files(self, toy_path, tmp_path, capsys):
@@ -123,6 +131,14 @@ class TestDispatch:
                      "--out", str(out)]) == 1
         assert "at least 1 step" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rejected_run_leaves_no_nested_output_directory(
+            self, toy_path, tmp_path, capsys):
+        assert main(["dispatch", "--scenario", str(toy_path),
+                     "--dp-kw", "1.0", "--steps", "0",
+                     "--out", str(tmp_path / "a" / "b")]) == 1
+        assert "at least 1 step" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_non_finite_request_exits_1(self, toy_path, tmp_path, capsys):
         out = tmp_path / "nan"
@@ -166,6 +182,20 @@ class TestDispatch:
             in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_that_is_a_file_exits_1_before_dispatching(
+            self, toy_path, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_dispatch was entered")
+
+        monkeypatch.setattr(cellflex.cli, "run_dispatch", fail)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["dispatch", "--scenario", str(toy_path),
+                     "--dp-kw", "5", "--steps", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_missing_request_is_a_usage_error(self, toy_path):
         with pytest.raises(SystemExit) as err:
             main(["dispatch", "--scenario", str(toy_path)])
@@ -192,14 +222,38 @@ class TestSweepTemperature:
         out = tmp_path / "sweep"
         assert main(["sweep-temperature", "--scenario", str(toy_path),
                      "--temperatures", "0.5,2", "--dp-kw", "1.0",
-                     "--dq-kvar", "0.3", "--steps", "1", "--n-iter", "5",
-                     "--seed", "2", "--out", str(out)]) == 0
+                     "--dq-kvar", "0.3", "--n-iter", "5",
+                     "--seeds", "2", "--out", str(out)]) == 0
         assert (out / "iterations_T0p5.csv").is_file()
         assert (out / "iterations_T2.csv").is_file()
         sweep = json.loads((out / "sweep_summary.json").read_text())
         assert set(sweep) == {"0.5", "2"}
         for entry in sweep.values():
             assert "mean_of_local" in entry and "final_of_global_best" in entry
+
+    def test_explains_each_temperature(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep-temperature", "--scenario", str(toy_path),
+                     "--temperatures", "0,10", "--seeds", "2,3",
+                     "--n-iter", "4", "--dp-kw", "1.0", "--dq-kvar", "0.3",
+                     "--out", str(out)]) == 0
+        sweep = json.loads((out / "sweep_summary.json").read_text())
+        # T = 0 accepts no worse candidate; every search runs all 4 moves
+        assert sweep["0"]["acceptance_rate"] < sweep["10"]["acceptance_rate"]
+        assert all(entry["evaluations"] > 2 * 4 for entry in sweep.values())
+        rows = (out / "iterations_T10.csv").read_text().splitlines()
+        assert rows[0].startswith("seed,iteration,")
+        assert [r.split(",")[:2] for r in rows[1:]] == [
+            [seed, str(i)] for seed in ("2", "3") for i in range(5)]
+
+    def test_reacts_to_temperature_on_the_bundled_cell(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep-temperature", "--temperatures", "0.2,10",
+                     "--seeds", "5", "--n-iter", "20", "--step-size", "4",
+                     "--nm-maxfev", "45", "--dp-kw", "28", "--dq-kvar", "1",
+                     "--out", str(out)]) == 0
+        sweep = json.loads((out / "sweep_summary.json").read_text())
+        assert sweep["0.2"]["mean_of_local"] != sweep["10"]["mean_of_local"]
 
     def test_empty_temperature_list_exits_1(self, toy_path, capsys):
         assert main(["sweep-temperature", "--scenario", str(toy_path),
@@ -210,7 +264,7 @@ class TestSweepTemperature:
                                                     capsys):
         out = tmp_path / "sweep"
         assert main(["sweep-temperature", "--scenario", str(toy_path),
-                     "--temperatures", "0.5,-1", "--steps", "1",
+                     "--temperatures", "0.5,-1",
                      "--n-iter", "5", "--out", str(out)]) == 1
         assert "temperature must be >= 0" in capsys.readouterr().err
         assert not out.exists()
@@ -232,6 +286,27 @@ class TestSweepTemperature:
                      "--temperatures", "a,b", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "error: --temperatures: 'a' is not a number" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-iter", "0"], "needs a temperature, a seed and n_iter >= 1"),
+        (["--seeds", " , "], "--seeds must name at least one value"),
+        (["--seeds", "2,1.5"], "--seeds: '1.5' is not an integer"),
+        (["--seeds", "2,-1"], "seed must be None or an integer >= 0"),
+        (["--seeds", "2,3,2"], "--seeds: '2' is named twice"),
+    ])
+    def test_bad_search_settings_exit_1_before_the_warmup(
+            self, flags, message, toy_path, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the warmup started")
+
+        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+        out = tmp_path / "sweep"
+        assert main(["sweep-temperature", "--scenario", str(toy_path),
+                     *flags, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
         assert "Traceback" not in captured.err
         assert not out.exists()
 

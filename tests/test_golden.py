@@ -2,8 +2,9 @@
 
 Pins the three files of the acceptance-10 dispatch command, the three files
 of a depletion run that overrides every battery's state of charge
-(``--bes-soc``), and the JSON printed by
-``cellflex oracle --n-iter 30 --seed 2``, so a refactor that is
+(``--bes-soc``), the JSON printed by
+``cellflex oracle --n-iter 30 --seed 2`` and the four files of a
+temperature panel on the toy cell, so a refactor that is
 meant to keep numerics unchanged is checked byte for byte.  A change that
 alters numerics on purpose re-records these digests and says so in
 CHANGES.md.
@@ -12,6 +13,8 @@ CHANGES.md.
 import hashlib
 
 from cellflex.cli import main
+from cellflex.oracle import make_toy_scenario
+from cellflex.scenario import save_scenario
 
 DISPATCH_ARGS = ["dispatch", "--dp-kw", "5", "--dq-kvar", "1", "--steps", "2",
                  "--n-iter", "10", "--seed", "5"]
@@ -35,27 +38,48 @@ BES_SOC_DIGESTS = {
 }
 ORACLE_ARGS = ["oracle", "--n-iter", "30", "--seed", "2"]
 ORACLE_DIGEST = "38e03f1fe42b3d9e52838b8d94baae584ef1ba0ed631f04fd66f2b3d69337833"
+SWEEP_ARGS = ["sweep-temperature", "--temperatures", "0,0.2,10",
+              "--seeds", "2,3", "--n-iter", "20", "--step-size", "4",
+              "--nm-maxfev", "45", "--dp-kw", "1", "--dq-kvar", "0.3"]
+SWEEP_DIGESTS = {
+    "iterations_T0.csv":
+        "2c07d066b211a5510ea3a97fc63d192581422aec41994b1e6cb532f040c92889",
+    "iterations_T0p2.csv":
+        "af68eef243e6442a847c43833500a182643d5b787283f87ca766b3a62fce465e",
+    "iterations_T10.csv":
+        "5ea7cb9e362e7ddf9fafd9bfd25db3412849d39af6903153a70a0e485f55f42f",
+    "sweep_summary.json":
+        "18d0db1828df6b76f5fec4cfb20aa27e7398dd0ee603373d808ca086c37a52b7",
+}
 
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _dispatch_digests(args, out, names):
+def _output_digests(args, out, names):
     assert main(args + ["--out", str(out)]) == 0
     return {name: _sha256((out / name).read_bytes()) for name in names}
 
 
 def test_dispatch_outputs_match_golden_digests(tmp_path, capsys):
-    assert _dispatch_digests(DISPATCH_ARGS, tmp_path, DISPATCH_DIGESTS) \
+    assert _output_digests(DISPATCH_ARGS, tmp_path, DISPATCH_DIGESTS) \
         == DISPATCH_DIGESTS
 
 
 def test_bes_soc_override_outputs_match_golden_digests(tmp_path, capsys):
-    assert _dispatch_digests(BES_SOC_ARGS, tmp_path, BES_SOC_DIGESTS) \
+    assert _output_digests(BES_SOC_ARGS, tmp_path, BES_SOC_DIGESTS) \
         == BES_SOC_DIGESTS
 
 
 def test_oracle_report_matches_golden_digest(capsys):
     assert main(ORACLE_ARGS) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == ORACLE_DIGEST
+
+
+def test_toy_temperature_panel_outputs_match_golden_digests(tmp_path, capsys):
+    toy = tmp_path / "toy.json"
+    save_scenario(make_toy_scenario(), toy)
+    args = SWEEP_ARGS + ["--scenario", str(toy)]
+    assert _output_digests(args, tmp_path / "sweep", SWEEP_DIGESTS) \
+        == SWEEP_DIGESTS
