@@ -126,6 +126,23 @@ def _output_dir(path):
         raise
 
 
+@contextlib.contextmanager
+def _output_file(path):
+    """Open the output file ``path`` before the work that fills it, so an
+    unusable path fails first; appending leaves an existing file's content
+    until it is rewritten, and a run that is then rejected removes the file
+    if this made it."""
+    out = pathlib.Path(path)
+    made = not out.exists()
+    out.open("a", encoding="utf-8").close()
+    try:
+        yield out
+    except CellflexError:
+        if made:
+            out.unlink()
+        raise
+
+
 def _cmd_validate(args):
     scenario = _load(args)
     census = scenario.plant_census()
@@ -137,14 +154,15 @@ def _cmd_validate(args):
 def _cmd_simulate(args):
     scenario = _load(args)
     scenario.check_horizon(args.steps)
-    twin = CellTwin(scenario)
-    ref = twin.run_warmup(_warmup_s(args))
-    twin.set_offsets([0.0] * twin.n_plants)
-    rows = [(0.0, ref.pcc_p_kw, ref.pcc_q_kvar)]
-    for _ in range(args.steps):
-        twin.step_dispatch_interval()
-        res = twin.solve()
-        rows.append((twin.t_s, res.pcc.p_kw, res.pcc.q_kvar))
+    with _output_file(args.out) if args.out else contextlib.nullcontext():
+        twin = CellTwin(scenario)
+        ref = twin.run_warmup(_warmup_s(args))
+        twin.set_offsets([0.0] * twin.n_plants)
+        rows = [(0.0, ref.pcc_p_kw, ref.pcc_q_kvar)]
+        for _ in range(args.steps):
+            twin.step_dispatch_interval()
+            res = twin.solve()
+            rows.append((twin.t_s, res.pcc.p_kw, res.pcc.q_kvar))
     lines = ["t_s,p_pcc_kw,q_pcc_kvar"]
     lines += [f"{t:.9g},{p:.9g},{q:.9g}" for t, p, q in rows]
     text = "\n".join(lines) + "\n"
@@ -216,6 +234,7 @@ def _cmd_oracle(args):
         "oracle_x": [float(v) for v in oracle.x],
         "oracle_evals": oracle.n_evals,
         "oracle_points": oracle.n_points,
+        "oracle_pruned": oracle.n_pruned,
         "dispatcher_of": step.of,
         "dispatcher_x": [float(v) for v in step.offsets],
         "gap": step.of - oracle.of,

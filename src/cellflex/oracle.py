@@ -1,12 +1,15 @@
 """Exhaustive grid-search oracle for tiny dispatch problems.
 
 Enumerates the full offset box of a cell with at most three controllable
-plants at a fixed resolution and evaluates every grid point through exactly
-the same twin-plus-objective path the Basin Hopping dispatcher uses.  Serves
-as an independent optimality reference: the dispatcher's objective on the
-same problem must not exceed the oracle's best by more than the grid gap.
-Each axis runs from the plant's lower offset bound in steps of the
-resolution, clipped to its upper bound.
+plants at a fixed resolution and evaluates every grid point that can hold
+the answer through exactly the same twin-plus-objective path the Basin
+Hopping dispatcher uses.  Serves as an independent optimality reference: the
+dispatcher's objective on the same problem must not exceed the oracle's best
+by more than the grid gap.  Each axis runs from the plant's lower offset
+bound in steps of the resolution, clipped to its upper bound.  The answer is
+the first point in product order with the lowest objective, as a plain
+product loop with a strict ``of < best_of`` update finds it
+(``tests/oracle_reference.py``), bit for bit.
 
 Points that cannot change the answer are not evaluated.  A plant's end state
 depends only on the snapshot it starts from and its own offset (the
@@ -16,13 +19,61 @@ point moves that plant alone from the first grid point, and each axis keeps
 only the first offset of every bit-identical end state of its plant (floats
 compared by their bits, so -0.0 differs from 0.0; a state that holds a NaN
 is never merged).  A skipped point then has a kept representative, earlier
-in product order, whose objective has the same bits; the strict ``of <
-best_of`` update never takes the later of two equal values, so the result
-is the one the full grid gives, bit for bit.  On the toy cell the battery's
-clamp merges 78 of its 161 offsets at the default 0.05 kW.
+in product order, whose objective has the same bits; the strict update never
+takes the later of two equal values.  On the toy cell the battery's clamp
+merges 78 of its 161 offsets at the default 0.05 kW.
+
+The same probes give a lower bound on the objective at every kept point
+(branch and bound, Land & Doig 1960), computed for the whole kept grid at
+once by numpy broadcasting (``_lower_bounds``):
+
+* Plant cost: each probe records its plant's deviation delta_i, which is
+  the same at every point with that offset, so sum_i k_i*|delta_i| is the
+  point's plant cost.
+* Tracking: a probe also records the bus injections.  A plant moves only its
+  own bus, so a point's injections are the first point's plus each plant's
+  move, and their sums P_ll and Q_ll are the lossless PCC reading.  Series
+  losses lie in [0, L_max]: R and X are >= 0 (``GridTopology`` checks), and
+  a solve that does not collapse computes every load current from voltages
+  of at least ``V_COLLAPSE_PU`` of nominal, so no branch carries more than
+  sum_b |S_b| / (3 v_floor).  The tracking cost is then at least
+  k_pcc_p * dist(P_target, [P_ll, P_ll + L_p]) plus the same for Q.
+* The line penalty is >= 0, and a failed solve scores ``collapse_of``, so
+  the bound is capped there.
+
+The bound is formed in another order than ``objective_breakdown`` and from
+reconstructed injections, so it rounds differently.  Two terms are loosened
+by the relative margin ``_LB_MARGIN`` (1e-9), orders of magnitude above any
+such rounding:
+
+* the plant cost, a sum of at most three non-negative products, lies within
+  a few units of 2^-53 of its exact value in any summation order; it is
+  multiplied by 1 - 1e-9;
+* each tracking interval is widened on both sides by 1e-9 times (1 kW +
+  |P_target| + |Q_target| + sum_b |S_b| + L_p + L_q).  Every sum the twin,
+  the power flow and the oracle form here takes fewer than 90 rounded
+  operations on a feeder of up to 60 buses, so it is off by less than 1e-14
+  of its operands' summed magnitude; the widening covers operands up to
+  10^5 times the magnitudes it names, and its 1 kW floor alone covers
+  operands up to 10^5 kW.
+
+With each term at or below its counterpart in the objective, and rounding to
+nearest monotone, the bound's sum, formed in the objective's order, stays at
+or below the objective's float value.
+
+The scan then returns the brute-force answer.  The point with the lowest
+bound is evaluated first; its objective U is a value some point reaches.
+The kept grid is walked in product order with the strict update, skipping
+each point whose bound exceeds U or is at least the best objective so far.
+Let p* be the first minimizer and OF* its objective: lb(p*) <= OF* <= U, and
+every point before p* has a larger objective, so the best so far when p* is
+reached is above OF* and p* is evaluated and taken; no later point is below
+OF*.  A skipped point's objective is at least its bound, so it could not
+have been taken either.  A NaN bound never compares true, so it never skips
+a point.  On the toy cell at 0.05 the bound leaves one or two of the 3,071
+distinct points to evaluate after the 198 probes.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,16 +81,21 @@ import numpy as np
 
 from .dispatch import single_step_objective
 from .errors import ConfigurationError
+from .grid import V_COLLAPSE_PU
 from .optimizer import CostTable
 from .twin import CellTwin
 
 __all__ = ["make_toy_scenario", "grid_search_oracle", "OracleResult"]
 
 _MAX_ORACLE_PLANTS = 3
-# at most ~17 s of evaluations on the toy cell (~17 us each on a 2-core
-# Xeon); the default 0.05 grid has 5,957 points, of which 3,071 are
-# evaluated after 198 single-plant probes
+# at most a million grid points: ~17 s of evaluations on the toy cell (~17 us
+# each on a 2-core Xeon) if the bound pruned nothing, and a few tens of MB of
+# bound arrays; the default 0.05 grid has 5,957 points, 3,071 of them
+# distinct after 198 single-plant probes, and the bound leaves one of those
+# to evaluate on the request (1.0 kW, 0.3 kVAr)
 _MAX_ORACLE_POINTS = 1_000_000
+# relative rounding margin of the lower bound (see the module docstring)
+_LB_MARGIN = 1e-9
 
 
 def make_toy_scenario():
@@ -94,12 +150,123 @@ class OracleResult:
     n_evals: int        # evaluate_dispatch calls made, probes included
     n_points: int       # points of the offset grid
     resolution: float
+    n_probes: int       # single-plant probes, one per axis point
+    n_pruned: int       # distinct points that the lower bound skipped
 
 
 def _state_key(state):
     """Bytes equal only for bit-identical plant states; None if a NaN is held."""
     values = np.array(state, dtype=float)
     return None if np.isnan(values).any() else values.tobytes()
+
+
+def _grid_axes(bounds, resolution):
+    """Each plant's offsets: from its lower bound in steps of `resolution`,
+    clipped to its upper bound."""
+    axes = []
+    for lo, hi in bounds:
+        n = int(round((hi - lo) / resolution))
+        axes.append(np.clip(lo + resolution * np.arange(n + 1), lo, hi))
+    return axes
+
+
+def _probe_axes(twin, ref, axes):
+    """Probe every axis point: that plant alone moved from the first grid point.
+
+    Returns one ``(keep, delta, p_bus, q_bus)`` per axis, each indexed by
+    the axis's offsets: ``keep`` flags the first offset of every distinct
+    end state of the plant, ``delta`` is the plant's deviation from the
+    reference, ``p_bus`` and ``q_bus`` hold the bus injections after the
+    probe (one column per non-slack bus).
+    """
+    probes = []
+    for i, axis in enumerate(axes):
+        seen, keep, delta, inj = set(), [], [], []
+        for value in axis:
+            probe = [a[0] for a in axes]
+            probe[i] = value
+            ev = twin.evaluate_dispatch(ref, probe)
+            key = _state_key(twin.plant_state(i))
+            keep.append(key is None or key not in seen)
+            seen.add(key)
+            delta.append(ev.plant_values[i] - ref.plant_values[i])
+            inj.append(list(twin.injections().values()))
+        inj = np.array(inj, dtype=float).reshape(len(axis), -1, 2)
+        probes.append((np.array(keep), np.array(delta), inj[..., 0], inj[..., 1]))
+    return probes
+
+
+def _lower_bounds(twin, ref, request, costs, deltas, p_bus, q_bus):
+    """Lower bound on the objective at every point of the product grid.
+
+    ``deltas``, ``p_bus`` and ``q_bus`` hold one array per axis, indexed by
+    its offsets as :func:`_probe_axes` returns them; row 0 of every axis
+    must be the first grid point.  Returns an array with one axis per plant
+    (see the module docstring for why it never exceeds the objective).
+    """
+    n = len(deltas)
+
+    def along(i, values):
+        # an axis's per-offset values (plus trailing bus columns) on axis i
+        return values.reshape((1,) * i + (len(values),) + (1,) * (n - 1 - i)
+                              + values.shape[1:])
+
+    weights = costs.weights_for(twin.plant_classes)
+    plant_cost = sum(along(i, w * np.abs(d)) for i, (w, d) in
+                     enumerate(zip(weights, deltas)))
+
+    # the first grid point's injections plus each plant's move; only the
+    # buses some probe moved vary across the grid
+    p0, q0 = p_bus[0][0], q_bus[0][0]
+    moved = np.zeros(len(p0), dtype=bool)
+    for p, q in zip(p_bus, q_bus):
+        moved |= (p != p0).any(axis=0) | (q != q0).any(axis=0)
+    p = p0[moved] + sum(along(i, a[:, moved] - p0[moved])
+                        for i, a in enumerate(p_bus))
+    q = q0[moved] + sum(along(i, a[:, moved] - q0[moved])
+                        for i, a in enumerate(q_bus))
+    p_ll = p0[~moved].sum() + p.sum(axis=-1)
+    q_ll = q0[~moved].sum() + q.sum(axis=-1)
+    s_sum = np.hypot(p0[~moved], q0[~moved]).sum() + np.hypot(p, q).sum(axis=-1)
+
+    p_target = ref.pcc_p_kw + request.dp_kw
+    q_target = ref.pcc_q_kvar + request.dq_kvar
+    topology = twin.topology
+    v_floor = V_COLLAPSE_PU * (topology.v_nom_ll_v / math.sqrt(3.0))
+    tol = _LB_MARGIN * (1.0 + abs(p_target) + abs(q_target) + s_sum)
+    # largest branch current in A, then 3 I^2 R (X) summed over the lines in kW
+    i_max = (s_sum + tol) * (1000.0 / 3.0) / v_floor
+    loss_p = 3.0 * i_max**2 * sum(ln.r_ohm for ln in topology.lines) / 1000.0
+    loss_q = 3.0 * i_max**2 * sum(ln.x_ohm for ln in topology.lines) / 1000.0
+    tol += _LB_MARGIN * (loss_p + loss_q)
+
+    def dist(target, lo, hi):
+        return np.maximum(np.maximum(lo - target, target - hi), 0.0)
+
+    tracking = (costs.k_pcc_p * dist(p_target, p_ll - tol, p_ll + loss_p + tol)
+                + costs.k_pcc_q * dist(q_target, q_ll - tol, q_ll + loss_q + tol))
+    collapse_of = costs.k_infeasible * (len(topology.lines) + 1)
+    return np.minimum(plant_cost * (1.0 - _LB_MARGIN) + tracking, collapse_of)
+
+
+def _scan(lb, objective):
+    """``(of, k)`` of the first minimizer in flat order, ``k`` None if no
+    objective compares below inf; ``objective(k)`` is called only where the
+    bound ``lb`` leaves point k open (see the module docstring)."""
+    # the lowest bound's objective is a ceiling on the minimum
+    ceiling, first = math.inf, None
+    if not np.isnan(lb).all():
+        first = int(np.nanargmin(lb))
+        ceiling = objective(first)
+    best_of, best = math.inf, None
+    open_points = np.flatnonzero(~(lb > ceiling))
+    for k, bound in zip(open_points.tolist(), lb[open_points].tolist()):
+        if bound >= best_of:
+            continue
+        of = ceiling if k == first else objective(k)
+        if of < best_of:
+            best_of, best = of, k
+    return best_of, best
 
 
 def grid_search_oracle(scenario, request, *, resolution=0.05):
@@ -126,35 +293,24 @@ def grid_search_oracle(scenario, request, *, resolution=0.05):
             f"points; the oracle enumerates at most {_MAX_ORACLE_POINTS:,}")
 
     ref = twin.run_warmup()
-    f, bounds = single_step_objective(twin, ref, request, CostTable())
+    costs = CostTable()
+    f, bounds = single_step_objective(twin, ref, request, costs)
+    axes = _grid_axes(bounds, resolution)
+    probes = _probe_axes(twin, ref, axes)
+    n_probes = twin.n_evaluations
 
-    axes = []
-    for lo, hi in bounds:
-        n = int(round((hi - lo) / resolution))
-        axes.append(np.clip(lo + resolution * np.arange(n + 1), lo, hi))
+    kept, deltas, p_bus, q_bus = zip(*[
+        (axis[keep], delta[keep], p[keep], q[keep])
+        for axis, (keep, delta, p, q) in zip(axes, probes)])
+    lb = _lower_bounds(twin, ref, request, costs, deltas, p_bus, q_bus)
 
-    # keep the first offset of each distinct end state of the axis's plant
-    kept_axes = []
-    for i, axis in enumerate(axes):
-        seen, kept = set(), []
-        for value in axis:
-            probe = [a[0] for a in axes]
-            probe[i] = value
-            twin.evaluate_dispatch(ref, probe)
-            key = _state_key(twin.plant_state(i))
-            if key is None or key not in seen:
-                seen.add(key)
-                kept.append(value)
-        kept_axes.append(kept)
+    def point(k):
+        return np.array([a[j] for a, j in zip(kept, np.unravel_index(k, lb.shape))])
 
-    best_of = float("inf")
-    best_x = None
-    for point in itertools.product(*kept_axes):
-        x = np.array(point)
-        of, _feasible = f(x)
-        if of < best_of:
-            best_of = of
-            best_x = x
+    best_of, best = _scan(lb.ravel(), lambda k: f(point(k))[0])
+    best_x = None if best is None else point(best)
+    n_scanned = twin.n_evaluations - n_probes
     return OracleResult(of=best_of, x=best_x, n_evals=twin.n_evaluations,
                         n_points=math.prod(map(len, axes)),
-                        resolution=resolution)
+                        resolution=resolution, n_probes=n_probes,
+                        n_pruned=lb.size - n_scanned)

@@ -48,8 +48,10 @@ lo_k``; ``wanted < 0`` for a heat pump) it is ``[-inf, offset]``.  An EV's
 away substep reads the offset only through ``offset != 0``, so it counts
 toward the upper ray when the offset was > 0 and toward the lower one when it
 was < 0.  Otherwise the ray is empty.  Clamped and away substeps are counted
-in the branches that already handle them, so a connected, unclamped substep
-does no extra work.  The PV inverter has no ray.
+in the branches that already handle them.  A store whose connected substep
+leaves its state bit-identical is settled: the interval's later connected
+substeps only add that substep's clamp count (see `_Storage._integrate`).
+The PV inverter has no ray.
 """
 
 import math
@@ -140,8 +142,15 @@ class _Storage:
         [lo, hi] and to the SOC headroom.  The local wish is `wish_kw` reduced
         to what the store can deliver (a battery's PV surplus) or, when
         `wish_kw` is None, `hi` until full (an EV charging).  Substeps whose
-        time of day falls in the `_away` window take the trip branch instead.
+        time of day falls in the `_away` window take the trip branch instead:
+        the running trip drains the store uniformly over its window.
         Records the ray of offsets that leave the interval unchanged.
+
+        A connected substep that leaves ``soc`` and ``p`` bit-identical
+        (sign of zero included) is settled: its inputs are held over the
+        interval, so every later connected substep would repeat it exactly.
+        Those substeps only count its clamp; an away substep ends the
+        settled state.
         """
         cap = self.capacity_kwh
         eta_c = self.eta_charge
@@ -153,15 +162,26 @@ class _Storage:
         p = self.p_kw
         saturated = self.saturated
         n_lo = n_hi = n_away = 0
+        settled = False
         for k in range(n):
             if away is not None:
                 tod = (base_tod_s + k * dt) % 86400.0
                 if away[0] <= tod < away[1]:
-                    soc = self._drain(soc, tod, dt)
+                    for dep, ret, energy in self.trips:
+                        if dep <= tod < ret:
+                            drain = min(energy * dt / (ret - dep), soc * cap)
+                            self.trip_drain_kwh += drain
+                            soc = soc - drain / cap
+                            break
                     p = 0.0
                     saturated = offset_kw != 0.0
                     n_away += 1
+                    settled = False
                     continue
+            if settled:
+                n_lo += settled_lo
+                n_hi += settled_hi
+                continue
             # SOC headroom over this substep, as charge and discharge power,
             # folded into the rating bounds (on a tie the rating is kept)
             room_c = (1.0 - soc) * cap * 3600.0 / charge_div
@@ -185,6 +205,8 @@ class _Storage:
                 cmd = hi_k
                 n_hi += 1
             saturated = cmd != wanted
+            p_start = p
+            soc_start = soc
             p = p + (cmd - p) * lag
             # pin an overshoot of the lag to the same bounds
             pinned = p
@@ -203,6 +225,12 @@ class _Storage:
                 soc = 0.0
             elif soc > 1.0:
                 soc = 1.0
+            if p == p_start and soc == soc_start \
+                    and math.copysign(1.0, p) == math.copysign(1.0, p_start) \
+                    and math.copysign(1.0, soc) == math.copysign(1.0, soc_start):
+                settled = True
+                settled_lo = wanted < lo_k
+                settled_hi = not settled_lo and wanted > hi_k
         if n_away:
             if offset_kw > 0.0:
                 n_hi += n_away
@@ -526,15 +554,6 @@ class ElectricVehicle(_Storage):
         lo = -self.p_rated_kw if self.v2g else 0.0
         return self._integrate(None, offset_kw, lo, self.p_rated_kw, n, dt,
                                base_tod_s)
-
-    def _drain(self, soc, time_of_day_s, dt):
-        """SOC after one away substep: the running trip drains it uniformly."""
-        for dep, ret, energy in self.trips:
-            if dep <= time_of_day_s < ret:
-                drain = min(energy * dt / (ret - dep), soc * self.capacity_kwh)
-                self.trip_drain_kwh += drain
-                return soc - drain / self.capacity_kwh
-        return soc
 
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated, self.trip_drain_kwh)

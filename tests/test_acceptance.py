@@ -125,10 +125,14 @@ def test_3_matches_grid_search_oracle():
         gaps.append(run.steps[0].of - oracle.of)
     worst = max(gaps)
     ok = worst <= 1e-3
+    n_scanned = oracle.n_evals - oracle.n_probes
     report(3, ok,
            f"10 seeds vs exhaustive search (res 0.05 kW): worst gap "
            f"{worst:+.2e} (allowed +1e-3); oracle OF {oracle.of:.6f} from "
-           f"{oracle.n_evals:,} evaluations on {oracle.n_points:,} grid points")
+           f"{oracle.n_evals:,} evaluations on {oracle.n_points:,} grid "
+           f"points: {oracle.n_probes} probes, {n_scanned} scanned, "
+           f"{oracle.n_pruned:,} of {n_scanned + oracle.n_pruned:,} distinct "
+           f"points pruned")
     assert ok
 
 

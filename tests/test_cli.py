@@ -94,6 +94,28 @@ class TestSimulate:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_out_in_missing_directory_fails_before_the_warmup(
+            self, toy_path, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the warmup started")
+
+        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+        assert main(["simulate", "--scenario", str(toy_path),
+                     "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_rejected_run_removes_only_a_file_it_made(self, toy_path, tmp_path,
+                                                      capsys):
+        made, kept = tmp_path / "made.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        for out in (made, kept):
+            assert main(["simulate", "--scenario", str(toy_path),
+                         "--warmup-days", "1.5", "--out", str(out)]) == 1
+        assert not made.exists()
+        assert kept.read_text() == "old\n"
+
 
 class TestDispatch:
     def test_writes_result_files(self, toy_path, tmp_path, capsys):

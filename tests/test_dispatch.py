@@ -1,11 +1,14 @@
 """Continuous dispatch loop, technology shares, reporting, grid oracle."""
 
+import itertools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellflex.dispatch import (
     DispatchRun,
@@ -21,7 +24,15 @@ from cellflex.optimizer import (
     FlexibilityRequest,
     NelderMeadSettings,
 )
-from cellflex.oracle import _state_key, grid_search_oracle, make_toy_scenario
+from cellflex.oracle import (
+    _grid_axes,
+    _lower_bounds,
+    _probe_axes,
+    _scan,
+    _state_key,
+    grid_search_oracle,
+    make_toy_scenario,
+)
 from cellflex.reporting import (
     DISPATCH_COLUMNS,
     ITERATION_COLUMNS,
@@ -37,6 +48,7 @@ from cellflex.scenario import (
 )
 from cellflex.twin import CellTwin
 from oracle_reference import brute_force_oracle
+from test_twin import small_cells, weak_feeder_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import toy_requests  # noqa: E402
@@ -453,10 +465,13 @@ class TestOracle:
                                     resolution=0.5)
         # bes spans [-4, 4] in 17 points, inverter [-0.9, 0.9] in 5
         assert result.n_points == 17 * 5
-        # one probe per axis point, then every inverter point against the 11
-        # battery offsets that leave distinct end states: -4.0 stands for
-        # -4.0..-2.0, 3.0 for 3.0..4.0, where the +-2 kW clamp saturates
-        assert result.n_evals == (17 + 5) + 11 * 5
+        # one probe per axis point, then one point of the 11 x 5 that leave
+        # distinct end states (-4.0 stands for -4.0..-2.0, 3.0 for 3.0..4.0,
+        # where the +-2 kW clamp saturates): the lowest bound's point is the
+        # minimizer, and every other point's bound lies above its objective
+        assert result.n_evals == (17 + 5) + 1
+        assert result.n_probes == 17 + 5
+        assert result.n_pruned == 11 * 5 - 1
         assert result.resolution == 0.5
 
     @pytest.mark.parametrize("resolution", [0.5, 0.7])
@@ -523,3 +538,82 @@ class TestOracle:
         assert run.steps[0].of <= oracle.of + 1e-3
         assert oracle.x[0] == pytest.approx(1.0, abs=0.05)
         assert oracle.x[1] == pytest.approx(0.3, abs=0.05)
+
+
+def bounds_and_objectives(scenario, request, resolution, costs=CostTable()):
+    """The oracle's lower bound and the objective at every point of the full
+    offset grid, each with one axis per plant."""
+    twin = CellTwin(scenario)
+    ref = twin.run_warmup()
+    f, bounds = single_step_objective(twin, ref, request, costs)
+    axes = _grid_axes(bounds, resolution)
+    _keep, deltas, p_bus, q_bus = zip(*_probe_axes(twin, ref, axes))
+    lb = _lower_bounds(twin, ref, request, costs, deltas, p_bus, q_bus)
+    of = [f(np.array(x))[0] for x in itertools.product(*axes)]
+    return lb, np.array(of).reshape(lb.shape)
+
+
+class TestOracleBound:
+    @pytest.mark.parametrize("request_", [
+        TOY_REQUEST, FlexibilityRequest(0.0, 0.0),
+        FlexibilityRequest(1.5, 0.6), FlexibilityRequest(1.5, -0.6),
+        FlexibilityRequest(-1.5, 0.6), FlexibilityRequest(-1.5, -0.6),
+    ], ids=str)
+    def test_bound_holds_on_the_full_toy_grid(self, request_):
+        lb, of = bounds_and_objectives(make_toy_scenario(), request_, 0.05)
+        assert lb.shape == (161, 37)
+        assert np.all(lb <= of), np.max(lb - of)
+
+    @pytest.mark.parametrize("costs", [CostTable(), CostTable(k_infeasible=1e-3)],
+                             ids=["default", "cheap_collapse"])
+    def test_bound_holds_where_the_feeder_collapses(self, costs):
+        # offsets from +10 kW up collapse the weak feeder's voltage; a
+        # collapse cheaper than the tracking cost takes the cap
+        request = FlexibilityRequest(-20.0, 0.0)
+        lb, of = bounds_and_objectives(weak_feeder_scenario(), request, 5.0,
+                                       costs)
+        assert np.count_nonzero(of == costs.k_infeasible * 2) == 23
+        assert np.all(lb <= of), np.max(lb - of)
+
+    def test_pruned_oracle_matches_brute_force_where_the_feeder_collapses(self):
+        request = FlexibilityRequest(-20.0, 0.0)
+        result = grid_search_oracle(weak_feeder_scenario(), request,
+                                    resolution=5.0)
+        of, x, _n_points = brute_force_oracle(weak_feeder_scenario(), request,
+                                              5.0)
+        assert result.of.hex() == of.hex()
+        assert result.x.tobytes() == x.tobytes()
+        assert result.n_pruned > 0
+
+    # close objectives and slacks, so that bounds tie with and fall just
+    # below the best objective so far
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1e-7, 2e-7, 1.0, math.nan]),
+                              st.sampled_from([0.0, 5e-8, 1.0, math.inf,
+                                               math.nan])),
+                    min_size=1, max_size=12))
+    def test_scan_returns_the_first_minimizer(self, points):
+        of = [v for v, _slack in points]
+        lb = np.array([v - slack for v, slack in points])    # <= of, or NaN
+        best_of, best = math.inf, None
+        for k, v in enumerate(of):
+            if v < best_of:
+                best_of, best = v, k
+        calls = []
+        assert _scan(lb, lambda k: calls.append(k) or of[k]) == (best_of, best)
+        assert len(calls) == len(set(calls))
+
+    @given(cell=small_cells(), dp=st.floats(-3.0, 3.0), dq=st.floats(-1.0, 1.0))
+    def test_pruned_oracle_matches_brute_force_on_generated_cells(self, cell,
+                                                                  dp, dq):
+        scenario = scenario_from_dict(cell)
+        request = FlexibilityRequest(dp, dq)
+        bounds = CellTwin(scenario).plant_bounds()
+        # about five steps across the widest plant: at most 6^3 points
+        resolution = float(np.max(bounds[:, 1] - bounds[:, 0])) / 5.0
+        result = grid_search_oracle(scenario, request, resolution=resolution)
+        of, x, n_points = brute_force_oracle(scenario, request, resolution)
+        assert result.of.hex() == of.hex()
+        assert result.x.tobytes() == x.tobytes()
+        assert result.n_points == n_points
+        lb, of_grid = bounds_and_objectives(scenario, request, resolution)
+        assert np.all(lb <= of_grid), np.max(lb - of_grid)

@@ -573,3 +573,81 @@ class TestClampRay:
         bes = BatteryStorage(BesParams(10.0, 5.0, 3.0))
         bes.step(0.0, math.nan, 3, 5.0)
         assert math.isnan(bes.ray_lo) and math.isnan(bes.ray_hi)
+
+
+def substep_by_substep(plant, run, start, n, dt):
+    """End bits and the expected ray after n one-substep steps from `start`;
+    ``run(tod_offset_s, n)`` steps the plant."""
+    plant.set_state(start)
+    rays = []
+    for k in range(n):
+        run(k * dt, 1)
+        rays.append((plant.ray_lo, plant.ray_hi))
+    if all(hi == math.inf for _lo, hi in rays):
+        ray = (rays[0][0], math.inf)
+    elif all(lo == -math.inf for lo, _hi in rays):
+        ray = (-math.inf, rays[0][1])
+    else:
+        ray = (math.nan, math.nan)
+    return end_bits(plant), repr(ray)
+
+
+socs = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0]))
+powers = st.one_of(st.floats(-11.0, 11.0), st.sampled_from([0.0, -0.0]))
+intervals = st.sampled_from([(2, 5.0), (4, 15.0), (60, 15.0), (60, 1.0)])
+
+
+class TestSettledSubsteps:
+    """A store whose state stops changing mid-interval skips its remaining
+    connected substeps: one n-substep step ends bit-identical to n
+    one-substep steps and records the ray they agree on."""
+
+    @given(soc=socs, p0=powers, wish=st.floats(-10.0, 10.0),
+           offset=st.one_of(st.floats(-16.0, 16.0), st.just(0.0)),
+           grid=intervals)
+    def test_battery(self, soc, p0, wish, offset, grid):
+        bes = BatteryStorage(BesParams(0.05, 5.0, 3.0))
+        n, dt = grid
+        start = (soc, p0, False)
+        want = substep_by_substep(
+            bes, lambda _tod, m: bes.step(wish, offset, m, dt), start, n, dt)
+        bes.set_state(start)
+        bes.step(wish, offset, n, dt)
+        assert (end_bits(bes), repr((bes.ray_lo, bes.ray_hi))) == want
+
+    @given(soc=socs, p0=powers, drained=st.floats(0.0, 5.0), v2g=st.booleans(),
+           trip=st.sampled_from([(8.0, 18.0, 8.0), (12.0, 12.1, 0.2)]),
+           tod_h=st.sampled_from([7.9, 8.0, 11.95, 12.0, 17.9, 18.0, 23.99]),
+           offset=st.one_of(st.floats(-24.0, 24.0), st.just(0.0)),
+           grid=intervals)
+    def test_ev(self, soc, p0, drained, v2g, trip, tod_h, offset, grid):
+        # 7.9 h and 17.9 h put a trip edge inside the longer intervals; the
+        # six-minute trip fits inside a 15-minute one from 11.95 h, so the
+        # vehicle leaves and returns within one step
+        bev = make_bev(capacity_kwh=0.5, v2g=v2g, trips=(trip,))
+        n, dt = grid
+        if not v2g:
+            p0 = abs(p0)
+        start = (soc, p0, False, drained)
+        want = substep_by_substep(
+            bev, lambda tod, m: bev.step(offset, tod_h * 3600.0 + tod, m, dt),
+            start, n, dt)
+        bev.set_state(start)
+        bev.step(offset, tod_h * 3600.0, n, dt)
+        assert (end_bits(bev), repr((bev.ray_lo, bev.ray_hi))) == want
+
+    def test_a_trip_inside_the_interval_ends_the_settled_state(self):
+        # full and idle, the vehicle settles on its first substep, leaves for
+        # six minutes of the fifteen and charges again once back
+        bev = make_bev(capacity_kwh=0.5, p_rated_kw=1.0,
+                       trips=((12.0, 12.1, 0.2),))
+        start = (1.0, 0.0, False, 0.0)
+
+        def run(tod, m):
+            bev.step(0.0, 11.95 * 3600.0 + tod, m, 15.0)
+
+        want = substep_by_substep(bev, run, start, 60, 15.0)
+        bev.set_state(start)
+        run(0.0, 60)
+        assert (end_bits(bev), repr((bev.ray_lo, bev.ray_hi))) == want
+        assert bev.p_kw > 0.0 and bev.soc < 1.0
