@@ -11,21 +11,13 @@ the first point in product order with the lowest objective, as a plain
 product loop with a strict ``of < best_of`` update finds it
 (``tests/oracle_reference.py``), bit for bit.
 
-Points that cannot change the answer are not evaluated.  A plant's end state
+Points that cannot hold the answer are not evaluated.  A plant's end state
 depends only on the snapshot it starts from and its own offset (the
-separability the incremental twin rests on), and an evaluation depends only
-on the plants' end states.  So before the product loop, one probe per axis
-point moves that plant alone from the first grid point, and each axis keeps
-only the first offset of every bit-identical end state of its plant (floats
-compared by their bits, so -0.0 differs from 0.0; a state that holds a NaN
-is never merged).  A skipped point then has a kept representative, earlier
-in product order, whose objective has the same bits; the strict update never
-takes the later of two equal values.  On the toy cell the battery's clamp
-merges 78 of its 161 offsets at the default 0.05 kW.
-
-The same probes give a lower bound on the objective at every kept point
-(branch and bound, Land & Doig 1960), computed for the whole kept grid at
-once by numpy broadcasting (``_lower_bounds``):
+separability the incremental twin rests on).  So before the scan, one probe
+per axis point moves that plant alone from the first grid point, and the
+probes give a lower bound on the objective at every grid point (branch and
+bound, Land & Doig 1960), computed for the whole grid at once by numpy
+broadcasting (``_lower_bounds``):
 
 * Plant cost: each probe records its plant's deviation delta_i, which is
   the same at every point with that offset, so sum_i k_i*|delta_i| is the
@@ -63,15 +55,15 @@ or below the objective's float value.
 
 The scan then returns the brute-force answer.  The point with the lowest
 bound is evaluated first; its objective U is a value some point reaches.
-The kept grid is walked in product order with the strict update, skipping
+The grid is walked in product order with the strict update, skipping
 each point whose bound exceeds U or is at least the best objective so far.
 Let p* be the first minimizer and OF* its objective: lb(p*) <= OF* <= U, and
 every point before p* has a larger objective, so the best so far when p* is
 reached is above OF* and p* is evaluated and taken; no later point is below
 OF*.  A skipped point's objective is at least its bound, so it could not
 have been taken either.  A NaN bound never compares true, so it never skips
-a point.  On the toy cell at 0.05 the bound leaves one or two of the 3,071
-distinct points to evaluate after the 198 probes.
+a point.  On the toy cell at 0.05 the bound leaves one or two of the 5,957
+points to evaluate after the 198 probes.
 """
 
 import math
@@ -90,9 +82,9 @@ __all__ = ["make_toy_scenario", "grid_search_oracle", "OracleResult"]
 _MAX_ORACLE_PLANTS = 3
 # at most a million grid points: ~17 s of evaluations on the toy cell (~17 us
 # each on a 2-core Xeon) if the bound pruned nothing, and a few tens of MB of
-# bound arrays; the default 0.05 grid has 5,957 points, 3,071 of them
-# distinct after 198 single-plant probes, and the bound leaves one of those
-# to evaluate on the request (1.0 kW, 0.3 kVAr)
+# bound arrays; the default 0.05 grid has 5,957 points, and after 198
+# single-plant probes the bound leaves one of them to evaluate on the request
+# (1.0 kW, 0.3 kVAr)
 _MAX_ORACLE_POINTS = 1_000_000
 # relative rounding margin of the lower bound (see the module docstring)
 _LB_MARGIN = 1e-9
@@ -151,13 +143,7 @@ class OracleResult:
     n_points: int       # points of the offset grid
     resolution: float
     n_probes: int       # single-plant probes, one per axis point
-    n_pruned: int       # distinct points that the lower bound skipped
-
-
-def _state_key(state):
-    """Bytes equal only for bit-identical plant states; None if a NaN is held."""
-    values = np.array(state, dtype=float)
-    return None if np.isnan(values).any() else values.tobytes()
+    n_pruned: int       # grid points that the lower bound skipped
 
 
 def _grid_axes(bounds, resolution):
@@ -173,26 +159,22 @@ def _grid_axes(bounds, resolution):
 def _probe_axes(twin, ref, axes):
     """Probe every axis point: that plant alone moved from the first grid point.
 
-    Returns one ``(keep, delta, p_bus, q_bus)`` per axis, each indexed by
-    the axis's offsets: ``keep`` flags the first offset of every distinct
-    end state of the plant, ``delta`` is the plant's deviation from the
-    reference, ``p_bus`` and ``q_bus`` hold the bus injections after the
-    probe (one column per non-slack bus).
+    Returns one ``(delta, p_bus, q_bus)`` per axis, each indexed by the
+    axis's offsets: ``delta`` is the plant's deviation from the reference,
+    ``p_bus`` and ``q_bus`` hold the bus injections after the probe (one
+    column per non-slack bus).
     """
     probes = []
     for i, axis in enumerate(axes):
-        seen, keep, delta, inj = set(), [], [], []
+        delta, inj = [], []
         for value in axis:
             probe = [a[0] for a in axes]
             probe[i] = value
             ev = twin.evaluate_dispatch(ref, probe)
-            key = _state_key(twin.plant_state(i))
-            keep.append(key is None or key not in seen)
-            seen.add(key)
             delta.append(ev.plant_values[i] - ref.plant_values[i])
             inj.append(list(twin.injections().values()))
         inj = np.array(inj, dtype=float).reshape(len(axis), -1, 2)
-        probes.append((np.array(keep), np.array(delta), inj[..., 0], inj[..., 1]))
+        probes.append((np.array(delta), inj[..., 0], inj[..., 1]))
     return probes
 
 
@@ -296,21 +278,16 @@ def grid_search_oracle(scenario, request, *, resolution=0.05):
     costs = CostTable()
     f, bounds = single_step_objective(twin, ref, request, costs)
     axes = _grid_axes(bounds, resolution)
-    probes = _probe_axes(twin, ref, axes)
+    deltas, p_bus, q_bus = zip(*_probe_axes(twin, ref, axes))
     n_probes = twin.n_evaluations
-
-    kept, deltas, p_bus, q_bus = zip(*[
-        (axis[keep], delta[keep], p[keep], q[keep])
-        for axis, (keep, delta, p, q) in zip(axes, probes)])
     lb = _lower_bounds(twin, ref, request, costs, deltas, p_bus, q_bus)
 
     def point(k):
-        return np.array([a[j] for a, j in zip(kept, np.unravel_index(k, lb.shape))])
+        return np.array([a[j] for a, j in zip(axes, np.unravel_index(k, lb.shape))])
 
     best_of, best = _scan(lb.ravel(), lambda k: f(point(k))[0])
     best_x = None if best is None else point(best)
     n_scanned = twin.n_evaluations - n_probes
     return OracleResult(of=best_of, x=best_x, n_evals=twin.n_evaluations,
-                        n_points=math.prod(map(len, axes)),
-                        resolution=resolution, n_probes=n_probes,
-                        n_pruned=lb.size - n_scanned)
+                        n_points=lb.size, resolution=resolution,
+                        n_probes=n_probes, n_pruned=lb.size - n_scanned)

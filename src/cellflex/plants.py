@@ -18,8 +18,8 @@ first-order lag  dy/dt = (u - y)/T  before it acts on the stored energy.  The
 lag's state is the plant's realized power (``p_kw``; the compressor's
 ``last_p_compressor_kw`` in a heat pump), pinned values included.  Input is
 held over each substep, so the plants apply the exact solution
-y <- y + (u - y)*(1 - exp(-dt/T)) (`first_order_lag`, with `lag_factor`
-computed once per call), which is stable at any step width.
+y <- y + (u - y)*(1 - exp(-dt/T)) (with `lag_factor` computed once per
+call), which is stable at any step width.
 
 A stateful plant's ``step`` advances it over all n substeps of one interval
 in a single call: parameters and state are read into local variables once,
@@ -36,22 +36,9 @@ Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
 which holds every parameter default; the constructors only validate it.
 
-A stateful plant's ``step`` also records the offsets that cannot change the
-interval it just integrated, as the closed range ``[ray_lo, ray_hi]`` (the
-*ray*; empty as NaN bounds).  If the command was clamped at the upper bound on
-every substep (``wanted > hi_k`` for a store, ``wanted > p_max_total`` for a
-heat pump), the ray is ``[offset, inf]``: the wish plus the offset is monotone
-in the offset and the state it starts each substep from is the same, so any
-larger offset is clamped to the same bound on every substep and ends in the
-same state, bit for bit.  Clamped at the lower bound every time (``wanted <
-lo_k``; ``wanted < 0`` for a heat pump) it is ``[-inf, offset]``.  An EV's
-away substep reads the offset only through ``offset != 0``, so it counts
-toward the upper ray when the offset was > 0 and toward the lower one when it
-was < 0.  Otherwise the ray is empty.  Clamped and away substeps are counted
-in the branches that already handle them.  A store whose connected substep
-leaves its state bit-identical is settled: the interval's later connected
-substeps only add that substep's clamp count (see `_Storage._integrate`).
-The PV inverter has no ray.
+A store whose connected substep leaves its state bit-identical is settled:
+its inputs are held over the interval, so the interval's later connected
+substeps would repeat it exactly and are skipped (see `_Storage._integrate`).
 """
 
 import math
@@ -62,8 +49,6 @@ __all__ = [
     "HeatPumpSystem",
     "ElectricVehicle",
     "clamp",
-    "first_order_lag",
-    "heat_pump_cop",
 ]
 
 
@@ -81,27 +66,6 @@ def lag_factor(dt, time_constant_s):
     return 1.0 - math.exp(-(dt / time_constant_s))
 
 
-def first_order_lag(y, u, dt, time_constant_s):
-    """Output of the lag  dy/dt = (u - y)/T  after dt seconds at constant input u."""
-    return y + (u - y) * lag_factor(dt, time_constant_s)
-
-
-def heat_pump_cop(t_sink_c, t_source_c, effectiveness):
-    """Carnot-based coefficient of performance.
-
-    COP = effectiveness * T_sink / (T_sink - T_source), temperatures taken in
-    Kelvin for the numerator.  Raises ValueError when the sink is not warmer
-    than the source (the cycle degenerates).
-    """
-    if t_sink_c <= t_source_c:
-        raise ValueError(
-            f"t_sink ({t_sink_c} degC) must exceed t_source ({t_source_c} degC)"
-        )
-    if effectiveness <= 0.0:
-        raise ValueError(f"effectiveness must be > 0, got {effectiveness}")
-    return effectiveness * (t_sink_c + 273.15) / (t_sink_c - t_source_c)
-
-
 class _Storage:
     """SOC bookkeeping and lagged power response shared by batteries and EVs.
 
@@ -113,7 +77,7 @@ class _Storage:
     """
 
     __slots__ = ("capacity_kwh", "eta_charge", "eta_discharge", "time_constant_s",
-                 "soc", "p_kw", "saturated", "ray_lo", "ray_hi")
+                 "soc", "p_kw", "saturated")
 
     _away = None        # trip window (first departure, last return) in s of day
 
@@ -133,7 +97,6 @@ class _Storage:
         self.soc = params.soc0
         self.p_kw = p0_kw
         self.saturated = False
-        self.ray_lo = self.ray_hi = math.nan
 
     def _integrate(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0):
         """Advance n substeps of dt seconds; returns the last one's realized power.
@@ -144,13 +107,11 @@ class _Storage:
         `wish_kw` is None, `hi` until full (an EV charging).  Substeps whose
         time of day falls in the `_away` window take the trip branch instead:
         the running trip drains the store uniformly over its window.
-        Records the ray of offsets that leave the interval unchanged.
 
         A connected substep that leaves ``soc`` and ``p`` bit-identical
         (sign of zero included) is settled: its inputs are held over the
-        interval, so every later connected substep would repeat it exactly.
-        Those substeps only count its clamp; an away substep ends the
-        settled state.
+        interval, so every later connected substep would repeat it exactly
+        and is skipped; an away substep ends the settled state.
         """
         cap = self.capacity_kwh
         eta_c = self.eta_charge
@@ -161,7 +122,6 @@ class _Storage:
         soc = self.soc
         p = self.p_kw
         saturated = self.saturated
-        n_lo = n_hi = n_away = 0
         settled = False
         for k in range(n):
             if away is not None:
@@ -175,12 +135,9 @@ class _Storage:
                             break
                     p = 0.0
                     saturated = offset_kw != 0.0
-                    n_away += 1
                     settled = False
                     continue
             if settled:
-                n_lo += settled_lo
-                n_hi += settled_hi
                 continue
             # SOC headroom over this substep, as charge and discharge power,
             # folded into the rating bounds (on a tie the rating is kept)
@@ -200,10 +157,8 @@ class _Storage:
             cmd = wanted
             if cmd < lo_k:
                 cmd = lo_k
-                n_lo += 1
             elif cmd > hi_k:
                 cmd = hi_k
-                n_hi += 1
             saturated = cmd != wanted
             p_start = p
             soc_start = soc
@@ -229,21 +184,6 @@ class _Storage:
                     and math.copysign(1.0, p) == math.copysign(1.0, p_start) \
                     and math.copysign(1.0, soc) == math.copysign(1.0, soc_start):
                 settled = True
-                settled_lo = wanted < lo_k
-                settled_hi = not settled_lo and wanted > hi_k
-        if n_away:
-            if offset_kw > 0.0:
-                n_hi += n_away
-            elif offset_kw < 0.0:
-                n_lo += n_away
-        if n_hi == n:
-            self.ray_lo = offset_kw
-            self.ray_hi = math.inf
-        elif n_lo == n:
-            self.ray_lo = -math.inf
-            self.ray_hi = offset_kw
-        else:
-            self.ray_lo = self.ray_hi = math.nan
         self.soc = soc
         self.p_kw = p
         self.saturated = saturated
@@ -289,8 +229,6 @@ class PvInverter:
 
     __slots__ = ("s_rated_kva", "p_peak_kwp", "q_fraction_limit",
                  "p_ac_kw", "q_kvar", "saturated")
-
-    ray_lo = ray_hi = math.nan
 
     def __init__(self, params):
         if params.s_rated_kva <= 0.0:
@@ -358,7 +296,6 @@ class HeatPumpSystem:
         "t_on_c", "t_off_c", "t_min_c", "t_max_c", "t_element_threshold_c",
         "tan_phi", "time_constant_s", "heating", "t_storage_c", "p_kw", "q_kvar",
         "saturated", "last_cop", "last_p_compressor_kw", "last_p_element_kw",
-        "ray_lo", "ray_hi",
     )
 
     def __init__(self, params):
@@ -398,13 +335,15 @@ class HeatPumpSystem:
         self.last_cop = 0.0
         self.last_p_compressor_kw = 0.0
         self.last_p_element_kw = 0.0
-        self.ray_lo = self.ray_hi = math.nan
 
     def step(self, heat_demand_kw, ambient_c, offset_kw, n, dt):
         """Advance n substeps of dt seconds; returns the last one's electric power.
 
-        The electric power is compressor plus element.  Records the ray of
-        offsets that leave the interval unchanged.
+        The electric power is compressor plus element.  The compressor's
+        Carnot-based COP, effectiveness * T_sink / (T_sink - T_source) with
+        the sink in Kelvin in the numerator, is taken at the tank temperature
+        each substep starts from; the source is kept strictly below the sink
+        so the cycle stays defined.
         """
         p_el_max = self.p_el_max_kw
         p_element = self.p_element_kw
@@ -421,10 +360,10 @@ class HeatPumpSystem:
         cop = self.last_cop
         p_comp = self.last_p_compressor_kw
         p_elem = self.last_p_element_kw
-        n_lo = n_hi = 0
         for _ in range(n):
-            # keep the source strictly below the sink so the cycle stays defined
-            cop = heat_pump_cop(t, min(ambient_c, t - 1.0), effectiveness)
+            # min(ambient_c, t - 1.0), ties to the ambient temperature
+            t_source = t - 1.0 if t - 1.0 < ambient_c else ambient_c
+            cop = effectiveness * (t + 273.15) / (t - t_source)
             if heating:
                 if t >= t_off:
                     heating = False
@@ -433,10 +372,8 @@ class HeatPumpSystem:
             wanted = (p_el_max if heating else 0.0) + offset_kw
             if wanted < 0.0:
                 cmd_total = 0.0
-                n_lo += 1
             elif wanted > p_max_total:
                 cmd_total = p_max_total
-                n_hi += 1
             else:
                 cmd_total = wanted
             saturated = cmd_total != wanted
@@ -473,14 +410,6 @@ class HeatPumpSystem:
                 saturated = True
             t = t_new
 
-        if n_hi == n:
-            self.ray_lo = offset_kw
-            self.ray_hi = math.inf
-        elif n_lo == n:
-            self.ray_lo = -math.inf
-            self.ray_hi = offset_kw
-        else:
-            self.ray_lo = self.ray_hi = math.nan
         self.t_storage_c = t
         self.heating = heating
         self.saturated = saturated

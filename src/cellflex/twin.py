@@ -23,15 +23,11 @@ integrates a whole interval in one ``step`` call (see :mod:`cellflex.plants`),
 so every prosumer is called once per interval, not once per substep; the PV
 inverters keep no state and step once per interval too.
 
-An evaluation re-integrates only the plants whose interval the new offset
-can change.  A plant's end state depends only on the snapshot it starts from
-and its own offset, so when the twin still holds the end state of the same
-snapshot object, a plant keeps its state if its offset is the same float as
-in that integration (sign of zero included; NaN never is) or lies on the ray
-its last ``step`` recorded: a plant clamped at the same bound on every
-substep ends in the same state under any offset further past that bound (see
-:mod:`cellflex.plants`).  A kept plant keeps its ray, so the covered range
-never shrinks while the twin holds that end state.  Only the other plants
+An evaluation re-integrates only the plants whose offset changed.  A
+plant's end state depends only on the snapshot it starts from and its own
+offset, so when the twin still holds the end state of the same snapshot
+object, a plant keeps its state if its offset is the same float as in that
+integration (sign of zero included; NaN never is).  Only the other plants
 are restored and stepped.  The bus injections are then summed from every
 plant's final power.  Anything else that moves plant state -- ``restore``,
 the warmup, ``override_bes_soc``, ``step_dispatch_interval`` outside an
@@ -252,10 +248,6 @@ class CellTwin:
         """Realized costed quantity per plant (P in kW; Q in kVAr for inverters)."""
         return np.array([getattr(plant, attr) for plant, attr in self._plant_values])
 
-    def plant_state(self, i):
-        """Plant i's current state tuple, as held in ``snapshot()[1][i]``."""
-        return self._plants[i].get_state()
-
     # ------------------------------------------------------------------
     # integration
 
@@ -307,13 +299,13 @@ class CellTwin:
     def restore(self, snap, stale=None):
         """Restore `snap`; with `stale`, only the flagged plants and the clock."""
         self._end_of = None
-        self.t_s, plant_states, bus_states = snap
+        self.t_s, states, bus_states = snap
         if stale is not None:
-            for plant, state, s in zip(self._plants, plant_states, stale):
+            for plant, state, s in zip(self._plants, states, stale):
                 if s:
                     plant.set_state(state)
             return
-        for plant, state in zip(self._plants, plant_states):
+        for plant, state in zip(self._plants, states):
             plant.set_state(state)
         for pro, (p_kw, q_kvar) in zip(self.prosumers, bus_states):
             pro.p_kw = p_kw
@@ -385,14 +377,12 @@ class CellTwin:
 
         A plant's end state depends only on the snapshot and its own offset,
         so a plant is up to date when its offset is the same float as in the
-        integration that left it there, sign of zero included, or lies on the
-        ray ``[ray_lo, ray_hi]`` its last step recorded.  NaN never is.
+        integration that left it there, sign of zero included.  NaN never is.
         """
         if snap is not self._end_of:
             return None
-        return [not (a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b))
-                     or plant.ray_lo <= a <= plant.ray_hi)
-                for a, b, plant in zip(offsets, self._end_offsets, self._plants)]
+        return [not (a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b)))
+                for a, b in zip(offsets, self._end_offsets)]
 
     def _integrate_offsets(self, ref, offsets, record_trace):
         offsets = self._checked_offsets(offsets)

@@ -4,8 +4,8 @@ Evaluates every point of the oracle's offset grid (each axis from the lower
 bound in steps of the resolution, clipped to the upper bound), in product
 order, through the same objective as ``grid_search_oracle``, and keeps the
 first point of the lowest objective.  No point is skipped, so the oracle,
-which evaluates only one point per distinct combination of plant end states,
-must return the same ``(of, x)`` bit for bit.
+which skips the points its lower bound rules out, must return the same
+``(of, x)`` bit for bit.
 """
 
 import itertools

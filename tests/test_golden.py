@@ -37,7 +37,7 @@ BES_SOC_DIGESTS = {
         "152e2803624c711a4352ec511209ad32e45b98982a915b79b2e80db4aabbf889",
 }
 ORACLE_ARGS = ["oracle", "--n-iter", "30", "--seed", "2"]
-ORACLE_DIGEST = "619f32297ab6a052c5ebd8c08c4f0010b2763cbf9d4e505d6dfaa63e460cd78c"
+ORACLE_DIGEST = "1262fc7ddd2947fabbe84b1fa9ea4564d1d9726512d4b194d9174549ac277d2c"
 SWEEP_ARGS = ["sweep-temperature", "--temperatures", "0,0.2,10",
               "--seeds", "2,3", "--n-iter", "20", "--step-size", "4",
               "--nm-maxfev", "45", "--dp-kw", "1", "--dq-kvar", "0.3"]

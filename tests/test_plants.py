@@ -10,67 +10,82 @@ from cellflex.plants import (
     HeatPumpSystem,
     PvInverter,
     clamp,
-    first_order_lag,
-    heat_pump_cop,
 )
 from cellflex.scenario import BesParams, BevParams, EhpParams, PvParams
+
+
+def cop_after_one_substep(t_tank, ambient, effectiveness=0.5):
+    """The COP a heat pump ran its first substep at, from tank temperature
+    `t_tank` and ambient temperature `ambient`."""
+    ehp = make_ehp(t0_c=t_tank, effectiveness=effectiveness)
+    ehp.step(0.0, ambient, 0.0, 1, 15.0)
+    return ehp.last_cop
 
 
 class TestCop:
     def test_reference_values(self):
         # 0.5 * (45 + 273.15) / (45 - 0) = 3.535
-        assert heat_pump_cop(45.0, 0.0, 0.5) == pytest.approx(3.535, abs=1e-6)
+        assert cop_after_one_substep(45.0, 0.0) == pytest.approx(3.535, abs=1e-6)
         # near-degenerate spread blows the COP up: 0.5 * 318.15 / 1
-        assert heat_pump_cop(45.0, 44.0, 0.5) == pytest.approx(159.075, abs=1e-9)
+        assert cop_after_one_substep(45.0, 44.0) == pytest.approx(159.075, abs=1e-9)
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            heat_pump_cop(20.0, 20.0, 0.5)
-        with pytest.raises(ValueError):
-            heat_pump_cop(20.0, 25.0, 0.5)
-        with pytest.raises(ValueError):
-            heat_pump_cop(45.0, 0.0, 0.0)
+    def test_source_stays_below_the_sink(self):
+        # an ambient less than 1 K below the tank, or above it, is read as
+        # a source 1 K below the tank
+        for ambient in (44.5, 45.0, 60.0):
+            assert cop_after_one_substep(45.0, ambient) == 0.5 * (45.0 + 273.15)
+        # a non-positive effectiveness never reaches the cycle
+        for effectiveness in (0.0, -0.5):
+            with pytest.raises(ValueError, match="effectiveness"):
+                make_ehp(effectiveness=effectiveness)
 
-    @given(t_sink=st.floats(30, 90), spread=st.floats(0.5, 60), eff=st.floats(0.2, 0.8))
+    @given(t_sink=st.floats(35, 90), spread=st.floats(1, 60), eff=st.floats(0.2, 0.8))
     def test_positive_and_decreasing_in_spread(self, t_sink, spread, eff):
-        cop = heat_pump_cop(t_sink, t_sink - spread, eff)
-        cop_wider = heat_pump_cop(t_sink, t_sink - spread - 1.0, eff)
+        cop = cop_after_one_substep(t_sink, t_sink - spread, eff)
+        cop_wider = cop_after_one_substep(t_sink, t_sink - spread - 1.0, eff)
         assert cop > 0.0
         assert cop_wider < cop
+
+
+def lag_battery(time_constant_s, p0_kw=0.0):
+    """A battery whose ratings and SOC headroom never bind below 20 kW, so
+    its realized power is the first-order lag of its local wish."""
+    return BatteryStorage(BesParams(1000.0, 20.0, 20.0,
+                                    time_constant_s=time_constant_s), p0_kw=p0_kw)
 
 
 class TestFirstOrderResponse:
     def test_step_response_matches_analytic(self):
         # y(t) = u*(1 - exp(-t/T)); at t = T the response is 1 - e^-1
-        y = 0.0
+        bes = lag_battery(10.0)
         dt = 0.1  # T/100
         for _ in range(100):
-            y = first_order_lag(y, 1.0, dt, 10.0)
+            y = bes.step(1.0, 0.0, 1, dt)
         expected = 1.0 - math.exp(-1.0)  # 0.6321205588285577
         assert abs(y - expected) / expected < 1e-4
         assert y == pytest.approx(0.6321205588285577, rel=1e-6)
 
     def test_analytic_error_over_five_time_constants(self):
-        y = 0.0
+        bes = lag_battery(2.0)
         dt = 0.02  # T/100
         t = 0.0
         for _ in range(int(5 * 2.0 / dt)):
-            y = first_order_lag(y, 1.0, dt, 2.0)
+            y = bes.step(1.0, 0.0, 1, dt)
             t += dt
             exact = 1.0 - math.exp(-t / 2.0)
             assert abs(y - exact) / exact < 1e-4
 
     def test_result_does_not_depend_on_step_size(self):
         # the exponential update is exact for piecewise-constant input, so
-        # 150 steps of 0.1 s and one 15 s step end at the same state
-        fine = 0.3
-        for _ in range(150):
-            fine = first_order_lag(fine, 4.0, 0.1, 2.0)
-        coarse = first_order_lag(0.3, 4.0, 15.0, 2.0)
-        assert coarse == pytest.approx(fine, abs=1e-12)
+        # 150 substeps of 0.1 s and one 15 s substep end at the same power
+        fine = lag_battery(2.0, p0_kw=0.3)
+        fine.step(4.0, 0.0, 150, 0.1)
+        coarse = lag_battery(2.0, p0_kw=0.3)
+        coarse.step(4.0, 0.0, 1, 15.0)
+        assert coarse.p_kw == pytest.approx(fine.p_kw, abs=1e-12)
 
     def test_exact_branch_is_exact(self):
-        y = first_order_lag(0.0, 1.0, 6.0, 2.0)
+        y = lag_battery(2.0).step(1.0, 0.0, 1, 6.0)
         assert y == pytest.approx(1.0 - math.exp(-3.0), abs=1e-14)
 
     def test_parameter_errors(self):
@@ -88,11 +103,11 @@ class TestFirstOrderResponse:
         time_constant=st.floats(0.5, 20),
     )
     def test_never_overshoots_constant_target(self, y0, u, time_constant):
-        y = y0
+        bes = lag_battery(time_constant, p0_kw=y0)
         target = u
         side = math.copysign(1.0, target - y0) if target != y0 else 0.0
         for _ in range(50):
-            y = first_order_lag(y, u, time_constant / 10.0, time_constant)
+            y = bes.step(u, 0.0, 1, time_constant / 10.0)
             if side:
                 assert math.copysign(1.0, target - y) == side or abs(target - y) < 1e-12
 
@@ -468,128 +483,13 @@ def end_bits(plant):
     return repr((plant.get_state(), plant.p_kw))
 
 
-def check_ray(plant, run, start, offset, depth):
-    """Step from `start` under `offset`; every offset on the ray the step
-    records must end in the same state.  Returns whether a ray was recorded."""
-    plant.set_state(start)
-    run(offset)
-    lo, hi = plant.ray_lo, plant.ray_hi
-    if not lo <= offset <= hi:
-        assert math.isnan(lo) and math.isnan(hi)
-        return False
-    want = end_bits(plant)
-    if hi == math.inf:
-        assert lo == offset
-        others = [offset + depth, math.inf]
-    else:
-        assert lo == -math.inf and hi == offset
-        others = [offset - depth, -math.inf]
-    # the anchor itself, and either zero the ray reaches
-    others += [offset] + [z for z in (0.0, -0.0) if lo <= z <= hi]
-    for other in others:
-        plant.set_state(start)
-        run(other)
-        assert end_bits(plant) == want, other
-    return True
-
-
-depths = st.one_of(st.floats(0.0, 50.0), st.just(math.inf))
-substeps = st.sampled_from([(1, 15.0), (3, 5.0), (15, 1.0)])
-
-
-class TestClampRay:
-    """A step clamped at one bound on every substep records the ray of
-    offsets further past it; any offset on that ray ends in the same state,
-    bit for bit."""
-
-    @given(soc=st.floats(0.0, 1.0), p0=st.floats(-3.0, 5.0),
-           wish=st.floats(-10.0, 10.0), frac=st.floats(-3.0, 3.0),
-           depth=depths, grid=substeps)
-    def test_battery(self, soc, p0, wish, frac, depth, grid):
-        bes = BatteryStorage(BesParams(0.05, 5.0, 3.0))
-        n, dt = grid
-        check_ray(bes, lambda off: bes.step(wish, off, n, dt),
-                  (soc, p0, False), 8.0 * frac, depth)
-
-    @given(soc=st.floats(0.0, 1.0), p0=st.floats(-11.0, 11.0),
-           drained=st.floats(0.0, 5.0), v2g=st.booleans(),
-           tod_h=st.sampled_from([7.99, 8.0, 12.0, 17.99, 18.0, 19.0, 23.99]),
-           frac=st.floats(-3.0, 3.0), depth=depths, grid=substeps)
-    def test_ev(self, soc, p0, drained, v2g, tod_h, frac, depth, grid):
-        # 7.99 h and 17.99 h put the trip edge inside the interval, 12 h
-        # makes the whole interval a trip
-        bev = make_bev(capacity_kwh=0.5, v2g=v2g)
-        n, dt = grid
-        if not v2g:
-            p0 = abs(p0)
-        check_ray(bev, lambda off: bev.step(off, tod_h * 3600.0, n, dt),
-                  (soc, p0, False, drained), 22.0 * frac, depth)
-
-    @given(t0=st.one_of(st.floats(35.0, 90.0), st.sampled_from([35.0, 90.0])),
-           heating=st.booleans(), p_comp=st.floats(0.0, 3.0),
-           p_elem=st.floats(0.0, 5.0), demand=st.floats(0.0, 40.0),
-           ambient=st.floats(-10.0, 20.0), frac=st.floats(-3.0, 3.0),
-           depth=depths, grid=substeps)
-    def test_heat_pump(self, t0, heating, p_comp, p_elem, demand, ambient,
-                       frac, depth, grid):
-        ehp = make_ehp()
-        n, dt = grid
-        check_ray(ehp, lambda off: ehp.step(demand, ambient, off, n, dt),
-                  (t0, heating, False, p_comp, p_elem), 8.0 * frac, depth)
-
-    def test_rays_are_recorded_at_each_bound(self):
-        bes = BatteryStorage(BesParams(10.0, 5.0, 3.0))
-        assert check_ray(bes, lambda off: bes.step(0.0, off, 3, 5.0),
-                         bes.get_state(), 9.0, 1.0)
-        assert check_ray(bes, lambda off: bes.step(0.0, off, 3, 5.0),
-                         bes.get_state(), -9.0, 1.0)
-        assert not check_ray(bes, lambda off: bes.step(0.0, off, 3, 5.0),
-                             bes.get_state(), 1.0, 1.0)
-        # an EV that charges at rated power: any offset up is clamped
-        bev = make_bev()
-        charging = (0.5, 11.0, False, 0.0)
-        assert check_ray(bev, lambda off: bev.step(off, 20 * 3600.0, 3, 5.0),
-                         charging, 1e-9, 1.0)
-        assert not check_ray(bev, lambda off: bev.step(off, 20 * 3600.0, 3, 5.0),
-                             charging, 0.0, 1.0)
-        # a whole-interval trip reads only whether the offset is zero
-        trip = (0.5, 0.0, False, 0.0)
-        assert check_ray(bev, lambda off: bev.step(off, 12 * 3600.0, 3, 5.0),
-                         trip, 2.0, 1.0)
-        assert check_ray(bev, lambda off: bev.step(off, 12 * 3600.0, 3, 5.0),
-                         trip, -2.0, 1.0)
-        assert not check_ray(bev, lambda off: bev.step(off, 12 * 3600.0, 3, 5.0),
-                             trip, 0.0, 1.0)
-        # a heat pump at its floor and at its ceiling
-        ehp = make_ehp()
-        assert check_ray(ehp, lambda off: ehp.step(30.0, -5.0, off, 3, 5.0),
-                         (35.0, True, False, 3.0, 0.0), -20.0, 1.0)
-        assert check_ray(ehp, lambda off: ehp.step(0.0, 5.0, off, 3, 5.0),
-                         (90.0, False, False, 0.0, 5.0), 20.0, 1.0)
-        assert not check_ray(ehp, lambda off: ehp.step(2.0, 5.0, off, 3, 5.0),
-                             (45.0, False, False, 0.0, 0.0), 1.0, 1.0)
-
-    def test_a_nan_offset_records_no_ray(self):
-        bes = BatteryStorage(BesParams(10.0, 5.0, 3.0))
-        bes.step(0.0, math.nan, 3, 5.0)
-        assert math.isnan(bes.ray_lo) and math.isnan(bes.ray_hi)
-
-
 def substep_by_substep(plant, run, start, n, dt):
-    """End bits and the expected ray after n one-substep steps from `start`;
-    ``run(tod_offset_s, n)`` steps the plant."""
+    """End bits after n one-substep steps from `start`; ``run(tod_offset_s,
+    n)`` steps the plant."""
     plant.set_state(start)
-    rays = []
     for k in range(n):
         run(k * dt, 1)
-        rays.append((plant.ray_lo, plant.ray_hi))
-    if all(hi == math.inf for _lo, hi in rays):
-        ray = (rays[0][0], math.inf)
-    elif all(lo == -math.inf for lo, _hi in rays):
-        ray = (-math.inf, rays[0][1])
-    else:
-        ray = (math.nan, math.nan)
-    return end_bits(plant), repr(ray)
+    return end_bits(plant)
 
 
 socs = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0]))
@@ -600,7 +500,7 @@ intervals = st.sampled_from([(2, 5.0), (4, 15.0), (60, 15.0), (60, 1.0)])
 class TestSettledSubsteps:
     """A store whose state stops changing mid-interval skips its remaining
     connected substeps: one n-substep step ends bit-identical to n
-    one-substep steps and records the ray they agree on."""
+    one-substep steps."""
 
     @given(soc=socs, p0=powers, wish=st.floats(-10.0, 10.0),
            offset=st.one_of(st.floats(-16.0, 16.0), st.just(0.0)),
@@ -613,7 +513,7 @@ class TestSettledSubsteps:
             bes, lambda _tod, m: bes.step(wish, offset, m, dt), start, n, dt)
         bes.set_state(start)
         bes.step(wish, offset, n, dt)
-        assert (end_bits(bes), repr((bes.ray_lo, bes.ray_hi))) == want
+        assert end_bits(bes) == want
 
     @given(soc=socs, p0=powers, drained=st.floats(0.0, 5.0), v2g=st.booleans(),
            trip=st.sampled_from([(8.0, 18.0, 8.0), (12.0, 12.1, 0.2)]),
@@ -634,7 +534,7 @@ class TestSettledSubsteps:
             start, n, dt)
         bev.set_state(start)
         bev.step(offset, tod_h * 3600.0, n, dt)
-        assert (end_bits(bev), repr((bev.ray_lo, bev.ray_hi))) == want
+        assert end_bits(bev) == want
 
     def test_a_trip_inside_the_interval_ends_the_settled_state(self):
         # full and idle, the vehicle settles on its first substep, leaves for
@@ -649,5 +549,5 @@ class TestSettledSubsteps:
         want = substep_by_substep(bev, run, start, 60, 15.0)
         bev.set_state(start)
         run(0.0, 60)
-        assert (end_bits(bev), repr((bev.ray_lo, bev.ray_hi))) == want
+        assert end_bits(bev) == want
         assert bev.p_kw > 0.0 and bev.soc < 1.0

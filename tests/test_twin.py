@@ -218,9 +218,9 @@ class TestIncrementalEvaluation:
         check(ref, x)
         x[i_inv] = bounds[i_inv, 0]
         check(ref, x)
-        # past each bound, deeper, back to the anchor, back inside: a plant
-        # clamped at one bound on every substep is kept while its offset
-        # stays on the ray its last step recorded
+        # past each bound, deeper, back to the bound, back inside, then zero
+        # and its sign: a plant is kept only while its offset is the same
+        # float
         stateful = [j for j, c in enumerate(classes) if c != "inv"]
         for side in (1, 0):
             far = bounds[stateful, side]
@@ -267,10 +267,11 @@ class TestIncrementalEvaluation:
         x[i_bes] = -x[i_bes]
         check(new_ref, x)
 
-    def test_a_saturated_plant_is_not_re_integrated(self, monkeypatch):
-        # an EV charging at rated power is clamped on every substep once its
-        # offset points up; moving it further up steps no plant, moving it
-        # back inside steps that EV alone
+    def test_only_a_plant_whose_offset_changed_is_re_integrated(
+            self, monkeypatch):
+        # the EV charges at rated power, so any offset up is clamped; a
+        # deeper offset past that bound still steps it, and so does the
+        # sign of a zero offset, but the same offsets step no plant
         twin = CellTwin(load_bundled_scenario())
         ref = twin.run_warmup()
         j = twin.plant_labels.index("bev:p02.0")
@@ -291,14 +292,17 @@ class TestIncrementalEvaluation:
 
         x = np.zeros(twin.n_plants)
         assert len(plants_stepped(x)) == twin.n_plants
+        assert plants_stepped(x) == []
         x[j] = 1.0
         assert plants_stepped(x) == [ev]
         x[j] = 3.0
-        assert plants_stepped(x) == []
-        x[j] = 1.0
-        assert plants_stepped(x) == []
-        x[j] = -1.0
         assert plants_stepped(x) == [ev]
+        assert plants_stepped(x) == []
+        x[j] = 0.0
+        assert plants_stepped(x) == [ev]
+        x[j] = -0.0
+        assert plants_stepped(x) == [ev]
+        assert plants_stepped(x) == []
 
     @pytest.mark.parametrize("make, bes_soc", [
         pytest.param(make_toy_scenario, None, id="make_toy_scenario"),
@@ -310,8 +314,7 @@ class TestIncrementalEvaluation:
         # the invariant that lets an evaluation skip unchanged plants: a
         # coupling between plants must fail here.  From the depletion run's
         # start (batteries at 4 % SOC) the evaluation of x2 right after x1,
-        # which keeps plant j and every plant whose new offset lies on its
-        # clamp ray, must also match a full re-integration of x2
+        # which keeps plant j, must also match a full re-integration of x2
         twin = CellTwin(make())
         ref = twin.run_warmup()
         if bes_soc is not None:
@@ -431,8 +434,7 @@ class TestGeneratedCells:
     def test_each_plant_depends_only_on_its_own_offset(self, cell, seed):
         # changing every other coordinate leaves plant j's value and state
         # bit-equal, and the evaluation of x right after x1, which keeps
-        # plant j and every plant whose new offset lies on its clamp ray,
-        # matches a full re-integration of x
+        # plant j, matches a full re-integration of x
         twin = CellTwin(scenario_from_dict(cell))
         ref = twin.run_warmup()
         bounds = twin.plant_bounds()
