@@ -503,6 +503,23 @@ class TestOracle:
         assert result.n_points == n_points == 161 * 37
         assert result.n_evals < n_points
 
+    @pytest.mark.parametrize("seed, request_index, n_evals", [
+        (92, 16, 249), (100, 19, 300)])
+    def test_oracle_matches_brute_force_at_the_battery_clamp(
+            self, seed, request_index, n_evals):
+        # the minimizer discharges the battery at its clamp (x[0] = -4.0),
+        # so lower offsets end in the same plant state and share its lower
+        # bound; the scan evaluates them and still returns the first
+        # minimizer
+        request, _seed = toy_requests(seed, 25)[request_index]
+        result = grid_search_oracle(make_toy_scenario(), request)
+        of, x, n_points = brute_force_oracle(make_toy_scenario(), request, 0.05)
+        assert x[0] == -4.0
+        assert result.of.hex() == of.hex()
+        assert result.x.tobytes() == x.tobytes()
+        assert result.n_evals == n_evals
+        assert result.n_evals + result.n_pruned == result.n_probes + n_points
+
     @pytest.mark.parametrize("plant", [
         pytest.param({"ehp": {"p_el_max_kw": 3.0, "p_element_kw": 2.0,
                               "storage_kwh_per_k": 0.4, "t0_c": 45.0}},

@@ -551,3 +551,66 @@ class TestSettledSubsteps:
         run(0.0, 60)
         assert end_bits(bev) == want
         assert bev.p_kw > 0.0 and bev.soc < 1.0
+
+
+def check_replay(plant, run, start, offset, other):
+    """Step from `start` under `offset`, then under `other`, then from
+    `start` under `offset` again: the replay must end bit-identical, with the
+    same returned and reactive power, so a plant whose offset is unchanged
+    can keep the end state of its last integration."""
+
+    def end():
+        p = run(offset)
+        return repr((p, getattr(plant, "q_kvar", None))) + end_bits(plant)
+
+    plant.set_state(start)
+    want = end()
+    plant.set_state(start)
+    run(other)
+    run(other)
+    plant.set_state(start)
+    assert end() == want
+
+
+offsets = st.one_of(st.floats(-24.0, 24.0), st.sampled_from([0.0, -0.0]))
+
+
+class TestReplayFromState:
+    """A step depends only on the state restored before it and its inputs:
+    whatever the plant did in between, it ends bit-identical."""
+
+    @given(soc=socs, p0=powers, saturated=st.booleans(),
+           wish=st.floats(-10.0, 10.0), offset=offsets, other=offsets,
+           grid=intervals)
+    def test_battery(self, soc, p0, saturated, wish, offset, other, grid):
+        bes = BatteryStorage(BesParams(0.05, 5.0, 3.0))
+        n, dt = grid
+        check_replay(bes, lambda off: bes.step(wish, off, n, dt),
+                     (soc, p0, saturated), offset, other)
+
+    @given(soc=socs, p0=powers, saturated=st.booleans(),
+           drained=st.floats(0.0, 5.0), v2g=st.booleans(),
+           tod_h=st.sampled_from([7.99, 8.0, 12.0, 17.99, 18.0, 19.0, 23.99]),
+           offset=offsets, other=offsets, grid=intervals)
+    def test_ev(self, soc, p0, saturated, drained, v2g, tod_h, offset, other,
+                grid):
+        # 7.99 h and 17.99 h put a trip edge inside most intervals, 12 h
+        # makes the whole interval a trip
+        bev = make_bev(capacity_kwh=0.5, v2g=v2g)
+        n, dt = grid
+        if not v2g:
+            p0 = abs(p0)
+        check_replay(bev, lambda off: bev.step(off, tod_h * 3600.0, n, dt),
+                     (soc, p0, saturated, drained), offset, other)
+
+    @given(t0=st.one_of(st.floats(35.0, 90.0), st.sampled_from([35.0, 90.0])),
+           heating=st.booleans(), saturated=st.booleans(),
+           p_comp=st.floats(0.0, 3.0), p_elem=st.floats(0.0, 5.0),
+           demand=st.floats(0.0, 40.0), ambient=st.floats(-10.0, 20.0),
+           offset=offsets, other=offsets, grid=intervals)
+    def test_heat_pump(self, t0, heating, saturated, p_comp, p_elem, demand,
+                       ambient, offset, other, grid):
+        ehp = make_ehp()
+        n, dt = grid
+        check_replay(ehp, lambda off: ehp.step(demand, ambient, off, n, dt),
+                     (t0, heating, saturated, p_comp, p_elem), offset, other)

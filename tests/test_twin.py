@@ -179,6 +179,26 @@ def result_bits(ev):
             ev.n_violations, ev.feasible)
 
 
+def plant_step_counter(twin, ref, monkeypatch):
+    """Count plant steps: the returned function evaluates `x` on `twin`
+    (from `ref`, unless another reference is given), checks the result
+    against a fresh twin's bit for bit, and lists the plants it stepped."""
+    stepped = []
+    for cls in (BatteryStorage, HeatPumpSystem, ElectricVehicle, PvInverter):
+        def counting_step(plant, *args, _step=cls.step):
+            stepped.append(plant)
+            return _step(plant, *args)
+        monkeypatch.setattr(cls, "step", counting_step)
+
+    def plants_stepped(x, r=ref):
+        want = CellTwin(twin.scenario).evaluate_dispatch(r, x)
+        stepped.clear()
+        assert result_bits(twin.evaluate_dispatch(r, x)) == result_bits(want)
+        return list(stepped)
+
+    return plants_stepped
+
+
 class TestIncrementalEvaluation:
     """An evaluation re-integrates only the plants whose offsets changed.
 
@@ -277,19 +297,7 @@ class TestIncrementalEvaluation:
         j = twin.plant_labels.index("bev:p02.0")
         ev = next(p for p in twin.prosumers if p.id == "p02").bevs[0]
         assert ref.plant_values[j] == ev.p_rated_kw
-        stepped = []
-        for cls in (BatteryStorage, HeatPumpSystem, ElectricVehicle, PvInverter):
-            def counting_step(plant, *args, _step=cls.step):
-                stepped.append(plant)
-                return _step(plant, *args)
-            monkeypatch.setattr(cls, "step", counting_step)
-
-        def plants_stepped(x):
-            want = CellTwin(twin.scenario).evaluate_dispatch(ref, x)
-            stepped.clear()
-            assert result_bits(twin.evaluate_dispatch(ref, x)) == result_bits(want)
-            return list(stepped)
-
+        plants_stepped = plant_step_counter(twin, ref, monkeypatch)
         x = np.zeros(twin.n_plants)
         assert len(plants_stepped(x)) == twin.n_plants
         assert plants_stepped(x) == []
@@ -302,6 +310,40 @@ class TestIncrementalEvaluation:
         assert plants_stepped(x) == [ev]
         x[j] = -0.0
         assert plants_stepped(x) == [ev]
+        assert plants_stepped(x) == []
+
+    def test_a_nan_offset_is_never_kept(self, monkeypatch):
+        # NaN equals no float, itself included, so the plant it drives is
+        # stepped again on every evaluation; the inverter's zero is kept
+        twin = CellTwin(make_toy_scenario())
+        ref = twin.run_warmup()
+        bes = twin.prosumers[0].bes
+        plants_stepped = plant_step_counter(twin, ref, monkeypatch)
+        x = np.array([math.nan, 0.0])
+        assert len(plants_stepped(x)) == twin.n_plants
+        assert plants_stepped(x) == [bes]
+        assert plants_stepped(x) == [bes]
+        x[0] = 1.0
+        assert plants_stepped(x) == [bes]
+        assert plants_stepped(x) == []
+
+    def test_every_plant_is_re_integrated_from_another_snapshot(
+            self, monkeypatch):
+        # a kept state is the end state of one snapshot object: the same
+        # offsets from another reference, or after a restore, step every
+        # plant again
+        twin = CellTwin(make_toy_scenario())
+        ref = twin.run_warmup()
+        x = np.array([1.0, 0.3])
+        new_ref, _ = twin.advance_reference(ref, x)
+        plants_stepped = plant_step_counter(twin, ref, monkeypatch)
+        # the commit left the end state of `ref` under x
+        assert plants_stepped(x) == []
+        assert len(plants_stepped(x, new_ref)) == twin.n_plants
+        assert plants_stepped(x, new_ref) == []
+        assert len(plants_stepped(x)) == twin.n_plants
+        twin.restore(ref.snapshot)
+        assert len(plants_stepped(x)) == twin.n_plants
         assert plants_stepped(x) == []
 
     @pytest.mark.parametrize("make, bes_soc", [
