@@ -14,10 +14,13 @@ product loop with a strict ``of < best_of`` update finds it
 Points that cannot hold the answer are not evaluated.  A plant's end state
 depends only on the snapshot it starts from and its own offset (the
 separability the incremental twin rests on).  So before the scan, one probe
-per axis point moves that plant alone from the first grid point, and the
-probes give a lower bound on the objective at every grid point (branch and
-bound, Land & Doig 1960), computed for the whole grid at once by numpy
-broadcasting (``_lower_bounds``):
+per axis point moves that plant alone from the first grid point
+(``CellTwin.probe_plant``: the other plants are integrated once, then each
+probe restores and steps that plant alone and reads its value and the bus
+injections; no power flow is solved, since the bound below never needs
+one).  The probes give a lower bound on the objective at every grid point
+(branch and bound, Land & Doig 1960), computed for the whole grid at once
+by numpy broadcasting (``_lower_bounds``):
 
 * Plant cost: each probe records its plant's deviation delta_i, which is
   the same at every point with that offset, so sum_i k_i*|delta_i| is the
@@ -64,6 +67,17 @@ OF*.  A skipped point's objective is at least its bound, so it could not
 have been taken either.  A NaN bound never compares true, so it never skips
 a point.  On the toy cell at 0.05 the bound leaves one or two of the 5,957
 points to evaluate after the 198 probes.
+
+Points that score alike are evaluated once.  The objective reads only the
+plant values and the bus injections, and a plant's value fixes its share
+of its bus injection (a heat pump's Q is P tan(phi); an inverter's P does
+not depend on its Q offset).  So two offsets of one plant whose probes give
+the same plant value and bus injections, bit for bit, give the same
+objective bits at every grid point.  The scan's objective is keyed on each
+axis's first offset with that probe record: the first point of a key is
+evaluated and the others reuse its objective, the value they would have
+had, so the scan's answer is unchanged.  On the toy cell this skips the
+battery offsets below its discharge clamp, which share the clamp's bound.
 """
 
 import math
@@ -139,11 +153,11 @@ def make_toy_scenario():
 class OracleResult:
     of: float
     x: np.ndarray
-    n_evals: int        # evaluate_dispatch calls made, probes included
+    n_evals: int        # n_probes plus the grid points evaluated
     n_points: int       # points of the offset grid
     resolution: float
     n_probes: int       # single-plant probes, one per axis point
-    n_pruned: int       # grid points that the lower bound skipped
+    n_pruned: int       # grid points not evaluated
 
 
 def _grid_axes(bounds, resolution):
@@ -159,33 +173,33 @@ def _grid_axes(bounds, resolution):
 def _probe_axes(twin, ref, axes):
     """Probe every axis point: that plant alone moved from the first grid point.
 
-    Returns one ``(delta, p_bus, q_bus)`` per axis, each indexed by the
-    axis's offsets: ``delta`` is the plant's deviation from the reference,
-    ``p_bus`` and ``q_bus`` hold the bus injections after the probe (one
-    column per non-slack bus).
+    Returns one ``CellTwin.probe_plant`` result ``(values, injections)`` per
+    axis, each indexed by the axis's offsets.
     """
-    probes = []
-    for i, axis in enumerate(axes):
-        delta, inj = [], []
-        for value in axis:
-            probe = [a[0] for a in axes]
-            probe[i] = value
-            ev = twin.evaluate_dispatch(ref, probe)
-            delta.append(ev.plant_values[i] - ref.plant_values[i])
-            inj.append(list(twin.injections().values()))
-        inj = np.array(inj, dtype=float).reshape(len(axis), -1, 2)
-        probes.append((np.array(delta), inj[..., 0], inj[..., 1]))
-    return probes
+    base = [a[0] for a in axes]
+    return [twin.probe_plant(ref, base, i, axis) for i, axis in enumerate(axes)]
 
 
-def _lower_bounds(twin, ref, request, costs, deltas, p_bus, q_bus):
+def _first_alike(values, injections):
+    """Per probe of one axis, the index of its first probe with the same
+    plant value and bus injections, bit for bit."""
+    records = np.column_stack([values, injections.reshape(len(values), -1)])
+    seen = {}
+    return [seen.setdefault(record.tobytes(), j)
+            for j, record in enumerate(records)]
+
+
+def _lower_bounds(twin, ref, request, costs, probes):
     """Lower bound on the objective at every point of the product grid.
 
-    ``deltas``, ``p_bus`` and ``q_bus`` hold one array per axis, indexed by
-    its offsets as :func:`_probe_axes` returns them; row 0 of every axis
-    must be the first grid point.  Returns an array with one axis per plant
-    (see the module docstring for why it never exceeds the objective).
+    ``probes`` holds one ``(values, injections)`` pair per axis as
+    :func:`_probe_axes` returns them; row 0 of every axis must be the first
+    grid point.  Returns an array with one axis per plant (see the module
+    docstring for why it never exceeds the objective).
     """
+    deltas = [v - ref.plant_values[i] for i, (v, _) in enumerate(probes)]
+    p_bus = [injections[..., 0] for _, injections in probes]
+    q_bus = [injections[..., 1] for _, injections in probes]
     n = len(deltas)
 
     def along(i, values):
@@ -278,16 +292,26 @@ def grid_search_oracle(scenario, request, *, resolution=0.05):
     costs = CostTable()
     f, bounds = single_step_objective(twin, ref, request, costs)
     axes = _grid_axes(bounds, resolution)
-    deltas, p_bus, q_bus = zip(*_probe_axes(twin, ref, axes))
-    n_probes = twin.n_evaluations
-    lb = _lower_bounds(twin, ref, request, costs, deltas, p_bus, q_bus)
+    probes = _probe_axes(twin, ref, axes)
+    n_probes = sum(map(len, axes))
+    lb = _lower_bounds(twin, ref, request, costs, probes)
+    firsts = [_first_alike(*probe) for probe in probes]
 
     def point(k):
         return np.array([a[j] for a, j in zip(axes, np.unravel_index(k, lb.shape))])
 
-    best_of, best = _scan(lb.ravel(), lambda k: f(point(k))[0])
+    scored = {}
+
+    def objective(k):
+        # points whose plants all probe alike score the same bits
+        key = tuple(first[j] for first, j in
+                    zip(firsts, np.unravel_index(k, lb.shape)))
+        if key not in scored:
+            scored[key] = f(point(k))[0]
+        return scored[key]
+
+    best_of, best = _scan(lb.ravel(), objective)
     best_x = None if best is None else point(best)
-    n_scanned = twin.n_evaluations - n_probes
-    return OracleResult(of=best_of, x=best_x, n_evals=twin.n_evaluations,
+    return OracleResult(of=best_of, x=best_x, n_evals=n_probes + len(scored),
                         n_points=lb.size, resolution=resolution,
-                        n_probes=n_probes, n_pruned=lb.size - n_scanned)
+                        n_probes=n_probes, n_pruned=lb.size - len(scored))

@@ -129,7 +129,12 @@ class _Storage:
                 if away[0] <= tod < away[1]:
                     for dep, ret, energy in self.trips:
                         if dep <= tod < ret:
-                            drain = min(energy * dt / (ret - dep), soc * cap)
+                            # min(uniform drain, stored energy), ties to
+                            # the uniform drain
+                            drain = energy * dt / (ret - dep)
+                            stored = soc * cap
+                            if stored < drain:
+                                drain = stored
                             self.trip_drain_kwh += drain
                             soc = soc - drain / cap
                             break
@@ -377,12 +382,14 @@ class HeatPumpSystem:
             else:
                 cmd_total = wanted
             saturated = cmd_total != wanted
+            # min(wanted part, rating), ties to the wanted part
             if t >= t_threshold:
                 cmd_comp = 0.0
-                cmd_elem = min(cmd_total, p_element)
+                cmd_elem = p_element if p_element < cmd_total else cmd_total
             else:
-                cmd_comp = min(cmd_total, p_el_max)
-                cmd_elem = min(cmd_total - cmd_comp, p_element)
+                cmd_comp = p_el_max if p_el_max < cmd_total else cmd_total
+                rest = cmd_total - cmd_comp
+                cmd_elem = p_element if p_element < rest else rest
             p_comp = p_comp + (cmd_comp - p_comp) * lag
             p_elem = cmd_elem
             t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600

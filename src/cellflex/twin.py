@@ -11,6 +11,11 @@ optimizer:
                               plant offsets, integrate one dispatch step and
                               solve the network; side-effect free w.r.t. the
                               reference.
+* ``probe_plant``           - the same integration with one plant's offset
+                              moved through a list of values from a common
+                              base: per value, that plant's realized value
+                              and the bus injections, without a power flow
+                              (the oracle's axis probes).
 * ``advance_reference``     - commit one dispatch step: same integration, but
                               the end state becomes the next step's snapshot
                               while the frozen baseline powers are kept.
@@ -23,17 +28,17 @@ integrates a whole interval in one ``step`` call (see :mod:`cellflex.plants`),
 so every prosumer is called once per interval, not once per substep; the PV
 inverters keep no state and step once per interval too.
 
-An evaluation re-integrates only the plants whose offset changed.  A
-plant's end state depends only on the snapshot it starts from and its own
-offset, so when the twin still holds the end state of the same snapshot
-object, a plant keeps its state if its offset is the same float as in that
-integration (sign of zero included; NaN never is).  Only the other plants
-are restored and stepped.  The bus injections are then summed from every
-plant's final power.  Anything else that moves plant state -- ``restore``,
-the warmup, ``override_bes_soc``, ``step_dispatch_interval`` outside an
-evaluation -- makes the next evaluation re-integrate every plant.  The
-trace reads an EV's connection where its last substep started, since its
-``p_kw`` is that substep's power.
+An evaluation or a probe re-integrates only the plants whose offset
+changed.  A plant's end state depends only on the snapshot it starts from
+and its own offset, so when the twin still holds the end state of the same
+snapshot object, a plant keeps its state if its offset is the same float as
+in that integration (sign of zero included; NaN never is).  Only the other
+plants are restored and stepped.  The bus injections are then summed from
+every plant's final power.  Anything else that moves plant state --
+``restore``, the warmup, ``override_bes_soc``, ``step_dispatch_interval``
+outside an evaluation or a probe -- makes the next one re-integrate every
+plant.  The trace reads an EV's connection where its last substep started,
+since its ``p_kw`` is that substep's power.
 
 Controllable-plant ordering is class-major and scenario-ordered within each
 class: all batteries, then all heat pumps, then all EV chargers, then all PV
@@ -384,14 +389,18 @@ class CellTwin:
         return [not (a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b)))
                 for a, b in zip(offsets, self._end_offsets)]
 
-    def _integrate_offsets(self, ref, offsets, record_trace):
-        offsets = self._checked_offsets(offsets)
-        stale = self._stale_plants(ref.snapshot, offsets)
-        self.restore(ref.snapshot, stale)
+    def _integrate(self, snap, offsets):
+        """Leave every plant at its end state from `snap` under the checked
+        list `offsets`, restoring and stepping only the stale plants."""
+        stale = self._stale_plants(snap, offsets)
+        self.restore(snap, stale)
         self._offsets[:] = offsets
         self.step_dispatch_interval(stale)
-        self._end_of = ref.snapshot
+        self._end_of = snap
         self._end_offsets = offsets
+
+    def _integrate_offsets(self, ref, offsets, record_trace):
+        self._integrate(ref.snapshot, self._checked_offsets(offsets))
         try:
             res = self.solve()
         except PowerFlowError as exc:
@@ -419,6 +428,32 @@ class CellTwin:
         """
         self.n_evaluations += 1
         return self._integrate_offsets(ref, offsets, record_trace)
+
+    def probe_plant(self, ref, base, i, values):
+        """Plant i's value and the bus injections at each of `values`.
+
+        Row k is what ``evaluate_dispatch(ref, x)`` leaves, bit for bit,
+        with x = `base` and x[i] = values[k]: plant i's realized value (P in
+        kW; Q in kVAr for an inverter) and ``(p_kw, q_kvar)`` per non-slack
+        bus in ``injections()`` order, returned as arrays of shape ``(K,)``
+        and ``(K, n_buses, 2)``.  No power flow is solved and nothing is
+        counted in ``n_evaluations``.  The other plants are integrated under
+        `base` once, unless the twin already holds that end state; each
+        value then restores and steps plant i alone.
+        """
+        offsets = self._checked_offsets(base)
+        plant, attr = self._plant_values[i]
+        plant_values, injections = [], []
+        for value in values:
+            # a new list: the twin keeps the last one as its end offsets
+            offsets = offsets.copy()
+            offsets[i] = float(value)
+            self._integrate(ref.snapshot, offsets)
+            plant_values.append(getattr(plant, attr))
+            injections.append(list(self.injections().values()))
+        return (np.array(plant_values, dtype=float),
+                np.array(injections, dtype=float).reshape(
+                    len(injections), len(self.injections()), 2))
 
     def advance_reference(self, ref, offsets, record_trace=True):
         """Commit a dispatch step: integrate and adopt the end state.

@@ -502,6 +502,61 @@ class TestGeneratedCells:
                 assert kept_states == states, label
 
 
+def check_probes(scenario, rng):
+    """Probe every plant of `scenario` from a random base and check each row
+    against a full evaluation; then check that the evaluations right after
+    the probe match full ones too."""
+    twin = CellTwin(scenario)
+    ref = twin.run_warmup()
+    bounds = twin.plant_bounds()
+    full = CellTwin(scenario)
+
+    def integrated(x):
+        full.restore(ref.snapshot)          # re-integrates every plant
+        ev = full.evaluate_dispatch(ref, x, record_trace=True)
+        return ev, np.array(list(full.injections().values()), dtype=float)
+
+    for i in range(twin.n_plants):
+        base = rng.uniform(bounds[:, 0], bounds[:, 1])
+        lo, hi = bounds[i]
+        # a repeat, a zero and its sign, past the bound, then off the grid
+        values = [lo, lo, 0.0, -0.0, hi, 2.0 * hi, rng.uniform(lo, hi)]
+        n_evaluations = twin.n_evaluations
+        got_values, got_inj = twin.probe_plant(ref, base, i, values)
+        label = twin.plant_labels[i]
+        assert twin.n_evaluations == n_evaluations
+        assert got_inj.shape == (len(values), len(twin.injections()), 2)
+        for value, got, inj in zip(values, got_values, got_inj):
+            x = base.copy()
+            x[i] = value
+            ev, want_inj = integrated(x)
+            assert got.tobytes() == ev.plant_values[i].tobytes(), (label, value)
+            assert inj.tobytes() == want_inj.tobytes(), (label, value)
+        # right after the probe, the base re-steps plant i alone; then the
+        # probe's last point re-steps it again, and a random point that
+        # keeps plant i re-steps the others
+        last = base.copy()
+        last[i] = values[-1]
+        other = rng.uniform(bounds[:, 0], bounds[:, 1])
+        other[i] = last[i]
+        for x in (base, last, other):
+            got = twin.evaluate_dispatch(ref, x, record_trace=True)
+            assert fingerprint(got) == fingerprint(integrated(x)[0]), label
+
+
+class TestProbePlant:
+    """``probe_plant`` reads what the evaluations it stands for would, and
+    leaves the twin where the next evaluation's skip rule expects it."""
+
+    @pytest.mark.parametrize("make", [make_toy_scenario, load_bundled_scenario])
+    def test_rows_match_full_evaluations(self, make):
+        check_probes(make(), np.random.default_rng(11))
+
+    @given(cell=small_cells(), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_full_evaluations_on_generated_cells(self, cell, seed):
+        check_probes(scenario_from_dict(cell), np.random.default_rng(seed))
+
+
 class TestCommit:
     def test_advance_keeps_frozen_baseline(self, toy):
         twin, ref = toy
