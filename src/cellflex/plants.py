@@ -37,8 +37,8 @@ Each plant is built from its scenario params record (``BesParams``,
 which holds every parameter default; the constructors only validate it.
 
 A store whose connected substep leaves its state bit-identical is settled:
-its inputs are held over the interval, so the interval's later connected
-substeps would repeat it exactly and are skipped (see `_Storage._integrate`).
+its later connected substeps would repeat it, so a battery stops and an EV
+jumps to its next trip window, stepped in a tight loop (`_Storage._integrate`).
 """
 
 import math
@@ -109,41 +109,48 @@ class _Storage:
         the running trip drains the store uniformly over its window.
 
         A connected substep that leaves ``soc`` and ``p`` bit-identical
-        (sign of zero included) is settled: its inputs are held over the
-        interval, so every later connected substep would repeat it exactly
-        and is skipped; an away substep ends the settled state.
+        (sign of zero included) is settled: a battery stops there, an EV
+        jumps to its next away substep, which ends the settled state.
         """
         cap = self.capacity_kwh
         eta_c = self.eta_charge
         eta_d = self.eta_discharge
         charge_div = eta_c * dt
         lag = lag_factor(dt, self.time_constant_s)
-        away = self._away
+        away_from, away_to = self._away or (None, None)
         soc = self.soc
         p = self.p_kw
         saturated = self.saturated
-        settled = False
-        for k in range(n):
-            if away is not None:
+        k = 0
+        while k < n:
+            if away_from is not None:
                 tod = (base_tod_s + k * dt) % 86400.0
-                if away[0] <= tod < away[1]:
-                    for dep, ret, energy in self.trips:
-                        if dep <= tod < ret:
-                            # min(uniform drain, stored energy), ties to
-                            # the uniform drain
-                            drain = energy * dt / (ret - dep)
-                            stored = soc * cap
-                            if stored < drain:
-                                drain = stored
-                            self.trip_drain_kwh += drain
-                            soc = soc - drain / cap
-                            break
+                if away_from <= tod < away_to:
+                    drained = self.trip_drain_kwh
+                    while k < n and away_from <= tod < away_to:
+                        k_pass = k
+                        for dep, ret, energy in self.trips:
+                            if dep <= tod < ret:
+                                drain = energy * dt / (ret - dep)
+                                drop = drain / cap
+                            while k < n and dep <= tod < ret:
+                                # min(uniform drain, stored energy), ties to the drain
+                                stored = soc * cap
+                                if stored < drain:
+                                    drained += stored
+                                    soc = soc - stored / cap
+                                else:
+                                    drained += drain
+                                    soc = soc - drop
+                                k += 1
+                                tod = (base_tod_s + k * dt) % 86400.0
+                        if k == k_pass:         # at home between two trips
+                            k += 1
+                            tod = (base_tod_s + k * dt) % 86400.0
+                    self.trip_drain_kwh = drained
                     p = 0.0
                     saturated = offset_kw != 0.0
-                    settled = False
                     continue
-            if settled:
-                continue
             # SOC headroom over this substep, as charge and discharge power,
             # folded into the rating bounds (on a tie the rating is kept)
             room_c = (1.0 - soc) * cap * 3600.0 / charge_div
@@ -185,10 +192,19 @@ class _Storage:
                 soc = 0.0
             elif soc > 1.0:
                 soc = 1.0
+            k += 1
             if p == p_start and soc == soc_start \
                     and math.copysign(1.0, p) == math.copysign(1.0, p_start) \
                     and math.copysign(1.0, soc) == math.copysign(1.0, soc_start):
-                settled = True
+                # stop unless a later substep is away (time of day grows until it wraps)
+                tod = (base_tod_s + k * dt) % 86400.0
+                tod_end = (base_tod_s + (n - 1) * dt) % 86400.0
+                if away_from is None or ((n - k) * dt < 43200.0 and tod <= tod_end
+                                         and (tod_end < away_from or away_to <= tod)):
+                    break
+                while k < n and not (
+                        away_from <= (base_tod_s + k * dt) % 86400.0 < away_to):
+                    k += 1
         self.soc = soc
         self.p_kw = p
         self.saturated = saturated

@@ -4,9 +4,9 @@ A scenario is a plain JSON document (see data/scenario.schema.json and the
 bundled data/rural1_flex.json).  Household demand and weather are generated
 from compact parametric profiles: a base-plus-morning/evening-bump household
 shape sampled to 15-minute steps, a daily cosine for ambient temperature and
-a clear-sky bell for irradiance.  Profiles are materialized once over
-[start - profile_back_days, start + profile_forward_days]; sampling outside
-that window raises a configuration error.
+a clear-sky bell for irradiance.  Profiles compute a point of their 15-minute
+grid over [start - profile_back_days, start + profile_forward_days] when it
+is read; sampling outside that window raises a configuration error.
 
 The frozen ``*Params`` dataclasses are the single declaration of every
 scenario parameter: the loader reads each JSON block by walking its record's
@@ -56,45 +56,42 @@ _WARMUP_BLOCK_S = 900.0
 # ---------------------------------------------------------------------------
 # profile series
 
+@dataclass(slots=True)
 class StepSeries:
-    """Piecewise-constant series on a fixed grid (household-style profiles)."""
+    """Piecewise-constant series; ``at(i)`` computes grid point i of ``n``."""
 
-    __slots__ = ("t0_s", "dt_s", "values")
-
-    def __init__(self, t0_s, dt_s, values):
-        self.t0_s = t0_s
-        self.dt_s = dt_s
-        self.values = values
+    t0_s: float
+    dt_s: float
+    n: int
+    at: object
 
     def value(self, t_s):
         i = int((t_s - self.t0_s) // self.dt_s)
-        if t_s < self.t0_s or i >= len(self.values):
+        if t_s < self.t0_s or i >= self.n:
             raise ConfigurationError(
                 f"profile does not cover t={t_s:.0f}s "
-                f"(covered: [{self.t0_s:.0f}, {self.t0_s + self.dt_s * len(self.values):.0f}))")
-        return self.values[i]
+                f"(covered: [{self.t0_s:.0f}, {self.t0_s + self.dt_s * self.n:.0f}))")
+        return self.at(i)
 
 
+@dataclass(slots=True)
 class LinearSeries:
-    """Piecewise-linear series on a fixed grid (weather-style profiles)."""
+    """Piecewise-linear series; ``at(i)`` computes grid point i of ``n``."""
 
-    __slots__ = ("t0_s", "dt_s", "values")
-
-    def __init__(self, t0_s, dt_s, values):
-        self.t0_s = t0_s
-        self.dt_s = dt_s
-        self.values = values
+    t0_s: float
+    dt_s: float
+    n: int
+    at: object
 
     def value(self, t_s):
         x = (t_s - self.t0_s) / self.dt_s
         i = int(x)
-        if x < 0.0 or i + 1 >= len(self.values):
+        if x < 0.0 or i + 1 >= self.n:
             raise ConfigurationError(
                 f"profile does not cover t={t_s:.0f}s "
-                f"(covered: [{self.t0_s:.0f}, {self.t0_s + self.dt_s * (len(self.values) - 1):.0f}))")
-        frac = x - i
-        v = self.values
-        return v[i] + frac * (v[i + 1] - v[i])
+                f"(covered: [{self.t0_s:.0f}, {self.t0_s + self.dt_s * (self.n - 1):.0f}))")
+        v_i = self.at(i)
+        return v_i + (x - i) * (self.at(i + 1) - v_i)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +245,6 @@ def _gauss_bump(hour, center, width):
     return math.exp(-((hour - center) / width) ** 2)
 
 
-def _household_p_kw(hh, hour):
-    return (hh.p_base_kw
-            + hh.p_morning_kw * _gauss_bump(hour, 7.5, 1.3)
-            + hh.p_evening_kw * _gauss_bump(hour, 19.5, 2.2))
-
-
 def _ambient_c(weather, hour):
     return (weather.ambient_mean_c
             + weather.ambient_swing_c
@@ -267,11 +258,7 @@ def _irradiance_w_m2(weather, hour):
     return weather.irradiance_peak_w_m2 * math.sin(math.pi * (hour - rise) / (set_ - rise)) ** 2
 
 
-def _heat_demand_kw(hh, ambient):
-    return hh.heat_base_kw + hh.heat_ua_kw_per_k * max(0.0, 17.0 - ambient)
-
-
-# sample spacing of the materialized profiles (15 minutes)
+# sample spacing of the profile grid (15 minutes)
 _PROFILE_GRID_S = 900.0
 
 
@@ -279,37 +266,38 @@ _PROFILE_GRID_S = 900.0
 class ProfileSet:
     ambient: LinearSeries
     irradiance: LinearSeries
-    household: dict                  # prosumer id -> (p, q, heat) series
+    household: dict                  # prosumer id -> series of (p, q, heat)
 
 
 def build_profiles(scenario):
-    """Materialize all profiles over the scenario's coverage window."""
+    """All profiles over the scenario's coverage window, computed on read."""
     sim = scenario.simulation
     t_lo = -sim.profile_back_days * 86400.0
     t_hi = sim.profile_forward_days * 86400.0
     n = int((t_hi - t_lo) / _PROFILE_GRID_S) + 2
     tod0 = scenario.start_tod_s()
+    weather = scenario.weather
 
     def hour_at(k):
         return ((tod0 + t_lo + k * _PROFILE_GRID_S) % 86400.0) / 3600.0
 
-    amb_vals = tuple(_ambient_c(scenario.weather, hour_at(k)) for k in range(n))
-    irr_vals = tuple(_irradiance_w_m2(scenario.weather, hour_at(k)) for k in range(n))
-    ambient = LinearSeries(t_lo, _PROFILE_GRID_S, amb_vals)
-    irradiance = LinearSeries(t_lo, _PROFILE_GRID_S, irr_vals)
+    def household(hh):
+        def at(k):
+            hour = hour_at(k)
+            p = (hh.p_base_kw
+                 + hh.p_morning_kw * _gauss_bump(hour, 7.5, 1.3)
+                 + hh.p_evening_kw * _gauss_bump(hour, 19.5, 2.2))
+            ambient = _ambient_c(weather, hour)
+            return (p, p * hh.tan_phi,
+                    hh.heat_base_kw + hh.heat_ua_kw_per_k * max(0.0, 17.0 - ambient))
+        return StepSeries(t_lo, _PROFILE_GRID_S, n, at)
 
-    household = {}
-    for pro in scenario.prosumers:
-        hh = pro.household
-        p_vals = tuple(_household_p_kw(hh, hour_at(k)) for k in range(n))
-        q_vals = tuple(p * hh.tan_phi for p in p_vals)
-        heat_vals = tuple(_heat_demand_kw(hh, amb_vals[k]) for k in range(n))
-        household[pro.id] = (
-            StepSeries(t_lo, _PROFILE_GRID_S, p_vals),
-            StepSeries(t_lo, _PROFILE_GRID_S, q_vals),
-            StepSeries(t_lo, _PROFILE_GRID_S, heat_vals),
-        )
-    return ProfileSet(ambient, irradiance, household)
+    return ProfileSet(
+        LinearSeries(t_lo, _PROFILE_GRID_S, n,
+                     lambda k: _ambient_c(weather, hour_at(k))),
+        LinearSeries(t_lo, _PROFILE_GRID_S, n,
+                     lambda k: _irradiance_w_m2(weather, hour_at(k))),
+        {pro.id: household(pro.household) for pro in scenario.prosumers})
 
 
 def warmup_schedule(internal_dt_s, duration_s):

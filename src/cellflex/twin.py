@@ -22,8 +22,9 @@ optimizer:
 
 Profile inputs (household load and heat demand, ambient temperature,
 irradiance) are sampled at the start of each interval and held constant over
-it; the twin samples them again only when the interval start time changes,
-so the evaluations of one dispatch step share one sample.  Each plant
+it (the weather once for the whole cell).  The twin samples them again
+only when the interval start time changes, so the evaluations of one
+dispatch step share one sample.  Each plant
 integrates a whole interval in one ``step`` call (see :mod:`cellflex.plants`),
 so every prosumer is called once per interval, not once per substep; the PV
 inverters keep no state and step once per interval too.
@@ -102,7 +103,7 @@ class _ProsumerTwin:
 
     __slots__ = ("id", "bus", "load_series", "pv", "bes", "ehp", "bevs",
                  "offsets", "i_bes", "i_ehp", "i_inv", "bev_slots",
-                 "load_p", "load_q", "heat", "irr", "amb",
+                 "load_p", "load_q", "heat",
                  "p_base", "q_base", "pv_surplus", "p_kw", "q_kvar")
 
     def __init__(self, spec, profiles):
@@ -117,24 +118,18 @@ class _ProsumerTwin:
         self.i_bes = self.i_ehp = self.i_inv = None
         self.bev_slots = ()
         self.load_p = self.load_q = self.heat = 0.0
-        self.irr = self.amb = 0.0
         self.p_base = self.q_base = self.pv_surplus = 0.0
         self.p_kw = self.q_kvar = 0.0
 
-    def sample_inputs(self, t_s, ambient, irradiance):
-        p, q, heat = self.load_series
-        self.load_p = p.value(t_s)
-        self.load_q = q.value(t_s)
-        self.heat = heat.value(t_s)
-        self.amb = ambient.value(t_s)
-        self.irr = irradiance.value(t_s)
+    def sample_inputs(self, t_s):
+        self.load_p, self.load_q, self.heat = self.load_series.value(t_s)
         if self.pv is None:
             self.p_base = self.load_p
             self.q_base = self.load_q
             self.pv_surplus = 0.0 - self.load_p
 
-    def integrate(self, stale, base_tod_s, n, dt):
-        """Step the plants flagged in `stale` over one interval of n substeps.
+    def integrate(self, stale, amb, irr, base_tod_s, n, dt):
+        """Step the flagged plants over n substeps at ambient `amb`, irradiance `irr`.
 
         Each flagged plant makes one ``step`` call for the whole interval;
         the others already hold their end state.  The PV inverter, which
@@ -144,7 +139,7 @@ class _ProsumerTwin:
         """
         off = self.offsets
         if self.pv is not None and stale[self.i_inv]:
-            p_pv, q_pv = self.pv.step(self.irr, off[self.i_inv])
+            p_pv, q_pv = self.pv.step(irr, off[self.i_inv])
             self.p_base = self.load_p - p_pv
             self.q_base = self.load_q + q_pv
             self.pv_surplus = p_pv - self.load_p
@@ -158,7 +153,7 @@ class _ProsumerTwin:
         ehp = self.ehp
         if ehp is not None:
             if stale[self.i_ehp]:
-                ehp.step(self.heat, self.amb, off[self.i_ehp], n, dt)
+                ehp.step(self.heat, amb, off[self.i_ehp], n, dt)
             p += ehp.p_kw
             q += ehp.q_kvar
         for bev, i in self.bev_slots:
@@ -181,7 +176,7 @@ class CellTwin:
         self.dispatch_step_s = scenario.simulation.dispatch_step_s
         self.start_tod_s = scenario.start_tod_s()
         self.t_s = 0.0
-        self._inputs_t0 = None
+        self._inputs_t0 = self._amb = self._irr = None
         self._last_substep_tod = None
         # the snapshot the plants' current state was integrated from, and the
         # offsets it was integrated under; None once anything else moved it
@@ -264,9 +259,10 @@ class CellTwin:
         if t0 != self._inputs_t0:
             # profiles are fixed once the twin is built, so the inputs at t0
             # only change when the clock does
-            ambient, irradiance = self.profiles.ambient, self.profiles.irradiance
+            self._amb = self.profiles.ambient.value(t0)
+            self._irr = self.profiles.irradiance.value(t0)
             for pro in prosumers:
-                pro.sample_inputs(t0, ambient, irradiance)
+                pro.sample_inputs(t0)
             self._inputs_t0 = t0
         n = round(dt_total / substep)
         if n < 1 or abs(n * substep - dt_total) > 1e-9 * max(1.0, dt_total):
@@ -276,7 +272,7 @@ class CellTwin:
             stale = self._all_stale
         base_tod = self.start_tod_s + t0
         for pro in prosumers:
-            pro.integrate(stale, base_tod, n, substep)
+            pro.integrate(stale, self._amb, self._irr, base_tod, n, substep)
         self._last_substep_tod = (base_tod + (n - 1) * substep) % 86400.0
         self.t_s = t0 + dt_total
 

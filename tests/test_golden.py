@@ -5,16 +5,22 @@ of a depletion run that overrides every battery's state of charge
 (``--bes-soc``), the JSON printed by
 ``cellflex oracle --n-iter 30 --seed 2`` and the four files of a
 temperature panel on the toy cell, so a refactor that is
-meant to keep numerics unchanged is checked byte for byte.  A change that
+meant to keep numerics unchanged is checked byte for byte.  The warmup
+reference of the bundled and the toy cell (snapshot, baseline plant values
+and PCC reading) is pinned directly, at full float precision, since the CLI
+outputs print it only rounded.  A change that
 alters numerics on purpose re-records these digests and says so in
 CHANGES.md.
 """
 
 import hashlib
 
+import pytest
+
 from cellflex.cli import main
 from cellflex.oracle import make_toy_scenario
-from cellflex.scenario import save_scenario
+from cellflex.scenario import load_bundled_scenario, save_scenario
+from cellflex.twin import CellTwin
 
 DISPATCH_ARGS = ["dispatch", "--dp-kw", "5", "--dq-kvar", "1", "--steps", "2",
                  "--n-iter", "10", "--seed", "5"]
@@ -52,6 +58,12 @@ SWEEP_DIGESTS = {
         "18d0db1828df6b76f5fec4cfb20aa27e7398dd0ee603373d808ca086c37a52b7",
 }
 
+WARMUP_DIGESTS = {
+    "bundled": "13946325e9803ad549f1bb61450f99f32498c84e3c8bcff5a79484134421d0bf",
+    "toy": "e7692b863d7af52a7fb99df8cbc3032168e79cedbbc0479a312efcd3e39e7839",
+}
+WARMUP_SCENARIOS = {"bundled": load_bundled_scenario, "toy": make_toy_scenario}
+
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -83,3 +95,11 @@ def test_toy_temperature_panel_outputs_match_golden_digests(tmp_path, capsys):
     args = SWEEP_ARGS + ["--scenario", str(toy)]
     assert _output_digests(args, tmp_path / "sweep", SWEEP_DIGESTS) \
         == SWEEP_DIGESTS
+
+
+@pytest.mark.parametrize("cell", sorted(WARMUP_DIGESTS))
+def test_warmup_reference_matches_golden_digest(cell):
+    ref = CellTwin(WARMUP_SCENARIOS[cell]()).run_warmup()
+    text = repr((ref.snapshot, ref.plant_values.tolist(), ref.pcc_p_kw,
+                 ref.pcc_q_kvar))
+    assert _sha256(text.encode("utf-8")) == WARMUP_DIGESTS[cell]

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from cellflex.plants import (
     clamp,
 )
 from cellflex.scenario import BesParams, BevParams, EhpParams, PvParams
+from plant_reference import integrate_reference
 
 
 def cop_after_one_substep(t_tank, ambient, effectiveness=0.5):
@@ -614,3 +616,163 @@ class TestReplayFromState:
         n, dt = grid
         check_replay(ehp, lambda off: ehp.step(demand, ambient, off, n, dt),
                      (t0, heating, saturated, p_comp, p_elem), offset, other)
+
+
+def with_reference(plant, method, loop):
+    """A copy of `plant` whose `method` is the per-substep reference `loop`."""
+    cls = type(plant)
+    twin = copy.copy(plant)
+    twin.__class__ = type(f"Reference{cls.__name__}", (cls,),
+                          {"__slots__": (), method: loop})
+    return twin
+
+
+def storage_bits(plant, p):
+    """Returned power, SOC, lag state, saturation and trip drain, at full
+    precision (sign of zero and NaN included)."""
+    return repr((p, plant.soc, plant.p_kw, plant.saturated,
+                 getattr(plant, "trip_drain_kwh", None)))
+
+
+def check_against_reference(plant, ref, bits, start, steps):
+    """Run `steps` (callables taking the plant) from `start` on `plant` and
+    on its reference copy `ref`; every step must end bit-identical."""
+    plant.set_state(start)
+    ref.set_state(start)
+    for step in steps:
+        assert bits(plant, step(plant)) == bits(ref, step(ref))
+
+
+def check_storage(plant, start, steps):
+    check_against_reference(
+        plant, with_reference(plant, "_integrate", integrate_reference),
+        storage_bits, start, steps)
+
+
+# a day of warmup blocks (60 x 15 s) and a run of dispatch steps (3 x 5 s)
+WARMUP_BLOCK = (60, 15.0)
+DISPATCH_STEP = (3, 5.0)
+loop_offsets = st.one_of(st.floats(-24.0, 24.0),
+                         st.sampled_from([0.0, -0.0, math.nan]))
+# interval starts: midnight wraps inside a block, warmup starts before the
+# run's day (negative), and trip edges
+interval_starts = st.one_of(
+    st.floats(-86400.0, 2 * 86400.0),
+    st.sampled_from([-14400.0, 0.0, 85500.0, 86100.0, 86399.0, 28440.0,
+                     43200.0, 64800.0]))
+trip_hours = st.one_of(st.floats(0.0, 24.0),
+                       st.sampled_from([0.0, 7.9, 8.0, 12.0, 12.1, 18.0, 24.0]))
+
+
+@st.composite
+def trip_days(draw):
+    """One or two trips; two leave a gap at home inside the away window.
+    Energies up to 80 kWh empty the smaller stores mid-trip."""
+    k = draw(st.sampled_from([1, 2]))
+    hours = sorted(draw(st.lists(trip_hours, min_size=2 * k, max_size=2 * k,
+                                 unique=True)))
+    energies = draw(st.lists(st.one_of(st.floats(0.0, 80.0), st.just(0.0)),
+                             min_size=k, max_size=k))
+    return tuple((hours[2 * j], hours[2 * j + 1], energies[j])
+                 for j in range(k))
+
+
+class TestStorageLoopReference:
+    """The storage loop that stops a settled battery, jumps a settled EV to
+    its next away substep and runs trip windows in a tight inner loop ends
+    every step bit-identical to the per-substep reference loop."""
+
+    @given(capacity=st.floats(0.01, 20.0), p_charge=st.floats(0.0, 10.0),
+           p_discharge=st.floats(0.0, 10.0), eta=st.floats(0.5, 1.0),
+           tau=st.floats(0.1, 30.0), soc=socs, p0=powers,
+           saturated=st.booleans(),
+           wishes=st.lists(st.one_of(st.floats(-10.0, 10.0),
+                                     st.sampled_from([0.0, -0.0, math.nan])),
+                           min_size=1, max_size=24),
+           offset=loop_offsets,
+           grid=st.sampled_from([WARMUP_BLOCK, DISPATCH_STEP]))
+    def test_battery(self, capacity, p_charge, p_discharge, eta, tau, soc, p0,
+                     saturated, wishes, offset, grid):
+        bes = BatteryStorage(BesParams(capacity, p_charge, p_discharge,
+                                       eta_charge=eta, time_constant_s=tau))
+        n, dt = grid
+        check_storage(
+            bes, (soc, p0, saturated),
+            [lambda b, w=w: b.step(w, offset, n, dt) for w in wishes])
+
+    @given(capacity=st.floats(0.2, 60.0), p_rated=st.floats(0.5, 22.0),
+           v2g=st.booleans(), eta=st.floats(0.5, 1.0),
+           tau=st.floats(0.1, 30.0), trips=trip_days(), soc=socs, p0=powers,
+           saturated=st.booleans(), drained=st.floats(0.0, 5.0),
+           offset=loop_offsets, start=interval_starts)
+    def test_ev_over_a_day_of_warmup_blocks(self, capacity, p_rated, v2g, eta,
+                                            tau, trips, soc, p0, saturated,
+                                            drained, offset, start):
+        bev = ElectricVehicle(BevParams(capacity, p_rated, v2g=v2g,
+                                        eta_discharge=eta, time_constant_s=tau,
+                                        trips=trips))
+        n, dt = WARMUP_BLOCK
+        check_storage(
+            bev, (soc, p0, saturated, drained),
+            [lambda b, j=j: b.step(offset, start + j * n * dt, n, dt)
+             for j in range(96)])
+
+    @given(capacity=st.floats(0.2, 60.0), p_rated=st.floats(0.5, 22.0),
+           v2g=st.booleans(), trips=trip_days(), soc=socs, p0=powers,
+           saturated=st.booleans(), drained=st.floats(0.0, 5.0),
+           offsets_=st.lists(loop_offsets, min_size=1, max_size=40),
+           start=interval_starts)
+    def test_ev_over_dispatch_steps(self, capacity, p_rated, v2g, trips, soc,
+                                    p0, saturated, drained, offsets_, start):
+        bev = ElectricVehicle(BevParams(capacity, p_rated, v2g=v2g,
+                                        trips=trips))
+        n, dt = DISPATCH_STEP
+        check_storage(
+            bev, (soc, p0, saturated, drained),
+            [lambda b, j=j, off=off: b.step(off, start + j * n * dt, n, dt)
+             for j, off in enumerate(offsets_)])
+
+    @given(capacity=st.floats(0.2, 60.0), v2g=st.booleans(), trips=trip_days(),
+           soc=socs, p0=powers, drained=st.floats(0.0, 5.0),
+           offset=loop_offsets, start=interval_starts,
+           grid=st.sampled_from([(30, 3600.0), (50, 1200.0), (2, 43200.0)]))
+    def test_ev_over_intervals_of_half_a_day_and_more(
+            self, capacity, v2g, trips, soc, p0, drained, offset, start, grid):
+        # a settled EV may stop early only when the rest of its interval
+        # spans under half a day; longer ones cross a whole trip window
+        bev = ElectricVehicle(BevParams(capacity, 11.0, v2g=v2g, trips=trips))
+        n, dt = grid
+        check_storage(
+            bev, (soc, p0, False, drained),
+            [lambda b, j=j: b.step(offset, start + j * n * dt, n, dt)
+             for j in range(3)])
+
+    @pytest.mark.parametrize("trip, start, grid", [
+        # a warmup block from 23:55 wraps into a trip that starts at midnight
+        ((0.0, 1.0, 5.0), 86100.0, WARMUP_BLOCK),
+        # 30 hourly substeps from midnight end at 05:00 next day, both ends
+        # outside the 10-12 h trip, which lies in between
+        ((10.0, 12.0, 5.0), 0.0, (30, 3600.0)),
+    ])
+    def test_a_settled_ev_still_leaves_later_in_the_interval(self, trip, start,
+                                                            grid):
+        # full and idle, the vehicle settles on its first substep
+        bev = make_bev(soc0=1.0, trips=(trip,))
+        ref = with_reference(bev, "_integrate", integrate_reference)
+        for plant in (bev, ref):
+            plant.step(0.0, start, *grid)
+        assert storage_bits(bev, bev.p_kw) == storage_bits(ref, ref.p_kw)
+        assert bev.trip_drain_kwh > 0.0
+
+    def test_a_trip_that_empties_the_store_mid_window(self):
+        # 30 kWh over two hours from a 5 kWh store: empty after 20 minutes,
+        # so most of the window takes the stored-energy branch
+        bev = make_bev(capacity_kwh=5.0, soc0=1.0, trips=((8.0, 10.0, 30.0),))
+        ref = with_reference(bev, "_integrate", integrate_reference)
+        for plant in (bev, ref):
+            for j in range(8):
+                plant.step(0.0, 8 * 3600.0 + j * 900.0, *WARMUP_BLOCK)
+        assert storage_bits(bev, bev.p_kw) == storage_bits(ref, ref.p_kw)
+        assert abs(bev.soc) < 1e-12
+        assert bev.trip_drain_kwh == pytest.approx(5.0)
+

@@ -20,6 +20,10 @@ from cellflex.scenario import (
     SimulationParams,
     StepSeries,
     WeatherParams,
+    _PROFILE_GRID_S,
+    _ambient_c,
+    _gauss_bump,
+    _irradiance_w_m2,
     build_profiles,
     load_bundled_scenario,
     load_scenario,
@@ -60,27 +64,27 @@ def minimal_dict(**overrides):
 
 class TestSeries:
     def test_step_series_is_piecewise_constant(self):
-        s = StepSeries(0.0, 10.0, (1.0, 2.0, 3.0))
+        s = StepSeries(0.0, 10.0, 3, (1.0, 2.0, 3.0).__getitem__)
         assert s.value(0.0) == 1.0
         assert s.value(9.999) == 1.0
         assert s.value(10.0) == 2.0
         assert s.value(29.999) == 3.0
 
     def test_linear_series_interpolates(self):
-        s = LinearSeries(0.0, 10.0, (0.0, 10.0, 0.0))
+        s = LinearSeries(0.0, 10.0, 3, (0.0, 10.0, 0.0).__getitem__)
         assert s.value(5.0) == pytest.approx(5.0)
         assert s.value(10.0) == pytest.approx(10.0)
         assert s.value(15.0) == pytest.approx(5.0)
 
     @pytest.mark.parametrize("t", [-0.001, 30.0, 1e9])
     def test_step_series_out_of_coverage(self, t):
-        s = StepSeries(0.0, 10.0, (1.0, 2.0, 3.0))
+        s = StepSeries(0.0, 10.0, 3, (1.0, 2.0, 3.0).__getitem__)
         with pytest.raises(ConfigurationError, match="does not cover"):
             s.value(t)
 
     @pytest.mark.parametrize("t", [-0.001, 20.0, 25.0])
     def test_linear_series_out_of_coverage(self, t):
-        s = LinearSeries(0.0, 10.0, (0.0, 10.0, 0.0))
+        s = LinearSeries(0.0, 10.0, 3, (0.0, 10.0, 0.0).__getitem__)
         with pytest.raises(ConfigurationError, match="does not cover"):
             s.value(t)
 
@@ -437,15 +441,16 @@ class TestProfiles:
         d["prosumers"][0]["household"] = {
             "p_base_kw": 0.3, "p_morning_kw": 0.6, "p_evening_kw": 1.2}
         s = scenario_from_dict(d)
-        profiles = build_profiles(s)
-        p, q, _ = profiles.household["p01"]
+        household = build_profiles(s).household["p01"]
+        p_at_20h, q_at_20h, _ = household.value(0.0)
         # t = 0 is 20:00; evening shoulder well above the small hours
-        assert p.value(0.0) > p.value(7 * 3600.0)  # 20:00 vs 03:00
-        assert q.value(0.0) == pytest.approx(p.value(0.0) * 0.20)
+        assert p_at_20h > household.value(7 * 3600.0)[0]  # 20:00 vs 03:00
+        assert q_at_20h == pytest.approx(p_at_20h * 0.20)
         peak_evening = hh.p_base_kw + hh.p_evening_kw \
             + hh.p_morning_kw * math.exp(-(12.0 / 1.3) ** 2)
         # the sampled grid straddles 19:30; allow the 15-min discretization
-        assert max(p.values) == pytest.approx(peak_evening, rel=0.05)
+        p_values = [household.at(k)[0] for k in range(household.n)]
+        assert max(p_values) == pytest.approx(peak_evening, rel=0.05)
 
     def test_irradiance_zero_at_night_positive_at_noon(self):
         s = scenario_from_dict(minimal_dict())
@@ -468,8 +473,8 @@ class TestProfiles:
         d["weather"] = {"ambient_mean_c": -1.0, "ambient_swing_c": 0.0}
         s = scenario_from_dict(d)
         profiles = build_profiles(s)
-        _, _, heat = profiles.household["p01"]
-        assert heat.value(0.0) == pytest.approx(0.2 + 0.1 * 18.0)
+        _, _, heat = profiles.household["p01"].value(0.0)
+        assert heat == pytest.approx(0.2 + 0.1 * 18.0)
 
     def test_coverage_matches_configured_window(self):
         s = scenario_from_dict(minimal_dict())
@@ -478,3 +483,84 @@ class TestProfiles:
         profiles.ambient.value(2 * 86400.0 - 1800.0)
         with pytest.raises(ConfigurationError, match="does not cover"):
             profiles.ambient.value(-8 * 86400.0 - 1.0)
+
+
+def eager_profile_values(scenario):
+    """Every grid point of every profile, computed up front with the
+    formulas and operand order the profiles use: ambient and irradiance
+    tuples, and per prosumer id the (p, q, heat) tuples."""
+    sim = scenario.simulation
+    t_lo = -sim.profile_back_days * 86400.0
+    t_hi = sim.profile_forward_days * 86400.0
+    n = int((t_hi - t_lo) / _PROFILE_GRID_S) + 2
+    tod0 = scenario.start_tod_s()
+
+    def hour_at(k):
+        return ((tod0 + t_lo + k * _PROFILE_GRID_S) % 86400.0) / 3600.0
+
+    def household_p_kw(hh, hour):
+        return (hh.p_base_kw
+                + hh.p_morning_kw * _gauss_bump(hour, 7.5, 1.3)
+                + hh.p_evening_kw * _gauss_bump(hour, 19.5, 2.2))
+
+    def heat_demand_kw(hh, ambient):
+        return hh.heat_base_kw + hh.heat_ua_kw_per_k * max(0.0, 17.0 - ambient)
+
+    amb = tuple(_ambient_c(scenario.weather, hour_at(k)) for k in range(n))
+    irr = tuple(_irradiance_w_m2(scenario.weather, hour_at(k)) for k in range(n))
+    household = {}
+    for pro in scenario.prosumers:
+        hh = pro.household
+        p = tuple(household_p_kw(hh, hour_at(k)) for k in range(n))
+        household[pro.id] = (p, tuple(v * hh.tan_phi for v in p),
+                             tuple(heat_demand_kw(hh, amb[k]) for k in range(n)))
+    return t_lo, amb, irr, household
+
+
+@pytest.mark.parametrize("make", [load_bundled_scenario,
+                                  lambda: scenario_from_dict(minimal_dict())],
+                         ids=["bundled", "minimal"])
+class TestProfilesOnDemand:
+    """Profiles computed when read carry the same bits as the same formulas
+    evaluated over the whole grid up front, and still refuse reads outside
+    the window."""
+
+    def test_every_grid_point_matches_the_eager_formula(self, make):
+        scenario = make()
+        profiles = build_profiles(scenario)
+        t_lo, amb, irr, household = eager_profile_values(scenario)
+        n = len(amb)
+        for series, values in ((profiles.ambient, amb), (profiles.irradiance, irr)):
+            assert (series.t0_s, series.n) == (t_lo, n)
+            assert repr([series.at(k) for k in range(n)]) == repr(list(values))
+        assert household.keys() == profiles.household.keys()
+        for pid, (p, q, heat) in household.items():
+            series = profiles.household[pid]
+            assert (series.t0_s, series.n) == (t_lo, n)
+            assert repr([series.at(k) for k in range(n)]) \
+                == repr(list(zip(p, q, heat)))
+            # a step series reads the grid point its time falls in
+            assert series.value(t_lo + 450.0) == series.at(0)
+
+    def test_weather_interpolates_between_grid_points(self, make):
+        profiles = build_profiles(make())
+        t_lo, amb, irr, _ = eager_profile_values(make())
+        for series, v in ((profiles.ambient, amb), (profiles.irradiance, irr)):
+            for i in range(0, len(v) - 1, 7):
+                t = t_lo + i * _PROFILE_GRID_S + 600.0
+                frac = (t - t_lo) / _PROFILE_GRID_S - i
+                assert repr(series.value(t)) \
+                    == repr(v[i] + frac * (v[i + 1] - v[i]))
+
+    def test_reads_outside_the_window_raise(self, make):
+        scenario = make()
+        profiles = build_profiles(scenario)
+        sim = scenario.simulation
+        before = -sim.profile_back_days * 86400.0 - 1.0
+        after = sim.profile_forward_days * 86400.0 + 2 * _PROFILE_GRID_S
+        series = [profiles.ambient, profiles.irradiance,
+                  *profiles.household.values()]
+        for s in series:
+            for t in (before, after):
+                with pytest.raises(ConfigurationError, match="does not cover"):
+                    s.value(t)
