@@ -1,16 +1,17 @@
 """Receding-horizon dispatch of a flexibility request.
 
 ``run_dispatch`` checks that the run fits the scenario's profile window,
-captures the pre-request reference state, then for each 15 s dispatch step
-builds a start vector with the exchange pass, refines it with one Basin
-Hopping (BH) round over the plant-offset vector, scored by
-``single_step_objective`` (the same objective the grid-search oracle
-minimizes), commits the best found vector to the twin and records the
-realized PCC reading, per-class shares and cost.  The start vector is
-evaluated as BH iteration 0 and becomes the first incumbent, and a step's
-search stops after ``STALL_ITERATIONS`` (1) iteration without a better
-candidate: BH runs one Nelder-Mead refinement of the start and goes on only
-while it keeps finding better candidates.  Each refinement spends at most
+captures the pre-request reference state and builds the run's one
+``StepObjective`` (plant weights, offset bounds, PCC targets and collapse
+score; the same objective the grid-search oracle minimizes).  Then for each
+15 s dispatch step it builds a start vector with the exchange pass, refines
+it with one Basin Hopping (BH) round over the plant-offset vector, commits
+the best found vector to the twin, moves the objective's reference forward
+and records the realized PCC reading, per-class shares and cost.  The start
+vector is evaluated as BH iteration 0 and becomes the first incumbent, and a
+step's search stops after ``STALL_ITERATIONS`` (1) iteration without a
+better candidate: BH runs one Nelder-Mead refinement of the start and goes
+on only while it keeps finding better candidates.  Each refinement spends at most
 ``NelderMeadSettings.maxfev`` evaluations (40 by default, see there).
 
 Since a step's search stops at its first worse candidate, the BH temperature
@@ -57,7 +58,7 @@ from .twin import CellTwin
 
 log = logging.getLogger("cellflex.dispatch")
 
-__all__ = ["StepRecord", "DispatchRun", "run_dispatch", "single_step_objective",
+__all__ = ["StepRecord", "DispatchRun", "run_dispatch", "StepObjective",
            "temperature_panel", "technology_shares", "exchange_pass",
            "STALL_ITERATIONS"]
 
@@ -88,50 +89,44 @@ def technology_shares(plant_deltas, plant_classes, dp_target_kw, dq_target_kvar)
     return shares
 
 
-def _breakdown(twin, ref, request, costs: CostTable):
-    """``breakdown(ev) -> ObjectiveBreakdown`` of a solved evaluation from
-    ``ref`` or from any later reference: ``advance_reference`` keeps the
-    baseline plant powers and PCC reading the targets are taken from."""
-    weights = costs.weights_for(twin.plant_classes)
-    p_target = ref.pcc_p_kw + request.dp_kw
-    q_target = ref.pcc_q_kvar + request.dq_kvar
+class StepObjective:
+    """The weighted objective of one dispatch step from ``ref``.
 
-    def breakdown(ev):
-        return objective_breakdown(
-            ev.plant_values - ref.plant_values, weights,
-            ev.pcc_p_kw - p_target, ev.pcc_q_kvar - q_target,
-            ev.n_violations, costs)
-
-    return breakdown
-
-
-def _scorer(twin, ref, request, costs: CostTable):
-    """``score(ev) -> (of, feasible)`` of an evaluation from ``ref``."""
-    breakdown = _breakdown(twin, ref, request, costs)
-    collapse_of = costs.k_infeasible * (len(twin.topology.lines) + 1)
-
-    def score(ev):
-        if ev.failure is not None:
-            return collapse_of, False
-        return breakdown(ev).of, ev.feasible
-
-    return score
-
-
-def single_step_objective(twin, ref, request, costs: CostTable):
-    """Objective closure for one dispatch step from ``ref``.
-
-    Returns ``(f, bounds)`` where ``f(x) -> (of, feasible)``.  The PCC targets
-    are taken from ``ref``, whose PCC reading stays frozen across
-    ``advance_reference``, so every step of a run scores against the same
-    targets.
+    Calling it on offsets ``x`` returns ``(of, feasible)``: the plant
+    deviation cost sum_i k_i |delta_i|, the PCC tracking cost and
+    ``k_infeasible`` per overloaded line, or ``collapse_of`` when the power
+    flow fails.  Weights, offset bounds, PCC targets and collapse score are
+    computed once.  ``ref`` may be moved forward with ``advance_reference``,
+    which keeps the baseline plant powers and PCC reading they are measured
+    against, so every step of a run scores against the same targets.
     """
-    score = _scorer(twin, ref, request, costs)
 
-    def f(x):
-        return score(twin.evaluate_dispatch(ref, x))
+    def __init__(self, twin, ref, request, costs=CostTable()):
+        self.twin, self.ref, self.costs = twin, ref, costs
+        self.weights = costs.weights_for(twin.plant_classes)
+        self.bounds = twin.plant_bounds()
+        self.p_target = ref.pcc_p_kw + request.dp_kw
+        self.q_target = ref.pcc_q_kvar + request.dq_kvar
+        self.collapse_of = costs.k_infeasible * (len(twin.topology.lines) + 1)
 
-    return f, twin.plant_bounds()
+    def evaluate(self, x):
+        return self.twin.evaluate_dispatch(self.ref, x)
+
+    def breakdown(self, ev):
+        """``ObjectiveBreakdown`` of a solved evaluation."""
+        return objective_breakdown(
+            ev.plant_values - self.ref.plant_values, self.weights,
+            ev.pcc_p_kw - self.p_target, ev.pcc_q_kvar - self.q_target,
+            ev.n_violations, self.costs)
+
+    def score(self, ev):
+        """``(of, feasible)`` of an evaluation."""
+        if ev.failure is not None:
+            return self.collapse_of, False
+        return self.breakdown(ev).of, ev.feasible
+
+    def __call__(self, x):
+        return self.score(self.evaluate(x))
 
 
 def temperature_panel(scenario, request, temperatures, seeds, config, *,
@@ -139,8 +134,8 @@ def temperature_panel(scenario, request, temperatures, seeds, config, *,
     """Basin Hopping's temperature study on one dispatch step.
 
     From one warmed-up reference, runs one BH search per temperature and
-    seed from zero offsets, without a stall stop, on
-    ``single_step_objective``; ``config`` gives ``n_iter``, ``step_size``
+    seed from zero offsets, without a stall stop, on its
+    :class:`StepObjective`; ``config`` gives ``n_iter``, ``step_size``
     and ``nm``.  Returns ``(means, results)``: per temperature, the mean
     over seeds of each search's mean candidate OF (iterations >= 1), and
     the seeds' ``BasinHoppingResult`` list.  Invalid input raises
@@ -153,16 +148,16 @@ def temperature_panel(scenario, request, temperatures, seeds, config, *,
             f"a temperature panel needs a temperature, a seed and n_iter >= 1, "
             f"got {len(temperatures)}, {len(seeds)} and {config.n_iter}")
     twin = CellTwin(scenario)
-    f, bounds = single_step_objective(twin, twin.run_warmup(warmup_s), request,
-                                      CostTable())
-    results = [[basin_hopping(f, np.zeros(twin.n_plants), cfg, bounds=bounds)
+    twin.check_plants()
+    f = StepObjective(twin, twin.run_warmup(warmup_s), request)
+    results = [[basin_hopping(f, np.zeros(twin.n_plants), cfg, bounds=f.bounds)
                 for cfg in row] for row in configs]
     per_seed = [[sum(r.of_local for r in res.iterations[1:])
                  / (len(res.iterations) - 1) for res in row] for row in results]
     return [sum(row) / len(row) for row in per_seed], results
 
 
-def exchange_pass(twin, ref, request, costs: CostTable, x):
+def exchange_pass(f: StepObjective, x):
     """``x`` improved by exchanging costly deviations for cheap ones.
 
     Works on realized deviations δ_i rather than on offsets, so leftover
@@ -194,20 +189,17 @@ def exchange_pass(twin, ref, request, costs: CostTable, x):
     Returns the exchanged offsets if they score better than ``x`` (feasible
     first, then lower objective), else ``x`` unchanged.
     """
-    score = _scorer(twin, ref, request, costs)
-    weights = costs.weights_for(twin.plant_classes)
-    bounds = twin.plant_bounds()
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    p_target = ref.pcc_p_kw + request.dp_kw
-    q_target = ref.pcc_q_kvar + request.dq_kvar
-    classes = twin.plant_classes
+    score, weights = f.score, f.weights
+    p_target, q_target = f.p_target, f.q_target
+    lo, hi = f.bounds[:, 0], f.bounds[:, 1]
+    classes = f.twin.plant_classes
     inv = [i for i, c in enumerate(classes) if c == "inv"]
     active = [i for i in np.argsort(-weights, kind="stable") if classes[i] != "inv"]
-    ref_values = ref.plant_values
+    ref_values = f.ref.plant_values
 
     x_in = x
     x = np.array(x, dtype=float)
-    ev = twin.evaluate_dispatch(ref, x)
+    ev = f.evaluate(x)
     of_in, feas_in = score(ev)
     if ev.failure is not None:
         return x_in
@@ -221,7 +213,7 @@ def exchange_pass(twin, ref, request, costs: CostTable, x):
             trial[i] = min(max(x[i] - d, lo[i]), hi[i])
             if trial[i] == x[i]:
                 break
-            ev_trial = twin.evaluate_dispatch(ref, trial)
+            ev_trial = f.evaluate(trial)
             if (ev_trial.failure is not None
                     or abs(ev_trial.plant_values[i] - ref_values[i]) >= abs(d)):
                 break
@@ -242,7 +234,7 @@ def exchange_pass(twin, ref, request, costs: CostTable, x):
             trial[j] = min(max(x[j] + sign * min(abs(dp_err), room), lo[j]), hi[j])
             if trial[j] == x[j]:
                 continue
-            ev_trial = twin.evaluate_dispatch(ref, trial)
+            ev_trial = f.evaluate(trial)
             of_trial, feas_trial = score(ev_trial)
             if (feas_trial, -of_trial) > (feas, -of):
                 x, ev, of, feas = trial, ev_trial, of_trial, feas_trial
@@ -253,7 +245,7 @@ def exchange_pass(twin, ref, request, costs: CostTable, x):
             trial = x.copy()
             trial[inv] = np.clip(x[inv] + dq_err / len(inv), lo[inv], hi[inv])
             if not np.array_equal(trial, x):
-                ev_trial = twin.evaluate_dispatch(ref, trial)
+                ev_trial = f.evaluate(trial)
                 of_trial, feas_trial = score(ev_trial)
                 if (feas_trial, -of_trial) > (feas, -of):
                     x, ev, of, feas = trial, ev_trial, of_trial, feas_trial
@@ -317,15 +309,11 @@ def run_dispatch(scenario, request, *, n_steps,
     travel in the exception's ``trace`` attribute.
     """
     config = config or BasinHoppingConfig()
-    costs = CostTable()
     t_start = time.perf_counter()
 
     scenario.check_horizon(n_steps)
     twin = CellTwin(scenario)
-    if twin.n_plants == 0:
-        raise ConfigurationError(
-            f"scenario '{scenario.name}' has no controllable plants to dispatch "
-            f"(no battery, heat pump, EV or PV inverter)")
+    twin.check_plants()
     if initial_bes_soc is not None:
         twin.check_bes_soc(initial_bes_soc)
     ref = twin.run_warmup(warmup_s)
@@ -333,8 +321,7 @@ def run_dispatch(scenario, request, *, n_steps,
         twin.override_bes_soc(initial_bes_soc)
         ref = twin.capture_reference()
 
-    breakdown = _breakdown(twin, ref, request, costs)
-    bounds = twin.plant_bounds()
+    f = StepObjective(twin, ref, request)
     rng = np.random.default_rng(config.seed)
 
     log.info("dispatch: request (%+.3f kW, %+.3f kVAr) on '%s', %d steps, "
@@ -346,22 +333,21 @@ def run_dispatch(scenario, request, *, n_steps,
     x = np.zeros(twin.n_plants)    # step 0 starts from zero offsets
     for k in range(n_steps):
         n_evals_before = twin.n_evaluations
-        x = exchange_pass(twin, ref, request, costs, x)
+        x = exchange_pass(f, x)
         start_evals = twin.n_evaluations - n_evals_before
-        f, _ = single_step_objective(twin, ref, request, costs)
-        result = basin_hopping(f, x, config, bounds=bounds, rng=rng,
+        result = basin_hopping(f, x, config, bounds=f.bounds, rng=rng,
                                patience=STALL_ITERATIONS)
         x = result.x
         try:
-            ref, ev = twin.advance_reference(ref, x)
+            f.ref, ev = twin.advance_reference(f.ref, x)
         except PowerFlowError as exc:
             raise DispatchError(
                 f"step {k}: committed dispatch failed to solve: {exc}",
                 trace=steps) from exc
-        bd = breakdown(ev)
+        bd = f.breakdown(ev)
         steps.append(StepRecord(
             index=k,
-            t_s=ref.t_s,
+            t_s=f.ref.t_s,
             offsets=x.copy(),
             of=bd.of,
             feasible=ev.feasible,
@@ -385,8 +371,7 @@ def run_dispatch(scenario, request, *, n_steps,
         ))
         log.debug("step %d: OF=%.6g dP_err=%+.4f kW dQ_err=%+.4f kVAr, "
                   "%d BH iterations (%d start evaluations)",
-                  k, bd.of, ev.pcc_p_kw - ref.pcc_p_kw - request.dp_kw,
-                  ev.pcc_q_kvar - ref.pcc_q_kvar - request.dq_kvar,
+                  k, bd.of, ev.pcc_p_kw - f.p_target, ev.pcc_q_kvar - f.q_target,
                   len(result.iterations) - 1, start_evals)
 
     return DispatchRun(

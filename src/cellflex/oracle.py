@@ -3,24 +3,25 @@
 Enumerates the full offset box of a cell with at most three controllable
 plants at a fixed resolution and evaluates every grid point that can hold
 the answer through exactly the same twin-plus-objective path the Basin
-Hopping dispatcher uses.  Serves as an independent optimality reference: the
-dispatcher's objective on the same problem must not exceed the oracle's best
-by more than the grid gap.  Each axis runs from the plant's lower offset
-bound in steps of the resolution, clipped to its upper bound.  The answer is
-the first point in product order with the lowest objective, as a plain
-product loop with a strict ``of < best_of`` update finds it
-(``tests/oracle_reference.py``), bit for bit.
+Hopping dispatcher uses, a ``StepObjective``.  Serves as an independent
+optimality reference: the dispatcher's objective on the same problem must
+not exceed the oracle's best by more than the grid gap.  Each axis runs from
+the plant's lower offset bound in steps of the resolution, clipped to its
+upper bound.  The answer is the first point in product order with the
+lowest objective, as a plain product loop with a strict ``of < best_of``
+update finds it (``tests/oracle_reference.py``), bit for bit.
 
 Points that cannot hold the answer are not evaluated.  A plant's end state
 depends only on the snapshot it starts from and its own offset (the
 separability the incremental twin rests on).  So before the scan, one probe
 per axis point moves that plant alone from the first grid point
-(``CellTwin.probe_plant``: the other plants are integrated once, then each
-probe restores and steps that plant alone and reads its value and the bus
-injections; no power flow is solved, since the bound below never needs
-one).  The probes give a lower bound on the objective at every grid point
-(branch and bound, Land & Doig 1960), computed for the whole grid at once
-by numpy broadcasting (``_lower_bounds``):
+(``_probe_axes``, through ``CellTwin.probe_plant``: the other plants are
+integrated once, then each probe restores and steps that plant alone and
+reads its value and the bus injections; no power flow is solved, since the
+bound below never needs one).  The probes give a lower bound on the
+objective at every grid point (branch and bound, Land & Doig 1960), computed
+for the whole grid at once by numpy broadcasting (``_lower_bounds``) from
+the objective's own plant weights, PCC targets and collapse score:
 
 * Plant cost: each probe records its plant's deviation delta_i, which is
   the same at every point with that offset, so sum_i k_i*|delta_i| is the
@@ -33,8 +34,8 @@ by numpy broadcasting (``_lower_bounds``):
   of at least ``V_COLLAPSE_PU`` of nominal, so no branch carries more than
   sum_b |S_b| / (3 v_floor).  The tracking cost is then at least
   k_pcc_p * dist(P_target, [P_ll, P_ll + L_p]) plus the same for Q.
-* The line penalty is >= 0, and a failed solve scores ``collapse_of``, so
-  the bound is capped there.
+* The line penalty is >= 0, and a failed solve scores the objective's
+  ``StepObjective.collapse_of``, so the bound is capped there.
 
 The bound is formed in another order than ``objective_breakdown`` and from
 reconstructed injections, so it rounds differently.  Two terms are loosened
@@ -85,10 +86,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispatch import single_step_objective
+from .dispatch import StepObjective
 from .errors import ConfigurationError
 from .grid import V_COLLAPSE_PU
-from .optimizer import CostTable
 from .twin import CellTwin
 
 __all__ = ["make_toy_scenario", "grid_search_oracle", "OracleResult"]
@@ -170,14 +170,15 @@ def _grid_axes(bounds, resolution):
     return axes
 
 
-def _probe_axes(twin, ref, axes):
-    """Probe every axis point: that plant alone moved from the first grid point.
+def _probe_axes(f, axes):
+    """Probe every axis point: that plant alone moved from the first grid point
+    of objective ``f``'s step.
 
     Returns one ``CellTwin.probe_plant`` result ``(values, injections)`` per
     axis, each indexed by the axis's offsets.
     """
     base = [a[0] for a in axes]
-    return [twin.probe_plant(ref, base, i, axis) for i, axis in enumerate(axes)]
+    return [f.twin.probe_plant(f.ref, base, i, axis) for i, axis in enumerate(axes)]
 
 
 def _first_alike(values, injections):
@@ -189,15 +190,15 @@ def _first_alike(values, injections):
             for j, record in enumerate(records)]
 
 
-def _lower_bounds(twin, ref, request, costs, probes):
-    """Lower bound on the objective at every point of the product grid.
+def _lower_bounds(f, probes):
+    """Lower bound on objective ``f`` at every point of the product grid.
 
     ``probes`` holds one ``(values, injections)`` pair per axis as
     :func:`_probe_axes` returns them; row 0 of every axis must be the first
     grid point.  Returns an array with one axis per plant (see the module
     docstring for why it never exceeds the objective).
     """
-    deltas = [v - ref.plant_values[i] for i, (v, _) in enumerate(probes)]
+    deltas = [v - f.ref.plant_values[i] for i, (v, _) in enumerate(probes)]
     p_bus = [injections[..., 0] for _, injections in probes]
     q_bus = [injections[..., 1] for _, injections in probes]
     n = len(deltas)
@@ -207,9 +208,8 @@ def _lower_bounds(twin, ref, request, costs, probes):
         return values.reshape((1,) * i + (len(values),) + (1,) * (n - 1 - i)
                               + values.shape[1:])
 
-    weights = costs.weights_for(twin.plant_classes)
     plant_cost = sum(along(i, w * np.abs(d)) for i, (w, d) in
-                     enumerate(zip(weights, deltas)))
+                     enumerate(zip(f.weights, deltas)))
 
     # the first grid point's injections plus each plant's move; only the
     # buses some probe moved vary across the grid
@@ -225,9 +225,8 @@ def _lower_bounds(twin, ref, request, costs, probes):
     q_ll = q0[~moved].sum() + q.sum(axis=-1)
     s_sum = np.hypot(p0[~moved], q0[~moved]).sum() + np.hypot(p, q).sum(axis=-1)
 
-    p_target = ref.pcc_p_kw + request.dp_kw
-    q_target = ref.pcc_q_kvar + request.dq_kvar
-    topology = twin.topology
+    p_target, q_target = f.p_target, f.q_target
+    topology = f.twin.topology
     v_floor = V_COLLAPSE_PU * (topology.v_nom_ll_v / math.sqrt(3.0))
     tol = _LB_MARGIN * (1.0 + abs(p_target) + abs(q_target) + s_sum)
     # largest branch current in A, then 3 I^2 R (X) summed over the lines in kW
@@ -239,10 +238,9 @@ def _lower_bounds(twin, ref, request, costs, probes):
     def dist(target, lo, hi):
         return np.maximum(np.maximum(lo - target, target - hi), 0.0)
 
-    tracking = (costs.k_pcc_p * dist(p_target, p_ll - tol, p_ll + loss_p + tol)
-                + costs.k_pcc_q * dist(q_target, q_ll - tol, q_ll + loss_q + tol))
-    collapse_of = costs.k_infeasible * (len(topology.lines) + 1)
-    return np.minimum(plant_cost * (1.0 - _LB_MARGIN) + tracking, collapse_of)
+    tracking = (f.costs.k_pcc_p * dist(p_target, p_ll - tol, p_ll + loss_p + tol)
+                + f.costs.k_pcc_q * dist(q_target, q_ll - tol, q_ll + loss_q + tol))
+    return np.minimum(plant_cost * (1.0 - _LB_MARGIN) + tracking, f.collapse_of)
 
 
 def _scan(lb, objective):
@@ -268,11 +266,12 @@ def _scan(lb, objective):
 def grid_search_oracle(scenario, request, *, resolution=0.05):
     """Exhaustively minimize one dispatch step's objective on an offset grid.
 
-    Raises :class:`ConfigurationError` before the warmup if the cell has
-    more than three plants, the resolution is not finite and positive, or
+    Raises :class:`ConfigurationError` before the warmup if the cell has no
+    plant or more than three, the resolution is not finite and positive, or
     the grid would hold more than ``_MAX_ORACLE_POINTS`` points.
     """
     twin = CellTwin(scenario)
+    twin.check_plants()
     if twin.n_plants > _MAX_ORACLE_PLANTS:
         raise ConfigurationError(
             f"grid-search oracle handles at most {_MAX_ORACLE_PLANTS} plants, "
@@ -288,13 +287,11 @@ def grid_search_oracle(scenario, request, *, resolution=0.05):
             f"resolution {resolution:g} gives a grid of about {n_points:.3g} "
             f"points; the oracle enumerates at most {_MAX_ORACLE_POINTS:,}")
 
-    ref = twin.run_warmup()
-    costs = CostTable()
-    f, bounds = single_step_objective(twin, ref, request, costs)
-    axes = _grid_axes(bounds, resolution)
-    probes = _probe_axes(twin, ref, axes)
+    f = StepObjective(twin, twin.run_warmup(), request)
+    axes = _grid_axes(f.bounds, resolution)
+    probes = _probe_axes(f, axes)
     n_probes = sum(map(len, axes))
-    lb = _lower_bounds(twin, ref, request, costs, probes)
+    lb = _lower_bounds(f, probes)
     firsts = [_first_alike(*probe) for probe in probes]
 
     def point(k):

@@ -355,6 +355,13 @@ class CellTwin:
             t_s=self.t_s,
         )
 
+    def check_plants(self):
+        """Raise ConfigurationError unless the cell has a plant to dispatch."""
+        if self.n_plants == 0:
+            raise ConfigurationError(
+                f"scenario '{self.scenario.name}' has no controllable plants to "
+                f"dispatch (no battery, heat pump, EV or PV inverter)")
+
     @staticmethod
     def check_bes_soc(soc):
         """Raise ConfigurationError unless `soc` is a state of charge in [0, 1]."""

@@ -12,8 +12,7 @@ import itertools
 
 import numpy as np
 
-from cellflex.dispatch import single_step_objective
-from cellflex.optimizer import CostTable
+from cellflex.dispatch import StepObjective
 from cellflex.twin import CellTwin
 
 
@@ -21,10 +20,10 @@ def brute_force_oracle(scenario, request, resolution):
     """``(of, x, n_points)`` of an exhaustive search over the offset grid."""
     twin = CellTwin(scenario)
     ref = twin.run_warmup()
-    f, bounds = single_step_objective(twin, ref, request, CostTable())
+    f = StepObjective(twin, ref, request)
     axes = [np.clip(lo + resolution * np.arange(round((hi - lo) / resolution) + 1),
                     lo, hi)
-            for lo, hi in bounds]
+            for lo, hi in f.bounds]
     best_of, best_x, n_points = float("inf"), None, 0
     for point in itertools.product(*axes):
         x = np.array(point)

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from cellflex.dispatch import (
     DispatchRun,
+    StepObjective,
     exchange_pass,
     run_dispatch,
-    single_step_objective,
     technology_shares,
+    temperature_panel,
 )
 from cellflex.errors import ConfigurationError, DispatchError, PowerFlowError
 from cellflex.optimizer import (
@@ -95,7 +96,13 @@ class TestHorizon:
                          config=TOY_CONFIG)
         make_toy_scenario().check_horizon(5760)
 
-    def test_cell_without_plants_rejected_before_warmup(self, monkeypatch):
+    @pytest.mark.parametrize("entry", [
+        lambda scn: run_dispatch(scn, TOY_REQUEST, n_steps=1, config=TOY_CONFIG),
+        lambda scn: grid_search_oracle(scn, TOY_REQUEST),
+        lambda scn: temperature_panel(scn, TOY_REQUEST, [0.1], [1], TOY_CONFIG),
+    ], ids=["dispatch", "oracle", "panel"])
+    def test_cell_without_plants_rejected_before_warmup(self, monkeypatch,
+                                                        entry):
         def fail(*args, **kwargs):
             raise AssertionError("the run started")
 
@@ -104,8 +111,7 @@ class TestHorizon:
         monkeypatch.setattr(CellTwin, "run_warmup", fail)
         with pytest.raises(ConfigurationError,
                            match="'toy2' has no controllable plants"):
-            run_dispatch(scenario_from_dict(data), TOY_REQUEST, n_steps=1,
-                         config=TOY_CONFIG)
+            entry(scenario_from_dict(data))
 
     @pytest.mark.parametrize("soc", [1.5, -0.1, math.nan])
     def test_bes_soc_outside_unit_interval_rejected_before_warmup(
@@ -171,9 +177,9 @@ class TestToyTracking:
             self, monkeypatch):
         exchanged = []
 
-        def recorded_exchange(twin, ref, request, costs, x):
+        def recorded_exchange(f, x):
             exchanged.append(np.array(x, copy=True))
-            return exchange_pass(twin, ref, request, costs, x)
+            return exchange_pass(f, x)
 
         monkeypatch.setattr("cellflex.dispatch.exchange_pass", recorded_exchange)
         run = run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=3,
@@ -317,7 +323,8 @@ class TestMeritOrderStart:
             return evaluate(ref_, offsets, record_trace)
 
         twin.evaluate_dispatch = counted
-        x = exchange_pass(twin, ref, request_, costs, np.zeros(twin.n_plants))
+        x = exchange_pass(StepObjective(twin, ref, request_, costs),
+                          np.zeros(twin.n_plants))
         assert len(evaluated) <= 40
         assert not evaluated[0].any()          # the exchange starts from zeros
         moved = np.flatnonzero(evaluated[1])
@@ -348,8 +355,7 @@ class TestExchangePass:
         if bes_soc is not None:
             twin.override_bes_soc(bes_soc)
             ref = twin.capture_reference()
-        costs = CostTable()
-        f, bounds = single_step_objective(twin, ref, request_, costs)
+        f = StepObjective(twin, ref, request_)
         x0 = np.zeros(twin.n_plants)
         of0, _ = f(x0)
         calls = []
@@ -360,11 +366,11 @@ class TestExchangePass:
             return evaluate(ref_, offsets, record_trace)
 
         twin.evaluate_dispatch = counted
-        x = exchange_pass(twin, ref, request_, costs, x0)
+        x = exchange_pass(f, x0)
         twin.evaluate_dispatch = evaluate
         assert len(calls) <= 60
 
-        assert np.all((bounds[:, 0] <= x) & (x <= bounds[:, 1]))
+        assert np.all((f.bounds[:, 0] <= x) & (x <= f.bounds[:, 1]))
         of, feasible = f(x)
         assert feasible
         assert of <= of0
@@ -377,10 +383,28 @@ class TestExchangePass:
         # first one's result, and hands back the vector it was given
         twin = CellTwin(make_toy_scenario())
         ref = twin.run_warmup()
-        costs = CostTable()
-        x0 = exchange_pass(twin, ref, TOY_REQUEST, costs,
-                           np.zeros(twin.n_plants))
-        assert exchange_pass(twin, ref, TOY_REQUEST, costs, x0) is x0
+        f = StepObjective(twin, ref, TOY_REQUEST)
+        x0 = exchange_pass(f, np.zeros(twin.n_plants))
+        assert exchange_pass(f, x0) is x0
+
+
+class TestStepObjective:
+    @pytest.mark.parametrize("scenario, request_, config", [
+        (make_toy_scenario, TOY_REQUEST, TOY_CONFIG),
+        (load_bundled_scenario, FlexibilityRequest(5.0, 1.0),
+         BasinHoppingConfig(seed=42)),
+    ], ids=["toy", "bundled"])
+    def test_committed_of_is_the_objective_the_oracle_minimizes(
+            self, scenario, request_, config):
+        # a fresh objective on a fresh twin, its reference moved forward over
+        # the committed offsets, scores every step as the run recorded it
+        run = run_dispatch(scenario(), request_, n_steps=3, config=config)
+        twin = CellTwin(scenario())
+        f = StepObjective(twin, twin.run_warmup(), request_)
+        for st in run.steps:
+            of, feasible = f(st.offsets)
+            assert (of.hex(), feasible) == (st.of.hex(), st.feasible)
+            f.ref, _ = twin.advance_reference(f.ref, st.offsets)
 
 
 class TestEvaluationBudget:
@@ -562,9 +586,9 @@ def bounds_and_objectives(scenario, request, resolution, costs=CostTable()):
     offset grid, each with one axis per plant."""
     twin = CellTwin(scenario)
     ref = twin.run_warmup()
-    f, bounds = single_step_objective(twin, ref, request, costs)
-    axes = _grid_axes(bounds, resolution)
-    lb = _lower_bounds(twin, ref, request, costs, _probe_axes(twin, ref, axes))
+    f = StepObjective(twin, ref, request, costs)
+    axes = _grid_axes(f.bounds, resolution)
+    lb = _lower_bounds(f, _probe_axes(f, axes))
     of = [f(np.array(x))[0] for x in itertools.product(*axes)]
     return lb, np.array(of).reshape(lb.shape)
 

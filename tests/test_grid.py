@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cellflex.grid as grid
 from cellflex.errors import ConfigurationError, InfeasibleNetworkError, PowerFlowError
 from cellflex.grid import (
     V_COLLAPSE_PU,
@@ -12,7 +13,9 @@ from cellflex.grid import (
     GridTopology,
     Line,
     check_line_limits,
+    reset_balance_tracker,
     solve_power_flow,
+    worst_balance_error_pu,
 )
 
 from gs_reference import gauss_seidel_pf, random_radial_case
@@ -119,6 +122,20 @@ class TestConservationAndOracle:
         for v_a, v_b in zip(res_a.v_pu, res_b.v_pu):
             assert v_a == pytest.approx(v_b, abs=1e-12)
         assert res_a.pcc.p_kw == pytest.approx(res_b.pcc.p_kw, abs=1e-12)
+
+    def test_reset_balance_tracker_zeroes_the_worst_error(self, monkeypatch):
+        # the session's worst error goes back in place after the test
+        monkeypatch.setattr(grid, "_worst_balance_error_pu",
+                            worst_balance_error_pu())
+        large = solve_power_flow(*random_radial_case(np.random.default_rng(4),
+                                                     n_buses=6))
+        small = random_radial_case(np.random.default_rng(0), n_buses=6)
+        assert worst_balance_error_pu() >= large.balance_error_pu > 0.0
+        reset_balance_tracker()
+        assert worst_balance_error_pu() == 0.0
+        res = solve_power_flow(*small)
+        assert 0.0 < res.balance_error_pu < large.balance_error_pu
+        assert worst_balance_error_pu() == res.balance_error_pu
 
 
 class TestFailureModes:
