@@ -1,5 +1,18 @@
 """Receding-horizon dispatch of a flexibility request.
 
+Each 15 s dispatch step minimizes one weighted objective over the vector of
+plant offsets, ``StepObjective``::
+
+    OF = sum_i k_i * |delta_i|                       (plant deviation cost)
+       + k_pcc_p * |P_pcc - P_target|                (active-power tracking)
+       + k_pcc_q * |Q_pcc - Q_target|                (reactive-power tracking)
+       + k_infeasible * n_violating_lines            (network penalty)
+
+where delta_i is the realized plant power minus its frozen reference value
+and the targets are the frozen reference PCC reading plus the requested
+change.  The weights come from a ``CostTable``, and a point whose power
+flow fails scores ``StepObjective.collapse_of`` instead.
+
 ``run_dispatch`` checks that the run fits the scenario's profile window,
 captures the pre-request reference state and builds the run's one
 ``StepObjective`` (plant weights, offset bounds, PCC targets and collapse
@@ -47,18 +60,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, DispatchError, PowerFlowError
-from .optimizer import (
-    BasinHoppingConfig,
-    CostTable,
-    FlexibilityRequest,
-    basin_hopping,
-    objective_breakdown,
-)
+from .optimizer import BasinHoppingConfig, FlexibilityRequest, basin_hopping
 from .twin import CellTwin
 
 log = logging.getLogger("cellflex.dispatch")
 
-__all__ = ["StepRecord", "DispatchRun", "run_dispatch", "StepObjective",
+__all__ = ["CostTable", "ObjectiveBreakdown", "objective_breakdown",
+           "StepRecord", "DispatchRun", "run_dispatch", "StepObjective",
            "temperature_panel", "technology_shares", "exchange_pass",
            "STALL_ITERATIONS"]
 
@@ -67,19 +75,64 @@ STALL_ITERATIONS = 1
 _ZERO_TOL = 1e-6                # power (kW or kVAr) that counts as zero
 _CORRECTIONS = 4                # exchange: corrections that drive one δ_i to 0
 _REFILL_PASSES = 6              # exchange: passes that refill the PCC error
-# share key of each plant class
-_SHARE_OF_CLASS = {"bes": "bes", "ehp": "ehp", "bev_v1g": "bev",
-                   "bev_v2g": "bev", "inv": "inv_q"}
+# CostTable weight field and share key of each plant class
+_PLANT_CLASSES = {"bes": ("k_bes", "bes"), "inv": ("k_inv", "inv_q"),
+                  "ehp": ("k_ehp", "ehp"), "bev_v1g": ("k_bev_v1g", "bev"),
+                  "bev_v2g": ("k_bev_v2g", "bev")}
+
+
+@dataclass(frozen=True)
+class CostTable:
+    """Per-kW deviation weights (dimensionless OF units; 1 unit = 0.1 EUR)."""
+    k_bes: float = 2.78e-4
+    k_inv: float = 1.38e-4
+    k_ehp: float = 7.92e-3
+    k_bev_v1g: float = 5.56e-4
+    k_bev_v2g: float = 9.72e-4
+    k_pcc_p: float = 2.78e-2
+    k_pcc_q: float = 2.78e-2
+    k_infeasible: float = 10.0
+    eur_per_unit: float = 0.1
+
+    def weights_for(self, plant_classes):
+        """Vector of per-plant deviation weights for a class-label sequence."""
+        try:
+            return np.array([getattr(self, _PLANT_CLASSES[c][0])
+                             for c in plant_classes])
+        except KeyError as exc:
+            raise ConfigurationError(f"unknown plant class {exc}") from None
+
+
+@dataclass(frozen=True)
+class ObjectiveBreakdown:
+    of: float
+    plant_cost: float          # sum k_i |delta_i|  (OF units)
+    pcc_cost: float            # PCC tracking terms (OF units)
+    penalty: float             # infeasibility term (OF units)
+    cost_eur: float            # plant_cost expressed in EUR
+
+
+def objective_breakdown(plant_deltas, plant_weights, dp_err_kw, dq_err_kvar,
+                        n_violations, costs: CostTable):
+    plant_cost = float(np.abs(plant_deltas) @ plant_weights)
+    pcc_cost = costs.k_pcc_p * abs(dp_err_kw) + costs.k_pcc_q * abs(dq_err_kvar)
+    penalty = costs.k_infeasible * n_violations
+    return ObjectiveBreakdown(
+        of=plant_cost + pcc_cost + penalty,
+        plant_cost=plant_cost,
+        pcc_cost=pcc_cost,
+        penalty=penalty,
+        cost_eur=plant_cost * costs.eur_per_unit,
+    )
 
 
 def technology_shares(plant_deltas, plant_classes, dp_target_kw, dq_target_kvar):
     """Aggregate per-plant deviations into per-technology shares of the request."""
     sums = {"bes": 0.0, "ehp": 0.0, "bev": 0.0, "inv_q": 0.0}
     for delta, cls in zip(plant_deltas, plant_classes):
-        key = _SHARE_OF_CLASS.get(cls)
-        if key is None:
+        if cls not in _PLANT_CLASSES:
             raise DispatchError(f"unknown plant class '{cls}'")
-        sums[key] += delta
+        sums[_PLANT_CLASSES[cls][1]] += delta
     shares = {}
     for key in ("bes", "ehp", "bev"):
         shares[key] = sums[key] / dp_target_kw if abs(dp_target_kw) > 1e-9 \
@@ -285,7 +338,6 @@ class DispatchRun:
     scenario_name: str
     request: FlexibilityRequest
     config: BasinHoppingConfig
-    n_steps: int
     plant_labels: tuple
     plant_classes: tuple
     ref_pcc_p_kw: float
@@ -378,7 +430,6 @@ def run_dispatch(scenario, request, *, n_steps,
         scenario_name=scenario.name,
         request=request,
         config=config,
-        n_steps=n_steps,
         plant_labels=twin.plant_labels,
         plant_classes=twin.plant_classes,
         ref_pcc_p_kw=ref.pcc_p_kw,

@@ -1,15 +1,10 @@
 """Dispatch optimizer: Basin Hopping around a Nelder-Mead local search.
 
-The optimizer minimizes a weighted disaggregation objective over the vector of
-plant offsets::
-
-    OF = sum_i k_i * |delta_i|                       (plant deviation cost)
-       + k_pcc_p * |P_pcc - P_target|                (active-power tracking)
-       + k_pcc_q * |Q_pcc - Q_target|                (reactive-power tracking)
-       + k_infeasible * n_violating_lines            (network penalty)
-
-where delta_i is the realized plant power minus its frozen reference value and
-the targets are the frozen reference PCC reading plus the requested change.
+Both minimize an objective over a real vector; the dispatch step's is
+``dispatch.StepObjective``.  Basin Hopping's objective returns a float or an
+``(of, feasible)`` pair, where a bare float counts as feasible.  Nelder-Mead
+counts its evaluations in one place, which ends the search once
+``NelderMeadSettings.maxfev`` of them are spent.
 
 Basin Hopping: each iteration perturbs the incumbent uniformly within the
 current step size, runs a Nelder-Mead refinement of at most
@@ -30,8 +25,9 @@ their meaning; the run only has fewer iterations.
 
 The candidate objective series and the running global best (minimum over all
 candidates including the start point) are logged per iteration.  The returned
-solution prefers network-feasible candidates; the global-best log column is
-the unconditional minimum and is therefore monotone non-increasing.
+solution is the best candidate by feasibility first, then objective; the
+global-best log column is the unconditional minimum and is therefore
+monotone non-increasing.
 """
 
 import math
@@ -43,9 +39,8 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "CostTable", "FlexibilityRequest", "NelderMeadSettings",
+    "FlexibilityRequest", "NelderMeadSettings",
     "BasinHoppingConfig", "IterationRecord", "BasinHoppingResult",
-    "ObjectiveBreakdown", "objective_breakdown",
     "metropolis_accept", "adapt_step_size", "nelder_mead", "basin_hopping",
     "TARGET_ACCEPTANCE", "ADJUST_INTERVAL", "ADJUST_FACTOR",
 ]
@@ -54,39 +49,6 @@ __all__ = [
 TARGET_ACCEPTANCE = 0.5
 ADJUST_INTERVAL = 10
 ADJUST_FACTOR = 0.9
-
-
-# ---------------------------------------------------------------------------
-# objective
-
-@dataclass(frozen=True)
-class CostTable:
-    """Per-kW deviation weights (dimensionless OF units; 1 unit = 0.1 EUR)."""
-    k_bes: float = 2.78e-4
-    k_inv: float = 1.38e-4
-    k_ehp: float = 7.92e-3
-    k_bev_v1g: float = 5.56e-4
-    k_bev_v2g: float = 9.72e-4
-    k_pcc_p: float = 2.78e-2
-    k_pcc_q: float = 2.78e-2
-    k_infeasible: float = 10.0
-    eur_per_unit: float = 0.1
-
-    _CLASS_FIELDS = {
-        "bes": "k_bes",
-        "inv": "k_inv",
-        "ehp": "k_ehp",
-        "bev_v1g": "k_bev_v1g",
-        "bev_v2g": "k_bev_v2g",
-    }
-
-    def weights_for(self, plant_classes):
-        """Vector of per-plant deviation weights for a class-label sequence."""
-        try:
-            return np.array([getattr(self, self._CLASS_FIELDS[c])
-                             for c in plant_classes])
-        except KeyError as exc:
-            raise ConfigurationError(f"unknown plant class {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -101,29 +63,6 @@ class FlexibilityRequest:
             raise ConfigurationError(
                 f"flexibility request must be finite numbers, got "
                 f"dp_kw={self.dp_kw!r}, dq_kvar={self.dq_kvar!r}")
-
-
-@dataclass(frozen=True)
-class ObjectiveBreakdown:
-    of: float
-    plant_cost: float          # sum k_i |delta_i|  (OF units)
-    pcc_cost: float            # PCC tracking terms (OF units)
-    penalty: float             # infeasibility term (OF units)
-    cost_eur: float            # plant_cost expressed in EUR
-
-
-def objective_breakdown(plant_deltas, plant_weights, dp_err_kw, dq_err_kvar,
-                        n_violations, costs: CostTable):
-    plant_cost = float(np.abs(plant_deltas) @ plant_weights)
-    pcc_cost = costs.k_pcc_p * abs(dp_err_kw) + costs.k_pcc_q * abs(dq_err_kvar)
-    penalty = costs.k_infeasible * n_violations
-    return ObjectiveBreakdown(
-        of=plant_cost + pcc_cost + penalty,
-        plant_cost=plant_cost,
-        pcc_cost=pcc_cost,
-        penalty=penalty,
-        cost_eur=plant_cost * costs.eur_per_unit,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +129,18 @@ def _box(bounds, size):
     return bounds
 
 
+class _BudgetSpent(Exception):
+    """Ends a Nelder-Mead search whose evaluation budget is used up."""
+
+
 def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings()):
     """Downhill-simplex minimization with clamp-at-evaluation box handling.
 
     The initial simplex displaces each coordinate of ``x0`` by ``scale``.
     The simplex itself may wander outside ``bounds``; every objective
     evaluation sees the clamped point and the returned minimizer is clamped.
-    Returns ``(x_best, f_best, n_evals)`` and never returns a point worse
-    than the evaluated start point.
+    Returns ``(x_best, f_best, n_evals)``: the first strict minimum over the
+    evaluated points, so never a point worse than the start point.
     """
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
@@ -205,80 +148,71 @@ def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings())
         raise ConfigurationError("cannot optimize a zero-dimensional vector")
     lo, hi = _box(bounds, d).T
 
-    best = {"f": math.inf, "x": None}
-    n_evals = 0
+    x_best, f_best, n_evals = None, math.inf, 0
 
     def evaluate(x):
-        nonlocal n_evals
+        nonlocal x_best, f_best, n_evals
+        # the one budget check: the evaluation past maxfev ends the search
+        if n_evals >= settings.maxfev:
+            raise _BudgetSpent
         xe = np.clip(x, lo, hi)
         fx = float(f(xe))
         n_evals += 1
-        if fx < best["f"]:
-            best["f"] = fx
-            best["x"] = xe.copy()
+        if fx < f_best:
+            x_best, f_best = xe.copy(), fx
         return fx
 
-    maxfev = settings.maxfev
-
-    # initial simplex: start point plus one displaced vertex per dimension
-    simplex = [x0.copy()]
-    fvals = [evaluate(x0)]
-    for i in range(d):
-        if n_evals >= maxfev:
-            return best["x"], best["f"], n_evals
-        v = x0.copy()
-        v[i] += scale
-        simplex.append(v)
-        fvals.append(evaluate(v))
-    simplex = np.array(simplex)
-    fvals = np.array(fvals)
-
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    try:
+        # initial simplex: start point plus one displaced vertex per dimension
+        simplex = [x0.copy()]
+        fvals = [evaluate(x0)]
+        for i in range(d):
+            v = x0.copy()
+            v[i] += scale
+            simplex.append(v)
+            fvals.append(evaluate(v))
+        simplex = np.array(simplex)
+        fvals = np.array(fvals)
 
-    while n_evals < maxfev:
-        order = np.argsort(fvals, kind="stable")
-        simplex = simplex[order]
-        fvals = fvals[order]
+        while True:
+            order = np.argsort(fvals, kind="stable")
+            simplex = simplex[order]
+            fvals = fvals[order]
 
-        if (fvals[-1] - fvals[0] <= settings.fatol
-                and np.max(np.abs(simplex[1:] - simplex[0])) <= settings.xatol):
-            break
+            if (fvals[-1] - fvals[0] <= settings.fatol
+                    and np.max(np.abs(simplex[1:] - simplex[0])) <= settings.xatol):
+                break
 
-        centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + alpha * (centroid - simplex[-1])
-        fr = evaluate(xr)
+            centroid = simplex[:-1].mean(axis=0)
+            xr = centroid + alpha * (centroid - simplex[-1])
+            fr = evaluate(xr)
 
-        if fr < fvals[0]:
-            if n_evals < maxfev:
+            if fr < fvals[0]:
                 xe_ = centroid + gamma * (xr - centroid)
                 fe = evaluate(xe_)
                 if fe < fr:
                     simplex[-1], fvals[-1] = xe_, fe
                 else:
                     simplex[-1], fvals[-1] = xr, fr
-            else:
+            elif fr < fvals[-2]:
                 simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        else:
-            if fr < fvals[-1]:
-                xc = centroid + rho * (xr - centroid)       # outside contraction
             else:
-                xc = centroid - rho * (centroid - simplex[-1])  # inside
-            if n_evals >= maxfev:
-                break
-            fc = evaluate(xc)
-            if fc < min(fr, fvals[-1]):
-                simplex[-1], fvals[-1] = xc, fc
-            else:
-                # shrink toward the best vertex
-                for i in range(1, d + 1):
-                    if n_evals >= maxfev:
-                        break
-                    simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                    fvals[i] = evaluate(simplex[i])
-
-    return best["x"], best["f"], n_evals
+                if fr < fvals[-1]:
+                    xc = centroid + rho * (xr - centroid)       # outside contraction
+                else:
+                    xc = centroid - rho * (centroid - simplex[-1])  # inside
+                fc = evaluate(xc)
+                if fc < min(fr, fvals[-1]):
+                    simplex[-1], fvals[-1] = xc, fc
+                else:
+                    # shrink toward the best vertex
+                    for i in range(1, d + 1):
+                        simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
+                        fvals[i] = evaluate(simplex[i])
+    except _BudgetSpent:
+        pass
+    return x_best, f_best, n_evals
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +266,6 @@ class BasinHoppingResult:
         return self.n_accepted / n_moves if n_moves else 0.0
 
 
-def _normalize_objective(f):
-    """Let f return either a float or an (of, feasible) pair."""
-    def call(x):
-        r = f(x)
-        if isinstance(r, tuple):
-            return float(r[0]), bool(r[1])
-        return float(r), True
-    return call
-
-
 def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
                   patience=None):
     """Global search over ``f`` starting from (and warm-started by) ``x0``.
@@ -357,7 +281,6 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
             isinstance(patience, numbers.Integral) and patience >= 1):
         raise ConfigurationError(
             f"patience must be None or an integer >= 1, got {patience!r}")
-    call = _normalize_objective(f)
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
@@ -366,11 +289,27 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
     lo, hi = bounds.T
     x0 = np.clip(x0, lo, hi)
 
-    of0, feas0 = call(x0)
+    # (of, feasible) of the first lowest point scored since the last reset,
+    # which is the point Nelder-Mead returns; None records the next point
+    # whatever its objective
+    scored = None
+
+    def scalar_f(x):
+        nonlocal scored
+        r = f(x)
+        of, feas = (float(r[0]), bool(r[1])) if isinstance(r, tuple) \
+            else (float(r), True)
+        if scored is None or of < scored[0]:
+            scored = (of, feas)
+        return of
+
+    scalar_f(x0)
+    of0, feas0 = scored
     n_evals = 1
-    incumbent_x, incumbent_of = x0.copy(), of0
-    best_any = {"x": x0.copy(), "of": of0, "feasible": feas0}
-    best_feasible = {"x": x0.copy(), "of": of0} if feas0 else None
+    incumbent_x, incumbent_of = x0, of0
+    of_global_best = of0
+    # the point returned: feasible first, then lower objective
+    best_x, best_of, best_feasible = x0, of0, feas0
 
     records = [IterationRecord(0, of0, of0, config.step_size, True)]
     step = config.step_size
@@ -378,56 +317,40 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
     window_accepted = 0
     stalled = 0
 
-    # best point of an iteration's local refinement; reset every iteration
-    local = {"of": math.inf, "feasible": False}
-
-    def scalar_f(x):
-        of, feas = call(x)
-        if of < local["of"]:
-            local["of"] = of
-            local["feasible"] = feas
-        return of
-
     for i in range(1, config.n_iter + 1):
         if patience is not None and stalled >= patience:
             break
         x_try = np.clip(incumbent_x + rng.uniform(-step, step, size=x0.size),
                         lo, hi)
 
-        local["of"], local["feasible"] = math.inf, False
+        scored = (math.inf, False)
         x_cand, of_cand, evals = nelder_mead(
             scalar_f, x_try, bounds=bounds, scale=max(0.25 * step, 0.01),
             settings=config.nm)
         n_evals += evals
-        cand_feasible = local["feasible"]
+        cand_feasible = scored[1]
 
         accepted = metropolis_accept(of_cand - incumbent_of,
                                      config.temperature, rng)
         if accepted:
-            incumbent_x, incumbent_of = x_cand.copy(), of_cand
+            incumbent_x, incumbent_of = x_cand, of_cand
             n_accepted_total += 1
             window_accepted += 1
 
         stalled += 1
-        if of_cand < best_any["of"]:
-            best_any = {"x": x_cand.copy(), "of": of_cand,
-                        "feasible": cand_feasible}
+        if of_cand < of_global_best:
+            of_global_best = of_cand
             stalled = 0
-        if cand_feasible and (best_feasible is None
-                              or of_cand < best_feasible["of"]):
-            best_feasible = {"x": x_cand.copy(), "of": of_cand}
+        if (cand_feasible, -of_cand) > (best_feasible, -best_of):
+            best_x, best_of, best_feasible = x_cand, of_cand, cand_feasible
             stalled = 0
 
-        records.append(IterationRecord(i, of_cand, best_any["of"], step, accepted))
+        records.append(IterationRecord(i, of_cand, of_global_best, step, accepted))
 
         if i % ADJUST_INTERVAL == 0:
             step = adapt_step_size(step, window_accepted, ADJUST_INTERVAL)
             window_accepted = 0
 
-    if best_feasible is not None:
-        return BasinHoppingResult(
-            x=best_feasible["x"], of=best_feasible["of"], feasible=True,
-            iterations=records, n_evals=n_evals, n_accepted=n_accepted_total)
     return BasinHoppingResult(
-        x=best_any["x"], of=best_any["of"], feasible=False,
-        iterations=records, n_evals=n_evals, n_accepted=n_accepted_total)
+        x=best_x, of=best_of, feasible=best_feasible, iterations=records,
+        n_evals=n_evals, n_accepted=n_accepted_total)

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cellflex.dispatch import (
+    CostTable,
     DispatchRun,
     StepObjective,
     exchange_pass,
@@ -21,7 +22,6 @@ from cellflex.dispatch import (
 from cellflex.errors import ConfigurationError, DispatchError, PowerFlowError
 from cellflex.optimizer import (
     BasinHoppingConfig,
-    CostTable,
     FlexibilityRequest,
     NelderMeadSettings,
 )

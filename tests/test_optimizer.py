@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import optimizer_reference as reference
+
+from cellflex.dispatch import CostTable, objective_breakdown
 from cellflex.errors import ConfigurationError
 from cellflex.optimizer import (
     BasinHoppingConfig,
-    CostTable,
     FlexibilityRequest,
     NelderMeadSettings,
     adapt_step_size,
     basin_hopping,
     metropolis_accept,
     nelder_mead,
-    objective_breakdown,
 )
 
 
@@ -124,6 +125,18 @@ class TestAdaptiveStep:
             assert out == step
 
 
+def plateau_objective(center, step, feasible_cut, paired):
+    """A bowl around ``center`` floored to multiples of ``step`` (0: none),
+    so that nearby points tie; paired, it is feasible for x[0] >= the cut."""
+    def f(x):
+        d = x - center
+        v = float(np.sum(np.abs(d)) + 0.5 * float(d @ d))
+        if step:
+            v = math.floor(v / step) * step
+        return (v, bool(x[0] >= feasible_cut)) if paired else v
+    return f
+
+
 class TestNelderMead:
     def test_quadratic_minimum(self):
         f = lambda x: float((x[0] - 3.0) ** 2 + (x[1] + 1.0) ** 2)
@@ -158,11 +171,27 @@ class TestNelderMead:
         assert np.array_equal(x, [1.0, 2.0])
 
     def test_respects_eval_budget(self):
-        f = lambda x: float(np.sum(np.sin(x * 50.0)))
-        for budget in (1, 3, 17, 60):
-            _, _, n = nelder_mead(f, np.zeros(4),
-                                  settings=NelderMeadSettings(maxfev=budget))
-            assert n <= budget
+        # n_evals counts every call, and (x, f) is the first strict minimum
+        # over the clipped points f received
+        objective = plateau_objective(np.full(4, 0.2), 0.25, 0.0, paired=False)
+        bounds = np.array([[-1.0, 1.0], [-0.3, 2.0], [0.0, 0.5], [-2.0, 0.0]])
+        for budget in range(1, 61):
+            calls = []
+
+            def f(x):
+                calls.append(x.copy())
+                return objective(x)
+
+            x, fx, n = nelder_mead(f, np.array([0.9, 1.9, 0.1, -1.9]),
+                                   bounds=bounds, scale=0.5,
+                                   settings=NelderMeadSettings(maxfev=budget))
+            values = [objective(p) for p in calls]
+            first_min = int(np.argmin(values))
+            assert n == len(calls) <= budget
+            assert fx == values[first_min]
+            assert x.tobytes() == calls[first_min].tobytes()
+            assert all(np.all((bounds[:, 0] <= p) & (p <= bounds[:, 1]))
+                       for p in calls)
 
     def test_zero_dimensional_rejected(self):
         with pytest.raises(ConfigurationError, match="zero-dimensional"):
@@ -174,6 +203,74 @@ class TestNelderMead:
         x0 = np.array(x0)
         _, fx, _ = nelder_mead(f, x0, settings=NelderMeadSettings(maxfev=50))
         assert fx <= f(x0) + 1e-12
+
+
+@st.composite
+def search_problems(draw, paired=st.booleans()):
+    """An objective, a start, a box and Nelder-Mead settings."""
+    d = draw(st.integers(1, 6))
+    coord = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0]))
+    center = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d,
+                                    max_size=d)))
+    x0 = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    f = plateau_objective(center, draw(st.sampled_from([0.0, 0.1, 1.0, 1e3])),
+                          draw(st.floats(-2.0, 2.0)), draw(paired))
+    bounds = None
+    if draw(st.booleans()):
+        lo = np.array(draw(st.lists(st.floats(-3.0, 0.0), min_size=d,
+                                    max_size=d)))
+        width = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=d,
+                                       max_size=d)))
+        bounds = np.column_stack([lo, lo + width])
+    nm = NelderMeadSettings(fatol=draw(st.sampled_from([0.0, 1e-9, 0.5])),
+                            xatol=draw(st.sampled_from([0.0, 1e-9, 0.5])),
+                            maxfev=draw(st.integers(1, 60)))
+    return f, x0, bounds, nm
+
+
+def recorded(f):
+    """``f`` and the list of the points it is called with."""
+    calls = []
+
+    def g(x):
+        calls.append(x.tobytes())
+        return f(x)
+    return g, calls
+
+
+class TestSearchReference:
+    """Nelder-Mead and Basin Hopping evaluate the same points and return
+    the same bits as the reference search in ``optimizer_reference``."""
+
+    @given(problem=search_problems(paired=st.just(False)),
+           scale=st.floats(0.01, 2.0))
+    def test_nelder_mead(self, problem, scale):
+        f, x0, bounds, nm = problem
+        runs = []
+        for search in (nelder_mead, reference.nelder_mead):
+            g, calls = recorded(f)
+            x, fx, n = search(g, x0, bounds=bounds, scale=scale, settings=nm)
+            runs.append((x.tobytes(), fx.hex(), n, calls))
+        assert runs[0] == runs[1]
+
+    @given(problem=search_problems(), n_iter=st.integers(0, 8),
+           temperature=st.sampled_from([0.0, 0.05, 1.0]),
+           step_size=st.floats(0.05, 3.0), seed=st.integers(0, 2**32 - 1),
+           patience=st.sampled_from([None, 1, 3]))
+    def test_basin_hopping(self, problem, n_iter, temperature, step_size, seed,
+                           patience):
+        f, x0, bounds, nm = problem
+        config = BasinHoppingConfig(temperature=temperature, n_iter=n_iter,
+                                    step_size=step_size, seed=seed, nm=nm)
+        runs = []
+        for search in (basin_hopping, reference.basin_hopping):
+            g, calls = recorded(f)
+            r = search(g, x0, config, bounds=bounds, patience=patience)
+            records = [(it.iteration, it.of_local.hex(), it.of_global_best.hex(),
+                        it.step_size.hex(), it.accepted) for it in r.iterations]
+            runs.append((r.x.tobytes(), r.of.hex(), r.feasible, r.n_evals,
+                         r.n_accepted, records, calls))
+        assert runs[0] == runs[1]
 
 
 def double_well(x):
