@@ -148,6 +148,24 @@ class TestFailureModes:
         with pytest.raises(PowerFlowError, match="within 1 sweeps"):
             solve_power_flow(two_bus(), {"b1": (20.0, 5.0)})
 
+    @pytest.mark.parametrize("case", [
+        lambda: (two_bus(), {"b1": (20.0, 5.0)}),
+        lambda: random_radial_case(np.random.default_rng(4), n_buses=6),
+    ], ids=["two_bus", "radial"])
+    def test_sweep_budget_counts_every_sweep(self, monkeypatch, case):
+        # a budget of exactly the sweeps a solve needs gives the same result;
+        # one sweep fewer fails, and the message names that budget
+        topology, injections = case()
+        res = solve_power_flow(topology, injections)
+        assert 2 <= res.sweeps < grid.MAX_SWEEPS
+        monkeypatch.setattr(grid, "MAX_SWEEPS", res.sweeps)
+        tight = solve_power_flow(topology, injections)
+        assert (tight.sweeps, tight.v_pu) == (res.sweeps, res.v_pu)
+        monkeypatch.setattr(grid, "MAX_SWEEPS", res.sweeps - 1)
+        with pytest.raises(PowerFlowError,
+                           match=f"within {res.sweeps - 1} sweeps"):
+            solve_power_flow(topology, injections)
+
     @pytest.mark.parametrize("injection", [(math.nan, 0.0), (0.0, math.nan)])
     def test_nan_injection_raises(self, injection):
         # NaN compares False both ways: a solve must not read it as converged
