@@ -49,15 +49,9 @@ def _load(args):
     return load_scenario(args.scenario)
 
 
-def _warmup_s(args):
-    return None if args.warmup_days is None else args.warmup_days * 86400.0
-
-
 def _add_common(parser):
     parser.add_argument("--scenario", default=None,
                         help="scenario JSON path (default: bundled rural cell)")
-    parser.add_argument("--warmup-days", type=float, default=None,
-                        help="override warmup duration in days")
 
 
 def _add_optimizer_flags(parser):
@@ -156,8 +150,7 @@ def _cmd_simulate(args):
     scenario.check_horizon(args.steps)
     with _output_file(args.out) if args.out else contextlib.nullcontext():
         twin = CellTwin(scenario)
-        ref = twin.run_warmup(_warmup_s(args))
-        twin.set_offsets([0.0] * twin.n_plants)
+        ref = twin.run_warmup()
         rows = [(0.0, ref.pcc_p_kw, ref.pcc_q_kvar)]
         for _ in range(args.steps):
             twin.step_dispatch_interval()
@@ -182,7 +175,6 @@ def _cmd_dispatch(args):
             FlexibilityRequest(args.dp_kw, args.dq_kvar),
             n_steps=args.steps,
             config=_config(args),
-            warmup_s=_warmup_s(args),
             initial_bes_soc=args.bes_soc,
         )
     write_dispatch_csv(run, out / "dispatch.csv")
@@ -214,7 +206,7 @@ def _cmd_sweep_temperature(args):
     with _output_dir(args.out) as out:
         means, results = temperature_panel(
             scenario, FlexibilityRequest(args.dp_kw, args.dq_kvar),
-            temperatures, seeds, config, warmup_s=_warmup_s(args))
+            temperatures, seeds, config)
     summary = write_panel(temperatures, seeds, means, results, out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

@@ -182,14 +182,13 @@ class StepObjective:
         return self.score(self.evaluate(x))
 
 
-def temperature_panel(scenario, request, temperatures, seeds, config, *,
-                      warmup_s=None):
+def temperature_panel(scenario, request, temperatures, seeds, config):
     """Basin Hopping's temperature study on one dispatch step.
 
-    From one warmed-up reference, runs one BH search per temperature and
-    seed from zero offsets, without a stall stop, on its
-    :class:`StepObjective`; ``config`` gives ``n_iter``, ``step_size``
-    and ``nm``.  Returns ``(means, results)``: per temperature, the mean
+    From the reference after the scenario's ``simulation.warmup_s`` warmup,
+    runs one BH search per temperature and seed from zero offsets, without
+    a stall stop, on its :class:`StepObjective`; ``config`` gives
+    ``n_iter``, ``step_size`` and ``nm``.  Returns ``(means, results)``: per temperature, the mean
     over seeds of each search's mean candidate OF (iterations >= 1), and
     the seeds' ``BasinHoppingResult`` list.  Invalid input raises
     :class:`ConfigurationError` before the warmup.
@@ -202,7 +201,7 @@ def temperature_panel(scenario, request, temperatures, seeds, config, *,
             f"got {len(temperatures)}, {len(seeds)} and {config.n_iter}")
     twin = CellTwin(scenario)
     twin.check_plants()
-    f = StepObjective(twin, twin.run_warmup(warmup_s), request)
+    f = StepObjective(twin, twin.run_warmup(), request)
     results = [[basin_hopping(f, np.zeros(twin.n_plants), cfg, bounds=f.bounds)
                 for cfg in row] for row in configs]
     per_seed = [[sum(r.of_local for r in res.iterations[1:])
@@ -348,7 +347,6 @@ class DispatchRun:
 
 def run_dispatch(scenario, request, *, n_steps,
                  config: BasinHoppingConfig = None,
-                 warmup_s=None,
                  initial_bes_soc=None):
     """Disaggregate ``request`` across the cell's plants over ``n_steps`` steps.
 
@@ -368,7 +366,7 @@ def run_dispatch(scenario, request, *, n_steps,
     twin.check_plants()
     if initial_bes_soc is not None:
         twin.check_bes_soc(initial_bes_soc)
-    ref = twin.run_warmup(warmup_s)
+    ref = twin.run_warmup()
     if initial_bes_soc is not None:
         twin.override_bes_soc(initial_bes_soc)
         ref = twin.capture_reference()

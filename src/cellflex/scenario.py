@@ -538,10 +538,12 @@ def scenario_from_dict(data):
     except ValueError:
         raise ConfigurationError(
             f"simulation.start: not an ISO timestamp: '{sim.start}'") from None
-    n_sub = sim.dispatch_step_s / sim.internal_dt_s
-    if abs(n_sub - round(n_sub)) > 1e-9:
+    n_sub = round(sim.dispatch_step_s / sim.internal_dt_s)
+    if n_sub < 1 or abs(n_sub * sim.internal_dt_s - sim.dispatch_step_s) \
+            > 1e-9 * max(1.0, sim.dispatch_step_s):
         raise ConfigurationError(
-            "simulation.dispatch_step_s: must be an integer multiple of internal_dt_s")
+            "simulation.dispatch_step_s: must be a positive integer multiple "
+            "of internal_dt_s")
     if sim.warmup_s > sim.profile_back_days * 86400.0:
         raise ConfigurationError(
             "simulation.warmup_s: exceeds the covered profile window "

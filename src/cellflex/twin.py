@@ -265,9 +265,6 @@ class CellTwin:
                 pro.sample_inputs(t0)
             self._inputs_t0 = t0
         n = round(dt_total / substep)
-        if n < 1 or abs(n * substep - dt_total) > 1e-9 * max(1.0, dt_total):
-            raise ConfigurationError(
-                f"interval {dt_total} s is not a multiple of substep {substep} s")
         if stale is None:
             stale = self._all_stale
         base_tod = self.start_tod_s + t0
@@ -315,31 +312,21 @@ class CellTwin:
     # ------------------------------------------------------------------
     # reference handling
 
-    def run_warmup(self, duration_s=None):
+    def run_warmup(self):
         """Integrate local-control-only operation, then capture the baseline.
 
-        The warmup rewinds the clock to ``-duration_s`` and integrates forward
-        to t=0 with all offsets zero, on the coarse schedule of
-        :func:`~cellflex.scenario.warmup_schedule` (first-order lags use exact
-        exponential updates, so coarse stepping does not degrade the settled
-        state).  The schedule is checked before anything is integrated.  Must
-        be called once, right after construction.
+        The warmup rewinds the clock to ``-simulation.warmup_s`` and
+        integrates forward to t=0 with all offsets zero, on the coarse
+        schedule of :func:`~cellflex.scenario.warmup_schedule` (first-order
+        lags use exact exponential updates, so coarse stepping does not
+        degrade the settled state).  The scenario loader has checked the
+        warmup against the profile window and the substep grid.  Must be
+        called once, right after construction.
         """
-        if duration_s is None:
-            duration_s = self.scenario.simulation.warmup_s
-        if not duration_s > 0:          # also rejects NaN
-            # a zero warmup would capture the reference before any plant has
-            # been integrated, i.e. with every bus injection still zero
-            raise ConfigurationError(f"warmup duration must be > 0, got {duration_s}")
-        back_days = self.scenario.simulation.profile_back_days
-        if duration_s > back_days * 86400.0:
-            raise ConfigurationError(
-                f"warmup of {duration_s:g} s reaches back beyond the profile "
-                f"window of {back_days * 86400.0:g} s "
-                f"(simulation.profile_back_days={back_days:g})")
-        substep, blocks = warmup_schedule(self.internal_dt_s, duration_s)
+        warmup_s = self.scenario.simulation.warmup_s
+        substep, blocks = warmup_schedule(self.internal_dt_s, warmup_s)
         self.set_offsets([0.0] * self.n_plants)
-        self.t_s = -float(duration_s)
+        self.t_s = -warmup_s
         for n in blocks:
             self._step_interval(n * substep, substep)
         self.t_s = 0.0

@@ -1,13 +1,16 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import cellflex.cli
-from cellflex.cli import main
+from cellflex.cli import build_parser, main
 from cellflex.oracle import make_toy_scenario
 from cellflex.scenario import load_bundled_scenario, save_scenario, scenario_to_dict
 from cellflex.twin import CellTwin
@@ -82,9 +85,16 @@ class TestSimulate:
         assert "at least 1 step" in captured.err
         assert captured.out == ""
 
-    def test_warmup_beyond_profile_window_exits_1(self, toy_path, capsys):
-        assert main(["simulate", "--scenario", str(toy_path),
-                     "--warmup-days", "1.5"]) == 1
+    def test_warmup_beyond_profile_window_exits_1(self, tmp_path, capsys):
+        # the toy cell's profiles reach one day back: a warmup of exactly one
+        # day runs, a longer one is rejected at load
+        data = scenario_to_dict(make_toy_scenario())
+        path = tmp_path / "warm.json"
+        for days, code in ((1.0, 0), (1.5, 1)):
+            data["simulation"]["warmup_s"] = days * 86400.0
+            path.write_text(json.dumps(data))
+            assert main(["simulate", "--scenario", str(path),
+                         "--steps", "1"]) == code
         assert "profile_back_days" in capsys.readouterr().err
 
     def test_out_in_missing_directory_exits_1(self, toy_path, tmp_path, capsys):
@@ -106,13 +116,19 @@ class TestSimulate:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_rejected_run_removes_only_a_file_it_made(self, toy_path, tmp_path,
-                                                      capsys):
+    def test_rejected_run_removes_only_a_file_it_made(self, tmp_path, capsys):
+        # a feeder this resistive cannot carry the warmed-up load
+        data = scenario_to_dict(make_toy_scenario())
+        data["topology"]["lines"][0]["r_ohm"] = 5000.0
+        path = tmp_path / "collapse.json"
+        path.write_text(json.dumps(data))
         made, kept = tmp_path / "made.csv", tmp_path / "kept.csv"
         kept.write_text("old\n")
         for out in (made, kept):
-            assert main(["simulate", "--scenario", str(toy_path),
-                         "--warmup-days", "1.5", "--out", str(out)]) == 1
+            assert main(["simulate", "--scenario", str(path),
+                         "--out", str(out)]) == 2
+            assert "runtime failure: voltage collapse at bus 'h01'" \
+                in capsys.readouterr().err
         assert not made.exists()
         assert kept.read_text() == "old\n"
 
@@ -177,30 +193,6 @@ class TestDispatch:
                      "--dp-kw", "1.0", "--steps", "1", "--n-iter", "2",
                      "--t-bh", "inf", "--out", str(out)]) == 1
         assert "temperature must be >= 0 and finite, got inf" \
-            in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_zero_warmup_exits_1(self, toy_path, tmp_path, capsys):
-        # a zero warmup would capture an all-zero reference PCC reading
-        out = tmp_path / "cold"
-        assert main(["dispatch", "--scenario", str(toy_path),
-                     "--dp-kw", "1.0", "--steps", "2", "--n-iter", "1",
-                     "--warmup-days", "0", "--out", str(out)]) == 1
-        assert "warmup duration must be > 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_warmup_off_the_substep_grid_exits_1_before_integrating(
-            self, toy_path, tmp_path, capsys, monkeypatch):
-        # 0.3333 days is 28797.12 s, not a whole number of 15 s substeps
-        def fail(*args, **kwargs):
-            raise AssertionError("the warmup started integrating")
-
-        monkeypatch.setattr(CellTwin, "_step_interval", fail)
-        out = tmp_path / "odd"
-        assert main(["dispatch", "--scenario", str(toy_path),
-                     "--dp-kw", "1.0", "--steps", "1", "--n-iter", "1",
-                     "--warmup-days", "0.3333", "--out", str(out)]) == 1
-        assert "28797.1 s is not a whole number of 15 s warmup substeps" \
             in capsys.readouterr().err
         assert not out.exists()
 
@@ -382,3 +374,23 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["name"] == "toy2"
+
+
+def test_readme_commands_parse():
+    """Every ``cellflex`` line in the README's bash blocks parses (nothing
+    runs), so a removed flag cannot leave a stale example."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    commands = []
+    for line in "".join(blocks).replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["cellflex"]:
+            commands.append(words[1:])
+    assert {argv[0] for argv in commands} == set(cellflex.cli._COMMANDS)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README: cellflex {shlex.join(argv)} does not parse")

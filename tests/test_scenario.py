@@ -392,10 +392,12 @@ class TestLoaderValidation:
             == (False, (), pro.bevs[0].time_constant_s)
 
     def test_dispatch_step_not_multiple_of_internal_dt(self):
-        d = minimal_dict(simulation={"internal_dt_s": 4.0,
-                                     "dispatch_step_s": 15.0})
-        with pytest.raises(ConfigurationError, match="integer multiple"):
-            scenario_from_dict(d)
+        # 1e-10 s would hold round(1e-10) = 0 substeps of 1 s
+        for dt, step in ((4.0, 15.0), (1.0, 1e-10)):
+            d = minimal_dict(simulation={"internal_dt_s": dt,
+                                         "dispatch_step_s": step})
+            with pytest.raises(ConfigurationError, match="integer multiple"):
+                scenario_from_dict(d)
 
     def test_warmup_longer_than_profile_window(self):
         d = minimal_dict(simulation={"warmup_s": 86400.0 * 9,
