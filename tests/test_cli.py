@@ -196,6 +196,38 @@ class TestDispatch:
             in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_warmup_exits_1(self, tmp_path, capsys):
+        # a zero warmup would capture an all-zero reference PCC reading
+        data = scenario_to_dict(make_toy_scenario())
+        data["simulation"]["warmup_s"] = 0.0
+        path = tmp_path / "cold.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "cold"
+        assert main(["dispatch", "--scenario", str(path),
+                     "--dp-kw", "1.0", "--steps", "2", "--n-iter", "1",
+                     "--out", str(out)]) == 1
+        assert "simulation.warmup_s: must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_warmup_off_the_substep_grid_exits_1_before_integrating(
+            self, tmp_path, capsys, monkeypatch):
+        # 0.3333 days is 28797.12 s, not a whole number of 15 s substeps
+        def fail(*args, **kwargs):
+            raise AssertionError("the warmup started integrating")
+
+        monkeypatch.setattr(CellTwin, "_step_interval", fail)
+        data = scenario_to_dict(make_toy_scenario())
+        data["simulation"]["warmup_s"] = 0.3333 * 86400.0
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "odd"
+        assert main(["dispatch", "--scenario", str(path),
+                     "--dp-kw", "1.0", "--steps", "1", "--n-iter", "1",
+                     "--out", str(out)]) == 1
+        assert "28797.1 s is not a whole number of 15 s warmup substeps" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_that_is_a_file_exits_1_before_dispatching(
             self, toy_path, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

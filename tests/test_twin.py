@@ -607,6 +607,56 @@ class TestWarmup:
         _, ref = toy
         assert ref.t_s == 0.0
 
+    @staticmethod
+    def toy_warming_up_for(warmup_s):
+        """The toy cell with its scenario's ``simulation.warmup_s`` set."""
+        data = scenario_to_dict(make_toy_scenario())
+        data["simulation"]["warmup_s"] = warmup_s
+        return scenario_from_dict(data)
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ConfigurationError, match="> 0"):
+            self.toy_warming_up_for(-1.0)
+
+    def test_zero_duration_rejected(self):
+        # nothing would be integrated, so the reference PCC would read 0 kW
+        with pytest.raises(ConfigurationError,
+                           match=r"simulation\.warmup_s: must be > 0, got 0"):
+            self.toy_warming_up_for(0.0)
+
+    def test_nan_duration_rejected(self):
+        # NaN fails every comparison, so it must not skip the warmup silently
+        with pytest.raises(ConfigurationError,
+                           match="expected a finite number, got nan"):
+            self.toy_warming_up_for(float("nan"))
+
+    def test_warmup_beyond_profile_window_rejected_before_integrating(
+            self, monkeypatch):
+        # the toy cell's profiles reach one day back
+        step_interval = CellTwin._step_interval
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the warmup started integrating")
+
+        monkeypatch.setattr(CellTwin, "_step_interval", fail)
+        with pytest.raises(ConfigurationError,
+                           match=r"warmup_s: exceeds the covered profile window "
+                                 r"\(profile_back_days\)"):
+            self.toy_warming_up_for(1.5 * 86400.0)
+        monkeypatch.setattr(CellTwin, "_step_interval", step_interval)
+        twin = CellTwin(self.toy_warming_up_for(86400.0))
+        assert twin.run_warmup().t_s == 0.0
+
+    def test_warmup_off_the_substep_grid_rejected_before_integrating(
+            self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the warmup started integrating")
+
+        monkeypatch.setattr(CellTwin, "_step_interval", fail)
+        with pytest.raises(ConfigurationError,
+                           match="3600.5 s is not a whole number of 15 s"):
+            self.toy_warming_up_for(3600.5)
+
     def test_coarse_internal_step_warms_up_in_whole_substeps(self, monkeypatch):
         # 40 s substeps: 22 of them (880 s) per block, 180 in the 7200 s warmup
         data = scenario_to_dict(make_toy_scenario())
