@@ -109,7 +109,11 @@ class PowerFlowResult:
 
 
 class GridTopology:
-    """Validated radial grid: |lines| = |buses| - 1, all reachable from the PCC."""
+    """Validated radial grid: |lines| = |buses| - 1, all reachable from the PCC.
+
+    Only the structure is checked; line parameters and the transformer
+    rating are taken as given (the scenario loader checks their bounds).
+    """
 
     def __init__(self, buses, lines, pcc_bus, transformer_kva=160.0):
         self.buses = list(buses)
@@ -122,8 +126,6 @@ class GridTopology:
             raise ConfigurationError(f"duplicate bus ids: {dup}")
         if pcc_bus not in ids:
             raise ConfigurationError(f"pcc bus '{pcc_bus}' is not a declared bus")
-        if not transformer_kva > 0.0:
-            raise ConfigurationError(f"transformer_kva must be > 0, got {transformer_kva}")
         v_noms = {b.v_nom_ll_v for b in self.buses}
         if len(v_noms) != 1:
             raise ConfigurationError(f"mixed nominal voltages not supported: {sorted(v_noms)}")
@@ -137,13 +139,6 @@ class GridTopology:
                     raise ConfigurationError(
                         f"line '{ln.id or ln.from_bus + '-' + ln.to_bus}' references "
                         f"unknown bus '{end}'")
-            if not (ln.r_ohm >= 0.0 and ln.x_ohm >= 0.0):
-                raise ConfigurationError(
-                    f"line '{ln.id}' needs r_ohm >= 0 and x_ohm >= 0, got "
-                    f"{ln.r_ohm} and {ln.x_ohm}")
-            if not ln.i_max_a > 0.0:
-                raise ConfigurationError(
-                    f"line '{ln.id}' needs i_max_a > 0, got {ln.i_max_a}")
             lid = ln.id or f"{ln.from_bus}-{ln.to_bus}"
             if lid in seen_line_ids:
                 raise ConfigurationError(f"duplicate line id '{lid}'")

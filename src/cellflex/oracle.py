@@ -29,11 +29,11 @@ the objective's own plant weights, PCC targets and collapse score:
 * Tracking: a probe also records the bus injections.  A plant moves only its
   own bus, so a point's injections are the first point's plus each plant's
   move, and their sums P_ll and Q_ll are the lossless PCC reading.  Series
-  losses lie in [0, L_max]: R and X are >= 0 (``GridTopology`` checks), and
-  a solve that does not collapse computes every load current from voltages
-  of at least ``V_COLLAPSE_PU`` of nominal, so no branch carries more than
-  sum_b |S_b| / (3 v_floor).  The tracking cost is then at least
-  k_pcc_p * dist(P_target, [P_ll, P_ll + L_p]) plus the same for Q.
+  losses lie in [0, L_max]: R and X are >= 0 (the loader checks, from the
+  schema), and a solve that does not collapse computes every load current
+  from voltages of at least ``V_COLLAPSE_PU`` of nominal, so no branch
+  carries more than sum_b |S_b| / (3 v_floor).  The tracking cost is then at
+  least k_pcc_p * dist(P_target, [P_ll, P_ll + L_p]) plus the same for Q.
 * The line penalty is >= 0, and a failed solve scores the objective's
   ``StepObjective.collapse_of``, so the bound is capped there.
 

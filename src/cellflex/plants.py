@@ -34,7 +34,8 @@ heat pump's ``p_kw`` and ``q_kvar`` are re-derived by ``set_state``.
 
 Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
-which holds every parameter default; the constructors only validate it.
+which holds every parameter default; the constructors trust it, since the
+loader checked it.
 
 A store whose connected substep leaves its state bit-identical is settled:
 its later connected substeps would repeat it, so a battery stops and an EV
@@ -82,14 +83,6 @@ class _Storage:
     _away = None        # trip window (first departure, last return) in s of day
 
     def __init__(self, params, p0_kw):
-        if params.capacity_kwh <= 0.0:
-            raise ValueError(f"capacity_kwh must be > 0, got {params.capacity_kwh}")
-        if not 0.0 <= params.soc0 <= 1.0:
-            raise ValueError(f"soc0 must lie in [0, 1], got {params.soc0}")
-        if not 0.0 < params.eta_charge <= 1.0 or not 0.0 < params.eta_discharge <= 1.0:
-            raise ValueError("efficiencies must lie in (0, 1]")
-        if not params.time_constant_s > 0.0:     # also rejects NaN
-            raise ValueError(f"time_constant_s must be > 0, got {params.time_constant_s}")
         self.capacity_kwh = params.capacity_kwh
         self.eta_charge = params.eta_charge
         self.eta_discharge = params.eta_discharge
@@ -218,8 +211,6 @@ class BatteryStorage(_Storage):
 
     def __init__(self, params, p0_kw=0.0):
         super().__init__(params, p0_kw)
-        if params.p_max_charge_kw < 0.0 or params.p_max_discharge_kw < 0.0:
-            raise ValueError("power limits must be >= 0")
         self.p_max_charge_kw = params.p_max_charge_kw
         self.p_max_discharge_kw = params.p_max_discharge_kw
 
@@ -252,13 +243,6 @@ class PvInverter:
                  "p_ac_kw", "q_kvar", "saturated")
 
     def __init__(self, params):
-        if params.s_rated_kva <= 0.0:
-            raise ValueError(f"s_rated_kva must be > 0, got {params.s_rated_kva}")
-        if params.p_peak_kwp < 0.0:
-            raise ValueError(f"p_peak_kwp must be >= 0, got {params.p_peak_kwp}")
-        if not 0.0 <= params.q_fraction_limit <= 1.0:
-            raise ValueError(
-                f"q_fraction_limit must lie in [0, 1], got {params.q_fraction_limit}")
         self.s_rated_kva = params.s_rated_kva
         self.p_peak_kwp = params.p_peak_kwp
         self.q_fraction_limit = params.q_fraction_limit
@@ -321,22 +305,6 @@ class HeatPumpSystem:
 
     def __init__(self, params):
         p = params
-        if p.p_el_max_kw <= 0.0:
-            raise ValueError(f"p_el_max_kw must be > 0, got {p.p_el_max_kw}")
-        if p.p_element_kw < 0.0:
-            raise ValueError(f"p_element_kw must be >= 0, got {p.p_element_kw}")
-        if p.storage_kwh_per_k <= 0.0:
-            raise ValueError(f"storage_kwh_per_k must be > 0, got {p.storage_kwh_per_k}")
-        if not p.t_min_c <= p.t_on_c < p.t_off_c <= p.t_element_threshold_c <= p.t_max_c:
-            raise ValueError("need t_min <= t_on < t_off <= t_element_threshold <= t_max")
-        if not p.t_min_c <= p.t0_c <= p.t_max_c:
-            raise ValueError(f"t0_c {p.t0_c} outside [{p.t_min_c}, {p.t_max_c}]")
-        if not 0.0 < p.power_factor <= 1.0:
-            raise ValueError(f"power_factor must lie in (0, 1], got {p.power_factor}")
-        if not 0.0 < p.effectiveness <= 1.0:
-            raise ValueError(f"effectiveness must lie in (0, 1], got {p.effectiveness}")
-        if not p.time_constant_s > 0.0:          # also rejects NaN
-            raise ValueError(f"time_constant_s must be > 0, got {p.time_constant_s}")
         self.p_el_max_kw = p.p_el_max_kw
         self.p_element_kw = p.p_element_kw
         self.storage_kwh_per_k = p.storage_kwh_per_k
@@ -473,19 +441,8 @@ class ElectricVehicle(_Storage):
 
     def __init__(self, params):
         super().__init__(params, 0.0)
-        if params.p_rated_kw <= 0.0:
-            raise ValueError(f"p_rated_kw must be > 0, got {params.p_rated_kw}")
         trips = tuple(sorted((d * 3600.0, r * 3600.0, float(e))
                              for d, r, e in params.trips))
-        prev_ret = 0.0
-        for dep, ret, energy in trips:
-            if not 0.0 <= dep < ret <= 86400.0:
-                raise ValueError(f"trip window ({dep}, {ret}) outside a day")
-            if dep < prev_ret:
-                raise ValueError("trips overlap")
-            if energy < 0.0:
-                raise ValueError(f"trip energy must be >= 0, got {energy}")
-            prev_ret = ret
         self.p_rated_kw = params.p_rated_kw
         self.v2g = bool(params.v2g)
         self.trips = trips

@@ -14,8 +14,15 @@ fields (a missing key takes the field's default, a field without a default is
 required), the writer emits the same fields, and the plant classes take the
 record itself.
 
-All loader errors are ConfigurationError instances naming the offending JSON
-path (e.g. "prosumers[3].bes.capacity_kwh").
+The loader is the only place a scenario rule is checked; the plant classes
+and ``GridTopology``'s line and transformer parameters trust the records they
+are given.  It checks every numeric bound of scenario.schema.json, the rules
+across fields that the schema cannot state (a heat pump's thermostat band
+and start temperature, each BEV trip departing before it returns and no two
+trips of a vehicle overlapping, sunset after sunrise), the cell's timing and,
+by building it once, the grid's structure.  All loader errors are
+ConfigurationError instances naming the offending JSON path (e.g.
+"prosumers[3].bes.capacity_kwh").
 """
 
 import functools
@@ -31,12 +38,6 @@ from importlib import resources
 
 from .errors import ConfigurationError
 from .grid import Bus, GridTopology, Line
-from .plants import (
-    BatteryStorage,
-    ElectricVehicle,
-    HeatPumpSystem,
-    PvInverter,
-)
 
 log = logging.getLogger("cellflex.scenario")
 
@@ -379,6 +380,7 @@ _TRIP_KEYS = ("depart_hour", "return_hour", "energy_kwh")
 
 
 def _parse_trips(raw, path, props):
+    """A BEV's trips; each departs before it returns, and no two overlap."""
     if not isinstance(raw, list):
         raise ConfigurationError(f"{path}: expected an array")
     trips = []
@@ -386,28 +388,52 @@ def _parse_trips(raw, path, props):
         tpath = f"{path}[{k}]"
         if not isinstance(trip, dict):
             raise ConfigurationError(f"{tpath}: expected an object")
-        trips.append(tuple(_number(trip, key, tpath, props=props)
-                           for key in _TRIP_KEYS))
+        depart, ret, energy = (_number(trip, key, tpath, props=props)
+                               for key in _TRIP_KEYS)
+        if not depart < ret:
+            raise ConfigurationError(
+                f"{tpath}.return_hour: must be > depart_hour {depart:g}, got {ret:g}")
+        trips.append((depart, ret, energy))
+    ordered = sorted(trips)
+    for (_, prev_ret, _), (depart, ret, _) in zip(ordered, ordered[1:]):
+        if depart < prev_ret:
+            raise ConfigurationError(
+                f"{path}: trip {depart:g}-{ret:g} h departs before the trip "
+                f"returning at {prev_ret:g} h is back")
     return tuple(trips)
 
 
-def _parse_params(cls, data, path, props, plant=None):
+def _check_ehp_temperatures(ehp, path):
+    """Raise unless the heat pump's thermostat band is ordered and its start
+    temperature lies in [t_min_c, t_max_c]."""
+    if not (ehp.t_min_c <= ehp.t_on_c < ehp.t_off_c
+            <= ehp.t_element_threshold_c <= ehp.t_max_c):
+        raise ConfigurationError(
+            f"{path}: need t_min_c <= t_on_c < t_off_c <= t_element_threshold_c "
+            f"<= t_max_c, got {ehp.t_min_c:g}, {ehp.t_on_c:g}, {ehp.t_off_c:g}, "
+            f"{ehp.t_element_threshold_c:g}, {ehp.t_max_c:g}")
+    if not ehp.t_min_c <= ehp.t0_c <= ehp.t_max_c:
+        raise ConfigurationError(
+            f"{path}.t0_c: must lie in [t_min_c, t_max_c] = "
+            f"[{ehp.t_min_c:g}, {ehp.t_max_c:g}], got {ehp.t0_c:g}")
+
+
+def _parse_params(cls, data, path, props):
     """Build the params record ``cls`` from the JSON object ``data``.
 
     Each field is read by its type; a missing key takes the field's default,
-    and a field without a default is required.  The only nested field,
-    ``BevParams.trips``, is a list of {depart_hour, return_hour, energy_kwh}.
-    A device block is then checked by building its ``plant`` once, and every
-    number against the bounds of its field in the block's schema ``props``.
+    and a field without a default is required.  A number is checked against
+    the bounds of its field in the block's schema ``props``.  The only nested
+    field, ``BevParams.trips``, is a list of {depart_hour, return_hour,
+    energy_kwh}.
     """
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected an object")
     values = {}
-    cls_fields = fields(cls)
-    for f in cls_fields:
+    for f in fields(cls):
         default = None if f.default is MISSING else f.default
         if f.type is float:
-            values[f.name] = _number(data, f.name, path, default)
+            values[f.name] = _number(data, f.name, path, default, props)
         elif f.type is tuple:
             values[f.name] = _parse_trips(data.get(f.name, []), f"{path}.{f.name}",
                                           props[f.name]["items"]["properties"])
@@ -415,23 +441,11 @@ def _parse_params(cls, data, path, props, plant=None):
             values[f.name] = default
         else:
             values[f.name] = _require(data, f.name, path, f.type)
-    params = cls(**values)
-    if plant is not None:
-        try:
-            plant(params)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from None
-    # after the plant, so a value both reject gets the plant's message, which
-    # names the rule (e.g. "efficiencies must lie in (0, 1]")
-    for f in cls_fields:
-        if f.type is float:
-            _check_bounds(values[f.name], props[f.name], f"{path}.{f.name}")
-    return params
+    return cls(**values)
 
 
-# optional single-device blocks of a prosumer: JSON key, plant class, params record
-_DEVICES = (("pv", PvInverter, PvParams), ("bes", BatteryStorage, BesParams),
-            ("ehp", HeatPumpSystem, EhpParams))
+# optional single-device blocks of a prosumer: JSON key, params record
+_DEVICES = (("pv", PvParams), ("bes", BesParams), ("ehp", EhpParams))
 _TRANSFORMER_KVA = inspect.signature(GridTopology).parameters["transformer_kva"].default
 
 
@@ -481,15 +495,16 @@ def scenario_from_dict(data):
         if not isinstance(bev_raw, list):
             raise ConfigurationError(f"{path}.bevs: expected an array")
         bevs = tuple(_parse_params(BevParams, bv, f"{path}.bevs[{k}]",
-                                   pro_props["bevs"]["items"]["properties"],
-                                   ElectricVehicle)
+                                   pro_props["bevs"]["items"]["properties"])
                      for k, bv in enumerate(bev_raw))
         household = _parse_params(HouseholdParams, _require(pr, "household", path, dict),
                                   f"{path}.household",
                                   pro_props["household"]["properties"])
         devices = {key: _parse_params(cls, pr[key], f"{path}.{key}",
-                                      pro_props[key]["properties"], plant)
-                   for key, plant, cls in _DEVICES if pr.get(key) is not None}
+                                      pro_props[key]["properties"])
+                   for key, cls in _DEVICES if pr.get(key) is not None}
+        if "ehp" in devices:
+            _check_ehp_temperatures(devices["ehp"], f"{path}.ehp")
         prosumers.append(ProsumerSpec(id=pid, bus=bus, household=household,
                                       bevs=bevs, **devices))
 
@@ -617,7 +632,7 @@ def scenario_to_dict(s: Scenario):
                 "id": p.id,
                 "bus": p.bus,
                 "household": asdict(p.household),
-                **{key: asdict(getattr(p, key)) for key, _, _ in _DEVICES
+                **{key: asdict(getattr(p, key)) for key, _ in _DEVICES
                    if getattr(p, key) is not None},
                 "bevs": [bev(b) for b in p.bevs],
             }

@@ -55,7 +55,8 @@ class TestValidate:
         bad = tmp_path / "bad_ehp.json"
         bad.write_text(json.dumps(data))
         assert main(["validate", "--scenario", str(bad)]) == 1
-        assert f"prosumers[{i}].ehp: effectiveness" in capsys.readouterr().err
+        assert (f"prosumers[{i}].ehp.effectiveness: must be > 0"
+                in capsys.readouterr().err)
 
 
 class TestSimulate:

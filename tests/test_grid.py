@@ -249,25 +249,31 @@ class TestTopologyValidation:
         with pytest.raises(ConfigurationError, match="nope"):
             GridTopology([Bus("pcc")], [], pcc_bus="nope")
 
-    def test_negative_impedance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GridTopology([Bus("pcc"), Bus("b1")],
-                         [Line("pcc", "b1", -0.1, 0.0, 100.0)],
-                         pcc_bus="pcc")
+    # GridTopology checks only the structure; the loader refuses line and
+    # transformer parameters outside the schema's bounds
+
+    def test_negative_impedance_rejected(self, validate_refuses):
+        for field in ("r_ohm", "x_ohm"):
+            def edit(document):
+                document["topology"]["lines"][0][field] = -0.1
+                return f"topology.lines[0].{field}: must be >= 0, got -0.1"
+            validate_refuses(edit)
 
     @pytest.mark.parametrize("r, x, i_max", [
         (math.nan, 0.0, 100.0), (0.1, math.nan, 100.0), (0.1, 0.0, math.nan)])
-    def test_nan_line_parameters_rejected(self, r, x, i_max):
-        with pytest.raises(ConfigurationError, match="needs"):
-            GridTopology([Bus("pcc"), Bus("b1")],
-                         [Line("pcc", "b1", r, x, i_max)],
-                         pcc_bus="pcc")
+    def test_nan_line_parameters_rejected(self, r, x, i_max, validate_refuses):
+        def edit(document):
+            document["topology"]["lines"][0].update(r_ohm=r, x_ohm=x, i_max_a=i_max)
+            field = next(k for k, v in (("r_ohm", r), ("x_ohm", x), ("i_max_a", i_max))
+                         if math.isnan(v))
+            return f"topology.lines[0].{field}: expected a finite number, got nan"
+        validate_refuses(edit)
 
-    def test_nan_transformer_rating_rejected(self):
-        with pytest.raises(ConfigurationError, match="transformer_kva"):
-            GridTopology([Bus("pcc"), Bus("b1")],
-                         [Line("pcc", "b1", 0.1, 0.0, 100.0)],
-                         pcc_bus="pcc", transformer_kva=math.nan)
+    def test_nan_transformer_rating_rejected(self, validate_refuses):
+        def edit(document):
+            document["topology"]["transformer_kva"] = math.nan
+            return "topology.transformer_kva: expected a finite number, got nan"
+        validate_refuses(edit)
 
     @given(n_buses=st.integers(3, 9), seed=st.integers(0, 10_000))
     @example(n_buses=9, seed=5697)      # collapses to 0.428 pu at b5

@@ -16,6 +16,22 @@ from cellflex.scenario import BesParams, BevParams, EhpParams, PvParams
 from plant_reference import integrate_reference
 
 
+def first_device(key, values, message):
+    """An edit of the bundled cell's JSON document that sets ``values`` on the
+    first prosumer's ``key`` block (its first EV for "bevs"); it returns the
+    block's JSON path followed by ``message``.  The plants check no
+    parameter, so the loader must refuse every value they cannot take."""
+    def edit(document):
+        i, pro = next((i, p) for i, p in enumerate(document["prosumers"])
+                      if p.get(key))
+        if key == "bevs":
+            pro["bevs"][0].update(values)
+            return f"prosumers[{i}].bevs[0]{message}"
+        pro[key].update(values)
+        return f"prosumers[{i}].{key}{message}"
+    return edit
+
+
 def cop_after_one_substep(t_tank, ambient, effectiveness=0.5):
     """The COP a heat pump ran its first substep at, from tank temperature
     `t_tank` and ambient temperature `ambient`."""
@@ -36,10 +52,6 @@ class TestCop:
         # a source 1 K below the tank
         for ambient in (44.5, 45.0, 60.0):
             assert cop_after_one_substep(45.0, ambient) == 0.5 * (45.0 + 273.15)
-        # a non-positive effectiveness never reaches the cycle
-        for effectiveness in (0.0, -0.5):
-            with pytest.raises(ValueError, match="effectiveness"):
-                make_ehp(effectiveness=effectiveness)
 
     @given(t_sink=st.floats(35, 90), spread=st.floats(1, 60), eff=st.floats(0.2, 0.8))
     def test_positive_and_decreasing_in_spread(self, t_sink, spread, eff):
@@ -90,14 +102,13 @@ class TestFirstOrderResponse:
         y = lag_battery(2.0).step(1.0, 0.0, 1, 6.0)
         assert y == pytest.approx(1.0 - math.exp(-3.0), abs=1e-14)
 
-    def test_parameter_errors(self):
-        for time_constant_s in (0.0, -2.0, math.nan):
-            with pytest.raises(ValueError, match="time_constant_s"):
-                BatteryStorage(BesParams(10.0, 5.0, 5.0, time_constant_s=time_constant_s))
-            with pytest.raises(ValueError, match="time_constant_s"):
-                make_ehp(time_constant_s=time_constant_s)
-            with pytest.raises(ValueError, match="time_constant_s"):
-                make_bev(time_constant_s=time_constant_s)
+    def test_parameter_errors(self, validate_refuses):
+        for key in ("bes", "ehp", "bevs"):
+            for value, message in ((0.0, "must be > 0, got 0"),
+                                   (-2.0, "must be > 0, got -2"),
+                                   (math.nan, "expected a finite number, got nan")):
+                validate_refuses(first_device(key, {"time_constant_s": value},
+                                              f".time_constant_s: {message}"))
 
     @given(
         y0=st.floats(-10, 10),
@@ -196,15 +207,13 @@ class TestBatteryStorage:
         bes.set_state(state)
         assert bes.get_state() == state
 
-    def test_parameter_errors(self):
-        with pytest.raises(ValueError):
-            BatteryStorage(BesParams(0.0, 5.0, 5.0))
-        with pytest.raises(ValueError):
-            BatteryStorage(BesParams(10.0, -1.0, 5.0))
-        with pytest.raises(ValueError):
-            BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=0.0))
-        with pytest.raises(ValueError):
-            BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=1.5))
+    def test_parameter_errors(self, validate_refuses):
+        for values, message in [
+                ({"capacity_kwh": 0.0}, ".capacity_kwh: must be > 0, got 0"),
+                ({"p_max_charge_kw": -1.0}, ".p_max_charge_kw: must be >= 0, got -1"),
+                ({"eta_charge": 0.0}, ".eta_charge: must be > 0, got 0"),
+                ({"soc0": 1.5}, ".soc0: must be <= 1, got 1.5")]:
+            validate_refuses(first_device("bes", values, message))
 
 
 class TestPvInverter:
@@ -239,13 +248,13 @@ class TestPvInverter:
         assert math.hypot(p, q) <= 8.0 + 1e-9
         assert abs(q) <= 0.30 * 8.0 + 1e-9
 
-    def test_parameter_errors(self):
-        with pytest.raises(ValueError):
-            PvInverter(PvParams(0.0, 5.0))
-        with pytest.raises(ValueError):
-            PvInverter(PvParams(10.0, -1.0))
-        with pytest.raises(ValueError):
-            PvInverter(PvParams(10.0, 10.0, q_fraction_limit=1.5))
+    def test_parameter_errors(self, validate_refuses):
+        for values, message in [
+                ({"s_rated_kva": 0.0}, ".s_rated_kva: must be > 0, got 0"),
+                ({"p_peak_kwp": -1.0}, ".p_peak_kwp: must be >= 0, got -1"),
+                ({"q_fraction_limit": 1.5},
+                 ".q_fraction_limit: must be <= 1, got 1.5")]:
+            validate_refuses(first_device("pv", values, message))
 
 
 def make_ehp(**kw):
@@ -359,21 +368,21 @@ class TestHeatPumpSystem:
         ehp.set_state(state)
         assert ehp.get_state() == state
 
-    def test_parameter_errors(self):
-        with pytest.raises(ValueError):
-            make_ehp(p_el_max_kw=0.0)
-        with pytest.raises(ValueError):
-            make_ehp(storage_kwh_per_k=-0.1)
-        with pytest.raises(ValueError):
-            make_ehp(t0_c=20.0)
-        with pytest.raises(ValueError):
-            HeatPumpSystem(EhpParams(3.0, 5.0, 0.4, t_on_c=48.0, t_off_c=42.0))
-        with pytest.raises(ValueError):
-            HeatPumpSystem(EhpParams(3.0, 5.0, 0.4, t_off_c=60.0))  # above element threshold
-        with pytest.raises(ValueError):
-            make_ehp(effectiveness=0.0)
-        with pytest.raises(ValueError):
-            make_ehp(effectiveness=1.5)
+    def test_parameter_errors(self, validate_refuses):
+        band = ": need t_min_c <= t_on_c < t_off_c <= t_element_threshold_c <= t_max_c"
+        for values, message in [
+                ({"p_el_max_kw": 0.0}, ".p_el_max_kw: must be > 0, got 0"),
+                ({"storage_kwh_per_k": -0.1},
+                 ".storage_kwh_per_k: must be > 0, got -0.1"),
+                ({"t0_c": 20.0},
+                 ".t0_c: must lie in [t_min_c, t_max_c] = [35, 90], got 20"),
+                ({"t_on_c": 48.0, "t_off_c": 42.0}, band),
+                ({"t_off_c": 60.0}, band),          # above the element threshold
+                # a non-positive effectiveness never reaches the cycle
+                ({"effectiveness": 0.0}, ".effectiveness: must be > 0, got 0"),
+                ({"effectiveness": -0.5}, ".effectiveness: must be > 0, got -0.5"),
+                ({"effectiveness": 1.5}, ".effectiveness: must be <= 1, got 1.5")]:
+            validate_refuses(first_device("ehp", values, message))
 
 
 def make_bev(**kw):
@@ -453,23 +462,30 @@ class TestElectricVehicle:
         assert delta == pytest.approx(charged - discharged - bev.trip_drain_kwh,
                                       abs=1e-7)
 
-    def test_efficiency_validation(self):
-        # checked by the storage base class, as for batteries
-        for eta in (0.0, 1.5, math.nan):
-            with pytest.raises(ValueError, match="efficiencies"):
-                make_bev(eta_charge=eta)
-            with pytest.raises(ValueError, match="efficiencies"):
-                make_bev(eta_discharge=eta)
+    def test_efficiency_validation(self, validate_refuses):
+        for field in ("eta_charge", "eta_discharge"):
+            for eta, message in ((0.0, "must be > 0, got 0"),
+                                 (1.5, "must be <= 1, got 1.5"),
+                                 (math.nan, "expected a finite number, got nan")):
+                validate_refuses(first_device("bevs", {field: eta},
+                                              f".{field}: {message}"))
 
-    def test_trip_validation(self):
-        with pytest.raises(ValueError):
-            make_bev(trips=((10.0, 9.0, 5.0),))
-        with pytest.raises(ValueError):
-            make_bev(trips=((0.0, 25.0, 5.0),))
-        with pytest.raises(ValueError):
-            make_bev(trips=((8.0, 12.0, 5.0), (11.0, 14.0, 5.0)))
-        with pytest.raises(ValueError):
-            make_bev(trips=((8.0, 12.0, -5.0),))
+    def test_trip_validation(self, validate_refuses):
+        def trips(*windows):
+            return {"trips": [{"depart_hour": dep, "return_hour": ret, "energy_kwh": e}
+                              for dep, ret, e in windows]}
+
+        for values, message in [
+                (trips((10.0, 9.0, 5.0)),
+                 ".trips[0].return_hour: must be > depart_hour 10, got 9"),
+                (trips((0.0, 25.0, 5.0)),
+                 ".trips[0].return_hour: must be <= 24, got 25"),
+                (trips((8.0, 12.0, 5.0), (11.0, 14.0, 5.0)),
+                 ".trips: trip 11-14 h departs before the trip returning at 12 h "
+                 "is back"),
+                (trips((8.0, 12.0, -5.0)),
+                 ".trips[0].energy_kwh: must be >= 0, got -5")]:
+            validate_refuses(first_device("bevs", values, message))
 
     def test_state_round_trip(self):
         bev = make_bev()

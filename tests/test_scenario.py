@@ -8,7 +8,10 @@ from importlib import resources
 
 import pytest
 
+from cellflex import grid
+from cellflex.dispatch import run_dispatch
 from cellflex.errors import ConfigurationError
+from cellflex.optimizer import BasinHoppingConfig, FlexibilityRequest
 from cellflex.plants import BatteryStorage, ElectricVehicle, HeatPumpSystem
 from cellflex.scenario import (
     BesParams,
@@ -20,6 +23,7 @@ from cellflex.scenario import (
     SimulationParams,
     StepSeries,
     WeatherParams,
+    _BOUNDS,
     _PROFILE_GRID_S,
     _ambient_c,
     _gauss_bump,
@@ -120,9 +124,20 @@ class TestBundledScenario:
         document = json.loads(data_dir.joinpath("rural1_flex.json").read_text())
         jsonschema.validate(document, schema)
 
+    def test_schema_is_valid_and_its_fields_use_only_enforced_keywords(self):
+        # the schema alone holds the numeric bounds, and the loader skips a
+        # keyword it does not know, so a misspelt bound would drop the rule
+        import jsonschema
+        schema = scenario_schema()
+        jsonschema.Draft202012Validator.check_schema(schema)
+        leaves = [(keys, node) for keys, node in schema_nodes(schema)
+                   if "properties" not in node and "items" not in node]
+        assert len(leaves) > 60
+        for keys, node in leaves:
+            assert set(node) <= {"type", *_BOUNDS}, keys
+
     def test_schema_blocks_match_params_fields(self):
-        schema = json.loads(resources.files("cellflex.data")
-                            .joinpath("scenario.schema.json").read_text())
+        schema = scenario_schema()
         prosumer = schema["properties"]["prosumers"]["items"]["properties"]
         blocks = {
             HouseholdParams: prosumer["household"],
@@ -171,16 +186,27 @@ def full_dict():
     return data
 
 
-def schema_bounds(node, keys=()):
-    """(keys, keyword, bound) of every numeric bound below a schema node;
-    an array's items are addressed by index 0."""
-    for keyword in ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum"):
-        if keyword in node:
-            yield keys, keyword, node[keyword]
+def scenario_schema():
+    return json.loads(resources.files("cellflex.data")
+                      .joinpath("scenario.schema.json").read_text())
+
+
+def schema_nodes(node, keys=()):
+    """(keys, node) of a schema node and of every node below it; an array's
+    items are addressed by index 0."""
+    yield keys, node
     for key, child in node.get("properties", {}).items():
-        yield from schema_bounds(child, keys + (key,))
+        yield from schema_nodes(child, keys + (key,))
     if "items" in node:
-        yield from schema_bounds(node["items"], keys + (0,))
+        yield from schema_nodes(node["items"], keys + (0,))
+
+
+def schema_bounds(node):
+    """(keys, keyword, bound) of every numeric bound below a schema node."""
+    for keys, child in schema_nodes(node):
+        for keyword in _BOUNDS:
+            if keyword in child:
+                yield keys, keyword, child[keyword]
 
 
 # a value just outside each kind of bound
@@ -193,9 +219,7 @@ class TestLoaderValidation:
         scenario_from_dict(full_dict())
 
     def test_every_schema_bound_is_enforced(self):
-        schema = json.loads(resources.files("cellflex.data")
-                            .joinpath("scenario.schema.json").read_text())
-        bounds = list(schema_bounds(schema))
+        bounds = list(schema_bounds(scenario_schema()))
         assert len(bounds) > 40
         for keys, keyword, bound in bounds:
             data = full_dict()
@@ -209,14 +233,40 @@ class TestLoaderValidation:
             with pytest.raises(ConfigurationError, match=re.escape(block)):
                 scenario_from_dict(data)
 
-    def test_zero_ratings_the_plants_allow_load(self):
+    def test_zero_ratings_the_plants_allow_load(self, monkeypatch):
+        # the schema's edge values, which the plants take unchecked: a cell
+        # built from them warms up and dispatches within its physical bounds
         data = full_dict()
-        data["prosumers"][0]["pv"]["p_peak_kwp"] = 0.0
-        data["prosumers"][0]["bes"].update(p_max_charge_kw=0.0,
-                                           p_max_discharge_kw=0.0)
-        pro = scenario_from_dict(data).prosumers[0]
-        assert (pro.pv.p_peak_kwp, pro.bes.p_max_charge_kw,
-                pro.bes.p_max_discharge_kw) == (0.0, 0.0, 0.0)
+        pro = data["prosumers"][0]
+        pro["pv"].update(p_peak_kwp=0.0, q_fraction_limit=0.0)
+        pro["bes"].update(p_max_charge_kw=0.0, p_max_discharge_kw=0.0, soc0=1.0,
+                          eta_charge=1.0, eta_discharge=1.0)
+        pro["ehp"].update(p_element_kw=0.0, effectiveness=1.0, power_factor=1.0)
+        # an empty EV, charging from the 19:00 warmup start until it leaves
+        pro["bevs"][0].update(soc0=0.0, eta_charge=1.0, eta_discharge=1.0, trips=[
+            {"depart_hour": 21.0, "return_hour": 24.0, "energy_kwh": 6.0}])
+        scn = scenario_from_dict(data)
+        loaded = scn.prosumers[0]
+        assert (loaded.pv.p_peak_kwp, loaded.bes.p_max_charge_kw,
+                loaded.bes.p_max_discharge_kw) == (0.0, 0.0, 0.0)
+        assert loaded.bevs[0].trips == ((21.0, 24.0, 6.0),)
+
+        monkeypatch.setattr(grid, "_worst_balance_error_pu", 0.0)
+        run = run_dispatch(scn, FlexibilityRequest(1.0, 0.5), n_steps=2,
+                           config=BasinHoppingConfig(seed=5, n_iter=3))
+        assert grid.worst_balance_error_pu() <= 1e-6
+        assert len(run.steps) == 2
+        for st in run.steps:        # acceptance 9's bounds
+            tr = st.trace
+            assert math.isfinite(st.of)
+            assert all(35.0 - 1e-9 <= t <= 90.0 + 1e-9 for t in tr["ehp_t_c"])
+            assert all(-1e-12 <= s <= 1.0 + 1e-12
+                       for s in tr["bes_soc"] + tr["bev_soc"])
+            assert all(math.hypot(p, q) <= s + 1e-9
+                       for p, q, s in zip(tr["inv_p_kw"], tr["inv_q_kvar"],
+                                          tr["inv_s_rated_kva"]))
+            assert all(p == 0.0 for conn, p in zip(tr["bev_connected"], tr["bev_p_kw"])
+                       if not conn)
 
     @pytest.mark.parametrize("keys, value, message", [
         (("topology", "buses", 0, "v_nom_ll_v"), 0.0,
@@ -305,19 +355,35 @@ class TestLoaderValidation:
         bes = {"capacity_kwh": 10.0, "p_max_charge_kw": 2.0, "p_max_discharge_kw": 2.0}
         ehp = {"p_el_max_kw": 3.0, "p_element_kw": 5.0, "storage_kwh_per_k": 0.4}
         bev = {"capacity_kwh": 40.0, "p_rated_kw": 11.0}
+
+        def trips(*windows):
+            return [dict(bev, trips=[{"depart_hour": dep, "return_hour": ret,
+                                      "energy_kwh": 5.0} for dep, ret in windows])]
+
         cases = [
-            ("bes", dict(bes, capacity_kwh=-5.0), r"prosumers\[0\].bes"),
-            ("bes", dict(bes, time_constant_s=0), r"prosumers\[0\]\.bes: time_constant"),
-            ("ehp", dict(ehp, time_constant_s=-1), r"prosumers\[0\]\.ehp: time_constant"),
+            ("bes", dict(bes, capacity_kwh=-5.0), "bes.capacity_kwh: must be > 0"),
+            ("bes", dict(bes, time_constant_s=0), "bes.time_constant_s: must be > 0"),
+            ("ehp", dict(ehp, time_constant_s=-1), "ehp.time_constant_s: must be > 0"),
             ("bevs", [dict(bev, time_constant_s=0)],
-             r"prosumers\[0\]\.bevs\[0\]: time_constant"),
-            ("ehp", dict(ehp, effectiveness=0.0), r"prosumers\[0\]\.ehp: effectiveness"),
-            ("ehp", dict(ehp, effectiveness=1.5), r"prosumers\[0\]\.ehp: effectiveness"),
+             "bevs[0].time_constant_s: must be > 0"),
+            ("ehp", dict(ehp, effectiveness=0.0), "ehp.effectiveness: must be > 0"),
+            ("ehp", dict(ehp, effectiveness=1.5), "ehp.effectiveness: must be <= 1"),
+            ("ehp", dict(ehp, t0_c=20.0),
+             "ehp.t0_c: must lie in [t_min_c, t_max_c] = [35, 90], got 20"),
+            # above the element threshold (50 C)
+            ("ehp", dict(ehp, t_off_c=60.0), "ehp: need t_min_c <= t_on_c < t_off_c"),
+            ("bevs", trips((10.0, 9.0)),
+             "bevs[0].trips[0].return_hour: must be > depart_hour 10, got 9"),
+            # listed out of order, so the overlap shows only once sorted
+            ("bevs", trips((11.0, 14.0), (8.0, 12.0)),
+             "bevs[0].trips: trip 11-14 h departs before the trip returning "
+             "at 12 h is back"),
         ]
         for key, block, message in cases:
             d = minimal_dict()
             d["prosumers"][0][key] = block
-            with pytest.raises(ConfigurationError, match=message):
+            with pytest.raises(ConfigurationError,
+                               match=re.escape("prosumers[0]." + message)):
                 scenario_from_dict(d)
 
     def test_missing_required_field_names_json_path(self):
@@ -357,13 +423,18 @@ class TestLoaderValidation:
             with pytest.raises(ConfigurationError, match=r"prosumers\[0\]\." + message):
                 scenario_from_dict(d)
         line_id = r"topology\.lines\[0\]\.id: expected str, got "
+        nan_number = r": expected a finite number, got nan"
         for field, value, message in [
                 ("name", 7, r"scenario\.name: expected str, got int"),
                 ("id", ["x"], line_id + "list"),
                 ("id", 5, line_id + "int"),
-                ("id", None, line_id + "NoneType")]:
+                ("id", None, line_id + "NoneType"),
+                ("r_ohm", math.nan, r"topology\.lines\[0\]\.r_ohm" + nan_number),
+                ("transformer_kva", math.nan,
+                 r"topology\.transformer_kva" + nan_number)]:
             d = minimal_dict()
-            target = d if field == "name" else d["topology"]["lines"][0]
+            target = {"name": d, "transformer_kva": d["topology"]}.get(
+                field, d["topology"]["lines"][0])
             target[field] = value
             with pytest.raises(ConfigurationError, match=message):
                 scenario_from_dict(json.loads(json.dumps(d)))
