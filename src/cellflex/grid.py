@@ -35,6 +35,7 @@ __all__ = [
     "check_line_limits",
     "worst_balance_error_pu",
     "reset_balance_tracker",
+    "note_balance_error",
 ]
 
 # magnitude floor below which a solution is treated as voltage collapse
@@ -56,6 +57,11 @@ def worst_balance_error_pu():
 def reset_balance_tracker():
     global _worst_balance_error_pu
     _worst_balance_error_pu = 0.0
+
+
+def note_balance_error(balance_error_pu):
+    global _worst_balance_error_pu
+    _worst_balance_error_pu = max(_worst_balance_error_pu, balance_error_pu)
 
 
 @dataclass(frozen=True)
@@ -276,9 +282,7 @@ def solve_power_flow(topology, injections):
     s_slack = 3.0 * v[topology._root] * i_root.conjugate()
     s_base = topology.transformer_kva * 1000.0
     balance_error = abs(s_slack - s_total) / s_base
-    global _worst_balance_error_pu
-    if balance_error > _worst_balance_error_pu:
-        _worst_balance_error_pu = balance_error
+    note_balance_error(balance_error)
 
     # tuples of list comprehensions: tuple() over a generator grows the tuple
     # by resizing, which raised the benchmark's peak RSS by ~0.8 MB

@@ -41,6 +41,13 @@ outside an evaluation or a probe -- makes the next one re-integrate every
 plant.  The trace reads an EV's connection where its last substep started,
 since its ``p_kw`` is that substep's power.
 
+``solve`` keeps up to 64 successful results, keyed on the bits of every
+prosumer's ``(p_kw, q_kvar)`` (±0.0 and NaN payloads are distinct keys),
+and drops the least recently used first.  ``solve_power_flow`` is a pure
+function of the fixed topology and those injections, so a kept result is
+the one a new solve would return, bit for bit; a hit still counts its
+balance error.  A failed solve is never kept: it runs and raises each time.
+
 Controllable-plant ordering is class-major and scenario-ordered within each
 class: all batteries, then all heat pumps, then all EV chargers, then all PV
 inverters.  Offsets are ΔP in kW except for inverters, which take ΔQ in kVAr.
@@ -55,15 +62,18 @@ once.
 
 from dataclasses import dataclass
 from math import copysign
+from struct import Struct
 
 import numpy as np
 
 from .errors import ConfigurationError, PowerFlowError
-from .grid import check_line_limits, solve_power_flow
+from .grid import check_line_limits, note_balance_error, solve_power_flow
 from .plants import BatteryStorage, ElectricVehicle, HeatPumpSystem, PvInverter
 from .scenario import build_profiles, warmup_schedule
 
 __all__ = ["ReferenceState", "EvaluationResult", "CellTwin"]
+
+SOLVED_MAX = 64         # power-flow results a twin keeps
 
 
 @dataclass
@@ -183,6 +193,8 @@ class CellTwin:
         self._end_of = None
         self._end_offsets = None
         self.n_evaluations = 0          # evaluate_dispatch calls so far
+        self._solved = {}   # bits of every (p_kw, q_kvar) -> power flow
+        self._pack = Struct(f"{2 * len(self.prosumers)}d").pack
         self._build_plant_table()
         self._junctions = [b.id for b in scenario.buses
                            if b.id != scenario.pcc_bus and b.prosumer is None]
@@ -238,11 +250,12 @@ class CellTwin:
         self._offsets[:] = self._checked_offsets(offsets)
 
     def _checked_offsets(self, offsets):
-        if len(offsets) != self.n_plants:
+        x = np.asarray(offsets, dtype=float)
+        if x.shape != (self.n_plants,):
+            got = f"{len(x)} entries" if x.ndim == 1 else f"shape {x.shape}"
             raise ConfigurationError(
-                f"offset vector has {len(offsets)} entries, "
-                f"expected {self.n_plants}")
-        return list(map(float, offsets))
+                f"offset vector has {got}, expected {self.n_plants}")
+        return x.tolist()
 
     def plant_values(self):
         """Realized costed quantity per plant (P in kW; Q in kVAr for inverters)."""
@@ -283,7 +296,20 @@ class CellTwin:
         return inj
 
     def solve(self):
-        return solve_power_flow(self.topology, self.injections())
+        bits = []
+        for pro in self.prosumers:
+            bits.append(pro.p_kw)
+            bits.append(pro.q_kvar)
+        key = self._pack(*bits)
+        res = self._solved.pop(key, None)
+        if res is None:
+            res = solve_power_flow(self.topology, self.injections())
+            if len(self._solved) == SOLVED_MAX:
+                del self._solved[next(iter(self._solved))]
+        else:
+            note_balance_error(res.balance_error_pu)
+        self._solved[key] = res     # the most recently used goes last
+        return res
 
     # ------------------------------------------------------------------
     # snapshots

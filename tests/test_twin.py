@@ -1,13 +1,16 @@
 """Cell twin: reference capture, offset evaluation, commit semantics."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cellflex import grid
 from cellflex.errors import ConfigurationError, PowerFlowError
+from cellflex.grid import reset_balance_tracker, solve_power_flow
 from cellflex.oracle import make_toy_scenario
 from cellflex.plants import (
     BatteryStorage,
@@ -20,7 +23,7 @@ from cellflex.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from cellflex.twin import CellTwin
+from cellflex.twin import SOLVED_MAX, CellTwin
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +167,24 @@ class TestEvaluation:
         twin.evaluate_dispatch(ref, np.array([0.5, 0.3]))
         twin.evaluate_dispatch(ref, np.array([0.5, -0.2]))
         assert [q for _, q in calls] == [0.3, -0.2]
+
+    def test_offsets_of_another_shape_rejected(self, toy):
+        twin, ref = toy
+        with pytest.raises(ConfigurationError,
+                           match="offset vector has 3 entries, expected 2"):
+            twin.evaluate_dispatch(ref, [0.0, 0.0, 0.0])
+        with pytest.raises(ConfigurationError,
+                           match=r"offset vector has shape \(2, 2\), expected 2"):
+            twin.evaluate_dispatch(ref, np.zeros((2, 2)))
+
+    def test_offsets_are_read_bit_for_bit(self):
+        # the sign of zero and a NaN's payload reach the plants, from a
+        # list or an array
+        twin = CellTwin(make_toy_scenario())
+        nan = struct.unpack("d", struct.pack("Q", 0x7FF8_0000_0000_0123))[0]
+        for x in ([-0.0, nan], np.array([-0.0, nan])):
+            twin.set_offsets(x)
+            assert struct.pack("2d", *twin._offsets) == struct.pack("2d", -0.0, nan)
 
     def test_trace_only_on_request(self, toy):
         twin, ref = toy
@@ -383,6 +404,147 @@ class TestIncrementalEvaluation:
             if bes_soc is not None:
                 assert kept.tobytes() == values2.tobytes(), twin.plant_labels[j]
                 assert kept_states == states2, twin.plant_labels[j]
+
+
+def flow_bits(res):
+    """Everything a power-flow result holds, at full precision."""
+    return (res.pcc.p_kw.hex(), res.pcc.q_kvar.hex(),
+            tuple((v.real.hex(), v.imag.hex()) for v in res.v),
+            tuple(amps.hex() for amps in res.currents_a),
+            res.loss_p_kw.hex(), res.loss_q_kvar.hex(), res.sweeps,
+            res.balance_error_pu.hex())
+
+
+def flow_outcome(solve):
+    """`solve()`'s result bits, or the type and message of its failure."""
+    try:
+        return flow_bits(solve())
+    except PowerFlowError as exc:
+        return type(exc), str(exc)
+
+
+def count_solves(monkeypatch):
+    """The list of injections the twin solves a power flow for from now on."""
+    solved = []
+
+    def counting(topology, injections):
+        solved.append(injections)
+        return solve_power_flow(topology, injections)
+
+    monkeypatch.setattr("cellflex.twin.solve_power_flow", counting)
+    return solved
+
+
+class TestSolveMemo:
+    """``CellTwin.solve`` returns what a new solve of the same bus
+    injections would, bit for bit, and solves each distinct vector once."""
+
+    @pytest.mark.parametrize("make", [make_toy_scenario, load_bundled_scenario])
+    @given(data=st.data())
+    def test_every_solve_matches_a_direct_solve(self, make, data):
+        # random offsets, repeats, pushes deeper past a plant's bound, the
+        # sign of zero and NaN
+        twin = CellTwin(make())
+        ref = twin.run_warmup()
+        bounds = twin.plant_bounds()
+        n = twin.n_plants
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        seen = [rng.uniform(bounds[:, 0], bounds[:, 1])]
+        moves = data.draw(st.lists(
+            st.tuples(st.sampled_from(("new", "repeat", "past", "zero", "nan")),
+                      st.integers(0, n - 1), st.sampled_from((0, 1)),
+                      st.integers(0, 2**16)),
+            min_size=1, max_size=12))
+        for move, j, side, k in [("repeat", 0, 0, 0)] + moves:
+            x = seen[-1].copy()
+            if move == "new":
+                x = rng.uniform(bounds[:, 0], bounds[:, 1])
+            elif move == "repeat":
+                x = seen[k % len(seen)]
+            elif move == "past":
+                x[j] = bounds[j, side] * (1 + k % 3)
+            elif move == "zero":
+                x[j] = (0.0, -0.0)[side]
+            else:
+                x[j] = math.nan
+            seen.append(x)
+            ev = twin.evaluate_dispatch(ref, x)
+            want = flow_outcome(
+                lambda: solve_power_flow(twin.topology, twin.injections()))
+            assert flow_outcome(twin.solve) == want
+            if ev.failure is None:
+                assert (ev.pcc_p_kw.hex(), ev.pcc_q_kvar.hex()) == want[:2]
+            else:
+                assert ev.failure == want[1]
+            assert len(twin._solved) <= SOLVED_MAX
+
+    def test_a_hit_counts_its_balance_error(self, monkeypatch):
+        # the session's worst error goes back in place after the test
+        monkeypatch.setattr(grid, "_worst_balance_error_pu",
+                            grid.worst_balance_error_pu())
+        twin = CellTwin(load_bundled_scenario())
+        ref = twin.run_warmup()
+        twin.evaluate_dispatch(ref, np.zeros(twin.n_plants))
+        solves = count_solves(monkeypatch)
+        reset_balance_tracker()
+        res = twin.solve()
+        assert solves == []
+        assert res.balance_error_pu > 0.0
+        assert grid.worst_balance_error_pu() == res.balance_error_pu
+
+    def test_a_failed_solve_is_never_stored(self, monkeypatch):
+        # a feeder this resistive cannot carry the warmed-up load
+        data = scenario_to_dict(make_toy_scenario())
+        data["topology"]["lines"][0]["r_ohm"] = 5000.0
+        twin = CellTwin(scenario_from_dict(data))
+        solves = count_solves(monkeypatch)
+        with pytest.raises(PowerFlowError, match="voltage collapse") as first:
+            twin.run_warmup()
+        for calls in (2, 3):
+            with pytest.raises(PowerFlowError) as again:
+                twin.solve()
+            assert str(again.value) == str(first.value)
+            assert len(solves) == calls
+        assert twin._solved == {}
+
+    def test_the_least_recently_used_solve_is_dropped(self, monkeypatch):
+        twin = CellTwin(make_toy_scenario())
+        ref = twin.run_warmup()
+        solves = count_solves(monkeypatch)
+
+        def solved_anew(bes_kw):
+            before = len(solves)
+            twin.evaluate_dispatch(ref, [bes_kw, 0.0])
+            assert len(twin._solved) <= SOLVED_MAX
+            return len(solves) - before
+
+        # (a zero offset would repeat the warmed-up injections)
+        kw = [0.01 * k for k in range(1, SOLVED_MAX + 11)]
+        assert [solved_anew(p) for p in kw] == [1] * len(kw)
+        assert len(twin._solved) == SOLVED_MAX
+        assert solved_anew(kw[10]) == 0     # the oldest kept, now the newest
+        assert solved_anew(kw[9]) == 1      # dropped; storing it drops kw[11]
+        assert solved_anew(kw[10]) == 0
+        assert solved_anew(kw[11]) == 1
+
+    def test_a_move_that_changes_no_power_solves_nothing(self, monkeypatch):
+        # the EV charges at rated power, so a Nelder-Mead vertex that pushes
+        # its offset up re-integrates it, leaves every bus injection as it
+        # was and solves no power flow
+        twin = CellTwin(load_bundled_scenario())
+        ref = twin.run_warmup()
+        j = twin.plant_labels.index("bev:p02.0")
+        assert ref.plant_values[j] == twin._plants[j].p_rated_kw
+        x = np.full(twin.n_plants, 0.1)
+        x[j] = 0.0
+        solves = count_solves(monkeypatch)
+        at_rest = twin.evaluate_dispatch(ref, x)
+        assert len(solves) == 1
+        for push in (1.0, 3.0):
+            x[j] = push
+            assert result_bits(twin.evaluate_dispatch(ref, x)) \
+                == result_bits(at_rest)
+            assert len(solves) == 1
 
 
 @st.composite
