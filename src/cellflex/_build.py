@@ -1,0 +1,71 @@
+"""Build and load ``_loops.c``, the plants' compiled substep loops.
+
+:mod:`cellflex.plants` calls `load_loops` once, when it is first imported
+in a process.  The extension lives in the package's ``__pycache__`` under a
+name that carries the sha256 of the C source and the interpreter's
+extension suffix (`kernel_name`), so an edited source or another
+interpreter gets its own file and an existing one is loaded as it is.  The
+build runs the interpreter's ``LDSHARED`` command with ``-O2
+-fno-fast-math -ffp-contract=off``: no fused multiply-adds, so each float
+operation rounds as Python's does.  It writes to a temporary name and
+renames it into place, so processes that import the package for the first
+time at once never load a half-written file.  Building needs a C compiler
+and the Python headers; a failed build raises ImportError with the command
+and the compiler's output.
+"""
+
+import importlib.machinery
+import importlib.util
+import os
+from pathlib import Path
+
+# the interpreter's own sha256: hashlib would load OpenSSL, several MB of
+# resident memory, into every process that imports the package
+try:
+    from _sha2 import sha256            # Python 3.12 on
+except ImportError:
+    from _sha256 import sha256
+
+SOURCE = Path(__file__).with_name("_loops.c")
+FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC")
+MODULE = "cellflex._loops"
+
+
+def kernel_name(source):
+    """File name of the extension built from the C source bytes `source`."""
+    return (f"_loops.{sha256(source).hexdigest()}"
+            f"{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+
+
+def _build(path):
+    import subprocess
+    import sysconfig
+
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    includes = {sysconfig.get_paths()[key] for key in ("include", "platinclude")}
+    cmd = [*sysconfig.get_config_var("LDSHARED").split(), *FLAGS,
+           *sorted(f"-I{inc}" for inc in includes), str(SOURCE), "-o", str(tmp)]
+    try:
+        path.parent.mkdir(exist_ok=True)
+        done = subprocess.run(cmd, capture_output=True, text=True)
+        if done.returncode == 0:
+            os.replace(tmp, path)
+            return
+        failure = f"exited {done.returncode}:\n{done.stderr}"
+    except OSError as exc:
+        failure = str(exc)
+    finally:
+        tmp.unlink(missing_ok=True)
+    raise ImportError(f"cannot build {SOURCE.name}: {' '.join(cmd)}: {failure}")
+
+
+def load_loops():
+    """The compiled loops module, built first if this source has no build."""
+    path = SOURCE.parent / "__pycache__" / kernel_name(SOURCE.read_bytes())
+    if not path.is_file():
+        _build(path)
+    loader = importlib.machinery.ExtensionFileLoader(MODULE, str(path))
+    spec = importlib.util.spec_from_file_location(MODULE, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module

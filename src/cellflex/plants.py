@@ -22,8 +22,12 @@ y <- y + (u - y)*(1 - exp(-dt/T)) (with `lag_factor` computed once per
 call), which is stable at any step width.
 
 A stateful plant's ``step`` advances it over all n substeps of one interval
-in a single call: parameters and state are read into local variables once,
-the substeps run in a loop, and the state is written back at the end.  The
+in a single call to a compiled loop (``_loops.c``, built on first import by
+:mod:`cellflex._build`): the Python side reads the plant's parameters and
+state, the loop runs the substeps, and the state is written back at the
+end.  The loops replay the Python loops kept in the tests
+(``tests/plant_reference.py``) bit for bit; the lag factor, their only
+``exp``, is computed here and passed in.  The
 inputs (heat demand, ambient temperature, a battery's PV surplus, the offset)
 are held over the interval; only an EV's time of day moves from substep to
 substep.  The value a ``step`` returns, and the ``p_kw`` and ``saturated``
@@ -39,10 +43,12 @@ loader checked it.
 
 A store whose connected substep leaves its state bit-identical is settled:
 its later connected substeps would repeat it, so a battery stops and an EV
-jumps to its next trip window, stepped in a tight loop (`_Storage._integrate`).
+jumps to its next trip window, stepped in a tight loop.
 """
 
 import math
+
+from ._build import load_loops
 
 __all__ = [
     "BatteryStorage",
@@ -51,6 +57,11 @@ __all__ = [
     "ElectricVehicle",
     "clamp",
 ]
+
+
+_loops = load_loops()
+storage_substeps = _loops.storage_substeps
+heat_pump_substeps = _loops.heat_pump_substeps
 
 
 def clamp(value, lo, hi):
@@ -80,7 +91,11 @@ class _Storage:
     __slots__ = ("capacity_kwh", "eta_charge", "eta_discharge", "time_constant_s",
                  "soc", "p_kw", "saturated")
 
-    _away = None        # trip window (first departure, last return) in s of day
+    # a battery never leaves: no trip window (first departure, last return,
+    # in s of day), no trips and nothing drained by them
+    _away = None
+    trips = ()
+    trip_drain_kwh = 0.0
 
     def __init__(self, params, p0_kw):
         self.capacity_kwh = params.capacity_kwh
@@ -105,103 +120,14 @@ class _Storage:
         (sign of zero included) is settled: a battery stops there, an EV
         jumps to its next away substep, which ends the settled state.
         """
-        cap = self.capacity_kwh
-        eta_c = self.eta_charge
-        eta_d = self.eta_discharge
-        charge_div = eta_c * dt
-        lag = lag_factor(dt, self.time_constant_s)
-        away_from, away_to = self._away or (None, None)
-        soc = self.soc
-        p = self.p_kw
-        saturated = self.saturated
-        k = 0
-        while k < n:
-            if away_from is not None:
-                tod = (base_tod_s + k * dt) % 86400.0
-                if away_from <= tod < away_to:
-                    drained = self.trip_drain_kwh
-                    while k < n and away_from <= tod < away_to:
-                        k_pass = k
-                        for dep, ret, energy in self.trips:
-                            if dep <= tod < ret:
-                                drain = energy * dt / (ret - dep)
-                                drop = drain / cap
-                            while k < n and dep <= tod < ret:
-                                # min(uniform drain, stored energy), ties to the drain
-                                stored = soc * cap
-                                if stored < drain:
-                                    drained += stored
-                                    soc = soc - stored / cap
-                                else:
-                                    drained += drain
-                                    soc = soc - drop
-                                k += 1
-                                tod = (base_tod_s + k * dt) % 86400.0
-                        if k == k_pass:         # at home between two trips
-                            k += 1
-                            tod = (base_tod_s + k * dt) % 86400.0
-                    self.trip_drain_kwh = drained
-                    p = 0.0
-                    saturated = offset_kw != 0.0
-                    continue
-            # SOC headroom over this substep, as charge and discharge power,
-            # folded into the rating bounds (on a tie the rating is kept)
-            room_c = (1.0 - soc) * cap * 3600.0 / charge_div
-            room_d = soc * cap * 3600.0 * eta_d / dt
-            lo_k = -room_d if -room_d > lo else lo
-            hi_k = room_c if room_c < hi else hi
-            if wish_kw is None:
-                wanted = (hi if soc < 1.0 else 0.0) + offset_kw
-            else:
-                w = wish_kw
-                if w < lo_k:
-                    w = lo_k
-                elif w > hi_k:
-                    w = hi_k
-                wanted = w + offset_kw
-            cmd = wanted
-            if cmd < lo_k:
-                cmd = lo_k
-            elif cmd > hi_k:
-                cmd = hi_k
-            saturated = cmd != wanted
-            p_start = p
-            soc_start = soc
-            p = p + (cmd - p) * lag
-            # pin an overshoot of the lag to the same bounds
-            pinned = p
-            if pinned < lo_k:
-                pinned = lo_k
-            elif pinned > hi_k:
-                pinned = hi_k
-            if pinned != p:
-                p = pinned
-                saturated = True
-            if p > 0.0:
-                soc += p * eta_c * dt / 3600.0 / cap
-            elif p < 0.0:
-                soc += p / eta_d * dt / 3600.0 / cap
-            if soc < 0.0:
-                soc = 0.0
-            elif soc > 1.0:
-                soc = 1.0
-            k += 1
-            if p == p_start and soc == soc_start \
-                    and math.copysign(1.0, p) == math.copysign(1.0, p_start) \
-                    and math.copysign(1.0, soc) == math.copysign(1.0, soc_start):
-                # stop unless a later substep is away (time of day grows until it wraps)
-                tod = (base_tod_s + k * dt) % 86400.0
-                tod_end = (base_tod_s + (n - 1) * dt) % 86400.0
-                if away_from is None or ((n - k) * dt < 43200.0 and tod <= tod_end
-                                         and (tod_end < away_from or away_to <= tod)):
-                    break
-                while k < n and not (
-                        away_from <= (base_tod_s + k * dt) % 86400.0 < away_to):
-                    k += 1
-        self.soc = soc
-        self.p_kw = p
-        self.saturated = saturated
-        return p
+        (self.soc, self.p_kw, self.saturated, drained) = storage_substeps(
+            self.soc, self.p_kw, self.saturated, self.trip_drain_kwh, wish_kw,
+            offset_kw, lo, hi, n, dt, base_tod_s, self.capacity_kwh,
+            self.eta_charge, self.eta_discharge,
+            lag_factor(dt, self.time_constant_s), self._away, self.trips)
+        if self._away is not None:
+            self.trip_drain_kwh = drained
+        return self.p_kw
 
 
 class BatteryStorage(_Storage):
@@ -334,79 +260,15 @@ class HeatPumpSystem:
         each substep starts from; the source is kept strictly below the sink
         so the cycle stays defined.
         """
-        p_el_max = self.p_el_max_kw
-        p_element = self.p_element_kw
-        p_max_total = p_el_max + p_element
-        effectiveness = self.effectiveness
-        t_on, t_off = self.t_on_c, self.t_off_c
-        t_min, t_max = self.t_min_c, self.t_max_c
-        t_threshold = self.t_element_threshold_c
-        c3600 = self.storage_kwh_per_k * 3600.0
-        lag = lag_factor(dt, self.time_constant_s)
-        t = self.t_storage_c
-        heating = self.heating
-        saturated = self.saturated
-        cop = self.last_cop
-        p_comp = self.last_p_compressor_kw
-        p_elem = self.last_p_element_kw
-        for _ in range(n):
-            # min(ambient_c, t - 1.0), ties to the ambient temperature
-            t_source = t - 1.0 if t - 1.0 < ambient_c else ambient_c
-            cop = effectiveness * (t + 273.15) / (t - t_source)
-            if heating:
-                if t >= t_off:
-                    heating = False
-            elif t <= t_on:
-                heating = True
-            wanted = (p_el_max if heating else 0.0) + offset_kw
-            if wanted < 0.0:
-                cmd_total = 0.0
-            elif wanted > p_max_total:
-                cmd_total = p_max_total
-            else:
-                cmd_total = wanted
-            saturated = cmd_total != wanted
-            # min(wanted part, rating), ties to the wanted part
-            if t >= t_threshold:
-                cmd_comp = 0.0
-                cmd_elem = p_element if p_element < cmd_total else cmd_total
-            else:
-                cmd_comp = p_el_max if p_el_max < cmd_total else cmd_total
-                rest = cmd_total - cmd_comp
-                cmd_elem = p_element if p_element < rest else rest
-            p_comp = p_comp + (cmd_comp - p_comp) * lag
-            p_elem = cmd_elem
-            t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
-
-            if t_new < t_min:
-                # floor hold: cover demand plus the shortfall down to t_min
-                heating = True
-                need = heat_demand_kw + (t_min - t) * c3600 / dt
-                p_comp = clamp(need / cop, 0.0, p_el_max)
-                p_elem = clamp(need - cop * p_comp, 0.0, p_element)
-                t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
-                if t_new < t_min:  # undersized for this demand: pin
-                    t_new = t_min
-                saturated = True
-            elif t_new > t_max:
-                # ceiling: shed the element first, then the compressor
-                allowed = heat_demand_kw + (t_max - t) * c3600 / dt
-                p_elem = clamp(allowed - cop * p_comp, 0.0, p_elem)
-                if cop * p_comp + p_elem > allowed:
-                    p_elem = 0.0
-                    p_comp = max(0.0, allowed) / cop
-                t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
-                if t_new > t_max:
-                    t_new = t_max
-                saturated = True
-            t = t_new
-
-        self.t_storage_c = t
-        self.heating = heating
-        self.saturated = saturated
-        self.last_cop = cop
-        self.last_p_compressor_kw = p_comp
-        self.last_p_element_kw = p_elem
+        (self.t_storage_c, self.heating, self.saturated, self.last_cop,
+         self.last_p_compressor_kw,
+         self.last_p_element_kw) = heat_pump_substeps(
+            self.t_storage_c, self.heating, self.saturated, self.last_cop,
+            self.last_p_compressor_kw, self.last_p_element_kw, heat_demand_kw,
+            ambient_c, offset_kw, n, dt, self.p_el_max_kw, self.p_element_kw,
+            self.effectiveness, self.t_on_c, self.t_off_c, self.t_min_c,
+            self.t_max_c, self.t_element_threshold_c, self.storage_kwh_per_k,
+            lag_factor(dt, self.time_constant_s))
         self._derive_power()
         return self.p_kw
 

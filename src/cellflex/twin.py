@@ -25,9 +25,10 @@ irradiance) are sampled at the start of each interval and held constant over
 it (the weather once for the whole cell).  The twin samples them again
 only when the interval start time changes, so the evaluations of one
 dispatch step share one sample.  Each plant
-integrates a whole interval in one ``step`` call (see :mod:`cellflex.plants`),
-so every prosumer is called once per interval, not once per substep; the PV
-inverters keep no state and step once per interval too.
+integrates a whole interval in one ``step`` call, one call into its compiled
+substep loop (see :mod:`cellflex.plants`), so every prosumer is called once
+per interval, not once per substep; the PV inverters keep no state and step
+once per interval too.  The warmup steps the same loops in coarser blocks.
 
 An evaluation or a probe re-integrates only the plants whose offset
 changed.  A plant's end state depends only on the snapshot it starts from

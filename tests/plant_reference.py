@@ -1,16 +1,24 @@
-"""Per-substep storage loop kept as a reference for the plant tests.
+"""The plants' substep loops in Python, kept as references for the tests.
 
-``integrate_reference`` is ``_Storage._integrate`` as it stood before the
-loop learned to stop a settled battery, to jump a settled EV to its next
-away substep and to run each trip window in a tight inner loop.  It visits
-every substep one at a time, so the tests can check the faster loop against
-it bit for bit.  Call it with a ``BatteryStorage`` or ``ElectricVehicle`` as
-``self``.
+The package runs these loops compiled (``cellflex/_loops.c``); the tests
+check it against the Python here bit for bit.
+
+``integrate_reference`` is the storage loop behind ``_Storage._integrate``
+as it stood before it learned to stop a settled battery, to jump a settled
+EV to its next away substep and to run each trip window in a tight inner
+loop.  It visits every substep one at a time.  Call it with a
+``BatteryStorage`` or ``ElectricVehicle`` as ``self``.
+
+``heat_pump_step_reference`` is the Python loop behind
+``HeatPumpSystem.step``.  Call it with a ``HeatPumpSystem`` as ``self``.
+
+``use_references(plant)`` makes a plant step through these loops.
 """
 
 import math
 
-from cellflex.plants import lag_factor
+from cellflex.plants import (BatteryStorage, ElectricVehicle, HeatPumpSystem,
+                             clamp, lag_factor)
 
 
 def integrate_reference(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0):
@@ -109,3 +117,110 @@ def integrate_reference(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0)
     self.saturated = saturated
     return p
 
+
+def heat_pump_step_reference(self, heat_demand_kw, ambient_c, offset_kw, n, dt):
+    """Advance n substeps of dt seconds; returns the last one's electric power.
+
+    The electric power is compressor plus element.  The compressor's
+    Carnot-based COP, effectiveness * T_sink / (T_sink - T_source) with
+    the sink in Kelvin in the numerator, is taken at the tank temperature
+    each substep starts from; the source is kept strictly below the sink
+    so the cycle stays defined.
+    """
+    p_el_max = self.p_el_max_kw
+    p_element = self.p_element_kw
+    p_max_total = p_el_max + p_element
+    effectiveness = self.effectiveness
+    t_on, t_off = self.t_on_c, self.t_off_c
+    t_min, t_max = self.t_min_c, self.t_max_c
+    t_threshold = self.t_element_threshold_c
+    c3600 = self.storage_kwh_per_k * 3600.0
+    lag = lag_factor(dt, self.time_constant_s)
+    t = self.t_storage_c
+    heating = self.heating
+    saturated = self.saturated
+    cop = self.last_cop
+    p_comp = self.last_p_compressor_kw
+    p_elem = self.last_p_element_kw
+    for _ in range(n):
+        # min(ambient_c, t - 1.0), ties to the ambient temperature
+        t_source = t - 1.0 if t - 1.0 < ambient_c else ambient_c
+        cop = effectiveness * (t + 273.15) / (t - t_source)
+        if heating:
+            if t >= t_off:
+                heating = False
+        elif t <= t_on:
+            heating = True
+        wanted = (p_el_max if heating else 0.0) + offset_kw
+        if wanted < 0.0:
+            cmd_total = 0.0
+        elif wanted > p_max_total:
+            cmd_total = p_max_total
+        else:
+            cmd_total = wanted
+        saturated = cmd_total != wanted
+        # min(wanted part, rating), ties to the wanted part
+        if t >= t_threshold:
+            cmd_comp = 0.0
+            cmd_elem = p_element if p_element < cmd_total else cmd_total
+        else:
+            cmd_comp = p_el_max if p_el_max < cmd_total else cmd_total
+            rest = cmd_total - cmd_comp
+            cmd_elem = p_element if p_element < rest else rest
+        p_comp = p_comp + (cmd_comp - p_comp) * lag
+        p_elem = cmd_elem
+        t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
+
+        if t_new < t_min:
+            # floor hold: cover demand plus the shortfall down to t_min
+            heating = True
+            need = heat_demand_kw + (t_min - t) * c3600 / dt
+            p_comp = clamp(need / cop, 0.0, p_el_max)
+            p_elem = clamp(need - cop * p_comp, 0.0, p_element)
+            t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
+            if t_new < t_min:  # undersized for this demand: pin
+                t_new = t_min
+            saturated = True
+        elif t_new > t_max:
+            # ceiling: shed the element first, then the compressor
+            allowed = heat_demand_kw + (t_max - t) * c3600 / dt
+            p_elem = clamp(allowed - cop * p_comp, 0.0, p_elem)
+            if cop * p_comp + p_elem > allowed:
+                p_elem = 0.0
+                p_comp = max(0.0, allowed) / cop
+            t_new = t + (cop * p_comp + p_elem - heat_demand_kw) * dt / c3600
+            if t_new > t_max:
+                t_new = t_max
+            saturated = True
+        t = t_new
+
+    self.t_storage_c = t
+    self.heating = heating
+    self.saturated = saturated
+    self.last_cop = cop
+    self.last_p_compressor_kw = p_comp
+    self.last_p_element_kw = p_elem
+    self._derive_power()
+    return self.p_kw
+
+
+def _reference_class(cls, method, loop):
+    return type(f"Reference{cls.__name__}", (cls,),
+                {"__slots__": (), method: loop})
+
+
+REFERENCE_CLASSES = {
+    BatteryStorage: _reference_class(BatteryStorage, "_integrate",
+                                     integrate_reference),
+    ElectricVehicle: _reference_class(ElectricVehicle, "_integrate",
+                                      integrate_reference),
+    HeatPumpSystem: _reference_class(HeatPumpSystem, "step",
+                                     heat_pump_step_reference),
+}
+
+
+def use_references(plant):
+    """Make `plant` step through the Python loops above, in place; a PV
+    inverter, which has no substep loop, is left as it is."""
+    plant.__class__ = REFERENCE_CLASSES.get(type(plant), type(plant))
+    return plant

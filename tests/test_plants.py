@@ -13,7 +13,7 @@ from cellflex.plants import (
     clamp,
 )
 from cellflex.scenario import BesParams, BevParams, EhpParams, PvParams
-from plant_reference import integrate_reference
+from plant_reference import use_references
 
 
 def first_device(key, values, message):
@@ -634,13 +634,9 @@ class TestReplayFromState:
                      (t0, heating, saturated, p_comp, p_elem), offset, other)
 
 
-def with_reference(plant, method, loop):
-    """A copy of `plant` whose `method` is the per-substep reference `loop`."""
-    cls = type(plant)
-    twin = copy.copy(plant)
-    twin.__class__ = type(f"Reference{cls.__name__}", (cls,),
-                          {"__slots__": (), method: loop})
-    return twin
+def with_reference(plant):
+    """A copy of `plant` that steps through the Python reference loops."""
+    return use_references(copy.copy(plant))
 
 
 def storage_bits(plant, p):
@@ -660,9 +656,8 @@ def check_against_reference(plant, ref, bits, start, steps):
 
 
 def check_storage(plant, start, steps):
-    check_against_reference(
-        plant, with_reference(plant, "_integrate", integrate_reference),
-        storage_bits, start, steps)
+    check_against_reference(plant, with_reference(plant), storage_bits,
+                            start, steps)
 
 
 # a day of warmup blocks (60 x 15 s) and a run of dispatch steps (3 x 5 s)
@@ -694,9 +689,10 @@ def trip_days(draw):
 
 
 class TestStorageLoopReference:
-    """The storage loop that stops a settled battery, jumps a settled EV to
-    its next away substep and runs trip windows in a tight inner loop ends
-    every step bit-identical to the per-substep reference loop."""
+    """The compiled storage loop, which stops a settled battery, jumps a
+    settled EV to its next away substep and runs trip windows in a tight
+    inner loop, ends every step bit-identical to the per-substep Python
+    reference loop."""
 
     @given(capacity=st.floats(0.01, 20.0), p_charge=st.floats(0.0, 10.0),
            p_discharge=st.floats(0.0, 10.0), eta=st.floats(0.5, 1.0),
@@ -774,7 +770,7 @@ class TestStorageLoopReference:
                                                             grid):
         # full and idle, the vehicle settles on its first substep
         bev = make_bev(soc0=1.0, trips=(trip,))
-        ref = with_reference(bev, "_integrate", integrate_reference)
+        ref = with_reference(bev)
         for plant in (bev, ref):
             plant.step(0.0, start, *grid)
         assert storage_bits(bev, bev.p_kw) == storage_bits(ref, ref.p_kw)
@@ -784,7 +780,7 @@ class TestStorageLoopReference:
         # 30 kWh over two hours from a 5 kWh store: empty after 20 minutes,
         # so most of the window takes the stored-energy branch
         bev = make_bev(capacity_kwh=5.0, soc0=1.0, trips=((8.0, 10.0, 30.0),))
-        ref = with_reference(bev, "_integrate", integrate_reference)
+        ref = with_reference(bev)
         for plant in (bev, ref):
             for j in range(8):
                 plant.step(0.0, 8 * 3600.0 + j * 900.0, *WARMUP_BLOCK)
@@ -792,3 +788,78 @@ class TestStorageLoopReference:
         assert abs(bev.soc) < 1e-12
         assert bev.trip_drain_kwh == pytest.approx(5.0)
 
+
+def heat_pump_bits(plant, p):
+    """Returned power, tank temperature, thermostat, saturation, COP,
+    compressor, element and reactive power, at full precision."""
+    return repr((p, plant.t_storage_c, plant.heating, plant.saturated,
+                 plant.last_cop, plant.last_p_compressor_kw,
+                 plant.last_p_element_kw, plant.p_kw, plant.q_kvar))
+
+
+def check_heat_pump(plant, start, steps):
+    check_against_reference(plant, with_reference(plant), heat_pump_bits,
+                            start, steps)
+
+
+# the default band: floor 35, switch-on 42, switch-off 48, element
+# threshold 50, ceiling 90; each edge and its neighbouring floats
+HP_EDGES = [35.0, 42.0, 48.0, 50.0, 90.0]
+tank_temps = st.one_of(
+    st.floats(35.0, 90.0),
+    st.sampled_from(HP_EDGES + [math.nextafter(t, d) for t in HP_EDGES
+                                for d in (0.0, 100.0)]))
+
+
+class TestHeatPumpLoopReference:
+    """The compiled heat-pump loop ends every step bit-identical to the
+    Python reference loop: thermostat, compressor/element split, floor hold
+    and ceiling shedding, over dispatch steps (3 x 5 s) and warmup blocks
+    (60 x 15 s)."""
+
+    @given(p_el_max=st.floats(0.1, 6.0), p_element=st.floats(0.0, 9.0),
+           storage=st.floats(0.02, 2.0), effectiveness=st.floats(0.2, 1.0),
+           tau=st.floats(0.1, 30.0), t0=tank_temps, heating=st.booleans(),
+           saturated=st.booleans(), p_comp=st.floats(0.0, 6.0),
+           p_elem=st.floats(0.0, 9.0), demand=st.floats(0.0, 40.0),
+           ambient=st.floats(-20.0, 30.0),
+           offsets_=st.lists(offsets, min_size=1, max_size=12),
+           nan_last=st.booleans(),
+           grid=st.sampled_from([DISPATCH_STEP, WARMUP_BLOCK]))
+    def test_steps(self, p_el_max, p_element, storage, effectiveness, tau, t0,
+                   heating, saturated, p_comp, p_elem, demand, ambient,
+                   offsets_, nan_last, grid):
+        # a NaN offset makes the state NaN for good, so it comes last
+        ehp = HeatPumpSystem(EhpParams(
+            p_el_max, p_element, storage, effectiveness=effectiveness,
+            time_constant_s=tau))
+        n, dt = grid
+        check_heat_pump(
+            ehp, (t0, heating, saturated, p_comp, p_elem),
+            [lambda e, off=off: e.step(demand, ambient, off, n, dt)
+             for off in offsets_ + [math.nan] * nan_last])
+
+    @pytest.mark.parametrize("params, start, inputs, t_end", [
+        # floor hold: a large negative offset pushes the tank onto its floor
+        ({}, (35.5, False, False, 0.0, 0.0), (4.0, -5.0, -99.0), 35.0),
+        # undersized for the demand: the floor hold pins the tank at t_min
+        ({"p_el_max_kw": 0.5, "p_element_kw": 0.3},
+         (36.0, True, False, 0.5, 0.3), (5.0, -5.0, 0.0), 35.0),
+        # ceiling: the element, past the threshold, heats into t_max
+        ({}, (89.5, False, False, 0.0, 5.0), (0.0, 0.0, 99.0), 90.0),
+        # the compressor lag still running at the ceiling is shed too
+        ({"storage_kwh_per_k": 0.02}, (89.9, True, False, 3.0, 5.0),
+         (0.0, 0.0, 99.0), 90.0),
+        # on the element threshold the compressor is locked out
+        ({}, (50.0, True, False, 3.0, 0.0), (0.0, 0.0, 4.0), None),
+        # on the thermostat edges, with signed zero and NaN offsets
+        ({}, (42.0, False, False, 0.0, 0.0), (2.0, 0.0, -0.0), None),
+        ({}, (48.0, True, True, 3.0, 0.0), (2.0, 0.0, math.nan), None),
+    ])
+    @pytest.mark.parametrize("grid", [DISPATCH_STEP, WARMUP_BLOCK])
+    def test_branch(self, params, start, inputs, t_end, grid):
+        ehp = make_ehp(**params)
+        check_heat_pump(ehp, start,
+                        [lambda e: e.step(*inputs, *grid)] * 40)
+        if t_end is not None:
+            assert ehp.t_storage_c == t_end and ehp.saturated

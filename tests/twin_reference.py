@@ -1,0 +1,33 @@
+"""A twin without the evaluation path's shortcuts, as the end-to-end reference.
+
+``PlainTwin`` is a ``CellTwin`` with three changes: its plants step through
+the Python loops of ``plant_reference`` instead of the compiled ones, it
+re-integrates every plant on every evaluation and probe (``_stale_plants``
+returns None), and it solves every power flow (``solve`` calls
+``solve_power_flow`` directly, with no memo).  ``use_plain_twin`` puts it in
+place of ``CellTwin`` wherever the package builds one.
+"""
+
+from cellflex import cli, dispatch, oracle
+from cellflex.grid import solve_power_flow
+from cellflex.twin import CellTwin
+from plant_reference import use_references
+
+
+class PlainTwin(CellTwin):
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        for plant in self._plants:
+            use_references(plant)
+
+    def _stale_plants(self, snap, offsets):
+        return None
+
+    def solve(self):
+        return solve_power_flow(self.topology, self.injections())
+
+
+def use_plain_twin(monkeypatch):
+    """Build a PlainTwin wherever the package builds a CellTwin."""
+    for module in (cli, dispatch, oracle):
+        monkeypatch.setattr(module, "CellTwin", PlainTwin)
