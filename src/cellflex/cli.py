@@ -55,34 +55,19 @@ def _add_common(parser):
 
 
 def _add_optimizer_flags(parser):
-    defaults = BasinHoppingConfig()
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--t-bh", type=float, default=defaults.temperature,
-                        help="Basin Hopping temperature; with the stall stop "
-                             "it can change only the 'accepted' column, "
-                             "unless an infeasible incumbent meets a "
-                             "feasible candidate")
-    parser.add_argument("--n-iter", type=int, default=defaults.n_iter,
+    parser.add_argument("--n-iter", type=int,
+                        default=BasinHoppingConfig.n_iter,
                         help="Basin Hopping iterations per dispatch step, at "
                              "most; Basin Hopping refines the step's start "
                              "(an exchange pass from zero offsets on step 0, "
                              "from the previous step's offsets later) "
                              f"and stops after {STALL_ITERATIONS} iteration(s) "
                              "in a row without a better candidate")
-    parser.add_argument("--step-size", type=float, default=defaults.step_size)
-    parser.add_argument("--nm-maxfev", type=int, default=defaults.nm.maxfev,
-                        help="Nelder-Mead evaluations per Basin Hopping "
-                             "iteration, at most (default %(default)s)")
 
 
 def _config(args):
-    return BasinHoppingConfig(
-        temperature=args.t_bh,
-        n_iter=args.n_iter,
-        step_size=args.step_size,
-        seed=args.seed,
-        nm=NelderMeadSettings(maxfev=args.nm_maxfev),
-    )
+    return BasinHoppingConfig(n_iter=args.n_iter, seed=args.seed)
 
 
 def _parse_list(flag, text, kind, noun):
@@ -201,8 +186,9 @@ def _cmd_sweep_temperature(args):
                 f"--temperatures: '{tag_of[tag]!r}' and '{t_bh!r}' share the "
                 f"output tag '{tag}'")
         tag_of[tag] = t_bh
-    config = BasinHoppingConfig(n_iter=args.n_iter, step_size=args.step_size,
-                                nm=NelderMeadSettings(maxfev=args.nm_maxfev))
+    # acceptance criterion 6's step size and Nelder-Mead budget
+    config = BasinHoppingConfig(n_iter=args.n_iter, step_size=4.0,
+                                nm=NelderMeadSettings(maxfev=45))
     with _output_dir(args.out) as out:
         means, results = temperature_panel(
             scenario, FlexibilityRequest(args.dp_kw, args.dq_kvar),
@@ -218,7 +204,7 @@ def _cmd_oracle(args):
     scenario = make_toy_scenario()
     request = FlexibilityRequest(args.dp_kw, args.dq_kvar)
     config = _config(args)
-    oracle = grid_search_oracle(scenario, request, resolution=args.resolution)
+    oracle = grid_search_oracle(scenario, request)
     step = run_dispatch(scenario, request, n_steps=1, config=config).steps[0]
 
     report = {
@@ -271,10 +257,6 @@ def build_parser():
     p.add_argument("--dq-kvar", type=float, default=1.0)
     p.add_argument("--n-iter", type=int, default=120,
                    help="Basin Hopping iterations per search, all run")
-    p.add_argument("--step-size", type=float, default=4.0)
-    p.add_argument("--nm-maxfev", type=int, default=45,
-                   help="Nelder-Mead evaluations per Basin Hopping "
-                        "iteration, at most (default %(default)s)")
     p.add_argument("--out", default="out/sweep")
 
     p = sub.add_parser("oracle",
@@ -282,7 +264,6 @@ def build_parser():
     _add_optimizer_flags(p)
     p.add_argument("--dp-kw", type=float, default=1.0)
     p.add_argument("--dq-kvar", type=float, default=0.3)
-    p.add_argument("--resolution", type=float, default=0.05)
 
     return parser
 

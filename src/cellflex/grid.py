@@ -30,7 +30,6 @@ __all__ = [
     "GridTopology",
     "PccReading",
     "PowerFlowResult",
-    "LineLoading",
     "solve_power_flow",
     "check_line_limits",
     "worst_balance_error_pu",
@@ -86,14 +85,6 @@ class PccReading:
     """Active/reactive power crossing the PCC (consumption positive)."""
     p_kw: float
     q_kvar: float
-
-
-@dataclass(frozen=True)
-class LineLoading:
-    line_id: str
-    current_a: float
-    limit_a: float
-    ratio: float
 
 
 @dataclass(frozen=True)
@@ -299,9 +290,9 @@ def solve_power_flow(topology, injections):
 
 
 def check_line_limits(result, topology):
-    """Return a LineLoading entry for every line whose current exceeds its limit."""
-    violations = []
+    """The number of lines whose current exceeds their limit."""
+    n = 0
     for ln, amps in zip(topology.lines, result.currents_a):
         if amps > ln.i_max_a:
-            violations.append(LineLoading(ln.id, amps, ln.i_max_a, amps / ln.i_max_a))
-    return violations
+            n += 1
+    return n

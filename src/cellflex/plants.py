@@ -97,13 +97,13 @@ class _Storage:
     trips = ()
     trip_drain_kwh = 0.0
 
-    def __init__(self, params, p0_kw):
+    def __init__(self, params):
         self.capacity_kwh = params.capacity_kwh
         self.eta_charge = params.eta_charge
         self.eta_discharge = params.eta_discharge
         self.time_constant_s = params.time_constant_s
         self.soc = params.soc0
-        self.p_kw = p0_kw
+        self.p_kw = 0.0
         self.saturated = False
 
     def _integrate(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0):
@@ -135,8 +135,8 @@ class BatteryStorage(_Storage):
 
     __slots__ = ("p_max_charge_kw", "p_max_discharge_kw")
 
-    def __init__(self, params, p0_kw=0.0):
-        super().__init__(params, p0_kw)
+    def __init__(self, params):
+        super().__init__(params)
         self.p_max_charge_kw = params.p_max_charge_kw
         self.p_max_discharge_kw = params.p_max_discharge_kw
 
@@ -302,7 +302,7 @@ class ElectricVehicle(_Storage):
     __slots__ = ("p_rated_kw", "v2g", "trips", "_away", "trip_drain_kwh")
 
     def __init__(self, params):
-        super().__init__(params, 0.0)
+        super().__init__(params)
         trips = tuple(sorted((d * 3600.0, r * 3600.0, float(e))
                              for d, r, e in params.trips))
         self.p_rated_kw = params.p_rated_kw

@@ -601,8 +601,9 @@ def load_scenario(path):
     return scenario_from_dict(data)
 
 
-def load_bundled_scenario(name="rural1_flex"):
-    text = resources.files("cellflex.data").joinpath(f"{name}.json").read_text()
+def load_bundled_scenario():
+    """The bundled rural cell, ``rural1_flex``."""
+    text = resources.files("cellflex.data").joinpath("rural1_flex.json").read_text()
     return scenario_from_dict(json.loads(text))
 
 

@@ -426,25 +426,25 @@ class CellTwin:
                 plant_values=self.plant_values(),
                 n_violations=len(self.topology.lines),
                 feasible=False, failure=str(exc))
-        violations = check_line_limits(res, self.topology)
-        trace = self._trace_row(res) if record_trace else None
+        n_violations = check_line_limits(res, self.topology)
         return EvaluationResult(
             pcc_p_kw=res.pcc.p_kw,
             pcc_q_kvar=res.pcc.q_kvar,
             plant_values=self.plant_values(),
-            n_violations=len(violations),
-            feasible=not violations,
-            trace=trace,
+            n_violations=n_violations,
+            feasible=not n_violations,
+            trace=self._trace_row(res) if record_trace else None,
         )
 
-    def evaluate_dispatch(self, ref, offsets, record_trace=False):
+    def evaluate_dispatch(self, ref, offsets):
         """Integrate one dispatch step from the reference snapshot.
 
         Does not mutate ``ref``; the twin's own state is scratch space and is
-        left at the end of the evaluated step.  Counted in ``n_evaluations``.
+        left at the end of the evaluated step.  Counted in ``n_evaluations``;
+        records no trace.
         """
         self.n_evaluations += 1
-        return self._integrate_offsets(ref, offsets, record_trace)
+        return self._integrate_offsets(ref, offsets, record_trace=False)
 
     def probe_plant(self, ref, base, i, values):
         """Plant i's value and the bus injections at each of `values`.
@@ -472,14 +472,14 @@ class CellTwin:
                 np.array(injections, dtype=float).reshape(
                     len(injections), len(self.injections()), 2))
 
-    def advance_reference(self, ref, offsets, record_trace=True):
+    def advance_reference(self, ref, offsets):
         """Commit a dispatch step: integrate and adopt the end state.
 
-        Returns ``(new_ref, evaluation)``.  The new reference keeps the frozen
-        baseline plant powers and PCC reading of ``ref``; only the snapshot
-        and clock advance.
+        Returns ``(new_ref, evaluation)``; the evaluation carries the step's
+        trace.  The new reference keeps the frozen baseline plant powers and
+        PCC reading of ``ref``; only the snapshot and clock advance.
         """
-        evaluation = self._integrate_offsets(ref, offsets, record_trace)
+        evaluation = self._integrate_offsets(ref, offsets, record_trace=True)
         if evaluation.failure is not None:
             raise PowerFlowError(
                 f"network solution failed while committing step at "

@@ -9,21 +9,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
-# collects the suite once per -k expression given on the command line and
-# prints how many tests each one selects
+# collects the suite once and prints how many tests each name given on the
+# command line selects, matched as ``-k NAME`` matches an item
 _COUNT_SELECTED = """
 import sys
 import pytest
+from _pytest.mark import KeywordMatcher
 
 class Selected:
     def pytest_collection_finish(self, session):
-        self.n = len(session.items)
+        matchers = [KeywordMatcher.from_item(item) for item in session.items]
+        self.counts = {term: sum(m(term) for m in matchers)
+                       for term in sys.argv[1:]}
 
-for term in sys.argv[1:]:
-    selected = Selected()
-    pytest.main(["--collect-only", "-q", "-p", "no:cacheprovider", "-k", term],
-                plugins=[selected])
-    print(f"SELECTED {term} {selected.n}")
+selected = Selected()
+pytest.main(["--collect-only", "-q", "-p", "no:cacheprovider"],
+            plugins=[selected])
+for term, n in selected.counts.items():
+    print(f"SELECTED {term} {n}")
 """
 
 

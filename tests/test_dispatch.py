@@ -227,11 +227,11 @@ class TestToyTracking:
         original = CellTwin.advance_reference
         calls = {"n": 0}
 
-        def flaky(self, ref, offsets, record_trace=True):
+        def flaky(self, ref, offsets):
             calls["n"] += 1
             if calls["n"] >= 2:
                 raise PowerFlowError("synthetic network failure")
-            return original(self, ref, offsets, record_trace)
+            return original(self, ref, offsets)
 
         monkeypatch.setattr(CellTwin, "advance_reference", flaky)
         with pytest.raises(DispatchError, match="step 1") as err:
@@ -318,9 +318,9 @@ class TestMeritOrderStart:
         evaluated = []
         evaluate = twin.evaluate_dispatch
 
-        def counted(ref_, offsets, record_trace=False):
+        def counted(ref_, offsets):
             evaluated.append(np.array(offsets, copy=True))
-            return evaluate(ref_, offsets, record_trace)
+            return evaluate(ref_, offsets)
 
         twin.evaluate_dispatch = counted
         x = exchange_pass(StepObjective(twin, ref, request_, costs),
@@ -361,9 +361,9 @@ class TestExchangePass:
         calls = []
         evaluate = twin.evaluate_dispatch
 
-        def counted(ref_, offsets, record_trace=False):
+        def counted(ref_, offsets):
             calls.append(1)
-            return evaluate(ref_, offsets, record_trace)
+            return evaluate(ref_, offsets)
 
         twin.evaluate_dispatch = counted
         x = exchange_pass(f, x0)
@@ -415,13 +415,13 @@ class TestEvaluationBudget:
         evaluate = CellTwin.evaluate_dispatch
         advance = CellTwin.advance_reference
 
-        def counted(self, ref, offsets, record_trace=False):
+        def counted(self, ref, offsets):
             calls.append(1)
-            return evaluate(self, ref, offsets, record_trace)
+            return evaluate(self, ref, offsets)
 
-        def marked(self, ref, offsets, record_trace=True):
+        def marked(self, ref, offsets):
             marks.append(len(calls))
-            return advance(self, ref, offsets, record_trace)
+            return advance(self, ref, offsets)
 
         monkeypatch.setattr(CellTwin, "evaluate_dispatch", counted)
         monkeypatch.setattr(CellTwin, "advance_reference", marked)
@@ -505,9 +505,9 @@ class TestOracle:
         points = []
         evaluate, probe = CellTwin.evaluate_dispatch, CellTwin.probe_plant
 
-        def recording(twin, ref, offsets, record_trace=False):
+        def recording(twin, ref, offsets):
             points.append(np.array(offsets, dtype=float))
-            return evaluate(twin, ref, offsets, record_trace)
+            return evaluate(twin, ref, offsets)
 
         def recording_probe(twin, ref, base, i, values):
             for value in values:

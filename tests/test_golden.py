@@ -45,8 +45,8 @@ BES_SOC_DIGESTS = {
 ORACLE_ARGS = ["oracle", "--n-iter", "30", "--seed", "2"]
 ORACLE_DIGEST = "1262fc7ddd2947fabbe84b1fa9ea4564d1d9726512d4b194d9174549ac277d2c"
 SWEEP_ARGS = ["sweep-temperature", "--temperatures", "0,0.2,10",
-              "--seeds", "2,3", "--n-iter", "20", "--step-size", "4",
-              "--nm-maxfev", "45", "--dp-kw", "1", "--dq-kvar", "0.3"]
+              "--seeds", "2,3", "--n-iter", "20", "--dp-kw", "1",
+              "--dq-kvar", "0.3"]
 SWEEP_DIGESTS = {
     "iterations_T0.csv":
         "2c07d066b211a5510ea3a97fc63d192581422aec41994b1e6cb532f040c92889",

@@ -61,11 +61,18 @@ class TestCop:
         assert cop_wider < cop
 
 
+def battery_at(params, p_kw):
+    """A battery that already delivers `p_kw` (a new one starts at 0 kW)."""
+    bes = BatteryStorage(params)
+    bes.p_kw = p_kw
+    return bes
+
+
 def lag_battery(time_constant_s, p0_kw=0.0):
     """A battery whose ratings and SOC headroom never bind below 20 kW, so
     its realized power is the first-order lag of its local wish."""
-    return BatteryStorage(BesParams(1000.0, 20.0, 20.0,
-                                    time_constant_s=time_constant_s), p0_kw=p0_kw)
+    return battery_at(BesParams(1000.0, 20.0, 20.0,
+                                time_constant_s=time_constant_s), p0_kw)
 
 
 class TestFirstOrderResponse:
@@ -134,21 +141,21 @@ def test_clamp():
 class TestBatteryStorage:
     def test_soc_update_at_settled_power(self):
         # 5 kW for 15 s into 10 kWh at unit efficiency: d_soc = 5*15/3600/10
-        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=1.0, eta_discharge=1.0,
-                                       soc0=0.5), p0_kw=5.0)
+        bes = battery_at(BesParams(10.0, 5.0, 5.0, eta_charge=1.0, eta_discharge=1.0,
+                                   soc0=0.5), 5.0)
         p = bes.step(0.0, 5.0, 1, 15.0)
         assert p == pytest.approx(5.0, abs=1e-12)
         assert bes.soc == pytest.approx(0.5020833333333333, abs=1e-12)
 
     def test_charge_efficiency_applies(self):
-        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
-                                       soc0=0.0), p0_kw=4.0)
+        bes = battery_at(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
+                                   soc0=0.0), 4.0)
         bes.step(0.0, 4.0, 1, 900.0)
         assert bes.soc == pytest.approx(4.0 * 0.95 * 900 / 3600 / 10.0, abs=1e-12)
 
     def test_discharge_efficiency_applies(self):
-        bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
-                                       soc0=1.0), p0_kw=-4.0)
+        bes = battery_at(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
+                                   soc0=1.0), -4.0)
         bes.step(0.0, -4.0, 1, 900.0)
         assert bes.soc == pytest.approx(1.0 - 4.0 / 0.95 * 900 / 3600 / 10.0, abs=1e-12)
 

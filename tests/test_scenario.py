@@ -165,10 +165,6 @@ class TestBundledScenario:
         s = load_bundled_scenario()
         assert s.start_tod_s() == 20 * 3600.0
 
-    def test_unknown_bundled_name(self):
-        with pytest.raises(FileNotFoundError):
-            load_bundled_scenario("no_such_cell")
-
 
 def full_dict():
     """minimal_dict with every optional block and field group present."""

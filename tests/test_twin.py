@@ -43,7 +43,13 @@ def bundled():
 def fingerprint(ev):
     """Everything an evaluation reports, with floats at full precision."""
     return (ev.pcc_p_kw.hex(), ev.pcc_q_kvar.hex(), ev.plant_values.tobytes(),
-            ev.n_violations, ev.feasible, ev.failure, repr(ev.trace))
+            ev.n_violations, ev.feasible, ev.failure)
+
+
+def evaluated(twin, ref, x):
+    """The fingerprint of evaluating `x` from `ref` on `twin`, and the plant
+    states the evaluation leaves, which its result does not show."""
+    return fingerprint(twin.evaluate_dispatch(ref, x)), repr(twin.snapshot())
 
 
 def weak_feeder_scenario():
@@ -137,10 +143,9 @@ class TestEvaluation:
         rng = np.random.default_rng(11)
         bounds = twin.plant_bounds()
         x1, x2 = rng.uniform(bounds[:, 0], bounds[:, 1], size=(2, twin.n_plants))
-        first = twin.evaluate_dispatch(ref, x1, record_trace=True)
-        twin.evaluate_dispatch(ref, x2, record_trace=True)
-        again = twin.evaluate_dispatch(ref, x1, record_trace=True)
-        assert fingerprint(again) == fingerprint(first)
+        first = evaluated(twin, ref, x1)
+        twin.evaluate_dispatch(ref, x2)
+        assert evaluated(twin, ref, x1) == first
 
     def test_inputs_follow_the_clock_after_a_commit(self, bundled):
         # the cell's ambient temperature moves every second, so an evaluation
@@ -149,10 +154,8 @@ class TestEvaluation:
         x = np.full(twin.n_plants, 0.1)
         twin.evaluate_dispatch(ref, x)
         new_ref, _ = twin.advance_reference(ref, x)
-        after_commit = twin.evaluate_dispatch(new_ref, x, record_trace=True)
-        fresh = CellTwin(twin.scenario)
-        on_fresh_twin = fresh.evaluate_dispatch(new_ref, x, record_trace=True)
-        assert fingerprint(after_commit) == fingerprint(on_fresh_twin)
+        after_commit = evaluated(twin, new_ref, x)
+        assert after_commit == evaluated(CellTwin(twin.scenario), new_ref, x)
 
     def test_pv_inverter_steps_once_per_interval(self, toy, monkeypatch):
         twin, ref = toy
@@ -187,11 +190,11 @@ class TestEvaluation:
             assert struct.pack("2d", *twin._offsets) == struct.pack("2d", -0.0, nan)
 
     def test_trace_only_on_request(self, toy):
+        # an evaluation records no trace; a commit records one
         twin, ref = toy
         assert twin.evaluate_dispatch(ref, np.zeros(2)).trace is None
-        traced = twin.evaluate_dispatch(ref, np.zeros(2), record_trace=True)
-        assert traced.trace is not None
-        assert traced.trace["t_s"] == 15.0
+        _, committed = twin.advance_reference(ref, np.zeros(2))
+        assert committed.trace["t_s"] == 15.0
 
 
 def result_bits(ev):
@@ -239,11 +242,7 @@ class TestIncrementalEvaluation:
         i_bes, i_inv = classes.index("bes"), classes.index("inv")
 
         def check(r, x):
-            # the trace also shows plant states that the result does not
-            got = twin.evaluate_dispatch(r, x, record_trace=True)
-            want = CellTwin(scenario).evaluate_dispatch(r, x, record_trace=True)
-            assert result_bits(got) == result_bits(want)
-            assert repr(got.trace) == repr(want.trace)
+            assert evaluated(twin, r, x) == evaluated(CellTwin(scenario), r, x)
 
         x0 = 0.5 * rng.uniform(bounds[:, 0], bounds[:, 1])
         check(ref, x0)
@@ -675,7 +674,7 @@ def check_probes(scenario, rng):
 
     def integrated(x):
         full.restore(ref.snapshot)          # re-integrates every plant
-        ev = full.evaluate_dispatch(ref, x, record_trace=True)
+        ev = full.evaluate_dispatch(ref, x)
         return ev, np.array(list(full.injections().values()), dtype=float)
 
     for i in range(twin.n_plants):
@@ -702,8 +701,8 @@ def check_probes(scenario, rng):
         other = rng.uniform(bounds[:, 0], bounds[:, 1])
         other[i] = last[i]
         for x in (base, last, other):
-            got = twin.evaluate_dispatch(ref, x, record_trace=True)
-            assert fingerprint(got) == fingerprint(integrated(x)[0]), label
+            want = fingerprint(integrated(x)[0]), repr(full.snapshot())
+            assert evaluated(twin, ref, x) == want, label
 
 
 class TestProbePlant:
@@ -840,7 +839,7 @@ class TestWarmup:
         ref = twin.run_warmup()
         twin.override_bes_soc(0.04)
         ref = twin.capture_reference()
-        ev = twin.evaluate_dispatch(ref, np.zeros(2), record_trace=True)
+        _, ev = twin.advance_reference(ref, np.zeros(2))
         assert ev.trace["bes_soc"][0] <= 0.05
 
     @pytest.mark.parametrize("soc", [-0.01, 1.5])
@@ -856,8 +855,7 @@ class TestWarmup:
 @pytest.fixture(scope="module")
 def traced(bundled):
     twin, ref = bundled
-    ev = twin.evaluate_dispatch(ref, np.zeros(twin.n_plants),
-                                record_trace=True)
+    _, ev = twin.advance_reference(ref, np.zeros(twin.n_plants))
     return twin, ev
 
 
