@@ -12,6 +12,8 @@ import pytest
 
 import cellflex.cli
 from cellflex.cli import build_parser, main
+from cellflex.dispatch import run_dispatch, temperature_panel
+from cellflex.optimizer import BasinHoppingConfig, NelderMeadSettings
 from cellflex.oracle import make_toy_scenario
 from cellflex.scenario import load_bundled_scenario, save_scenario, scenario_to_dict
 from cellflex.twin import CellTwin
@@ -164,6 +166,19 @@ class TestDispatch:
         for name in ("dispatch.csv", "iterations.csv", "summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_searches_with_the_config_defaults(self, toy_path, tmp_path,
+                                               capsys):
+        # temperature, step size and Nelder-Mead budget are not options
+        out = tmp_path / "run"
+        assert main(["dispatch", "--scenario", str(toy_path),
+                     "--dp-kw", "1.0", "--steps", "1", "--n-iter", "4",
+                     "--seed", "7", "--out", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["optimizer"] == {"temperature": 0.5, "n_iter": 4,
+                                        "step_size": 1.0, "seed": 7,
+                                        "nm_maxfev": 40}
+
     def test_zero_steps_exit_1(self, toy_path, tmp_path, capsys):
         out = tmp_path / "none"
         assert main(["dispatch", "--scenario", str(toy_path),
@@ -292,6 +307,25 @@ class TestSweepTemperature:
         sweep = json.loads((out / "sweep_summary.json").read_text())
         assert sweep["0.2"]["mean_of_local"] != sweep["10"]["mean_of_local"]
 
+    def test_panel_runs_acceptance_6_search_settings(
+            self, toy_path, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def panel(scenario, request, temperatures, seeds, config):
+            seen.append((temperatures, seeds, config))
+            return temperature_panel(scenario, request, temperatures, seeds,
+                                     config)
+
+        monkeypatch.setattr(cellflex.cli, "temperature_panel", panel)
+        assert main(["sweep-temperature", "--scenario", str(toy_path),
+                     "--temperatures", "0,2", "--seeds", "4", "--n-iter", "2",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        capsys.readouterr()
+        (temperatures, seeds, config), = seen
+        assert (temperatures, seeds) == ([0.0, 2.0], [4])
+        assert config == BasinHoppingConfig(
+            n_iter=2, step_size=4.0, nm=NelderMeadSettings(maxfev=45))
+
     def test_empty_temperature_list_exits_1(self, toy_path, capsys):
         assert main(["sweep-temperature", "--scenario", str(toy_path),
                      "--temperatures", " , "]) == 1
@@ -356,6 +390,21 @@ class TestOracleCommand:
         # 161 battery by 37 inverter points at the oracle's 0.05 resolution
         assert report["oracle_points"] == 161 * 37
         assert 0 < report["oracle_evals"] < report["oracle_points"]
+
+    def test_searches_with_the_config_defaults(self, capsys, monkeypatch):
+        # the grid is checked at 0.05 by test_reports_gap's point count
+        seen = []
+
+        def dispatch(*args, config, **kwargs):
+            seen.append(config)
+            return run_dispatch(*args, config=config, **kwargs)
+
+        monkeypatch.setattr(cellflex.cli, "run_dispatch", dispatch)
+        assert main(["oracle", "--n-iter", "3", "--seed", "5"]) == 0
+        capsys.readouterr()
+        config, = seen
+        assert (config.temperature, config.n_iter, config.step_size,
+                config.seed, config.nm.maxfev) == (0.5, 3, 1.0, 5, 40)
 
     @pytest.mark.parametrize("flags, message", [
         (["--seed", "-1"], "seed must be None or an integer >= 0"),

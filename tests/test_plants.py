@@ -139,6 +139,11 @@ def test_clamp():
 
 
 class TestBatteryStorage:
+    def test_starts_at_rest(self):
+        # every store starts at 0 kW; battery_at sets another start power
+        assert BatteryStorage(BesParams(10.0, 5.0, 5.0)).p_kw == 0.0
+        assert make_bev().p_kw == 0.0
+
     def test_soc_update_at_settled_power(self):
         # 5 kW for 15 s into 10 kWh at unit efficiency: d_soc = 5*15/3600/10
         bes = battery_at(BesParams(10.0, 5.0, 5.0, eta_charge=1.0, eta_discharge=1.0,
