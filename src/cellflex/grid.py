@@ -11,8 +11,10 @@ bus the branch feeds: the backward sweep visits children before parents, so
 a bus's accumulated current is final once it has been passed to its parent.
 The sweep plan -- the BFS bus order with each bus's parent and feeding
 impedance, the bus and impedance of each line, the PCC's children -- is
-built once with the topology, so a solve only does arithmetic.  Results come
-as tuples in ``topology.buses`` and ``topology.lines`` order.
+built once with the topology, so a solve only does arithmetic.  Injections
+come in as one flat vector ``[p_0, q_0, p_1, q_1, ...]``, a pair per bus in
+``topology.buses`` order (the slack's pair is ignored); results come as
+tuples in ``topology.buses`` and ``topology.lines`` order.
 
 The PCC reading is defined as the complex sum of all bus injections plus all
 series losses (3 * |I|^2 * Z per line) — by construction it equals the power
@@ -67,7 +69,6 @@ def note_balance_error(balance_error_pu):
 class Bus:
     id: str
     v_nom_ll_v: float = 400.0       # line-to-line nominal voltage
-    prosumer: str | None = None     # attached prosumer id, if any
 
 
 @dataclass(frozen=True)
@@ -194,39 +195,35 @@ class GridTopology:
         self._backward = tuple((bus, par) for bus, par, _ in reversed(self._forward))
         self._line_plan = tuple(zip(fed, z))
         self._root_children = tuple(bus for bus in range(n) if parent[bus] == root)
-        self._non_root = tuple(i for i in range(n) if i != root)
-        self._non_slack = frozenset(b.id for b in self.buses if b.id != self.pcc_bus)
         self._v_ph_nom = self.v_nom_ll_v / math.sqrt(3.0)
 
 
 def solve_power_flow(topology, injections):
     """Solve the radial power flow for three-phase injections in kW/kVAr.
 
-    `injections` must contain exactly the non-slack bus ids, each mapping to a
-    (p_kw, q_kvar) pair with consumption positive.  Raises PowerFlowError if
-    the sweep does not converge within `MAX_SWEEPS` sweeps and
+    `injections` is the flat sequence ``[p_0, q_0, p_1, q_1, ...]``, one
+    (p_kw, q_kvar) pair per bus in ``topology.buses`` order with consumption
+    positive; the slack bus's pair is ignored.  Raises ConfigurationError if
+    it does not hold 2 * len(topology.buses) values, PowerFlowError if the
+    sweep does not converge within `MAX_SWEEPS` sweeps and
     InfeasibleNetworkError if any voltage drops below 0.5 pu on the way.
     """
-    if injections.keys() != topology._non_slack:
-        non_slack = [b.id for b in topology.buses if b.id != topology.pcc_bus]
-        missing = [b for b in non_slack if b not in injections]
-        if missing:
-            raise ConfigurationError(f"injections missing for buses: {missing}")
-        extra = [b for b in injections if b not in non_slack]
-        raise ConfigurationError(f"injections given for slack/unknown buses: {extra}")
+    n = len(topology.buses)
+    if len(injections) != 2 * n:
+        raise ConfigurationError(
+            f"injection vector has {len(injections)} values, expected {2 * n} "
+            f"(a (p_kw, q_kvar) pair per bus)")
 
     v_ph_nom = topology._v_ph_nom
     v_floor = V_COLLAPSE_PU * v_ph_nom
-    idx = topology._bus_index
     forward = topology._forward
     backward = topology._backward
-    n = len(topology.buses)
 
     # per-phase apparent power in VA (three-phase total / 3), consumption positive
-    s_ph = [0j] * n
-    for bid, (p_kw, q_kvar) in injections.items():
-        s_ph[idx[bid]] = complex(p_kw, q_kvar) * (1000.0 / 3.0)
-    loads = [(i, s_ph[i]) for i in topology._non_root if s_ph[i] != 0j]
+    s_ph = [complex(p_kw, q_kvar) * (1000.0 / 3.0)
+            for p_kw, q_kvar in zip(injections[0::2], injections[1::2])]
+    s_ph[topology._root] = 0j
+    loads = [(i, s) for i, s in enumerate(s_ph) if s != 0j]
 
     v = [complex(v_ph_nom, 0.0)] * n
     converged = False

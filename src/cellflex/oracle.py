@@ -17,7 +17,8 @@ separability the incremental twin rests on).  So before the scan, one probe
 per axis point moves that plant alone from the first grid point
 (``_probe_axes``, through ``CellTwin.probe_plant``: the other plants are
 integrated once, then each probe restores and steps that plant alone and
-reads its value and the bus injections; no power flow is solved, since the
+reads its value and the twin's bus-injection vector, a (p, q) row per bus
+with the slack's always zero; no power flow is solved, since the
 bound below never needs one).  The probes give a lower bound on the
 objective at every grid point (branch and bound, Land & Doig 1960), computed
 for the whole grid at once by numpy broadcasting (``_lower_bounds``) from
@@ -175,7 +176,8 @@ def _probe_axes(f, axes):
     of objective ``f``'s step.
 
     Returns one ``CellTwin.probe_plant`` result ``(values, injections)`` per
-    axis, each indexed by the axis's offsets.
+    axis, each indexed by the axis's offsets; ``injections`` has shape
+    ``(K, n_buses, 2)``, buses in ``topology.buses`` order.
     """
     base = [a[0] for a in axes]
     return [f.twin.probe_plant(f.ref, base, i, axis) for i, axis in enumerate(axes)]

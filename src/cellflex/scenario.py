@@ -477,7 +477,6 @@ def scenario_from_dict(data):
     if not isinstance(prosumers_raw, list):
         raise ConfigurationError("prosumers: expected an array")
 
-    # parse prosumers first so bus records can carry their attachment
     prosumers = []
     seen_ids = set()
     seen_buses = set()
@@ -508,16 +507,13 @@ def scenario_from_dict(data):
         prosumers.append(ProsumerSpec(id=pid, bus=bus, household=household,
                                       bevs=bevs, **devices))
 
-    prosumer_by_bus = {p.bus: p.id for p in prosumers}
     bus_props = topo_props["buses"]["items"]["properties"]
     buses = []
     for i, b in enumerate(buses_raw):
         path = f"topology.buses[{i}]"
-        bid = _require(b, "id", path, str)
         buses.append(Bus(
-            id=bid,
+            id=_require(b, "id", path, str),
             v_nom_ll_v=_number(b, "v_nom_ll_v", path, Bus.v_nom_ll_v, bus_props),
-            prosumer=prosumer_by_bus.get(bid),
         ))
     bus_ids = {b.id for b in buses}
     for i, p in enumerate(prosumers):

@@ -35,16 +35,22 @@ changed.  A plant's end state depends only on the snapshot it starts from
 and its own offset, so when the twin still holds the end state of the same
 snapshot object, a plant keeps its state if its offset is the same float as
 in that integration (sign of zero included; NaN never is).  Only the other
-plants are restored and stepped.  The bus injections are then summed from
-every plant's final power.  Anything else that moves plant state --
+plants are restored and stepped.  Each prosumer then sums its bus injection
+from every plant's final power.  Anything else that moves plant state --
 ``restore``, the warmup, ``override_bes_soc``, ``step_dispatch_interval``
 outside an evaluation or a probe -- makes the next one re-integrate every
 plant.  The trace reads an EV's connection where its last substep started,
 since its ``p_kw`` is that substep's power.
 
-``solve`` keeps up to 64 successful results, keyed on the bits of every
-prosumer's ``(p_kw, q_kvar)`` (±0.0 and NaN payloads are distinct keys),
-and drops the least recently used first.  ``solve_power_flow`` is a pure
+The bus injections live in one flat list, ``injections``: the pair
+``(p_kw, q_kvar)`` of every bus in ``topology.buses`` order, zero on the
+slack and on junction buses.  Each prosumer writes its own pair in place.
+That list is what ``solve_power_flow`` reads, what ``probe_plant`` records
+and the bus part of a snapshot.
+
+``solve`` keeps up to 64 successful results, keyed on the bits of the
+injection list (±0.0 and NaN payloads are distinct keys), and drops the
+least recently used first.  ``solve_power_flow`` is a pure
 function of the fixed topology and those injections, so a kept result is
 the one a new solve would return, bit for bit; a hit still counts its
 balance error.  A failed solve is never kept: it runs and raises each time.
@@ -56,9 +62,9 @@ inverters.  Offsets are ΔP in kW except for inverters, which take ΔQ in kVAr.
 index; ``plant_values`` reads each plant's realized P (Q for inverters) in
 the same order.
 
-A snapshot is the flat tuple ``(t_s, plant states in plant-table order,
-per-prosumer bus injections (p_kw, q_kvar))``; it holds each state variable
-once.
+A snapshot is the tuple ``(t_s, plant states in plant-table order, bus
+injections as the flat tuple [p_0, q_0, p_1, q_1, ...])``; it holds each
+state variable once.
 """
 
 from dataclasses import dataclass
@@ -105,21 +111,21 @@ class EvaluationResult:
 
 
 class _ProsumerTwin:
-    """One prosumer's plants plus its sampled inputs and bus injection.
+    """One prosumer's plants plus its sampled inputs.
 
     ``offsets`` is the twin's shared offset list; ``i_bes``, ``i_ehp``,
     ``i_inv`` and ``bev_slots`` (pairs of EV and index) locate this
-    prosumer's plants in it.
+    prosumer's plants in it.  ``injections`` is the twin's shared bus
+    injection list and ``i_p`` the index of this prosumer's bus P in it.
     """
 
-    __slots__ = ("id", "bus", "load_series", "pv", "bes", "ehp", "bevs",
+    __slots__ = ("id", "load_series", "pv", "bes", "ehp", "bevs",
                  "offsets", "i_bes", "i_ehp", "i_inv", "bev_slots",
-                 "load_p", "load_q", "heat",
-                 "p_base", "q_base", "pv_surplus", "p_kw", "q_kvar")
+                 "injections", "i_p", "load_p", "load_q", "heat",
+                 "p_base", "q_base", "pv_surplus")
 
-    def __init__(self, spec, profiles):
+    def __init__(self, spec, profiles, injections, i_p):
         self.id = spec.id
-        self.bus = spec.bus
         self.load_series = profiles.household[spec.id]
         self.pv = PvInverter(spec.pv) if spec.pv else None
         self.bes = BatteryStorage(spec.bes) if spec.bes else None
@@ -128,9 +134,10 @@ class _ProsumerTwin:
         self.offsets = []
         self.i_bes = self.i_ehp = self.i_inv = None
         self.bev_slots = ()
+        self.injections = injections
+        self.i_p = i_p
         self.load_p = self.load_q = self.heat = 0.0
         self.p_base = self.q_base = self.pv_surplus = 0.0
-        self.p_kw = self.q_kvar = 0.0
 
     def sample_inputs(self, t_s):
         self.load_p, self.load_q, self.heat = self.load_series.value(t_s)
@@ -146,7 +153,7 @@ class _ProsumerTwin:
         the others already hold their end state.  The PV inverter, which
         keeps no state, sets the bus base load ``p_base``/``q_base`` and the
         battery's local wish ``pv_surplus``.  The bus injection is then
-        summed from every plant's final power.
+        summed from every plant's final power and written in place.
         """
         off = self.offsets
         if self.pv is not None and stale[self.i_inv]:
@@ -171,8 +178,8 @@ class _ProsumerTwin:
             if stale[i]:
                 bev.step(off[i], base_tod_s, n, dt)
             p += bev.p_kw
-        self.p_kw = p
-        self.q_kvar = q
+        self.injections[self.i_p] = p
+        self.injections[self.i_p + 1] = q
 
 
 class CellTwin:
@@ -182,7 +189,11 @@ class CellTwin:
         self.scenario = scenario
         self.topology = scenario.build_topology()
         self.profiles = build_profiles(scenario)
-        self.prosumers = [_ProsumerTwin(p, self.profiles) for p in scenario.prosumers]
+        bus_ids = [b.id for b in self.topology.buses]
+        self.injections = [0.0] * (2 * len(bus_ids))
+        self.prosumers = [_ProsumerTwin(p, self.profiles, self.injections,
+                                        2 * bus_ids.index(p.bus))
+                          for p in scenario.prosumers]
         self.internal_dt_s = scenario.simulation.internal_dt_s
         self.dispatch_step_s = scenario.simulation.dispatch_step_s
         self.start_tod_s = scenario.start_tod_s()
@@ -194,11 +205,9 @@ class CellTwin:
         self._end_of = None
         self._end_offsets = None
         self.n_evaluations = 0          # evaluate_dispatch calls so far
-        self._solved = {}   # bits of every (p_kw, q_kvar) -> power flow
-        self._pack = Struct(f"{2 * len(self.prosumers)}d").pack
+        self._solved = {}   # bits of the injection list -> power flow
+        self._pack = Struct(f"{len(self.injections)}d").pack
         self._build_plant_table()
-        self._junctions = [b.id for b in scenario.buses
-                           if b.id != scenario.pcc_bus and b.prosumer is None]
 
     # ------------------------------------------------------------------
     # plant table
@@ -290,21 +299,11 @@ class CellTwin:
     def step_dispatch_interval(self, stale=None):
         self._step_interval(self.dispatch_step_s, self.internal_dt_s, stale)
 
-    def injections(self):
-        inj = {bus: (0.0, 0.0) for bus in self._junctions}
-        for pro in self.prosumers:
-            inj[pro.bus] = (pro.p_kw, pro.q_kvar)
-        return inj
-
     def solve(self):
-        bits = []
-        for pro in self.prosumers:
-            bits.append(pro.p_kw)
-            bits.append(pro.q_kvar)
-        key = self._pack(*bits)
+        key = self._pack(*self.injections)
         res = self._solved.pop(key, None)
         if res is None:
-            res = solve_power_flow(self.topology, self.injections())
+            res = solve_power_flow(self.topology, self.injections)
             if len(self._solved) == SOLVED_MAX:
                 del self._solved[next(iter(self._solved))]
         else:
@@ -319,12 +318,12 @@ class CellTwin:
         # list comprehensions, not generators: see solve_power_flow in grid.py
         return (self.t_s,
                 tuple([plant.get_state() for plant in self._plants]),
-                tuple([(pro.p_kw, pro.q_kvar) for pro in self.prosumers]))
+                tuple(self.injections))
 
     def restore(self, snap, stale=None):
         """Restore `snap`; with `stale`, only the flagged plants and the clock."""
         self._end_of = None
-        self.t_s, states, bus_states = snap
+        self.t_s, states, injections = snap
         if stale is not None:
             for plant, state, s in zip(self._plants, states, stale):
                 if s:
@@ -332,9 +331,7 @@ class CellTwin:
             return
         for plant, state in zip(self._plants, states):
             plant.set_state(state)
-        for pro, (p_kw, q_kvar) in zip(self.prosumers, bus_states):
-            pro.p_kw = p_kw
-            pro.q_kvar = q_kvar
+        self.injections[:] = injections
 
     # ------------------------------------------------------------------
     # reference handling
@@ -451,9 +448,9 @@ class CellTwin:
 
         Row k is what ``evaluate_dispatch(ref, x)`` leaves, bit for bit,
         with x = `base` and x[i] = values[k]: plant i's realized value (P in
-        kW; Q in kVAr for an inverter) and ``(p_kw, q_kvar)`` per non-slack
-        bus in ``injections()`` order, returned as arrays of shape ``(K,)``
-        and ``(K, n_buses, 2)``.  No power flow is solved and nothing is
+        kW; Q in kVAr for an inverter) and ``(p_kw, q_kvar)`` per bus in
+        ``topology.buses`` order, the slack's included (always zero),
+        returned as arrays of shape ``(K,)`` and ``(K, n_buses, 2)``.  No power flow is solved and nothing is
         counted in ``n_evaluations``.  The other plants are integrated under
         `base` once, unless the twin already holds that end state; each
         value then restores and steps plant i alone.
@@ -467,10 +464,10 @@ class CellTwin:
             offsets[i] = float(value)
             self._integrate(ref.snapshot, offsets)
             plant_values.append(getattr(plant, attr))
-            injections.append(list(self.injections().values()))
+            injections.append(tuple(self.injections))
         return (np.array(plant_values, dtype=float),
                 np.array(injections, dtype=float).reshape(
-                    len(injections), len(self.injections()), 2))
+                    len(injections), len(self.topology.buses), 2))
 
     def advance_reference(self, ref, offsets):
         """Commit a dispatch step: integrate and adopt the end state.

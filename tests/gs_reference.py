@@ -58,6 +58,16 @@ def gauss_seidel_pf(topology, injections, tol=1e-12, max_iter=50000):
     return v_pu, s_slack, {buses[i].id: v[i] for i in range(n)}
 
 
+def bus_vector(topology, injections):
+    """The flat ``[p_0, q_0, p_1, q_1, ...]`` vector ``solve_power_flow``
+    takes, from a dict of bus id to (p_kw, q_kvar); a bus the dict omits
+    gets (0.0, 0.0)."""
+    vector = []
+    for bus in topology.buses:
+        vector.extend(injections.get(bus.id, (0.0, 0.0)))
+    return vector
+
+
 def random_radial_case(rng, n_buses=5):
     """Random radial topology + injections that stay in a sane LV operating range."""
     buses = [Bus("pcc")] + [Bus(f"b{i}") for i in range(1, n_buses)]

@@ -29,7 +29,7 @@ from cellflex.plants import BatteryStorage
 from cellflex.reporting import summary_dict
 from cellflex.scenario import BesParams, load_bundled_scenario
 
-from gs_reference import gauss_seidel_pf, random_radial_case
+from gs_reference import bus_vector, gauss_seidel_pf, random_radial_case
 
 DP_TOL_KW = 0.1
 DQ_TOL_KVAR = 0.05
@@ -219,7 +219,7 @@ def test_8_power_conservation(gain_run, reduction_run):
     worst_v = 0.0
     for _ in range(100):
         topology, injections = random_radial_case(rng, n_buses=5)
-        res = solve_power_flow(topology, injections)
+        res = solve_power_flow(topology, bus_vector(topology, injections))
         v_ref, _, _ = gauss_seidel_pf(topology, injections)
         worst_v = max(worst_v,
                       max(abs(v - v_ref[b.id])

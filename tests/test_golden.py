@@ -59,8 +59,8 @@ SWEEP_DIGESTS = {
 }
 
 WARMUP_DIGESTS = {
-    "bundled": "13946325e9803ad549f1bb61450f99f32498c84e3c8bcff5a79484134421d0bf",
-    "toy": "e7692b863d7af52a7fb99df8cbc3032168e79cedbbc0479a312efcd3e39e7839",
+    "bundled": "15df1f8bf86f645ab7bb0bd766963d242da44b7d71226e5388af376012325743",
+    "toy": "6077b05bd1c77a3a27e2e179aac019c98462d7b45882b2238545122636ff8778",
 }
 WARMUP_SCENARIOS = {"bundled": load_bundled_scenario, "toy": make_toy_scenario}
 

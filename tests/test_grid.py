@@ -18,7 +18,12 @@ from cellflex.grid import (
     worst_balance_error_pu,
 )
 
-from gs_reference import gauss_seidel_pf, random_radial_case
+from gs_reference import bus_vector, gauss_seidel_pf, random_radial_case
+
+
+def solve(topology, injections):
+    """``solve_power_flow`` on a dict of bus id to (p_kw, q_kvar)."""
+    return solve_power_flow(topology, bus_vector(topology, injections))
 
 
 def two_bus(r=0.1, x=0.0, i_max=270.0):
@@ -33,7 +38,7 @@ class TestTwoBus:
     def test_pcc_covers_load_plus_losses(self):
         # 10 kW three-phase at 400 V through 0.1 ohm/phase: I ~ 14.5 A/phase,
         # series loss 3*R*I^2 ~ 63.3 W, independently solved below
-        res = solve_power_flow(two_bus(), {"b1": (10.0, 0.0)})
+        res = solve(two_bus(), {"b1": (10.0, 0.0)})
         v_ph = 400.0 / math.sqrt(3.0)
         s_ph = 10000.0 / 3.0
         vb = (v_ph + math.sqrt(v_ph * v_ph - 4.0 * 0.1 * s_ph)) / 2.0
@@ -45,29 +50,29 @@ class TestTwoBus:
         assert res.currents_a[0] == pytest.approx(i, abs=1e-6)
 
     def test_no_load_means_no_flow(self):
-        res = solve_power_flow(two_bus(), {"b1": (0.0, 0.0)})
+        res = solve(two_bus(), {"b1": (0.0, 0.0)})
         assert res.pcc.p_kw == 0.0
         assert res.pcc.q_kvar == 0.0
         assert res.v_pu[1] == 1.0
 
     def test_generation_reverses_flow(self):
-        res = solve_power_flow(two_bus(), {"b1": (-10.0, 0.0)})
+        res = solve(two_bus(), {"b1": (-10.0, 0.0)})
         assert res.pcc.p_kw < -9.9
         assert res.loss_p_kw > 0.0
         assert res.v_pu[1] > 1.0  # injection lifts the voltage
 
     def test_reactive_injection_shifts_q(self):
-        res = solve_power_flow(two_bus(x=0.08), {"b1": (5.0, 3.0)})
+        res = solve(two_bus(x=0.08), {"b1": (5.0, 3.0)})
         assert res.pcc.q_kvar > 3.0  # load plus reactive line losses
 
     def test_loading_monotone_in_power(self):
         topo = two_bus()
-        currents = [solve_power_flow(topo, {"b1": (p, 0.0)}).currents_a[0]
+        currents = [solve(topo, {"b1": (p, 0.0)}).currents_a[0]
                     for p in np.linspace(0.0, 50.0, 11)]
         assert all(b > a for a, b in zip(currents, currents[1:]))
 
     def test_voltage_drops_with_load(self):
-        res = solve_power_flow(two_bus(), {"b1": (30.0, 10.0)})
+        res = solve(two_bus(), {"b1": (30.0, 10.0)})
         assert res.v_pu[1] < 1.0
         assert res.v_pu[0] == 1.0
 
@@ -75,7 +80,7 @@ class TestTwoBus:
 class TestConservationAndOracle:
     def test_balance_against_slack_flow(self):
         topo, inj = random_radial_case(np.random.default_rng(7), n_buses=6)
-        res = solve_power_flow(topo, inj)
+        res = solve(topo, inj)
         assert res.balance_error_pu < 1e-6
         # PCC reading is the sum of injections plus series losses
         p_sum = sum(p for p, _ in inj.values()) + res.loss_p_kw
@@ -86,7 +91,7 @@ class TestConservationAndOracle:
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_gauss_seidel(self, seed):
         topo, inj = random_radial_case(np.random.default_rng(seed))
-        res = solve_power_flow(topo, inj)
+        res = solve(topo, inj)
         v_ref, s_slack, _ = gauss_seidel_pf(topo, inj)
         for bus, v in zip(topo.buses, res.v_pu):
             assert v == pytest.approx(v_ref[bus.id], abs=1e-6)
@@ -104,7 +109,7 @@ class TestConservationAndOracle:
         rng.shuffle(lines)
         topo = GridTopology(topo.buses, lines, pcc_bus="pcc",
                             transformer_kva=topo.transformer_kva)
-        res = solve_power_flow(topo, inj)
+        res = solve(topo, inj)
         _, _, v = gauss_seidel_pf(topo, inj)
         for ln, amps in zip(topo.lines, res.currents_a):
             i_ref = abs(v[ln.from_bus] - v[ln.to_bus]) / abs(complex(ln.r_ohm, ln.x_ohm))
@@ -113,12 +118,12 @@ class TestConservationAndOracle:
     def test_line_order_does_not_matter(self):
         rng = np.random.default_rng(3)
         topo, inj = random_radial_case(rng, n_buses=7)
-        res_a = solve_power_flow(topo, inj)
+        res_a = solve(topo, inj)
         shuffled = list(topo.lines)
         rng.shuffle(shuffled)
         topo_b = GridTopology(topo.buses, shuffled, pcc_bus="pcc",
                               transformer_kva=topo.transformer_kva)
-        res_b = solve_power_flow(topo_b, inj)
+        res_b = solve(topo_b, inj)
         for v_a, v_b in zip(res_a.v_pu, res_b.v_pu):
             assert v_a == pytest.approx(v_b, abs=1e-12)
         assert res_a.pcc.p_kw == pytest.approx(res_b.pcc.p_kw, abs=1e-12)
@@ -127,13 +132,13 @@ class TestConservationAndOracle:
         # the session's worst error goes back in place after the test
         monkeypatch.setattr(grid, "_worst_balance_error_pu",
                             worst_balance_error_pu())
-        large = solve_power_flow(*random_radial_case(np.random.default_rng(4),
+        large = solve(*random_radial_case(np.random.default_rng(4),
                                                      n_buses=6))
         small = random_radial_case(np.random.default_rng(0), n_buses=6)
         assert worst_balance_error_pu() >= large.balance_error_pu > 0.0
         reset_balance_tracker()
         assert worst_balance_error_pu() == 0.0
-        res = solve_power_flow(*small)
+        res = solve(*small)
         assert 0.0 < res.balance_error_pu < large.balance_error_pu
         assert worst_balance_error_pu() == res.balance_error_pu
 
@@ -141,12 +146,12 @@ class TestConservationAndOracle:
 class TestFailureModes:
     def test_voltage_collapse_is_flagged_infeasible(self):
         with pytest.raises(InfeasibleNetworkError):
-            solve_power_flow(two_bus(r=1.0), {"b1": (500.0, 100.0)})
+            solve(two_bus(r=1.0), {"b1": (500.0, 100.0)})
 
     def test_sweep_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(grid, "MAX_SWEEPS", 1)
         with pytest.raises(PowerFlowError, match="within 1 sweeps"):
-            solve_power_flow(two_bus(), {"b1": (20.0, 5.0)})
+            solve(two_bus(), {"b1": (20.0, 5.0)})
 
     @pytest.mark.parametrize("case", [
         lambda: (two_bus(), {"b1": (20.0, 5.0)}),
@@ -156,58 +161,56 @@ class TestFailureModes:
         # a budget of exactly the sweeps a solve needs gives the same result;
         # one sweep fewer fails, and the message names that budget
         topology, injections = case()
-        res = solve_power_flow(topology, injections)
+        res = solve(topology, injections)
         assert 2 <= res.sweeps < grid.MAX_SWEEPS
         monkeypatch.setattr(grid, "MAX_SWEEPS", res.sweeps)
-        tight = solve_power_flow(topology, injections)
+        tight = solve(topology, injections)
         assert (tight.sweeps, tight.v_pu) == (res.sweeps, res.v_pu)
         monkeypatch.setattr(grid, "MAX_SWEEPS", res.sweeps - 1)
         with pytest.raises(PowerFlowError,
                            match=f"within {res.sweeps - 1} sweeps"):
-            solve_power_flow(topology, injections)
+            solve(topology, injections)
 
     @pytest.mark.parametrize("injection", [(math.nan, 0.0), (0.0, math.nan)])
     def test_nan_injection_raises(self, injection):
         # NaN compares False both ways: a solve must not read it as converged
         with pytest.raises(PowerFlowError):
-            solve_power_flow(two_bus(), {"b1": injection})
+            solve(two_bus(), {"b1": injection})
         topo, inj = random_radial_case(np.random.default_rng(3), n_buses=6)
         with pytest.raises(PowerFlowError):
-            solve_power_flow(topo, dict(inj, b4=injection))
+            solve(topo, dict(inj, b4=injection))
 
-    def test_missing_injection_rejected(self):
-        with pytest.raises(ConfigurationError, match="b1"):
-            solve_power_flow(two_bus(), {})
+    @pytest.mark.parametrize("n_values", [0, 2, 3, 5])
+    def test_wrong_length_vector_rejected(self, n_values):
+        # two buses take four values; a dict of the non-slack buses, the
+        # old call form, has the wrong length too
+        with pytest.raises(ConfigurationError, match=r"has \d+ values, expected 4 "):
+            solve_power_flow(two_bus(), [1.0] * n_values)
+        with pytest.raises(ConfigurationError, match="expected 4 "):
+            solve_power_flow(two_bus(), {"b1": (1.0, 0.0)})
 
-    def test_slack_injection_rejected(self):
-        with pytest.raises(ConfigurationError, match="pcc"):
-            solve_power_flow(two_bus(), {"b1": (1.0, 0.0), "pcc": (1.0, 0.0)})
-
-    def test_injection_errors_list_buses_in_order(self):
-        topo, inj = random_radial_case(np.random.default_rng(1), n_buses=5)
-        partial = {b: inj[b] for b in ("b3", "b1")}
-        with pytest.raises(ConfigurationError,
-                           match=r"missing for buses: \['b2', 'b4'\]$"):
-            solve_power_flow(topo, partial)
-        # a missing bus is reported before an unknown one
-        with pytest.raises(ConfigurationError, match="missing"):
-            solve_power_flow(topo, dict(partial, ghost=(1.0, 0.0)))
-        extra = dict(inj, ghost=(1.0, 0.0), pcc=(0.0, 0.0))
-        with pytest.raises(ConfigurationError,
-                           match=r"slack/unknown buses: \['ghost', 'pcc'\]$"):
-            solve_power_flow(topo, extra)
+    def test_slack_pair_is_ignored(self):
+        # the PCC is put last so that its pair is not the vector's first
+        topo, inj = random_radial_case(np.random.default_rng(5), n_buses=6)
+        topo = GridTopology(topo.buses[1:] + topo.buses[:1], topo.lines,
+                            pcc_bus="pcc")
+        vector = bus_vector(topo, inj)
+        want = repr(solve_power_flow(topo, vector))
+        for pair in [(25.0, -7.0), (-0.0, 0.0), (math.nan, math.inf)]:
+            vector[-2:] = pair
+            assert repr(solve_power_flow(topo, vector)) == want
 
 
 class TestLineLimits:
     def test_violation_reported_with_ratio(self):
         topo = two_bus(i_max=10.0)
-        res = solve_power_flow(topo, {"b1": (10.0, 0.0)})
+        res = solve(topo, {"b1": (10.0, 0.0)})
         assert check_line_limits(res, topo) == 1
         assert res.currents_a[0] / 10.0 > 1.4
 
     def test_no_violation_inside_limit(self):
         topo = two_bus()
-        res = solve_power_flow(topo, {"b1": (10.0, 0.0)})
+        res = solve(topo, {"b1": (10.0, 0.0)})
         assert check_line_limits(res, topo) == 0
 
 
@@ -279,7 +282,7 @@ class TestTopologyValidation:
         # solution above the collapse floor either
         topo, inj = random_radial_case(np.random.default_rng(seed), n_buses=n_buses)
         try:
-            res = solve_power_flow(topo, inj)
+            res = solve(topo, inj)
         except InfeasibleNetworkError:
             try:
                 v_ref, _, _ = gauss_seidel_pf(topo, inj)

@@ -4,16 +4,24 @@ Each command runs twice, once on the package's ``CellTwin`` (compiled plant
 loops, stale-plant skip, power-flow memo) and once on ``PlainTwin`` (Python
 reference loops, every plant and every power flow each time), and the two
 runs' output files must match byte for byte: a few steps of both acceptance
-requests, a short temperature panel and the toy oracle problem.  The outputs print rounded floats, so
+requests, a short temperature panel, the toy oracle problem and two steps on
+generated radial feeders.  The outputs print rounded floats, so
 the warmup reference is compared at full precision too.
 """
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellflex.cli import main
 from cellflex.oracle import make_toy_scenario
 from cellflex.scenario import load_bundled_scenario
 from cellflex.twin import CellTwin
+from test_twin import radial_cells
 from twin_reference import PlainTwin, use_plain_twin
 
 DISPATCH_FILES = ("dispatch.csv", "iterations.csv", "summary.json")
@@ -72,3 +80,21 @@ def test_warmup_reference_matches_the_plain_twin(make):
     real, plain = [repr((ref.snapshot, ref.plant_values.tolist(), ref.pcc_p_kw,
                          ref.pcc_q_kvar)) for ref in refs]
     assert plain == real
+
+
+class TestRadialFeeders:
+    """Generated cells on random radial feeders, where junction buses carry
+    no prosumer and bus order differs from prosumer order."""
+
+    @given(cell=radial_cells(), dp=st.floats(-3.0, 3.0),
+           dq=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16))
+    def test_dispatch_outputs_match_the_plain_twin(self, cell, dp, dq, seed):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            tmp = Path(tmp)
+            (tmp / "cell.json").write_text(json.dumps(cell))
+            args = ["dispatch", "--scenario", str(tmp / "cell.json"),
+                    f"--dp-kw={dp!r}", f"--dq-kvar={dq!r}", "--steps", "2",
+                    "--n-iter", "3", "--seed", str(seed)]
+            real = dispatch_outputs(args, tmp / "real")
+            use_plain_twin(mp)
+            assert dispatch_outputs(args, tmp / "plain") == real

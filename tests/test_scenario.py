@@ -154,13 +154,6 @@ class TestBundledScenario:
             assert list(block["properties"]) == names, cls.__name__
             assert block["required"] == required, cls.__name__
 
-    def test_buses_carry_prosumer_attachment(self):
-        s = load_bundled_scenario()
-        by_id = {b.id: b for b in s.buses}
-        assert by_id["h01"].prosumer == "p01"
-        assert by_id["pcc"].prosumer is None
-        assert by_id["j1"].prosumer is None
-
     def test_start_time_of_day(self):
         s = load_bundled_scenario()
         assert s.start_tod_s() == 20 * 3600.0

@@ -469,7 +469,7 @@ class TestSolveMemo:
             seen.append(x)
             ev = twin.evaluate_dispatch(ref, x)
             want = flow_outcome(
-                lambda: solve_power_flow(twin.topology, twin.injections()))
+                lambda: solve_power_flow(twin.topology, twin.injections))
             assert flow_outcome(twin.solve) == want
             if ev.failure is None:
                 assert (ev.pcc_p_kw.hex(), ev.pcc_q_kvar.hex()) == want[:2]
@@ -628,6 +628,33 @@ def small_cells(draw):
     }
 
 
+@st.composite
+def radial_cells(draw):
+    """``small_cells`` moved onto a random radial tree: one or two junction
+    buses below the PCC, zero to two more anywhere below those, and every
+    prosumer bus at depth two or more; no junction carries a prosumer.  The
+    ``buses`` list is shuffled, and rotated by one where the shuffle leaves
+    every prosumer's bus at its prosumer's index, so that bus order never
+    matches prosumer order."""
+    cell = draw(small_cells())
+    n_pro = len(cell["prosumers"])
+    placed = [f"j{k}" for k in range(draw(st.integers(1, 2)))]
+    lines = [("pcc", bus) for bus in placed]
+    extra = [f"j{k}" for k in range(len(placed), len(placed) + draw(st.integers(0, 2)))]
+    for bus in draw(st.permutations(extra + [f"h{k}" for k in range(n_pro)])):
+        lines.append((placed[draw(st.integers(0, len(placed) - 1))], bus))
+        placed.append(bus)
+    buses = draw(st.permutations(["pcc"] + placed))
+    if all(buses.index(f"h{k}") == k for k in range(n_pro)):
+        buses = buses[1:] + buses[:1]
+    cell["topology"]["buses"] = [{"id": bus} for bus in buses]
+    cell["topology"]["lines"] = [
+        {"from": a, "to": b, "r_ohm": r, "x_ohm": 0.4 * r, "i_max_a": 270.0}
+        for (a, b), r in zip(lines, draw(st.lists(
+            st.floats(0.005, 0.05), min_size=len(lines), max_size=len(lines))))]
+    return cell
+
+
 def _state_bits(states):
     return [np.array(state, dtype=float).tobytes() for state in states]
 
@@ -671,11 +698,12 @@ def check_probes(scenario, rng):
     ref = twin.run_warmup()
     bounds = twin.plant_bounds()
     full = CellTwin(scenario)
+    slack = [b.id for b in twin.topology.buses].index(twin.topology.pcc_bus)
 
     def integrated(x):
         full.restore(ref.snapshot)          # re-integrates every plant
         ev = full.evaluate_dispatch(ref, x)
-        return ev, np.array(list(full.injections().values()), dtype=float)
+        return ev, np.array(full.injections, dtype=float).reshape(-1, 2)
 
     for i in range(twin.n_plants):
         base = rng.uniform(bounds[:, 0], bounds[:, 1])
@@ -686,7 +714,8 @@ def check_probes(scenario, rng):
         got_values, got_inj = twin.probe_plant(ref, base, i, values)
         label = twin.plant_labels[i]
         assert twin.n_evaluations == n_evaluations
-        assert got_inj.shape == (len(values), len(twin.injections()), 2)
+        assert got_inj.shape == (len(values), len(twin.topology.buses), 2)
+        assert not got_inj[:, slack].any()
         for value, got, inj in zip(values, got_values, got_inj):
             x = base.copy()
             x[i] = value

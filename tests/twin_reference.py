@@ -24,7 +24,7 @@ class PlainTwin(CellTwin):
         return None
 
     def solve(self):
-        return solve_power_flow(self.topology, self.injections())
+        return solve_power_flow(self.topology, self.injections)
 
 
 def use_plain_twin(monkeypatch):
