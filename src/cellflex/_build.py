@@ -1,13 +1,15 @@
-"""Build and load ``_loops.c``, the plants' compiled substep loops.
+"""Build and load ``_loops.c``: the plants' substep loops, the power-flow
+sweep and the twin's changed-offset scan, compiled.
 
-:mod:`cellflex.plants` calls `load_loops` once, when it is first imported
-in a process.  The extension lives in the package's ``__pycache__`` under a
-name that carries the sha256 of the C source and the interpreter's
-extension suffix (`kernel_name`), so an edited source or another
-interpreter gets its own file and an existing one is loaded as it is.  The
-build runs the interpreter's ``LDSHARED`` command with ``-O2
--fno-fast-math -ffp-contract=off``: no fused multiply-adds, so each float
-operation rounds as Python's does.  It writes to a temporary name and
+:mod:`cellflex.grid` and :mod:`cellflex.plants` call `load_loops` when they
+are first imported; the first call in a process loads the extension into
+``sys.modules`` and the later ones return it.  The extension lives in the
+package's ``__pycache__`` under a name that carries the sha256 of the C
+source and the interpreter's extension suffix (`kernel_name`), so an edited
+source or another interpreter gets its own file and an existing one is
+loaded as it is.  The build runs the interpreter's ``LDSHARED`` command with
+``-O2 -fno-fast-math -ffp-contract=off``: no fused multiply-adds, so each
+float operation rounds as Python's does.  It writes to a temporary name and
 renames it into place, so processes that import the package for the first
 time at once never load a half-written file.  Building needs a C compiler
 and the Python headers; a failed build raises ImportError with the command
@@ -17,6 +19,7 @@ and the compiler's output.
 import importlib.machinery
 import importlib.util
 import os
+import sys
 from pathlib import Path
 
 # the interpreter's own sha256: hashlib would load OpenSSL, several MB of
@@ -61,6 +64,8 @@ def _build(path):
 
 def load_loops():
     """The compiled loops module, built first if this source has no build."""
+    if MODULE in sys.modules:
+        return sys.modules[MODULE]
     path = SOURCE.parent / "__pycache__" / kernel_name(SOURCE.read_bytes())
     if not path.is_file():
         _build(path)
@@ -68,4 +73,5 @@ def load_loops():
     spec = importlib.util.spec_from_file_location(MODULE, path, loader=loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
+    sys.modules[MODULE] = module
     return module

@@ -1,17 +1,25 @@
-/* The substep loops of the cell's stateful plants, compiled.
+/* The cell's compiled inner loops: the plants' substeps, the radial power
+ * flow and the twin's changed-offset scan.
  *
  * storage_substeps is the loop behind BatteryStorage and ElectricVehicle
  * steps (_Storage._integrate in plants.py), heat_pump_substeps the one behind
  * HeatPumpSystem.step.  plants.py describes the models; the Python wrappers
  * there read a plant's parameters and state, call one of these and write the
- * returned state back.
+ * returned state back.  power_flow is the backward/forward sweep behind
+ * grid.solve_power_flow, run over the plan GridTopology builds once;
+ * changed_offsets is the twin's rule for the plants an evaluation must
+ * re-integrate.
  *
  * Each loop replays Python float arithmetic bit for bit: the same operations
  * in the same order, comparisons instead of min/max with Python's tie rules,
  * Python's float % (fmod plus a sign fix, py_mod) and NaN compares as in
- * Python.  The only exp, the lag factor, is computed in Python and passed
- * in.  Built with -O2 -fno-fast-math -ffp-contract=off (see _build.py):
- * contracting a*b + c into a fused multiply-add would change the last bit.
+ * Python.  The sweep replays CPython's complex arithmetic the same way: its
+ * product, quotient (with the branch on |b.real| >= |b.imag|), sum,
+ * difference and abs (hypot, with its inf/NaN rules and overflow error),
+ * a real operand taken as (x, 0.0), and sum() added left to right from 0j.
+ * The only exp, the lag factor, is computed in Python and passed in.  Built
+ * with -O2 -fno-fast-math -ffp-contract=off (see _build.py): contracting
+ * a*b + c into a fused multiply-add would change the last bit.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -345,17 +353,306 @@ heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                          PyBool_FromLong(saturated), cop, p_comp, p_elem);
 }
 
+/* CPython's _Py_c_quot: a / b into *q (re, im); -1 with ZeroDivisionError
+   set for a zero divisor */
+static int
+c_quot(double ar, double ai, double br, double bi, double *q)
+{
+    double abs_br = br < 0 ? -br : br;
+    double abs_bi = bi < 0 ? -bi : bi;
+    if (abs_br >= abs_bi) {
+        if (abs_br == 0.0) {
+            PyErr_SetString(PyExc_ZeroDivisionError,
+                            "complex division by zero");
+            return -1;
+        }
+        double ratio = bi / br;
+        double denom = br + bi * ratio;
+        q[0] = (ar + ai * ratio) / denom;
+        q[1] = (ai - ar * ratio) / denom;
+    }
+    else if (abs_bi >= abs_br) {
+        double ratio = br / bi;
+        double denom = br * ratio + bi;
+        q[0] = (ar * ratio + ai) / denom;
+        q[1] = (ai * ratio - ar) / denom;
+    }
+    else {                      /* a NaN in b */
+        q[0] = q[1] = Py_NAN;
+    }
+    return 0;
+}
+
+/* Python's abs() of the complex re + im*j into *out; -1 with OverflowError
+   set when finite parts give an infinite modulus */
+static int
+c_abs(double re, double im, double *out)
+{
+    if (!isfinite(re) || !isfinite(im)) {
+        /* an infinite part wins over a NaN one */
+        if (isinf(re))
+            *out = fabs(re);
+        else if (isinf(im))
+            *out = fabs(im);
+        else
+            *out = Py_NAN;
+        return 0;
+    }
+    *out = hypot(re, im);
+    if (!isfinite(*out)) {
+        PyErr_SetString(PyExc_OverflowError, "absolute value too large");
+        return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(power_flow_doc,
+"power_flow(index_plan, impedance_plan, injections, v_ph_nom, v_floor,\n"
+"           tol, max_sweeps, s_base)\n"
+"--\n\n"
+"Backward/forward sweep of one radial feeder.\n\n"
+"`index_plan` packs, as native Py_ssize_t: the bus count n, the PCC,\n"
+"the number k of its children, the n - 1 other buses in BFS order, their\n"
+"parents, the bus each line feeds in line order and the PCC's children;\n"
+"`impedance_plan` packs, as doubles, (r, x) of the line feeding each BFS\n"
+"bus, then (r, x) of each line in line order.  `injections` holds\n"
+"(p_kw, q_kvar) per bus.  Returns (pcc_p_kw, pcc_q_kvar, v, currents_a,\n"
+"loss_p_kw, loss_q_kvar, sweeps, balance_error_pu); on a collapse\n"
+"(bus, |V|) and when out of sweeps (-1, last voltage change), both in V.");
+
+static PyObject *
+power_flow(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    double v_ph_nom, v_floor, tol, s_base;
+    if (nargs != 8) {
+        PyErr_Format(PyExc_TypeError,
+                     "power_flow() takes 8 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (!PyBytes_Check(args[0]) || !PyBytes_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "the sweep plan must be bytes");
+        return NULL;
+    }
+    Py_ssize_t max_sweeps = PyLong_AsSsize_t(args[6]);
+    if ((max_sweeps == -1 && PyErr_Occurred())
+            || as_double(args[3], &v_ph_nom) || as_double(args[4], &v_floor)
+            || as_double(args[5], &tol) || as_double(args[7], &s_base))
+        return NULL;
+
+    /* the plan, checked against its own sizes and bus count so that a bad
+       one cannot index out of bounds */
+    const Py_ssize_t *ip = (const Py_ssize_t *)PyBytes_AS_STRING(args[0]);
+    Py_ssize_t n_ip = PyBytes_GET_SIZE(args[0]) / (Py_ssize_t)sizeof(*ip);
+    Py_ssize_t n = n_ip >= 3 ? ip[0] : 0, m = n - 1, k = n_ip >= 3 ? ip[2] : 0;
+    int bad = n < 1 || k < 0 || n_ip != 3 + 3 * m + k
+        || PyBytes_GET_SIZE(args[1]) != 4 * m * (Py_ssize_t)sizeof(double);
+    for (Py_ssize_t j = 1; !bad && j < n_ip; j++)
+        bad = j != 2 && (ip[j] < 0 || ip[j] >= n);
+    if (bad) {
+        PyErr_SetString(PyExc_ValueError, "malformed sweep plan");
+        return NULL;
+    }
+    Py_ssize_t root = ip[1];
+    const Py_ssize_t *bfs = ip + 3, *par = bfs + m, *fed = par + m;
+    const Py_ssize_t *children = fed + m;
+    const double *z_bfs = (const double *)PyBytes_AS_STRING(args[1]);
+    const double *z_line = z_bfs + 2 * m;
+
+    PyObject *seq = PySequence_Fast(args[2], "injections must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    if (PySequence_Fast_GET_SIZE(seq) != 2 * n) {
+        Py_DECREF(seq);
+        PyErr_SetString(PyExc_ValueError, "injections need a pair per bus");
+        return NULL;
+    }
+    PyObject *result = NULL;
+    /* s: per-phase power in VA, v: voltage in V, acc: branch current in A,
+       each as (re, im) per bus; loads: the buses with s != 0j */
+    double *s = PyMem_Malloc(6 * n * sizeof(double) + n * sizeof(Py_ssize_t));
+    if (s == NULL) {
+        Py_DECREF(seq);
+        return PyErr_NoMemory();
+    }
+    double *v = s + 2 * n, *acc = v + 2 * n, q[2];
+    Py_ssize_t *loads = (Py_ssize_t *)(acc + 2 * n), n_loads = 0;
+    const double va = 1000.0 / 3.0;
+
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double p_kw, q_kvar;
+        /* the size again: a __float__ may have shrunk the list */
+        if (PySequence_Fast_GET_SIZE(seq) != 2 * n) {
+            PyErr_SetString(PyExc_ValueError, "injections changed size");
+            goto done;
+        }
+        if (as_double(PySequence_Fast_GET_ITEM(seq, 2 * i), &p_kw)
+                || as_double(PySequence_Fast_GET_ITEM(seq, 2 * i + 1), &q_kvar))
+            goto done;
+        /* complex(p_kw, q_kvar) * (1000.0 / 3.0), 0j on the slack */
+        s[2 * i] = i == root ? 0.0 : p_kw * va - q_kvar * 0.0;
+        s[2 * i + 1] = i == root ? 0.0 : p_kw * 0.0 + q_kvar * va;
+        if (s[2 * i] != 0.0 || s[2 * i + 1] != 0.0)
+            loads[n_loads++] = i;
+        v[2 * i] = v_ph_nom;
+        v[2 * i + 1] = 0.0;
+    }
+
+    Py_ssize_t sweeps;
+    double max_dv = 0.0;
+    for (sweeps = 1; sweeps <= max_sweeps; sweeps++) {
+        /* backward: load currents conj(s / v), then accumulate toward the
+           root; acc of a bus ends as the current of the branch feeding it */
+        for (Py_ssize_t j = 0; j < 2 * n; j++)
+            acc[j] = 0.0;
+        for (Py_ssize_t l = 0; l < n_loads; l++) {
+            Py_ssize_t i = loads[l];
+            if (c_quot(s[2 * i], s[2 * i + 1], v[2 * i], v[2 * i + 1], q) < 0)
+                goto done;
+            acc[2 * i] = q[0];
+            acc[2 * i + 1] = -q[1];
+        }
+        for (Py_ssize_t j = m - 1; j >= 0; j--) {
+            acc[2 * par[j]] += acc[2 * bfs[j]];
+            acc[2 * par[j] + 1] += acc[2 * bfs[j] + 1];
+        }
+        /* forward: voltage drops v[par] - z * acc from the root outward */
+        max_dv = 0.0;
+        for (Py_ssize_t j = 0; j < m; j++) {
+            Py_ssize_t b = bfs[j], p = par[j];
+            double zr = z_bfs[2 * j], zi = z_bfs[2 * j + 1];
+            double ar = acc[2 * b], ai = acc[2 * b + 1], dv, v_abs;
+            double new_r = v[2 * p] - (zr * ar - zi * ai);
+            double new_i = v[2 * p + 1] - (zr * ai + zi * ar);
+            if (c_abs(new_r - v[2 * b], new_i - v[2 * b + 1], &dv) < 0)
+                goto done;
+            if (!(dv <= max_dv))        /* NaN counts as the largest change */
+                max_dv = dv;
+            v[2 * b] = new_r;
+            v[2 * b + 1] = new_i;
+            if (c_abs(new_r, new_i, &v_abs) < 0)
+                goto done;
+            if (!(v_abs >= v_floor)) {  /* NaN counts as a collapse */
+                result = Py_BuildValue("(nd)", b, v_abs);
+                goto done;
+            }
+        }
+        if (max_dv / v_ph_nom < tol)
+            break;
+    }
+    if (sweeps > max_sweeps) {
+        result = Py_BuildValue("(nd)", (Py_ssize_t)-1, max_dv);
+        goto done;
+    }
+
+    /* series losses 3 * |I|^2 * z per line, in line order */
+    double loss_r = 0.0, loss_i = 0.0;
+    for (Py_ssize_t j = 0; j < m; j++) {
+        double ir = acc[2 * fed[j]], ii = acc[2 * fed[j] + 1];
+        double f = 3.0 * (ir * ir - ii * -ii);
+        loss_r += f * z_line[2 * j] - 0.0 * z_line[2 * j + 1];
+        loss_i += f * z_line[2 * j + 1] + 0.0 * z_line[2 * j];
+    }
+    /* sum(s) * 3.0 + loss, in VA three-phase */
+    double sum_r = 0.0, sum_i = 0.0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        sum_r += s[2 * i];
+        sum_i += s[2 * i + 1];
+    }
+    double total_r = (sum_r * 3.0 - sum_i * 0.0) + loss_r;
+    double total_i = (sum_r * 0.0 + sum_i * 3.0) + loss_i;
+    /* slack inflow 3.0 * v[root] * conj(sum of the root branch currents) */
+    double in_r = 0.0, in_i = 0.0;
+    for (Py_ssize_t j = 0; j < k; j++) {
+        in_r += acc[2 * children[j]];
+        in_i += acc[2 * children[j] + 1];
+    }
+    double vr = 3.0 * v[2 * root] - 0.0 * v[2 * root + 1];
+    double vi = 3.0 * v[2 * root + 1] + 0.0 * v[2 * root];
+    double slack_r = vr * in_r - vi * -in_i, slack_i = vr * -in_i + vi * in_r;
+    double balance;
+    if (c_abs(slack_r - total_r, slack_i - total_i, &balance) < 0)
+        goto done;
+    balance = balance / s_base;
+
+    PyObject *v_out = PyTuple_New(n), *currents = PyTuple_New(m);
+    if (v_out == NULL || currents == NULL)
+        goto fail_out;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *vc = PyComplex_FromDoubles(v[2 * i], v[2 * i + 1]);
+        if (vc == NULL)
+            goto fail_out;
+        PyTuple_SET_ITEM(v_out, i, vc);
+    }
+    for (Py_ssize_t j = 0; j < m; j++) {
+        double amps;
+        PyObject *item;
+        if (c_abs(acc[2 * fed[j]], acc[2 * fed[j] + 1], &amps) < 0
+                || (item = PyFloat_FromDouble(amps)) == NULL)
+            goto fail_out;
+        PyTuple_SET_ITEM(currents, j, item);
+    }
+    result = Py_BuildValue("(ddNNddnd)", total_r / 1000.0, total_i / 1000.0,
+                           v_out, currents, loss_r / 1000.0, loss_i / 1000.0,
+                           sweeps, balance);
+    goto done;
+fail_out:
+    Py_XDECREF(v_out);
+    Py_XDECREF(currents);
+done:
+    PyMem_Free(s);
+    Py_DECREF(seq);
+    return result;
+}
+
+PyDoc_STRVAR(changed_offsets_doc,
+"changed_offsets(offsets, kept)\n"
+"--\n\n"
+"Indices i where offsets[i] is not the same float as kept[i]: equal, and\n"
+"of the same sign when zero.  NaN is never the same.");
+
+static PyObject *
+changed_offsets(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2 || !PyList_Check(args[0]) || !PyList_Check(args[1])
+            || PyList_GET_SIZE(args[0]) != PyList_GET_SIZE(args[1])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "changed_offsets() takes two lists of one length");
+        return NULL;
+    }
+    PyObject *a = args[0], *b = args[1], *changed = PyList_New(0);
+    for (Py_ssize_t i = 0; changed != NULL && i < PyList_GET_SIZE(a)
+                           && i < PyList_GET_SIZE(b); i++) {
+        double x, y;
+        if (as_double(PyList_GET_ITEM(a, i), &x)
+                || as_double(PyList_GET_ITEM(b, i), &y)) {
+            Py_CLEAR(changed);
+            break;
+        }
+        if (x == y && (x != 0.0 || signbit(x) == signbit(y)))
+            continue;
+        PyObject *index = PyLong_FromSsize_t(i);
+        if (index == NULL || PyList_Append(changed, index) < 0)
+            Py_CLEAR(changed);
+        Py_XDECREF(index);
+    }
+    return changed;
+}
+
 static PyMethodDef loops_methods[] = {
     {"storage_substeps", (PyCFunction)(void (*)(void))storage_substeps,
      METH_FASTCALL, storage_doc},
     {"heat_pump_substeps", (PyCFunction)(void (*)(void))heat_pump_substeps,
      METH_FASTCALL, heat_pump_doc},
+    {"power_flow", (PyCFunction)(void (*)(void))power_flow, METH_FASTCALL,
+     power_flow_doc},
+    {"changed_offsets", (PyCFunction)(void (*)(void))changed_offsets,
+     METH_FASTCALL, changed_offsets_doc},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef loops_module = {
     PyModuleDef_HEAD_INIT, "_loops",
-    "The substep loops of the cell's stateful plants, compiled.", -1,
+    "The cell's compiled inner loops.", -1,
     loops_methods
 };
 

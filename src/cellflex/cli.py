@@ -25,6 +25,7 @@ import contextlib
 import json
 import logging
 import pathlib
+import re
 import sys
 
 from .dispatch import STALL_ITERATIONS, run_dispatch, temperature_panel
@@ -221,8 +222,20 @@ def _cmd_oracle(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number in exponent form
+    (``--dp-kw -1e-05``) as an option's value.  argparse's own pattern for
+    negative numbers has no exponent, so it takes such a value for an
+    unknown option.  Subparsers are built with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cellflex",
         description="Energy-cell digital twin and flexibility dispatcher")
     parser.add_argument("-v", "--verbose", action="count", default=0)

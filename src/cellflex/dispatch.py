@@ -56,6 +56,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +104,7 @@ class CostTable:
             raise ConfigurationError(f"unknown plant class {exc}") from None
 
 
-@dataclass(frozen=True)
-class ObjectiveBreakdown:
+class ObjectiveBreakdown(NamedTuple):
     of: float
     plant_cost: float          # sum k_i |delta_i|  (OF units)
     pcc_cost: float            # PCC tracking terms (OF units)

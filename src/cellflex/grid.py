@@ -11,10 +11,13 @@ bus the branch feeds: the backward sweep visits children before parents, so
 a bus's accumulated current is final once it has been passed to its parent.
 The sweep plan -- the BFS bus order with each bus's parent and feeding
 impedance, the bus and impedance of each line, the PCC's children -- is
-built once with the topology, so a solve only does arithmetic.  Injections
-come in as one flat vector ``[p_0, q_0, p_1, q_1, ...]``, a pair per bus in
-``topology.buses`` order (the slack's pair is ignored); results come as
-tuples in ``topology.buses`` and ``topology.lines`` order.
+built once with the topology, so a solve only does arithmetic.  The sweep
+itself runs compiled (``power_flow`` in ``_loops.c``), in CPython's complex
+arithmetic and order of operations; the tests keep it in Python as the
+reference (``tests/grid_reference.py``).  Injections come in as one flat
+vector ``[p_0, q_0, p_1, q_1, ...]``, a pair per bus in ``topology.buses``
+order (the slack's pair is ignored); results come as tuples in
+``topology.buses`` and ``topology.lines`` order.
 
 The PCC reading is defined as the complex sum of all bus injections plus all
 series losses (3 * |I|^2 * Z per line) — by construction it equals the power
@@ -23,7 +26,10 @@ entering through the slack once the sweep has converged.
 
 import math
 from dataclasses import dataclass
+from struct import pack
+from typing import NamedTuple
 
+from ._build import load_loops
 from .errors import ConfigurationError, InfeasibleNetworkError, PowerFlowError
 
 __all__ = [
@@ -45,6 +51,8 @@ V_COLLAPSE_PU = 0.5
 SWEEP_TOL_PU = 1e-8
 # sweeps after which a solve that has not met SWEEP_TOL_PU fails
 MAX_SWEEPS = 100
+
+_sweep = load_loops().power_flow
 
 # worst slack-vs-injection mismatch seen by any solve in this process;
 # lets test suites assert conservation across entire runs
@@ -81,15 +89,13 @@ class Line:
     id: str = ""
 
 
-@dataclass(frozen=True)
-class PccReading:
+class PccReading(NamedTuple):
     """Active/reactive power crossing the PCC (consumption positive)."""
     p_kw: float
     q_kvar: float
 
 
-@dataclass(frozen=True)
-class PowerFlowResult:
+class PowerFlowResult(NamedTuple):
     pcc: PccReading
     v: tuple                        # complex phase voltage in V, in topology.buses order
     v_ph_nom: float                 # nominal phase voltage in V
@@ -181,20 +187,22 @@ class GridTopology:
             missing = sorted(self.buses[i].id for i in range(n) if not seen[i])
             raise ConfigurationError(f"buses not connected to the PCC: {missing}")
 
-        # sweep plan: (bus, parent, z of the feeding line) in BFS order for
-        # the forward sweep, (bus, parent) reversed for the backward one,
-        # (fed bus, z) per line in line order for the losses, and the PCC's
-        # children in bus order (the slack inflow's summation order)
-        z = [complex(ln.r_ohm, ln.x_ohm) for ln in self.lines]
+        # sweep plan for the compiled sweep: as indices, the bus count, the
+        # PCC and its child count, the other buses in BFS order, their
+        # parents, the bus each line feeds in line order and the PCC's
+        # children in bus order (the slack inflow's summation order); as
+        # floats, (r, x) of the line feeding each BFS bus, then of each line
+        below = order[1:]
         fed = [0] * len(self.lines)
-        for bus in order[1:]:
+        for bus in below:
             fed[parent_line[bus]] = bus
-        self._root = root
-        self._forward = tuple((bus, parent[bus], z[parent_line[bus]])
-                              for bus in order[1:])
-        self._backward = tuple((bus, par) for bus, par, _ in reversed(self._forward))
-        self._line_plan = tuple(zip(fed, z))
-        self._root_children = tuple(bus for bus in range(n) if parent[bus] == root)
+        children = [bus for bus in range(n) if parent[bus] == root]
+        indices = [n, root, len(children), *below,
+                   *[parent[bus] for bus in below], *fed, *children]
+        lines = [self.lines[parent_line[bus]] for bus in below] + self.lines
+        impedances = [part for ln in lines for part in (ln.r_ohm, ln.x_ohm)]
+        self._plan = (pack(f"{len(indices)}n", *indices),
+                      pack(f"{len(impedances)}d", *impedances))
         self._v_ph_nom = self.v_nom_ll_v / math.sqrt(3.0)
 
 
@@ -215,75 +223,22 @@ def solve_power_flow(topology, injections):
             f"(a (p_kw, q_kvar) pair per bus)")
 
     v_ph_nom = topology._v_ph_nom
-    v_floor = V_COLLAPSE_PU * v_ph_nom
-    forward = topology._forward
-    backward = topology._backward
-
-    # per-phase apparent power in VA (three-phase total / 3), consumption positive
-    s_ph = [complex(p_kw, q_kvar) * (1000.0 / 3.0)
-            for p_kw, q_kvar in zip(injections[0::2], injections[1::2])]
-    s_ph[topology._root] = 0j
-    loads = [(i, s) for i, s in enumerate(s_ph) if s != 0j]
-
-    v = [complex(v_ph_nom, 0.0)] * n
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        # backward: load currents, then accumulate toward the root; acc[bus]
-        # ends as the current of the branch feeding bus
-        acc = [0j] * n
-        for i, s in loads:
-            acc[i] = (s / v[i]).conjugate()
-        for bus, par in backward:
-            acc[par] += acc[bus]
-        # forward: voltage drops from the root outward
-        max_dv = 0.0
-        for bus, par, z in forward:
-            v_new = v[par] - z * acc[bus]
-            dv = abs(v_new - v[bus])
-            if not dv <= max_dv:        # NaN counts as the largest change
-                max_dv = dv
-            v[bus] = v_new
-            if not abs(v_new) >= v_floor:  # NaN counts as a collapse
-                raise InfeasibleNetworkError(
-                    f"voltage collapse at bus '{topology.buses[bus].id}' "
-                    f"({abs(v_new) / v_ph_nom:.3f} pu)")
-        if max_dv / v_ph_nom < SWEEP_TOL_PU:
-            converged = True
-            break
-    if not converged:
-        raise PowerFlowError(
-            f"backward/forward sweep did not converge within {MAX_SWEEPS} sweeps "
-            f"(last voltage change {max_dv / v_ph_nom:.2e} pu)")
-
-    loss = 0j
-    for bus, z in topology._line_plan:
-        i_l = acc[bus]
-        i_mag2 = (i_l * i_l.conjugate()).real
-        loss += 3.0 * i_mag2 * z
-    s_total = sum(s_ph) * 3.0 + loss          # VA, three-phase
-
-    # cross-check against the physical slack inflow (root branch currents)
-    i_root = 0j
-    for bus in topology._root_children:
-        i_root += acc[bus]
-    s_slack = 3.0 * v[topology._root] * i_root.conjugate()
-    s_base = topology.transformer_kva * 1000.0
-    balance_error = abs(s_slack - s_total) / s_base
-    note_balance_error(balance_error)
-
-    # tuples of list comprehensions: tuple() over a generator grows the tuple
-    # by resizing, which raised the benchmark's peak RSS by ~0.8 MB
-    return PowerFlowResult(
-        pcc=PccReading(s_total.real / 1000.0, s_total.imag / 1000.0),
-        v=tuple(v),
-        v_ph_nom=v_ph_nom,
-        currents_a=tuple([abs(acc[bus]) for bus, _ in topology._line_plan]),
-        loss_p_kw=loss.real / 1000.0,
-        loss_q_kvar=loss.imag / 1000.0,
-        sweeps=sweeps,
-        balance_error_pu=balance_error,
-    )
+    out = _sweep(*topology._plan, injections, v_ph_nom,
+                 V_COLLAPSE_PU * v_ph_nom, SWEEP_TOL_PU, MAX_SWEEPS,
+                 topology.transformer_kva * 1000.0)
+    if len(out) == 2:
+        bus, volts = out
+        if bus < 0:
+            raise PowerFlowError(
+                f"backward/forward sweep did not converge within {MAX_SWEEPS} sweeps "
+                f"(last voltage change {volts / v_ph_nom:.2e} pu)")
+        raise InfeasibleNetworkError(
+            f"voltage collapse at bus '{topology.buses[bus].id}' "
+            f"({volts / v_ph_nom:.3f} pu)")
+    p_kw, q_kvar, v, currents_a, loss_p_kw, loss_q_kvar, sweeps, balance = out
+    note_balance_error(balance)
+    return PowerFlowResult(PccReading(p_kw, q_kvar), v, v_ph_nom, currents_a,
+                           loss_p_kw, loss_q_kvar, sweeps, balance)
 
 
 def check_line_limits(result, topology):

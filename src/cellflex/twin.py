@@ -34,9 +34,12 @@ An evaluation or a probe re-integrates only the plants whose offset
 changed.  A plant's end state depends only on the snapshot it starts from
 and its own offset, so when the twin still holds the end state of the same
 snapshot object, a plant keeps its state if its offset is the same float as
-in that integration (sign of zero included; NaN never is).  Only the other
-plants are restored and stepped.  Each prosumer then sums its bus injection
-from every plant's final power.  Anything else that moves plant state --
+in that integration (sign of zero included; NaN never is).  One compiled
+scan (``changed_offsets`` in ``_loops.c``) lists the other plants; only they
+are restored and stepped, and only the prosumers that own one of them are
+integrated and re-sum their bus injection from every plant's final power.
+Every other prosumer's bus pair is already its end state from the same
+snapshot under the same offsets.  Anything else that moves plant state --
 ``restore``, the warmup, ``override_bes_soc``, ``step_dispatch_interval``
 outside an evaluation or a probe -- makes the next one re-integrate every
 plant.  The trace reads an EV's connection where its last substep started,
@@ -68,11 +71,11 @@ state variable once.
 """
 
 from dataclasses import dataclass
-from math import copysign
 from struct import Struct
 
 import numpy as np
 
+from ._build import load_loops
 from .errors import ConfigurationError, PowerFlowError
 from .grid import check_line_limits, note_balance_error, solve_power_flow
 from .plants import BatteryStorage, ElectricVehicle, HeatPumpSystem, PvInverter
@@ -81,6 +84,8 @@ from .scenario import build_profiles, warmup_schedule
 __all__ = ["ReferenceState", "EvaluationResult", "CellTwin"]
 
 SOLVED_MAX = 64         # power-flow results a twin keeps
+
+_changed_offsets = load_loops().changed_offsets
 
 
 @dataclass
@@ -147,16 +152,17 @@ class _ProsumerTwin:
             self.pv_surplus = 0.0 - self.load_p
 
     def integrate(self, stale, amb, irr, base_tod_s, n, dt):
-        """Step the flagged plants over n substeps at ambient `amb`, irradiance `irr`.
+        """Step the plants in `stale` over n substeps at ambient `amb`, irradiance `irr`.
 
-        Each flagged plant makes one ``step`` call for the whole interval;
-        the others already hold their end state.  The PV inverter, which
-        keeps no state, sets the bus base load ``p_base``/``q_base`` and the
-        battery's local wish ``pv_surplus``.  The bus injection is then
+        `stale` is a set of plant indices.  Each plant in it makes one
+        ``step`` call for the whole interval; the others already hold their
+        end state.  The PV inverter, which keeps no state, sets the bus base
+        load ``p_base``/``q_base`` and the battery's local wish
+        ``pv_surplus``.  The bus injection is then
         summed from every plant's final power and written in place.
         """
         off = self.offsets
-        if self.pv is not None and stale[self.i_inv]:
+        if self.pv is not None and self.i_inv in stale:
             p_pv, q_pv = self.pv.step(irr, off[self.i_inv])
             self.p_base = self.load_p - p_pv
             self.q_base = self.load_q + q_pv
@@ -165,17 +171,17 @@ class _ProsumerTwin:
         q = self.q_base
         bes = self.bes
         if bes is not None:
-            if stale[self.i_bes]:
+            if self.i_bes in stale:
                 bes.step(self.pv_surplus, off[self.i_bes], n, dt)
             p += bes.p_kw
         ehp = self.ehp
         if ehp is not None:
-            if stale[self.i_ehp]:
+            if self.i_ehp in stale:
                 ehp.step(self.heat, amb, off[self.i_ehp], n, dt)
             p += ehp.p_kw
             q += ehp.q_kvar
         for bev, i in self.bev_slots:
-            if stale[i]:
+            if i in stale:
                 bev.step(off[i], base_tod_s, n, dt)
             p += bev.p_kw
         self.injections[self.i_p] = p
@@ -213,42 +219,45 @@ class CellTwin:
     # plant table
 
     def _build_plant_table(self):
-        labels, classes, bounds, values = [], [], [], []
+        labels, classes, bounds, plants, attrs, owners = [], [], [], [], [], []
 
-        def add(label, cls, span, plant, attr):
+        def add(pro, label, cls, span, plant, attr):
             labels.append(label)
             classes.append(cls)
             bounds.append((-span, span))
-            values.append((plant, attr))
+            plants.append(plant)
+            attrs.append(attr)
+            owners.append(pro)
             return len(labels) - 1
 
         for pro in self.prosumers:
             if pro.bes is not None:
                 span = pro.bes.p_max_charge_kw + pro.bes.p_max_discharge_kw
-                pro.i_bes = add(f"bes:{pro.id}", "bes", span, pro.bes, "p_kw")
+                pro.i_bes = add(pro, f"bes:{pro.id}", "bes", span, pro.bes, "p_kw")
         for pro in self.prosumers:
             if pro.ehp is not None:
                 span = pro.ehp.p_el_max_kw + pro.ehp.p_element_kw
-                pro.i_ehp = add(f"ehp:{pro.id}", "ehp", span, pro.ehp, "p_kw")
+                pro.i_ehp = add(pro, f"ehp:{pro.id}", "ehp", span, pro.ehp, "p_kw")
         for pro in self.prosumers:
             slots = []
             for k, bev in enumerate(pro.bevs):
                 cls = "bev_v2g" if bev.v2g else "bev_v1g"
                 span = 2.0 * bev.p_rated_kw if bev.v2g else bev.p_rated_kw
-                slots.append((bev, add(f"bev:{pro.id}.{k}", cls, span, bev, "p_kw")))
+                slots.append((bev, add(pro, f"bev:{pro.id}.{k}", cls, span, bev, "p_kw")))
             pro.bev_slots = tuple(slots)
         for pro in self.prosumers:
             if pro.pv is not None:
                 span = pro.pv.q_fraction_limit * pro.pv.s_rated_kva
-                pro.i_inv = add(f"inv:{pro.id}", "inv", span, pro.pv, "q_kvar")
+                pro.i_inv = add(pro, f"inv:{pro.id}", "inv", span, pro.pv, "q_kvar")
 
         self.plant_labels = tuple(labels)
         self.plant_classes = tuple(classes)
         self.n_plants = len(labels)
         self._bounds = np.array(bounds, dtype=float) if bounds else np.empty((0, 2))
-        self._plant_values = values
-        self._plants = tuple(plant for plant, _ in values)
-        self._all_stale = (True,) * self.n_plants
+        self._plants = tuple(plants)
+        self._plant_attrs = tuple(attrs)
+        self._owners = tuple(owners)
+        self._all_plants = frozenset(range(self.n_plants))
         self._offsets = [0.0] * self.n_plants
         for pro in self.prosumers:
             pro.offsets = self._offsets
@@ -269,13 +278,15 @@ class CellTwin:
 
     def plant_values(self):
         """Realized costed quantity per plant (P in kW; Q in kVAr for inverters)."""
-        return np.array([getattr(plant, attr) for plant, attr in self._plant_values])
+        return np.fromiter(map(getattr, self._plants, self._plant_attrs),
+                           float, self.n_plants)
 
     # ------------------------------------------------------------------
     # integration
 
     def _step_interval(self, dt_total, substep, stale=None):
-        """Integrate one interval; `stale` flags the plants to step (all if None)."""
+        """Integrate one interval; `stale` lists the plants to step (all if
+        None), and only their prosumers are integrated."""
         self._end_of = None
         t0 = self.t_s
         prosumers = self.prosumers
@@ -289,7 +300,11 @@ class CellTwin:
             self._inputs_t0 = t0
         n = round(dt_total / substep)
         if stale is None:
-            stale = self._all_stale
+            stale = self._all_plants
+        else:
+            owners = self._owners
+            prosumers = dict.fromkeys([owners[i] for i in stale])
+            stale = set(stale)
         base_tod = self.start_tod_s + t0
         for pro in prosumers:
             pro.integrate(stale, self._amb, self._irr, base_tod, n, substep)
@@ -321,13 +336,13 @@ class CellTwin:
                 tuple(self.injections))
 
     def restore(self, snap, stale=None):
-        """Restore `snap`; with `stale`, only the flagged plants and the clock."""
+        """Restore `snap`; with `stale`, only the listed plants and the clock."""
         self._end_of = None
         self.t_s, states, injections = snap
         if stale is not None:
-            for plant, state, s in zip(self._plants, states, stale):
-                if s:
-                    plant.set_state(state)
+            plants = self._plants
+            for i in stale:
+                plants[i].set_state(states[i])
             return
         for plant, state in zip(self._plants, states):
             plant.set_state(state)
@@ -391,8 +406,8 @@ class CellTwin:
     # dispatch evaluation
 
     def _stale_plants(self, snap, offsets):
-        """Flags of the plants whose end state from `snap` under `offsets` is
-        not already held; None for all of them.
+        """Indices of the plants whose end state from `snap` under `offsets`
+        is not already held; None for all of them.
 
         A plant's end state depends only on the snapshot and its own offset,
         so a plant is up to date when its offset is the same float as in the
@@ -400,8 +415,7 @@ class CellTwin:
         """
         if snap is not self._end_of:
             return None
-        return [not (a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b)))
-                for a, b in zip(offsets, self._end_offsets)]
+        return _changed_offsets(offsets, self._end_offsets)
 
     def _integrate(self, snap, offsets):
         """Leave every plant at its end state from `snap` under the checked
@@ -456,7 +470,7 @@ class CellTwin:
         value then restores and steps plant i alone.
         """
         offsets = self._checked_offsets(base)
-        plant, attr = self._plant_values[i]
+        plant, attr = self._plants[i], self._plant_attrs[i]
         plant_values, injections = [], []
         for value in values:
             # a new list: the twin keeps the last one as its end offsets

@@ -249,6 +249,45 @@ class TestDispatch:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_negative_request_in_exponent_form(self, toy_path, tmp_path,
+                                               capsys):
+        # argparse alone takes "-1e-05" for an option and exits 2 with
+        # "expected one argument"; as a separate word it must be read as
+        # the value, and give what the "=" form gives
+        outs = []
+        for form in (["--dp-kw", "-1e-05", "--dq-kvar", "-1E+3"],
+                     ["--dp-kw=-1e-05", "--dq-kvar=-1E+3"]):
+            out = tmp_path / str(len(outs))
+            assert main(["dispatch", "--scenario", str(toy_path), *form,
+                         "--steps", "1", "--n-iter", "2",
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        capsys.readouterr()
+        for name in ("dispatch.csv", "iterations.csv", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        summary = json.loads((outs[0] / "summary.json").read_text())
+        assert summary["request"] == {"dp_kw": -1e-05, "dq_kvar": -1000.0}
+
+    @pytest.mark.parametrize("value", ["-1e-05", "-1E+3", "-.5e2", "-2."])
+    def test_every_float_option_takes_a_negative_exponent(self, value):
+        # parsing only: each float option of each subcommand reads the next
+        # word as its value
+        parser = build_parser()
+        sub, = (a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+        checked = 0
+        for name, p in sub.choices.items():
+            for action in p._actions:
+                if action.type is not float:
+                    continue
+                flag = action.option_strings[0]
+                request = ["--dp-kw", "1"] \
+                    if name == "dispatch" and flag != "--dp-kw" else []
+                args = parser.parse_args([name, *request, flag, value])
+                assert getattr(args, action.dest) == float(value), (name, flag)
+                checked += 1
+        assert checked == 7
+
     def test_missing_request_is_a_usage_error(self, toy_path):
         with pytest.raises(SystemExit) as err:
             main(["dispatch", "--scenario", str(toy_path)])

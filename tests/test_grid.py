@@ -18,6 +18,7 @@ from cellflex.grid import (
     worst_balance_error_pu,
 )
 
+import grid_reference
 from gs_reference import bus_vector, gauss_seidel_pf, random_radial_case
 
 
@@ -291,3 +292,95 @@ class TestTopologyValidation:
             assert min(v_ref.values()) < V_COLLAPSE_PU
         else:
             assert res.balance_error_pu < 1e-6
+
+
+@st.composite
+def sweep_cases(draw):
+    """``random_radial_case`` feeders of 2 to 24 buses with their buses and
+    lines shuffled, the loads scaled by 1, 4, 10 or 30 (into collapse and
+    non-convergence), up to three injections replaced by ±0.0, NaN or ±inf,
+    and a budget of ``MAX_SWEEPS`` sweeps or of one to three."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    topology, injections = random_radial_case(
+        rng, n_buses=draw(st.integers(2, 24)))
+    buses, lines = list(topology.buses), list(topology.lines)
+    rng.shuffle(buses)
+    rng.shuffle(lines)
+    topology = GridTopology(buses, lines, pcc_bus="pcc",
+                            transformer_kva=topology.transformer_kva)
+    scale = draw(st.sampled_from([1.0, 4.0, 10.0, 30.0]))
+    vector = [value * scale for value in bus_vector(topology, injections)]
+    for _ in range(draw(st.integers(0, 3))):
+        vector[draw(st.integers(0, len(vector) - 1))] = draw(st.sampled_from(
+            [0.0, -0.0, math.nan, math.inf, -math.inf]))
+    budget = draw(st.sampled_from([grid.MAX_SWEEPS, 1, 2, 3]))
+    return topology, vector, budget
+
+
+def sweep_outcome(solve, topology, injections):
+    """The repr of each field of `solve`'s result, or the type and message
+    of its failure."""
+    try:
+        res = solve(topology, injections)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return {name: repr(value) for name, value in res._asdict().items()}
+
+
+class TestSweepReference:
+    """The compiled sweep gives what the Python sweep of ``grid_reference``
+    gives: the same repr of every result field, or the same exception type
+    and message.  The session's balance tracker is put back afterwards,
+    since these cases reach far outside an LV operating range."""
+
+    @staticmethod
+    def check(topology, injections, budget=grid.MAX_SWEEPS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "_worst_balance_error_pu",
+                       worst_balance_error_pu())
+            mp.setattr(grid, "MAX_SWEEPS", budget)
+            compiled = sweep_outcome(solve_power_flow, topology, injections)
+            python = sweep_outcome(grid_reference.solve_power_flow, topology,
+                                   injections)
+        assert compiled == python
+        return compiled
+
+    @given(case=sweep_cases())
+    def test_matches_the_python_sweep(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("seed, n_buses, scale, outcome", [
+        (0, 12, 4.0, dict),
+        # converges with some bus voltages more than 45 degrees from the
+        # PCC's, where a complex quotient takes its |imag| > |real| branch
+        (147, 6, 30.0, dict),
+        (1, 12, 4.0, InfeasibleNetworkError),
+        (271, 12, 30.0, PowerFlowError),      # out of MAX_SWEEPS sweeps
+    ])
+    def test_matches_on_each_outcome(self, seed, n_buses, scale, outcome):
+        topology, injections = random_radial_case(
+            np.random.default_rng(seed), n_buses=n_buses)
+        vector = [value * scale for value in bus_vector(topology, injections)]
+        got = self.check(topology, vector)
+        if outcome is dict:
+            assert isinstance(got, dict)
+        else:
+            assert got[0] is outcome
+        if outcome is PowerFlowError:
+            assert f"within {grid.MAX_SWEEPS} sweeps" in got[1]
+
+    @pytest.mark.parametrize("pair", [
+        (math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0), (-0.0, -0.0),
+        (1e300, 0.0), (-1e306, 1e306)])
+    def test_matches_on_extreme_injections(self, pair):
+        topology, injections = random_radial_case(np.random.default_rng(5),
+                                                  n_buses=6)
+        self.check(topology, bus_vector(topology, dict(injections, b3=pair)))
+
+    def test_matches_out_of_sweeps_far_from_nominal(self):
+        # the last voltage change, printed in the message, is ~1e299 pu
+        topology, injections = random_radial_case(np.random.default_rng(27),
+                                                  n_buses=4)
+        injections["b3"] = (5.955437849127209e+303, 0.0)
+        got = self.check(topology, bus_vector(topology, injections))
+        assert got[0] is PowerFlowError and "e+299 pu" in got[1]

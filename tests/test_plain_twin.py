@@ -1,8 +1,9 @@
 """The shortcuts of the evaluation path change no output byte.
 
 Each command runs twice, once on the package's ``CellTwin`` (compiled plant
-loops, stale-plant skip, power-flow memo) and once on ``PlainTwin`` (Python
-reference loops, every plant and every power flow each time), and the two
+loops and sweep, stale-plant and prosumer skip, power-flow memo) and once on
+``PlainTwin`` (Python reference loops and sweep, every plant and every power
+flow each time), and the two
 runs' output files must match byte for byte: a few steps of both acceptance
 requests, a short temperature panel, the toy oracle problem and two steps on
 generated radial feeders.  The outputs print rounded floats, so

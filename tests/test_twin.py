@@ -23,7 +23,7 @@ from cellflex.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from cellflex.twin import SOLVED_MAX, CellTwin
+from cellflex.twin import SOLVED_MAX, CellTwin, _ProsumerTwin
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,11 @@ def result_bits(ev):
             ev.n_violations, ev.feasible)
 
 
+def value_bits(values):
+    """Each float of `values` as its eight bytes."""
+    return [struct.pack("d", v) for v in values]
+
+
 def plant_step_counter(twin, ref, monkeypatch):
     """Count plant steps: the returned function evaluates `x` on `twin`
     (from `ref`, unless another reference is given), checks the result
@@ -331,6 +336,45 @@ class TestIncrementalEvaluation:
         x[j] = -0.0
         assert plants_stepped(x) == [ev]
         assert plants_stepped(x) == []
+
+    def test_only_the_prosumer_of_a_moved_plant_is_re_integrated(
+            self, monkeypatch):
+        # each plant in turn moves from x: only its prosumer is integrated,
+        # every other bus pair keeps the previous evaluation's bits, and the
+        # twin's injections equal a fresh twin's.  A moved inverter
+        # re-sums its bus through the PV path that sets p_base and q_base.
+        twin = CellTwin(load_bundled_scenario())
+        ref = twin.run_warmup()
+        integrated = []
+
+        def counting(pro, *args, _integrate=_ProsumerTwin.integrate):
+            integrated.append(pro)
+            return _integrate(pro, *args)
+
+        monkeypatch.setattr(_ProsumerTwin, "integrate", counting)
+        by_id = {pro.id: pro for pro in twin.prosumers}
+        bounds = twin.plant_bounds()
+        x = 0.25 * bounds[:, 1]
+        twin.evaluate_dispatch(ref, x)
+        for j, label in enumerate(twin.plant_labels):
+            pro = by_id[label.split(":")[1].split(".")[0]]
+            y = x.copy()
+            y[j] = 0.5 * bounds[j, 0]
+            fresh = CellTwin(twin.scenario)
+            fresh.evaluate_dispatch(ref, y)
+            before = value_bits(twin.injections)
+            integrated.clear()
+            twin.evaluate_dispatch(ref, y)
+            assert integrated == [pro], label
+            after = value_bits(twin.injections)
+            assert after == value_bits(fresh.injections), label
+            moved = {k for k, (a, b) in enumerate(zip(before, after)) if a != b}
+            assert moved <= {pro.i_p, pro.i_p + 1}, label
+            if label.startswith("inv:"):
+                assert moved == {pro.i_p + 1}, label
+            integrated.clear()
+            twin.evaluate_dispatch(ref, x)
+            assert integrated == [pro], label
 
     def test_a_nan_offset_is_never_kept(self, monkeypatch):
         # NaN equals no float, itself included, so the plant it drives is

@@ -2,15 +2,16 @@
 
 ``PlainTwin`` is a ``CellTwin`` with three changes: its plants step through
 the Python loops of ``plant_reference`` instead of the compiled ones, it
-re-integrates every plant on every evaluation and probe (``_stale_plants``
-returns None), and it solves every power flow (``solve`` calls
-``solve_power_flow`` directly, with no memo).  ``use_plain_twin`` puts it in
+re-integrates every plant and every prosumer on every evaluation and probe
+(``_stale_plants`` returns None), and it solves every power flow with the
+Python sweep (``solve`` calls ``grid_reference.solve_power_flow`` directly,
+with no memo), so it runs no compiled solve.  ``use_plain_twin`` puts it in
 place of ``CellTwin`` wherever the package builds one.
 """
 
 from cellflex import cli, dispatch, oracle
-from cellflex.grid import solve_power_flow
 from cellflex.twin import CellTwin
+from grid_reference import solve_power_flow
 from plant_reference import use_references
 
 
