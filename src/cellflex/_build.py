@@ -1,5 +1,6 @@
 """Build and load ``_loops.c``: the plants' substep loops, the power-flow
-sweep and the twin's changed-offset scan, compiled.
+sweep, the twin's changed-offset scan and the objective's plant cost,
+compiled.
 
 :mod:`cellflex.grid` and :mod:`cellflex.plants` call `load_loops` when they
 are first imported; the first call in a process loads the extension into

@@ -1,14 +1,15 @@
 /* The cell's compiled inner loops: the plants' substeps, the radial power
- * flow and the twin's changed-offset scan.
+ * flow, the twin's changed-offset scan and the objective's plant cost.
  *
  * storage_substeps is the loop behind BatteryStorage and ElectricVehicle
- * steps (_Storage._integrate in plants.py), heat_pump_substeps the one behind
- * HeatPumpSystem.step.  plants.py describes the models; the Python wrappers
- * there read a plant's parameters and state, call one of these and write the
- * returned state back.  power_flow is the backward/forward sweep behind
- * grid.solve_power_flow, run over the plan GridTopology builds once;
- * changed_offsets is the twin's rule for the plants an evaluation must
- * re-integrate.
+ * steps, heat_pump_substeps the one behind HeatPumpSystem.step.  plants.py
+ * describes the models; each step there passes its plant's parameters and
+ * state to one of these and writes the returned state back.  power_flow is
+ * the backward/forward sweep behind grid.solve_power_flow, run over the plan
+ * GridTopology builds once; changed_offsets is the twin's rule for the
+ * plants an evaluation must re-integrate, and plant_cost the dispatch
+ * objective's plant term, summed in plant order so that no BLAS kernel
+ * picks the order of its additions.
  *
  * Each loop replays Python float arithmetic bit for bit: the same operations
  * in the same order, comparisons instead of min/max with Python's tie rules,
@@ -55,10 +56,15 @@ clamp(double value, double lo, double hi)
     return value;
 }
 
-/* Read `arg` as a float into out; -1 with an exception set on failure. */
+/* Read `arg` as a float into out; -1 with an exception set on failure.
+   An exact float is read in place, without the call. */
 static int
 as_double(PyObject *arg, double *out)
 {
+    if (PyFloat_CheckExact(arg)) {
+        *out = PyFloat_AS_DOUBLE(arg);
+        return 0;
+    }
     *out = PyFloat_AsDouble(arg);
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
@@ -605,37 +611,118 @@ done:
 }
 
 PyDoc_STRVAR(changed_offsets_doc,
-"changed_offsets(offsets, kept)\n"
+"changed_offsets(offsets, kept, owners, stale)\n"
 "--\n\n"
-"Indices i where offsets[i] is not the same float as kept[i]: equal, and\n"
-"of the same sign when zero.  NaN is never the same.");
+"The plants to re-integrate: (indices, their owners).\n\n"
+"Plant i is stale when offsets[i] is not the same float as kept[i]: equal,\n"
+"and of the same sign when zero.  NaN is never the same.  Sets stale[i]\n"
+"(a bytearray) to 1 for a stale plant and 0 for the others, and returns\n"
+"the list of stale indices with the list of their owners[i], each owner\n"
+"once, in the order of its first stale plant.");
 
 static PyObject *
 changed_offsets(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 2 || !PyList_Check(args[0]) || !PyList_Check(args[1])
-            || PyList_GET_SIZE(args[0]) != PyList_GET_SIZE(args[1])) {
+    if (nargs != 4 || !PyList_Check(args[0]) || !PyList_Check(args[1])
+            || !PyTuple_Check(args[2]) || !PyByteArray_Check(args[3])
+            || PyList_GET_SIZE(args[0]) != PyList_GET_SIZE(args[1])
+            || PyTuple_GET_SIZE(args[2]) != PyList_GET_SIZE(args[0])
+            || PyByteArray_GET_SIZE(args[3]) != PyList_GET_SIZE(args[0])) {
         PyErr_SetString(PyExc_TypeError,
-                        "changed_offsets() takes two lists of one length");
+                        "changed_offsets() takes two lists, a tuple and a "
+                        "bytearray of one length");
         return NULL;
     }
-    PyObject *a = args[0], *b = args[1], *changed = PyList_New(0);
-    for (Py_ssize_t i = 0; changed != NULL && i < PyList_GET_SIZE(a)
-                           && i < PyList_GET_SIZE(b); i++) {
+    PyObject *a = args[0], *b = args[1], *owners = args[2];
+    PyObject *changed = PyList_New(0), *stale_owners = PyList_New(0);
+    if (changed == NULL || stale_owners == NULL)
+        goto fail;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(a) && i < PyList_GET_SIZE(b)
+                           && i < PyByteArray_GET_SIZE(args[3]); i++) {
         double x, y;
         if (as_double(PyList_GET_ITEM(a, i), &x)
-                || as_double(PyList_GET_ITEM(b, i), &y)) {
-            Py_CLEAR(changed);
-            break;
-        }
-        if (x == y && (x != 0.0 || signbit(x) == signbit(y)))
+                || as_double(PyList_GET_ITEM(b, i), &y))
+            goto fail;
+        char *stale = PyByteArray_AS_STRING(args[3]);
+        stale[i] = !(x == y && (x != 0.0 || signbit(x) == signbit(y)));
+        if (!stale[i])
             continue;
         PyObject *index = PyLong_FromSsize_t(i);
-        if (index == NULL || PyList_Append(changed, index) < 0)
-            Py_CLEAR(changed);
-        Py_XDECREF(index);
+        if (index == NULL || PyList_Append(changed, index) < 0) {
+            Py_XDECREF(index);
+            goto fail;
+        }
+        Py_DECREF(index);
+        PyObject *owner = PyTuple_GET_ITEM(owners, i);
+        Py_ssize_t k = PyList_GET_SIZE(stale_owners);
+        while (k > 0 && PyList_GET_ITEM(stale_owners, k - 1) != owner)
+            k--;
+        if (k == 0 && PyList_Append(stale_owners, owner) < 0)
+            goto fail;
     }
-    return changed;
+    PyObject *result = PyTuple_Pack(2, changed, stale_owners);
+    Py_DECREF(changed);
+    Py_DECREF(stale_owners);
+    return result;
+fail:
+    Py_XDECREF(changed);
+    Py_XDECREF(stale_owners);
+    return NULL;
+}
+
+/* Borrow `obj`'s buffer as n C doubles; -1 with an exception set unless it
+   is a C-contiguous buffer of doubles of at least one dimension. */
+static int
+get_doubles(PyObject *obj, Py_buffer *view, Py_ssize_t *n)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->ndim < 1 || view->itemsize != (Py_ssize_t)sizeof(double)
+            || view->format == NULL || strcmp(view->format, "d") != 0) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_TypeError,
+                        "plant_cost() takes buffers of C doubles");
+        return -1;
+    }
+    *n = view->len / (Py_ssize_t)sizeof(double);
+    return 0;
+}
+
+PyDoc_STRVAR(plant_cost_doc,
+"plant_cost(weights, values, ref=None)\n"
+"--\n\n"
+"The sum of weights[i] * |values[i] - ref[i]|, or of weights[i] *\n"
+"|values[i]| without ref, added left to right from 0.0.  Each argument is\n"
+"a C-contiguous buffer of doubles (a float64 array), all of one length.");
+
+static PyObject *
+plant_cost(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2 && nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "plant_cost() takes 2 or 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    Py_buffer views[3];
+    Py_ssize_t n[3], got = 0;
+    for (; got < nargs; got++)
+        if (get_doubles(args[got], &views[got], &n[got]) < 0)
+            break;
+    PyObject *result = NULL;
+    if (got == nargs && (n[1] != n[0] || (nargs == 3 && n[2] != n[0])))
+        PyErr_SetString(PyExc_ValueError,
+                        "plant_cost() takes buffers of one length");
+    else if (got == nargs) {
+        const double *w = views[0].buf, *v = views[1].buf;
+        const double *r = nargs == 3 ? views[2].buf : NULL;
+        double sum = 0.0;
+        for (Py_ssize_t i = 0; i < n[0]; i++)
+            sum += w[i] * fabs(r == NULL ? v[i] : v[i] - r[i]);
+        result = PyFloat_FromDouble(sum);
+    }
+    while (got > 0)
+        PyBuffer_Release(&views[--got]);
+    return result;
 }
 
 static PyMethodDef loops_methods[] = {
@@ -647,6 +734,8 @@ static PyMethodDef loops_methods[] = {
      power_flow_doc},
     {"changed_offsets", (PyCFunction)(void (*)(void))changed_offsets,
      METH_FASTCALL, changed_offsets_doc},
+    {"plant_cost", (PyCFunction)(void (*)(void))plant_cost, METH_FASTCALL,
+     plant_cost_doc},
     {NULL, NULL, 0, NULL}
 };
 

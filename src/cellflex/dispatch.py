@@ -11,7 +11,9 @@ plant offsets, ``StepObjective``::
 where delta_i is the realized plant power minus its frozen reference value
 and the targets are the frozen reference PCC reading plus the requested
 change.  The weights come from a ``CostTable``, and a point whose power
-flow fails scores ``StepObjective.collapse_of`` instead.
+flow fails scores ``StepObjective.collapse_of`` instead.  The plant cost is
+summed left to right in plant order by one compiled call (``plant_cost``),
+not by BLAS, so the objective's bits do not depend on the CPU.
 
 ``run_dispatch`` checks that the run fits the scenario's profile window,
 captures the pre-request reference state and builds the run's one
@@ -60,6 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._build import load_loops
 from .errors import ConfigurationError, DispatchError, PowerFlowError
 from .optimizer import BasinHoppingConfig, FlexibilityRequest, basin_hopping
 from .twin import CellTwin
@@ -81,6 +84,8 @@ _PLANT_CLASSES = {"bes": ("k_bes", "bes"), "inv": ("k_inv", "inv_q"),
                   "ehp": ("k_ehp", "ehp"), "bev_v1g": ("k_bev_v1g", "bev"),
                   "bev_v2g": ("k_bev_v2g", "bev")}
 
+_plant_cost = load_loops().plant_cost
+
 
 @dataclass(frozen=True)
 class CostTable:
@@ -99,7 +104,7 @@ class CostTable:
         """Vector of per-plant deviation weights for a class-label sequence."""
         try:
             return np.array([getattr(self, _PLANT_CLASSES[c][0])
-                             for c in plant_classes])
+                             for c in plant_classes], dtype=float)
         except KeyError as exc:
             raise ConfigurationError(f"unknown plant class {exc}") from None
 
@@ -112,13 +117,21 @@ class ObjectiveBreakdown(NamedTuple):
     cost_eur: float            # plant_cost expressed in EUR
 
 
-def objective_breakdown(plant_deltas, plant_weights, dp_err_kw, dq_err_kvar,
-                        n_violations, costs: CostTable):
-    plant_cost = float(np.abs(plant_deltas) @ plant_weights)
+def _of_terms(plant_cost, dp_err_kw, dq_err_kvar, n_violations, costs):
+    """``(pcc_cost, penalty, of)``: the one place the objective is summed."""
     pcc_cost = costs.k_pcc_p * abs(dp_err_kw) + costs.k_pcc_q * abs(dq_err_kvar)
     penalty = costs.k_infeasible * n_violations
+    return pcc_cost, penalty, plant_cost + pcc_cost + penalty
+
+
+def objective_breakdown(plant_deltas, plant_weights, dp_err_kw, dq_err_kvar,
+                        n_violations, costs: CostTable):
+    plant_cost = _plant_cost(np.ascontiguousarray(plant_weights, dtype=float),
+                             np.ascontiguousarray(plant_deltas, dtype=float))
+    pcc_cost, penalty, of = _of_terms(plant_cost, dp_err_kw, dq_err_kvar,
+                                      n_violations, costs)
     return ObjectiveBreakdown(
-        of=plant_cost + pcc_cost + penalty,
+        of=of,
         plant_cost=plant_cost,
         pcc_cost=pcc_cost,
         penalty=penalty,
@@ -162,9 +175,6 @@ class StepObjective:
         self.q_target = ref.pcc_q_kvar + request.dq_kvar
         self.collapse_of = costs.k_infeasible * (len(twin.topology.lines) + 1)
 
-    def evaluate(self, x):
-        return self.twin.evaluate_dispatch(self.ref, x)
-
     def breakdown(self, ev):
         """``ObjectiveBreakdown`` of a solved evaluation."""
         return objective_breakdown(
@@ -173,13 +183,17 @@ class StepObjective:
             ev.n_violations, self.costs)
 
     def score(self, ev):
-        """``(of, feasible)`` of an evaluation."""
+        """``(of, feasible)``: ``breakdown(ev).of`` without building it."""
         if ev.failure is not None:
             return self.collapse_of, False
-        return self.breakdown(ev).of, ev.feasible
+        plant_cost = _plant_cost(self.weights, ev.plant_values,
+                                 self.ref.plant_values)
+        return _of_terms(plant_cost, ev.pcc_p_kw - self.p_target,
+                         ev.pcc_q_kvar - self.q_target, ev.n_violations,
+                         self.costs)[2], ev.feasible
 
     def __call__(self, x):
-        return self.score(self.evaluate(x))
+        return self.score(self.twin.evaluate_dispatch(self.ref, x))
 
 
 def temperature_panel(scenario, request, temperatures, seeds, config):
@@ -239,68 +253,77 @@ def exchange_pass(f: StepObjective, x):
        1e-6 kW without moving the inverters.
 
     Returns the exchanged offsets if they score better than ``x`` (feasible
-    first, then lower objective), else ``x`` unchanged.
+    first, then lower objective), else ``x`` unchanged.  A move's arithmetic
+    runs on Python floats: ``xs`` holds the entries of ``x``.
     """
-    score, weights = f.score, f.weights
+    score, twin, ref = f.score, f.twin, f.ref
     p_target, q_target = f.p_target, f.q_target
-    lo, hi = f.bounds[:, 0], f.bounds[:, 1]
-    classes = f.twin.plant_classes
-    inv = [i for i, c in enumerate(classes) if c == "inv"]
-    active = [i for i in np.argsort(-weights, kind="stable") if classes[i] != "inv"]
-    ref_values = f.ref.plant_values
+    weights = f.weights.tolist()
+    lo_kw, hi_kw = f.bounds[:, 0].tolist(), f.bounds[:, 1].tolist()
+    classes = twin.plant_classes
+    inv = np.array([i for i, c in enumerate(classes) if c == "inv"], dtype=int)
+    lo_inv, hi_inv = f.bounds[inv, 0], f.bounds[inv, 1]
+    active = [i for i in np.argsort(-f.weights, kind="stable").tolist()
+              if classes[i] != "inv"]
+    ref_values = ref.plant_values.tolist()
 
     x_in = x
     x = np.array(x, dtype=float)
-    ev = f.evaluate(x)
+    xs = x.tolist()                 # x's entries, as Python floats
+    ev = twin.evaluate_dispatch(ref, x)
     of_in, feas_in = score(ev)
     if ev.failure is not None:
         return x_in
 
     for i in active:
         for _ in range(_CORRECTIONS):
-            d = ev.plant_values[i] - ref_values[i]
+            d = ev.plant_values.item(i) - ref_values[i]
             if abs(d) < _ZERO_TOL:
                 break
+            moved = min(max(xs[i] - d, lo_kw[i]), hi_kw[i])
+            if moved == xs[i]:
+                break
             trial = x.copy()
-            trial[i] = min(max(x[i] - d, lo[i]), hi[i])
-            if trial[i] == x[i]:
-                break
-            ev_trial = f.evaluate(trial)
+            trial[i] = moved
+            ev_trial = twin.evaluate_dispatch(ref, trial)
             if (ev_trial.failure is not None
-                    or abs(ev_trial.plant_values[i] - ref_values[i]) >= abs(d)):
+                    or abs(ev_trial.plant_values.item(i) - ref_values[i]) >= abs(d)):
                 break
-            x, ev = trial, ev_trial
+            x, ev, xs[i] = trial, ev_trial, moved
 
     of, feas = score(ev)
+    growing = sorted((weights[j], j, math.inf) for j in active)
     for _ in range(_REFILL_PASSES):
         sign = math.copysign(1.0, p_target - ev.pcc_p_kw)
-        deltas = ev.plant_values - ref_values
-        moves = sorted([(weights[j], j, math.inf) for j in active]
-                       + [(-weights[j], j, abs(deltas[j])) for j in active
-                          if sign * deltas[j] <= -_ZERO_TOL])
-        for _cost, j, room in moves:
+        values = ev.plant_values.tolist()
+        shrinking = [(-weights[j], j, abs(dev)) for j in active
+                     if sign * (dev := values[j] - ref_values[j]) <= -_ZERO_TOL]
+        for _cost, j, room in sorted(growing + shrinking):
             dp_err = p_target - ev.pcc_p_kw
             if abs(dp_err) < _ZERO_TOL or sign * dp_err < 0.0:
                 break
-            trial = x.copy()
-            trial[j] = min(max(x[j] + sign * min(abs(dp_err), room), lo[j]), hi[j])
-            if trial[j] == x[j]:
+            moved = min(max(xs[j] + sign * min(abs(dp_err), room), lo_kw[j]), hi_kw[j])
+            if moved == xs[j]:
                 continue
-            ev_trial = f.evaluate(trial)
+            trial = x.copy()
+            trial[j] = moved
+            ev_trial = twin.evaluate_dispatch(ref, trial)
             of_trial, feas_trial = score(ev_trial)
             if (feas_trial, -of_trial) > (feas, -of):
                 x, ev, of, feas = trial, ev_trial, of_trial, feas_trial
+                xs[j] = moved
 
         split = False
         dq_err = q_target - ev.pcc_q_kvar
-        if inv and abs(dq_err) >= _ZERO_TOL:
+        if len(inv) and abs(dq_err) >= _ZERO_TOL:
             trial = x.copy()
-            trial[inv] = np.clip(x[inv] + dq_err / len(inv), lo[inv], hi[inv])
-            if not np.array_equal(trial, x):
-                ev_trial = f.evaluate(trial)
+            trial[inv] = (x[inv] + dq_err / len(inv)).clip(lo_inv, hi_inv)
+            if not (trial == x).all():
+                ev_trial = twin.evaluate_dispatch(ref, trial)
                 of_trial, feas_trial = score(ev_trial)
                 if (feas_trial, -of_trial) > (feas, -of):
                     x, ev, of, feas = trial, ev_trial, of_trial, feas_trial
+                    xs = x.tolist()
                     split = True
         if abs(p_target - ev.pcc_p_kw) < _ZERO_TOL and not split:
             break

@@ -155,11 +155,11 @@ def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings())
         # the one budget check: the evaluation past maxfev ends the search
         if n_evals >= settings.maxfev:
             raise _BudgetSpent
-        xe = np.clip(x, lo, hi)
+        xe = x.clip(lo, hi)
         fx = float(f(xe))
         n_evals += 1
         if fx < f_best:
-            x_best, f_best = xe.copy(), fx
+            x_best, f_best = xe, fx
         return fx
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
@@ -320,8 +320,7 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
     for i in range(1, config.n_iter + 1):
         if patience is not None and stalled >= patience:
             break
-        x_try = np.clip(incumbent_x + rng.uniform(-step, step, size=x0.size),
-                        lo, hi)
+        x_try = (incumbent_x + rng.uniform(-step, step, size=x0.size)).clip(lo, hi)
 
         scored = (math.inf, False)
         x_cand, of_cand, evals = nelder_mead(

@@ -18,23 +18,21 @@ first-order lag  dy/dt = (u - y)/T  before it acts on the stored energy.  The
 lag's state is the plant's realized power (``p_kw``; the compressor's
 ``last_p_compressor_kw`` in a heat pump), pinned values included.  Input is
 held over each substep, so the plants apply the exact solution
-y <- y + (u - y)*(1 - exp(-dt/T)) (with `lag_factor` computed once per
-call), which is stable at any step width.
+y <- y + (u - y)*(1 - exp(-dt/T)), which is stable at any step width; a
+plant computes that lag factor once per substep width and keeps it.
 
 A stateful plant's ``step`` advances it over all n substeps of one interval
-in a single call to a compiled loop (``_loops.c``, built on first import by
-:mod:`cellflex._build`): the Python side reads the plant's parameters and
-state, the loop runs the substeps, and the state is written back at the
-end.  The loops replay the Python loops kept in the tests
-(``tests/plant_reference.py``) bit for bit; the lag factor, their only
-``exp``, is computed here and passed in.  The
+in one call it makes to a compiled loop (``_loops.c``, built on first import
+by :mod:`cellflex._build`), which replays the Python loops kept in the tests
+(``tests/plant_reference.py``) bit for bit.  The
 inputs (heat demand, ambient temperature, a battery's PV surplus, the offset)
 are held over the interval; only an EV's time of day moves from substep to
 substep.  The value a ``step`` returns, and the ``p_kw`` and ``saturated``
 it leaves, are those of the last substep.  Batteries and EVs share one
-storage loop (`_Storage._integrate`).  The PV inverter keeps no state and is
-stepped once per interval.  ``get_state`` holds each state variable once; a
-heat pump's ``p_kw`` and ``q_kvar`` are re-derived by ``set_state``.
+storage loop.  The PV inverter keeps no state and is stepped once per
+interval; it computes its active power and reactive band once per
+irradiance.  ``get_state`` holds each state variable once; a heat pump's
+``p_kw`` and ``q_kvar`` are re-derived by ``set_state``.
 
 Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
@@ -73,9 +71,10 @@ def clamp(value, lo, hi):
     return value
 
 
-def lag_factor(dt, time_constant_s):
-    """Share of the gap to a constant input that the lag closes in dt seconds."""
-    return 1.0 - math.exp(-(dt / time_constant_s))
+def _keep_lag(plant, dt):
+    """Keep the share of the gap to a constant input `plant`'s lag closes in dt."""
+    plant._lag = 1.0 - math.exp(-(dt / plant.time_constant_s))
+    plant._lag_dt = dt
 
 
 class _Storage:
@@ -85,17 +84,12 @@ class _Storage:
     |P|/eta_discharge from the store.  The per-substep SOC headroom is turned
     into a power bound before the lag so the state never leaves [0, 1]; if the
     lag's momentum still overshoots a collapsing headroom the output is pinned
-    to the bound.
+    to the bound.  An EV's substeps in its trip window (``_away``: first
+    departure, last return, in s of day) drain the running trip instead.
     """
 
     __slots__ = ("capacity_kwh", "eta_charge", "eta_discharge", "time_constant_s",
-                 "soc", "p_kw", "saturated")
-
-    # a battery never leaves: no trip window (first departure, last return,
-    # in s of day), no trips and nothing drained by them
-    _away = None
-    trips = ()
-    trip_drain_kwh = 0.0
+                 "soc", "p_kw", "saturated", "_lag", "_lag_dt")
 
     def __init__(self, params):
         self.capacity_kwh = params.capacity_kwh
@@ -105,29 +99,7 @@ class _Storage:
         self.soc = params.soc0
         self.p_kw = 0.0
         self.saturated = False
-
-    def _integrate(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0):
-        """Advance n substeps of dt seconds; returns the last one's realized power.
-
-        Each substep commands the local wish plus `offset_kw`, limited to
-        [lo, hi] and to the SOC headroom.  The local wish is `wish_kw` reduced
-        to what the store can deliver (a battery's PV surplus) or, when
-        `wish_kw` is None, `hi` until full (an EV charging).  Substeps whose
-        time of day falls in the `_away` window take the trip branch instead:
-        the running trip drains the store uniformly over its window.
-
-        A connected substep that leaves ``soc`` and ``p`` bit-identical
-        (sign of zero included) is settled: a battery stops there, an EV
-        jumps to its next away substep, which ends the settled state.
-        """
-        (self.soc, self.p_kw, self.saturated, drained) = storage_substeps(
-            self.soc, self.p_kw, self.saturated, self.trip_drain_kwh, wish_kw,
-            offset_kw, lo, hi, n, dt, base_tod_s, self.capacity_kwh,
-            self.eta_charge, self.eta_discharge,
-            lag_factor(dt, self.time_constant_s), self._away, self.trips)
-        if self._away is not None:
-            self.trip_drain_kwh = drained
-        return self.p_kw
+        self._lag_dt = None
 
 
 class BatteryStorage(_Storage):
@@ -145,8 +117,14 @@ class BatteryStorage(_Storage):
 
         Returns the last substep's realized power.
         """
-        return self._integrate(wish_kw, offset_kw, -self.p_max_discharge_kw,
-                               self.p_max_charge_kw, n, dt)
+        if dt != self._lag_dt:
+            _keep_lag(self, dt)
+        self.soc, self.p_kw, self.saturated, _ = storage_substeps(
+            self.soc, self.p_kw, self.saturated, 0.0, wish_kw, offset_kw,
+            -self.p_max_discharge_kw, self.p_max_charge_kw, n, dt, 0.0,
+            self.capacity_kwh, self.eta_charge, self.eta_discharge, self._lag,
+            None, ())
+        return self.p_kw
 
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated)
@@ -166,7 +144,8 @@ class PvInverter:
     """
 
     __slots__ = ("s_rated_kva", "p_peak_kwp", "q_fraction_limit",
-                 "p_ac_kw", "q_kvar", "saturated")
+                 "p_ac_kw", "q_kvar", "saturated", "_irradiance", "_p_ac",
+                 "_q_lo", "_q_hi")
 
     def __init__(self, params):
         self.s_rated_kva = params.s_rated_kva
@@ -175,6 +154,7 @@ class PvInverter:
         self.p_ac_kw = 0.0
         self.q_kvar = 0.0
         self.saturated = False
+        self._irradiance = None
 
     def q_capability(self, p_ac_kw):
         """Symmetric reactive band (lo, hi) available at the given active power."""
@@ -189,12 +169,15 @@ class PvInverter:
         Returns (p_ac_kw, q_kvar) where p_ac is generation (>= 0, enters the
         bus balance with negative sign).
         """
-        p_dc = self.p_peak_kwp * max(0.0, irradiance_w_m2) / 1000.0
-        p_ac = min(p_dc, self.s_rated_kva)
-        lo, hi = self.q_capability(p_ac)
-        q = clamp(q_setpoint_kvar, lo, hi)
+        if irradiance_w_m2 != self._irradiance:
+            # this irradiance's active power and reactive band (NaN: no hit)
+            p_dc = self.p_peak_kwp * max(0.0, irradiance_w_m2) / 1000.0
+            self._p_ac = min(p_dc, self.s_rated_kva)
+            self._q_lo, self._q_hi = self.q_capability(self._p_ac)
+            self._irradiance = irradiance_w_m2
+        q = clamp(q_setpoint_kvar, self._q_lo, self._q_hi)
         self.saturated = q != q_setpoint_kvar
-        self.p_ac_kw = p_ac
+        self.p_ac_kw = p_ac = self._p_ac
         self.q_kvar = q
         return p_ac, q
 
@@ -227,6 +210,7 @@ class HeatPumpSystem:
         "t_on_c", "t_off_c", "t_min_c", "t_max_c", "t_element_threshold_c",
         "tan_phi", "time_constant_s", "heating", "t_storage_c", "p_kw", "q_kvar",
         "saturated", "last_cop", "last_p_compressor_kw", "last_p_element_kw",
+        "_lag", "_lag_dt",
     )
 
     def __init__(self, params):
@@ -250,6 +234,7 @@ class HeatPumpSystem:
         self.last_cop = 0.0
         self.last_p_compressor_kw = 0.0
         self.last_p_element_kw = 0.0
+        self._lag_dt = None
 
     def step(self, heat_demand_kw, ambient_c, offset_kw, n, dt):
         """Advance n substeps of dt seconds; returns the last one's electric power.
@@ -260,6 +245,8 @@ class HeatPumpSystem:
         each substep starts from; the source is kept strictly below the sink
         so the cycle stays defined.
         """
+        if dt != self._lag_dt:
+            _keep_lag(self, dt)
         (self.t_storage_c, self.heating, self.saturated, self.last_cop,
          self.last_p_compressor_kw,
          self.last_p_element_kw) = heat_pump_substeps(
@@ -268,7 +255,7 @@ class HeatPumpSystem:
             ambient_c, offset_kw, n, dt, self.p_el_max_kw, self.p_element_kw,
             self.effectiveness, self.t_on_c, self.t_off_c, self.t_min_c,
             self.t_max_c, self.t_element_threshold_c, self.storage_kwh_per_k,
-            lag_factor(dt, self.time_constant_s))
+            self._lag)
         self._derive_power()
         return self.p_kw
 
@@ -322,9 +309,16 @@ class ElectricVehicle(_Storage):
 
         Returns the last substep's charger power (0 while away).
         """
-        lo = -self.p_rated_kw if self.v2g else 0.0
-        return self._integrate(None, offset_kw, lo, self.p_rated_kw, n, dt,
-                               base_tod_s)
+        if dt != self._lag_dt:
+            _keep_lag(self, dt)
+        # with no trip window the loop hands trip_drain_kwh back as it was
+        (self.soc, self.p_kw, self.saturated,
+         self.trip_drain_kwh) = storage_substeps(
+            self.soc, self.p_kw, self.saturated, self.trip_drain_kwh, None,
+            offset_kw, -self.p_rated_kw if self.v2g else 0.0, self.p_rated_kw,
+            n, dt, base_tod_s, self.capacity_kwh, self.eta_charge,
+            self.eta_discharge, self._lag, self._away, self.trips)
+        return self.p_kw
 
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated, self.trip_drain_kwh)

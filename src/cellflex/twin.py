@@ -35,11 +35,12 @@ changed.  A plant's end state depends only on the snapshot it starts from
 and its own offset, so when the twin still holds the end state of the same
 snapshot object, a plant keeps its state if its offset is the same float as
 in that integration (sign of zero included; NaN never is).  One compiled
-scan (``changed_offsets`` in ``_loops.c``) lists the other plants; only they
-are restored and stepped, and only the prosumers that own one of them are
-integrated and re-sum their bus injection from every plant's final power.
-Every other prosumer's bus pair is already its end state from the same
-snapshot under the same offsets.  Anything else that moves plant state --
+scan (``changed_offsets`` in ``_loops.c``) lists the other plants, flags
+them in a byte mask the prosumers read and hands back their owners.  Only
+those plants are restored and stepped, and only their owners are
+integrated, each re-summing its bus injection from every plant's final
+power.  Every other prosumer's bus pair is already its end state from the
+same snapshot under the same offsets.  Anything else that moves plant state --
 ``restore``, the warmup, ``override_bes_soc``, ``step_dispatch_interval``
 outside an evaluation or a probe -- makes the next one re-integrate every
 plant.  The trace reads an EV's connection where its last substep started,
@@ -51,19 +52,21 @@ slack and on junction buses.  Each prosumer writes its own pair in place.
 That list is what ``solve_power_flow`` reads, what ``probe_plant`` records
 and the bus part of a snapshot.
 
-``solve`` keeps up to 64 successful results, keyed on the bits of the
+The twin keeps up to 64 successful solves, keyed on the bits of the
 injection list (±0.0 and NaN payloads are distinct keys), and drops the
 least recently used first.  ``solve_power_flow`` is a pure
 function of the fixed topology and those injections, so a kept result is
 the one a new solve would return, bit for bit; a hit still counts its
-balance error.  A failed solve is never kept: it runs and raises each time.
+balance error.  Each kept result sits next to its overloaded-line count.
+A failed solve is never kept: it runs and raises each time.
 
 Controllable-plant ordering is class-major and scenario-ordered within each
 class: all batteries, then all heat pumps, then all EV chargers, then all PV
 inverters.  Offsets are ΔP in kW except for inverters, which take ΔQ in kVAr.
 ``set_offsets`` writes them into one list that every prosumer reads by plant
-index; ``plant_values`` reads each plant's realized P (Q for inverters) in
-the same order.
+index.  Each plant's realized P (Q for inverters) is kept in one array in
+the same order, written by the steps and by a full ``restore``;
+``plant_values`` returns a copy, so an array handed out never changes.
 
 A snapshot is the tuple ``(t_s, plant states in plant-table order, bus
 injections as the flat tuple [p_0, q_0, p_1, q_1, ...])``; it holds each
@@ -72,6 +75,7 @@ state variable once.
 
 from dataclasses import dataclass
 from struct import Struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +88,7 @@ from .scenario import build_profiles, warmup_schedule
 __all__ = ["ReferenceState", "EvaluationResult", "CellTwin"]
 
 SOLVED_MAX = 64         # power-flow results a twin keeps
+_NAN = float("nan")
 
 _changed_offsets = load_loops().changed_offsets
 
@@ -103,8 +108,7 @@ class ReferenceState:
     t_s: float
 
 
-@dataclass
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     """Outcome of integrating one dispatch step under a given offset vector."""
     pcc_p_kw: float
     pcc_q_kvar: float
@@ -118,15 +122,16 @@ class EvaluationResult:
 class _ProsumerTwin:
     """One prosumer's plants plus its sampled inputs.
 
-    ``offsets`` is the twin's shared offset list; ``i_bes``, ``i_ehp``,
-    ``i_inv`` and ``bev_slots`` (pairs of EV and index) locate this
-    prosumer's plants in it.  ``injections`` is the twin's shared bus
-    injection list and ``i_p`` the index of this prosumer's bus P in it.
+    ``offsets`` is the twin's shared offset list and ``values`` its array of
+    plant values; ``i_bes``, ``i_ehp``, ``i_inv`` and ``bev_slots`` (pairs
+    of EV and index) locate this prosumer's plants in both.  ``injections``
+    is the twin's shared bus injection list and ``i_p`` the index of this
+    prosumer's bus P in it.
     """
 
     __slots__ = ("id", "load_series", "pv", "bes", "ehp", "bevs",
-                 "offsets", "i_bes", "i_ehp", "i_inv", "bev_slots",
-                 "injections", "i_p", "load_p", "load_q", "heat",
+                 "offsets", "values", "i_bes", "i_ehp", "i_inv",
+                 "bev_slots", "injections", "i_p", "load_p", "load_q", "heat",
                  "p_base", "q_base", "pv_surplus")
 
     def __init__(self, spec, profiles, injections, i_p):
@@ -136,7 +141,7 @@ class _ProsumerTwin:
         self.bes = BatteryStorage(spec.bes) if spec.bes else None
         self.ehp = HeatPumpSystem(spec.ehp) if spec.ehp else None
         self.bevs = [ElectricVehicle(b) for b in spec.bevs]
-        self.offsets = []
+        self.offsets = self.values = None
         self.i_bes = self.i_ehp = self.i_inv = None
         self.bev_slots = ()
         self.injections = injections
@@ -152,18 +157,21 @@ class _ProsumerTwin:
             self.pv_surplus = 0.0 - self.load_p
 
     def integrate(self, stale, amb, irr, base_tod_s, n, dt):
-        """Step the plants in `stale` over n substeps at ambient `amb`, irradiance `irr`.
+        """Step the flagged plants over n substeps at ambient `amb`, irradiance `irr`.
 
-        `stale` is a set of plant indices.  Each plant in it makes one
-        ``step`` call for the whole interval; the others already hold their
-        end state.  The PV inverter, which keeps no state, sets the bus base
-        load ``p_base``/``q_base`` and the battery's local wish
-        ``pv_surplus``.  The bus injection is then
-        summed from every plant's final power and written in place.
+        `stale` holds a flag per plant index.  Each flagged plant makes one
+        ``step`` call for the whole interval and its value goes to
+        ``values``; the others already hold their end state.  The PV
+        inverter, which keeps no state, sets the bus base load
+        ``p_base``/``q_base`` and the battery's local wish ``pv_surplus``.
+        The bus injection is then summed from every plant's final power and
+        written in place.
         """
-        off = self.offsets
-        if self.pv is not None and self.i_inv in stale:
-            p_pv, q_pv = self.pv.step(irr, off[self.i_inv])
+        off, values = self.offsets, self.values
+        i = self.i_inv
+        if i is not None and stale[i]:
+            p_pv, q_pv = self.pv.step(irr, off[i])
+            values[i] = q_pv
             self.p_base = self.load_p - p_pv
             self.q_base = self.load_q + q_pv
             self.pv_surplus = p_pv - self.load_p
@@ -171,18 +179,20 @@ class _ProsumerTwin:
         q = self.q_base
         bes = self.bes
         if bes is not None:
-            if self.i_bes in stale:
-                bes.step(self.pv_surplus, off[self.i_bes], n, dt)
+            i = self.i_bes
+            if stale[i]:
+                values[i] = bes.step(self.pv_surplus, off[i], n, dt)
             p += bes.p_kw
         ehp = self.ehp
         if ehp is not None:
-            if self.i_ehp in stale:
-                ehp.step(self.heat, amb, off[self.i_ehp], n, dt)
+            i = self.i_ehp
+            if stale[i]:
+                values[i] = ehp.step(self.heat, amb, off[i], n, dt)
             p += ehp.p_kw
             q += ehp.q_kvar
         for bev, i in self.bev_slots:
-            if i in stale:
-                bev.step(off[i], base_tod_s, n, dt)
+            if stale[i]:
+                values[i] = bev.step(off[i], base_tod_s, n, dt)
             p += bev.p_kw
         self.injections[self.i_p] = p
         self.injections[self.i_p + 1] = q
@@ -257,10 +267,13 @@ class CellTwin:
         self._plants = tuple(plants)
         self._plant_attrs = tuple(attrs)
         self._owners = tuple(owners)
-        self._all_plants = frozenset(range(self.n_plants))
         self._offsets = [0.0] * self.n_plants
+        self._stale = bytearray(self.n_plants)
+        self._all_stale = b"\x01" * self.n_plants
+        self._values = np.fromiter(map(getattr, self._plants, self._plant_attrs),
+                                   float, self.n_plants)
         for pro in self.prosumers:
-            pro.offsets = self._offsets
+            pro.offsets, pro.values = self._offsets, self._values
 
     def plant_bounds(self):
         return self._bounds.copy()
@@ -278,15 +291,15 @@ class CellTwin:
 
     def plant_values(self):
         """Realized costed quantity per plant (P in kW; Q in kVAr for inverters)."""
-        return np.fromiter(map(getattr, self._plants, self._plant_attrs),
-                           float, self.n_plants)
+        return self._values.copy()
 
     # ------------------------------------------------------------------
     # integration
 
-    def _step_interval(self, dt_total, substep, stale=None):
-        """Integrate one interval; `stale` lists the plants to step (all if
-        None), and only their prosumers are integrated."""
+    def _step_interval(self, dt_total, substep, owners=None):
+        """Integrate one interval.  With `owners`, the prosumers that own a
+        plant flagged in ``_stale``, only they are integrated, stepping only
+        their flagged plants; without, every plant is stepped."""
         self._end_of = None
         t0 = self.t_s
         prosumers = self.prosumers
@@ -299,32 +312,34 @@ class CellTwin:
                 pro.sample_inputs(t0)
             self._inputs_t0 = t0
         n = round(dt_total / substep)
-        if stale is None:
-            stale = self._all_plants
-        else:
-            owners = self._owners
-            prosumers = dict.fromkeys([owners[i] for i in stale])
-            stale = set(stale)
+        stale = self._all_stale
+        if owners is not None:
+            prosumers, stale = owners, self._stale
         base_tod = self.start_tod_s + t0
         for pro in prosumers:
             pro.integrate(stale, self._amb, self._irr, base_tod, n, substep)
         self._last_substep_tod = (base_tod + (n - 1) * substep) % 86400.0
         self.t_s = t0 + dt_total
 
-    def step_dispatch_interval(self, stale=None):
-        self._step_interval(self.dispatch_step_s, self.internal_dt_s, stale)
+    def step_dispatch_interval(self, owners=None):
+        self._step_interval(self.dispatch_step_s, self.internal_dt_s, owners)
 
-    def solve(self):
+    def _solve(self):
+        """``(power flow, overloaded lines)`` of the injections, kept or new."""
         key = self._pack(*self.injections)
-        res = self._solved.pop(key, None)
-        if res is None:
+        solved = self._solved.pop(key, None)
+        if solved is None:
             res = solve_power_flow(self.topology, self.injections)
+            solved = (res, check_line_limits(res, self.topology))
             if len(self._solved) == SOLVED_MAX:
                 del self._solved[next(iter(self._solved))]
         else:
-            note_balance_error(res.balance_error_pu)
-        self._solved[key] = res     # the most recently used goes last
-        return res
+            note_balance_error(solved[0].balance_error_pu)
+        self._solved[key] = solved      # the most recently used goes last
+        return solved
+
+    def solve(self):
+        return self._solve()[0]
 
     # ------------------------------------------------------------------
     # snapshots
@@ -336,7 +351,8 @@ class CellTwin:
                 tuple(self.injections))
 
     def restore(self, snap, stale=None):
-        """Restore `snap`; with `stale`, only the listed plants and the clock."""
+        """Restore `snap`; with `stale`, only the listed plants and the clock
+        (whose values the steps that follow write)."""
         self._end_of = None
         self.t_s, states, injections = snap
         if stale is not None:
@@ -346,6 +362,8 @@ class CellTwin:
             return
         for plant, state in zip(self._plants, states):
             plant.set_state(state)
+        self._values[:] = np.fromiter(map(getattr, self._plants, self._plant_attrs),
+                                      float, self.n_plants)
         self.injections[:] = injections
 
     # ------------------------------------------------------------------
@@ -405,47 +423,30 @@ class CellTwin:
     # ------------------------------------------------------------------
     # dispatch evaluation
 
-    def _stale_plants(self, snap, offsets):
-        """Indices of the plants whose end state from `snap` under `offsets`
-        is not already held; None for all of them.
-
-        A plant's end state depends only on the snapshot and its own offset,
-        so a plant is up to date when its offset is the same float as in the
-        integration that left it there, sign of zero included.  NaN never is.
-        """
-        if snap is not self._end_of:
-            return None
-        return _changed_offsets(offsets, self._end_offsets)
-
     def _integrate(self, snap, offsets):
         """Leave every plant at its end state from `snap` under the checked
-        list `offsets`, restoring and stepping only the stale plants."""
-        stale = self._stale_plants(snap, offsets)
+        list `offsets`, restoring and stepping only the stale plants (see
+        the module docstring)."""
+        stale = owners = None
+        if snap is self._end_of:
+            stale, owners = _changed_offsets(offsets, self._end_offsets,
+                                             self._owners, self._stale)
         self.restore(snap, stale)
         self._offsets[:] = offsets
-        self.step_dispatch_interval(stale)
+        self.step_dispatch_interval(owners)
         self._end_of = snap
         self._end_offsets = offsets
 
     def _integrate_offsets(self, ref, offsets, record_trace):
         self._integrate(ref.snapshot, self._checked_offsets(offsets))
         try:
-            res = self.solve()
+            res, n_violations = self._solve()
         except PowerFlowError as exc:
-            return EvaluationResult(
-                pcc_p_kw=float("nan"), pcc_q_kvar=float("nan"),
-                plant_values=self.plant_values(),
-                n_violations=len(self.topology.lines),
-                feasible=False, failure=str(exc))
-        n_violations = check_line_limits(res, self.topology)
+            return EvaluationResult(_NAN, _NAN, self._values.copy(),
+                                    len(self.topology.lines), False, str(exc))
         return EvaluationResult(
-            pcc_p_kw=res.pcc.p_kw,
-            pcc_q_kvar=res.pcc.q_kvar,
-            plant_values=self.plant_values(),
-            n_violations=n_violations,
-            feasible=not n_violations,
-            trace=self._trace_row(res) if record_trace else None,
-        )
+            res.pcc.p_kw, res.pcc.q_kvar, self._values.copy(), n_violations,
+            not n_violations, trace=self._trace_row(res) if record_trace else None)
 
     def evaluate_dispatch(self, ref, offsets):
         """Integrate one dispatch step from the reference snapshot.

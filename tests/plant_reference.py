@@ -3,22 +3,30 @@
 The package runs these loops compiled (``cellflex/_loops.c``); the tests
 check it against the Python here bit for bit.
 
-``integrate_reference`` is the storage loop behind ``_Storage._integrate``
-as it stood before it learned to stop a settled battery, to jump a settled
-EV to its next away substep and to run each trip window in a tight inner
-loop.  It visits every substep one at a time.  Call it with a
-``BatteryStorage`` or ``ElectricVehicle`` as ``self``.
+``integrate_reference`` is the storage loop behind ``BatteryStorage.step``
+and ``ElectricVehicle.step`` as it stood before it learned to stop a settled
+battery, to jump a settled EV to its next away substep and to run each trip
+window in a tight inner loop.  It visits every substep one at a time.  Call
+it with a ``BatteryStorage`` or ``ElectricVehicle`` as ``self``;
+``battery_step_reference`` and ``ev_step_reference`` call it with the
+bounds each ``step`` passes.
 
 ``heat_pump_step_reference`` is the Python loop behind
 ``HeatPumpSystem.step``.  Call it with a ``HeatPumpSystem`` as ``self``.
 
-``use_references(plant)`` makes a plant step through these loops.
+``use_references(plant)`` makes a plant step through these loops: its
+class's ``step``, which calls the compiled loop, is overridden.
 """
 
 import math
 
 from cellflex.plants import (BatteryStorage, ElectricVehicle, HeatPumpSystem,
-                             clamp, lag_factor)
+                             clamp)
+
+
+def lag_factor(dt, time_constant_s):
+    """Share of the gap to a constant input that the lag closes in dt seconds."""
+    return 1.0 - math.exp(-(dt / time_constant_s))
 
 
 def integrate_reference(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0):
@@ -118,6 +126,19 @@ def integrate_reference(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0)
     return p
 
 
+def battery_step_reference(self, wish_kw, offset_kw, n, dt):
+    """``BatteryStorage.step`` through `integrate_reference`."""
+    return integrate_reference(self, wish_kw, offset_kw, -self.p_max_discharge_kw,
+                               self.p_max_charge_kw, n, dt)
+
+
+def ev_step_reference(self, offset_kw, base_tod_s, n, dt):
+    """``ElectricVehicle.step`` through `integrate_reference`."""
+    lo = -self.p_rated_kw if self.v2g else 0.0
+    return integrate_reference(self, None, offset_kw, lo, self.p_rated_kw, n, dt,
+                               base_tod_s)
+
+
 def heat_pump_step_reference(self, heat_demand_kw, ambient_c, offset_kw, n, dt):
     """Advance n substeps of dt seconds; returns the last one's electric power.
 
@@ -204,16 +225,17 @@ def heat_pump_step_reference(self, heat_demand_kw, ambient_c, offset_kw, n, dt):
     return self.p_kw
 
 
-def _reference_class(cls, method, loop):
+def _reference_class(cls, method, loop, **attrs):
     return type(f"Reference{cls.__name__}", (cls,),
-                {"__slots__": (), method: loop})
+                {"__slots__": (), method: loop, **attrs})
 
 
 REFERENCE_CLASSES = {
-    BatteryStorage: _reference_class(BatteryStorage, "_integrate",
-                                     integrate_reference),
-    ElectricVehicle: _reference_class(ElectricVehicle, "_integrate",
-                                      integrate_reference),
+    # a battery never leaves: no trip window for integrate_reference
+    BatteryStorage: _reference_class(BatteryStorage, "step",
+                                     battery_step_reference, _away=None),
+    ElectricVehicle: _reference_class(ElectricVehicle, "step",
+                                      ev_step_reference),
     HeatPumpSystem: _reference_class(HeatPumpSystem, "step",
                                      heat_pump_step_reference),
 }

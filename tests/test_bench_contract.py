@@ -4,10 +4,13 @@
 package.  If a refactor renames or bypasses one of them, the benchmark's
 traced metrics silently read zero; this test catches that in the unit suite
 by running one evaluation under each probe: a toy dispatch for the step
-clock, and a bundled-cell evaluation, which steps every plant class, for the
+clock, and a bundled-cell evaluation, which steps every plant once, for the
 tracer.  A second traced evaluation that moves one battery offset checks
-that an evaluation re-integrating only that plant is still seen.
+that an evaluation re-integrating only that plant is still seen, as exactly
+one battery step.
 """
+
+import collections
 
 import sys
 from pathlib import Path
@@ -52,9 +55,15 @@ def test_tracer_counts_every_layer_of_an_evaluation():
     counts = {key: agg[0] for key, agg in tracer.root.agg.items()}
     counts.update({key: agg[0] for key, agg in tracer.root.inner.items()})
     for key in ("twin.evaluate", "twin.restore", "twin.integrate",
-                "grid.solve", "plants.bes", "plants.ehp", "plants.bev",
-                "plants.pv"):
+                "grid.solve"):
         assert counts.get(key, 0) >= 1, key
+    # the first evaluation from a reference steps every plant once
+    classes = collections.Counter(twin.plant_classes)
+    plants = {"plants.bes": classes["bes"], "plants.ehp": classes["ehp"],
+              "plants.bev": classes["bev_v1g"] + classes["bev_v2g"],
+              "plants.pv": classes["inv"]}
+    assert all(plants.values()), plants
+    assert {key: counts.get(key, 0) for key in plants} == plants
 
 
 def test_tracer_sees_the_plants_an_incremental_evaluation_re_integrates():
@@ -74,7 +83,8 @@ def test_tracer_sees_the_plants_an_incremental_evaluation_re_integrates():
         undo()
     calls = {key: agg[0] - first.get(key, 0)
              for key, agg in tracer.root.inner.items()}
-    for key in ("twin.restore", "twin.integrate", "grid.solve", "plants.bes"):
+    for key in ("twin.restore", "twin.integrate", "grid.solve"):
         assert calls.get(key, 0) >= 1, key
-    for key in ("plants.ehp", "plants.bev"):
+    assert calls.get("plants.bes", 0) == 1
+    for key in ("plants.ehp", "plants.bev", "plants.pv"):
         assert calls.get(key, 0) == 0, key

@@ -1,5 +1,6 @@
 """Continuous dispatch loop, technology shares, reporting, grid oracle."""
 
+import functools
 import itertools
 import math
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cellflex.dispatch import (
@@ -405,6 +406,35 @@ class TestStepObjective:
             of, feasible = f(st.offsets)
             assert (of.hex(), feasible) == (st.of.hex(), st.feasible)
             f.ref, _ = twin.advance_reference(f.ref, st.offsets)
+
+
+    @staticmethod
+    @functools.cache
+    def overload_cell():
+        """A battery behind a line it overloads at ±40 kW and collapses at
+        +40 kW and beyond: feasible points, violations and failures."""
+        twin = CellTwin(weak_feeder_scenario(r_ohm=1.0, x_ohm=0.3, i_max_a=40.0))
+        return twin, twin.run_warmup()
+
+    @given(x=st.floats(-120.0, 120.0), dp=st.floats(-50.0, 50.0),
+           dq=st.floats(-50.0, 50.0), k=st.tuples(*[st.floats(0.0, 1.0)] * 4))
+    @example(x=0.0, dp=5.0, dq=1.0, k=(0.1, 0.2, 0.3, 10.0))
+    @example(x=-60.0, dp=5.0, dq=1.0, k=(0.1, 0.2, 0.3, 10.0))
+    @example(x=60.0, dp=5.0, dq=1.0, k=(0.1, 0.2, 0.3, 10.0))
+    def test_score_is_the_breakdown_of_bit_for_bit(self, x, dp, dq, k):
+        # the search minimises score and a committed step records
+        # breakdown(ev).of: they must be one number
+        twin, ref = self.overload_cell()
+        costs = CostTable(k_bes=k[0], k_pcc_p=k[1], k_pcc_q=k[2],
+                          k_infeasible=k[3])
+        f = StepObjective(twin, ref, FlexibilityRequest(dp, dq), costs)
+        ev = twin.evaluate_dispatch(ref, np.array([x]))
+        of, feasible = f.score(ev)
+        assert feasible == (ev.failure is None and not ev.n_violations)
+        if ev.failure is None:
+            assert of.hex() == f.breakdown(ev).of.hex()
+        else:
+            assert of == f.collapse_of
 
 
 class TestEvaluationBudget:

@@ -11,9 +11,18 @@ and PCC reading) is pinned directly, at full float precision, since the CLI
 outputs print it only rounded.  A change that
 alters numerics on purpose re-records these digests and says so in
 CHANGES.md.
+
+The dispatch command also runs in child processes under each of OpenBLAS's
+CPU kernels and with glibc's AVX2 and FMA code paths masked, and must write
+the same digests under each: no output byte may depend on which kernel the
+host's CPU selects.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +49,7 @@ BES_SOC_DIGESTS = {
     "iterations.csv":
         "98a24d4061c50ff1d7878431c22d73b5e2b8d9628c6fbca733703c2abb6fc648",
     "summary.json":
-        "152e2803624c711a4352ec511209ad32e45b98982a915b79b2e80db4aabbf889",
+        "d2e4dba24775db8753da5aa248ea3a6838e6df0f007d9b47634e133e64acba00",
 }
 ORACLE_ARGS = ["oracle", "--n-iter", "30", "--seed", "2"]
 ORACLE_DIGEST = "1262fc7ddd2947fabbe84b1fa9ea4564d1d9726512d4b194d9174549ac277d2c"
@@ -57,6 +66,13 @@ SWEEP_DIGESTS = {
     "sweep_summary.json":
         "18d0db1828df6b76f5fec4cfb20aa27e7398dd0ee603373d808ca086c37a52b7",
 }
+
+# one child environment variable each: OpenBLAS's kernels from AVX-512 down
+# to SSE3, and glibc's string and math routines without AVX2 or FMA
+CPU_SETTINGS = [("OPENBLAS_CORETYPE", kernel) for kernel in
+                ("SkylakeX", "Haswell", "Sandybridge", "Prescott")] + [
+    ("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-FMA4")]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 WARMUP_DIGESTS = {
     "bundled": "15df1f8bf86f645ab7bb0bd766963d242da44b7d71226e5388af376012325743",
@@ -77,6 +93,33 @@ def _output_digests(args, out, names):
 def test_dispatch_outputs_match_golden_digests(tmp_path, capsys):
     assert _output_digests(DISPATCH_ARGS, tmp_path, DISPATCH_DIGESTS) \
         == DISPATCH_DIGESTS
+
+
+def test_dispatch_digests_do_not_depend_on_the_cpu_kernels(tmp_path):
+    children = []
+    for k, (name, value) in enumerate(CPU_SETTINGS):
+        env = {key: val for key, val in os.environ.items()
+               if key not in ("OPENBLAS_CORETYPE", "GLIBC_TUNABLES")}
+        env[name] = value
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        out = tmp_path / str(k)
+        children.append((f"{name}={value}", out, subprocess.Popen(
+            [sys.executable, "-m", "cellflex", *DISPATCH_ARGS, "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)))
+    digests = {}
+    try:
+        for setting, out, child in children:
+            _, err = child.communicate(timeout=300)
+            assert child.returncode == 0, (setting, err)
+            digests[setting] = {name: _sha256((out / name).read_bytes())
+                                for name in DISPATCH_DIGESTS}
+    finally:
+        for _, _, child in children:
+            child.kill()
+            child.wait()
+    assert digests == {setting: DISPATCH_DIGESTS for setting, _, _ in children}
 
 
 def test_bes_soc_override_outputs_match_golden_digests(tmp_path, capsys):

@@ -61,6 +61,18 @@ class TestObjectiveBreakdown:
         bd = objective_breakdown(np.zeros(3), np.ones(3), 0.0, 0.0, 0, CostTable())
         assert bd.of == 0.0 and bd.cost_eur == 0.0
 
+    @given(st.lists(st.tuples(st.floats(width=64), st.floats(0.0, 1.0)),
+                    max_size=40))
+    def test_plant_cost_adds_the_plants_left_to_right(self, terms):
+        # the sum's order is fixed, not left to a BLAS kernel
+        want = 0.0
+        for delta, weight in terms:
+            want += abs(delta) * weight
+        bd = objective_breakdown(np.array([d for d, _ in terms], dtype=float),
+                                 np.array([w for _, w in terms], dtype=float),
+                                 0.0, 0.0, 0, CostTable())
+        assert bd.plant_cost.hex() == want.hex()
+
     @given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
     def test_of_depends_on_error_magnitudes_only(self, dp, dq):
         c = CostTable()

@@ -52,15 +52,17 @@ def evaluated(twin, ref, x):
     return fingerprint(twin.evaluate_dispatch(ref, x)), repr(twin.snapshot())
 
 
-def weak_feeder_scenario():
-    """One oversized battery behind a 6-ohm line: full charge collapses it."""
+def weak_feeder_scenario(r_ohm=6.0, x_ohm=2.0, i_max_a=200.0):
+    """One oversized battery behind a 6-ohm line: full charge collapses it.
+    A stiffer line keeps every point solvable and a lower `i_max_a`
+    overloads it instead."""
     return scenario_from_dict({
         "name": "weak",
         "topology": {
             "pcc_bus": "pcc", "transformer_kva": 100.0,
             "buses": [{"id": "pcc"}, {"id": "h01"}],
             "lines": [{"from": "pcc", "to": "h01",
-                       "r_ohm": 6.0, "x_ohm": 2.0, "i_max_a": 200.0}],
+                       "r_ohm": r_ohm, "x_ohm": x_ohm, "i_max_a": i_max_a}],
         },
         "weather": {"ambient_mean_c": 5.0, "ambient_swing_c": 0.0},
         "simulation": {"start": "2023-01-16T20:00:00", "internal_dt_s": 1.0,
@@ -789,6 +791,104 @@ class TestProbePlant:
     @given(cell=small_cells(), seed=st.integers(0, 2**32 - 1))
     def test_rows_match_full_evaluations_on_generated_cells(self, cell, seed):
         check_probes(scenario_from_dict(cell), np.random.default_rng(seed))
+
+
+def read_plant_values(twin):
+    """Each plant's value read from the plant itself, by its label: Q of an
+    inverter, P of the others."""
+    by_id = {pro.id: pro for pro in twin.prosumers}
+    values = []
+    for label in twin.plant_labels:
+        cls, where = label.split(":")
+        pro = by_id[where.split(".")[0]]
+        if cls == "bev":
+            values.append(pro.bevs[int(where.split(".")[1])].p_kw)
+        elif cls == "inv":
+            values.append(pro.pv.q_kvar)
+        else:
+            values.append(getattr(pro, cls).p_kw)
+    return np.array(values, dtype=float)
+
+
+_OFFSET_MOVES = ("same", "one", "all", "zero", "nan")
+
+
+class TestHandedOutValues:
+    """The twin's plant values follow its plants, and an array it has
+    handed out never changes.
+
+    Any sequence of the calls that move plant state is drawn; after each,
+    ``plant_values()`` must equal a read of every plant's attribute, and
+    every ``ref.plant_values``, ``EvaluationResult.plant_values``,
+    ``plant_values()`` and probe array returned so far must keep its bytes.
+    """
+
+    @pytest.mark.parametrize("make", [make_toy_scenario, load_bundled_scenario])
+    @given(data=st.data())
+    def test_any_sequence_of_calls(self, make, data):
+        twin = CellTwin(make())
+        refs = [twin.run_warmup()]
+        bounds = twin.plant_bounds()
+        x = np.zeros(twin.n_plants)
+        handed_out = []
+
+        def hand_out(*arrays):
+            handed_out.extend((a, a.tobytes()) for a in arrays)
+
+        def offsets():
+            nonlocal x
+            move = data.draw(st.sampled_from(_OFFSET_MOVES), label="move")
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            j = rng.integers(twin.n_plants)
+            x = x.copy()
+            if move == "one":
+                x[j] = rng.uniform(*bounds[j])
+            elif move == "all":
+                x = rng.uniform(bounds[:, 0], bounds[:, 1])
+            elif move == "zero":
+                x[j] = (0.0, -0.0)[int(rng.integers(2))]
+            elif move == "nan":
+                x[j] = math.nan
+            return x
+
+        hand_out(refs[0].plant_values, twin.plant_values())
+        calls = data.draw(st.lists(st.sampled_from(
+            ("evaluate", "probe", "advance", "restore", "override",
+             "capture")), min_size=1, max_size=12), label="calls")
+        for call in calls:
+            ref = data.draw(st.sampled_from(refs), label="ref")
+            if call == "evaluate":
+                hand_out(twin.evaluate_dispatch(ref, offsets()).plant_values)
+            elif call == "probe":
+                i = data.draw(st.integers(0, twin.n_plants - 1), label="plant")
+                values = data.draw(st.lists(st.sampled_from(
+                    (bounds[i, 0], 0.0, -0.0, bounds[i, 1], 0.5)),
+                    min_size=1, max_size=3), label="values")
+                hand_out(*twin.probe_plant(ref, offsets(), i, values))
+            elif call == "advance":
+                try:
+                    new_ref, ev = twin.advance_reference(ref, offsets())
+                except PowerFlowError:
+                    pass
+                else:
+                    refs.append(new_ref)
+                    hand_out(ev.plant_values)
+            elif call == "restore":
+                twin.restore(ref.snapshot)
+            elif call == "override":
+                twin.override_bes_soc(data.draw(st.sampled_from((0.0, 0.04, 1.0))))
+            else:
+                try:
+                    refs.append(twin.capture_reference())
+                except PowerFlowError:
+                    pass
+                else:
+                    hand_out(refs[-1].plant_values)
+            values = twin.plant_values()
+            assert values.tobytes() == read_plant_values(twin).tobytes(), call
+            hand_out(values)
+            for array, bits in handed_out:
+                assert array.tobytes() == bits, call
 
 
 class TestCommit:

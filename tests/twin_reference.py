@@ -2,14 +2,16 @@
 
 ``PlainTwin`` is a ``CellTwin`` with three changes: its plants step through
 the Python loops of ``plant_reference`` instead of the compiled ones, it
-re-integrates every plant and every prosumer on every evaluation and probe
-(``_stale_plants`` returns None), and it solves every power flow with the
-Python sweep (``solve`` calls ``grid_reference.solve_power_flow`` directly,
+restores and re-integrates every plant and every prosumer on every
+evaluation and probe (``restore`` and ``step_dispatch_interval`` ignore the
+stale plants they are given), and it solves every power flow with the
+Python sweep (``_solve`` calls ``grid_reference.solve_power_flow`` directly,
 with no memo), so it runs no compiled solve.  ``use_plain_twin`` puts it in
 place of ``CellTwin`` wherever the package builds one.
 """
 
 from cellflex import cli, dispatch, oracle
+from cellflex.grid import check_line_limits
 from cellflex.twin import CellTwin
 from grid_reference import solve_power_flow
 from plant_reference import use_references
@@ -21,11 +23,15 @@ class PlainTwin(CellTwin):
         for plant in self._plants:
             use_references(plant)
 
-    def _stale_plants(self, snap, offsets):
-        return None
+    def restore(self, snap, stale=None):
+        super().restore(snap)
 
-    def solve(self):
-        return solve_power_flow(self.topology, self.injections)
+    def step_dispatch_interval(self, owners=None):
+        super().step_dispatch_interval()
+
+    def _solve(self):
+        res = solve_power_flow(self.topology, self.injections)
+        return res, check_line_limits(res, self.topology)
 
 
 def use_plain_twin(monkeypatch):
