@@ -7,9 +7,9 @@
  * state to one of these and writes the returned state back.  power_flow is
  * the backward/forward sweep behind grid.solve_power_flow, run over the plan
  * GridTopology builds once; changed_offsets is the twin's rule for the
- * plants an evaluation must re-integrate, and plant_cost the dispatch
- * objective's plant term, summed in plant order so that no BLAS kernel
- * picks the order of its additions.
+ * plants an evaluation must re-integrate, and plant_cost(weights, values,
+ * ref) the dispatch objective's plant term, summed in plant order so that
+ * no BLAS kernel picks the order of its additions.
  *
  * Each loop replays Python float arithmetic bit for bit: the same operations
  * in the same order, comparisons instead of min/max with Python's tie rules,
@@ -689,35 +689,33 @@ get_doubles(PyObject *obj, Py_buffer *view, Py_ssize_t *n)
 }
 
 PyDoc_STRVAR(plant_cost_doc,
-"plant_cost(weights, values, ref=None)\n"
+"plant_cost(weights, values, ref)\n"
 "--\n\n"
-"The sum of weights[i] * |values[i] - ref[i]|, or of weights[i] *\n"
-"|values[i]| without ref, added left to right from 0.0.  Each argument is\n"
-"a C-contiguous buffer of doubles (a float64 array), all of one length.");
+"The sum of weights[i] * |values[i] - ref[i]|, added left to right from\n"
+"0.0, over C-contiguous buffers of doubles (float64 arrays) of one length.");
 
 static PyObject *
 plant_cost(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 2 && nargs != 3) {
+    if (nargs != 3) {
         PyErr_Format(PyExc_TypeError,
-                     "plant_cost() takes 2 or 3 arguments (%zd given)", nargs);
+                     "plant_cost() takes 3 arguments (%zd given)", nargs);
         return NULL;
     }
     Py_buffer views[3];
     Py_ssize_t n[3], got = 0;
-    for (; got < nargs; got++)
+    for (; got < 3; got++)
         if (get_doubles(args[got], &views[got], &n[got]) < 0)
             break;
     PyObject *result = NULL;
-    if (got == nargs && (n[1] != n[0] || (nargs == 3 && n[2] != n[0])))
+    if (got == 3 && (n[1] != n[0] || n[2] != n[0]))
         PyErr_SetString(PyExc_ValueError,
                         "plant_cost() takes buffers of one length");
-    else if (got == nargs) {
-        const double *w = views[0].buf, *v = views[1].buf;
-        const double *r = nargs == 3 ? views[2].buf : NULL;
+    else if (got == 3) {
+        const double *w = views[0].buf, *v = views[1].buf, *r = views[2].buf;
         double sum = 0.0;
         for (Py_ssize_t i = 0; i < n[0]; i++)
-            sum += w[i] * fabs(r == NULL ? v[i] : v[i] - r[i]);
+            sum += w[i] * fabs(v[i] - r[i]);
         result = PyFloat_FromDouble(sum);
     }
     while (got > 0)

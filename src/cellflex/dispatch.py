@@ -4,16 +4,18 @@ Each 15 s dispatch step minimizes one weighted objective over the vector of
 plant offsets, ``StepObjective``::
 
     OF = sum_i k_i * |delta_i|                       (plant deviation cost)
-       + k_pcc_p * |P_pcc - P_target|                (active-power tracking)
-       + k_pcc_q * |Q_pcc - Q_target|                (reactive-power tracking)
-       + k_infeasible * n_violating_lines            (network penalty)
+       + K_PCC_P * |P_pcc - P_target|                (active-power tracking)
+       + K_PCC_Q * |Q_pcc - Q_target|                (reactive-power tracking)
+       + K_INFEASIBLE * n_violating_lines            (network penalty)
 
 where delta_i is the realized plant power minus its frozen reference value
 and the targets are the frozen reference PCC reading plus the requested
-change.  The weights come from a ``CostTable``, and a point whose power
-flow fails scores ``StepObjective.collapse_of`` instead.  The plant cost is
-summed left to right in plant order by one compiled call (``plant_cost``),
-not by BLAS, so the objective's bits do not depend on the CPU.
+change.  The weights are module constants: k_i per plant class in
+``_PLANT_CLASSES``, then ``K_PCC_P``, ``K_PCC_Q`` and ``K_INFEASIBLE``; one OF
+unit is ``EUR_PER_UNIT`` EUR.  A point whose power flow fails scores
+``StepObjective.collapse_of`` instead.  The plant cost is summed left to
+right in plant order by one compiled call, ``plant_cost(weights, values,
+ref)``, not by BLAS, so the objective's bits do not depend on the CPU.
 
 ``run_dispatch`` checks that the run fits the scenario's profile window,
 captures the pre-request reference state and builds the run's one
@@ -69,44 +71,27 @@ from .twin import CellTwin
 
 log = logging.getLogger("cellflex.dispatch")
 
-__all__ = ["CostTable", "ObjectiveBreakdown", "objective_breakdown",
+__all__ = ["ObjectiveBreakdown", "objective_breakdown",
            "StepRecord", "DispatchRun", "run_dispatch", "StepObjective",
            "temperature_panel", "technology_shares", "exchange_pass",
-           "STALL_ITERATIONS"]
+           "STALL_ITERATIONS", "K_PCC_P", "K_PCC_Q", "K_INFEASIBLE",
+           "EUR_PER_UNIT"]
 
 # BH iterations in a row without a better candidate that end a dispatch step
 STALL_ITERATIONS = 1
 _ZERO_TOL = 1e-6                # power (kW or kVAr) that counts as zero
 _CORRECTIONS = 4                # exchange: corrections that drive one δ_i to 0
 _REFILL_PASSES = 6              # exchange: passes that refill the PCC error
-# CostTable weight field and share key of each plant class
-_PLANT_CLASSES = {"bes": ("k_bes", "bes"), "inv": ("k_inv", "inv_q"),
-                  "ehp": ("k_ehp", "ehp"), "bev_v1g": ("k_bev_v1g", "bev"),
-                  "bev_v2g": ("k_bev_v2g", "bev")}
+# per-kW (kVAr) deviation weight k_i and share key of each plant class
+_PLANT_CLASSES = {"bes": (2.78e-4, "bes"), "inv": (1.38e-4, "inv_q"),
+                  "ehp": (7.92e-3, "ehp"), "bev_v1g": (5.56e-4, "bev"),
+                  "bev_v2g": (9.72e-4, "bev")}
+K_PCC_P = 2.78e-2               # per kW of PCC active-power error
+K_PCC_Q = 2.78e-2               # per kVAr of PCC reactive-power error
+K_INFEASIBLE = 10.0             # per overloaded line
+EUR_PER_UNIT = 0.1              # EUR per OF unit
 
 _plant_cost = load_loops().plant_cost
-
-
-@dataclass(frozen=True)
-class CostTable:
-    """Per-kW deviation weights (dimensionless OF units; 1 unit = 0.1 EUR)."""
-    k_bes: float = 2.78e-4
-    k_inv: float = 1.38e-4
-    k_ehp: float = 7.92e-3
-    k_bev_v1g: float = 5.56e-4
-    k_bev_v2g: float = 9.72e-4
-    k_pcc_p: float = 2.78e-2
-    k_pcc_q: float = 2.78e-2
-    k_infeasible: float = 10.0
-    eur_per_unit: float = 0.1
-
-    def weights_for(self, plant_classes):
-        """Vector of per-plant deviation weights for a class-label sequence."""
-        try:
-            return np.array([getattr(self, _PLANT_CLASSES[c][0])
-                             for c in plant_classes], dtype=float)
-        except KeyError as exc:
-            raise ConfigurationError(f"unknown plant class {exc}") from None
 
 
 class ObjectiveBreakdown(NamedTuple):
@@ -117,25 +102,26 @@ class ObjectiveBreakdown(NamedTuple):
     cost_eur: float            # plant_cost expressed in EUR
 
 
-def _of_terms(plant_cost, dp_err_kw, dq_err_kvar, n_violations, costs):
+def _of_terms(plant_cost, dp_err_kw, dq_err_kvar, n_violations):
     """``(pcc_cost, penalty, of)``: the one place the objective is summed."""
-    pcc_cost = costs.k_pcc_p * abs(dp_err_kw) + costs.k_pcc_q * abs(dq_err_kvar)
-    penalty = costs.k_infeasible * n_violations
+    pcc_cost = K_PCC_P * abs(dp_err_kw) + K_PCC_Q * abs(dq_err_kvar)
+    penalty = K_INFEASIBLE * n_violations
     return pcc_cost, penalty, plant_cost + pcc_cost + penalty
 
 
-def objective_breakdown(plant_deltas, plant_weights, dp_err_kw, dq_err_kvar,
-                        n_violations, costs: CostTable):
-    plant_cost = _plant_cost(np.ascontiguousarray(plant_weights, dtype=float),
-                             np.ascontiguousarray(plant_deltas, dtype=float))
+def objective_breakdown(values, ref_values, weights, dp_err_kw, dq_err_kvar,
+                        n_violations):
+    """The objective's terms for realized plant ``values`` against
+    ``ref_values``; the three vectors are float64 arrays of one length."""
+    plant_cost = _plant_cost(weights, values, ref_values)
     pcc_cost, penalty, of = _of_terms(plant_cost, dp_err_kw, dq_err_kvar,
-                                      n_violations, costs)
+                                      n_violations)
     return ObjectiveBreakdown(
         of=of,
         plant_cost=plant_cost,
         pcc_cost=pcc_cost,
         penalty=penalty,
-        cost_eur=plant_cost * costs.eur_per_unit,
+        cost_eur=plant_cost * EUR_PER_UNIT,
     )
 
 
@@ -160,27 +146,28 @@ class StepObjective:
 
     Calling it on offsets ``x`` returns ``(of, feasible)``: the plant
     deviation cost sum_i k_i |delta_i|, the PCC tracking cost and
-    ``k_infeasible`` per overloaded line, or ``collapse_of`` when the power
+    ``K_INFEASIBLE`` per overloaded line, or ``collapse_of`` when the power
     flow fails.  Weights, offset bounds, PCC targets and collapse score are
     computed once.  ``ref`` may be moved forward with ``advance_reference``,
     which keeps the baseline plant powers and PCC reading they are measured
     against, so every step of a run scores against the same targets.
     """
 
-    def __init__(self, twin, ref, request, costs=CostTable()):
-        self.twin, self.ref, self.costs = twin, ref, costs
-        self.weights = costs.weights_for(twin.plant_classes)
+    def __init__(self, twin, ref, request):
+        self.twin, self.ref = twin, ref
+        self.weights = np.array([_PLANT_CLASSES[c][0]
+                                 for c in twin.plant_classes])
         self.bounds = twin.plant_bounds()
         self.p_target = ref.pcc_p_kw + request.dp_kw
         self.q_target = ref.pcc_q_kvar + request.dq_kvar
-        self.collapse_of = costs.k_infeasible * (len(twin.topology.lines) + 1)
+        self.collapse_of = K_INFEASIBLE * (len(twin.topology.lines) + 1)
 
     def breakdown(self, ev):
         """``ObjectiveBreakdown`` of a solved evaluation."""
         return objective_breakdown(
-            ev.plant_values - self.ref.plant_values, self.weights,
+            ev.plant_values, self.ref.plant_values, self.weights,
             ev.pcc_p_kw - self.p_target, ev.pcc_q_kvar - self.q_target,
-            ev.n_violations, self.costs)
+            ev.n_violations)
 
     def score(self, ev):
         """``(of, feasible)``: ``breakdown(ev).of`` without building it."""
@@ -189,8 +176,8 @@ class StepObjective:
         plant_cost = _plant_cost(self.weights, ev.plant_values,
                                  self.ref.plant_values)
         return _of_terms(plant_cost, ev.pcc_p_kw - self.p_target,
-                         ev.pcc_q_kvar - self.q_target, ev.n_violations,
-                         self.costs)[2], ev.feasible
+                         ev.pcc_q_kvar - self.q_target,
+                         ev.n_violations)[2], ev.feasible
 
     def __call__(self, x):
         return self.score(self.twin.evaluate_dispatch(self.ref, x))

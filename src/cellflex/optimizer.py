@@ -1,10 +1,11 @@
 """Dispatch optimizer: Basin Hopping around a Nelder-Mead local search.
 
 Both minimize an objective over a real vector; the dispatch step's is
-``dispatch.StepObjective``.  Basin Hopping's objective returns a float or an
+``dispatch.StepObjective``.  The objective returns a float or an
 ``(of, feasible)`` pair, where a bare float counts as feasible.  Nelder-Mead
 counts its evaluations in one place, which ends the search once
-``NelderMeadSettings.maxfev`` of them are spent.
+``NelderMeadSettings.maxfev`` of them are spent, and reports whether the
+point it returns is feasible.
 
 Basin Hopping: each iteration perturbs the incumbent uniformly within the
 current step size, runs a Nelder-Mead refinement of at most
@@ -129,6 +130,11 @@ def _box(bounds, size):
     return bounds
 
 
+def _scored(r):
+    """An objective's return value ``r`` as ``(of, feasible)``."""
+    return (float(r[0]), bool(r[1])) if isinstance(r, tuple) else (float(r), True)
+
+
 class _BudgetSpent(Exception):
     """Ends a Nelder-Mead search whose evaluation budget is used up."""
 
@@ -139,8 +145,9 @@ def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings())
     The initial simplex displaces each coordinate of ``x0`` by ``scale``.
     The simplex itself may wander outside ``bounds``; every objective
     evaluation sees the clamped point and the returned minimizer is clamped.
-    Returns ``(x_best, f_best, n_evals)``: the first strict minimum over the
-    evaluated points, so never a point worse than the start point.
+    Returns ``(x_best, f_best, n_evals, feasible_best)``: the first strict
+    minimum over the evaluated points, so never a point worse than the start
+    point, and its feasibility flag (False if no point scored below inf).
     """
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
@@ -148,18 +155,18 @@ def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings())
         raise ConfigurationError("cannot optimize a zero-dimensional vector")
     lo, hi = _box(bounds, d).T
 
-    x_best, f_best, n_evals = None, math.inf, 0
+    x_best, f_best, n_evals, feasible_best = None, math.inf, 0, False
 
     def evaluate(x):
-        nonlocal x_best, f_best, n_evals
+        nonlocal x_best, f_best, n_evals, feasible_best
         # the one budget check: the evaluation past maxfev ends the search
         if n_evals >= settings.maxfev:
             raise _BudgetSpent
         xe = x.clip(lo, hi)
-        fx = float(f(xe))
+        fx, feasible = _scored(f(xe))
         n_evals += 1
         if fx < f_best:
-            x_best, f_best = xe, fx
+            x_best, f_best, feasible_best = xe, fx, feasible
         return fx
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
@@ -212,7 +219,7 @@ def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings())
                         fvals[i] = evaluate(simplex[i])
     except _BudgetSpent:
         pass
-    return x_best, f_best, n_evals
+    return x_best, f_best, n_evals, feasible_best
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +296,7 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
     lo, hi = bounds.T
     x0 = np.clip(x0, lo, hi)
 
-    # (of, feasible) of the first lowest point scored since the last reset,
-    # which is the point Nelder-Mead returns; None records the next point
-    # whatever its objective
-    scored = None
-
-    def scalar_f(x):
-        nonlocal scored
-        r = f(x)
-        of, feas = (float(r[0]), bool(r[1])) if isinstance(r, tuple) \
-            else (float(r), True)
-        if scored is None or of < scored[0]:
-            scored = (of, feas)
-        return of
-
-    scalar_f(x0)
-    of0, feas0 = scored
+    of0, feas0 = _scored(f(x0))
     n_evals = 1
     incumbent_x, incumbent_of = x0, of0
     of_global_best = of0
@@ -322,12 +314,10 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
             break
         x_try = (incumbent_x + rng.uniform(-step, step, size=x0.size)).clip(lo, hi)
 
-        scored = (math.inf, False)
-        x_cand, of_cand, evals = nelder_mead(
-            scalar_f, x_try, bounds=bounds, scale=max(0.25 * step, 0.01),
+        x_cand, of_cand, evals, cand_feasible = nelder_mead(
+            f, x_try, bounds=bounds, scale=max(0.25 * step, 0.01),
             settings=config.nm)
         n_evals += evals
-        cand_feasible = scored[1]
 
         accepted = metropolis_accept(of_cand - incumbent_of,
                                      config.temperature, rng)

@@ -34,7 +34,7 @@ the objective's own plant weights, PCC targets and collapse score:
   schema), and a solve that does not collapse computes every load current
   from voltages of at least ``V_COLLAPSE_PU`` of nominal, so no branch
   carries more than sum_b |S_b| / (3 v_floor).  The tracking cost is then at
-  least k_pcc_p * dist(P_target, [P_ll, P_ll + L_p]) plus the same for Q.
+  least K_PCC_P * dist(P_target, [P_ll, P_ll + L_p]) plus the same for Q.
 * The line penalty is >= 0, and a failed solve scores the objective's
   ``StepObjective.collapse_of``, so the bound is capped there.
 
@@ -87,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispatch import StepObjective
+from .dispatch import K_PCC_P, K_PCC_Q, StepObjective
 from .errors import ConfigurationError
 from .grid import V_COLLAPSE_PU
 from .twin import CellTwin
@@ -240,8 +240,8 @@ def _lower_bounds(f, probes):
     def dist(target, lo, hi):
         return np.maximum(np.maximum(lo - target, target - hi), 0.0)
 
-    tracking = (f.costs.k_pcc_p * dist(p_target, p_ll - tol, p_ll + loss_p + tol)
-                + f.costs.k_pcc_q * dist(q_target, q_ll - tol, q_ll + loss_q + tol))
+    tracking = (K_PCC_P * dist(p_target, p_ll - tol, p_ll + loss_p + tol)
+                + K_PCC_Q * dist(q_target, q_ll - tol, q_ll + loss_q + tol))
     return np.minimum(plant_cost * (1.0 - _LB_MARGIN) + tracking, f.collapse_of)
 
 

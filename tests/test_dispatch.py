@@ -11,8 +11,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cellflex import dispatch
 from cellflex.dispatch import (
-    CostTable,
+    K_INFEASIBLE,
+    K_PCC_P,
+    K_PCC_Q,
     DispatchRun,
     StepObjective,
     exchange_pass,
@@ -166,9 +169,8 @@ class TestToyTracking:
         # step 0 starts from zero offsets exchanged, later steps from the
         # carry exchanged: every iteration-0 objective lies far below the
         # pure PCC mismatch cost of the zero vector
-        c = CostTable()
-        cold = c.k_pcc_p * abs(TOY_REQUEST.dp_kw) \
-            + c.k_pcc_q * abs(TOY_REQUEST.dq_kvar)
+        cold = K_PCC_P * abs(TOY_REQUEST.dp_kw) \
+            + K_PCC_Q * abs(TOY_REQUEST.dq_kvar)
         x0 = [s.iterations[0].of_local for s in toy_run.steps]
         assert x0[0] < 0.1 * cold
         assert x0[1] < 0.1 * cold
@@ -315,7 +317,7 @@ class TestMeritOrderStart:
     def test_tracks_the_request_cheapest_class_first(self, scenario, request_):
         twin = CellTwin(scenario())
         ref = twin.run_warmup()
-        costs = CostTable()
+        f = StepObjective(twin, ref, request_)
         evaluated = []
         evaluate = twin.evaluate_dispatch
 
@@ -324,12 +326,11 @@ class TestMeritOrderStart:
             return evaluate(ref_, offsets)
 
         twin.evaluate_dispatch = counted
-        x = exchange_pass(StepObjective(twin, ref, request_, costs),
-                          np.zeros(twin.n_plants))
+        x = exchange_pass(f, np.zeros(twin.n_plants))
         assert len(evaluated) <= 40
         assert not evaluated[0].any()          # the exchange starts from zeros
         moved = np.flatnonzero(evaluated[1])
-        weights = costs.weights_for(twin.plant_classes)
+        weights = f.weights
         p_weights = [w for w, c in zip(weights, twin.plant_classes)
                      if c != "inv"]
         assert len(moved) == 1
@@ -425,16 +426,20 @@ class TestStepObjective:
         # the search minimises score and a committed step records
         # breakdown(ev).of: they must be one number
         twin, ref = self.overload_cell()
-        costs = CostTable(k_bes=k[0], k_pcc_p=k[1], k_pcc_q=k[2],
-                          k_infeasible=k[3])
-        f = StepObjective(twin, ref, FlexibilityRequest(dp, dq), costs)
         ev = twin.evaluate_dispatch(ref, np.array([x]))
-        of, feasible = f.score(ev)
-        assert feasible == (ev.failure is None and not ev.n_violations)
-        if ev.failure is None:
-            assert of.hex() == f.breakdown(ev).of.hex()
-        else:
-            assert of == f.collapse_of
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(dispatch._PLANT_CLASSES, "bes", (k[0], "bes"))
+            mp.setattr(dispatch, "K_PCC_P", k[1])
+            mp.setattr(dispatch, "K_PCC_Q", k[2])
+            mp.setattr(dispatch, "K_INFEASIBLE", k[3])
+            f = StepObjective(twin, ref, FlexibilityRequest(dp, dq))
+            assert f.weights.tolist() == [k[0]]
+            of, feasible = f.score(ev)
+            assert feasible == (ev.failure is None and not ev.n_violations)
+            if ev.failure is None:
+                assert of.hex() == f.breakdown(ev).of.hex()
+            else:
+                assert of == f.collapse_of == k[3] * 2
 
 
 class TestEvaluationBudget:
@@ -611,12 +616,12 @@ class TestOracle:
         assert oracle.x[1] == pytest.approx(0.3, abs=0.05)
 
 
-def bounds_and_objectives(scenario, request, resolution, costs=CostTable()):
+def bounds_and_objectives(scenario, request, resolution):
     """The oracle's lower bound and the objective at every point of the full
     offset grid, each with one axis per plant."""
     twin = CellTwin(scenario)
     ref = twin.run_warmup()
-    f = StepObjective(twin, ref, request, costs)
+    f = StepObjective(twin, ref, request)
     axes = _grid_axes(f.bounds, resolution)
     lb = _lower_bounds(f, _probe_axes(f, axes))
     of = [f(np.array(x))[0] for x in itertools.product(*axes)]
@@ -634,15 +639,16 @@ class TestOracleBound:
         assert lb.shape == (161, 37)
         assert np.all(lb <= of), np.max(lb - of)
 
-    @pytest.mark.parametrize("costs", [CostTable(), CostTable(k_infeasible=1e-3)],
+    @pytest.mark.parametrize("k_infeasible", [K_INFEASIBLE, 1e-3],
                              ids=["default", "cheap_collapse"])
-    def test_bound_holds_where_the_feeder_collapses(self, costs):
+    def test_bound_holds_where_the_feeder_collapses(self, monkeypatch,
+                                                    k_infeasible):
         # offsets from +10 kW up collapse the weak feeder's voltage; a
         # collapse cheaper than the tracking cost takes the cap
+        monkeypatch.setattr(dispatch, "K_INFEASIBLE", k_infeasible)
         request = FlexibilityRequest(-20.0, 0.0)
-        lb, of = bounds_and_objectives(weak_feeder_scenario(), request, 5.0,
-                                       costs)
-        assert np.count_nonzero(of == costs.k_infeasible * 2) == 23
+        lb, of = bounds_and_objectives(weak_feeder_scenario(), request, 5.0)
+        assert np.count_nonzero(of == k_infeasible * 2) == 23
         assert np.all(lb <= of), np.max(lb - of)
 
     def test_pruned_oracle_matches_brute_force_where_the_feeder_collapses(self):

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import optimizer_reference as reference
 
-from cellflex.dispatch import CostTable, objective_breakdown
+from cellflex.dispatch import StepObjective, objective_breakdown
 from cellflex.errors import ConfigurationError
 from cellflex.optimizer import (
     BasinHoppingConfig,
@@ -19,36 +19,32 @@ from cellflex.optimizer import (
     metropolis_accept,
     nelder_mead,
 )
+from cellflex.scenario import load_bundled_scenario
+from cellflex.twin import CellTwin
 
 
-class TestCostTable:
-    def test_default_weights(self):
-        c = CostTable()
-        assert c.k_bes == pytest.approx(2.78e-4)
-        assert c.k_inv == pytest.approx(1.38e-4)
-        assert c.k_ehp == pytest.approx(7.92e-3)
-        assert c.k_bev_v1g == pytest.approx(5.56e-4)
-        assert c.k_bev_v2g == pytest.approx(9.72e-4)
-        assert c.k_pcc_p == c.k_pcc_q == pytest.approx(2.78e-2)
-        assert c.k_infeasible == 10.0
-
-    def test_weights_for_classes(self):
-        c = CostTable()
-        w = c.weights_for(("bes", "ehp", "bev_v1g", "bev_v2g", "inv"))
-        assert w.tolist() == [c.k_bes, c.k_ehp, c.k_bev_v1g, c.k_bev_v2g, c.k_inv]
-
-    def test_unknown_class(self):
-        with pytest.raises(ConfigurationError, match="unknown plant class"):
-            CostTable().weights_for(("bes", "windmill"))
+class TestFixedWeights:
+    def test_bundled_cell_objective(self):
+        twin = CellTwin(load_bundled_scenario())
+        ref = twin.run_warmup()
+        f = StepObjective(twin, ref, FlexibilityRequest(5.0, 1.0))
+        k = {"bes": 2.78e-4, "inv": 1.38e-4, "ehp": 7.92e-3,
+             "bev_v1g": 5.56e-4, "bev_v2g": 9.72e-4}
+        assert set(twin.plant_classes) == set(k)
+        assert f.weights.tolist() == [k[c] for c in twin.plant_classes]
+        assert f.collapse_of == 10.0 * (len(twin.topology.lines) + 1)
+        ev = twin.evaluate_dispatch(ref, np.full(twin.n_plants, 0.5))
+        bd = f.breakdown(ev)
+        assert bd.plant_cost > 0.0
+        assert bd.cost_eur == 0.1 * bd.plant_cost
 
 
 class TestObjectiveBreakdown:
     def test_hand_computed_terms(self):
-        c = CostTable()
         bd = objective_breakdown(
-            plant_deltas=np.array([1.0, -2.0]),
-            plant_weights=np.array([c.k_bes, c.k_bev_v2g]),
-            dp_err_kw=0.5, dq_err_kvar=-0.25, n_violations=2, costs=c)
+            values=np.array([1.5, -1.0]), ref_values=np.array([0.5, 1.0]),
+            weights=np.array([2.78e-4, 9.72e-4]),
+            dp_err_kw=0.5, dq_err_kvar=-0.25, n_violations=2)
         plant = 1.0 * 2.78e-4 + 2.0 * 9.72e-4
         pcc = 2.78e-2 * 0.5 + 2.78e-2 * 0.25
         assert bd.plant_cost == pytest.approx(plant)
@@ -58,26 +54,26 @@ class TestObjectiveBreakdown:
         assert bd.cost_eur == pytest.approx(plant * 0.1)
 
     def test_zero_everything(self):
-        bd = objective_breakdown(np.zeros(3), np.ones(3), 0.0, 0.0, 0, CostTable())
+        one = np.ones(3)
+        bd = objective_breakdown(one, one, one, 0.0, 0.0, 0)
         assert bd.of == 0.0 and bd.cost_eur == 0.0
 
-    @given(st.lists(st.tuples(st.floats(width=64), st.floats(0.0, 1.0)),
-                    max_size=40))
+    @given(st.lists(st.tuples(st.floats(width=64), st.floats(width=64),
+                              st.floats(0.0, 1.0)), max_size=40))
     def test_plant_cost_adds_the_plants_left_to_right(self, terms):
         # the sum's order is fixed, not left to a BLAS kernel
         want = 0.0
-        for delta, weight in terms:
-            want += abs(delta) * weight
-        bd = objective_breakdown(np.array([d for d, _ in terms], dtype=float),
-                                 np.array([w for _, w in terms], dtype=float),
-                                 0.0, 0.0, 0, CostTable())
+        for value, ref, weight in terms:
+            want += abs(value - ref) * weight
+        columns = np.array(terms, dtype=float).reshape(-1, 3).T.copy()
+        bd = objective_breakdown(*columns, 0.0, 0.0, 0)
         assert bd.plant_cost.hex() == want.hex()
 
     @given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
     def test_of_depends_on_error_magnitudes_only(self, dp, dq):
-        c = CostTable()
-        a = objective_breakdown(np.zeros(1), np.zeros(1), dp, dq, 0, c)
-        b = objective_breakdown(np.zeros(1), np.zeros(1), -dp, -dq, 0, c)
+        zero = np.zeros(1)
+        a = objective_breakdown(zero, zero, zero, dp, dq, 0)
+        b = objective_breakdown(zero, zero, zero, -dp, -dq, 0)
         assert a.of == pytest.approx(b.of)
         assert a.of >= 0.0
 
@@ -152,21 +148,21 @@ def plateau_objective(center, step, feasible_cut, paired):
 class TestNelderMead:
     def test_quadratic_minimum(self):
         f = lambda x: float((x[0] - 3.0) ** 2 + (x[1] + 1.0) ** 2)
-        x, fx, _ = nelder_mead(f, np.array([0.0, 0.0]),
-                               settings=NelderMeadSettings(maxfev=200))
+        x, fx, _, _ = nelder_mead(f, np.array([0.0, 0.0]),
+                                  settings=NelderMeadSettings(maxfev=200))
         assert x == pytest.approx([3.0, -1.0], abs=1e-4)
         assert fx < 1e-7
 
     def test_rosenbrock(self):
         f = lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
         settings = NelderMeadSettings(fatol=1e-12, xatol=1e-10, maxfev=2000)
-        x, fx, _ = nelder_mead(f, np.array([-1.2, 1.0]), settings=settings)
+        x, fx, _, _ = nelder_mead(f, np.array([-1.2, 1.0]), settings=settings)
         assert x == pytest.approx([1.0, 1.0], abs=1e-3)
 
     def test_bounds_clamp_minimizer(self):
         f = lambda x: float((x[0] - 5.0) ** 2)
-        x, fx, _ = nelder_mead(f, np.array([1.0]),
-                               bounds=np.array([[0.0, 2.0]]))
+        x, fx, _, _ = nelder_mead(f, np.array([1.0]),
+                                  bounds=np.array([[0.0, 2.0]]))
         assert x[0] == pytest.approx(2.0, abs=1e-6)
         assert fx == pytest.approx(9.0, abs=1e-4)
 
@@ -177,8 +173,8 @@ class TestNelderMead:
             calls["n"] += 1
             return 0.0 if calls["n"] == 1 else 100.0 + float(np.sum(x ** 2))
 
-        x, fx, _ = nelder_mead(nasty, np.array([1.0, 2.0]),
-                               settings=NelderMeadSettings(maxfev=7))
+        x, fx, _, _ = nelder_mead(nasty, np.array([1.0, 2.0]),
+                                  settings=NelderMeadSettings(maxfev=7))
         assert fx == 0.0
         assert np.array_equal(x, [1.0, 2.0])
 
@@ -194,9 +190,9 @@ class TestNelderMead:
                 calls.append(x.copy())
                 return objective(x)
 
-            x, fx, n = nelder_mead(f, np.array([0.9, 1.9, 0.1, -1.9]),
-                                   bounds=bounds, scale=0.5,
-                                   settings=NelderMeadSettings(maxfev=budget))
+            x, fx, n, _ = nelder_mead(
+                f, np.array([0.9, 1.9, 0.1, -1.9]), bounds=bounds, scale=0.5,
+                settings=NelderMeadSettings(maxfev=budget))
             values = [objective(p) for p in calls]
             first_min = int(np.argmin(values))
             assert n == len(calls) <= budget
@@ -204,6 +200,23 @@ class TestNelderMead:
             assert x.tobytes() == calls[first_min].tobytes()
             assert all(np.all((bounds[:, 0] <= p) & (p <= bounds[:, 1]))
                        for p in calls)
+
+    def test_returns_the_flag_of_the_point_it_returns(self):
+        # the lowest objective, at x = 1, is the only infeasible point; every
+        # later point is worse and feasible
+        calls = []
+
+        def f(x):
+            of = abs(float(x[0]) - 1.0)
+            calls.append(of > 0.0)
+            return of, of > 0.0
+
+        x, fx, n, feasible = nelder_mead(
+            f, np.array([0.0]), scale=1.0,
+            settings=NelderMeadSettings(maxfev=10))
+        assert (x.tolist(), fx, n) == ([1.0], 0.0, 10)
+        assert calls == [True, False] + [True] * 8
+        assert feasible is False
 
     def test_zero_dimensional_rejected(self):
         with pytest.raises(ConfigurationError, match="zero-dimensional"):
@@ -213,7 +226,7 @@ class TestNelderMead:
     def test_result_never_above_start_value(self, x0):
         f = lambda x: float(np.sum((np.asarray(x) - 1.5) ** 2))
         x0 = np.array(x0)
-        _, fx, _ = nelder_mead(f, x0, settings=NelderMeadSettings(maxfev=50))
+        fx = nelder_mead(f, x0, settings=NelderMeadSettings(maxfev=50))[1]
         assert fx <= f(x0) + 1e-12
 
 
@@ -261,7 +274,8 @@ class TestSearchReference:
         runs = []
         for search in (nelder_mead, reference.nelder_mead):
             g, calls = recorded(f)
-            x, fx, n = search(g, x0, bounds=bounds, scale=scale, settings=nm)
+            x, fx, n = search(g, x0, bounds=bounds, scale=scale,
+                              settings=nm)[:3]
             runs.append((x.tobytes(), fx.hex(), n, calls))
         assert runs[0] == runs[1]
 
@@ -269,6 +283,11 @@ class TestSearchReference:
            temperature=st.sampled_from([0.0, 0.05, 1.0]),
            step_size=st.floats(0.05, 3.0), seed=st.integers(0, 2**32 - 1),
            patience=st.sampled_from([None, 1, 3]))
+    # the candidate's best point lies just below the feasibility cut and
+    # Nelder-Mead evaluates feasible points after it
+    @example(problem=(plateau_objective(np.array([0.5]), 0.0, 0.5, True),
+                      np.array([0.0]), None, NelderMeadSettings()),
+             n_iter=1, temperature=0.0, step_size=1.0, seed=1, patience=None)
     def test_basin_hopping(self, problem, n_iter, temperature, step_size, seed,
                            patience):
         f, x0, bounds, nm = problem
