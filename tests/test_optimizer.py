@@ -8,7 +8,14 @@ from hypothesis import example, given, strategies as st
 
 import optimizer_reference as reference
 
-from cellflex.dispatch import StepObjective, objective_breakdown
+from cellflex.dispatch import (
+    EUR_PER_UNIT,
+    K_INFEASIBLE,
+    K_PCC_P,
+    K_PCC_Q,
+    StepObjective,
+    objective_breakdown,
+)
 from cellflex.errors import ConfigurationError
 from cellflex.optimizer import (
     BasinHoppingConfig,
@@ -23,20 +30,29 @@ from cellflex.scenario import load_bundled_scenario
 from cellflex.twin import CellTwin
 
 
-class TestFixedWeights:
-    def test_bundled_cell_objective(self):
+class TestCostTable:
+    """The fixed cost weights of the dispatch objective."""
+
+    def test_default_weights(self):
+        assert K_PCC_P == K_PCC_Q == pytest.approx(2.78e-2)
+        assert K_INFEASIBLE == 10.0
+        assert EUR_PER_UNIT == 0.1
         twin = CellTwin(load_bundled_scenario())
         ref = twin.run_warmup()
         f = StepObjective(twin, ref, FlexibilityRequest(5.0, 1.0))
+        assert f.collapse_of == K_INFEASIBLE * (len(twin.topology.lines) + 1)
+        ev = twin.evaluate_dispatch(ref, np.full(twin.n_plants, 0.5))
+        bd = f.breakdown(ev)
+        assert bd.plant_cost > 0.0
+        assert bd.cost_eur == EUR_PER_UNIT * bd.plant_cost
+
+    def test_weights_for_classes(self):
+        twin = CellTwin(load_bundled_scenario())
+        f = StepObjective(twin, twin.run_warmup(), FlexibilityRequest(5.0, 1.0))
         k = {"bes": 2.78e-4, "inv": 1.38e-4, "ehp": 7.92e-3,
              "bev_v1g": 5.56e-4, "bev_v2g": 9.72e-4}
         assert set(twin.plant_classes) == set(k)
         assert f.weights.tolist() == [k[c] for c in twin.plant_classes]
-        assert f.collapse_of == 10.0 * (len(twin.topology.lines) + 1)
-        ev = twin.evaluate_dispatch(ref, np.full(twin.n_plants, 0.5))
-        bd = f.breakdown(ev)
-        assert bd.plant_cost > 0.0
-        assert bd.cost_eur == 0.1 * bd.plant_cost
 
 
 class TestObjectiveBreakdown:
