@@ -1,15 +1,20 @@
 /* The cell's compiled inner loops: the plants' substeps, the radial power
  * flow, the twin's changed-offset scan and the objective's plant cost.
  *
- * storage_substeps is the loop behind BatteryStorage and ElectricVehicle
- * steps, heat_pump_substeps the one behind HeatPumpSystem.step.  plants.py
- * describes the models; each step there passes its plant's parameters and
- * state to one of these and writes the returned state back.  power_flow is
- * the backward/forward sweep behind grid.solve_power_flow, run over the plan
- * GridTopology builds once; changed_offsets is the twin's rule for the
- * plants an evaluation must re-integrate, and plant_cost(weights, values,
- * ref) the dispatch objective's plant term, summed in plant order so that
- * no BLAS kernel picks the order of its additions.
+ * store_run is the substep body of batteries and EVs, hp_run that of heat
+ * pumps, each written once.  storage_substeps and heat_pump_substeps run
+ * one interval through them (BatteryStorage, ElectricVehicle and
+ * HeatPumpSystem steps); storage_blocks and heat_pump_blocks run a tuple
+ * of intervals with no offset, the state carried from each into the next
+ * (the plants' warm_up, one call per plant for the whole warmup).
+ * plants.py describes the models; each method there passes its plant's
+ * parameters and state to one of these entries and writes the returned
+ * state back.  power_flow is the backward/forward sweep behind
+ * grid.solve_power_flow, run over the plan GridTopology builds once;
+ * changed_offsets is the twin's rule for the plants an evaluation must
+ * re-integrate, and plant_cost(weights, values, ref) the dispatch
+ * objective's plant term, summed in plant order so that no BLAS kernel
+ * picks the order of its additions.
  *
  * Each loop replays Python float arithmetic bit for bit: the same operations
  * in the same order, comparisons instead of min/max with Python's tie rules,
@@ -69,69 +74,50 @@ as_double(PyObject *arg, double *out)
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* Trip j of `trips` (a tuple of (departure, return, energy) tuples). */
-static int
-read_trip(PyObject *trips, Py_ssize_t j, double *trip)
+/* Block j of the tuple `blocks`, borrowed; NULL with TypeError unless it
+   is a 3-tuple */
+static PyObject *
+block_at(PyObject *blocks, Py_ssize_t j)
 {
-    PyObject *item = PyTuple_GET_ITEM(trips, j);
-    if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 3) {
-        PyErr_SetString(PyExc_TypeError, "a trip must be a 3-tuple");
-        return -1;
+    PyObject *block = PyTuple_GET_ITEM(blocks, j);
+    if (!PyTuple_Check(block) || PyTuple_GET_SIZE(block) != 3) {
+        PyErr_SetString(PyExc_TypeError, "a block must be a 3-tuple");
+        return NULL;
     }
-    return as_double(PyTuple_GET_ITEM(item, 0), &trip[0])
-        || as_double(PyTuple_GET_ITEM(item, 1), &trip[1])
-        || as_double(PyTuple_GET_ITEM(item, 2), &trip[2]) ? -1 : 0;
+    return block;
 }
 
-PyDoc_STRVAR(storage_doc,
-"storage_substeps(soc, p, saturated, drained, wish_kw, offset_kw, lo, hi,\n"
-"                 n, dt, base_tod_s, capacity_kwh, eta_charge,\n"
-"                 eta_discharge, lag, away, trips)\n"
-"--\n\n"
-"Advance a store n substeps; returns (soc, p, saturated, drained).\n\n"
-"`wish_kw` is None for an EV charging until full; `away` is the trip\n"
-"window (first departure, last return) in s of day or None, `trips` the\n"
-"(departure, return, energy) tuples it spans.");
+/* A store's state, carried from substep to substep and block to block */
+typedef struct {
+    double soc, p, drained;
+    int saturated;
+} store_state;
 
-static PyObject *
-storage_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* What a store holds over a call: its offset, rating bounds, substep,
+   parameters and lag factor, and with has_away its trip window (first
+   departure, last return) and the (departure, return, energy) triple of
+   each of its n_trips trips, in a PyMem buffer */
+typedef struct {
+    double offset_kw, lo, hi, dt, cap, eta_c, eta_d, lag;
+    int has_away;
+    double away_from, away_to, *trips;
+    Py_ssize_t n_trips;
+} store_params;
+
+/* The storage substep body: advance `st` n substeps, the first starting at
+   time of day base_tod, toward wish_kw (with has_wish) or, without, toward
+   charging until full */
+static void
+store_run(store_state *st, const store_params *sp, Py_ssize_t n,
+          int has_wish, double wish_kw, double base_tod)
 {
-    double soc, p, drained, wish_kw = 0.0, offset_kw, lo, hi, dt, base_tod;
-    double cap, eta_c, eta_d, lag, away_from = 0.0, away_to = 0.0, trip[3];
-    if (nargs != 17) {
-        PyErr_Format(PyExc_TypeError,
-                     "storage_substeps() takes 17 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    int saturated = PyObject_IsTrue(args[2]);
-    if (saturated < 0)
-        return NULL;
-    Py_ssize_t n = PyLong_AsSsize_t(args[8]);
-    if (n == -1 && PyErr_Occurred())
-        return NULL;
-    int has_wish = args[4] != Py_None;
-    PyObject *away = args[15], *trips = args[16];
-    int has_away = away != Py_None;
-    if (as_double(args[0], &soc) || as_double(args[1], &p)
-            || as_double(args[3], &drained)
-            || (has_wish && as_double(args[4], &wish_kw))
-            || as_double(args[5], &offset_kw) || as_double(args[6], &lo)
-            || as_double(args[7], &hi) || as_double(args[9], &dt)
-            || as_double(args[10], &base_tod) || as_double(args[11], &cap)
-            || as_double(args[12], &eta_c) || as_double(args[13], &eta_d)
-            || as_double(args[14], &lag))
-        return NULL;
-    if (has_away) {
-        if (!PyTuple_Check(away) || PyTuple_GET_SIZE(away) != 2
-                || !PyTuple_Check(trips)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "away must be a 2-tuple and trips a tuple");
-            return NULL;
-        }
-        if (as_double(PyTuple_GET_ITEM(away, 0), &away_from)
-                || as_double(PyTuple_GET_ITEM(away, 1), &away_to))
-            return NULL;
-    }
+    double soc = st->soc, p = st->p, drained = st->drained;
+    int saturated = st->saturated;
+    const double offset_kw = sp->offset_kw, lo = sp->lo, hi = sp->hi;
+    const double dt = sp->dt, cap = sp->cap, eta_c = sp->eta_c;
+    const double eta_d = sp->eta_d, lag = sp->lag;
+    const double away_from = sp->away_from, away_to = sp->away_to;
+    const int has_away = sp->has_away;
 
     double charge_div = eta_c * dt;
     Py_ssize_t k = 0;
@@ -142,9 +128,8 @@ storage_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 while (k < n && away_from <= tod && tod < away_to) {
                     Py_ssize_t k_pass = k;
                     double drain = 0.0, drop = 0.0;
-                    for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(trips); j++) {
-                        if (read_trip(trips, j, trip) < 0)
-                            return NULL;
+                    for (Py_ssize_t j = 0; j < sp->n_trips; j++) {
+                        const double *trip = sp->trips + 3 * j;
                         double dep = trip[0], ret = trip[1], energy = trip[2];
                         if (dep <= tod && tod < ret) {
                             drain = energy * dt / (ret - dep);
@@ -242,55 +227,200 @@ storage_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
     }
 
-    return Py_BuildValue("(ddNd)", soc, p, PyBool_FromLong(saturated),
-                         drained);
+    st->soc = soc;
+    st->p = p;
+    st->drained = drained;
+    st->saturated = saturated;
 }
 
-PyDoc_STRVAR(heat_pump_doc,
-"heat_pump_substeps(t, heating, saturated, cop, p_comp, p_elem,\n"
-"                   heat_demand_kw, ambient_c, offset_kw, n, dt, p_el_max_kw,\n"
-"                   p_element_kw, effectiveness, t_on_c, t_off_c, t_min_c,\n"
-"                   t_max_c, t_element_threshold_c, storage_kwh_per_k, lag)\n"
-"--\n\n"
-"Advance a heat pump n substeps; returns\n"
-"(t, heating, saturated, cop, p_comp, p_elem).");
+/* Read (soc, p, saturated, drained) from args[0..3]; -1 on failure */
+static int
+read_store_state(PyObject *const *args, store_state *st)
+{
+    st->saturated = PyObject_IsTrue(args[2]);
+    if (st->saturated < 0)
+        return -1;
+    return as_double(args[0], &st->soc) || as_double(args[1], &st->p)
+        || as_double(args[3], &st->drained) ? -1 : 0;
+}
+
+/* Read the trip window `away` (None or a 2-tuple) and, with one, the tuple
+   `trips` of (departure, return, energy) tuples into sp; -1 on failure.
+   On success the caller frees sp->trips. */
+static int
+read_trips(PyObject *away, PyObject *trips, store_params *sp)
+{
+    sp->trips = NULL;
+    sp->n_trips = 0;
+    sp->away_from = sp->away_to = 0.0;
+    sp->has_away = away != Py_None;
+    if (!sp->has_away)
+        return 0;
+    if (!PyTuple_Check(away) || PyTuple_GET_SIZE(away) != 2
+            || !PyTuple_Check(trips)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "away must be a 2-tuple and trips a tuple");
+        return -1;
+    }
+    if (as_double(PyTuple_GET_ITEM(away, 0), &sp->away_from)
+            || as_double(PyTuple_GET_ITEM(away, 1), &sp->away_to))
+        return -1;
+    Py_ssize_t n = PyTuple_GET_SIZE(trips);
+    sp->trips = PyMem_Malloc((n > 0 ? n : 1) * 3 * sizeof(double));
+    if (sp->trips == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t j = 0; j < n; j++) {
+        PyObject *item = PyTuple_GET_ITEM(trips, j);
+        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 3) {
+            PyErr_SetString(PyExc_TypeError, "a trip must be a 3-tuple");
+            goto fail;
+        }
+        for (Py_ssize_t i = 0; i < 3; i++)
+            if (as_double(PyTuple_GET_ITEM(item, i), &sp->trips[3 * j + i]))
+                goto fail;
+    }
+    sp->n_trips = n;
+    return 0;
+fail:
+    PyMem_Free(sp->trips);
+    sp->trips = NULL;
+    return -1;
+}
 
 static PyObject *
-heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+store_result(const store_state *st)
 {
-    double t, cop, p_comp, p_elem, heat, ambient, offset_kw, dt, p_el_max;
-    double p_element, effectiveness, t_on, t_off, t_min, t_max, t_threshold;
-    double storage_kwh_per_k, lag;
-    if (nargs != 21) {
+    return Py_BuildValue("(ddNd)", st->soc, st->p,
+                         PyBool_FromLong(st->saturated), st->drained);
+}
+
+PyDoc_STRVAR(storage_doc,
+"storage_substeps(soc, p, saturated, drained, wish_kw, offset_kw, lo, hi,\n"
+"                 n, dt, base_tod_s, capacity_kwh, eta_charge,\n"
+"                 eta_discharge, lag, away, trips)\n"
+"--\n\n"
+"Advance a store n substeps; returns (soc, p, saturated, drained).\n\n"
+"`wish_kw` is None for an EV charging until full; `away` is the trip\n"
+"window (first departure, last return) in s of day or None, `trips` the\n"
+"(departure, return, energy) tuples it spans.");
+
+static PyObject *
+storage_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    store_state st;
+    store_params sp;
+    double wish_kw = 0.0, base_tod;
+    if (nargs != 17) {
         PyErr_Format(PyExc_TypeError,
-                     "heat_pump_substeps() takes 21 arguments (%zd given)",
-                     nargs);
+                     "storage_substeps() takes 17 arguments (%zd given)", nargs);
         return NULL;
     }
-    int heating = PyObject_IsTrue(args[1]);
-    if (heating < 0)
-        return NULL;
-    int saturated = PyObject_IsTrue(args[2]);
-    if (saturated < 0)
-        return NULL;
-    Py_ssize_t n = PyLong_AsSsize_t(args[9]);
+    Py_ssize_t n = PyLong_AsSsize_t(args[8]);
     if (n == -1 && PyErr_Occurred())
         return NULL;
-    if (as_double(args[0], &t) || as_double(args[3], &cop)
-            || as_double(args[4], &p_comp) || as_double(args[5], &p_elem)
-            || as_double(args[6], &heat) || as_double(args[7], &ambient)
-            || as_double(args[8], &offset_kw) || as_double(args[10], &dt)
-            || as_double(args[11], &p_el_max)
-            || as_double(args[12], &p_element)
-            || as_double(args[13], &effectiveness)
-            || as_double(args[14], &t_on) || as_double(args[15], &t_off)
-            || as_double(args[16], &t_min) || as_double(args[17], &t_max)
-            || as_double(args[18], &t_threshold)
-            || as_double(args[19], &storage_kwh_per_k)
-            || as_double(args[20], &lag))
+    int has_wish = args[4] != Py_None;
+    if (read_store_state(args, &st) < 0
+            || (has_wish && as_double(args[4], &wish_kw))
+            || as_double(args[5], &sp.offset_kw) || as_double(args[6], &sp.lo)
+            || as_double(args[7], &sp.hi) || as_double(args[9], &sp.dt)
+            || as_double(args[10], &base_tod) || as_double(args[11], &sp.cap)
+            || as_double(args[12], &sp.eta_c) || as_double(args[13], &sp.eta_d)
+            || as_double(args[14], &sp.lag)
+            || read_trips(args[15], args[16], &sp) < 0)
         return NULL;
+    store_run(&st, &sp, n, has_wish, wish_kw, base_tod);
+    PyMem_Free(sp.trips);
+    return store_result(&st);
+}
+
+PyDoc_STRVAR(storage_blocks_doc,
+"storage_blocks(soc, p, saturated, drained, lo, hi, dt, capacity_kwh,\n"
+"               eta_charge, eta_discharge, lag, away, trips, blocks)\n"
+"--\n\n"
+"Advance a store over consecutive intervals with no offset; returns\n"
+"(soc, p, saturated, drained) after the last.\n\n"
+"`blocks` holds an (n, wish_kw, base_tod_s) tuple per interval, the\n"
+"arguments storage_substeps takes per interval; each interval starts from\n"
+"the state the one before it ends in, as consecutive storage_substeps\n"
+"calls with offset_kw 0.0 would.");
+
+static PyObject *
+storage_blocks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    store_state st;
+    store_params sp;
+    if (nargs != 14) {
+        PyErr_Format(PyExc_TypeError,
+                     "storage_blocks() takes 14 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *blocks = args[13];
+    if (!PyTuple_Check(blocks)) {
+        PyErr_SetString(PyExc_TypeError, "blocks must be a tuple");
+        return NULL;
+    }
+    sp.offset_kw = 0.0;
+    if (read_store_state(args, &st) < 0
+            || as_double(args[4], &sp.lo) || as_double(args[5], &sp.hi)
+            || as_double(args[6], &sp.dt) || as_double(args[7], &sp.cap)
+            || as_double(args[8], &sp.eta_c) || as_double(args[9], &sp.eta_d)
+            || as_double(args[10], &sp.lag)
+            || read_trips(args[11], args[12], &sp) < 0)
+        return NULL;
+    for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(blocks); j++) {
+        double wish_kw = 0.0, base_tod;
+        PyObject *block = block_at(blocks, j);
+        if (block == NULL)
+            goto fail;
+        Py_ssize_t n = PyLong_AsSsize_t(PyTuple_GET_ITEM(block, 0));
+        if (n == -1 && PyErr_Occurred())
+            goto fail;
+        PyObject *wish = PyTuple_GET_ITEM(block, 1);
+        int has_wish = wish != Py_None;
+        if ((has_wish && as_double(wish, &wish_kw))
+                || as_double(PyTuple_GET_ITEM(block, 2), &base_tod))
+            goto fail;
+        store_run(&st, &sp, n, has_wish, wish_kw, base_tod);
+    }
+    PyMem_Free(sp.trips);
+    return store_result(&st);
+fail:
+    PyMem_Free(sp.trips);
+    return NULL;
+}
+
+/* A heat pump's state, carried from substep to substep and block to block:
+   tank temperature, thermostat, saturation, COP and the realized compressor
+   (the lag's state) and element powers */
+typedef struct {
+    double t, cop, p_comp, p_elem;
+    int heating, saturated;
+} hp_state;
+
+/* What a heat pump holds over a call: its offset, substep, parameters and
+   lag factor */
+typedef struct {
+    double offset_kw, dt, p_el_max, p_element, effectiveness, t_on, t_off;
+    double t_min, t_max, t_threshold, storage_kwh_per_k, lag;
+} hp_params;
+
+/* The heat-pump substep body: advance `st` n substeps under a held heat
+   demand and ambient temperature */
+static void
+hp_run(hp_state *st, const hp_params *hp, Py_ssize_t n, double heat,
+       double ambient)
+{
+    double t = st->t, cop = st->cop, p_comp = st->p_comp, p_elem = st->p_elem;
+    int heating = st->heating, saturated = st->saturated;
+    const double offset_kw = hp->offset_kw, dt = hp->dt;
+    const double p_el_max = hp->p_el_max, p_element = hp->p_element;
+    const double effectiveness = hp->effectiveness, lag = hp->lag;
+    const double t_on = hp->t_on, t_off = hp->t_off, t_min = hp->t_min;
+    const double t_max = hp->t_max, t_threshold = hp->t_threshold;
     double p_max_total = p_el_max + p_element;
-    double c3600 = storage_kwh_per_k * 3600.0;
+    double c3600 = hp->storage_kwh_per_k * 3600.0;
 
     for (Py_ssize_t i = 0; i < n; i++) {
         /* min(ambient_c, t - 1.0), ties to the ambient temperature */
@@ -355,8 +485,131 @@ heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         t = t_new;
     }
 
-    return Py_BuildValue("(dNNddd)", t, PyBool_FromLong(heating),
-                         PyBool_FromLong(saturated), cop, p_comp, p_elem);
+    st->t = t;
+    st->cop = cop;
+    st->p_comp = p_comp;
+    st->p_elem = p_elem;
+    st->heating = heating;
+    st->saturated = saturated;
+}
+
+/* Read (t, heating, saturated, cop, p_comp, p_elem) from args[0..5] */
+static int
+read_hp_state(PyObject *const *args, hp_state *st)
+{
+    st->heating = PyObject_IsTrue(args[1]);
+    if (st->heating < 0)
+        return -1;
+    st->saturated = PyObject_IsTrue(args[2]);
+    if (st->saturated < 0)
+        return -1;
+    return as_double(args[0], &st->t) || as_double(args[3], &st->cop)
+        || as_double(args[4], &st->p_comp) || as_double(args[5], &st->p_elem)
+        ? -1 : 0;
+}
+
+/* Read the substep and, from rating[0..9], p_el_max_kw through lag in the
+   entries' argument order */
+static int
+read_hp_params(PyObject *dt, PyObject *const *rating, hp_params *hp)
+{
+    return as_double(dt, &hp->dt)
+        || as_double(rating[0], &hp->p_el_max)
+        || as_double(rating[1], &hp->p_element)
+        || as_double(rating[2], &hp->effectiveness)
+        || as_double(rating[3], &hp->t_on) || as_double(rating[4], &hp->t_off)
+        || as_double(rating[5], &hp->t_min) || as_double(rating[6], &hp->t_max)
+        || as_double(rating[7], &hp->t_threshold)
+        || as_double(rating[8], &hp->storage_kwh_per_k)
+        || as_double(rating[9], &hp->lag) ? -1 : 0;
+}
+
+static PyObject *
+hp_result(const hp_state *st)
+{
+    return Py_BuildValue("(dNNddd)", st->t, PyBool_FromLong(st->heating),
+                         PyBool_FromLong(st->saturated), st->cop, st->p_comp,
+                         st->p_elem);
+}
+
+PyDoc_STRVAR(heat_pump_doc,
+"heat_pump_substeps(t, heating, saturated, cop, p_comp, p_elem,\n"
+"                   heat_demand_kw, ambient_c, offset_kw, n, dt, p_el_max_kw,\n"
+"                   p_element_kw, effectiveness, t_on_c, t_off_c, t_min_c,\n"
+"                   t_max_c, t_element_threshold_c, storage_kwh_per_k, lag)\n"
+"--\n\n"
+"Advance a heat pump n substeps; returns\n"
+"(t, heating, saturated, cop, p_comp, p_elem).");
+
+static PyObject *
+heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    hp_state st;
+    hp_params hp;
+    double heat, ambient;
+    if (nargs != 21) {
+        PyErr_Format(PyExc_TypeError,
+                     "heat_pump_substeps() takes 21 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    if (read_hp_state(args, &st) < 0)
+        return NULL;
+    Py_ssize_t n = PyLong_AsSsize_t(args[9]);
+    if ((n == -1 && PyErr_Occurred())
+            || as_double(args[6], &heat) || as_double(args[7], &ambient)
+            || as_double(args[8], &hp.offset_kw)
+            || read_hp_params(args[10], args + 11, &hp) < 0)
+        return NULL;
+    hp_run(&st, &hp, n, heat, ambient);
+    return hp_result(&st);
+}
+
+PyDoc_STRVAR(heat_pump_blocks_doc,
+"heat_pump_blocks(t, heating, saturated, cop, p_comp, p_elem, dt,\n"
+"                 p_el_max_kw, p_element_kw, effectiveness, t_on_c, t_off_c,\n"
+"                 t_min_c, t_max_c, t_element_threshold_c,\n"
+"                 storage_kwh_per_k, lag, blocks)\n"
+"--\n\n"
+"Advance a heat pump over consecutive intervals with no offset; returns\n"
+"(t, heating, saturated, cop, p_comp, p_elem) after the last.\n\n"
+"`blocks` holds an (n, heat_demand_kw, ambient_c) tuple per interval, the\n"
+"arguments heat_pump_substeps takes per interval; each interval starts\n"
+"from the state the one before it ends in.");
+
+static PyObject *
+heat_pump_blocks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    hp_state st;
+    hp_params hp;
+    if (nargs != 18) {
+        PyErr_Format(PyExc_TypeError,
+                     "heat_pump_blocks() takes 18 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    PyObject *blocks = args[17];
+    if (!PyTuple_Check(blocks)) {
+        PyErr_SetString(PyExc_TypeError, "blocks must be a tuple");
+        return NULL;
+    }
+    hp.offset_kw = 0.0;
+    if (read_hp_state(args, &st) < 0
+            || read_hp_params(args[6], args + 7, &hp) < 0)
+        return NULL;
+    for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(blocks); j++) {
+        double heat, ambient;
+        PyObject *block = block_at(blocks, j);
+        if (block == NULL)
+            return NULL;
+        Py_ssize_t n = PyLong_AsSsize_t(PyTuple_GET_ITEM(block, 0));
+        if ((n == -1 && PyErr_Occurred())
+                || as_double(PyTuple_GET_ITEM(block, 1), &heat)
+                || as_double(PyTuple_GET_ITEM(block, 2), &ambient))
+            return NULL;
+        hp_run(&st, &hp, n, heat, ambient);
+    }
+    return hp_result(&st);
 }
 
 /* CPython's _Py_c_quot: a / b into *q (re, im); -1 with ZeroDivisionError
@@ -726,8 +979,12 @@ plant_cost(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef loops_methods[] = {
     {"storage_substeps", (PyCFunction)(void (*)(void))storage_substeps,
      METH_FASTCALL, storage_doc},
+    {"storage_blocks", (PyCFunction)(void (*)(void))storage_blocks,
+     METH_FASTCALL, storage_blocks_doc},
     {"heat_pump_substeps", (PyCFunction)(void (*)(void))heat_pump_substeps,
      METH_FASTCALL, heat_pump_doc},
+    {"heat_pump_blocks", (PyCFunction)(void (*)(void))heat_pump_blocks,
+     METH_FASTCALL, heat_pump_blocks_doc},
     {"power_flow", (PyCFunction)(void (*)(void))power_flow, METH_FASTCALL,
      power_flow_doc},
     {"changed_offsets", (PyCFunction)(void (*)(void))changed_offsets,

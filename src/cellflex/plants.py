@@ -34,6 +34,13 @@ interval; it computes its active power and reactive band once per
 irradiance.  ``get_state`` holds each state variable once; a heat pump's
 ``p_kw`` and ``q_kvar`` are re-derived by ``set_state``.
 
+The twin's warmup runs each stateful plant over many consecutive intervals
+(blocks), each with its own substep count and held inputs.  A plant's
+``warm_up`` does that in one call, into an entry of the same compiled
+loop that runs its substep body block after block (``storage_blocks``,
+``heat_pump_blocks``); it ends bit-identical to one ``step`` per block with
+no offset.
+
 Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
 which holds every parameter default; the constructors trust it, since the
@@ -45,6 +52,7 @@ jumps to its next trip window, stepped in a tight loop.
 """
 
 import math
+from itertools import repeat
 
 from ._build import load_loops
 
@@ -59,7 +67,9 @@ __all__ = [
 
 _loops = load_loops()
 storage_substeps = _loops.storage_substeps
+storage_blocks = _loops.storage_blocks
 heat_pump_substeps = _loops.heat_pump_substeps
+heat_pump_blocks = _loops.heat_pump_blocks
 
 
 def clamp(value, lo, hi):
@@ -126,6 +136,16 @@ class BatteryStorage(_Storage):
             None, ())
         return self.p_kw
 
+    def warm_up(self, counts, wishes, dt):
+        """``step(wishes[j], 0.0, counts[j], dt)`` for each block j, in one call."""
+        if dt != self._lag_dt:
+            _keep_lag(self, dt)
+        self.soc, self.p_kw, self.saturated, _ = storage_blocks(
+            self.soc, self.p_kw, self.saturated, 0.0,
+            -self.p_max_discharge_kw, self.p_max_charge_kw, dt,
+            self.capacity_kwh, self.eta_charge, self.eta_discharge, self._lag,
+            None, (), tuple(zip(counts, wishes, repeat(0.0))))
+
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated)
 
@@ -163,6 +183,11 @@ class PvInverter:
         m = min(self.q_fraction_limit * s, circle)
         return -m, m
 
+    def active_power(self, irradiance_w_m2):
+        """AC active power (generation, >= 0) at the given irradiance."""
+        p_dc = self.p_peak_kwp * max(0.0, irradiance_w_m2) / 1000.0
+        return min(p_dc, self.s_rated_kva)
+
     def step(self, irradiance_w_m2, q_setpoint_kvar):
         """Update output for the current irradiance and reactive setpoint.
 
@@ -171,8 +196,7 @@ class PvInverter:
         """
         if irradiance_w_m2 != self._irradiance:
             # this irradiance's active power and reactive band (NaN: no hit)
-            p_dc = self.p_peak_kwp * max(0.0, irradiance_w_m2) / 1000.0
-            self._p_ac = min(p_dc, self.s_rated_kva)
+            self._p_ac = self.active_power(irradiance_w_m2)
             self._q_lo, self._q_hi = self.q_capability(self._p_ac)
             self._irradiance = irradiance_w_m2
         q = clamp(q_setpoint_kvar, self._q_lo, self._q_hi)
@@ -259,6 +283,22 @@ class HeatPumpSystem:
         self._derive_power()
         return self.p_kw
 
+    def warm_up(self, counts, heat_demands, ambients, dt):
+        """``step(heat_demands[j], ambients[j], 0.0, counts[j], dt)`` for
+        each block j, in one call."""
+        if dt != self._lag_dt:
+            _keep_lag(self, dt)
+        (self.t_storage_c, self.heating, self.saturated, self.last_cop,
+         self.last_p_compressor_kw,
+         self.last_p_element_kw) = heat_pump_blocks(
+            self.t_storage_c, self.heating, self.saturated, self.last_cop,
+            self.last_p_compressor_kw, self.last_p_element_kw, dt,
+            self.p_el_max_kw, self.p_element_kw, self.effectiveness,
+            self.t_on_c, self.t_off_c, self.t_min_c, self.t_max_c,
+            self.t_element_threshold_c, self.storage_kwh_per_k, self._lag,
+            tuple(zip(counts, heat_demands, ambients)))
+        self._derive_power()
+
     def _derive_power(self):
         p_total = self.last_p_compressor_kw + self.last_p_element_kw
         self.p_kw = p_total
@@ -319,6 +359,18 @@ class ElectricVehicle(_Storage):
             n, dt, base_tod_s, self.capacity_kwh, self.eta_charge,
             self.eta_discharge, self._lag, self._away, self.trips)
         return self.p_kw
+
+    def warm_up(self, counts, start_tods, dt):
+        """``step(0.0, start_tods[j], counts[j], dt)`` for each block j, in
+        one call."""
+        if dt != self._lag_dt:
+            _keep_lag(self, dt)
+        (self.soc, self.p_kw, self.saturated,
+         self.trip_drain_kwh) = storage_blocks(
+            self.soc, self.p_kw, self.saturated, self.trip_drain_kwh,
+            -self.p_rated_kw if self.v2g else 0.0, self.p_rated_kw, dt,
+            self.capacity_kwh, self.eta_charge, self.eta_discharge, self._lag,
+            self._away, self.trips, tuple(zip(counts, repeat(None), start_tods)))
 
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated, self.trip_drain_kwh)

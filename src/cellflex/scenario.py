@@ -6,7 +6,8 @@ from compact parametric profiles: a base-plus-morning/evening-bump household
 shape sampled to 15-minute steps, a daily cosine for ambient temperature and
 a clear-sky bell for irradiance.  Profiles compute a point of their 15-minute
 grid over [start - profile_back_days, start + profile_forward_days] when it
-is read; sampling outside that window raises a configuration error.
+is read, its time-of-day shape once for the whole cell; sampling outside
+that window raises a configuration error.
 
 The frozen ``*Params`` dataclasses are the single declaration of every
 scenario parameter: the loader reads each JSON block by walking its record's
@@ -73,6 +74,15 @@ class StepSeries:
                 f"profile does not cover t={t_s:.0f}s "
                 f"(covered: [{self.t0_s:.0f}, {self.t0_s + self.dt_s * self.n:.0f}))")
         return self.at(i)
+
+    def values(self, times):
+        """``[value(t) for t in times]``, with the window checked once."""
+        t0, dt = self.t0_s, self.dt_s
+        points = [int((t - t0) // dt) for t in times]
+        if points and (min(times) < t0 or max(points) >= self.n):
+            for t in times:
+                self.value(t)           # raises at the first uncovered time
+        return list(map(self.at, points))
 
 
 @dataclass(slots=True)
@@ -271,33 +281,45 @@ class ProfileSet:
 
 
 def build_profiles(scenario):
-    """All profiles over the scenario's coverage window, computed on read."""
+    """All profiles over the scenario's coverage window, computed on read.
+
+    A grid point's time-of-day shape (the household's morning and evening
+    bumps, the ambient temperature, the heating shortfall below 17 deg C and
+    the irradiance) is computed the first time any series reads it and kept
+    for the cell; each household scales it with its own parameters.
+    """
     sim = scenario.simulation
     t_lo = -sim.profile_back_days * 86400.0
     t_hi = sim.profile_forward_days * 86400.0
     n = int((t_hi - t_lo) / _PROFILE_GRID_S) + 2
     tod0 = scenario.start_tod_s()
     weather = scenario.weather
+    shapes = [None] * n
 
-    def hour_at(k):
-        return ((tod0 + t_lo + k * _PROFILE_GRID_S) % 86400.0) / 3600.0
+    def shape(k):
+        kept = shapes[k]
+        if kept is None:
+            hour = ((tod0 + t_lo + k * _PROFILE_GRID_S) % 86400.0) / 3600.0
+            ambient = _ambient_c(weather, hour)
+            kept = shapes[k] = (_gauss_bump(hour, 7.5, 1.3),
+                                _gauss_bump(hour, 19.5, 2.2),
+                                ambient, max(0.0, 17.0 - ambient),
+                                _irradiance_w_m2(weather, hour))
+        return kept
 
     def household(hh):
+        p_base, p_morning, p_evening = hh.p_base_kw, hh.p_morning_kw, hh.p_evening_kw
+        tan_phi, heat_base, heat_ua = hh.tan_phi, hh.heat_base_kw, hh.heat_ua_kw_per_k
+
         def at(k):
-            hour = hour_at(k)
-            p = (hh.p_base_kw
-                 + hh.p_morning_kw * _gauss_bump(hour, 7.5, 1.3)
-                 + hh.p_evening_kw * _gauss_bump(hour, 19.5, 2.2))
-            ambient = _ambient_c(weather, hour)
-            return (p, p * hh.tan_phi,
-                    hh.heat_base_kw + hh.heat_ua_kw_per_k * max(0.0, 17.0 - ambient))
+            morning, evening, _, cold, _ = shape(k)
+            p = p_base + p_morning * morning + p_evening * evening
+            return (p, p * tan_phi, heat_base + heat_ua * cold)
         return StepSeries(t_lo, _PROFILE_GRID_S, n, at)
 
     return ProfileSet(
-        LinearSeries(t_lo, _PROFILE_GRID_S, n,
-                     lambda k: _ambient_c(weather, hour_at(k))),
-        LinearSeries(t_lo, _PROFILE_GRID_S, n,
-                     lambda k: _irradiance_w_m2(weather, hour_at(k))),
+        LinearSeries(t_lo, _PROFILE_GRID_S, n, lambda k: shape(k)[2]),
+        LinearSeries(t_lo, _PROFILE_GRID_S, n, lambda k: shape(k)[4]),
         {pro.id: household(pro.household) for pro in scenario.prosumers})
 
 
@@ -344,14 +366,16 @@ _BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"
            "maximum": (operator.le, "<="), "exclusiveMaximum": (operator.lt, "<")}
 
 
-def _check_bounds(value, spec, where):
-    """Raise unless ``value`` lies within the bounds of the schema node ``spec``."""
-    for keyword, bound in spec.items():
-        if keyword in _BOUNDS:
-            holds, text = _BOUNDS[keyword]
-            if not holds(value, bound):
-                raise ConfigurationError(
-                    f"{where}: must be {text} {bound:g}, got {value:g}")
+class _SchemaNode(dict):
+    """A JSON-schema object, its bound keywords kept as ``checks``: the
+    ``(holds, text, bound)`` of each, in the node's key order."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.checks = tuple((*_BOUNDS[keyword], bound)
+                            for keyword, bound in pairs if keyword in _BOUNDS)
 
 
 def _number(mapping, key, path, default=None, props=None):
@@ -371,7 +395,10 @@ def _number(mapping, key, path, default=None, props=None):
     if not math.isfinite(number):
         raise ConfigurationError(f"{path}.{key}: expected a finite number, got {number}")
     if props is not None:
-        _check_bounds(number, props[key], f"{path}.{key}")
+        for holds, text, bound in props[key].checks:
+            if not holds(number, bound):
+                raise ConfigurationError(
+                    f"{path}.{key}: must be {text} {bound:g}, got {number:g}")
     return number
 
 
@@ -430,18 +457,25 @@ def _parse_params(cls, data, path, props):
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected an object")
     values = {}
-    for f in fields(cls):
-        default = None if f.default is MISSING else f.default
-        if f.type is float:
-            values[f.name] = _number(data, f.name, path, default, props)
-        elif f.type is tuple:
-            values[f.name] = _parse_trips(data.get(f.name, []), f"{path}.{f.name}",
-                                          props[f.name]["items"]["properties"])
-        elif f.name not in data and default is not None:
-            values[f.name] = default
+    for name, kind, default in _fields(cls):
+        if kind is float:
+            values[name] = _number(data, name, path, default, props)
+        elif kind is tuple:
+            values[name] = _parse_trips(data.get(name, []), f"{path}.{name}",
+                                        props[name]["items"]["properties"])
+        elif name not in data and default is not None:
+            values[name] = default
         else:
-            values[f.name] = _require(data, f.name, path, f.type)
+            values[name] = _require(data, name, path, kind)
     return cls(**values)
+
+
+@functools.cache
+def _fields(cls):
+    """``(name, type, default or None)`` of each field of the params record
+    ``cls``."""
+    return tuple((f.name, f.type, None if f.default is MISSING else f.default)
+                 for f in fields(cls))
 
 
 # optional single-device blocks of a prosumer: JSON key, params record
@@ -454,7 +488,7 @@ def _schema():
     """Property schemas of a scenario document, from scenario.schema.json;
     the loader enforces their numeric bounds."""
     text = resources.files("cellflex.data").joinpath("scenario.schema.json").read_text()
-    return json.loads(text)["properties"]
+    return json.loads(text, object_pairs_hook=_SchemaNode)["properties"]
 
 
 def scenario_from_dict(data):

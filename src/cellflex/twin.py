@@ -28,7 +28,11 @@ dispatch step share one sample.  Each plant
 integrates a whole interval in one ``step`` call, one call into its compiled
 substep loop (see :mod:`cellflex.plants`), so every prosumer is called once
 per interval, not once per substep; the PV inverters keep no state and step
-once per interval too.  The warmup steps the same loops in coarser blocks.
+once per interval too.  The warmup runs on coarser blocks and makes one call
+per stateful plant for all of them (its ``warm_up``, into the same compiled
+loop), with each block's inputs sampled once; then it steps the inverters
+and sums every bus once, at the last block.  It leaves the twin as stepping
+the blocks one interval at a time would.
 
 An evaluation or a probe re-integrates only the plants whose offset
 changed.  A plant's end state depends only on the snapshot it starts from
@@ -197,6 +201,32 @@ class _ProsumerTwin:
         self.injections[self.i_p] = p
         self.injections[self.i_p + 1] = q
 
+    def warm_up(self, starts, counts, amb, irr, start_tods, dt):
+        """Step the stateful plants over the warmup blocks, one call each.
+
+        Block j starts at ``starts[j]`` (time of day ``start_tods[j]``) and
+        runs counts[j] substeps of dt at ambient amb[j] and irradiance
+        irr[j], with no offset.  The household inputs are sampled once per
+        block, and the battery's wish is the block's PV surplus, formed as
+        ``integrate`` forms it from the inverter's active power at irr[j].
+        The inverter, the injection and the values are left to the caller.
+        """
+        for bev in self.bevs:
+            bev.warm_up(counts, start_tods, dt)
+        if self.bes is None and self.ehp is None:
+            return
+        samples = self.load_series.values(starts)
+        if self.bes is not None:
+            pv = self.pv
+            if pv is None:
+                wishes = [0.0 - load[0] for load in samples]
+            else:
+                wishes = [pv.active_power(g) - load[0]
+                          for g, load in zip(irr, samples)]
+            self.bes.warm_up(counts, wishes, dt)
+        if self.ehp is not None:
+            self.ehp.warm_up(counts, [load[2] for load in samples], amb, dt)
+
 
 class CellTwin:
     """Simulation state machine for one scenario."""
@@ -345,7 +375,9 @@ class CellTwin:
     # snapshots
 
     def snapshot(self):
-        # list comprehensions, not generators: see solve_power_flow in grid.py
+        # tuples of lists, not of generators: tuple() over a generator grows
+        # the tuple by resizing, which once raised the benchmark's peak RSS
+        # by ~0.8 MB
         return (self.t_s,
                 tuple([plant.get_state() for plant in self._plants]),
                 tuple(self.injections))
@@ -372,20 +404,42 @@ class CellTwin:
     def run_warmup(self):
         """Integrate local-control-only operation, then capture the baseline.
 
-        The warmup rewinds the clock to ``-simulation.warmup_s`` and
-        integrates forward to t=0 with all offsets zero, on the coarse
-        schedule of :func:`~cellflex.scenario.warmup_schedule` (first-order
-        lags use exact exponential updates, so coarse stepping does not
-        degrade the settled state).  The scenario loader has checked the
+        The warmup integrates from ``-simulation.warmup_s`` to t=0 with all
+        offsets zero, on the coarse schedule of
+        :func:`~cellflex.scenario.warmup_schedule` (first-order lags use
+        exact exponential updates, so coarse stepping does not degrade the
+        settled state).  Each block starts where the one before it ends and
+        holds the inputs sampled at its start.  Every battery, heat pump and
+        EV runs all blocks in one ``warm_up`` call; the last block is then
+        integrated once more with only the inverters stale, which sets the
+        inputs, inverter outputs, bus injections and clock bookkeeping that
+        the last interval leaves.  The scenario loader has checked the
         warmup against the profile window and the substep grid.  Must be
         called once, right after construction.
         """
         warmup_s = self.scenario.simulation.warmup_s
-        substep, blocks = warmup_schedule(self.internal_dt_s, warmup_s)
+        substep, counts = warmup_schedule(self.internal_dt_s, warmup_s)
         self.set_offsets([0.0] * self.n_plants)
-        self.t_s = -warmup_s
-        for n in blocks:
-            self._step_interval(n * substep, substep)
+        # each block starts where the one before it ends
+        starts = []
+        t = -warmup_s
+        for n in counts:
+            starts.append(t)
+            t = t + n * substep
+        profiles = self.profiles
+        amb = [profiles.ambient.value(t) for t in starts]
+        irr = [profiles.irradiance.value(t) for t in starts]
+        start_tods = [self.start_tod_s + t for t in starts]
+        for pro in self.prosumers:
+            pro.warm_up(starts, counts, amb, irr, start_tods, substep)
+        # the last block once more, stepping only the inverters, which keep
+        # no state: it leaves the inputs, inverter outputs and bus injections
+        # of the last interval
+        self._stale[:] = bytes(cls == "inv" for cls in self.plant_classes)
+        self.t_s = starts[-1]
+        self._step_interval(counts[-1] * substep, substep, self.prosumers)
+        self._values[:] = np.fromiter(map(getattr, self._plants, self._plant_attrs),
+                                      float, self.n_plants)
         self.t_s = 0.0
         return self.capture_reference()
 

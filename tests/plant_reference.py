@@ -15,7 +15,9 @@ bounds each ``step`` passes.
 ``HeatPumpSystem.step``.  Call it with a ``HeatPumpSystem`` as ``self``.
 
 ``use_references(plant)`` makes a plant step through these loops: its
-class's ``step``, which calls the compiled loop, is overridden.
+class's ``step``, which calls the compiled loop, is overridden.  Its
+``warm_up`` is not, and still runs the compiled loop; the plain twin
+(``twin_reference``) warms up through ``step`` instead.
 """
 
 import math

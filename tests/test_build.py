@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import sysconfig
 
 from cellflex import _build
 
@@ -98,3 +99,14 @@ def test_a_changed_source_gets_a_new_file_name():
     assert name.endswith(importlib.machinery.EXTENSION_SUFFIXES[0])
     assert _build.kernel_name(bytes(source)) == name
     assert _build.kernel_name(source + b"\n") != name
+
+
+def test_the_source_compiles_without_a_warning():
+    # every -Wall warning is an error, checked against this interpreter's
+    # headers without building
+    includes = {sysconfig.get_paths()[key] for key in ("include", "platinclude")}
+    cmd = [*sysconfig.get_config_var("CC").split(), "-fsyntax-only", "-Wall",
+           "-Werror", *sorted(f"-I{inc}" for inc in includes),
+           str(_build.SOURCE)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

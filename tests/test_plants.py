@@ -875,3 +875,127 @@ class TestHeatPumpLoopReference:
                         [lambda e: e.step(*inputs, *grid)] * 40)
         if t_end is not None:
             assert ehp.t_storage_c == t_end and ehp.saturated
+
+
+# up to eight blocks of up to 60 substeps, on the warmup's substep widths
+# and coarser ones; an empty block hands its start state on unchanged
+block_counts = st.lists(st.one_of(st.integers(0, 60), st.just(0)),
+                        min_size=1, max_size=8)
+block_dts = st.sampled_from([5.0, 15.0, 40.0])
+
+
+def block_starts(start, counts, dt):
+    """Each block's start, on the clock the warmup keeps: a block starts
+    where the one before it ends."""
+    starts = []
+    t = start
+    for n in counts:
+        starts.append(t)
+        t = t + n * dt
+    return starts
+
+
+class TestBlockLoops:
+    """A plant's ``warm_up``, one compiled call over a run of blocks, ends
+    bit-identical to one ``step`` per block with no offset: every state
+    variable, the saturation flag and the lag's state carry from each block
+    into the next."""
+
+    @given(capacity=st.floats(0.01, 20.0), p_charge=st.floats(0.0, 10.0),
+           p_discharge=st.floats(0.0, 10.0), tau=st.floats(0.1, 30.0),
+           soc=socs, p0=powers, saturated=st.booleans(), counts=block_counts,
+           wishes=st.lists(st.one_of(st.floats(-10.0, 10.0),
+                                     st.sampled_from([0.0, -0.0])),
+                           min_size=8, max_size=8),
+           dt=block_dts)
+    def test_battery(self, capacity, p_charge, p_discharge, tau, soc, p0,
+                     saturated, counts, wishes, dt):
+        # a battery settles mid-block once its wish is out of reach
+        plants = []
+        for _ in range(2):
+            bes = BatteryStorage(BesParams(capacity, p_charge, p_discharge,
+                                           time_constant_s=tau))
+            bes.set_state((soc, p0, saturated))
+            plants.append(bes)
+        blocks, steps = plants
+        blocks.warm_up(counts, wishes[:len(counts)], dt)
+        for n, wish in zip(counts, wishes):
+            steps.step(wish, 0.0, n, dt)
+        assert storage_bits(blocks, blocks.p_kw) \
+            == storage_bits(steps, steps.p_kw)
+
+    @given(capacity=st.floats(0.2, 60.0), p_rated=st.floats(0.5, 22.0),
+           v2g=st.booleans(), trips=trip_days(), energy=st.floats(0.5, 80.0),
+           soc=socs, p0=powers, saturated=st.booleans(),
+           drained=st.floats(0.0, 5.0),
+           counts=st.lists(st.one_of(st.integers(0, 60), st.just(0)),
+                           min_size=2, max_size=8),
+           dt=block_dts, edge=st.sampled_from([0, 1]),
+           lead=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])))
+    def test_ev(self, capacity, p_rated, v2g, trips, energy, soc, p0,
+                saturated, drained, counts, dt, edge, lead):
+        # the first trip's departure or return falls inside one of the
+        # blocks before the last, or on its start (`lead` of the way through
+        # them), and the trips drain energy; a full, idle vehicle settles on
+        # its first substep and leaves later in the run
+        trips = tuple((depart, ret, energy) for depart, ret, _ in trips)
+        plants = []
+        for _ in range(2):
+            bev = ElectricVehicle(BevParams(capacity, p_rated, v2g=v2g,
+                                            trips=trips))
+            bev.set_state((soc, abs(p0) if not v2g else p0, saturated,
+                           drained))
+            plants.append(bev)
+        blocks, steps = plants
+        first = trips[0][edge] * 3600.0 - lead * sum(counts[:-1]) * dt
+        starts = block_starts(first, counts, dt)
+        blocks.warm_up(counts, starts, dt)
+        for n, start in zip(counts, starts):
+            steps.step(0.0, start, n, dt)
+        assert storage_bits(blocks, blocks.p_kw) \
+            == storage_bits(steps, steps.p_kw)
+
+    @given(p_el_max=st.floats(0.1, 6.0), p_element=st.floats(0.0, 9.0),
+           storage=st.floats(0.02, 0.5), tau=st.floats(0.1, 30.0),
+           t0=tank_temps, heating=st.booleans(), saturated=st.booleans(),
+           p_comp=st.floats(0.0, 6.0), p_elem=st.floats(0.0, 9.0),
+           counts=st.lists(st.one_of(st.integers(0, 12), st.just(0)),
+                           min_size=1, max_size=16),
+           demands=st.lists(st.floats(0.0, 10.0), min_size=16, max_size=16),
+           ambients=st.lists(st.floats(-20.0, 30.0), min_size=16,
+                             max_size=16),
+           dt=block_dts)
+    def test_heat_pump(self, p_el_max, p_element, storage, tau, t0, heating,
+                       saturated, p_comp, p_elem, counts, demands, ambients,
+                       dt):
+        # short blocks and a small tank that starts on or near a thermostat
+        # edge: the thermostat switches in one block and holds, inside the
+        # band, into the next
+        plants = []
+        for _ in range(2):
+            ehp = HeatPumpSystem(EhpParams(p_el_max, p_element, storage,
+                                           time_constant_s=tau))
+            ehp.set_state((t0, heating, saturated, p_comp, p_elem))
+            plants.append(ehp)
+        blocks, steps = plants
+        blocks.warm_up(counts, demands[:len(counts)], ambients[:len(counts)],
+                       dt)
+        for n, demand, ambient in zip(counts, demands, ambients):
+            steps.step(demand, ambient, 0.0, n, dt)
+        assert heat_pump_bits(blocks, blocks.p_kw) \
+            == heat_pump_bits(steps, steps.p_kw)
+
+    def test_a_bad_block_leaves_the_plant_as_it_was(self):
+        # the second block's count is no integer: the first block has run in
+        # the loop, but nothing is written back
+        bes = BatteryStorage(BesParams(5.0, 3.0, 3.0))
+        ehp = make_ehp()
+        bev = make_bev()
+        before = [end_bits(plant) for plant in (bes, ehp, bev)]
+        with pytest.raises(TypeError):
+            bes.warm_up([60, 1.5], [1.0, 1.0], 15.0)
+        with pytest.raises(TypeError):
+            ehp.warm_up([60, 1.5], [2.0, 2.0], [0.0, 0.0], 15.0)
+        with pytest.raises(TypeError):
+            bev.warm_up([60, 1.5], [0.0, 900.0], 15.0)
+        assert [end_bits(plant) for plant in (bes, ehp, bev)] == before

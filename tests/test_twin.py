@@ -681,8 +681,15 @@ def radial_cells(draw):
     prosumer bus at depth two or more; no junction carries a prosumer.  The
     ``buses`` list is shuffled, and rotated by one where the shuffle leaves
     every prosumer's bus at its prosumer's index, so that bus order never
-    matches prosumer order."""
+    matches prosumer order.  Half the cells take a coarse substep, of one or
+    two per dispatch step, whose warmup ends in a shorter block: 7200 s is
+    8 x 22 + 4 substeps of 40 s, 8 x 18 + 6 of 48 s, 8 x 11 + 2 of 80 s or
+    8 x 9 + 3 of 96 s."""
     cell = draw(small_cells())
+    if draw(st.booleans()):
+        dt = draw(st.sampled_from([40.0, 48.0, 80.0, 96.0]))
+        cell["simulation"].update(internal_dt_s=dt,
+                                  dispatch_step_s=dt * draw(st.sampled_from([1, 2])))
     n_pro = len(cell["prosumers"])
     placed = [f"j{k}" for k in range(draw(st.integers(1, 2)))]
     lines = [("pcc", bus) for bus in placed]
@@ -992,20 +999,32 @@ class TestWarmup:
             self.toy_warming_up_for(3600.5)
 
     def test_coarse_internal_step_warms_up_in_whole_substeps(self, monkeypatch):
-        # 40 s substeps: 22 of them (880 s) per block, 180 in the 7200 s warmup
+        # 40 s substeps: 22 of them (880 s) per block, 180 in the 7200 s
+        # warmup; the toy cell's battery, plus a heat pump and an EV
         data = scenario_to_dict(make_toy_scenario())
         data["simulation"].update(internal_dt_s=40.0, dispatch_step_s=40.0)
+        data["prosumers"][0]["ehp"] = {"p_el_max_kw": 3.0, "p_element_kw": 5.0,
+                                       "storage_kwh_per_k": 0.4}
+        data["prosumers"][0]["bevs"] = [{"capacity_kwh": 40.0,
+                                         "p_rated_kw": 3.7}]
         twin = CellTwin(scenario_from_dict(data))
-        intervals = []
-        step_interval = CellTwin._step_interval
+        schedules = []
 
-        def record(self, dt_total, substep, stale=None):
-            intervals.append((dt_total, substep))
-            step_interval(self, dt_total, substep, stale)
+        def recording(cls):
+            warm_up = cls.warm_up
 
-        monkeypatch.setattr(CellTwin, "_step_interval", record)
+            def record(plant, counts, *inputs):
+                # the substep width comes last
+                schedules.append((cls.__name__, list(counts), inputs[-1]))
+                warm_up(plant, counts, *inputs)
+            return record
+
+        for cls in (BatteryStorage, HeatPumpSystem, ElectricVehicle):
+            monkeypatch.setattr(cls, "warm_up", recording(cls))
         assert twin.run_warmup().t_s == 0.0
-        assert intervals == [(880.0, 40.0)] * 8 + [(160.0, 40.0)]
+        assert sorted(schedules) == [
+            (name, [22] * 8 + [4], 40.0)
+            for name in ("BatteryStorage", "ElectricVehicle", "HeatPumpSystem")]
 
     def test_override_bes_soc(self):
         twin = CellTwin(make_toy_scenario())
