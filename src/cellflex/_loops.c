@@ -2,11 +2,11 @@
  * flow, the twin's changed-offset scan and the objective's plant cost.
  *
  * store_run is the substep body of batteries and EVs, hp_run that of heat
- * pumps, each written once.  storage_substeps and heat_pump_substeps run
- * one interval through them (BatteryStorage, ElectricVehicle and
- * HeatPumpSystem steps); storage_blocks and heat_pump_blocks run a tuple
- * of intervals with no offset, the state carried from each into the next
- * (the plants' warm_up, one call per plant for the whole warmup).
+ * pumps, each written once, and each has one entry: storage_substeps and
+ * heat_pump_substeps run a tuple of intervals (blocks) under one offset,
+ * the state carried from each into the next.  A dispatch interval is one
+ * block (BatteryStorage, ElectricVehicle and HeatPumpSystem steps); the
+ * warmup passes all of its blocks with no offset, one call per plant.
  * plants.py describes the models; each method there passes its plant's
  * parameters and state to one of these entries and writes the returned
  * state back.  power_flow is the backward/forward sweep behind
@@ -233,17 +233,6 @@ store_run(store_state *st, const store_params *sp, Py_ssize_t n,
     st->saturated = saturated;
 }
 
-/* Read (soc, p, saturated, drained) from args[0..3]; -1 on failure */
-static int
-read_store_state(PyObject *const *args, store_state *st)
-{
-    st->saturated = PyObject_IsTrue(args[2]);
-    if (st->saturated < 0)
-        return -1;
-    return as_double(args[0], &st->soc) || as_double(args[1], &st->p)
-        || as_double(args[3], &st->drained) ? -1 : 0;
-}
-
 /* Read the trip window `away` (None or a 2-tuple) and, with one, the tuple
    `trips` of (departure, return, energy) tuples into sp; -1 on failure.
    On success the caller frees sp->trips. */
@@ -289,85 +278,45 @@ fail:
     return -1;
 }
 
-static PyObject *
-store_result(const store_state *st)
-{
-    return Py_BuildValue("(ddNd)", st->soc, st->p,
-                         PyBool_FromLong(st->saturated), st->drained);
-}
-
 PyDoc_STRVAR(storage_doc,
-"storage_substeps(soc, p, saturated, drained, wish_kw, offset_kw, lo, hi,\n"
-"                 n, dt, base_tod_s, capacity_kwh, eta_charge,\n"
-"                 eta_discharge, lag, away, trips)\n"
+"storage_substeps(soc, p, saturated, drained, offset_kw, lo, hi, dt,\n"
+"                 capacity_kwh, eta_charge, eta_discharge, lag, away, trips,\n"
+"                 blocks)\n"
 "--\n\n"
-"Advance a store n substeps; returns (soc, p, saturated, drained).\n\n"
-"`wish_kw` is None for an EV charging until full; `away` is the trip\n"
-"window (first departure, last return) in s of day or None, `trips` the\n"
-"(departure, return, energy) tuples it spans.");
+"Advance a store over consecutive intervals under one offset; returns\n"
+"(soc, p, saturated, drained) after the last.\n\n"
+"`blocks` holds an (n, wish_kw, base_tod_s) tuple per interval: n substeps,\n"
+"the first at time of day base_tod_s, toward wish_kw or, with None, toward\n"
+"charging until full (an EV).  Each interval starts from the state the one\n"
+"before it ends in.  `away` is the trip window (first departure, last\n"
+"return) in s of day or None, `trips` the (departure, return, energy)\n"
+"tuples it spans.");
 
 static PyObject *
 storage_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     store_state st;
     store_params sp;
-    double wish_kw = 0.0, base_tod;
-    if (nargs != 17) {
+    if (nargs != 15) {
         PyErr_Format(PyExc_TypeError,
-                     "storage_substeps() takes 17 arguments (%zd given)", nargs);
+                     "storage_substeps() takes 15 arguments (%zd given)",
+                     nargs);
         return NULL;
     }
-    Py_ssize_t n = PyLong_AsSsize_t(args[8]);
-    if (n == -1 && PyErr_Occurred())
-        return NULL;
-    int has_wish = args[4] != Py_None;
-    if (read_store_state(args, &st) < 0
-            || (has_wish && as_double(args[4], &wish_kw))
-            || as_double(args[5], &sp.offset_kw) || as_double(args[6], &sp.lo)
-            || as_double(args[7], &sp.hi) || as_double(args[9], &sp.dt)
-            || as_double(args[10], &base_tod) || as_double(args[11], &sp.cap)
-            || as_double(args[12], &sp.eta_c) || as_double(args[13], &sp.eta_d)
-            || as_double(args[14], &sp.lag)
-            || read_trips(args[15], args[16], &sp) < 0)
-        return NULL;
-    store_run(&st, &sp, n, has_wish, wish_kw, base_tod);
-    PyMem_Free(sp.trips);
-    return store_result(&st);
-}
-
-PyDoc_STRVAR(storage_blocks_doc,
-"storage_blocks(soc, p, saturated, drained, lo, hi, dt, capacity_kwh,\n"
-"               eta_charge, eta_discharge, lag, away, trips, blocks)\n"
-"--\n\n"
-"Advance a store over consecutive intervals with no offset; returns\n"
-"(soc, p, saturated, drained) after the last.\n\n"
-"`blocks` holds an (n, wish_kw, base_tod_s) tuple per interval, the\n"
-"arguments storage_substeps takes per interval; each interval starts from\n"
-"the state the one before it ends in, as consecutive storage_substeps\n"
-"calls with offset_kw 0.0 would.");
-
-static PyObject *
-storage_blocks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    store_state st;
-    store_params sp;
-    if (nargs != 14) {
-        PyErr_Format(PyExc_TypeError,
-                     "storage_blocks() takes 14 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    PyObject *blocks = args[13];
+    PyObject *blocks = args[14];
     if (!PyTuple_Check(blocks)) {
         PyErr_SetString(PyExc_TypeError, "blocks must be a tuple");
         return NULL;
     }
-    sp.offset_kw = 0.0;
-    if (read_store_state(args, &st) < 0
-            || as_double(args[4], &sp.lo) || as_double(args[5], &sp.hi)
-            || as_double(args[6], &sp.dt) || as_double(args[7], &sp.cap)
-            || as_double(args[8], &sp.eta_c) || as_double(args[9], &sp.eta_d)
-            || as_double(args[10], &sp.lag)
-            || read_trips(args[11], args[12], &sp) < 0)
+    st.saturated = PyObject_IsTrue(args[2]);
+    if (st.saturated < 0
+            || as_double(args[0], &st.soc) || as_double(args[1], &st.p)
+            || as_double(args[3], &st.drained)
+            || as_double(args[4], &sp.offset_kw) || as_double(args[5], &sp.lo)
+            || as_double(args[6], &sp.hi) || as_double(args[7], &sp.dt)
+            || as_double(args[8], &sp.cap) || as_double(args[9], &sp.eta_c)
+            || as_double(args[10], &sp.eta_d) || as_double(args[11], &sp.lag)
+            || read_trips(args[12], args[13], &sp) < 0)
         return NULL;
     for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(blocks); j++) {
         double wish_kw = 0.0, base_tod;
@@ -385,7 +334,8 @@ storage_blocks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         store_run(&st, &sp, n, has_wish, wish_kw, base_tod);
     }
     PyMem_Free(sp.trips);
-    return store_result(&st);
+    return Py_BuildValue("(ddNd)", st.soc, st.p, PyBool_FromLong(st.saturated),
+                         st.drained);
 fail:
     PyMem_Free(sp.trips);
     return NULL;
@@ -493,109 +443,50 @@ hp_run(hp_state *st, const hp_params *hp, Py_ssize_t n, double heat,
     st->saturated = saturated;
 }
 
-/* Read (t, heating, saturated, cop, p_comp, p_elem) from args[0..5] */
-static int
-read_hp_state(PyObject *const *args, hp_state *st)
-{
-    st->heating = PyObject_IsTrue(args[1]);
-    if (st->heating < 0)
-        return -1;
-    st->saturated = PyObject_IsTrue(args[2]);
-    if (st->saturated < 0)
-        return -1;
-    return as_double(args[0], &st->t) || as_double(args[3], &st->cop)
-        || as_double(args[4], &st->p_comp) || as_double(args[5], &st->p_elem)
-        ? -1 : 0;
-}
-
-/* Read the substep and, from rating[0..9], p_el_max_kw through lag in the
-   entries' argument order */
-static int
-read_hp_params(PyObject *dt, PyObject *const *rating, hp_params *hp)
-{
-    return as_double(dt, &hp->dt)
-        || as_double(rating[0], &hp->p_el_max)
-        || as_double(rating[1], &hp->p_element)
-        || as_double(rating[2], &hp->effectiveness)
-        || as_double(rating[3], &hp->t_on) || as_double(rating[4], &hp->t_off)
-        || as_double(rating[5], &hp->t_min) || as_double(rating[6], &hp->t_max)
-        || as_double(rating[7], &hp->t_threshold)
-        || as_double(rating[8], &hp->storage_kwh_per_k)
-        || as_double(rating[9], &hp->lag) ? -1 : 0;
-}
-
-static PyObject *
-hp_result(const hp_state *st)
-{
-    return Py_BuildValue("(dNNddd)", st->t, PyBool_FromLong(st->heating),
-                         PyBool_FromLong(st->saturated), st->cop, st->p_comp,
-                         st->p_elem);
-}
-
 PyDoc_STRVAR(heat_pump_doc,
-"heat_pump_substeps(t, heating, saturated, cop, p_comp, p_elem,\n"
-"                   heat_demand_kw, ambient_c, offset_kw, n, dt, p_el_max_kw,\n"
-"                   p_element_kw, effectiveness, t_on_c, t_off_c, t_min_c,\n"
-"                   t_max_c, t_element_threshold_c, storage_kwh_per_k, lag)\n"
+"heat_pump_substeps(t, heating, saturated, cop, p_comp, p_elem, offset_kw,\n"
+"                   dt, p_el_max_kw, p_element_kw, effectiveness, t_on_c,\n"
+"                   t_off_c, t_min_c, t_max_c, t_element_threshold_c,\n"
+"                   storage_kwh_per_k, lag, blocks)\n"
 "--\n\n"
-"Advance a heat pump n substeps; returns\n"
-"(t, heating, saturated, cop, p_comp, p_elem).");
+"Advance a heat pump over consecutive intervals under one offset; returns\n"
+"(t, heating, saturated, cop, p_comp, p_elem) after the last.\n\n"
+"`blocks` holds an (n, heat_demand_kw, ambient_c) tuple per interval: n\n"
+"substeps under that held heat demand and ambient temperature.  Each\n"
+"interval starts from the state the one before it ends in.");
 
 static PyObject *
 heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     hp_state st;
     hp_params hp;
-    double heat, ambient;
-    if (nargs != 21) {
+    if (nargs != 19) {
         PyErr_Format(PyExc_TypeError,
-                     "heat_pump_substeps() takes 21 arguments (%zd given)",
+                     "heat_pump_substeps() takes 19 arguments (%zd given)",
                      nargs);
         return NULL;
     }
-    if (read_hp_state(args, &st) < 0)
-        return NULL;
-    Py_ssize_t n = PyLong_AsSsize_t(args[9]);
-    if ((n == -1 && PyErr_Occurred())
-            || as_double(args[6], &heat) || as_double(args[7], &ambient)
-            || as_double(args[8], &hp.offset_kw)
-            || read_hp_params(args[10], args + 11, &hp) < 0)
-        return NULL;
-    hp_run(&st, &hp, n, heat, ambient);
-    return hp_result(&st);
-}
-
-PyDoc_STRVAR(heat_pump_blocks_doc,
-"heat_pump_blocks(t, heating, saturated, cop, p_comp, p_elem, dt,\n"
-"                 p_el_max_kw, p_element_kw, effectiveness, t_on_c, t_off_c,\n"
-"                 t_min_c, t_max_c, t_element_threshold_c,\n"
-"                 storage_kwh_per_k, lag, blocks)\n"
-"--\n\n"
-"Advance a heat pump over consecutive intervals with no offset; returns\n"
-"(t, heating, saturated, cop, p_comp, p_elem) after the last.\n\n"
-"`blocks` holds an (n, heat_demand_kw, ambient_c) tuple per interval, the\n"
-"arguments heat_pump_substeps takes per interval; each interval starts\n"
-"from the state the one before it ends in.");
-
-static PyObject *
-heat_pump_blocks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    hp_state st;
-    hp_params hp;
-    if (nargs != 18) {
-        PyErr_Format(PyExc_TypeError,
-                     "heat_pump_blocks() takes 18 arguments (%zd given)",
-                     nargs);
-        return NULL;
-    }
-    PyObject *blocks = args[17];
+    PyObject *blocks = args[18];
     if (!PyTuple_Check(blocks)) {
         PyErr_SetString(PyExc_TypeError, "blocks must be a tuple");
         return NULL;
     }
-    hp.offset_kw = 0.0;
-    if (read_hp_state(args, &st) < 0
-            || read_hp_params(args[6], args + 7, &hp) < 0)
+    st.heating = PyObject_IsTrue(args[1]);
+    if (st.heating < 0)
+        return NULL;
+    st.saturated = PyObject_IsTrue(args[2]);
+    if (st.saturated < 0
+            || as_double(args[0], &st.t) || as_double(args[3], &st.cop)
+            || as_double(args[4], &st.p_comp) || as_double(args[5], &st.p_elem)
+            || as_double(args[6], &hp.offset_kw) || as_double(args[7], &hp.dt)
+            || as_double(args[8], &hp.p_el_max)
+            || as_double(args[9], &hp.p_element)
+            || as_double(args[10], &hp.effectiveness)
+            || as_double(args[11], &hp.t_on) || as_double(args[12], &hp.t_off)
+            || as_double(args[13], &hp.t_min) || as_double(args[14], &hp.t_max)
+            || as_double(args[15], &hp.t_threshold)
+            || as_double(args[16], &hp.storage_kwh_per_k)
+            || as_double(args[17], &hp.lag))
         return NULL;
     for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(blocks); j++) {
         double heat, ambient;
@@ -609,7 +500,9 @@ heat_pump_blocks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             return NULL;
         hp_run(&st, &hp, n, heat, ambient);
     }
-    return hp_result(&st);
+    return Py_BuildValue("(dNNddd)", st.t, PyBool_FromLong(st.heating),
+                         PyBool_FromLong(st.saturated), st.cop, st.p_comp,
+                         st.p_elem);
 }
 
 /* CPython's _Py_c_quot: a / b into *q (re, im); -1 with ZeroDivisionError
@@ -979,12 +872,8 @@ plant_cost(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef loops_methods[] = {
     {"storage_substeps", (PyCFunction)(void (*)(void))storage_substeps,
      METH_FASTCALL, storage_doc},
-    {"storage_blocks", (PyCFunction)(void (*)(void))storage_blocks,
-     METH_FASTCALL, storage_blocks_doc},
     {"heat_pump_substeps", (PyCFunction)(void (*)(void))heat_pump_substeps,
      METH_FASTCALL, heat_pump_doc},
-    {"heat_pump_blocks", (PyCFunction)(void (*)(void))heat_pump_blocks,
-     METH_FASTCALL, heat_pump_blocks_doc},
     {"power_flow", (PyCFunction)(void (*)(void))power_flow, METH_FASTCALL,
      power_flow_doc},
     {"changed_offsets", (PyCFunction)(void (*)(void))changed_offsets,

@@ -21,25 +21,23 @@ held over each substep, so the plants apply the exact solution
 y <- y + (u - y)*(1 - exp(-dt/T)), which is stable at any step width; a
 plant computes that lag factor once per substep width and keeps it.
 
-A stateful plant's ``step`` advances it over all n substeps of one interval
-in one call it makes to a compiled loop (``_loops.c``, built on first import
-by :mod:`cellflex._build`), which replays the Python loops kept in the tests
-(``tests/plant_reference.py``) bit for bit.  The
-inputs (heat demand, ambient temperature, a battery's PV surplus, the offset)
-are held over the interval; only an EV's time of day moves from substep to
-substep.  The value a ``step`` returns, and the ``p_kw`` and ``saturated``
-it leaves, are those of the last substep.  Batteries and EVs share one
-storage loop.  The PV inverter keeps no state and is stepped once per
-interval; it computes its active power and reactive band once per
-irradiance.  ``get_state`` holds each state variable once; a heat pump's
-``p_kw`` and ``q_kvar`` are re-derived by ``set_state``.
-
-The twin's warmup runs each stateful plant over many consecutive intervals
-(blocks), each with its own substep count and held inputs.  A plant's
-``warm_up`` does that in one call, into an entry of the same compiled
-loop that runs its substep body block after block (``storage_blocks``,
-``heat_pump_blocks``); it ends bit-identical to one ``step`` per block with
-no offset.
+A stateful plant's ``step(offset_kw, blocks, dt)`` advances it over a
+tuple of consecutive intervals (blocks) of dt-second substeps under one
+offset, in one call it makes to a compiled loop (``_loops.c``, built on
+first import by :mod:`cellflex._build`), which replays the Python loops kept
+in the tests (``tests/plant_reference.py``) bit for bit.  Each block holds
+its substep count and its inputs: ``(n, wish_kw, base_tod_s)`` for a store
+(a battery's PV surplus and 0.0; None and the block's start time of day for
+an EV) and ``(n, heat_demand_kw, ambient_c)`` for a heat pump.  The inputs
+are held over a block; only an EV's time of day moves from substep to
+substep.  Each block starts from the state the one before it ends in.  A
+dispatch interval is one block; the twin's warmup passes all of its blocks
+in one call, with no offset.  The value a ``step`` returns, and the
+``p_kw`` and ``saturated`` it leaves, are those of the last substep.
+Batteries and EVs share one storage loop.  The PV inverter keeps no state
+and is stepped once per interval; it computes its active power and reactive
+band once per irradiance.  ``get_state`` holds each state variable once; a
+heat pump's ``p_kw`` and ``q_kvar`` are re-derived by ``set_state``.
 
 Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
@@ -52,7 +50,6 @@ jumps to its next trip window, stepped in a tight loop.
 """
 
 import math
-from itertools import repeat
 
 from ._build import load_loops
 
@@ -67,9 +64,7 @@ __all__ = [
 
 _loops = load_loops()
 storage_substeps = _loops.storage_substeps
-storage_blocks = _loops.storage_blocks
 heat_pump_substeps = _loops.heat_pump_substeps
-heat_pump_blocks = _loops.heat_pump_blocks
 
 
 def clamp(value, lo, hi):
@@ -122,29 +117,20 @@ class BatteryStorage(_Storage):
         self.p_max_charge_kw = params.p_max_charge_kw
         self.p_max_discharge_kw = params.p_max_discharge_kw
 
-    def step(self, wish_kw, offset_kw, n, dt):
-        """Advance n substeps toward the feasible part of `wish_kw` plus `offset_kw`.
+    def step(self, offset_kw, blocks, dt):
+        """Advance over `blocks`, each ``(n, wish_kw, 0.0)``: n substeps
+        toward the feasible part of wish_kw plus `offset_kw`.
 
         Returns the last substep's realized power.
         """
         if dt != self._lag_dt:
             _keep_lag(self, dt)
         self.soc, self.p_kw, self.saturated, _ = storage_substeps(
-            self.soc, self.p_kw, self.saturated, 0.0, wish_kw, offset_kw,
-            -self.p_max_discharge_kw, self.p_max_charge_kw, n, dt, 0.0,
-            self.capacity_kwh, self.eta_charge, self.eta_discharge, self._lag,
-            None, ())
-        return self.p_kw
-
-    def warm_up(self, counts, wishes, dt):
-        """``step(wishes[j], 0.0, counts[j], dt)`` for each block j, in one call."""
-        if dt != self._lag_dt:
-            _keep_lag(self, dt)
-        self.soc, self.p_kw, self.saturated, _ = storage_blocks(
-            self.soc, self.p_kw, self.saturated, 0.0,
+            self.soc, self.p_kw, self.saturated, 0.0, offset_kw,
             -self.p_max_discharge_kw, self.p_max_charge_kw, dt,
             self.capacity_kwh, self.eta_charge, self.eta_discharge, self._lag,
-            None, (), tuple(zip(counts, wishes, repeat(0.0))))
+            None, (), blocks)
+        return self.p_kw
 
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated)
@@ -260,14 +246,15 @@ class HeatPumpSystem:
         self.last_p_element_kw = 0.0
         self._lag_dt = None
 
-    def step(self, heat_demand_kw, ambient_c, offset_kw, n, dt):
-        """Advance n substeps of dt seconds; returns the last one's electric power.
+    def step(self, offset_kw, blocks, dt):
+        """Advance over `blocks`, each ``(n, heat_demand_kw, ambient_c)``:
+        n substeps of dt seconds under that demand and ambient temperature.
 
-        The electric power is compressor plus element.  The compressor's
-        Carnot-based COP, effectiveness * T_sink / (T_sink - T_source) with
-        the sink in Kelvin in the numerator, is taken at the tank temperature
-        each substep starts from; the source is kept strictly below the sink
-        so the cycle stays defined.
+        Returns the last substep's electric power, compressor plus element.
+        The compressor's Carnot-based COP, effectiveness * T_sink /
+        (T_sink - T_source) with the sink in Kelvin in the numerator, is
+        taken at the tank temperature each substep starts from; the source
+        is kept strictly below the sink so the cycle stays defined.
         """
         if dt != self._lag_dt:
             _keep_lag(self, dt)
@@ -275,29 +262,13 @@ class HeatPumpSystem:
          self.last_p_compressor_kw,
          self.last_p_element_kw) = heat_pump_substeps(
             self.t_storage_c, self.heating, self.saturated, self.last_cop,
-            self.last_p_compressor_kw, self.last_p_element_kw, heat_demand_kw,
-            ambient_c, offset_kw, n, dt, self.p_el_max_kw, self.p_element_kw,
-            self.effectiveness, self.t_on_c, self.t_off_c, self.t_min_c,
-            self.t_max_c, self.t_element_threshold_c, self.storage_kwh_per_k,
-            self._lag)
-        self._derive_power()
-        return self.p_kw
-
-    def warm_up(self, counts, heat_demands, ambients, dt):
-        """``step(heat_demands[j], ambients[j], 0.0, counts[j], dt)`` for
-        each block j, in one call."""
-        if dt != self._lag_dt:
-            _keep_lag(self, dt)
-        (self.t_storage_c, self.heating, self.saturated, self.last_cop,
-         self.last_p_compressor_kw,
-         self.last_p_element_kw) = heat_pump_blocks(
-            self.t_storage_c, self.heating, self.saturated, self.last_cop,
-            self.last_p_compressor_kw, self.last_p_element_kw, dt,
+            self.last_p_compressor_kw, self.last_p_element_kw, offset_kw, dt,
             self.p_el_max_kw, self.p_element_kw, self.effectiveness,
             self.t_on_c, self.t_off_c, self.t_min_c, self.t_max_c,
             self.t_element_threshold_c, self.storage_kwh_per_k, self._lag,
-            tuple(zip(counts, heat_demands, ambients)))
+            blocks)
         self._derive_power()
+        return self.p_kw
 
     def _derive_power(self):
         p_total = self.last_p_compressor_kw + self.last_p_element_kw
@@ -344,8 +315,9 @@ class ElectricVehicle(_Storage):
         dep, ret = self._away
         return not (dep <= time_of_day_s < ret)
 
-    def step(self, offset_kw, base_tod_s, n, dt):
-        """Advance n substeps, the first starting at time of day `base_tod_s`.
+    def step(self, offset_kw, blocks, dt):
+        """Advance over `blocks`, each ``(n, None, base_tod_s)``: n
+        substeps, the first starting at time of day base_tod_s.
 
         Returns the last substep's charger power (0 while away).
         """
@@ -354,23 +326,11 @@ class ElectricVehicle(_Storage):
         # with no trip window the loop hands trip_drain_kwh back as it was
         (self.soc, self.p_kw, self.saturated,
          self.trip_drain_kwh) = storage_substeps(
-            self.soc, self.p_kw, self.saturated, self.trip_drain_kwh, None,
-            offset_kw, -self.p_rated_kw if self.v2g else 0.0, self.p_rated_kw,
-            n, dt, base_tod_s, self.capacity_kwh, self.eta_charge,
-            self.eta_discharge, self._lag, self._away, self.trips)
-        return self.p_kw
-
-    def warm_up(self, counts, start_tods, dt):
-        """``step(0.0, start_tods[j], counts[j], dt)`` for each block j, in
-        one call."""
-        if dt != self._lag_dt:
-            _keep_lag(self, dt)
-        (self.soc, self.p_kw, self.saturated,
-         self.trip_drain_kwh) = storage_blocks(
             self.soc, self.p_kw, self.saturated, self.trip_drain_kwh,
-            -self.p_rated_kw if self.v2g else 0.0, self.p_rated_kw, dt,
-            self.capacity_kwh, self.eta_charge, self.eta_discharge, self._lag,
-            self._away, self.trips, tuple(zip(counts, repeat(None), start_tods)))
+            offset_kw, -self.p_rated_kw if self.v2g else 0.0, self.p_rated_kw,
+            dt, self.capacity_kwh, self.eta_charge, self.eta_discharge,
+            self._lag, self._away, self.trips, blocks)
+        return self.p_kw
 
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated, self.trip_drain_kwh)

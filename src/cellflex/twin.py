@@ -25,14 +25,14 @@ irradiance) are sampled at the start of each interval and held constant over
 it (the weather once for the whole cell).  The twin samples them again
 only when the interval start time changes, so the evaluations of one
 dispatch step share one sample.  Each plant
-integrates a whole interval in one ``step`` call, one call into its compiled
-substep loop (see :mod:`cellflex.plants`), so every prosumer is called once
-per interval, not once per substep; the PV inverters keep no state and step
-once per interval too.  The warmup runs on coarser blocks and makes one call
-per stateful plant for all of them (its ``warm_up``, into the same compiled
-loop), with each block's inputs sampled once; then it steps the inverters
-and sums every bus once, at the last block.  It leaves the twin as stepping
-the blocks one interval at a time would.
+integrates a whole interval in one ``step`` call, one block into its
+compiled substep loop (see :mod:`cellflex.plants`), so every prosumer is
+called once per interval, not once per substep; the PV inverters keep no
+state and step once per interval too.  The warmup runs on coarser blocks
+and makes one ``step`` call per stateful plant with all of them, with each
+block's inputs sampled once; then it steps the inverters and sums every bus
+once, at the last block.  It leaves the twin as stepping the blocks one
+interval at a time would.
 
 An evaluation or a probe re-integrates only the plants whose offset
 changed.  A plant's end state depends only on the snapshot it starts from
@@ -78,6 +78,7 @@ state variable once.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from struct import Struct
 from typing import NamedTuple
 
@@ -160,16 +161,16 @@ class _ProsumerTwin:
             self.q_base = self.load_q
             self.pv_surplus = 0.0 - self.load_p
 
-    def integrate(self, stale, amb, irr, base_tod_s, n, dt):
+    def integrate(self, stale, amb, irr, ev_blocks, n, dt):
         """Step the flagged plants over n substeps at ambient `amb`, irradiance `irr`.
 
-        `stale` holds a flag per plant index.  Each flagged plant makes one
-        ``step`` call for the whole interval and its value goes to
-        ``values``; the others already hold their end state.  The PV
-        inverter, which keeps no state, sets the bus base load
-        ``p_base``/``q_base`` and the battery's local wish ``pv_surplus``.
-        The bus injection is then summed from every plant's final power and
-        written in place.
+        `stale` holds a flag per plant index and `ev_blocks` the EVs' one
+        block.  Each flagged plant makes one ``step`` call for the whole
+        interval, a single block, and its value goes to ``values``; the
+        others already hold their end state.  The PV inverter, which keeps
+        no state, sets the bus base load ``p_base``/``q_base`` and the
+        battery's local wish ``pv_surplus``.  The bus injection is then
+        summed from every plant's final power and written in place.
         """
         off, values = self.offsets, self.values
         i = self.i_inv
@@ -185,34 +186,35 @@ class _ProsumerTwin:
         if bes is not None:
             i = self.i_bes
             if stale[i]:
-                values[i] = bes.step(self.pv_surplus, off[i], n, dt)
+                values[i] = bes.step(off[i], ((n, self.pv_surplus, 0.0),), dt)
             p += bes.p_kw
         ehp = self.ehp
         if ehp is not None:
             i = self.i_ehp
             if stale[i]:
-                values[i] = ehp.step(self.heat, amb, off[i], n, dt)
+                values[i] = ehp.step(off[i], ((n, self.heat, amb),), dt)
             p += ehp.p_kw
             q += ehp.q_kvar
         for bev, i in self.bev_slots:
             if stale[i]:
-                values[i] = bev.step(off[i], base_tod_s, n, dt)
+                values[i] = bev.step(off[i], ev_blocks, dt)
             p += bev.p_kw
         self.injections[self.i_p] = p
         self.injections[self.i_p + 1] = q
 
-    def warm_up(self, starts, counts, amb, irr, start_tods, dt):
+    def warm_up(self, starts, counts, amb, irr, ev_blocks, dt):
         """Step the stateful plants over the warmup blocks, one call each.
 
-        Block j starts at ``starts[j]`` (time of day ``start_tods[j]``) and
-        runs counts[j] substeps of dt at ambient amb[j] and irradiance
-        irr[j], with no offset.  The household inputs are sampled once per
-        block, and the battery's wish is the block's PV surplus, formed as
-        ``integrate`` forms it from the inverter's active power at irr[j].
-        The inverter, the injection and the values are left to the caller.
+        Block j starts at ``starts[j]`` and runs counts[j] substeps of dt
+        at ambient amb[j] and irradiance irr[j], with no offset;
+        `ev_blocks` holds the EVs' blocks.  The household inputs are
+        sampled once per block, and the battery's wish is the block's PV
+        surplus, formed as ``integrate`` forms it from the inverter's
+        active power at irr[j].  The inverter, the injection and the values
+        are left to the caller.
         """
         for bev in self.bevs:
-            bev.warm_up(counts, start_tods, dt)
+            bev.step(0.0, ev_blocks, dt)
         if self.bes is None and self.ehp is None:
             return
         samples = self.load_series.values(starts)
@@ -223,9 +225,10 @@ class _ProsumerTwin:
             else:
                 wishes = [pv.active_power(g) - load[0]
                           for g, load in zip(irr, samples)]
-            self.bes.warm_up(counts, wishes, dt)
+            self.bes.step(0.0, tuple(zip(counts, wishes, repeat(0.0))), dt)
         if self.ehp is not None:
-            self.ehp.warm_up(counts, [load[2] for load in samples], amb, dt)
+            self.ehp.step(0.0, tuple(zip(counts, [load[2] for load in samples],
+                                         amb)), dt)
 
 
 class CellTwin:
@@ -300,10 +303,14 @@ class CellTwin:
         self._offsets = [0.0] * self.n_plants
         self._stale = bytearray(self.n_plants)
         self._all_stale = b"\x01" * self.n_plants
-        self._values = np.fromiter(map(getattr, self._plants, self._plant_attrs),
-                                   float, self.n_plants)
+        self._values = self._read_values()
         for pro in self.prosumers:
             pro.offsets, pro.values = self._offsets, self._values
+
+    def _read_values(self):
+        """Each plant's value as the plant holds it, in plant order."""
+        return np.fromiter(map(getattr, self._plants, self._plant_attrs),
+                           float, self.n_plants)
 
     def plant_bounds(self):
         return self._bounds.copy()
@@ -346,8 +353,9 @@ class CellTwin:
         if owners is not None:
             prosumers, stale = owners, self._stale
         base_tod = self.start_tod_s + t0
+        ev_blocks = ((n, None, base_tod),)
         for pro in prosumers:
-            pro.integrate(stale, self._amb, self._irr, base_tod, n, substep)
+            pro.integrate(stale, self._amb, self._irr, ev_blocks, n, substep)
         self._last_substep_tod = (base_tod + (n - 1) * substep) % 86400.0
         self.t_s = t0 + dt_total
 
@@ -394,8 +402,7 @@ class CellTwin:
             return
         for plant, state in zip(self._plants, states):
             plant.set_state(state)
-        self._values[:] = np.fromiter(map(getattr, self._plants, self._plant_attrs),
-                                      float, self.n_plants)
+        self._values[:] = self._read_values()
         self.injections[:] = injections
 
     # ------------------------------------------------------------------
@@ -410,7 +417,7 @@ class CellTwin:
         exact exponential updates, so coarse stepping does not degrade the
         settled state).  Each block starts where the one before it ends and
         holds the inputs sampled at its start.  Every battery, heat pump and
-        EV runs all blocks in one ``warm_up`` call; the last block is then
+        EV runs all blocks in one ``step`` call; the last block is then
         integrated once more with only the inverters stale, which sets the
         inputs, inverter outputs, bus injections and clock bookkeeping that
         the last interval leaves.  The scenario loader has checked the
@@ -429,17 +436,17 @@ class CellTwin:
         profiles = self.profiles
         amb = [profiles.ambient.value(t) for t in starts]
         irr = [profiles.irradiance.value(t) for t in starts]
-        start_tods = [self.start_tod_s + t for t in starts]
+        ev_blocks = tuple((n, None, self.start_tod_s + t)
+                          for n, t in zip(counts, starts))
         for pro in self.prosumers:
-            pro.warm_up(starts, counts, amb, irr, start_tods, substep)
+            pro.warm_up(starts, counts, amb, irr, ev_blocks, substep)
         # the last block once more, stepping only the inverters, which keep
         # no state: it leaves the inputs, inverter outputs and bus injections
         # of the last interval
         self._stale[:] = bytes(cls == "inv" for cls in self.plant_classes)
         self.t_s = starts[-1]
         self._step_interval(counts[-1] * substep, substep, self.prosumers)
-        self._values[:] = np.fromiter(map(getattr, self._plants, self._plant_attrs),
-                                      float, self.n_plants)
+        self._values[:] = self._read_values()
         self.t_s = 0.0
         return self.capture_reference()
 

@@ -4,20 +4,23 @@ The package runs these loops compiled (``cellflex/_loops.c``); the tests
 check it against the Python here bit for bit.
 
 ``integrate_reference`` is the storage loop behind ``BatteryStorage.step``
-and ``ElectricVehicle.step`` as it stood before it learned to stop a settled
-battery, to jump a settled EV to its next away substep and to run each trip
-window in a tight inner loop.  It visits every substep one at a time.  Call
-it with a ``BatteryStorage`` or ``ElectricVehicle`` as ``self``;
-``battery_step_reference`` and ``ev_step_reference`` call it with the
-bounds each ``step`` passes.
+and ``ElectricVehicle.step`` over one interval, as it stood before it
+learned to stop a settled battery, to jump a settled EV to its next away
+substep and to run each trip window in a tight inner loop.  It visits every
+substep one at a time.  Call it with a ``BatteryStorage`` or
+``ElectricVehicle`` as ``self``; ``battery_step_reference`` and
+``ev_step_reference`` call it once per block with the bounds each ``step``
+passes.
 
-``heat_pump_step_reference`` is the Python loop behind
-``HeatPumpSystem.step``.  Call it with a ``HeatPumpSystem`` as ``self``.
+``heat_pump_interval_reference`` is the heat-pump loop over one interval,
+and ``heat_pump_step_reference`` calls it once per block.  Call it with a
+``HeatPumpSystem`` as ``self``.
 
-``use_references(plant)`` makes a plant step through these loops: its
-class's ``step``, which calls the compiled loop, is overridden.  Its
-``warm_up`` is not, and still runs the compiled loop; the plain twin
-(``twin_reference``) warms up through ``step`` instead.
+Each ``*_step_reference`` takes a step's ``(offset_kw, blocks, dt)`` and
+runs the blocks one after another, each from the state the one before it
+ends in.  ``use_references(plant)`` makes a plant step through these loops:
+its class's ``step``, which calls the compiled loop, is overridden, and with
+it every dispatch interval and the warmup, which both step through ``step``.
 """
 
 import math
@@ -128,20 +131,33 @@ def integrate_reference(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0)
     return p
 
 
-def battery_step_reference(self, wish_kw, offset_kw, n, dt):
+def battery_step_reference(self, offset_kw, blocks, dt):
     """``BatteryStorage.step`` through `integrate_reference`."""
-    return integrate_reference(self, wish_kw, offset_kw, -self.p_max_discharge_kw,
-                               self.p_max_charge_kw, n, dt)
+    for n, wish_kw, _ in blocks:
+        integrate_reference(self, wish_kw, offset_kw, -self.p_max_discharge_kw,
+                            self.p_max_charge_kw, n, dt)
+    return self.p_kw
 
 
-def ev_step_reference(self, offset_kw, base_tod_s, n, dt):
+def ev_step_reference(self, offset_kw, blocks, dt):
     """``ElectricVehicle.step`` through `integrate_reference`."""
     lo = -self.p_rated_kw if self.v2g else 0.0
-    return integrate_reference(self, None, offset_kw, lo, self.p_rated_kw, n, dt,
-                               base_tod_s)
+    for n, _, base_tod_s in blocks:
+        integrate_reference(self, None, offset_kw, lo, self.p_rated_kw, n, dt,
+                            base_tod_s)
+    return self.p_kw
 
 
-def heat_pump_step_reference(self, heat_demand_kw, ambient_c, offset_kw, n, dt):
+def heat_pump_step_reference(self, offset_kw, blocks, dt):
+    """``HeatPumpSystem.step`` through `heat_pump_interval_reference`."""
+    for n, heat_demand_kw, ambient_c in blocks:
+        heat_pump_interval_reference(self, heat_demand_kw, ambient_c,
+                                     offset_kw, n, dt)
+    return self.p_kw
+
+
+def heat_pump_interval_reference(self, heat_demand_kw, ambient_c, offset_kw,
+                                 n, dt):
     """Advance n substeps of dt seconds; returns the last one's electric power.
 
     The electric power is compressor plus element.  The compressor's

@@ -1,5 +1,6 @@
 import copy
 import math
+from itertools import repeat
 
 import pytest
 from hypothesis import given
@@ -36,7 +37,7 @@ def cop_after_one_substep(t_tank, ambient, effectiveness=0.5):
     """The COP a heat pump ran its first substep at, from tank temperature
     `t_tank` and ambient temperature `ambient`."""
     ehp = make_ehp(t0_c=t_tank, effectiveness=effectiveness)
-    ehp.step(0.0, ambient, 0.0, 1, 15.0)
+    ehp.step(0.0, ((1, 0.0, ambient),), 15.0)
     return ehp.last_cop
 
 
@@ -81,7 +82,7 @@ class TestFirstOrderResponse:
         bes = lag_battery(10.0)
         dt = 0.1  # T/100
         for _ in range(100):
-            y = bes.step(1.0, 0.0, 1, dt)
+            y = bes.step(0.0, ((1, 1.0, 0.0),), dt)
         expected = 1.0 - math.exp(-1.0)  # 0.6321205588285577
         assert abs(y - expected) / expected < 1e-4
         assert y == pytest.approx(0.6321205588285577, rel=1e-6)
@@ -91,7 +92,7 @@ class TestFirstOrderResponse:
         dt = 0.02  # T/100
         t = 0.0
         for _ in range(int(5 * 2.0 / dt)):
-            y = bes.step(1.0, 0.0, 1, dt)
+            y = bes.step(0.0, ((1, 1.0, 0.0),), dt)
             t += dt
             exact = 1.0 - math.exp(-t / 2.0)
             assert abs(y - exact) / exact < 1e-4
@@ -100,13 +101,13 @@ class TestFirstOrderResponse:
         # the exponential update is exact for piecewise-constant input, so
         # 150 substeps of 0.1 s and one 15 s substep end at the same power
         fine = lag_battery(2.0, p0_kw=0.3)
-        fine.step(4.0, 0.0, 150, 0.1)
+        fine.step(0.0, ((150, 4.0, 0.0),), 0.1)
         coarse = lag_battery(2.0, p0_kw=0.3)
-        coarse.step(4.0, 0.0, 1, 15.0)
+        coarse.step(0.0, ((1, 4.0, 0.0),), 15.0)
         assert coarse.p_kw == pytest.approx(fine.p_kw, abs=1e-12)
 
     def test_exact_branch_is_exact(self):
-        y = lag_battery(2.0).step(1.0, 0.0, 1, 6.0)
+        y = lag_battery(2.0).step(0.0, ((1, 1.0, 0.0),), 6.0)
         assert y == pytest.approx(1.0 - math.exp(-3.0), abs=1e-14)
 
     def test_parameter_errors(self, validate_refuses):
@@ -127,7 +128,7 @@ class TestFirstOrderResponse:
         target = u
         side = math.copysign(1.0, target - y0) if target != y0 else 0.0
         for _ in range(50):
-            y = bes.step(u, 0.0, 1, time_constant / 10.0)
+            y = bes.step(0.0, ((1, u, 0.0),), time_constant / 10.0)
             if side:
                 assert math.copysign(1.0, target - y) == side or abs(target - y) < 1e-12
 
@@ -148,45 +149,45 @@ class TestBatteryStorage:
         # 5 kW for 15 s into 10 kWh at unit efficiency: d_soc = 5*15/3600/10
         bes = battery_at(BesParams(10.0, 5.0, 5.0, eta_charge=1.0, eta_discharge=1.0,
                                    soc0=0.5), 5.0)
-        p = bes.step(0.0, 5.0, 1, 15.0)
+        p = bes.step(5.0, ((1, 0.0, 0.0),), 15.0)
         assert p == pytest.approx(5.0, abs=1e-12)
         assert bes.soc == pytest.approx(0.5020833333333333, abs=1e-12)
 
     def test_charge_efficiency_applies(self):
         bes = battery_at(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
                                    soc0=0.0), 4.0)
-        bes.step(0.0, 4.0, 1, 900.0)
+        bes.step(4.0, ((1, 0.0, 0.0),), 900.0)
         assert bes.soc == pytest.approx(4.0 * 0.95 * 900 / 3600 / 10.0, abs=1e-12)
 
     def test_discharge_efficiency_applies(self):
         bes = battery_at(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
                                    soc0=1.0), -4.0)
-        bes.step(0.0, -4.0, 1, 900.0)
+        bes.step(-4.0, ((1, 0.0, 0.0),), 900.0)
         assert bes.soc == pytest.approx(1.0 - 4.0 / 0.95 * 900 / 3600 / 10.0, abs=1e-12)
 
     def test_full_battery_refuses_charge(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=1.0))
-        p = bes.step(0.0, 5.0, 1, 15.0)
+        p = bes.step(5.0, ((1, 0.0, 0.0),), 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert bes.soc == 1.0
         assert bes.saturated
 
     def test_empty_battery_refuses_discharge(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.0))
-        p = bes.step(0.0, -5.0, 1, 15.0)
+        p = bes.step(-5.0, ((1, 0.0, 0.0),), 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert bes.soc == 0.0
         assert bes.saturated
 
     def test_power_limit_clamp(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 3.0, soc0=0.5))
-        bes.step(0.0, 99.0, 1, 1.0)
+        bes.step(99.0, ((1, 0.0, 0.0),), 1.0)
         assert bes.saturated
         for _ in range(100):
-            p = bes.step(0.0, 99.0, 1, 1.0)
+            p = bes.step(99.0, ((1, 0.0, 0.0),), 1.0)
         assert p == pytest.approx(5.0, abs=1e-9)
         for _ in range(200):
-            p = bes.step(0.0, -99.0, 1, 1.0)
+            p = bes.step(-99.0, ((1, 0.0, 0.0),), 1.0)
         assert p == pytest.approx(-3.0, abs=1e-9)
 
     def test_feasible_command_reflects_soc(self):
@@ -195,27 +196,27 @@ class TestBatteryStorage:
         def empty():
             return BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.0,
                                             time_constant_s=1e-3))
-        assert empty().step(-2.0, 0.0, 1, 15.0) == 0.0
-        assert empty().step(2.0, 0.0, 1, 15.0) == 2.0
+        assert empty().step(0.0, ((1, -2.0, 0.0),), 15.0) == 0.0
+        assert empty().step(0.0, ((1, 2.0, 0.0),), 15.0) == 2.0
 
     def test_lag_shapes_response(self):
         bes = BatteryStorage(BesParams(50.0, 10.0, 10.0, soc0=0.5, time_constant_s=2.0))
-        p = bes.step(0.0, 10.0, 1, 1.0)
+        p = bes.step(10.0, ((1, 0.0, 0.0),), 1.0)
         assert 0.0 < p < 10.0  # still rising toward the setpoint
 
     @given(st.lists(st.floats(-20, 20, allow_nan=False), min_size=1, max_size=60))
     def test_soc_and_power_stay_bounded(self, setpoints):
         bes = BatteryStorage(BesParams(2.0, 5.0, 5.0, soc0=0.5))
         for sp in setpoints:
-            p = bes.step(0.0, sp, 1, 5.0)
+            p = bes.step(sp, ((1, 0.0, 0.0),), 5.0)
             assert 0.0 <= bes.soc <= 1.0
             assert -5.0 - 1e-9 <= p <= 5.0 + 1e-9
 
     def test_state_round_trip(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.5))
-        bes.step(0.0, 3.0, 1, 1.0)
+        bes.step(3.0, ((1, 0.0, 0.0),), 1.0)
         state = bes.get_state()
-        bes.step(0.0, -2.0, 1, 1.0)
+        bes.step(-2.0, ((1, 0.0, 0.0),), 1.0)
         bes.set_state(state)
         assert bes.get_state() == state
 
@@ -283,7 +284,7 @@ class TestHeatPumpSystem:
         heat_in = 0.0
         n = int(12 * 3600 / 15)
         for _ in range(n):
-            ehp.step(2.0, 0.0, 0.0, 1, 15.0)
+            ehp.step(0.0, ((1, 2.0, 0.0),), 15.0)
             temps.append(ehp.t_storage_c)
             powers.append(ehp.p_kw)
             heat_in += (ehp.last_cop * ehp.last_p_compressor_kw
@@ -308,7 +309,7 @@ class TestHeatPumpSystem:
         for k in range(600):
             demand = 2.0 + 1.5 * math.sin(k / 25.0)
             offset = 1.0 if 100 <= k < 250 else 0.0
-            ehp.step(demand, -2.0, offset, 1, dt)
+            ehp.step(offset, ((1, demand, -2.0),), dt)
             assert 35.0 < ehp.t_storage_c < 90.0  # balance only claimed inside bounds
             heat_in += (ehp.last_cop * ehp.last_p_compressor_kw
                         + ehp.last_p_element_kw) * dt / 3600.0
@@ -319,7 +320,8 @@ class TestHeatPumpSystem:
     def test_floor_hold_covers_demand(self):
         ehp = make_ehp(t0_c=35.5)
         for _ in range(400):
-            ehp.step(4.0, -5.0, -99.0, 1, 15.0)  # large negative offset pushes down
+            # a large negative offset pushes down
+            ehp.step(-99.0, ((1, 4.0, -5.0),), 15.0)
             assert ehp.t_storage_c >= 35.0 - 1e-9
         # at the floor the system pumps exactly the demand-covering power
         assert ehp.t_storage_c == pytest.approx(35.0, abs=0.05)
@@ -327,17 +329,26 @@ class TestHeatPumpSystem:
         assert heat_in == pytest.approx(4.0, abs=0.05)
         assert ehp.saturated
 
+    def test_floor_hold_switches_the_thermostat_on(self):
+        # a small tank just above the switch-on edge, thermostat off, drains
+        # past the floor within one substep: the floor hold pins it there
+        # and turns the thermostat on
+        ehp = make_ehp(storage_kwh_per_k=0.02, t0_c=42.5)
+        ehp.step(0.0, ((1, 40.0, 0.0),), 15.0)
+        assert ehp.t_storage_c == pytest.approx(35.0, abs=1e-9)
+        assert ehp.heating and ehp.saturated
+
     def test_undersized_system_pins_at_floor(self):
         ehp = make_ehp(p_el_max_kw=0.5, p_element_kw=0.3, t0_c=36.0)
         for _ in range(400):
-            ehp.step(5.0, -5.0, 0.0, 1, 15.0)
+            ehp.step(0.0, ((1, 5.0, -5.0),), 15.0)
         assert ehp.t_storage_c == pytest.approx(35.0, abs=1e-9)
 
     def test_element_extends_beyond_compressor_threshold(self):
         ehp = make_ehp()
         seen_above_threshold = False
         for _ in range(int(4 * 3600 / 15)):
-            ehp.step(0.0, 0.0, 99.0, 1, 15.0)
+            ehp.step(99.0, ((1, 0.0, 0.0),), 15.0)
             assert ehp.t_storage_c <= 90.0 + 1e-9
             if ehp.t_storage_c > 51.0:
                 seen_above_threshold = True
@@ -350,33 +361,33 @@ class TestHeatPumpSystem:
     def test_element_inactive_without_offset(self):
         ehp = make_ehp(t0_c=45.0)
         for _ in range(200):
-            ehp.step(2.0, 0.0, 0.0, 1, 15.0)
+            ehp.step(0.0, ((1, 2.0, 0.0),), 15.0)
             assert ehp.last_p_element_kw == 0.0
 
     def test_negative_offset_clamps_at_zero_power(self):
         # tank above t_on: thermostat off, a negative command cannot realize
         ehp = make_ehp(t0_c=46.0)
-        p = ehp.step(1.0, 0.0, -5.0, 1, 15.0)
+        p = ehp.step(-5.0, ((1, 1.0, 0.0),), 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert ehp.saturated
 
     def test_reactive_power_tracks_fixed_power_factor(self):
         ehp = make_ehp()
-        ehp.step(3.0, 0.0, 1.0, 1, 15.0)
+        ehp.step(1.0, ((1, 3.0, 0.0),), 15.0)
         assert ehp.q_kvar == pytest.approx(ehp.p_kw * math.tan(math.acos(0.95)), abs=1e-12)
 
     @given(st.lists(st.floats(-8, 8, allow_nan=False), min_size=1, max_size=50))
     def test_temperature_stays_bounded(self, offsets):
         ehp = make_ehp(t0_c=40.0)
         for off in offsets:
-            ehp.step(3.0, -2.0, off, 1, 15.0)
+            ehp.step(off, ((1, 3.0, -2.0),), 15.0)
             assert 35.0 - 1e-9 <= ehp.t_storage_c <= 90.0 + 1e-9
 
     def test_state_round_trip(self):
         ehp = make_ehp()
-        ehp.step(2.0, 0.0, 0.5, 1, 15.0)
+        ehp.step(0.5, ((1, 2.0, 0.0),), 15.0)
         state = ehp.get_state()
-        ehp.step(3.0, 1.0, -0.5, 1, 15.0)
+        ehp.step(-0.5, ((1, 3.0, 1.0),), 15.0)
         ehp.set_state(state)
         assert ehp.get_state() == state
 
@@ -414,7 +425,7 @@ class TestElectricVehicle:
 
     def test_away_power_is_exactly_zero(self):
         bev = make_bev()
-        p = bev.step(5.0, 12 * 3600.0, 1, 900.0)
+        p = bev.step(5.0, ((1, None, 12 * 3600.0),), 900.0)
         assert p == 0.0
         assert bev.p_kw == 0.0
 
@@ -423,31 +434,31 @@ class TestElectricVehicle:
         # whole trip window at 900 s steps: 8 kWh over 10 h
         t = 8 * 3600.0
         while t < 18 * 3600.0:
-            bev.step(0.0, t, 1, 900.0)
+            bev.step(0.0, ((1, None, t),), 900.0)
             t += 900.0
         assert bev.soc == pytest.approx(0.9 - 8.0 / 40.0, abs=1e-9)
         assert bev.trip_drain_kwh == pytest.approx(8.0, abs=1e-9)
 
     def test_charges_at_rated_until_full(self):
         bev = make_bev(soc0=0.995, eta_charge=1.0, time_constant_s=1e-3)
-        p = bev.step(0.0, 19 * 3600.0, 1, 60.0)
+        p = bev.step(0.0, ((1, None, 19 * 3600.0),), 60.0)
         assert p == pytest.approx(11.0, abs=1e-6)
         for _ in range(60):
-            p = bev.step(0.0, 19 * 3600.0, 1, 60.0)
+            p = bev.step(0.0, ((1, None, 19 * 3600.0),), 60.0)
         assert bev.soc == pytest.approx(1.0, abs=1e-12)
         assert p == pytest.approx(0.0, abs=1e-9)
 
     def test_unidirectional_floor_is_zero(self):
         bev = make_bev(v2g=False)
         for _ in range(20):
-            p = bev.step(-99.0, 19 * 3600.0, 1, 5.0)
+            p = bev.step(-99.0, ((1, None, 19 * 3600.0),), 5.0)
         assert p == pytest.approx(0.0, abs=1e-9)
         assert bev.saturated
 
     def test_v2g_discharges_to_negative_rated(self):
         bev = make_bev(v2g=True)
         for _ in range(40):
-            p = bev.step(-99.0, 19 * 3600.0, 1, 5.0)
+            p = bev.step(-99.0, ((1, None, 19 * 3600.0),), 5.0)
         assert p == pytest.approx(-11.0, abs=1e-9)
 
     def test_no_trips_always_connected(self):
@@ -463,7 +474,7 @@ class TestElectricVehicle:
         dt = 86400.0 / len(offsets)
         t = 0.0
         for off in offsets:
-            p = bev.step(off, t % 86400.0, 1, dt)
+            p = bev.step(off, ((1, None, t % 86400.0),), dt)
             assert 0.0 <= bev.soc <= 1.0
             if p > 0:
                 charged += p * bev.eta_charge * dt / 3600.0
@@ -501,9 +512,9 @@ class TestElectricVehicle:
 
     def test_state_round_trip(self):
         bev = make_bev()
-        bev.step(2.0, 19 * 3600.0, 1, 5.0)
+        bev.step(2.0, ((1, None, 19 * 3600.0),), 5.0)
         state = bev.get_state()
-        bev.step(-2.0, 20 * 3600.0, 1, 5.0)
+        bev.step(-2.0, ((1, None, 20 * 3600.0),), 5.0)
         bev.set_state(state)
         assert bev.get_state() == state
 
@@ -540,9 +551,10 @@ class TestSettledSubsteps:
         n, dt = grid
         start = (soc, p0, False)
         want = substep_by_substep(
-            bes, lambda _tod, m: bes.step(wish, offset, m, dt), start, n, dt)
+            bes, lambda _tod, m: bes.step(offset, ((m, wish, 0.0),), dt),
+            start, n, dt)
         bes.set_state(start)
-        bes.step(wish, offset, n, dt)
+        bes.step(offset, ((n, wish, 0.0),), dt)
         assert end_bits(bes) == want
 
     @given(soc=socs, p0=powers, drained=st.floats(0.0, 5.0), v2g=st.booleans(),
@@ -560,10 +572,12 @@ class TestSettledSubsteps:
             p0 = abs(p0)
         start = (soc, p0, False, drained)
         want = substep_by_substep(
-            bev, lambda tod, m: bev.step(offset, tod_h * 3600.0 + tod, m, dt),
+            bev,
+            lambda tod, m: bev.step(offset, ((m, None, tod_h * 3600.0 + tod),),
+                                    dt),
             start, n, dt)
         bev.set_state(start)
-        bev.step(offset, tod_h * 3600.0, n, dt)
+        bev.step(offset, ((n, None, tod_h * 3600.0),), dt)
         assert end_bits(bev) == want
 
     def test_a_trip_inside_the_interval_ends_the_settled_state(self):
@@ -574,7 +588,7 @@ class TestSettledSubsteps:
         start = (1.0, 0.0, False, 0.0)
 
         def run(tod, m):
-            bev.step(0.0, 11.95 * 3600.0 + tod, m, 15.0)
+            bev.step(0.0, ((m, None, 11.95 * 3600.0 + tod),), 15.0)
 
         want = substep_by_substep(bev, run, start, 60, 15.0)
         bev.set_state(start)
@@ -615,7 +629,7 @@ class TestReplayFromState:
     def test_battery(self, soc, p0, saturated, wish, offset, other, grid):
         bes = BatteryStorage(BesParams(0.05, 5.0, 3.0))
         n, dt = grid
-        check_replay(bes, lambda off: bes.step(wish, off, n, dt),
+        check_replay(bes, lambda off: bes.step(off, ((n, wish, 0.0),), dt),
                      (soc, p0, saturated), offset, other)
 
     @given(soc=socs, p0=powers, saturated=st.booleans(),
@@ -630,7 +644,8 @@ class TestReplayFromState:
         n, dt = grid
         if not v2g:
             p0 = abs(p0)
-        check_replay(bev, lambda off: bev.step(off, tod_h * 3600.0, n, dt),
+        check_replay(bev,
+                     lambda off: bev.step(off, ((n, None, tod_h * 3600.0),), dt),
                      (soc, p0, saturated, drained), offset, other)
 
     @given(t0=st.one_of(st.floats(35.0, 90.0), st.sampled_from([35.0, 90.0])),
@@ -642,7 +657,8 @@ class TestReplayFromState:
                        ambient, offset, other, grid):
         ehp = make_ehp()
         n, dt = grid
-        check_replay(ehp, lambda off: ehp.step(demand, ambient, off, n, dt),
+        check_replay(ehp,
+                     lambda off: ehp.step(off, ((n, demand, ambient),), dt),
                      (t0, heating, saturated, p_comp, p_elem), offset, other)
 
 
@@ -722,7 +738,8 @@ class TestStorageLoopReference:
         n, dt = grid
         check_storage(
             bes, (soc, p0, saturated),
-            [lambda b, w=w: b.step(w, offset, n, dt) for w in wishes])
+            [lambda b, w=w: b.step(offset, ((n, w, 0.0),), dt)
+             for w in wishes])
 
     @given(capacity=st.floats(0.2, 60.0), p_rated=st.floats(0.5, 22.0),
            v2g=st.booleans(), eta=st.floats(0.5, 1.0),
@@ -738,7 +755,8 @@ class TestStorageLoopReference:
         n, dt = WARMUP_BLOCK
         check_storage(
             bev, (soc, p0, saturated, drained),
-            [lambda b, j=j: b.step(offset, start + j * n * dt, n, dt)
+            [lambda b, j=j: b.step(offset, ((n, None, start + j * n * dt),),
+                                   dt)
              for j in range(96)])
 
     @given(capacity=st.floats(0.2, 60.0), p_rated=st.floats(0.5, 22.0),
@@ -753,7 +771,8 @@ class TestStorageLoopReference:
         n, dt = DISPATCH_STEP
         check_storage(
             bev, (soc, p0, saturated, drained),
-            [lambda b, j=j, off=off: b.step(off, start + j * n * dt, n, dt)
+            [lambda b, j=j, off=off: b.step(
+                off, ((n, None, start + j * n * dt),), dt)
              for j, off in enumerate(offsets_)])
 
     @given(capacity=st.floats(0.2, 60.0), v2g=st.booleans(), trips=trip_days(),
@@ -768,7 +787,8 @@ class TestStorageLoopReference:
         n, dt = grid
         check_storage(
             bev, (soc, p0, False, drained),
-            [lambda b, j=j: b.step(offset, start + j * n * dt, n, dt)
+            [lambda b, j=j: b.step(offset, ((n, None, start + j * n * dt),),
+                                   dt)
              for j in range(3)])
 
     @pytest.mark.parametrize("trip, start, grid", [
@@ -783,8 +803,9 @@ class TestStorageLoopReference:
         # full and idle, the vehicle settles on its first substep
         bev = make_bev(soc0=1.0, trips=(trip,))
         ref = with_reference(bev)
+        n, dt = grid
         for plant in (bev, ref):
-            plant.step(0.0, start, *grid)
+            plant.step(0.0, ((n, None, start),), dt)
         assert storage_bits(bev, bev.p_kw) == storage_bits(ref, ref.p_kw)
         assert bev.trip_drain_kwh > 0.0
 
@@ -793,9 +814,10 @@ class TestStorageLoopReference:
         # so most of the window takes the stored-energy branch
         bev = make_bev(capacity_kwh=5.0, soc0=1.0, trips=((8.0, 10.0, 30.0),))
         ref = with_reference(bev)
+        n, dt = WARMUP_BLOCK
         for plant in (bev, ref):
             for j in range(8):
-                plant.step(0.0, 8 * 3600.0 + j * 900.0, *WARMUP_BLOCK)
+                plant.step(0.0, ((n, None, 8 * 3600.0 + j * 900.0),), dt)
         assert storage_bits(bev, bev.p_kw) == storage_bits(ref, ref.p_kw)
         assert abs(bev.soc) < 1e-12
         assert bev.trip_drain_kwh == pytest.approx(5.0)
@@ -848,7 +870,7 @@ class TestHeatPumpLoopReference:
         n, dt = grid
         check_heat_pump(
             ehp, (t0, heating, saturated, p_comp, p_elem),
-            [lambda e, off=off: e.step(demand, ambient, off, n, dt)
+            [lambda e, off=off: e.step(off, ((n, demand, ambient),), dt)
              for off in offsets_ + [math.nan] * nan_last])
 
     @pytest.mark.parametrize("params, start, inputs, t_end", [
@@ -871,8 +893,11 @@ class TestHeatPumpLoopReference:
     @pytest.mark.parametrize("grid", [DISPATCH_STEP, WARMUP_BLOCK])
     def test_branch(self, params, start, inputs, t_end, grid):
         ehp = make_ehp(**params)
-        check_heat_pump(ehp, start,
-                        [lambda e: e.step(*inputs, *grid)] * 40)
+        demand, ambient, offset = inputs
+        n, dt = grid
+        check_heat_pump(
+            ehp, start,
+            [lambda e: e.step(offset, ((n, demand, ambient),), dt)] * 40)
         if t_end is not None:
             assert ehp.t_storage_c == t_end and ehp.saturated
 
@@ -882,6 +907,8 @@ class TestHeatPumpLoopReference:
 block_counts = st.lists(st.one_of(st.integers(0, 60), st.just(0)),
                         min_size=1, max_size=8)
 block_dts = st.sampled_from([5.0, 15.0, 40.0])
+# the warmup's zero offset half of the time
+block_offsets = st.one_of(st.just(0.0), offsets)
 
 
 def block_starts(start, counts, dt):
@@ -895,11 +922,21 @@ def block_starts(start, counts, dt):
     return starts
 
 
+def check_blocks(plant, other, bits, offset, blocks, dt):
+    """Step `plant` over `blocks` in one call and `other`, a plant in the
+    same state, one block per call: both must end bit-identical, with the
+    same returned power."""
+    p = plant.step(offset, blocks, dt)
+    for block in blocks:
+        q = other.step(offset, (block,), dt)
+    assert bits(plant, p) == bits(other, q)
+
+
 class TestBlockLoops:
-    """A plant's ``warm_up``, one compiled call over a run of blocks, ends
-    bit-identical to one ``step`` per block with no offset: every state
-    variable, the saturation flag and the lag's state carry from each block
-    into the next."""
+    """One ``step`` over a run of blocks, the warmup's call, ends
+    bit-identical to one one-block ``step`` per block under the same offset:
+    every state variable, the saturation flag and the lag's state carry from
+    each block into the next."""
 
     @given(capacity=st.floats(0.01, 20.0), p_charge=st.floats(0.0, 10.0),
            p_discharge=st.floats(0.0, 10.0), tau=st.floats(0.1, 30.0),
@@ -907,9 +944,9 @@ class TestBlockLoops:
            wishes=st.lists(st.one_of(st.floats(-10.0, 10.0),
                                      st.sampled_from([0.0, -0.0])),
                            min_size=8, max_size=8),
-           dt=block_dts)
+           offset=block_offsets, dt=block_dts)
     def test_battery(self, capacity, p_charge, p_discharge, tau, soc, p0,
-                     saturated, counts, wishes, dt):
+                     saturated, counts, wishes, offset, dt):
         # a battery settles mid-block once its wish is out of reach
         plants = []
         for _ in range(2):
@@ -917,12 +954,8 @@ class TestBlockLoops:
                                            time_constant_s=tau))
             bes.set_state((soc, p0, saturated))
             plants.append(bes)
-        blocks, steps = plants
-        blocks.warm_up(counts, wishes[:len(counts)], dt)
-        for n, wish in zip(counts, wishes):
-            steps.step(wish, 0.0, n, dt)
-        assert storage_bits(blocks, blocks.p_kw) \
-            == storage_bits(steps, steps.p_kw)
+        check_blocks(*plants, storage_bits, offset,
+                     tuple(zip(counts, wishes, repeat(0.0))), dt)
 
     @given(capacity=st.floats(0.2, 60.0), p_rated=st.floats(0.5, 22.0),
            v2g=st.booleans(), trips=trip_days(), energy=st.floats(0.5, 80.0),
@@ -930,10 +963,10 @@ class TestBlockLoops:
            drained=st.floats(0.0, 5.0),
            counts=st.lists(st.one_of(st.integers(0, 60), st.just(0)),
                            min_size=2, max_size=8),
-           dt=block_dts, edge=st.sampled_from([0, 1]),
+           offset=block_offsets, dt=block_dts, edge=st.sampled_from([0, 1]),
            lead=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])))
     def test_ev(self, capacity, p_rated, v2g, trips, energy, soc, p0,
-                saturated, drained, counts, dt, edge, lead):
+                saturated, drained, counts, offset, dt, edge, lead):
         # the first trip's departure or return falls inside one of the
         # blocks before the last, or on its start (`lead` of the way through
         # them), and the trips drain energy; a full, idle vehicle settles on
@@ -946,14 +979,10 @@ class TestBlockLoops:
             bev.set_state((soc, abs(p0) if not v2g else p0, saturated,
                            drained))
             plants.append(bev)
-        blocks, steps = plants
         first = trips[0][edge] * 3600.0 - lead * sum(counts[:-1]) * dt
         starts = block_starts(first, counts, dt)
-        blocks.warm_up(counts, starts, dt)
-        for n, start in zip(counts, starts):
-            steps.step(0.0, start, n, dt)
-        assert storage_bits(blocks, blocks.p_kw) \
-            == storage_bits(steps, steps.p_kw)
+        check_blocks(*plants, storage_bits, offset,
+                     tuple(zip(counts, repeat(None), starts)), dt)
 
     @given(p_el_max=st.floats(0.1, 6.0), p_element=st.floats(0.0, 9.0),
            storage=st.floats(0.02, 0.5), tau=st.floats(0.1, 30.0),
@@ -964,10 +993,10 @@ class TestBlockLoops:
            demands=st.lists(st.floats(0.0, 10.0), min_size=16, max_size=16),
            ambients=st.lists(st.floats(-20.0, 30.0), min_size=16,
                              max_size=16),
-           dt=block_dts)
+           offset=block_offsets, dt=block_dts)
     def test_heat_pump(self, p_el_max, p_element, storage, tau, t0, heating,
                        saturated, p_comp, p_elem, counts, demands, ambients,
-                       dt):
+                       offset, dt):
         # short blocks and a small tank that starts on or near a thermostat
         # edge: the thermostat switches in one block and holds, inside the
         # band, into the next
@@ -977,13 +1006,8 @@ class TestBlockLoops:
                                            time_constant_s=tau))
             ehp.set_state((t0, heating, saturated, p_comp, p_elem))
             plants.append(ehp)
-        blocks, steps = plants
-        blocks.warm_up(counts, demands[:len(counts)], ambients[:len(counts)],
-                       dt)
-        for n, demand, ambient in zip(counts, demands, ambients):
-            steps.step(demand, ambient, 0.0, n, dt)
-        assert heat_pump_bits(blocks, blocks.p_kw) \
-            == heat_pump_bits(steps, steps.p_kw)
+        check_blocks(*plants, heat_pump_bits, offset,
+                     tuple(zip(counts, demands, ambients)), dt)
 
     def test_a_bad_block_leaves_the_plant_as_it_was(self):
         # the second block's count is no integer: the first block has run in
@@ -993,9 +1017,9 @@ class TestBlockLoops:
         bev = make_bev()
         before = [end_bits(plant) for plant in (bes, ehp, bev)]
         with pytest.raises(TypeError):
-            bes.warm_up([60, 1.5], [1.0, 1.0], 15.0)
+            bes.step(0.0, ((60, 1.0, 0.0), (1.5, 1.0, 0.0)), 15.0)
         with pytest.raises(TypeError):
-            ehp.warm_up([60, 1.5], [2.0, 2.0], [0.0, 0.0], 15.0)
+            ehp.step(0.0, ((60, 2.0, 0.0), (1.5, 2.0, 0.0)), 15.0)
         with pytest.raises(TypeError):
-            bev.warm_up([60, 1.5], [0.0, 900.0], 15.0)
+            bev.step(0.0, ((60, None, 0.0), (1.5, None, 900.0)), 15.0)
         assert [end_bits(plant) for plant in (bes, ehp, bev)] == before

@@ -971,29 +971,18 @@ class TestWarmup:
                            match="expected a finite number, got nan"):
             self.toy_warming_up_for(float("nan"))
 
-    def test_warmup_beyond_profile_window_rejected_before_integrating(
-            self, monkeypatch):
-        # the toy cell's profiles reach one day back
-        step_interval = CellTwin._step_interval
-
-        def fail(*args, **kwargs):
-            raise AssertionError("the warmup started integrating")
-
-        monkeypatch.setattr(CellTwin, "_step_interval", fail)
+    def test_warmup_beyond_profile_window_rejected_before_integrating(self):
+        # the toy cell's profiles reach one day back; the loader refuses the
+        # scenario, so no twin is built and nothing is integrated
         with pytest.raises(ConfigurationError,
                            match=r"warmup_s: exceeds the covered profile window "
                                  r"\(profile_back_days\)"):
             self.toy_warming_up_for(1.5 * 86400.0)
-        monkeypatch.setattr(CellTwin, "_step_interval", step_interval)
         twin = CellTwin(self.toy_warming_up_for(86400.0))
         assert twin.run_warmup().t_s == 0.0
 
-    def test_warmup_off_the_substep_grid_rejected_before_integrating(
-            self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("the warmup started integrating")
-
-        monkeypatch.setattr(CellTwin, "_step_interval", fail)
+    def test_warmup_off_the_substep_grid_rejected_before_integrating(self):
+        # refused by the loader, before any twin is built
         with pytest.raises(ConfigurationError,
                            match="3600.5 s is not a whole number of 15 s"):
             self.toy_warming_up_for(3600.5)
@@ -1011,16 +1000,15 @@ class TestWarmup:
         schedules = []
 
         def recording(cls):
-            warm_up = cls.warm_up
+            step = cls.step
 
-            def record(plant, counts, *inputs):
-                # the substep width comes last
-                schedules.append((cls.__name__, list(counts), inputs[-1]))
-                warm_up(plant, counts, *inputs)
+            def record(plant, offset_kw, blocks, dt):
+                schedules.append((cls.__name__, [blk[0] for blk in blocks], dt))
+                return step(plant, offset_kw, blocks, dt)
             return record
 
         for cls in (BatteryStorage, HeatPumpSystem, ElectricVehicle):
-            monkeypatch.setattr(cls, "warm_up", recording(cls))
+            monkeypatch.setattr(cls, "step", recording(cls))
         assert twin.run_warmup().t_s == 0.0
         assert sorted(schedules) == [
             (name, [22] * 8 + [4], 40.0)

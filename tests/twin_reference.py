@@ -3,8 +3,8 @@
 ``PlainTwin`` is a ``CellTwin`` with four changes: its plants step through
 the Python loops of ``plant_reference`` instead of the compiled ones, it
 warms up interval by interval, every prosumer sampled and every plant
-stepped once per warmup block (``CellTwin.run_warmup`` runs each plant's
-blocks in one compiled call), it restores and re-integrates every plant and
+stepped once per warmup block (``CellTwin.run_warmup`` passes each plant all
+of its blocks in one ``step`` call), it restores and re-integrates every plant and
 every prosumer on every evaluation and probe (``restore`` and
 ``step_dispatch_interval`` ignore the stale plants they are given), and it
 solves every power flow with the Python sweep (``_solve`` calls
