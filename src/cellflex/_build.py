@@ -1,9 +1,9 @@
 """Build and load ``_loops.c``: the plants' substep loops, the power-flow
-sweep, the twin's changed-offset scan and the objective's plant cost,
-compiled.
+sweep, the twin's changed-offset scan, the objective's plant cost and Basin
+Hopping's PCG64 draws, compiled.
 
-:mod:`cellflex.grid` and :mod:`cellflex.plants` call `load_loops` when they
-are first imported; the first call in a process loads the extension into
+The modules that call into it call `load_loops` when they are first
+imported; the first call in a process loads the extension into
 ``sys.modules`` and the later ones return it.  The extension lives in the
 package's ``__pycache__`` under a name that carries the sha256 of the C
 source and the interpreter's extension suffix (`kernel_name`), so an edited
@@ -12,9 +12,10 @@ loaded as it is.  The build runs the interpreter's ``LDSHARED`` command with
 ``-O2 -fno-fast-math -ffp-contract=off``: no fused multiply-adds, so each
 float operation rounds as Python's does.  It writes to a temporary name and
 renames it into place, so processes that import the package for the first
-time at once never load a half-written file.  Building needs a C compiler
-and the Python headers; a failed build raises ImportError with the command
-and the compiler's output.
+time at once never load a half-written file.  Building needs a 64-bit C
+compiler with ``unsigned __int128`` (gcc or clang) and the Python headers;
+a failed build raises ImportError with the command and the compiler's
+output.
 """
 
 import importlib.machinery

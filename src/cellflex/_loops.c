@@ -1,5 +1,6 @@
 /* The cell's compiled inner loops: the plants' substeps, the radial power
- * flow, the twin's changed-offset scan and the objective's plant cost.
+ * flow, the twin's changed-offset scan, the objective's plant cost and Basin
+ * Hopping's random draws.
  *
  * store_run is the substep body of batteries and EVs, hp_run that of heat
  * pumps, each written once, and each has one entry: storage_substeps and
@@ -14,7 +15,9 @@
  * changed_offsets is the twin's rule for the plants an evaluation must
  * re-integrate, and plant_cost(weights, values, ref) the dispatch
  * objective's plant term, summed in plant order so that no BLAS kernel
- * picks the order of its additions.
+ * picks the order of its additions.  pcg64_fill draws a vector of uniform
+ * numbers from a PCG64 state that optimizer.PCG64 seeds, the same bits as
+ * numpy.random.default_rng with the same seed.
  *
  * Each loop replays Python float arithmetic bit for bit: the same operations
  * in the same order, comparisons instead of min/max with Python's tie rules,
@@ -816,18 +819,22 @@ fail:
     return NULL;
 }
 
-/* Borrow `obj`'s buffer as n C doubles; -1 with an exception set unless it
-   is a C-contiguous buffer of doubles of at least one dimension. */
+/* Borrow `obj`'s buffer as n C doubles, requesting it with the extra
+   buffer flags `flags` (PyBUF_WRITABLE to write); -1 with an exception set,
+   naming the function `fname`, unless it is a C-contiguous buffer of
+   doubles of at least one dimension. */
 static int
-get_doubles(PyObject *obj, Py_buffer *view, Py_ssize_t *n)
+get_doubles(PyObject *obj, Py_buffer *view, Py_ssize_t *n, int flags,
+            const char *fname)
 {
-    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+    if (PyObject_GetBuffer(obj, view,
+                           PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | flags) < 0)
         return -1;
     if (view->ndim < 1 || view->itemsize != (Py_ssize_t)sizeof(double)
             || view->format == NULL || strcmp(view->format, "d") != 0) {
         PyBuffer_Release(view);
-        PyErr_SetString(PyExc_TypeError,
-                        "plant_cost() takes buffers of C doubles");
+        PyErr_Format(PyExc_TypeError, "%s() takes buffers of C doubles",
+                     fname);
         return -1;
     }
     *n = view->len / (Py_ssize_t)sizeof(double);
@@ -851,7 +858,8 @@ plant_cost(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_buffer views[3];
     Py_ssize_t n[3], got = 0;
     for (; got < 3; got++)
-        if (get_doubles(args[got], &views[got], &n[got]) < 0)
+        if (get_doubles(args[got], &views[got], &n[got], 0,
+                        "plant_cost") < 0)
             break;
     PyObject *result = NULL;
     if (got == 3 && (n[1] != n[0] || n[2] != n[0]))
@@ -869,6 +877,68 @@ plant_cost(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
+/* PCG64 (O'Neill 2014, numpy's PCG64): a 128-bit LCG advanced before each
+   draw, whose new state gives the 64-bit output by XSL-RR, the high and low
+   words xor-ed and rotated right by the state's top 6 bits */
+#define PCG64_MULT ((((unsigned __int128)2549297995355413924ULL) << 64) \
+                    | 4865540595714422341ULL)
+
+PyDoc_STRVAR(pcg64_fill_doc,
+"pcg64_fill(state, out, low, high)\n"
+"--\n\n"
+"Fill out, a writable C-contiguous buffer of doubles, with low + (high -\n"
+"low) * u for the next PCG64 draws u in order, each u the output's top 53\n"
+"bits times 2**-53: numpy's Generator.uniform from the same state.  state\n"
+"is a bytearray of four native uint64, the LCG state's high and low words\n"
+"then the increment's, advanced in place.  OverflowError when high - low\n"
+"is not finite, before any draw.");
+
+static PyObject *
+pcg64_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    double low, high;
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError,
+                     "pcg64_fill() takes 4 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (as_double(args[2], &low) || as_double(args[3], &high))
+        return NULL;
+    double range = high - low;
+    if (!isfinite(range)) {
+        PyErr_SetString(PyExc_OverflowError, "Range exceeds valid bounds");
+        return NULL;
+    }
+    Py_buffer view;
+    Py_ssize_t n;
+    if (get_doubles(args[1], &view, &n, PyBUF_WRITABLE, "pcg64_fill") < 0)
+        return NULL;
+    uint64_t words[4];
+    if (!PyByteArray_Check(args[0])
+            || PyByteArray_GET_SIZE(args[0]) != (Py_ssize_t)sizeof words) {
+        PyBuffer_Release(&view);
+        PyErr_SetString(PyExc_TypeError,
+                        "pcg64_fill() takes a state bytearray of 32 bytes");
+        return NULL;
+    }
+    memcpy(words, PyByteArray_AS_STRING(args[0]), sizeof words);
+    unsigned __int128 state = ((unsigned __int128)words[0] << 64) | words[1];
+    unsigned __int128 inc = ((unsigned __int128)words[2] << 64) | words[3];
+    double *out = view.buf;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        state = state * PCG64_MULT + inc;
+        uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+        unsigned rot = (unsigned)(state >> 122);
+        x = (x >> rot) | (x << ((64 - rot) & 63));
+        out[i] = low + range * ((double)(x >> 11) * (1.0 / 9007199254740992.0));
+    }
+    words[0] = (uint64_t)(state >> 64);
+    words[1] = (uint64_t)state;
+    memcpy(PyByteArray_AS_STRING(args[0]), words, sizeof words);
+    PyBuffer_Release(&view);
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef loops_methods[] = {
     {"storage_substeps", (PyCFunction)(void (*)(void))storage_substeps,
      METH_FASTCALL, storage_doc},
@@ -880,6 +950,8 @@ static PyMethodDef loops_methods[] = {
      METH_FASTCALL, changed_offsets_doc},
     {"plant_cost", (PyCFunction)(void (*)(void))plant_cost, METH_FASTCALL,
      plant_cost_doc},
+    {"pcg64_fill", (PyCFunction)(void (*)(void))pcg64_fill, METH_FASTCALL,
+     pcg64_fill_doc},
     {NULL, NULL, 0, NULL}
 };
 

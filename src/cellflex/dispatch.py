@@ -66,7 +66,7 @@ import numpy as np
 
 from ._build import load_loops
 from .errors import ConfigurationError, DispatchError, PowerFlowError
-from .optimizer import BasinHoppingConfig, FlexibilityRequest, basin_hopping
+from .optimizer import PCG64, BasinHoppingConfig, FlexibilityRequest, basin_hopping
 from .twin import CellTwin
 
 log = logging.getLogger("cellflex.dispatch")
@@ -382,7 +382,7 @@ def run_dispatch(scenario, request, *, n_steps,
         ref = twin.capture_reference()
 
     f = StepObjective(twin, ref, request)
-    rng = np.random.default_rng(config.seed)
+    rng = PCG64(config.seed)
 
     log.info("dispatch: request (%+.3f kW, %+.3f kVAr) on '%s', %d steps, "
              "T=%.3g, n_iter=%d, seed=%s",

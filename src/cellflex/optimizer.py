@@ -24,6 +24,11 @@ further random perturbation of a long-unbeaten incumbent rarely pays for its
 Nelder-Mead budget.  Every record, ``n_evals`` and the returned solution keep
 their meaning; the run only has fewer iterations.
 
+Its random draws come from one seeded stream, ``PCG64``, which draws the
+same bits as ``numpy.random.default_rng(seed)`` without importing
+``numpy.random``, whose first import in a process loads some 15 modules
+(``secrets`` and ``hmac`` among them) that nothing else here uses.
+
 The candidate objective series and the running global best (minimum over all
 candidates including the start point) are logged per iteration.  The returned
 solution is the best candidate by feasibility first, then objective; the
@@ -33,16 +38,20 @@ monotone non-increasing.
 
 import math
 import numbers
+import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._build import load_loops
 from .errors import ConfigurationError
 
 __all__ = [
     "FlexibilityRequest", "NelderMeadSettings",
     "BasinHoppingConfig", "IterationRecord", "BasinHoppingResult",
-    "metropolis_accept", "adapt_step_size", "nelder_mead", "basin_hopping",
+    "PCG64", "metropolis_accept", "adapt_step_size", "nelder_mead",
+    "basin_hopping",
     "TARGET_ACCEPTANCE", "ADJUST_INTERVAL", "ADJUST_FACTOR",
 ]
 
@@ -64,6 +73,95 @@ class FlexibilityRequest:
             raise ConfigurationError(
                 f"flexibility request must be finite numbers, got "
                 f"dp_kw={self.dp_kw!r}, dq_kvar={self.dq_kvar!r}")
+
+
+# ---------------------------------------------------------------------------
+# random stream
+
+_pcg64_fill = load_loops().pcg64_fill
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed):
+    """The four 64-bit words numpy's ``SeedSequence(seed)`` generates for
+    ``PCG64``: the LCG's start state and stream, high word first.
+
+    A Python replica of numpy's mixing (``bit_generator.pyx``): the seed as
+    32-bit words, least significant first, hashed into a pool of four words,
+    which then gives eight 32-bit output words, two per 64-bit word.
+    """
+    entropy = [seed >> shift & _MASK32
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class PCG64:
+    """A seeded PCG64 stream that draws the same bits as
+    ``numpy.random.default_rng(seed)`` (O'Neill 2014), for the two draws
+    Basin Hopping makes.
+
+    ``seed`` is an integer >= 0 or None; None takes 16 bytes of
+    ``os.urandom`` as the seed.  Seeding replays numpy's ``SeedSequence``
+    here; the draws run compiled (``pcg64_fill`` in ``_loops.c``), one call
+    per vector, on the state held in ``state``.
+    """
+
+    def __init__(self, seed=None):
+        if seed is None:
+            seed = int.from_bytes(os.urandom(16), "little")
+        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise ConfigurationError(
+                f"seed must be None or an integer >= 0, got {seed!r}")
+        s_hi, s_lo, i_hi, i_lo = _seed_words(int(seed))
+        # numpy's pcg64_set_seed: an odd increment from the stream word; the
+        # zero state steps once, takes the start state added and steps again
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = (inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc & _MASK128
+        self.state = bytearray(struct.pack(
+            "=4Q", state >> 64, state & _MASK64, inc >> 64, inc & _MASK64))
+
+    def uniform(self, low, high, size):
+        """``size`` floats from [low, high): low + (high - low) * u each."""
+        out = np.empty(size)
+        _pcg64_fill(self.state, out, low, high)
+        return out
+
+    def random(self):
+        """One float from [0, 1)."""
+        return float(self.uniform(0.0, 1.0, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +381,16 @@ def basin_hopping(f, x0, config: BasinHoppingConfig, *, bounds=None, rng=None,
     therefore refined from the previous solution, not from scratch.
     ``patience`` (an integer >= 1, or None for no stall stop) ends the search
     after that many iterations in a row without a better candidate.
+    ``rng`` is any object with ``uniform(low, high, size)`` and
+    ``random()``, such as a numpy ``Generator``; None is
+    ``PCG64(config.seed)``.
     """
     if patience is not None and not (
             isinstance(patience, numbers.Integral) and patience >= 1):
         raise ConfigurationError(
             f"patience must be None or an integer >= 1, got {patience!r}")
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        rng = PCG64(config.seed)
 
     x0 = np.asarray(x0, dtype=float)
     bounds = _box(bounds, x0.size)

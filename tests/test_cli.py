@@ -219,10 +219,11 @@ class TestDispatch:
     def test_warmup_off_the_substep_grid_exits_1_before_integrating(
             self, tmp_path, capsys, monkeypatch):
         # 0.3333 days is 28797.12 s, not a whole number of 15 s substeps
+        # the loader refuses the file, so no twin is ever built
         def fail(*args, **kwargs):
-            raise AssertionError("the warmup started integrating")
+            raise AssertionError("a twin was built")
 
-        monkeypatch.setattr(CellTwin, "_step_interval", fail)
+        monkeypatch.setattr(CellTwin, "__init__", fail)
         data = scenario_to_dict(make_toy_scenario())
         data["simulation"]["warmup_s"] = 0.3333 * 86400.0
         path = tmp_path / "odd.json"

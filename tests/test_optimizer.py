@@ -1,6 +1,11 @@
 """Objective, Metropolis rule, step adaptation, Nelder-Mead, Basin Hopping."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import example, given, strategies as st
 
 import optimizer_reference as reference
 
+import cellflex
 from cellflex.dispatch import (
     EUR_PER_UNIT,
     K_INFEASIBLE,
@@ -18,6 +24,7 @@ from cellflex.dispatch import (
 )
 from cellflex.errors import ConfigurationError
 from cellflex.optimizer import (
+    PCG64,
     BasinHoppingConfig,
     FlexibilityRequest,
     NelderMeadSettings,
@@ -92,6 +99,102 @@ class TestObjectiveBreakdown:
         b = objective_breakdown(zero, zero, zero, -dp, -dq, 0)
         assert a.of == pytest.approx(b.of)
         assert a.of >= 0.0
+
+
+# (size k, scale s) of the draws uniform(-s, s, size=k); each is followed by
+# a random()
+DRAWS = [(k, s) for k in (0, 1, 38, 100) for s in (1e-300, 0.25, 3.7)]
+
+
+def stream_bits(rng, draws):
+    """The bits ``rng`` draws for ``draws``: each uniform vector as uint64
+    words, each random() as float.hex."""
+    bits = []
+    for k, s in draws:
+        bits.append(rng.uniform(-s, s, size=k).view(np.uint64).tolist())
+        bits.append(rng.random().hex())
+    return bits
+
+
+class TestPCG64:
+    """The stream draws the bits numpy.random.default_rng draws from the
+    same seed."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32, 2**64 + 3, 10**30])
+    def test_fixed_seeds(self, seed):
+        assert stream_bits(PCG64(seed), DRAWS) == \
+            stream_bits(np.random.default_rng(seed), DRAWS)
+
+    @given(seed=st.integers(0, 2**130),
+           draws=st.lists(st.sampled_from(DRAWS), max_size=12))
+    def test_any_seed(self, seed, draws):
+        assert stream_bits(PCG64(seed), draws) == \
+            stream_bits(np.random.default_rng(seed), draws)
+
+    def test_unseeded_stream_seeds_from_16_bytes_of_urandom(self, monkeypatch):
+        entropy = bytes(range(7, 23))
+        requested = []
+
+        def urandom(n):
+            requested.append(n)
+            return entropy[:n]
+
+        monkeypatch.setattr(os, "urandom", urandom)
+        rng = PCG64()
+        assert requested == [16]
+        assert stream_bits(rng, DRAWS) == stream_bits(
+            np.random.default_rng(int.from_bytes(entropy, "little")), DRAWS)
+
+    def test_range_beyond_a_float_raises_before_any_draw(self):
+        rng, numpy_rng = PCG64(3), np.random.default_rng(3)
+        for r in (rng, numpy_rng):
+            with pytest.raises(OverflowError):
+                r.uniform(-1e308, 1e308, size=2)
+        assert stream_bits(rng, DRAWS) == stream_bits(numpy_rng, DRAWS)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be"):
+            PCG64(seed)
+
+
+# a fresh interpreter runs the snippet and prints which of these modules it
+# loaded: a bare `import numpy` first, then the run
+UNUSED_MODULES = ("numpy.random", "secrets", "hmac")
+FRESH_RUN = """
+import json, sys
+import numpy
+unused = {unused!r}
+before = sorted(m for m in unused if m in sys.modules)
+{run}
+print(json.dumps([before, sorted(m for m in unused if m in sys.modules)]))
+"""
+RUNS = {
+    "run_dispatch": (
+        "from cellflex.dispatch import run_dispatch\n"
+        "from cellflex.optimizer import FlexibilityRequest\n"
+        "from cellflex.oracle import make_toy_scenario\n"
+        "run_dispatch(make_toy_scenario(), FlexibilityRequest(1.0, 0.5), "
+        "n_steps=2)"),
+    "cli": (
+        "from cellflex.cli import main\n"
+        "assert main(['dispatch', '--dp-kw', '5', '--dq-kvar', '1', "
+        "'--steps', '2', '--out', 'out']) == 0"),
+}
+
+
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+def test_a_dispatch_run_never_imports_numpy_random(run, tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cellflex.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN.format(unused=UNUSED_MODULES, run=run)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout.splitlines()[-1])
+    if before:
+        pytest.skip(f"a bare import numpy loads {before}")
+    assert after == []
 
 
 class TestMetropolis:
