@@ -12,10 +12,12 @@ loaded as it is.  The build runs the interpreter's ``LDSHARED`` command with
 ``-O2 -fno-fast-math -ffp-contract=off``: no fused multiply-adds, so each
 float operation rounds as Python's does.  It writes to a temporary name and
 renames it into place, so processes that import the package for the first
-time at once never load a half-written file.  Building needs a 64-bit C
-compiler with ``unsigned __int128`` (gcc or clang) and the Python headers;
-a failed build raises ImportError with the command and the compiler's
-output.
+time at once never load a half-written file.  Then it removes this
+interpreter's builds of earlier sources; other interpreters' builds and
+temporary files, which another process may still be writing, stay.
+Building needs a 64-bit C compiler with ``unsigned __int128`` (gcc or
+clang) and the Python headers; a failed build raises ImportError with the
+command and the compiler's output.
 """
 
 import importlib.machinery
@@ -34,12 +36,12 @@ except ImportError:
 SOURCE = Path(__file__).with_name("_loops.c")
 FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC")
 MODULE = "cellflex._loops"
+SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
 
 
 def kernel_name(source):
     """File name of the extension built from the C source bytes `source`."""
-    return (f"_loops.{sha256(source).hexdigest()}"
-            f"{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+    return f"_loops.{sha256(source).hexdigest()}{SUFFIX}"
 
 
 def _build(path):
@@ -71,6 +73,10 @@ def load_loops():
     path = SOURCE.parent / "__pycache__" / kernel_name(SOURCE.read_bytes())
     if not path.is_file():
         _build(path)
+        # every build kernel_name can give, but this one
+        for old in path.parent.glob(f"_loops.{'[0-9a-f]' * 64}{SUFFIX}"):
+            if old != path:
+                old.unlink(missing_ok=True)
     loader = importlib.machinery.ExtensionFileLoader(MODULE, str(path))
     spec = importlib.util.spec_from_file_location(MODULE, path, loader=loader)
     module = importlib.util.module_from_spec(spec)

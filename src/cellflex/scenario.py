@@ -75,15 +75,6 @@ class StepSeries:
                 f"(covered: [{self.t0_s:.0f}, {self.t0_s + self.dt_s * self.n:.0f}))")
         return self.at(i)
 
-    def values(self, times):
-        """``[value(t) for t in times]``, with the window checked once."""
-        t0, dt = self.t0_s, self.dt_s
-        points = [int((t - t0) // dt) for t in times]
-        if points and (min(times) < t0 or max(points) >= self.n):
-            for t in times:
-                self.value(t)           # raises at the first uncovered time
-        return list(map(self.at, points))
-
 
 @dataclass(slots=True)
 class LinearSeries:

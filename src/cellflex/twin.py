@@ -20,19 +20,19 @@ optimizer:
                               the end state becomes the next step's snapshot
                               while the frozen baseline powers are kept.
 
-Profile inputs (household load and heat demand, ambient temperature,
-irradiance) are sampled at the start of each interval and held constant over
-it (the weather once for the whole cell).  The twin samples them again
-only when the interval start time changes, so the evaluations of one
-dispatch step share one sample.  Each plant
-integrates a whole interval in one ``step`` call, one block into its
-compiled substep loop (see :mod:`cellflex.plants`), so every prosumer is
-called once per interval, not once per substep; the PV inverters keep no
-state and step once per interval too.  The warmup runs on coarser blocks
-and makes one ``step`` call per stateful plant with all of them, with each
-block's inputs sampled once; then it steps the inverters and sums every bus
-once, at the last block.  It leaves the twin as stepping the blocks one
-interval at a time would.
+The twin integrates a schedule of blocks, consecutive intervals of whole
+substeps: a dispatch interval is one block, and the warmup is the same
+integration over all of its coarser blocks.  Profile inputs (household load
+and heat demand, ambient temperature, irradiance) are sampled at the start
+of each block and held constant over it (the weather once for the whole
+cell), and the plants' blocks are built from them.  The twin samples them
+again only when the schedule changes, so the evaluations of one dispatch
+step share one sample.  Each stateful plant integrates all blocks in one
+``step`` call into its compiled substep loop (see :mod:`cellflex.plants`),
+so every prosumer is called once per schedule, not once per substep.  The
+PV inverters keep no state and step once, at the last block, where every
+bus is summed: the plants and the bus injections end as stepping the blocks
+one at a time would leave them.
 
 An evaluation or a probe re-integrates only the plants whose offset
 changed.  A plant's end state depends only on the snapshot it starts from
@@ -78,7 +78,6 @@ state variable once.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
 from struct import Struct
 from typing import NamedTuple
 
@@ -131,13 +130,14 @@ class _ProsumerTwin:
     plant values; ``i_bes``, ``i_ehp``, ``i_inv`` and ``bev_slots`` (pairs
     of EV and index) locate this prosumer's plants in both.  ``injections``
     is the twin's shared bus injection list and ``i_p`` the index of this
-    prosumer's bus P in it.
+    prosumer's bus P in it.  ``bes_blocks`` and ``ehp_blocks`` are the
+    battery's and the heat pump's blocks of the schedule last sampled.
     """
 
     __slots__ = ("id", "load_series", "pv", "bes", "ehp", "bevs",
                  "offsets", "values", "i_bes", "i_ehp", "i_inv",
-                 "bev_slots", "injections", "i_p", "load_p", "load_q", "heat",
-                 "p_base", "q_base", "pv_surplus")
+                 "bev_slots", "injections", "i_p", "load_p", "load_q",
+                 "p_base", "q_base", "bes_blocks", "ehp_blocks")
 
     def __init__(self, spec, profiles, injections, i_p):
         self.id = spec.id
@@ -151,26 +151,46 @@ class _ProsumerTwin:
         self.bev_slots = ()
         self.injections = injections
         self.i_p = i_p
-        self.load_p = self.load_q = self.heat = 0.0
-        self.p_base = self.q_base = self.pv_surplus = 0.0
+        self.load_p = self.load_q = self.p_base = self.q_base = 0.0
+        self.bes_blocks = self.ehp_blocks = ()
 
-    def sample_inputs(self, t_s):
-        self.load_p, self.load_q, self.heat = self.load_series.value(t_s)
-        if self.pv is None:
-            self.p_base = self.load_p
-            self.q_base = self.load_q
-            self.pv_surplus = 0.0 - self.load_p
+    def sample_inputs(self, starts, counts, amb, irr):
+        """Sample the household inputs at the block starts and build the
+        battery's and heat pump's blocks: block j runs counts[j] substeps at
+        ambient amb[j] and irradiance irr[j], and the battery wishes for its
+        PV surplus, the inverter's active power less the load.  ``load_p``
+        and ``load_q`` are the last block's; only a battery or a heat pump
+        needs the others."""
+        value = self.load_series.value
+        bes, ehp, pv = self.bes, self.ehp, self.pv
+        if bes is None and ehp is None:
+            load_p, load_q, _ = value(starts[-1])
+        else:
+            bes_blocks, ehp_blocks = [], []
+            for n, t, a, g in zip(counts, starts, amb, irr):
+                load_p, load_q, heat = value(t)
+                if bes is not None:
+                    p_pv = 0.0 if pv is None else pv.active_power(g)
+                    bes_blocks.append((n, p_pv - load_p, 0.0))
+                if ehp is not None:
+                    ehp_blocks.append((n, heat, a))
+            self.bes_blocks = tuple(bes_blocks)
+            self.ehp_blocks = tuple(ehp_blocks)
+        self.load_p, self.load_q = load_p, load_q
+        if pv is None:
+            self.p_base = load_p
+            self.q_base = load_q
 
-    def integrate(self, stale, amb, irr, ev_blocks, n, dt):
-        """Step the flagged plants over n substeps at ambient `amb`, irradiance `irr`.
+    def integrate(self, stale, irr, ev_blocks, dt):
+        """Step the flagged plants over the blocks last sampled.
 
-        `stale` holds a flag per plant index and `ev_blocks` the EVs' one
-        block.  Each flagged plant makes one ``step`` call for the whole
-        interval, a single block, and its value goes to ``values``; the
-        others already hold their end state.  The PV inverter, which keeps
-        no state, sets the bus base load ``p_base``/``q_base`` and the
-        battery's local wish ``pv_surplus``.  The bus injection is then
-        summed from every plant's final power and written in place.
+        `stale` holds a flag per plant index, `ev_blocks` the EVs' blocks
+        and `dt` the substep.  Each flagged plant makes one ``step`` call,
+        and its value goes to ``values``; the others already hold their end
+        state.  The PV inverter keeps no state: it steps at the last
+        block's irradiance `irr` and sets the bus base load
+        ``p_base``/``q_base``.  The bus injection is then summed from every
+        plant's final power and written in place.
         """
         off, values = self.offsets, self.values
         i = self.i_inv
@@ -179,20 +199,19 @@ class _ProsumerTwin:
             values[i] = q_pv
             self.p_base = self.load_p - p_pv
             self.q_base = self.load_q + q_pv
-            self.pv_surplus = p_pv - self.load_p
         p = self.p_base
         q = self.q_base
         bes = self.bes
         if bes is not None:
             i = self.i_bes
             if stale[i]:
-                values[i] = bes.step(off[i], ((n, self.pv_surplus, 0.0),), dt)
+                values[i] = bes.step(off[i], self.bes_blocks, dt)
             p += bes.p_kw
         ehp = self.ehp
         if ehp is not None:
             i = self.i_ehp
             if stale[i]:
-                values[i] = ehp.step(off[i], ((n, self.heat, amb),), dt)
+                values[i] = ehp.step(off[i], self.ehp_blocks, dt)
             p += ehp.p_kw
             q += ehp.q_kvar
         for bev, i in self.bev_slots:
@@ -201,34 +220,6 @@ class _ProsumerTwin:
             p += bev.p_kw
         self.injections[self.i_p] = p
         self.injections[self.i_p + 1] = q
-
-    def warm_up(self, starts, counts, amb, irr, ev_blocks, dt):
-        """Step the stateful plants over the warmup blocks, one call each.
-
-        Block j starts at ``starts[j]`` and runs counts[j] substeps of dt
-        at ambient amb[j] and irradiance irr[j], with no offset;
-        `ev_blocks` holds the EVs' blocks.  The household inputs are
-        sampled once per block, and the battery's wish is the block's PV
-        surplus, formed as ``integrate`` forms it from the inverter's
-        active power at irr[j].  The inverter, the injection and the values
-        are left to the caller.
-        """
-        for bev in self.bevs:
-            bev.step(0.0, ev_blocks, dt)
-        if self.bes is None and self.ehp is None:
-            return
-        samples = self.load_series.values(starts)
-        if self.bes is not None:
-            pv = self.pv
-            if pv is None:
-                wishes = [0.0 - load[0] for load in samples]
-            else:
-                wishes = [pv.active_power(g) - load[0]
-                          for g, load in zip(irr, samples)]
-            self.bes.step(0.0, tuple(zip(counts, wishes, repeat(0.0))), dt)
-        if self.ehp is not None:
-            self.ehp.step(0.0, tuple(zip(counts, [load[2] for load in samples],
-                                         amb)), dt)
 
 
 class CellTwin:
@@ -247,8 +238,12 @@ class CellTwin:
         self.dispatch_step_s = scenario.simulation.dispatch_step_s
         self.start_tod_s = scenario.start_tod_s()
         self.t_s = 0.0
-        self._inputs_t0 = self._amb = self._irr = None
-        self._last_substep_tod = None
+        # a dispatch interval is one block of internal substeps
+        self._dispatch_counts = (
+            round(self.dispatch_step_s / self.internal_dt_s),)
+        # the schedule whose inputs are sampled, and its inputs
+        self._inputs_t0 = self._inputs_counts = None
+        self._irr = self._ev_blocks = self._last_substep_tod = None
         # the snapshot the plants' current state was integrated from, and the
         # offsets it was integrated under; None once anything else moved it
         self._end_of = None
@@ -333,34 +328,52 @@ class CellTwin:
     # ------------------------------------------------------------------
     # integration
 
-    def _step_interval(self, dt_total, substep, owners=None):
-        """Integrate one interval.  With `owners`, the prosumers that own a
+    def _step_interval(self, t0, counts, substep, owners=None):
+        """Integrate blocks of counts[j] substeps of `substep` seconds, the
+        first starting at `t0`.  With `owners`, the prosumers that own a
         plant flagged in ``_stale``, only they are integrated, stepping only
-        their flagged plants; without, every plant is stepped."""
+        their flagged plants; without, every plant is stepped.  The caller
+        moves the clock."""
         self._end_of = None
-        t0 = self.t_s
+        if t0 != self._inputs_t0 or counts != self._inputs_counts:
+            # profiles are fixed once the twin is built, and a warmup and a
+            # dispatch interval never share a start, so the inputs only
+            # change with the start and the block counts
+            self._sample_inputs(t0, counts, substep)
         prosumers = self.prosumers
-        if t0 != self._inputs_t0:
-            # profiles are fixed once the twin is built, so the inputs at t0
-            # only change when the clock does
-            self._amb = self.profiles.ambient.value(t0)
-            self._irr = self.profiles.irradiance.value(t0)
-            for pro in prosumers:
-                pro.sample_inputs(t0)
-            self._inputs_t0 = t0
-        n = round(dt_total / substep)
         stale = self._all_stale
         if owners is not None:
             prosumers, stale = owners, self._stale
-        base_tod = self.start_tod_s + t0
-        ev_blocks = ((n, None, base_tod),)
+        irr, ev_blocks = self._irr, self._ev_blocks
         for pro in prosumers:
-            pro.integrate(stale, self._amb, self._irr, ev_blocks, n, substep)
-        self._last_substep_tod = (base_tod + (n - 1) * substep) % 86400.0
-        self.t_s = t0 + dt_total
+            pro.integrate(stale, irr, ev_blocks, substep)
+
+    def _sample_inputs(self, t0, counts, substep):
+        """Sample each block's inputs at its start and build the blocks."""
+        starts = []
+        t = t0
+        for n in counts:
+            starts.append(t)        # each block starts where the last ends
+            t = t + n * substep
+        profiles = self.profiles
+        amb = [profiles.ambient.value(t) for t in starts]
+        irr = [profiles.irradiance.value(t) for t in starts]
+        for pro in self.prosumers:
+            pro.sample_inputs(starts, counts, amb, irr)
+        tod = self.start_tod_s
+        self._ev_blocks = tuple([(n, None, tod + t)
+                                 for n, t in zip(counts, starts)])
+        self._irr = irr[-1]
+        self._last_substep_tod = (
+            tod + starts[-1] + (counts[-1] - 1) * substep) % 86400.0
+        self._inputs_t0 = t0
+        self._inputs_counts = counts
 
     def step_dispatch_interval(self, owners=None):
-        self._step_interval(self.dispatch_step_s, self.internal_dt_s, owners)
+        t0 = self.t_s
+        self._step_interval(t0, self._dispatch_counts, self.internal_dt_s,
+                            owners)
+        self.t_s = t0 + self.dispatch_step_s
 
     def _solve(self):
         """``(power flow, overloaded lines)`` of the injections, kept or new."""
@@ -415,38 +428,16 @@ class CellTwin:
         offsets zero, on the coarse schedule of
         :func:`~cellflex.scenario.warmup_schedule` (first-order lags use
         exact exponential updates, so coarse stepping does not degrade the
-        settled state).  Each block starts where the one before it ends and
-        holds the inputs sampled at its start.  Every battery, heat pump and
-        EV runs all blocks in one ``step`` call; the last block is then
-        integrated once more with only the inverters stale, which sets the
-        inputs, inverter outputs, bus injections and clock bookkeeping that
-        the last interval leaves.  The scenario loader has checked the
-        warmup against the profile window and the substep grid.  Must be
-        called once, right after construction.
+        settled state): the same integration as a dispatch interval, over
+        all of its blocks.  Each block starts where the one before it ends
+        and holds the inputs sampled at its start.  The scenario loader has
+        checked the warmup against the profile window and the substep grid.
+        Must be called once, right after construction.
         """
         warmup_s = self.scenario.simulation.warmup_s
         substep, counts = warmup_schedule(self.internal_dt_s, warmup_s)
         self.set_offsets([0.0] * self.n_plants)
-        # each block starts where the one before it ends
-        starts = []
-        t = -warmup_s
-        for n in counts:
-            starts.append(t)
-            t = t + n * substep
-        profiles = self.profiles
-        amb = [profiles.ambient.value(t) for t in starts]
-        irr = [profiles.irradiance.value(t) for t in starts]
-        ev_blocks = tuple((n, None, self.start_tod_s + t)
-                          for n, t in zip(counts, starts))
-        for pro in self.prosumers:
-            pro.warm_up(starts, counts, amb, irr, ev_blocks, substep)
-        # the last block once more, stepping only the inverters, which keep
-        # no state: it leaves the inputs, inverter outputs and bus injections
-        # of the last interval
-        self._stale[:] = bytes(cls == "inv" for cls in self.plant_classes)
-        self.t_s = starts[-1]
-        self._step_interval(counts[-1] * substep, substep, self.prosumers)
-        self._values[:] = self._read_values()
+        self._step_interval(-warmup_s, counts, substep)
         self.t_s = 0.0
         return self.capture_reference()
 

@@ -83,6 +83,22 @@ def test_concurrent_first_imports_each_load_a_whole_build(tmp_path):
     assert len(list((copy / "__pycache__").glob("_loops.*"))) == 1
 
 
+def test_a_new_build_removes_this_interpreters_earlier_builds(tmp_path):
+    # an earlier source's build goes; another interpreter's build and a
+    # temporary file, which another process may still be writing, stay
+    copy = copy_package(tmp_path)
+    cache = copy / "__pycache__"
+    cache.mkdir()
+    earlier = _build.kernel_name(b"an earlier source")
+    other = earlier.removesuffix(_build.SUFFIX) + ".cpython-39-other.so"
+    writing = f"{earlier}.123.tmp"
+    for name in (earlier, other, writing):
+        (cache / name).write_bytes(b"")
+    check_first_import(start_import(tmp_path), copy)
+    assert sorted(p.name for p in cache.glob("_loops.*")) == sorted(
+        [_build.kernel_name(_build.SOURCE.read_bytes()), other, writing])
+
+
 def test_a_failed_build_raises_import_error_with_the_compiler_output(tmp_path):
     def break_source(path):
         path.write_text(path.read_text() + "\nnot C;\n")

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from cellflex.cli import main
 from cellflex.oracle import make_toy_scenario
-from cellflex.scenario import load_bundled_scenario, scenario_from_dict
+from cellflex.scenario import (load_bundled_scenario, scenario_from_dict,
+                               scenario_to_dict)
 from cellflex.twin import CellTwin
 from test_twin import radial_cells
 from twin_reference import PlainTwin, use_plain_twin
@@ -78,22 +79,39 @@ def test_oracle_report_matches_the_plain_twin(monkeypatch, capsys):
 def warmed_up(twin):
     """The reference a warmup of `twin` captures and everything it leaves on
     the twin, its prosumers and its plants, at full precision: all but the
-    plants' kept lag factors, which the reference loops do not keep."""
+    plants' kept lag factors, which the reference loops do not keep, and the
+    sampled inputs, which the twin holds for all blocks and the plain twin
+    for the last.  Then the same after one dispatch interval from the
+    reference, which must sample its own inputs."""
+    def plants():
+        return [{name: getattr(plant, name)
+                 for cls in type(plant).__mro__
+                 for name in getattr(cls, "__slots__", ())
+                 if name not in ("_lag", "_lag_dt")} for plant in twin._plants]
+
     ref = twin.run_warmup()
-    plants = [{name: getattr(plant, name)
-               for cls in type(plant).__mro__
-               for name in getattr(cls, "__slots__", ())
-               if name not in ("_lag", "_lag_dt")} for plant in twin._plants]
     prosumers = [{name: getattr(pro, name)
-                  for name in ("load_p", "load_q", "heat", "p_base", "q_base",
-                               "pv_surplus")} for pro in twin.prosumers]
-    return repr((ref.snapshot, ref.plant_values.tolist(), ref.pcc_p_kw,
-                 ref.pcc_q_kvar, twin.t_s, twin._inputs_t0, twin._amb,
-                 twin._irr, twin._last_substep_tod, twin._end_of,
-                 twin.injections, twin._values.tolist(), prosumers, plants))
+                  for name in ("load_p", "load_q", "p_base", "q_base")}
+                 for pro in twin.prosumers]
+    warm = repr((ref.snapshot, ref.plant_values.tolist(), ref.pcc_p_kw,
+                 ref.pcc_q_kvar, twin.t_s, twin._irr, twin._last_substep_tod,
+                 twin._end_of, twin.injections, twin._values.tolist(),
+                 prosumers, plants()))
+    twin.step_dispatch_interval()
+    return warm + repr((twin.t_s, plants(), twin.injections,
+                        twin._values.tolist(), twin._last_substep_tod))
 
 
-@pytest.mark.parametrize("make", [load_bundled_scenario, make_toy_scenario])
+def bundled_from_noon():
+    """The bundled cell starting at noon, so the warmup's first and last
+    blocks see different daylight irradiance."""
+    data = scenario_to_dict(load_bundled_scenario())
+    data["simulation"]["start"] = "2023-01-16T12:00:00"
+    return scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "make", [load_bundled_scenario, bundled_from_noon, make_toy_scenario])
 def test_warmup_reference_matches_the_plain_twin(make):
     assert warmed_up(CellTwin(make())) == warmed_up(PlainTwin(make()))
 

@@ -2,15 +2,15 @@
 
 ``PlainTwin`` is a ``CellTwin`` with four changes: its plants step through
 the Python loops of ``plant_reference`` instead of the compiled ones, it
-warms up interval by interval, every prosumer sampled and every plant
-stepped once per warmup block (``CellTwin.run_warmup`` passes each plant all
-of its blocks in one ``step`` call), it restores and re-integrates every plant and
-every prosumer on every evaluation and probe (``restore`` and
-``step_dispatch_interval`` ignore the stale plants they are given), and it
-solves every power flow with the Python sweep (``_solve`` calls
-``grid_reference.solve_power_flow`` directly, with no memo), so it runs no
-compiled solve.  ``use_plain_twin`` puts it in place of ``CellTwin``
-wherever the package builds one.
+warms up one block at a time, every prosumer sampled and every plant
+stepped once per warmup block by the same ``_step_interval``
+(``CellTwin.run_warmup`` passes it all of the blocks at once), it restores
+and re-integrates every plant and every prosumer on every evaluation and
+probe (``restore`` and ``step_dispatch_interval`` ignore the stale plants
+they are given), and it solves every power flow with the Python sweep
+(``_solve`` calls ``grid_reference.solve_power_flow`` directly, with no
+memo), so it runs no compiled solve.  ``use_plain_twin`` puts it in place
+of ``CellTwin`` wherever the package builds one.
 """
 
 from cellflex import cli, dispatch, oracle
@@ -31,9 +31,10 @@ class PlainTwin(CellTwin):
         warmup_s = self.scenario.simulation.warmup_s
         substep, counts = warmup_schedule(self.internal_dt_s, warmup_s)
         self.set_offsets([0.0] * self.n_plants)
-        self.t_s = -warmup_s
+        t = -warmup_s
         for n in counts:
-            self._step_interval(n * substep, substep)
+            self._step_interval(t, (n,), substep)
+            t = t + n * substep
         self.t_s = 0.0
         return self.capture_reference()
 
