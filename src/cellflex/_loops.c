@@ -8,14 +8,14 @@
  * the state carried from each into the next.  A dispatch interval is one
  * block (BatteryStorage, ElectricVehicle and HeatPumpSystem steps); the
  * warmup passes all of its blocks with no offset, one call per plant.
- * plants.py describes the models; each method there passes its plant's
- * parameters and state to one of these entries and writes the returned
- * state back.  power_flow is the backward/forward sweep behind
- * grid.solve_power_flow, run over the plan GridTopology builds once;
- * changed_offsets is the twin's rule for the plants an evaluation must
- * re-integrate, and plant_cost(weights, values, ref) the dispatch
- * objective's plant term, summed in plant order so that no BLAS kernel
- * picks the order of its additions.  pcg64_fill draws a vector of uniform
+ * plants.py describes the models; each step there passes its plant's state
+ * and the constants the plant packed once, as bytes of C doubles, to one of
+ * these entries and writes the returned state back.  power_flow is the
+ * backward/forward sweep behind grid.solve_power_flow, run over the plan
+ * GridTopology builds once; changed_offsets is the twin's rule for the
+ * plants an evaluation must re-integrate, and plant_cost(weights, values,
+ * ref) the dispatch objective's plant term, summed in plant order so that
+ * no BLAS kernel picks the order of its additions.  pcg64_fill draws a vector of uniform
  * numbers from a PCG64 state that optimizer.PCG64 seeds, the same bits as
  * numpy.random.default_rng with the same seed.
  *
@@ -26,7 +26,8 @@
  * product, quotient (with the branch on |b.real| >= |b.imag|), sum,
  * difference and abs (hypot, with its inf/NaN rules and overflow error),
  * a real operand taken as (x, 0.0), and sum() added left to right from 0j.
- * The only exp, the lag factor, is computed in Python and passed in.  Built
+ * The only exp, the lag factor 1 - exp(-(dt / T)), is libm's exp, which
+ * math.exp calls too; each substep entry takes it once per call.  Built
  * with -O2 -fno-fast-math -ffp-contract=off (see _build.py): contracting
  * a*b + c into a fused multiply-add would change the last bit.
  */
@@ -96,14 +97,18 @@ typedef struct {
     int saturated;
 } store_state;
 
-/* What a store holds over a call: its offset, rating bounds, substep,
-   parameters and lag factor, and with has_away its trip window (first
-   departure, last return) and the (departure, return, energy) triple of
-   each of its n_trips trips, in a PyMem buffer */
+/* A store's constants as its plant packs them: rating bounds, parameters
+   and trip window (first departure, last return), followed in the same
+   buffer by the (departure, return, energy) triple of each trip */
 typedef struct {
-    double offset_kw, lo, hi, dt, cap, eta_c, eta_d, lag;
-    int has_away;
-    double away_from, away_to, *trips;
+    double lo, hi, cap, eta_c, eta_d, time_constant_s, away_from, away_to;
+} store_consts;
+
+/* What a store holds over a call: its offset, substep and lag factor, and
+   its constants and n_trips trips, read in place */
+typedef struct {
+    double offset_kw, dt, lag;
+    const store_consts *c;
     Py_ssize_t n_trips;
 } store_params;
 
@@ -116,11 +121,12 @@ store_run(store_state *st, const store_params *sp, Py_ssize_t n,
 {
     double soc = st->soc, p = st->p, drained = st->drained;
     int saturated = st->saturated;
-    const double offset_kw = sp->offset_kw, lo = sp->lo, hi = sp->hi;
-    const double dt = sp->dt, cap = sp->cap, eta_c = sp->eta_c;
-    const double eta_d = sp->eta_d, lag = sp->lag;
-    const double away_from = sp->away_from, away_to = sp->away_to;
-    const int has_away = sp->has_away;
+    const double offset_kw = sp->offset_kw, dt = sp->dt, lag = sp->lag;
+    const double lo = sp->c->lo, hi = sp->c->hi, cap = sp->c->cap;
+    const double eta_c = sp->c->eta_c, eta_d = sp->c->eta_d;
+    const double away_from = sp->c->away_from, away_to = sp->c->away_to;
+    const double *trips = (const double *)(sp->c + 1);
+    const int has_away = sp->n_trips > 0;   /* no trip: never away */
 
     double charge_div = eta_c * dt;
     Py_ssize_t k = 0;
@@ -132,7 +138,7 @@ store_run(store_state *st, const store_params *sp, Py_ssize_t n,
                     Py_ssize_t k_pass = k;
                     double drain = 0.0, drop = 0.0;
                     for (Py_ssize_t j = 0; j < sp->n_trips; j++) {
-                        const double *trip = sp->trips + 3 * j;
+                        const double *trip = trips + 3 * j;
                         double dep = trip[0], ret = trip[1], energy = trip[2];
                         if (dep <= tod && tod < ret) {
                             drain = energy * dt / (ret - dep);
@@ -236,77 +242,54 @@ store_run(store_state *st, const store_params *sp, Py_ssize_t n,
     st->saturated = saturated;
 }
 
-/* Read the trip window `away` (None or a 2-tuple) and, with one, the tuple
-   `trips` of (departure, return, energy) tuples into sp; -1 on failure.
-   On success the caller frees sp->trips. */
-static int
-read_trips(PyObject *away, PyObject *trips, store_params *sp)
+/* The bytes `consts` of `fname`, read in place: `fixed` bytes of constants
+   and, with a nonzero `record`, a whole number of `record`-byte records
+   after them, their count in *n_records.  NULL with TypeError otherwise,
+   before any byte is read. */
+static const void *
+consts_at(PyObject *consts, Py_ssize_t fixed, Py_ssize_t record,
+          Py_ssize_t *n_records, const char *fname)
 {
-    sp->trips = NULL;
-    sp->n_trips = 0;
-    sp->away_from = sp->away_to = 0.0;
-    sp->has_away = away != Py_None;
-    if (!sp->has_away)
-        return 0;
-    if (!PyTuple_Check(away) || PyTuple_GET_SIZE(away) != 2
-            || !PyTuple_Check(trips)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "away must be a 2-tuple and trips a tuple");
-        return -1;
-    }
-    if (as_double(PyTuple_GET_ITEM(away, 0), &sp->away_from)
-            || as_double(PyTuple_GET_ITEM(away, 1), &sp->away_to))
-        return -1;
-    Py_ssize_t n = PyTuple_GET_SIZE(trips);
-    sp->trips = PyMem_Malloc((n > 0 ? n : 1) * 3 * sizeof(double));
-    if (sp->trips == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t j = 0; j < n; j++) {
-        PyObject *item = PyTuple_GET_ITEM(trips, j);
-        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 3) {
-            PyErr_SetString(PyExc_TypeError, "a trip must be a 3-tuple");
-            goto fail;
+    if (PyBytes_Check(consts)) {
+        Py_ssize_t tail = PyBytes_GET_SIZE(consts) - fixed;
+        if (tail >= 0 && (record ? tail % record == 0 : tail == 0)) {
+            if (record)
+                *n_records = tail / record;
+            return PyBytes_AS_STRING(consts);
         }
-        for (Py_ssize_t i = 0; i < 3; i++)
-            if (as_double(PyTuple_GET_ITEM(item, i), &sp->trips[3 * j + i]))
-                goto fail;
     }
-    sp->n_trips = n;
-    return 0;
-fail:
-    PyMem_Free(sp->trips);
-    sp->trips = NULL;
-    return -1;
+    PyErr_Format(PyExc_TypeError,
+                 "%s() takes its constants as bytes of C doubles, %zd bytes "
+                 "and then whole %zd-byte records", fname, fixed, record);
+    return NULL;
 }
 
 PyDoc_STRVAR(storage_doc,
-"storage_substeps(soc, p, saturated, drained, offset_kw, lo, hi, dt,\n"
-"                 capacity_kwh, eta_charge, eta_discharge, lag, away, trips,\n"
-"                 blocks)\n"
+"storage_substeps(soc, p, saturated, drained, offset_kw, dt, consts, blocks)\n"
 "--\n\n"
 "Advance a store over consecutive intervals under one offset; returns\n"
 "(soc, p, saturated, drained) after the last.\n\n"
 "`blocks` holds an (n, wish_kw, base_tod_s) tuple per interval: n substeps,\n"
 "the first at time of day base_tod_s, toward wish_kw or, with None, toward\n"
 "charging until full (an EV).  Each interval starts from the state the one\n"
-"before it ends in.  `away` is the trip window (first departure, last\n"
-"return) in s of day or None, `trips` the (departure, return, energy)\n"
-"tuples it spans.");
+"before it ends in.  `consts` is bytes of C doubles: lo, hi (the rating\n"
+"bounds), capacity_kwh, eta_charge, eta_discharge, time_constant_s and the\n"
+"trip window (first departure, last return) in s of day, then a\n"
+"(departure, return, energy) triple per trip.  A store with no trip never\n"
+"leaves.");
 
 static PyObject *
 storage_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     store_state st;
     store_params sp;
-    if (nargs != 15) {
+    if (nargs != 8) {
         PyErr_Format(PyExc_TypeError,
-                     "storage_substeps() takes 15 arguments (%zd given)",
+                     "storage_substeps() takes 8 arguments (%zd given)",
                      nargs);
         return NULL;
     }
-    PyObject *blocks = args[14];
+    PyObject *blocks = args[7];
     if (!PyTuple_Check(blocks)) {
         PyErr_SetString(PyExc_TypeError, "blocks must be a tuple");
         return NULL;
@@ -315,33 +298,29 @@ storage_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (st.saturated < 0
             || as_double(args[0], &st.soc) || as_double(args[1], &st.p)
             || as_double(args[3], &st.drained)
-            || as_double(args[4], &sp.offset_kw) || as_double(args[5], &sp.lo)
-            || as_double(args[6], &sp.hi) || as_double(args[7], &sp.dt)
-            || as_double(args[8], &sp.cap) || as_double(args[9], &sp.eta_c)
-            || as_double(args[10], &sp.eta_d) || as_double(args[11], &sp.lag)
-            || read_trips(args[12], args[13], &sp) < 0)
+            || as_double(args[4], &sp.offset_kw) || as_double(args[5], &sp.dt)
+            || (sp.c = consts_at(args[6], sizeof(store_consts),
+                                 3 * sizeof(double), &sp.n_trips,
+                                 "storage_substeps")) == NULL)
         return NULL;
+    sp.lag = 1.0 - exp(-(sp.dt / sp.c->time_constant_s));
     for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(blocks); j++) {
         double wish_kw = 0.0, base_tod;
         PyObject *block = block_at(blocks, j);
         if (block == NULL)
-            goto fail;
+            return NULL;
         Py_ssize_t n = PyLong_AsSsize_t(PyTuple_GET_ITEM(block, 0));
         if (n == -1 && PyErr_Occurred())
-            goto fail;
+            return NULL;
         PyObject *wish = PyTuple_GET_ITEM(block, 1);
         int has_wish = wish != Py_None;
         if ((has_wish && as_double(wish, &wish_kw))
                 || as_double(PyTuple_GET_ITEM(block, 2), &base_tod))
-            goto fail;
+            return NULL;
         store_run(&st, &sp, n, has_wish, wish_kw, base_tod);
     }
-    PyMem_Free(sp.trips);
     return Py_BuildValue("(ddNd)", st.soc, st.p, PyBool_FromLong(st.saturated),
                          st.drained);
-fail:
-    PyMem_Free(sp.trips);
-    return NULL;
 }
 
 /* A heat pump's state, carried from substep to substep and block to block:
@@ -352,11 +331,17 @@ typedef struct {
     int heating, saturated;
 } hp_state;
 
-/* What a heat pump holds over a call: its offset, substep, parameters and
-   lag factor */
+/* A heat pump's constants as its plant packs them */
 typedef struct {
-    double offset_kw, dt, p_el_max, p_element, effectiveness, t_on, t_off;
-    double t_min, t_max, t_threshold, storage_kwh_per_k, lag;
+    double p_el_max, p_element, effectiveness, t_on, t_off, t_min, t_max;
+    double t_threshold, storage_kwh_per_k, time_constant_s;
+} hp_consts;
+
+/* What a heat pump holds over a call: its offset, substep and lag factor,
+   and its constants, read in place */
+typedef struct {
+    double offset_kw, dt, lag;
+    const hp_consts *c;
 } hp_params;
 
 /* The heat-pump substep body: advance `st` n substeps under a held heat
@@ -367,13 +352,14 @@ hp_run(hp_state *st, const hp_params *hp, Py_ssize_t n, double heat,
 {
     double t = st->t, cop = st->cop, p_comp = st->p_comp, p_elem = st->p_elem;
     int heating = st->heating, saturated = st->saturated;
-    const double offset_kw = hp->offset_kw, dt = hp->dt;
-    const double p_el_max = hp->p_el_max, p_element = hp->p_element;
-    const double effectiveness = hp->effectiveness, lag = hp->lag;
-    const double t_on = hp->t_on, t_off = hp->t_off, t_min = hp->t_min;
-    const double t_max = hp->t_max, t_threshold = hp->t_threshold;
+    const double offset_kw = hp->offset_kw, dt = hp->dt, lag = hp->lag;
+    const double p_el_max = hp->c->p_el_max, p_element = hp->c->p_element;
+    const double effectiveness = hp->c->effectiveness;
+    const double t_on = hp->c->t_on, t_off = hp->c->t_off;
+    const double t_min = hp->c->t_min, t_max = hp->c->t_max;
+    const double t_threshold = hp->c->t_threshold;
     double p_max_total = p_el_max + p_element;
-    double c3600 = hp->storage_kwh_per_k * 3600.0;
+    double c3600 = hp->c->storage_kwh_per_k * 3600.0;
 
     for (Py_ssize_t i = 0; i < n; i++) {
         /* min(ambient_c, t - 1.0), ties to the ambient temperature */
@@ -448,28 +434,29 @@ hp_run(hp_state *st, const hp_params *hp, Py_ssize_t n, double heat,
 
 PyDoc_STRVAR(heat_pump_doc,
 "heat_pump_substeps(t, heating, saturated, cop, p_comp, p_elem, offset_kw,\n"
-"                   dt, p_el_max_kw, p_element_kw, effectiveness, t_on_c,\n"
-"                   t_off_c, t_min_c, t_max_c, t_element_threshold_c,\n"
-"                   storage_kwh_per_k, lag, blocks)\n"
+"                   dt, consts, blocks)\n"
 "--\n\n"
 "Advance a heat pump over consecutive intervals under one offset; returns\n"
 "(t, heating, saturated, cop, p_comp, p_elem) after the last.\n\n"
 "`blocks` holds an (n, heat_demand_kw, ambient_c) tuple per interval: n\n"
 "substeps under that held heat demand and ambient temperature.  Each\n"
-"interval starts from the state the one before it ends in.");
+"interval starts from the state the one before it ends in.  `consts` is\n"
+"bytes of ten C doubles: p_el_max_kw, p_element_kw, effectiveness, t_on_c,\n"
+"t_off_c, t_min_c, t_max_c, t_element_threshold_c, storage_kwh_per_k and\n"
+"time_constant_s.");
 
 static PyObject *
 heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     hp_state st;
     hp_params hp;
-    if (nargs != 19) {
+    if (nargs != 10) {
         PyErr_Format(PyExc_TypeError,
-                     "heat_pump_substeps() takes 19 arguments (%zd given)",
+                     "heat_pump_substeps() takes 10 arguments (%zd given)",
                      nargs);
         return NULL;
     }
-    PyObject *blocks = args[18];
+    PyObject *blocks = args[9];
     if (!PyTuple_Check(blocks)) {
         PyErr_SetString(PyExc_TypeError, "blocks must be a tuple");
         return NULL;
@@ -482,15 +469,10 @@ heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             || as_double(args[0], &st.t) || as_double(args[3], &st.cop)
             || as_double(args[4], &st.p_comp) || as_double(args[5], &st.p_elem)
             || as_double(args[6], &hp.offset_kw) || as_double(args[7], &hp.dt)
-            || as_double(args[8], &hp.p_el_max)
-            || as_double(args[9], &hp.p_element)
-            || as_double(args[10], &hp.effectiveness)
-            || as_double(args[11], &hp.t_on) || as_double(args[12], &hp.t_off)
-            || as_double(args[13], &hp.t_min) || as_double(args[14], &hp.t_max)
-            || as_double(args[15], &hp.t_threshold)
-            || as_double(args[16], &hp.storage_kwh_per_k)
-            || as_double(args[17], &hp.lag))
+            || (hp.c = consts_at(args[8], sizeof(hp_consts), 0, NULL,
+                                 "heat_pump_substeps")) == NULL)
         return NULL;
+    hp.lag = 1.0 - exp(-(hp.dt / hp.c->time_constant_s));
     for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(blocks); j++) {
         double heat, ambient;
         PyObject *block = block_at(blocks, j);

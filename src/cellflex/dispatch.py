@@ -1,4 +1,4 @@
-"""Receding-horizon dispatch of a flexibility request.
+"""Dispatch of a flexibility request, one step at a time.
 
 Each 15 s dispatch step minimizes one weighted objective over the vector of
 plant offsets, ``StepObjective``::

@@ -18,8 +18,8 @@ first-order lag  dy/dt = (u - y)/T  before it acts on the stored energy.  The
 lag's state is the plant's realized power (``p_kw``; the compressor's
 ``last_p_compressor_kw`` in a heat pump), pinned values included.  Input is
 held over each substep, so the plants apply the exact solution
-y <- y + (u - y)*(1 - exp(-dt/T)), which is stable at any step width; a
-plant computes that lag factor once per substep width and keeps it.
+y <- y + (u - y)*(1 - exp(-dt/T)), which is stable at any step width; the
+compiled loop computes that lag factor once per call.
 
 A stateful plant's ``step(offset_kw, blocks, dt)`` advances it over a
 tuple of consecutive intervals (blocks) of dt-second substeps under one
@@ -41,8 +41,9 @@ heat pump's ``p_kw`` and ``q_kvar`` are re-derived by ``set_state``.
 
 Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
-which holds every parameter default; the constructors trust it, since the
-loader checked it.
+which holds every parameter default, and keeps it as ``params``; the
+constructors trust it, since the loader checked it.  A stateful plant packs
+the constants its loop reads into one bytes of C doubles, ``_consts``, once.
 
 A store whose connected substep leaves its state bit-identical is settled:
 its later connected substeps would repeat it, so a battery stops and an EV
@@ -50,6 +51,7 @@ jumps to its next trip window, stepped in a tight loop.
 """
 
 import math
+from struct import pack
 
 from ._build import load_loops
 
@@ -76,10 +78,9 @@ def clamp(value, lo, hi):
     return value
 
 
-def _keep_lag(plant, dt):
-    """Keep the share of the gap to a constant input `plant`'s lag closes in dt."""
-    plant._lag = 1.0 - math.exp(-(dt / plant.time_constant_s))
-    plant._lag_dt = dt
+def _pack(*values):
+    """`values` as one bytes of C doubles, the form the compiled loops read."""
+    return pack(f"{len(values)}d", *values)
 
 
 class _Storage:
@@ -93,29 +94,28 @@ class _Storage:
     departure, last return, in s of day) drain the running trip instead.
     """
 
-    __slots__ = ("capacity_kwh", "eta_charge", "eta_discharge", "time_constant_s",
-                 "soc", "p_kw", "saturated", "_lag", "_lag_dt")
+    __slots__ = ("params", "soc", "p_kw", "saturated", "_consts")
 
-    def __init__(self, params):
-        self.capacity_kwh = params.capacity_kwh
-        self.eta_charge = params.eta_charge
-        self.eta_discharge = params.eta_discharge
-        self.time_constant_s = params.time_constant_s
+    def __init__(self, params, lo, hi, away=None, trips=()):
+        # rating bounds [lo, hi]; with no trip the window is never read
+        self.params = params
         self.soc = params.soc0
         self.p_kw = 0.0
         self.saturated = False
-        self._lag_dt = None
+        self._consts = _pack(lo, hi, params.capacity_kwh, params.eta_charge,
+                             params.eta_discharge, params.time_constant_s,
+                             *(away or (0.0, 0.0)),
+                             *(x for trip in trips for x in trip))
 
 
 class BatteryStorage(_Storage):
     """Stationary battery with SOC bookkeeping and a lagged power response."""
 
-    __slots__ = ("p_max_charge_kw", "p_max_discharge_kw")
+    __slots__ = ()
 
     def __init__(self, params):
-        super().__init__(params)
-        self.p_max_charge_kw = params.p_max_charge_kw
-        self.p_max_discharge_kw = params.p_max_discharge_kw
+        super().__init__(params, -params.p_max_discharge_kw,
+                         params.p_max_charge_kw)
 
     def step(self, offset_kw, blocks, dt):
         """Advance over `blocks`, each ``(n, wish_kw, 0.0)``: n substeps
@@ -123,13 +123,9 @@ class BatteryStorage(_Storage):
 
         Returns the last substep's realized power.
         """
-        if dt != self._lag_dt:
-            _keep_lag(self, dt)
         self.soc, self.p_kw, self.saturated, _ = storage_substeps(
-            self.soc, self.p_kw, self.saturated, 0.0, offset_kw,
-            -self.p_max_discharge_kw, self.p_max_charge_kw, dt,
-            self.capacity_kwh, self.eta_charge, self.eta_discharge, self._lag,
-            None, (), blocks)
+            self.soc, self.p_kw, self.saturated, 0.0, offset_kw, dt,
+            self._consts, blocks)
         return self.p_kw
 
     def get_state(self):
@@ -149,14 +145,11 @@ class PvInverter:
     far faster than the simulation substep).
     """
 
-    __slots__ = ("s_rated_kva", "p_peak_kwp", "q_fraction_limit",
-                 "p_ac_kw", "q_kvar", "saturated", "_irradiance", "_p_ac",
-                 "_q_lo", "_q_hi")
+    __slots__ = ("params", "p_ac_kw", "q_kvar", "saturated", "_irradiance",
+                 "_p_ac", "_q_lo", "_q_hi")
 
     def __init__(self, params):
-        self.s_rated_kva = params.s_rated_kva
-        self.p_peak_kwp = params.p_peak_kwp
-        self.q_fraction_limit = params.q_fraction_limit
+        self.params = params
         self.p_ac_kw = 0.0
         self.q_kvar = 0.0
         self.saturated = False
@@ -164,15 +157,15 @@ class PvInverter:
 
     def q_capability(self, p_ac_kw):
         """Symmetric reactive band (lo, hi) available at the given active power."""
-        s = self.s_rated_kva
+        s = self.params.s_rated_kva
         circle = math.sqrt(max(0.0, s * s - p_ac_kw * p_ac_kw))
-        m = min(self.q_fraction_limit * s, circle)
+        m = min(self.params.q_fraction_limit * s, circle)
         return -m, m
 
     def active_power(self, irradiance_w_m2):
         """AC active power (generation, >= 0) at the given irradiance."""
-        p_dc = self.p_peak_kwp * max(0.0, irradiance_w_m2) / 1000.0
-        return min(p_dc, self.s_rated_kva)
+        p_dc = self.params.p_peak_kwp * max(0.0, irradiance_w_m2) / 1000.0
+        return min(p_dc, self.params.s_rated_kva)
 
     def step(self, irradiance_w_m2, q_setpoint_kvar):
         """Update output for the current irradiance and reactive setpoint.
@@ -216,26 +209,15 @@ class HeatPumpSystem:
     """
 
     __slots__ = (
-        "p_el_max_kw", "p_element_kw", "storage_kwh_per_k", "effectiveness",
-        "t_on_c", "t_off_c", "t_min_c", "t_max_c", "t_element_threshold_c",
-        "tan_phi", "time_constant_s", "heating", "t_storage_c", "p_kw", "q_kvar",
+        "params", "tan_phi", "heating", "t_storage_c", "p_kw", "q_kvar",
         "saturated", "last_cop", "last_p_compressor_kw", "last_p_element_kw",
-        "_lag", "_lag_dt",
+        "_consts",
     )
 
     def __init__(self, params):
         p = params
-        self.p_el_max_kw = p.p_el_max_kw
-        self.p_element_kw = p.p_element_kw
-        self.storage_kwh_per_k = p.storage_kwh_per_k
-        self.effectiveness = p.effectiveness
-        self.t_on_c = p.t_on_c
-        self.t_off_c = p.t_off_c
-        self.t_min_c = p.t_min_c
-        self.t_max_c = p.t_max_c
-        self.t_element_threshold_c = p.t_element_threshold_c
+        self.params = p
         self.tan_phi = math.tan(math.acos(p.power_factor))
-        self.time_constant_s = p.time_constant_s
         self.heating = bool(p.heating0)
         self.t_storage_c = p.t0_c
         self.p_kw = 0.0
@@ -244,7 +226,10 @@ class HeatPumpSystem:
         self.last_cop = 0.0
         self.last_p_compressor_kw = 0.0
         self.last_p_element_kw = 0.0
-        self._lag_dt = None
+        self._consts = _pack(p.p_el_max_kw, p.p_element_kw, p.effectiveness,
+                             p.t_on_c, p.t_off_c, p.t_min_c, p.t_max_c,
+                             p.t_element_threshold_c, p.storage_kwh_per_k,
+                             p.time_constant_s)
 
     def step(self, offset_kw, blocks, dt):
         """Advance over `blocks`, each ``(n, heat_demand_kw, ambient_c)``:
@@ -256,17 +241,12 @@ class HeatPumpSystem:
         taken at the tank temperature each substep starts from; the source
         is kept strictly below the sink so the cycle stays defined.
         """
-        if dt != self._lag_dt:
-            _keep_lag(self, dt)
         (self.t_storage_c, self.heating, self.saturated, self.last_cop,
          self.last_p_compressor_kw,
          self.last_p_element_kw) = heat_pump_substeps(
             self.t_storage_c, self.heating, self.saturated, self.last_cop,
             self.last_p_compressor_kw, self.last_p_element_kw, offset_kw, dt,
-            self.p_el_max_kw, self.p_element_kw, self.effectiveness,
-            self.t_on_c, self.t_off_c, self.t_min_c, self.t_max_c,
-            self.t_element_threshold_c, self.storage_kwh_per_k, self._lag,
-            blocks)
+            self._consts, blocks)
         self._derive_power()
         return self.p_kw
 
@@ -297,17 +277,17 @@ class ElectricVehicle(_Storage):
     and kept in seconds.
     """
 
-    __slots__ = ("p_rated_kw", "v2g", "trips", "_away", "trip_drain_kwh")
+    __slots__ = ("trips", "_away", "trip_drain_kwh")
 
     def __init__(self, params):
-        super().__init__(params)
         trips = tuple(sorted((d * 3600.0, r * 3600.0, float(e))
                              for d, r, e in params.trips))
-        self.p_rated_kw = params.p_rated_kw
-        self.v2g = bool(params.v2g)
         self.trips = trips
         self._away = (trips[0][0], trips[-1][1]) if trips else None
         self.trip_drain_kwh = 0.0
+        p_rated = params.p_rated_kw
+        super().__init__(params, -p_rated if params.v2g else 0.0, p_rated,
+                         self._away, trips)
 
     def connected(self, time_of_day_s):
         if self._away is None:
@@ -321,15 +301,11 @@ class ElectricVehicle(_Storage):
 
         Returns the last substep's charger power (0 while away).
         """
-        if dt != self._lag_dt:
-            _keep_lag(self, dt)
         # with no trip window the loop hands trip_drain_kwh back as it was
         (self.soc, self.p_kw, self.saturated,
          self.trip_drain_kwh) = storage_substeps(
             self.soc, self.p_kw, self.saturated, self.trip_drain_kwh,
-            offset_kw, -self.p_rated_kw if self.v2g else 0.0, self.p_rated_kw,
-            dt, self.capacity_kwh, self.eta_charge, self.eta_discharge,
-            self._lag, self._away, self.trips, blocks)
+            offset_kw, dt, self._consts, blocks)
         return self.p_kw
 
     def get_state(self):

@@ -270,22 +270,23 @@ class CellTwin:
 
         for pro in self.prosumers:
             if pro.bes is not None:
-                span = pro.bes.p_max_charge_kw + pro.bes.p_max_discharge_kw
+                span = pro.bes.params.p_max_charge_kw + pro.bes.params.p_max_discharge_kw
                 pro.i_bes = add(pro, f"bes:{pro.id}", "bes", span, pro.bes, "p_kw")
         for pro in self.prosumers:
             if pro.ehp is not None:
-                span = pro.ehp.p_el_max_kw + pro.ehp.p_element_kw
+                span = pro.ehp.params.p_el_max_kw + pro.ehp.params.p_element_kw
                 pro.i_ehp = add(pro, f"ehp:{pro.id}", "ehp", span, pro.ehp, "p_kw")
         for pro in self.prosumers:
             slots = []
             for k, bev in enumerate(pro.bevs):
-                cls = "bev_v2g" if bev.v2g else "bev_v1g"
-                span = 2.0 * bev.p_rated_kw if bev.v2g else bev.p_rated_kw
+                v2g, p_rated = bev.params.v2g, bev.params.p_rated_kw
+                cls = "bev_v2g" if v2g else "bev_v1g"
+                span = 2.0 * p_rated if v2g else p_rated
                 slots.append((bev, add(pro, f"bev:{pro.id}.{k}", cls, span, bev, "p_kw")))
             pro.bev_slots = tuple(slots)
         for pro in self.prosumers:
             if pro.pv is not None:
-                span = pro.pv.q_fraction_limit * pro.pv.s_rated_kva
+                span = pro.pv.params.q_fraction_limit * pro.pv.params.s_rated_kva
                 pro.i_inv = add(pro, f"inv:{pro.id}", "inv", span, pro.pv, "q_kvar")
 
         self.plant_labels = tuple(labels)
@@ -577,7 +578,7 @@ class CellTwin:
             if pro.pv is not None:
                 inv_p.append(pro.pv.p_ac_kw)
                 inv_q.append(pro.pv.q_kvar)
-                inv_s.append(pro.pv.s_rated_kva)
+                inv_s.append(pro.pv.params.s_rated_kva)
         return {
             "t_s": self.t_s,
             "bes_soc": tuple(bes_soc),

@@ -49,11 +49,11 @@ def integrate_reference(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0)
     interval, so every later connected substep would repeat it exactly
     and is skipped; an away substep ends the settled state.
     """
-    cap = self.capacity_kwh
-    eta_c = self.eta_charge
-    eta_d = self.eta_discharge
+    cap = self.params.capacity_kwh
+    eta_c = self.params.eta_charge
+    eta_d = self.params.eta_discharge
     charge_div = eta_c * dt
-    lag = lag_factor(dt, self.time_constant_s)
+    lag = lag_factor(dt, self.params.time_constant_s)
     away = self._away
     soc = self.soc
     p = self.p_kw
@@ -134,16 +134,18 @@ def integrate_reference(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0)
 def battery_step_reference(self, offset_kw, blocks, dt):
     """``BatteryStorage.step`` through `integrate_reference`."""
     for n, wish_kw, _ in blocks:
-        integrate_reference(self, wish_kw, offset_kw, -self.p_max_discharge_kw,
-                            self.p_max_charge_kw, n, dt)
+        integrate_reference(self, wish_kw, offset_kw,
+                            -self.params.p_max_discharge_kw,
+                            self.params.p_max_charge_kw, n, dt)
     return self.p_kw
 
 
 def ev_step_reference(self, offset_kw, blocks, dt):
     """``ElectricVehicle.step`` through `integrate_reference`."""
-    lo = -self.p_rated_kw if self.v2g else 0.0
+    p_rated = self.params.p_rated_kw
+    lo = -p_rated if self.params.v2g else 0.0
     for n, _, base_tod_s in blocks:
-        integrate_reference(self, None, offset_kw, lo, self.p_rated_kw, n, dt,
+        integrate_reference(self, None, offset_kw, lo, p_rated, n, dt,
                             base_tod_s)
     return self.p_kw
 
@@ -166,15 +168,16 @@ def heat_pump_interval_reference(self, heat_demand_kw, ambient_c, offset_kw,
     each substep starts from; the source is kept strictly below the sink
     so the cycle stays defined.
     """
-    p_el_max = self.p_el_max_kw
-    p_element = self.p_element_kw
+    prm = self.params
+    p_el_max = prm.p_el_max_kw
+    p_element = prm.p_element_kw
     p_max_total = p_el_max + p_element
-    effectiveness = self.effectiveness
-    t_on, t_off = self.t_on_c, self.t_off_c
-    t_min, t_max = self.t_min_c, self.t_max_c
-    t_threshold = self.t_element_threshold_c
-    c3600 = self.storage_kwh_per_k * 3600.0
-    lag = lag_factor(dt, self.time_constant_s)
+    effectiveness = prm.effectiveness
+    t_on, t_off = prm.t_on_c, prm.t_off_c
+    t_min, t_max = prm.t_min_c, prm.t_max_c
+    t_threshold = prm.t_element_threshold_c
+    c3600 = prm.storage_kwh_per_k * 3600.0
+    lag = lag_factor(dt, prm.time_constant_s)
     t = self.t_storage_c
     heating = self.heating
     saturated = self.saturated

@@ -79,15 +79,14 @@ def test_oracle_report_matches_the_plain_twin(monkeypatch, capsys):
 def warmed_up(twin):
     """The reference a warmup of `twin` captures and everything it leaves on
     the twin, its prosumers and its plants, at full precision: all but the
-    plants' kept lag factors, which the reference loops do not keep, and the
     sampled inputs, which the twin holds for all blocks and the plain twin
     for the last.  Then the same after one dispatch interval from the
     reference, which must sample its own inputs."""
     def plants():
         return [{name: getattr(plant, name)
                  for cls in type(plant).__mro__
-                 for name in getattr(cls, "__slots__", ())
-                 if name not in ("_lag", "_lag_dt")} for plant in twin._plants]
+                 for name in getattr(cls, "__slots__", ())}
+                for plant in twin._plants]
 
     ref = twin.run_warmup()
     prosumers = [{name: getattr(pro, name)

@@ -1,6 +1,7 @@
 import copy
 import math
 from itertools import repeat
+from struct import pack
 
 import pytest
 from hypothesis import given
@@ -109,6 +110,19 @@ class TestFirstOrderResponse:
     def test_exact_branch_is_exact(self):
         y = lag_battery(2.0).step(0.0, ((1, 1.0, 0.0),), 6.0)
         assert y == pytest.approx(1.0 - math.exp(-3.0), abs=1e-14)
+
+    @pytest.mark.parametrize("dt, tau",
+                             [(5.0, 2.0), (5.0, 7.0), (0.1, 2.0), (15.0, 8.0)])
+    def test_the_loops_take_the_lag_factor_python_takes(self, dt, tau):
+        # from rest toward 1 kW, one substep realizes the lag factor itself,
+        # bit for bit 1 - exp(-(dt / T)) with math.exp's exp (the first three
+        # pairs round differently as -expm1(-(dt / T)))
+        lag = 1.0 - math.exp(-(dt / tau))
+        assert lag_battery(tau).step(0.0, ((1, 1.0, 0.0),), dt) == lag
+        ehp = make_ehp(p_el_max_kw=1.0, storage_kwh_per_k=1000.0,
+                       heating0=True, time_constant_s=tau)
+        ehp.step(0.0, ((1, 0.0, 0.0),), dt)
+        assert ehp.last_p_compressor_kw == lag
 
     def test_parameter_errors(self, validate_refuses):
         for key in ("bes", "ehp", "bevs"):
@@ -314,7 +328,7 @@ class TestHeatPumpSystem:
             heat_in += (ehp.last_cop * ehp.last_p_compressor_kw
                         + ehp.last_p_element_kw) * dt / 3600.0
             demand_total += demand * dt / 3600.0
-        delta_e = (ehp.t_storage_c - t_start) * ehp.storage_kwh_per_k
+        delta_e = (ehp.t_storage_c - t_start) * ehp.params.storage_kwh_per_k
         assert delta_e == pytest.approx(heat_in - demand_total, rel=1e-9, abs=1e-9)
 
     def test_floor_hold_covers_demand(self):
@@ -477,11 +491,11 @@ class TestElectricVehicle:
             p = bev.step(off, ((1, None, t % 86400.0),), dt)
             assert 0.0 <= bev.soc <= 1.0
             if p > 0:
-                charged += p * bev.eta_charge * dt / 3600.0
+                charged += p * bev.params.eta_charge * dt / 3600.0
             else:
-                discharged += -p / bev.eta_discharge * dt / 3600.0
+                discharged += -p / bev.params.eta_discharge * dt / 3600.0
             t += dt
-        delta = (bev.soc - 0.6) * bev.capacity_kwh
+        delta = (bev.soc - 0.6) * bev.params.capacity_kwh
         assert delta == pytest.approx(charged - discharged - bev.trip_drain_kwh,
                                       abs=1e-7)
 
@@ -1023,3 +1037,26 @@ class TestBlockLoops:
         with pytest.raises(TypeError):
             bev.step(0.0, ((60, None, 0.0), (1.5, None, 900.0)), 15.0)
         assert [end_bits(plant) for plant in (bes, ehp, bev)] == before
+
+    @pytest.mark.parametrize("make, block", [(make_bev, (60, None, 0.0)),
+                                             (make_ehp, (60, 2.0, 0.0))],
+                             ids=["storage", "heat_pump"])
+    @pytest.mark.parametrize("spoil", [
+        pytest.param(bytearray, id="not_bytes"),
+        pytest.param(lambda consts: consts[:40], id="short_of_the_fixed_part"),
+        pytest.param(lambda consts: consts + b"\0", id="part_of_a_double"),
+        pytest.param(lambda consts: consts + pack("2d", 1.0, 2.0),
+                     id="two_doubles_more"),
+    ])
+    def test_bad_constants_are_refused_before_any_is_read(self, make, block,
+                                                          spoil):
+        # the EV's constants end in one trip, so two doubles more leave a
+        # trip tail of five (for a heat pump: two too many), and five
+        # doubles fall a whole trip short of the EV's fixed eight; the entry
+        # refuses each buffer whole, before its first block
+        plant = make()
+        before = end_bits(plant)
+        plant._consts = spoil(plant._consts)
+        with pytest.raises(TypeError, match="constants as bytes of C doubles"):
+            plant.step(0.0, (block,), 15.0)
+        assert end_bits(plant) == before

@@ -439,17 +439,14 @@ class TestLoaderValidation:
         assert pro.ehp == EhpParams(3.0, 5.0, 0.4)
         assert pro.bevs == (BevParams(40.0, 11.0),)
         bes = BatteryStorage(pro.bes)
-        assert (bes.soc, bes.eta_charge, bes.eta_discharge, bes.time_constant_s) \
-            == (pro.bes.soc0, pro.bes.eta_charge, pro.bes.eta_discharge,
-                pro.bes.time_constant_s)
+        assert (bes.soc, bes.params) == (pro.bes.soc0, pro.bes)
         ehp = HeatPumpSystem(pro.ehp)
-        assert (ehp.t_storage_c, ehp.heating, ehp.t_on_c, ehp.t_off_c, ehp.effectiveness) \
-            == (pro.ehp.t0_c, pro.ehp.heating0, pro.ehp.t_on_c, pro.ehp.t_off_c,
-                pro.ehp.effectiveness)
+        assert (ehp.t_storage_c, ehp.heating, ehp.params) \
+            == (pro.ehp.t0_c, pro.ehp.heating0, pro.ehp)
         bev = ElectricVehicle(pro.bevs[0])
         assert bev.soc == 1.0
-        assert (bev.v2g, bev.trips, bev.time_constant_s) \
-            == (False, (), pro.bevs[0].time_constant_s)
+        assert (bev.params.v2g, bev.trips, bev.params) \
+            == (False, (), pro.bevs[0])
 
     def test_dispatch_step_not_multiple_of_internal_dt(self):
         # 1e-10 s would hold round(1e-10) = 0 substeps of 1 s

@@ -323,7 +323,7 @@ class TestIncrementalEvaluation:
         ref = twin.run_warmup()
         j = twin.plant_labels.index("bev:p02.0")
         ev = next(p for p in twin.prosumers if p.id == "p02").bevs[0]
-        assert ref.plant_values[j] == ev.p_rated_kw
+        assert ref.plant_values[j] == ev.params.p_rated_kw
         plants_stepped = plant_step_counter(twin, ref, monkeypatch)
         x = np.zeros(twin.n_plants)
         assert len(plants_stepped(x)) == twin.n_plants
@@ -579,7 +579,7 @@ class TestSolveMemo:
         twin = CellTwin(load_bundled_scenario())
         ref = twin.run_warmup()
         j = twin.plant_labels.index("bev:p02.0")
-        assert ref.plant_values[j] == twin._plants[j].p_rated_kw
+        assert ref.plant_values[j] == twin._plants[j].params.p_rated_kw
         x = np.full(twin.n_plants, 0.1)
         x[j] = 0.0
         solves = count_solves(monkeypatch)
