@@ -1,4 +1,5 @@
-"""Build and load ``_loops.c``: the plants' substep loops, the power-flow
+"""Build and load ``_loops.c``: the plants' substep loops (for one plant,
+and for a whole class of plants in step, the warmup's), the power-flow
 sweep, the twin's changed-offset scan, the objective's plant cost and Basin
 Hopping's PCG64 draws, compiled.
 

@@ -2,32 +2,42 @@
  * flow, the twin's changed-offset scan, the objective's plant cost and Basin
  * Hopping's random draws.
  *
- * store_run is the substep body of batteries and EVs, hp_run that of heat
- * pumps, each written once, and each has one entry: storage_substeps and
- * heat_pump_substeps run a tuple of intervals (blocks) under one offset,
- * the state carried from each into the next.  A dispatch interval is one
- * block (BatteryStorage, ElectricVehicle and HeatPumpSystem steps); the
- * warmup passes all of its blocks with no offset, one call per plant.
- * plants.py describes the models; each step there passes its plant's state
- * and the constants the plant packed once, as bytes of C doubles, to one of
- * these entries and writes the returned state back.  power_flow is the
- * backward/forward sweep behind grid.solve_power_flow, run over the plan
- * GridTopology builds once; changed_offsets is the twin's rule for the
- * plants an evaluation must re-integrate, and plant_cost(weights, values,
- * ref) the dispatch objective's plant term, summed in plant order so that
- * no BLAS kernel picks the order of its additions.  pcg64_fill draws a vector of uniform
- * numbers from a PCG64 state that optimizer.PCG64 seeds, the same bits as
+ * store_run is the substep body of batteries and EVs, hp_substep that of
+ * heat pumps, each written once, and each has two entries.
+ * storage_substeps and heat_pump_substeps run one plant over a tuple of
+ * intervals (blocks) under one offset, the state carried from each into the
+ * next: a dispatch interval is one block (BatteryStorage, ElectricVehicle
+ * and HeatPumpSystem steps).  storage_class_substeps and
+ * heat_pump_class_substeps run K plants of one model with no offset over
+ * one shared schedule of blocks, the warmup's, in step: substep i of every
+ * plant before any plant's substep i + 1, so that the CPU overlaps the K
+ * independent chains of dependent divisions.  Each plant runs the same
+ * operations in the same order as in its own call, and a store still
+ * skips its settled substeps on its own.  plants.py describes the models;
+ * each step there passes its plant's state and the constants the plant
+ * packed once, as bytes of C doubles, to a one-plant entry and writes the
+ * returned state back; step_stores and step_heat_pumps pass a whole class's
+ * states as one tuple and write back the tuple a class entry returns.
+ *
+ * power_flow is the backward/forward sweep behind grid.solve_power_flow, run
+ * over the plan GridTopology builds once; changed_offsets is the twin's
+ * rule for the plants an evaluation must re-integrate, and
+ * plant_cost(weights, values, ref) the dispatch objective's plant term,
+ * summed in plant order so that no BLAS kernel picks the order of its
+ * additions.  pcg64_fill draws a vector of uniform numbers from a PCG64
+ * state that optimizer.PCG64 seeds, the same bits as
  * numpy.random.default_rng with the same seed.
  *
  * Each loop replays Python float arithmetic bit for bit: the same operations
  * in the same order, comparisons instead of min/max with Python's tie rules,
  * Python's float % (fmod plus a sign fix, py_mod) and NaN compares as in
- * Python.  The sweep replays CPython's complex arithmetic the same way: its
+ * Python (py_mod skips the fmod call where its result is exact without it).
+ * The sweep replays CPython's complex arithmetic the same way: its
  * product, quotient (with the branch on |b.real| >= |b.imag|), sum,
  * difference and abs (hypot, with its inf/NaN rules and overflow error),
  * a real operand taken as (x, 0.0), and sum() added left to right from 0j.
  * The only exp, the lag factor 1 - exp(-(dt / T)), is libm's exp, which
- * math.exp calls too; each substep entry takes it once per call.  Built
+ * math.exp calls too; each entry takes it once per plant and call.  Built
  * with -O2 -fno-fast-math -ffp-contract=off (see _build.py): contracting
  * a*b + c into a fused multiply-add would change the last bit.
  */
@@ -37,12 +47,23 @@
 #include <math.h>
 
 #define DAY_S 86400.0
+/* the substep bodies are inlined into each of their entries, as they were
+   when each had one: a call per substep would cost more than the substep */
+#define INLINE static inline __attribute__((always_inline))
 
 /* Python's x % m for floats with m > 0: the remainder takes the sign of m,
    and a zero remainder is +0.0 */
-static double
+INLINE double
 py_mod(double x, double m)
 {
+    /* within a period of [0, m), fmod would return x exactly, and x - m,
+       which is exact there; below it, x, to which m is then added */
+    if (0.0 < x && x < m)
+        return x;
+    if (m <= x && x < m + m)
+        return x - m;
+    if (-m < x && x < 0.0)
+        return x + m;
     double mod = fmod(x, m);
     if (mod) {
         if ((m < 0) != (mod < 0))
@@ -91,6 +112,13 @@ block_at(PyObject *blocks, Py_ssize_t j)
     return block;
 }
 
+/* The lag's share of the gap closed over a substep of dt seconds */
+static double
+lag_factor(double dt, double time_constant_s)
+{
+    return 1.0 - exp(-(dt / time_constant_s));
+}
+
 /* A store's state, carried from substep to substep and block to block */
 typedef struct {
     double soc, p, drained;
@@ -112,12 +140,16 @@ typedef struct {
     Py_ssize_t n_trips;
 } store_params;
 
-/* The storage substep body: advance `st` n substeps, the first starting at
-   time of day base_tod, toward wish_kw (with has_wish) or, without, toward
-   charging until full */
-static void
-store_run(store_state *st, const store_params *sp, Py_ssize_t n,
-          int has_wish, double wish_kw, double base_tod)
+/* The storage substep body: advance `st` from substep k of an interval of n
+   substeps, the first at time of day base_tod, toward wish_kw (with
+   has_wish) or, without, toward charging until full.  It runs connected
+   substeps while k < stop; a trip window runs to its end and a settled
+   store skips ahead, either of which may carry it past stop.  Returns the
+   substep it stopped at, n once nothing is left to run. */
+INLINE Py_ssize_t
+store_run(store_state *st, const store_params *sp, Py_ssize_t k,
+          Py_ssize_t stop, Py_ssize_t n, int has_wish, double wish_kw,
+          double base_tod)
 {
     double soc = st->soc, p = st->p, drained = st->drained;
     int saturated = st->saturated;
@@ -129,8 +161,7 @@ store_run(store_state *st, const store_params *sp, Py_ssize_t n,
     const int has_away = sp->n_trips > 0;   /* no trip: never away */
 
     double charge_div = eta_c * dt;
-    Py_ssize_t k = 0;
-    while (k < n) {
+    while (k < stop) {
         if (has_away) {
             double tod = py_mod(base_tod + (double)k * dt, DAY_S);
             if (away_from <= tod && tod < away_to) {
@@ -220,13 +251,17 @@ store_run(store_state *st, const store_params *sp, Py_ssize_t n,
                 && copysign(1.0, soc) == copysign(1.0, soc_start)) {
             /* settled: stop unless a later substep is away (time of day
                grows until it wraps) */
-            if (!has_away)
+            if (!has_away) {
+                k = n;
                 break;
+            }
             double tod = py_mod(base_tod + (double)k * dt, DAY_S);
             double tod_end = py_mod(base_tod + (double)(n - 1) * dt, DAY_S);
             if ((double)(n - k) * dt < 43200.0 && tod <= tod_end
-                    && (tod_end < away_from || away_to <= tod))
+                    && (tod_end < away_from || away_to <= tod)) {
+                k = n;
                 break;
+            }
             while (k < n) {
                 tod = py_mod(base_tod + (double)k * dt, DAY_S);
                 if (away_from <= tod && tod < away_to)
@@ -240,6 +275,7 @@ store_run(store_state *st, const store_params *sp, Py_ssize_t n,
     st->p = p;
     st->drained = drained;
     st->saturated = saturated;
+    return k;
 }
 
 /* The bytes `consts` of `fname`, read in place: `fixed` bytes of constants
@@ -303,7 +339,7 @@ storage_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                                  3 * sizeof(double), &sp.n_trips,
                                  "storage_substeps")) == NULL)
         return NULL;
-    sp.lag = 1.0 - exp(-(sp.dt / sp.c->time_constant_s));
+    sp.lag = lag_factor(sp.dt, sp.c->time_constant_s);
     for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(blocks); j++) {
         double wish_kw = 0.0, base_tod;
         PyObject *block = block_at(blocks, j);
@@ -317,7 +353,7 @@ storage_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if ((has_wish && as_double(wish, &wish_kw))
                 || as_double(PyTuple_GET_ITEM(block, 2), &base_tod))
             return NULL;
-        store_run(&st, &sp, n, has_wish, wish_kw, base_tod);
+        store_run(&st, &sp, 0, n, n, has_wish, wish_kw, base_tod);
     }
     return Py_BuildValue("(ddNd)", st.soc, st.p, PyBool_FromLong(st.saturated),
                          st.drained);
@@ -338,98 +374,116 @@ typedef struct {
 } hp_consts;
 
 /* What a heat pump holds over a call: its offset, substep and lag factor,
-   and its constants, read in place */
+   its constants, read in place, and two sums of them */
 typedef struct {
-    double offset_kw, dt, lag;
+    double offset_kw, dt, lag, p_max_total, c3600;
     const hp_consts *c;
 } hp_params;
 
-/* The heat-pump substep body: advance `st` n substeps under a held heat
-   demand and ambient temperature */
+/* `hp` for the constants `c` under offset_kw on substeps of dt seconds */
 static void
-hp_run(hp_state *st, const hp_params *hp, Py_ssize_t n, double heat,
-       double ambient)
+hp_params_set(hp_params *hp, const hp_consts *c, double offset_kw, double dt)
 {
-    double t = st->t, cop = st->cop, p_comp = st->p_comp, p_elem = st->p_elem;
-    int heating = st->heating, saturated = st->saturated;
+    hp->offset_kw = offset_kw;
+    hp->dt = dt;
+    hp->lag = lag_factor(dt, c->time_constant_s);
+    hp->p_max_total = c->p_el_max + c->p_element;
+    hp->c3600 = c->storage_kwh_per_k * 3600.0;
+    hp->c = c;
+}
+
+/* The heat-pump substep body: advance `st` one substep under a held heat
+   demand and ambient temperature */
+INLINE void
+hp_substep(hp_state *st, const hp_params *hp, double heat, double ambient)
+{
+    double t = st->t, cop, p_comp = st->p_comp, p_elem;
+    int heating = st->heating, saturated;
     const double offset_kw = hp->offset_kw, dt = hp->dt, lag = hp->lag;
     const double p_el_max = hp->c->p_el_max, p_element = hp->c->p_element;
     const double effectiveness = hp->c->effectiveness;
     const double t_on = hp->c->t_on, t_off = hp->c->t_off;
     const double t_min = hp->c->t_min, t_max = hp->c->t_max;
     const double t_threshold = hp->c->t_threshold;
-    double p_max_total = p_el_max + p_element;
-    double c3600 = hp->c->storage_kwh_per_k * 3600.0;
+    const double p_max_total = hp->p_max_total, c3600 = hp->c3600;
 
-    for (Py_ssize_t i = 0; i < n; i++) {
-        /* min(ambient_c, t - 1.0), ties to the ambient temperature */
-        double t_source = t - 1.0 < ambient ? t - 1.0 : ambient;
-        cop = effectiveness * (t + 273.15) / (t - t_source);
-        if (heating) {
-            if (t >= t_off)
-                heating = 0;
-        }
-        else if (t <= t_on) {
-            heating = 1;
-        }
-        double wanted = (heating ? p_el_max : 0.0) + offset_kw;
-        double cmd_total;
-        if (wanted < 0.0)
-            cmd_total = 0.0;
-        else if (wanted > p_max_total)
-            cmd_total = p_max_total;
-        else
-            cmd_total = wanted;
-        saturated = cmd_total != wanted;
-        /* min(wanted part, rating), ties to the wanted part */
-        double cmd_comp, cmd_elem;
-        if (t >= t_threshold) {
-            cmd_comp = 0.0;
-            cmd_elem = p_element < cmd_total ? p_element : cmd_total;
-        }
-        else {
-            cmd_comp = p_el_max < cmd_total ? p_el_max : cmd_total;
-            double rest = cmd_total - cmd_comp;
-            cmd_elem = p_element < rest ? p_element : rest;
-        }
-        p_comp = p_comp + (cmd_comp - p_comp) * lag;
-        p_elem = cmd_elem;
-        double t_new = t + (cop * p_comp + p_elem - heat) * dt / c3600;
+    /* min(ambient_c, t - 1.0), ties to the ambient temperature */
+    double t_source = t - 1.0 < ambient ? t - 1.0 : ambient;
+    cop = effectiveness * (t + 273.15) / (t - t_source);
+    if (heating) {
+        if (t >= t_off)
+            heating = 0;
+    }
+    else if (t <= t_on) {
+        heating = 1;
+    }
+    double wanted = (heating ? p_el_max : 0.0) + offset_kw;
+    double cmd_total;
+    if (wanted < 0.0)
+        cmd_total = 0.0;
+    else if (wanted > p_max_total)
+        cmd_total = p_max_total;
+    else
+        cmd_total = wanted;
+    saturated = cmd_total != wanted;
+    /* min(wanted part, rating), ties to the wanted part */
+    double cmd_comp, cmd_elem;
+    if (t >= t_threshold) {
+        cmd_comp = 0.0;
+        cmd_elem = p_element < cmd_total ? p_element : cmd_total;
+    }
+    else {
+        cmd_comp = p_el_max < cmd_total ? p_el_max : cmd_total;
+        double rest = cmd_total - cmd_comp;
+        cmd_elem = p_element < rest ? p_element : rest;
+    }
+    p_comp = p_comp + (cmd_comp - p_comp) * lag;
+    p_elem = cmd_elem;
+    double t_new = t + (cop * p_comp + p_elem - heat) * dt / c3600;
 
-        if (t_new < t_min) {
-            /* floor hold: cover demand plus the shortfall down to t_min */
-            heating = 1;
-            double need = heat + (t_min - t) * c3600 / dt;
-            p_comp = clamp(need / cop, 0.0, p_el_max);
-            p_elem = clamp(need - cop * p_comp, 0.0, p_element);
-            t_new = t + (cop * p_comp + p_elem - heat) * dt / c3600;
-            if (t_new < t_min)      /* undersized for this demand: pin */
-                t_new = t_min;
-            saturated = 1;
+    if (t_new < t_min) {
+        /* floor hold: cover demand plus the shortfall down to t_min */
+        heating = 1;
+        double need = heat + (t_min - t) * c3600 / dt;
+        p_comp = clamp(need / cop, 0.0, p_el_max);
+        p_elem = clamp(need - cop * p_comp, 0.0, p_element);
+        t_new = t + (cop * p_comp + p_elem - heat) * dt / c3600;
+        if (t_new < t_min)      /* undersized for this demand: pin */
+            t_new = t_min;
+        saturated = 1;
+    }
+    else if (t_new > t_max) {
+        /* ceiling: shed the element first, then the compressor */
+        double allowed = heat + (t_max - t) * c3600 / dt;
+        p_elem = clamp(allowed - cop * p_comp, 0.0, p_elem);
+        if (cop * p_comp + p_elem > allowed) {
+            p_elem = 0.0;
+            /* max(0.0, allowed), ties to 0.0 */
+            p_comp = (allowed > 0.0 ? allowed : 0.0) / cop;
         }
-        else if (t_new > t_max) {
-            /* ceiling: shed the element first, then the compressor */
-            double allowed = heat + (t_max - t) * c3600 / dt;
-            p_elem = clamp(allowed - cop * p_comp, 0.0, p_elem);
-            if (cop * p_comp + p_elem > allowed) {
-                p_elem = 0.0;
-                /* max(0.0, allowed), ties to 0.0 */
-                p_comp = (allowed > 0.0 ? allowed : 0.0) / cop;
-            }
-            t_new = t + (cop * p_comp + p_elem - heat) * dt / c3600;
-            if (t_new > t_max)
-                t_new = t_max;
-            saturated = 1;
-        }
-        t = t_new;
+        t_new = t + (cop * p_comp + p_elem - heat) * dt / c3600;
+        if (t_new > t_max)
+            t_new = t_max;
+        saturated = 1;
     }
 
-    st->t = t;
+    st->t = t_new;
     st->cop = cop;
     st->p_comp = p_comp;
     st->p_elem = p_elem;
     st->heating = heating;
     st->saturated = saturated;
+}
+
+/* n heat-pump substeps under a held heat demand and ambient temperature */
+static void
+hp_run(hp_state *st, const hp_params *hp, Py_ssize_t n, double heat,
+       double ambient)
+{
+    hp_state s = *st;
+    for (Py_ssize_t i = 0; i < n; i++)
+        hp_substep(&s, hp, heat, ambient);
+    *st = s;
 }
 
 PyDoc_STRVAR(heat_pump_doc,
@@ -450,6 +504,8 @@ heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     hp_state st;
     hp_params hp;
+    const hp_consts *c;
+    double offset_kw, dt;
     if (nargs != 10) {
         PyErr_Format(PyExc_TypeError,
                      "heat_pump_substeps() takes 10 arguments (%zd given)",
@@ -468,11 +524,11 @@ heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (st.saturated < 0
             || as_double(args[0], &st.t) || as_double(args[3], &st.cop)
             || as_double(args[4], &st.p_comp) || as_double(args[5], &st.p_elem)
-            || as_double(args[6], &hp.offset_kw) || as_double(args[7], &hp.dt)
-            || (hp.c = consts_at(args[8], sizeof(hp_consts), 0, NULL,
-                                 "heat_pump_substeps")) == NULL)
+            || as_double(args[6], &offset_kw) || as_double(args[7], &dt)
+            || (c = consts_at(args[8], sizeof(hp_consts), 0, NULL,
+                              "heat_pump_substeps")) == NULL)
         return NULL;
-    hp.lag = 1.0 - exp(-(hp.dt / hp.c->time_constant_s));
+    hp_params_set(&hp, c, offset_kw, dt);
     for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(blocks); j++) {
         double heat, ambient;
         PyObject *block = block_at(blocks, j);
@@ -488,6 +544,268 @@ heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(dNNddd)", st.t, PyBool_FromLong(st.heating),
                          PyBool_FromLong(st.saturated), st.cop, st.p_comp,
                          st.p_elem);
+}
+
+/* A class entry's arguments (states, consts, inputs, counts, shared, dt):
+   tuples of `width` states per plant, of the K plants' constants, of K rows
+   of B inputs, of B counts and of B shared values, one per interval, where
+   `optional` inputs and shared may each be None (NULL here).  Only the
+   tuples and their lengths are checked; the entries read the items as they
+   run and build the new states only once every interval has run, so a bad
+   item changes nothing. */
+typedef struct {
+    PyObject *states, *consts, *inputs, *counts, *shared;
+    Py_ssize_t k, b;
+    double dt;
+} class_args;
+
+/* Read `args` into `a`; -1 with an exception set on failure */
+static int
+class_args_read(class_args *a, PyObject *const *args, Py_ssize_t nargs,
+                Py_ssize_t width, int optional, const char *fname)
+{
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "%s() takes 6 arguments (%zd given)",
+                     fname, nargs);
+        return -1;
+    }
+    a->states = args[0];
+    a->consts = args[1];
+    a->inputs = optional && args[2] == Py_None ? NULL : args[2];
+    a->counts = args[3];
+    a->shared = optional && args[4] == Py_None ? NULL : args[4];
+    if (!PyTuple_Check(a->states) || !PyTuple_Check(a->consts)
+            || !PyTuple_Check(a->counts)
+            || (a->inputs && !PyTuple_Check(a->inputs))
+            || (a->shared && !PyTuple_Check(a->shared))) {
+        PyErr_Format(PyExc_TypeError, "%s() takes tuples", fname);
+        return -1;
+    }
+    a->k = PyTuple_GET_SIZE(a->consts);
+    a->b = PyTuple_GET_SIZE(a->counts);
+    if (PyTuple_GET_SIZE(a->states) != width * a->k
+            || (a->inputs && PyTuple_GET_SIZE(a->inputs) != a->k * a->b)
+            || (a->shared && PyTuple_GET_SIZE(a->shared) != a->b)) {
+        PyErr_Format(PyExc_ValueError, "%s() takes %zd states per plant, an "
+                     "input per plant and interval and a shared value per "
+                     "interval", fname, width);
+        return -1;
+    }
+    return as_double(args[5], &a->dt);
+}
+
+/* Interval j's count and, unless `values` is NULL, its value into *x;
+   -1 with an exception set on failure */
+static int
+interval_at(const class_args *a, PyObject *values, Py_ssize_t j,
+            Py_ssize_t *n, double *x)
+{
+    *n = PyLong_AsSsize_t(PyTuple_GET_ITEM(a->counts, j));
+    if (*n == -1 && PyErr_Occurred())
+        return -1;
+    return values ? as_double(PyTuple_GET_ITEM(values, j), x) : 0;
+}
+
+/* Set item i of the new tuple `t` to `item`, a new reference; -1 if it is
+   NULL (with an exception set) */
+static int
+put(PyObject *t, Py_ssize_t i, PyObject *item)
+{
+    if (item == NULL)
+        return -1;
+    PyTuple_SET_ITEM(t, i, item);
+    return 0;
+}
+
+PyDoc_STRVAR(storage_class_doc,
+"storage_class_substeps(states, consts, wishes, counts, tods, dt)\n"
+"--\n\n"
+"Advance K stores with no offset over one schedule of B intervals, in step:\n"
+"each store's substep i runs before any store's substep i + 1.  Returns\n"
+"the new states.\n\n"
+"`states` holds (soc, p, saturated, drained) per store and `consts` each\n"
+"store's constants as storage_substeps takes them, all tuples.  Interval\n"
+"j runs counts[j] substeps, the first at time of day tods[j] (0.0 with\n"
+"tods None), toward store k's wish wishes[k * B + j] or, with wishes None,\n"
+"toward charging until full (EVs).  Each store ends in the state\n"
+"storage_substeps leaves it in over the same intervals, bit for bit,\n"
+"skipping as it skips.");
+
+static PyObject *
+storage_class_substeps(PyObject *module, PyObject *const *args,
+                       Py_ssize_t nargs)
+{
+    class_args a;
+    if (class_args_read(&a, args, nargs, 4, 1, "storage_class_substeps") < 0)
+        return NULL;
+    const Py_ssize_t K = a.k, B = a.b;
+    PyObject *result = NULL;
+    /* per store: its state, parameters and wish, the substep it runs next
+       (when asleep); the stores awake at the current substep and those
+       asleep */
+    store_state *st = PyMem_Malloc((K ? K : 1) * (sizeof(store_state)
+                                   + sizeof(store_params)
+                                   + sizeof(double)
+                                   + 3 * sizeof(Py_ssize_t)));
+    if (st == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    store_params *sp = (store_params *)(st + K);
+    double *wish = (double *)(sp + K);
+    Py_ssize_t *next = (Py_ssize_t *)(wish + K), *awake = next + K;
+    Py_ssize_t *asleep = awake + K;
+    for (Py_ssize_t p = 0; p < K; p++) {
+        PyObject *x = a.states;
+        if ((sp[p].c = consts_at(PyTuple_GET_ITEM(a.consts, p),
+                                 sizeof(store_consts), 3 * sizeof(double),
+                                 &sp[p].n_trips,
+                                 "storage_class_substeps")) == NULL
+                || as_double(PyTuple_GET_ITEM(x, 4 * p), &st[p].soc)
+                || as_double(PyTuple_GET_ITEM(x, 4 * p + 1), &st[p].p)
+                || (st[p].saturated
+                    = PyObject_IsTrue(PyTuple_GET_ITEM(x, 4 * p + 2))) < 0
+                || as_double(PyTuple_GET_ITEM(x, 4 * p + 3), &st[p].drained))
+            goto done;
+        sp[p].offset_kw = 0.0;
+        sp[p].dt = a.dt;
+        sp[p].lag = lag_factor(a.dt, sp[p].c->time_constant_s);
+    }
+    const int has_wish = a.inputs != NULL;
+    for (Py_ssize_t j = 0; j < B; j++) {
+        Py_ssize_t n;
+        double tod = 0.0;
+        if (interval_at(&a, a.shared, j, &n, &tod) < 0)
+            goto done;
+        for (Py_ssize_t p = 0; has_wish && p < K; p++)
+            if (as_double(PyTuple_GET_ITEM(a.inputs, p * B + j), &wish[p]))
+                goto done;
+        Py_ssize_t n_awake = K, n_asleep = 0, wake = n;
+        for (Py_ssize_t p = 0; p < K; p++)
+            awake[p] = p;
+        for (Py_ssize_t i = 0; i < n;) {
+            /* the stores awake at substep i run one substep, or, one
+               alone, on until the next sleeper wakes; one that skips past
+               that sleeps until the substep it skips to, and one that is
+               done drops out */
+            const Py_ssize_t stop = n_awake == 1 ? wake : i + 1;
+            Py_ssize_t m = 0;
+            for (Py_ssize_t q = 0; q < n_awake; q++) {
+                Py_ssize_t p = awake[q];
+                Py_ssize_t k = store_run(&st[p], &sp[p], i, stop, n, has_wish,
+                                         has_wish ? wish[p] : 0.0, tod);
+                if (k == stop && k < n) {
+                    awake[m++] = p;
+                }
+                else if (k < n) {
+                    next[p] = k;
+                    asleep[n_asleep++] = p;
+                    if (k < wake)
+                        wake = k;
+                }
+            }
+            n_awake = m;
+            i = n_awake ? stop : wake;
+            if (i == wake && i < n) {
+                m = 0;
+                wake = n;
+                for (Py_ssize_t q = 0; q < n_asleep; q++) {
+                    Py_ssize_t p = asleep[q];
+                    if (next[p] == i)
+                        awake[n_awake++] = p;
+                    else {
+                        asleep[m++] = p;
+                        if (next[p] < wake)
+                            wake = next[p];
+                    }
+                }
+                n_asleep = m;
+            }
+        }
+    }
+    result = PyTuple_New(4 * K);
+    for (Py_ssize_t p = 0; result != NULL && p < K; p++)
+        if (put(result, 4 * p, PyFloat_FromDouble(st[p].soc))
+                || put(result, 4 * p + 1, PyFloat_FromDouble(st[p].p))
+                || put(result, 4 * p + 2, PyBool_FromLong(st[p].saturated))
+                || put(result, 4 * p + 3, PyFloat_FromDouble(st[p].drained)))
+            Py_CLEAR(result);
+done:
+    PyMem_Free(st);
+    return result;
+}
+
+PyDoc_STRVAR(heat_pump_class_doc,
+"heat_pump_class_substeps(states, consts, demands, counts, ambients, dt)\n"
+"--\n\n"
+"Advance K heat pumps with no offset over one schedule of B intervals, in\n"
+"step: each heat pump's substep i runs before any one's substep i + 1.\n"
+"Returns the new states.\n\n"
+"`states` holds (t, heating, saturated, cop, p_comp, p_elem) per heat pump\n"
+"and `consts` each heat pump's constants as heat_pump_substeps takes them,\n"
+"all tuples.  Interval j runs counts[j] substeps at ambient temperature\n"
+"ambients[j], heat pump k under heat demand demands[k * B + j].  Each ends\n"
+"in the state heat_pump_substeps leaves it in over the same intervals, bit\n"
+"for bit.");
+
+static PyObject *
+heat_pump_class_substeps(PyObject *module, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    class_args a;
+    if (class_args_read(&a, args, nargs, 6, 0, "heat_pump_class_substeps") < 0)
+        return NULL;
+    const Py_ssize_t K = a.k, B = a.b;
+    PyObject *result = NULL;
+    /* per heat pump: its state, parameters and heat demand */
+    hp_state *st = PyMem_Malloc((K ? K : 1) * (sizeof(hp_state)
+                                + sizeof(hp_params) + sizeof(double)));
+    if (st == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    hp_params *hp = (hp_params *)(st + K);
+    double *heat = (double *)(hp + K);
+    for (Py_ssize_t p = 0; p < K; p++) {
+        PyObject *x = a.states;
+        const hp_consts *c = consts_at(PyTuple_GET_ITEM(a.consts, p),
+                                       sizeof(hp_consts), 0, NULL,
+                                       "heat_pump_class_substeps");
+        if (c == NULL || as_double(PyTuple_GET_ITEM(x, 6 * p), &st[p].t)
+                || (st[p].heating
+                    = PyObject_IsTrue(PyTuple_GET_ITEM(x, 6 * p + 1))) < 0
+                || (st[p].saturated
+                    = PyObject_IsTrue(PyTuple_GET_ITEM(x, 6 * p + 2))) < 0
+                || as_double(PyTuple_GET_ITEM(x, 6 * p + 3), &st[p].cop)
+                || as_double(PyTuple_GET_ITEM(x, 6 * p + 4), &st[p].p_comp)
+                || as_double(PyTuple_GET_ITEM(x, 6 * p + 5), &st[p].p_elem))
+            goto done;
+        hp_params_set(&hp[p], c, 0.0, a.dt);
+    }
+    for (Py_ssize_t j = 0; j < B; j++) {
+        Py_ssize_t n;
+        double ambient;
+        if (interval_at(&a, a.shared, j, &n, &ambient) < 0)
+            goto done;
+        for (Py_ssize_t p = 0; p < K; p++)
+            if (as_double(PyTuple_GET_ITEM(a.inputs, p * B + j), &heat[p]))
+                goto done;
+        for (Py_ssize_t i = 0; i < n; i++)
+            for (Py_ssize_t p = 0; p < K; p++)
+                hp_substep(&st[p], &hp[p], heat[p], ambient);
+    }
+    result = PyTuple_New(6 * K);
+    for (Py_ssize_t p = 0; result != NULL && p < K; p++)
+        if (put(result, 6 * p, PyFloat_FromDouble(st[p].t))
+                || put(result, 6 * p + 1, PyBool_FromLong(st[p].heating))
+                || put(result, 6 * p + 2, PyBool_FromLong(st[p].saturated))
+                || put(result, 6 * p + 3, PyFloat_FromDouble(st[p].cop))
+                || put(result, 6 * p + 4, PyFloat_FromDouble(st[p].p_comp))
+                || put(result, 6 * p + 5, PyFloat_FromDouble(st[p].p_elem)))
+            Py_CLEAR(result);
+done:
+    PyMem_Free(st);
+    return result;
 }
 
 /* CPython's _Py_c_quot: a / b into *q (re, im); -1 with ZeroDivisionError
@@ -926,6 +1244,12 @@ static PyMethodDef loops_methods[] = {
      METH_FASTCALL, storage_doc},
     {"heat_pump_substeps", (PyCFunction)(void (*)(void))heat_pump_substeps,
      METH_FASTCALL, heat_pump_doc},
+    {"storage_class_substeps",
+     (PyCFunction)(void (*)(void))storage_class_substeps, METH_FASTCALL,
+     storage_class_doc},
+    {"heat_pump_class_substeps",
+     (PyCFunction)(void (*)(void))heat_pump_class_substeps, METH_FASTCALL,
+     heat_pump_class_doc},
     {"power_flow", (PyCFunction)(void (*)(void))power_flow, METH_FASTCALL,
      power_flow_doc},
     {"changed_offsets", (PyCFunction)(void (*)(void))changed_offsets,

@@ -31,9 +31,14 @@ its substep count and its inputs: ``(n, wish_kw, base_tod_s)`` for a store
 an EV) and ``(n, heat_demand_kw, ambient_c)`` for a heat pump.  The inputs
 are held over a block; only an EV's time of day moves from substep to
 substep.  Each block starts from the state the one before it ends in.  A
-dispatch interval is one block; the twin's warmup passes all of its blocks
-in one call, with no offset.  The value a ``step`` returns, and the
+dispatch interval is one block.  The value a ``step`` returns, and the
 ``p_kw`` and ``saturated`` it leaves, are those of the last substep.
+
+The twin's warmup steps a whole class with no offset over one shared
+schedule of blocks: ``step_stores`` (all batteries, or all EVs) and
+``step_heat_pumps`` make one compiled call that runs the plants' substeps
+in step, so that their independent chains of divisions overlap, and leave
+each plant as its own ``step(0.0, blocks, dt)`` would, bit for bit.
 Batteries and EVs share one storage loop.  The PV inverter keeps no state
 and is stepped once per interval; it computes its active power and reactive
 band once per irradiance.  ``get_state`` holds each state variable once; a
@@ -61,12 +66,16 @@ __all__ = [
     "HeatPumpSystem",
     "ElectricVehicle",
     "clamp",
+    "step_stores",
+    "step_heat_pumps",
 ]
 
 
 _loops = load_loops()
 storage_substeps = _loops.storage_substeps
 heat_pump_substeps = _loops.heat_pump_substeps
+storage_class_substeps = _loops.storage_class_substeps
+heat_pump_class_substeps = _loops.heat_pump_class_substeps
 
 
 def clamp(value, lo, hi):
@@ -313,3 +322,50 @@ class ElectricVehicle(_Storage):
 
     def set_state(self, state):
         self.soc, self.p_kw, self.saturated, self.trip_drain_kwh = state
+
+
+def step_stores(stores, wishes, counts, tods, dt):
+    """Step every store of `stores`, all batteries or all EVs, with no
+    offset over the shared blocks of counts[j] substeps of dt seconds, in
+    one compiled call that runs their substeps in step.
+
+    Block j starts at time of day tods[j] (an EV's ``base_tod_s``; 0.0 for
+    all with `tods` None, as a battery's blocks do); battery k wishes for
+    wishes[k * len(counts) + j], and EVs, with `wishes` None, charge until
+    full.  `counts`, `wishes` and `tods` are tuples.  Each store ends as
+    its ``step(0.0, blocks, dt)`` over the same blocks would leave it, bit
+    for bit.
+    """
+    evs = wishes is None
+    row = iter(storage_class_substeps(
+        tuple([x for s in stores for x in (
+            s.soc, s.p_kw, s.saturated, s.trip_drain_kwh if evs else 0.0)]),
+        tuple([s._consts for s in stores]), wishes, counts, tods, dt))
+    for s in stores:
+        s.soc, s.p_kw, s.saturated = next(row), next(row), next(row)
+        drained = next(row)
+        if evs:
+            s.trip_drain_kwh = drained
+
+
+def step_heat_pumps(heat_pumps, demands, counts, ambients, dt):
+    """Step every heat pump of `heat_pumps` with no offset over the shared
+    blocks of counts[j] substeps of dt seconds at ambient temperature
+    ambients[j], heat pump k under heat demand demands[k * len(counts) + j],
+    in one compiled call that runs their substeps in step.
+
+    `counts`, `demands` and `ambients` are tuples.  Each heat pump ends as
+    its ``step(0.0, blocks, dt)`` over the same blocks would leave it, bit
+    for bit.
+    """
+    row = iter(heat_pump_class_substeps(
+        tuple([x for h in heat_pumps for x in (
+            h.t_storage_c, h.heating, h.saturated, h.last_cop,
+            h.last_p_compressor_kw, h.last_p_element_kw)]),
+        tuple([h._consts for h in heat_pumps]), demands, counts, ambients,
+        dt))
+    for h in heat_pumps:
+        (h.t_storage_c, h.heating, h.saturated, h.last_cop,
+         h.last_p_compressor_kw, h.last_p_element_kw) = (
+            next(row), next(row), next(row), next(row), next(row), next(row))
+        h._derive_power()

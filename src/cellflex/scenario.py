@@ -47,7 +47,8 @@ __all__ = [
     "ProsumerSpec", "WeatherParams", "SimulationParams", "Scenario",
     "StepSeries", "LinearSeries", "ProfileSet",
     "load_scenario", "scenario_from_dict", "scenario_to_dict", "save_scenario",
-    "load_bundled_scenario", "build_profiles", "warmup_schedule",
+    "load_bundled_scenario", "build_profiles", "household_load",
+    "household_heat", "warmup_schedule",
 ]
 
 # shortest warmup substep and longest warmup block (see warmup_schedule)
@@ -269,15 +270,34 @@ class ProfileSet:
     ambient: LinearSeries
     irradiance: LinearSeries
     household: dict                  # prosumer id -> series of (p, q, heat)
+    shape: StepSeries                # the cell's time-of-day shape rows
+
+
+def household_load(hh, rows):
+    """Household `hh`'s active power in kW at each time-of-day shape row of
+    `rows`, as ``ProfileSet.shape`` reads them: the P of its profile series,
+    whose grid points are computed one at a time by the same formula."""
+    p_base, p_morning, p_evening = hh.p_base_kw, hh.p_morning_kw, hh.p_evening_kw
+    return [p_base + p_morning * morning + p_evening * evening
+            for morning, evening, _, _, _ in rows]
+
+
+def household_heat(hh, rows):
+    """Household `hh`'s heat demand in kW at each time-of-day shape row of
+    `rows`, as ``ProfileSet.shape`` reads them: the heat of its profile
+    series."""
+    heat_base, heat_ua = hh.heat_base_kw, hh.heat_ua_kw_per_k
+    return [heat_base + heat_ua * cold for _, _, _, cold, _ in rows]
 
 
 def build_profiles(scenario):
     """All profiles over the scenario's coverage window, computed on read.
 
-    A grid point's time-of-day shape (the household's morning and evening
-    bumps, the ambient temperature, the heating shortfall below 17 deg C and
-    the irradiance) is computed the first time any series reads it and kept
-    for the cell; each household scales it with its own parameters.
+    A grid point's time-of-day shape row (the household's morning and
+    evening bumps, the ambient temperature, the heating shortfall below
+    17 deg C and the irradiance) is computed the first time any series reads
+    it and kept for the cell; each household scales it with its own
+    parameters (`household_load`, `household_heat`).
     """
     sim = scenario.simulation
     t_lo = -sim.profile_back_days * 86400.0
@@ -303,6 +323,7 @@ def build_profiles(scenario):
         tan_phi, heat_base, heat_ua = hh.tan_phi, hh.heat_base_kw, hh.heat_ua_kw_per_k
 
         def at(k):
+            # household_load and household_heat at one grid point, inlined
             morning, evening, _, cold, _ = shape(k)
             p = p_base + p_morning * morning + p_evening * evening
             return (p, p * tan_phi, heat_base + heat_ua * cold)
@@ -311,7 +332,8 @@ def build_profiles(scenario):
     return ProfileSet(
         LinearSeries(t_lo, _PROFILE_GRID_S, n, lambda k: shape(k)[2]),
         LinearSeries(t_lo, _PROFILE_GRID_S, n, lambda k: shape(k)[4]),
-        {pro.id: household(pro.household) for pro in scenario.prosumers})
+        {pro.id: household(pro.household) for pro in scenario.prosumers},
+        StepSeries(t_lo, _PROFILE_GRID_S, n, shape))
 
 
 def warmup_schedule(internal_dt_s, duration_s):

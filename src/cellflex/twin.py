@@ -20,19 +20,21 @@ optimizer:
                               the end state becomes the next step's snapshot
                               while the frozen baseline powers are kept.
 
-The twin integrates a schedule of blocks, consecutive intervals of whole
-substeps: a dispatch interval is one block, and the warmup is the same
-integration over all of its coarser blocks.  Profile inputs (household load
-and heat demand, ambient temperature, irradiance) are sampled at the start
-of each block and held constant over it (the weather once for the whole
-cell), and the plants' blocks are built from them.  The twin samples them
-again only when the schedule changes, so the evaluations of one dispatch
-step share one sample.  Each stateful plant integrates all blocks in one
-``step`` call into its compiled substep loop (see :mod:`cellflex.plants`),
-so every prosumer is called once per schedule, not once per substep.  The
-PV inverters keep no state and step once, at the last block, where every
-bus is summed: the plants and the bus injections end as stepping the blocks
-one at a time would leave them.
+The twin integrates consecutive intervals (blocks) of whole substeps.
+Profile inputs (household load and heat demand, ambient temperature,
+irradiance) are sampled at the start of each block and held constant over
+it (the weather once for the whole cell).  A dispatch interval is one
+block: each stateful plant steps over it in one ``step`` call into its
+compiled substep loop (see :mod:`cellflex.plants`), and the twin samples
+the inputs again only when the interval changes, so the evaluations of one
+dispatch step share one sample.  The warmup runs all of its coarser blocks
+at once: it samples one time-of-day shape row per block for the whole cell,
+takes each household's load and heat demand from those rows, and steps the
+batteries, the heat pumps and the EVs in one compiled call per class
+(``step_stores``, ``step_heat_pumps``), which runs the plants' substeps in
+step.  The PV inverters keep no state and step once, at the last block,
+where every bus is summed: the plants and the bus injections end as
+stepping the blocks one at a time would leave them.
 
 An evaluation or a probe re-integrates only the plants whose offset
 changed.  A plant's end state depends only on the snapshot it starts from
@@ -86,8 +88,10 @@ import numpy as np
 from ._build import load_loops
 from .errors import ConfigurationError, PowerFlowError
 from .grid import check_line_limits, note_balance_error, solve_power_flow
-from .plants import BatteryStorage, ElectricVehicle, HeatPumpSystem, PvInverter
-from .scenario import build_profiles, warmup_schedule
+from .plants import (BatteryStorage, ElectricVehicle, HeatPumpSystem,
+                     PvInverter, step_heat_pumps, step_stores)
+from .scenario import (build_profiles, household_heat, household_load,
+                       warmup_schedule)
 
 __all__ = ["ReferenceState", "EvaluationResult", "CellTwin"]
 
@@ -131,16 +135,17 @@ class _ProsumerTwin:
     of EV and index) locate this prosumer's plants in both.  ``injections``
     is the twin's shared bus injection list and ``i_p`` the index of this
     prosumer's bus P in it.  ``bes_blocks`` and ``ehp_blocks`` are the
-    battery's and the heat pump's blocks of the schedule last sampled.
+    battery's and the heat pump's one-block schedules last sampled.
     """
 
-    __slots__ = ("id", "load_series", "pv", "bes", "ehp", "bevs",
+    __slots__ = ("id", "household", "load_series", "pv", "bes", "ehp", "bevs",
                  "offsets", "values", "i_bes", "i_ehp", "i_inv",
                  "bev_slots", "injections", "i_p", "load_p", "load_q",
                  "p_base", "q_base", "bes_blocks", "ehp_blocks")
 
     def __init__(self, spec, profiles, injections, i_p):
         self.id = spec.id
+        self.household = spec.household
         self.load_series = profiles.household[spec.id]
         self.pv = PvInverter(spec.pv) if spec.pv else None
         self.bes = BatteryStorage(spec.bes) if spec.bes else None
@@ -154,28 +159,18 @@ class _ProsumerTwin:
         self.load_p = self.load_q = self.p_base = self.q_base = 0.0
         self.bes_blocks = self.ehp_blocks = ()
 
-    def sample_inputs(self, starts, counts, amb, irr):
-        """Sample the household inputs at the block starts and build the
-        battery's and heat pump's blocks: block j runs counts[j] substeps at
-        ambient amb[j] and irradiance irr[j], and the battery wishes for its
-        PV surplus, the inverter's active power less the load.  ``load_p``
-        and ``load_q`` are the last block's; only a battery or a heat pump
-        needs the others."""
-        value = self.load_series.value
-        bes, ehp, pv = self.bes, self.ehp, self.pv
-        if bes is None and ehp is None:
-            load_p, load_q, _ = value(starts[-1])
-        else:
-            bes_blocks, ehp_blocks = [], []
-            for n, t, a, g in zip(counts, starts, amb, irr):
-                load_p, load_q, heat = value(t)
-                if bes is not None:
-                    p_pv = 0.0 if pv is None else pv.active_power(g)
-                    bes_blocks.append((n, p_pv - load_p, 0.0))
-                if ehp is not None:
-                    ehp_blocks.append((n, heat, a))
-            self.bes_blocks = tuple(bes_blocks)
-            self.ehp_blocks = tuple(ehp_blocks)
+    def sample_inputs(self, t, n, amb, irr):
+        """Sample the household inputs at `t` and build the battery's and
+        heat pump's blocks: one block of n substeps at ambient `amb` and
+        irradiance `irr`, where the battery wishes for its PV surplus, the
+        inverter's active power less the load."""
+        load_p, load_q, heat = self.load_series.value(t)
+        pv = self.pv
+        if self.bes is not None:
+            p_pv = 0.0 if pv is None else pv.active_power(irr)
+            self.bes_blocks = ((n, p_pv - load_p, 0.0),)
+        if self.ehp is not None:
+            self.ehp_blocks = ((n, heat, amb),)
         self.load_p, self.load_q = load_p, load_q
         if pv is None:
             self.p_base = load_p
@@ -330,11 +325,11 @@ class CellTwin:
     # integration
 
     def _step_interval(self, t0, counts, substep, owners=None):
-        """Integrate blocks of counts[j] substeps of `substep` seconds, the
-        first starting at `t0`.  With `owners`, the prosumers that own a
-        plant flagged in ``_stale``, only they are integrated, stepping only
-        their flagged plants; without, every plant is stepped.  The caller
-        moves the clock."""
+        """Integrate one block of counts[0] substeps of `substep` seconds
+        from `t0`.  With `owners`, the prosumers that own a plant flagged in
+        ``_stale``, only they are integrated, stepping only their flagged
+        plants; without, every plant is stepped.  The caller moves the
+        clock."""
         self._end_of = None
         if t0 != self._inputs_t0 or counts != self._inputs_counts:
             # profiles are fixed once the twin is built, and a warmup and a
@@ -350,23 +345,18 @@ class CellTwin:
             pro.integrate(stale, irr, ev_blocks, substep)
 
     def _sample_inputs(self, t0, counts, substep):
-        """Sample each block's inputs at its start and build the blocks."""
-        starts = []
-        t = t0
-        for n in counts:
-            starts.append(t)        # each block starts where the last ends
-            t = t + n * substep
+        """Sample the inputs of the block of counts[0] substeps from `t0` at
+        its start and build the blocks."""
+        (n,) = counts
         profiles = self.profiles
-        amb = [profiles.ambient.value(t) for t in starts]
-        irr = [profiles.irradiance.value(t) for t in starts]
+        amb = profiles.ambient.value(t0)
+        irr = profiles.irradiance.value(t0)
         for pro in self.prosumers:
-            pro.sample_inputs(starts, counts, amb, irr)
+            pro.sample_inputs(t0, n, amb, irr)
         tod = self.start_tod_s
-        self._ev_blocks = tuple([(n, None, tod + t)
-                                 for n, t in zip(counts, starts)])
-        self._irr = irr[-1]
-        self._last_substep_tod = (
-            tod + starts[-1] + (counts[-1] - 1) * substep) % 86400.0
+        self._ev_blocks = ((n, None, tod + t0),)
+        self._irr = irr
+        self._last_substep_tod = (tod + t0 + (n - 1) * substep) % 86400.0
         self._inputs_t0 = t0
         self._inputs_counts = counts
 
@@ -429,16 +419,64 @@ class CellTwin:
         offsets zero, on the coarse schedule of
         :func:`~cellflex.scenario.warmup_schedule` (first-order lags use
         exact exponential updates, so coarse stepping does not degrade the
-        settled state): the same integration as a dispatch interval, over
-        all of its blocks.  Each block starts where the one before it ends
-        and holds the inputs sampled at its start.  The scenario loader has
-        checked the warmup against the profile window and the substep grid.
-        Must be called once, right after construction.
+        settled state).  Each block starts where the one before it ends and
+        holds the inputs sampled at its start: one profile shape row per
+        block for the whole cell, from which each household's load and heat
+        demand are taken.  The batteries, the heat pumps and the EVs each
+        integrate all blocks in one compiled call per class; then, as after
+        a dispatch interval, the PV inverters step once, at the last block,
+        where every bus is summed.  The scenario loader has checked the
+        warmup against the profile window and the substep grid.  Must be
+        called once, right after construction.
         """
         warmup_s = self.scenario.simulation.warmup_s
         substep, counts = warmup_schedule(self.internal_dt_s, warmup_s)
-        self.set_offsets([0.0] * self.n_plants)
-        self._step_interval(-warmup_s, counts, substep)
+        counts = tuple(counts)
+        self._offsets[:] = [0.0] * self.n_plants
+        self._end_of = None
+        starts = []
+        t = -warmup_s
+        for n in counts:
+            starts.append(t)        # each block starts where the last ends
+            t = t + n * substep
+        profiles = self.profiles
+        rows = list(map(profiles.shape.value, starts))
+        irr = list(map(profiles.irradiance.value, starts))
+        batteries, heat_pumps, evs = [], [], []
+        wishes, demands = [], []        # a row per plant
+        for pro in self.prosumers:
+            bes, pv = pro.bes, pro.pv
+            if bes is not None:
+                batteries.append(bes)
+                load = household_load(pro.household, rows)
+                if pv is None:
+                    wishes += [0.0 - p for p in load]
+                else:
+                    # one call per distinct irradiance: the nights' are 0.0
+                    p_pv = {g: pv.active_power(g) for g in set(irr)}
+                    wishes += [p_pv[g] - p for g, p in zip(irr, load)]
+            if pro.ehp is not None:
+                heat_pumps.append(pro.ehp)
+                demands += household_heat(pro.household, rows)
+            evs += pro.bevs
+        if batteries:
+            step_stores(batteries, tuple(wishes), counts, None, substep)
+        if heat_pumps:
+            step_heat_pumps(heat_pumps, tuple(demands), counts,
+                            tuple(map(profiles.ambient.value, starts)),
+                            substep)
+        if evs:
+            tod = self.start_tod_s
+            step_stores(evs, None, counts, tuple([tod + t for t in starts]),
+                        substep)
+        # the last block's inputs, as for a dispatch interval, and the
+        # inverters stepped at its irradiance; every bus is summed
+        self._sample_inputs(starts[-1], counts[-1:], substep)
+        inverters = bytes([cls == "inv" for cls in self.plant_classes])
+        irr, ev_blocks = self._irr, self._ev_blocks
+        for pro in self.prosumers:
+            pro.integrate(inverters, irr, ev_blocks, substep)
+        self._values[:] = self._read_values()
         self.t_s = 0.0
         return self.capture_reference()
 

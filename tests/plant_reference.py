@@ -20,7 +20,8 @@ Each ``*_step_reference`` takes a step's ``(offset_kw, blocks, dt)`` and
 runs the blocks one after another, each from the state the one before it
 ends in.  ``use_references(plant)`` makes a plant step through these loops:
 its class's ``step``, which calls the compiled loop, is overridden, and with
-it every dispatch interval and the warmup, which both step through ``step``.
+it every dispatch interval and the plain twin's warmup, which step through
+``step`` (``CellTwin``'s warmup steps a class in one compiled call).
 """
 
 import math

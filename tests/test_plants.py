@@ -13,6 +13,9 @@ from cellflex.plants import (
     HeatPumpSystem,
     PvInverter,
     clamp,
+    step_heat_pumps,
+    step_stores,
+    storage_class_substeps,
 )
 from cellflex.scenario import BesParams, BevParams, EhpParams, PvParams
 from plant_reference import use_references
@@ -823,6 +826,18 @@ class TestStorageLoopReference:
         assert storage_bits(bev, bev.p_kw) == storage_bits(ref, ref.p_kw)
         assert bev.trip_drain_kwh > 0.0
 
+    @pytest.mark.parametrize("start", [-86400.0, -86385.0, -1e-9, -0.0, 0.0,
+                                       86385.0, 86400.0, 172785.0, 172800.0])
+    def test_times_of_day_on_the_period_edges(self, start):
+        # the loop's time of day skips the fmod call inside one day either
+        # side of [0, 86400 s); a trip from midnight to 00:00:36 puts the
+        # away window on the edges of those ranges
+        bev = make_bev(capacity_kwh=5.0, trips=((0.0, 0.01, 0.5),))
+        ref = with_reference(bev)
+        for plant in (bev, ref):
+            plant.step(0.0, ((4, None, start),), 15.0)
+        assert storage_bits(bev, bev.p_kw) == storage_bits(ref, ref.p_kw)
+
     def test_a_trip_that_empties_the_store_mid_window(self):
         # 30 kWh over two hours from a 5 kWh store: empty after 20 minutes,
         # so most of the window takes the stored-energy branch
@@ -1060,3 +1075,260 @@ class TestBlockLoops:
         with pytest.raises(TypeError, match="constants as bytes of C doubles"):
             plant.step(0.0, (block,), 15.0)
         assert end_bits(plant) == before
+
+
+def step_each(plants, inputs, shared, counts, dt):
+    """Copies of `plants`, each stepped once with no offset over its own
+    blocks ``(n, input, shared)``: the per-plant result of a class call."""
+    stepped = []
+    for plant, row in zip(plants, inputs):
+        plant = copy.copy(plant)
+        plant.step(0.0, tuple(zip(counts, row, shared)), dt)
+        stepped.append(plant)
+    return stepped
+
+
+def flat(rows):
+    """Rows of per-block inputs as the class calls take them."""
+    return tuple([x for row in rows for x in row])
+
+
+# a battery or EV start that settles on its first substep: full and idle,
+# empty and idle
+settled_stores = st.sampled_from([(1.0, 0.0), (0.0, 0.0), (0.0, -0.0)])
+# a day of warmup blocks, or up to eight blocks of up to 60 substeps
+class_counts = st.one_of(block_counts, st.just([60] * 96))
+
+
+class TestClassLoops:
+    """One class call over K plants of a model, the warmup's call, leaves
+    each plant bit-identical to its own ``step`` over the same blocks with
+    no offset: every state field, the flags and the lag's state.  The call
+    runs the plants' substeps in step, each store skipping and resuming on
+    its own."""
+
+    @given(data=st.data(), k=st.integers(1, 5), counts=class_counts,
+           dt=block_dts)
+    def test_batteries(self, data, k, counts, dt):
+        batteries, wishes = [], []
+        for _ in range(k):
+            bes = BatteryStorage(BesParams(
+                data.draw(st.floats(0.01, 20.0)), data.draw(st.floats(0.0, 10.0)),
+                data.draw(st.floats(0.0, 10.0)),
+                time_constant_s=data.draw(st.floats(0.1, 30.0))))
+            soc, p0 = data.draw(st.one_of(st.tuples(socs, powers),
+                                          settled_stores))
+            bes.set_state((soc, p0, data.draw(st.booleans())))
+            batteries.append(bes)
+            # a wish out of reach settles the battery mid-block
+            wishes.append(data.draw(st.lists(
+                st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0])),
+                min_size=len(counts), max_size=len(counts))))
+        tods = block_starts(0.0, counts, dt)
+        want = step_each(batteries, wishes, repeat(0.0), counts, dt)
+        step_stores(batteries, flat(wishes), tuple(counts), tuple(tods),
+                    dt)
+        assert [storage_bits(b, b.p_kw) for b in batteries] \
+            == [storage_bits(b, b.p_kw) for b in want]
+
+    @given(data=st.data(), k=st.integers(1, 5), counts=class_counts,
+           dt=block_dts, start=interval_starts, edge=st.sampled_from([0, 1]),
+           lead=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])))
+    def test_evs(self, data, k, counts, dt, start, edge, lead):
+        # the first EV's first departure or return falls inside the run
+        # (`lead` of the way through the blocks before the last) or on a
+        # block's start; the run starts at `start` for the others, which
+        # puts midnight inside a block from 23:45 on
+        evs = []
+        for _ in range(k):
+            ev = ElectricVehicle(BevParams(
+                data.draw(st.floats(0.2, 60.0)), data.draw(st.floats(0.5, 22.0)),
+                v2g=data.draw(st.booleans()), trips=data.draw(trip_days())))
+            soc, p0 = data.draw(st.one_of(st.tuples(socs, powers),
+                                          settled_stores))
+            ev.set_state((soc, p0 if ev.params.v2g else abs(p0),
+                          data.draw(st.booleans()),
+                          data.draw(st.floats(0.0, 5.0))))
+            evs.append(ev)
+        if data.draw(st.booleans()):
+            start = evs[0].trips[0][edge] - lead * sum(counts[:-1]) * dt
+        tods = block_starts(start, counts, dt)
+        want = step_each(evs, repeat(repeat(None)), tods, counts, dt)
+        step_stores(evs, None, tuple(counts), tuple(tods), dt)
+        assert [storage_bits(e, e.p_kw) for e in evs] \
+            == [storage_bits(e, e.p_kw) for e in want]
+
+    @given(data=st.data(), k=st.integers(1, 5), counts=class_counts,
+           dt=block_dts)
+    def test_heat_pumps(self, data, k, counts, dt):
+        # small tanks from the band's edges, the floor and the ceiling
+        # included, with the compressor's lag still running
+        heat_pumps, demands = [], []
+        for _ in range(k):
+            ehp = HeatPumpSystem(EhpParams(
+                data.draw(st.floats(0.1, 6.0)), data.draw(st.floats(0.0, 9.0)),
+                data.draw(st.floats(0.02, 0.5)),
+                time_constant_s=data.draw(st.floats(0.1, 30.0))))
+            ehp.set_state((data.draw(tank_temps), data.draw(st.booleans()),
+                           data.draw(st.booleans()),
+                           data.draw(st.floats(0.0, 6.0)),
+                           data.draw(st.floats(0.0, 9.0))))
+            heat_pumps.append(ehp)
+            demands.append(data.draw(st.lists(
+                st.floats(0.0, 40.0), min_size=len(counts),
+                max_size=len(counts))))
+        ambients = data.draw(st.lists(st.floats(-20.0, 30.0),
+                                      min_size=len(counts),
+                                      max_size=len(counts)))
+        want = step_each(heat_pumps, demands, ambients, counts, dt)
+        step_heat_pumps(heat_pumps, flat(demands), tuple(counts),
+                        tuple(ambients), dt)
+        assert [heat_pump_bits(h, h.p_kw) for h in heat_pumps] \
+            == [heat_pump_bits(h, h.p_kw) for h in want]
+
+    def test_sleeping_stores_wake_at_their_own_substeps(self):
+        # three full, idle EVs settle on their first substep and sleep to
+        # departures inside the same blocks, while a fourth charges; each
+        # wakes at its own departure and charges again once back
+        evs = [make_bev(capacity_kwh=20.0, soc0=soc, trips=(trip,))
+               for soc, trip in ((1.0, (7.3, 8.1, 4.0)), (1.0, (7.6, 7.9, 2.0)),
+                                 (1.0, (7.55, 9.2, 6.0)), (0.4, (9.0, 9.5, 1.0)))]
+        counts = (240, 240)
+        tods = (7.0 * 3600.0, 8.0 * 3600.0)
+        want = step_each(evs, repeat(repeat(None)), tods, counts, 15.0)
+        step_stores(evs, None, counts, tods, 15.0)
+        assert [storage_bits(e, e.p_kw) for e in evs] \
+            == [storage_bits(e, e.p_kw) for e in want]
+
+    def test_a_bad_count_leaves_the_plants_as_they_were(self):
+        # the second block's count is no integer: the first block has run
+        # in the loop, but no state is written back
+        bes = BatteryStorage(BesParams(5.0, 3.0, 3.0))
+        bev = make_bev()
+        ehp = make_ehp()
+        before = [end_bits(plant) for plant in (bes, bev, ehp)]
+        counts = (60, 1.5)
+        with pytest.raises(TypeError):
+            step_stores([bes], (1.0, 1.0), counts, None, 15.0)
+        with pytest.raises(TypeError):
+            step_stores([bev], None, counts, (0.0, 900.0), 15.0)
+        with pytest.raises(TypeError):
+            step_heat_pumps([ehp], (2.0, 2.0), counts, (0.0, 0.0), 15.0)
+        assert [end_bits(plant) for plant in (bes, bev, ehp)] == before
+
+    @pytest.mark.parametrize("states, wishes, tods, error", [
+        # a state, an input or a shared value short
+        ((0.5, 0.0, False), (1.0, 1.0), None, ValueError),
+        ((0.5, 0.0, False, 0.0), (1.0,), None, ValueError),
+        ((0.5, 0.0, False, 0.0), None, (0.0,), ValueError),
+        # a list, not a tuple
+        ([0.5, 0.0, False, 0.0], (1.0, 1.0), None, TypeError),
+        # an item of no float, the second block's wish
+        ((0.5, 0.0, False, 0.0), (1.0, "1.0"), None, TypeError),
+    ], ids=["states", "wishes", "tods", "list", "item"])
+    def test_bad_arguments_are_refused(self, states, wishes, tods, error):
+        bes = BatteryStorage(BesParams(5.0, 3.0, 3.0))
+        with pytest.raises(error):
+            storage_class_substeps(states, (bes._consts,), wishes, (60, 60),
+                                   tods, 15.0)
+
+
+# hand-picked inputs, each with its own blocks of (n, input, shared) and a
+# check that it ends on the branch it is named for.  Each run ends while
+# that branch's result is still in the state, and the uneven values were
+# picked so that a regrouped operation in the branch (a * b / c computed as
+# a * (b / c)), or for the EVs a lag factor off by one ulp, changes the
+# last bit of the end state
+FIXED_CASES = {
+    # the compressor's lag runs up while a large demand pulls the tank down
+    # onto its floor; the run ends on the first hold
+    "floor_hold": (
+        lambda: make_ehp(p_el_max_kw=1.77, p_element_kw=3.61,
+                         storage_kwh_per_k=0.53, effectiveness=0.4,
+                         time_constant_s=14.74, t0_c=37.68),
+        (37.68, True, False, 0.42, 0.0),
+        ((25, 9.83, -7.26), (76, 8.24, -4.76)), 15.0,
+        lambda e: e.saturated and e.heating),
+    # heating at full power with the element past the threshold, a small
+    # tank reaches its ceiling: the element is shed first
+    "ceiling_shed": (
+        lambda: make_ehp(p_el_max_kw=2.49, p_element_kw=4.72,
+                         storage_kwh_per_k=0.03, effectiveness=0.65,
+                         time_constant_s=31.34, t0_c=88.92),
+        (88.92, True, False, 2.49, 4.72), ((2, 0.06, 1.27), (4, 0.06, 1.27)),
+        5.0, lambda e: e.saturated and e.t_storage_c == 90.0),
+    # a tank above the element threshold cools through the switch-on
+    # edge; the run ends while the compressor's lag runs up
+    "thermostat_switch_on": (
+        lambda: make_ehp(p_el_max_kw=1.73, p_element_kw=5.66,
+                         storage_kwh_per_k=0.13, effectiveness=0.61,
+                         time_constant_s=29.7, t0_c=55.33),
+        (55.33, False, False, 1.04, 0.0),
+        ((32, 3.45, 3.97), (60, 6.89, 2.58)), 15.0,
+        lambda e: e.heating and 0.0 < e.last_p_compressor_kw < 1.73),
+    # a battery charging at 3.24 kW with little headroom left: the lag's
+    # momentum overshoots the collapsing bound and is pinned to it
+    "lag_overshoot_pin": (
+        lambda: BatteryStorage(BesParams(2.45, 5.16, 4.78, eta_charge=0.91,
+                                         time_constant_s=36.28)),
+        (0.9835, 3.24, False), ((3, 3.79, 0.0), (1, 3.74, 0.0)), 15.0,
+        lambda b: b.saturated),
+    # an 8:07-9:07 trip from 7:42 on 15-minute blocks: it starts inside
+    # the second block and ends inside the sixth and last, which ends
+    # while the charger's lag runs up again
+    "trip_across_block_edges": (
+        lambda: make_bev(capacity_kwh=18.61, p_rated_kw=7.4, eta_charge=0.93,
+                         time_constant_s=45.74, trips=((8.12, 9.11, 1.95),)),
+        (0.38, 1.77, False, 0.0),
+        tuple((60, None, 27720.0 + j * 900.0) for j in range(5))
+        + ((40, None, 32220.0),), 15.0,
+        lambda e: e.trip_drain_kwh > 1.9 and 0.0 < e.p_kw < 7.4),
+    # full and idle at 7:00, the EV settles on its first substep, skips to
+    # its 8:08 departure inside the same block and charges once back
+    "settle_then_away_resume": (
+        lambda: make_bev(capacity_kwh=22.02, eta_charge=0.9,
+                         eta_discharge=0.98, time_constant_s=57.42,
+                         trips=((8.13, 9.18, 5.43),)),
+        (1.0, 0.0, False, 0.0), ((526, None, 25200.0),), 15.0,
+        lambda e: e.trip_drain_kwh == pytest.approx(5.43)
+        and 0.0 < e.p_kw < 11.0),
+}
+
+
+def run_class(plant, blocks, dt):
+    """Step `plant` over `blocks` with no offset through its class entry."""
+    counts, inputs, shared = zip(*blocks)
+    if isinstance(plant, HeatPumpSystem):
+        step_heat_pumps([plant], inputs, counts, shared, dt)
+    elif isinstance(plant, ElectricVehicle):
+        step_stores([plant], None, counts, shared, dt)
+    else:
+        step_stores([plant], inputs, counts, shared, dt)
+
+
+def end_state(plant):
+    """Every state field of a plant and its returned power, at full
+    precision."""
+    if isinstance(plant, HeatPumpSystem):
+        return heat_pump_bits(plant, plant.p_kw)
+    return storage_bits(plant, plant.p_kw)
+
+
+class TestFixedInputs:
+    """Hand-picked inputs on each branch a mutant of a loop body could
+    change by one ulp, through the per-plant entry and the class entry,
+    against the Python reference loops, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(FIXED_CASES))
+    def test_both_entries_match_the_reference(self, case):
+        make, start, blocks, dt, ends_as_expected = FIXED_CASES[case]
+        plants = [make() for _ in range(3)]
+        for plant in plants:
+            plant.set_state(start)
+        reference, per_plant, in_class = plants
+        use_references(reference).step(0.0, blocks, dt)
+        per_plant.step(0.0, blocks, dt)
+        run_class(in_class, blocks, dt)
+        assert end_state(per_plant) == end_state(reference)
+        assert end_state(in_class) == end_state(reference)
+        assert ends_as_expected(reference)

@@ -29,6 +29,8 @@ from cellflex.scenario import (
     _gauss_bump,
     _irradiance_w_m2,
     build_profiles,
+    household_heat,
+    household_load,
     load_bundled_scenario,
     load_scenario,
     save_scenario,
@@ -600,6 +602,14 @@ class TestProfilesOnDemand:
                 == repr(list(zip(p, q, heat)))
             # a step series reads the grid point its time falls in
             assert series.value(t_lo + 450.0) == series.at(0)
+        # the warmup's form: each household's load and heat over the shape
+        # rows of the whole grid at once
+        assert (profiles.shape.t0_s, profiles.shape.n) == (t_lo, n)
+        rows = [profiles.shape.at(k) for k in range(n)]
+        for pro in scenario.prosumers:
+            p, _, heat = household[pro.id]
+            assert repr(household_load(pro.household, rows)) == repr(list(p))
+            assert repr(household_heat(pro.household, rows)) == repr(list(heat))
 
     def test_weather_interpolates_between_grid_points(self, make):
         profiles = build_profiles(make())

@@ -5,10 +5,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cellflex import grid
+from cellflex import twin as twin_module
 from cellflex.errors import ConfigurationError, PowerFlowError
 from cellflex.grid import reset_balance_tracker, solve_power_flow
 from cellflex.oracle import make_toy_scenario
@@ -593,20 +594,23 @@ class TestSolveMemo:
 
 
 @st.composite
-def small_cells(draw):
-    """Scenario dicts built like ``make_toy_scenario``: two or three
-    controllable plants of distinct kinds (battery, heat pump, EV, PV
-    inverter) spread over one to three prosumers on a stub feeder, every
-    value inside ``scenario.schema.json``.  Power limits and SOCs stay off
-    zero and full, so that a plant can answer its offset; otherwise a
-    coupling between plants would rarely show."""
-    kinds = draw(st.lists(st.sampled_from(("bes", "ehp", "bev", "pv")),
-                          min_size=2, max_size=3, unique=True))
-    n_pro = draw(st.integers(1, len(kinds)))
-    owners = [draw(st.integers(0, n_pro - 1)) for _ in kinds]
+def small_cells(draw, max_plants=12):
+    """Scenario dicts built like ``make_toy_scenario``: one to three
+    prosumers on a stub feeder, each with a battery, a heat pump and a PV
+    inverter or not, and up to three EVs with a trip each spread over them,
+    two to `max_plants` controllable plants in all, every value inside
+    ``scenario.schema.json``.  So a cell holds up to three plants of a
+    class, which the warmup steps in one class call.  Power limits and SOCs
+    stay off zero and full, so that a plant can answer its offset;
+    otherwise a coupling between plants would rarely show."""
+    n_pro = draw(st.integers(1, 3))
+    owned = {kind: draw(st.sets(st.integers(0, n_pro - 1)))
+             for kind in ("bes", "ehp", "pv")}
+    ev_owners = draw(st.lists(st.integers(0, n_pro - 1), max_size=3))
+    assume(2 <= sum(map(len, owned.values())) + len(ev_owners) <= max_plants)
     prosumers = []
     for k in range(n_pro):
-        kinds_here = {kind for kind, owner in zip(kinds, owners) if owner == k}
+        kinds_here = {kind for kind, owners in owned.items() if k in owners}
         pro = {"id": f"p{k}", "bus": f"h{k}", "bevs": [], "household": {
             "p_base_kw": draw(st.floats(0.0, 2.0)),
             "p_morning_kw": draw(st.floats(0.0, 2.0)),
@@ -633,7 +637,7 @@ def small_cells(draw):
                           "t_off_c": t_on + draw(st.floats(1.0, 5.0)),
                           "t0_c": draw(st.floats(35.0, 90.0)),
                           "heating0": draw(st.booleans())}
-        if "bev" in kinds_here:
+        for _ in range(ev_owners.count(k)):
             depart = draw(st.floats(0.0, 22.0))
             pro["bevs"].append({
                 "capacity_kwh": draw(st.floats(10.0, 80.0)),
@@ -989,7 +993,9 @@ class TestWarmup:
 
     def test_coarse_internal_step_warms_up_in_whole_substeps(self, monkeypatch):
         # 40 s substeps: 22 of them (880 s) per block, 180 in the 7200 s
-        # warmup; the toy cell's battery, plus a heat pump and an EV
+        # warmup; the toy cell's battery, plus a heat pump and an EV.  Each
+        # class is stepped in one class call over the whole schedule, and
+        # no plant steps on its own but the PV inverter, once
         data = scenario_to_dict(make_toy_scenario())
         data["simulation"].update(internal_dt_s=40.0, dispatch_step_s=40.0)
         data["prosumers"][0]["ehp"] = {"p_el_max_kw": 3.0, "p_element_kw": 5.0,
@@ -997,22 +1003,29 @@ class TestWarmup:
         data["prosumers"][0]["bevs"] = [{"capacity_kwh": 40.0,
                                          "p_rated_kw": 3.7}]
         twin = CellTwin(scenario_from_dict(data))
-        schedules = []
+        schedules, steps = [], []
 
-        def recording(cls):
-            step = cls.step
-
-            def record(plant, offset_kw, blocks, dt):
-                schedules.append((cls.__name__, [blk[0] for blk in blocks], dt))
-                return step(plant, offset_kw, blocks, dt)
+        def recording(step_class):
+            def record(plants, inputs, counts, shared, dt):
+                schedules.append((type(plants[0]).__name__, len(plants),
+                                  counts, dt))
+                return step_class(plants, inputs, counts, shared, dt)
             return record
 
-        for cls in (BatteryStorage, HeatPumpSystem, ElectricVehicle):
-            monkeypatch.setattr(cls, "step", recording(cls))
+        for name in ("step_stores", "step_heat_pumps"):
+            monkeypatch.setattr(twin_module, name,
+                                recording(getattr(twin_module, name)))
+        for cls in (BatteryStorage, HeatPumpSystem, ElectricVehicle,
+                    PvInverter):
+            def counting(plant, *args, _step=cls.step):
+                steps.append(type(plant).__name__)
+                return _step(plant, *args)
+            monkeypatch.setattr(cls, "step", counting)
         assert twin.run_warmup().t_s == 0.0
         assert sorted(schedules) == [
-            (name, [22] * 8 + [4], 40.0)
+            (name, 1, (22,) * 8 + (4,), 40.0)
             for name in ("BatteryStorage", "ElectricVehicle", "HeatPumpSystem")]
+        assert steps == ["PvInverter"]
 
     def test_override_bes_soc(self):
         twin = CellTwin(make_toy_scenario())

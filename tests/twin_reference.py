@@ -3,8 +3,9 @@
 ``PlainTwin`` is a ``CellTwin`` with four changes: its plants step through
 the Python loops of ``plant_reference`` instead of the compiled ones, it
 warms up one block at a time, every prosumer sampled and every plant
-stepped once per warmup block by the same ``_step_interval``
-(``CellTwin.run_warmup`` passes it all of the blocks at once), it restores
+stepped once per warmup block by the dispatch interval's
+``_step_interval`` (``CellTwin.run_warmup`` samples all of the blocks at
+once and steps each plant class in one compiled call), it restores
 and re-integrates every plant and every prosumer on every evaluation and
 probe (``restore`` and ``step_dispatch_interval`` ignore the stale plants
 they are given), and it solves every power flow with the Python sweep
