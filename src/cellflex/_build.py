@@ -1,7 +1,7 @@
-"""Build and load ``_loops.c``: the plants' substep loops (for one plant,
-and for a whole class of plants in step, the warmup's), the power-flow
-sweep, the twin's changed-offset scan, the objective's plant cost and Basin
-Hopping's PCG64 draws, compiled.
+"""Build and load ``_loops.c``: the plants' substep loops (one entry per
+model, which runs a class of plants in step), the power-flow sweep, the
+twin's changed-offset scan, the objective's plant cost and Basin Hopping's
+PCG64 draws, compiled.
 
 The modules that call into it call `load_loops` when they are first
 imported; the first call in a process loads the extension into

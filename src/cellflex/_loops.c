@@ -3,21 +3,18 @@
  * Hopping's random draws.
  *
  * store_run is the substep body of batteries and EVs, hp_substep that of
- * heat pumps, each written once, and each has two entries.
- * storage_substeps and heat_pump_substeps run one plant over a tuple of
- * intervals (blocks) under one offset, the state carried from each into the
- * next: a dispatch interval is one block (BatteryStorage, ElectricVehicle
- * and HeatPumpSystem steps).  storage_class_substeps and
- * heat_pump_class_substeps run K plants of one model with no offset over
- * one shared schedule of blocks, the warmup's, in step: substep i of every
- * plant before any plant's substep i + 1, so that the CPU overlaps the K
- * independent chains of dependent divisions.  Each plant runs the same
- * operations in the same order as in its own call, and a store still
- * skips its settled substeps on its own.  plants.py describes the models;
- * each step there passes its plant's state and the constants the plant
- * packed once, as bytes of C doubles, to a one-plant entry and writes the
- * returned state back; step_stores and step_heat_pumps pass a whole class's
- * states as one tuple and write back the tuple a class entry returns.
+ * heat pumps, each written once and each run by one entry.
+ * storage_class_substeps and heat_pump_class_substeps run K plants of one
+ * model, each under its own offset, over one shared schedule of intervals
+ * (blocks), in step: substep i of every plant before any plant's substep
+ * i + 1, so that the CPU overlaps the K independent chains of dependent
+ * divisions.  Each plant runs the same operations in the same order as it
+ * would alone, and a store still skips its settled substeps on its own.
+ * plants.py describes the models.  A plant's step is a call with K = 1 over
+ * one interval, under its offset; step_stores and step_heat_pumps, the
+ * warmup's class calls, pass a whole class's states under zero offsets.
+ * Each passes every plant's constants, packed once as bytes of C doubles,
+ * and writes back the states the entry returns.
  *
  * power_flow is the backward/forward sweep behind grid.solve_power_flow, run
  * over the plan GridTopology builds once; changed_offsets is the twin's
@@ -47,8 +44,8 @@
 #include <math.h>
 
 #define DAY_S 86400.0
-/* the substep bodies are inlined into each of their entries, as they were
-   when each had one: a call per substep would cost more than the substep */
+/* py_mod and the substep bodies are inlined where they are called: a call
+   per substep would cost more than the substep */
 #define INLINE static inline __attribute__((always_inline))
 
 /* Python's x % m for floats with m > 0: the remainder takes the sign of m,
@@ -97,19 +94,6 @@ as_double(PyObject *arg, double *out)
     }
     *out = PyFloat_AsDouble(arg);
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
-}
-
-/* Block j of the tuple `blocks`, borrowed; NULL with TypeError unless it
-   is a 3-tuple */
-static PyObject *
-block_at(PyObject *blocks, Py_ssize_t j)
-{
-    PyObject *block = PyTuple_GET_ITEM(blocks, j);
-    if (!PyTuple_Check(block) || PyTuple_GET_SIZE(block) != 3) {
-        PyErr_SetString(PyExc_TypeError, "a block must be a 3-tuple");
-        return NULL;
-    }
-    return block;
 }
 
 /* The lag's share of the gap closed over a substep of dt seconds */
@@ -300,65 +284,6 @@ consts_at(PyObject *consts, Py_ssize_t fixed, Py_ssize_t record,
     return NULL;
 }
 
-PyDoc_STRVAR(storage_doc,
-"storage_substeps(soc, p, saturated, drained, offset_kw, dt, consts, blocks)\n"
-"--\n\n"
-"Advance a store over consecutive intervals under one offset; returns\n"
-"(soc, p, saturated, drained) after the last.\n\n"
-"`blocks` holds an (n, wish_kw, base_tod_s) tuple per interval: n substeps,\n"
-"the first at time of day base_tod_s, toward wish_kw or, with None, toward\n"
-"charging until full (an EV).  Each interval starts from the state the one\n"
-"before it ends in.  `consts` is bytes of C doubles: lo, hi (the rating\n"
-"bounds), capacity_kwh, eta_charge, eta_discharge, time_constant_s and the\n"
-"trip window (first departure, last return) in s of day, then a\n"
-"(departure, return, energy) triple per trip.  A store with no trip never\n"
-"leaves.");
-
-static PyObject *
-storage_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    store_state st;
-    store_params sp;
-    if (nargs != 8) {
-        PyErr_Format(PyExc_TypeError,
-                     "storage_substeps() takes 8 arguments (%zd given)",
-                     nargs);
-        return NULL;
-    }
-    PyObject *blocks = args[7];
-    if (!PyTuple_Check(blocks)) {
-        PyErr_SetString(PyExc_TypeError, "blocks must be a tuple");
-        return NULL;
-    }
-    st.saturated = PyObject_IsTrue(args[2]);
-    if (st.saturated < 0
-            || as_double(args[0], &st.soc) || as_double(args[1], &st.p)
-            || as_double(args[3], &st.drained)
-            || as_double(args[4], &sp.offset_kw) || as_double(args[5], &sp.dt)
-            || (sp.c = consts_at(args[6], sizeof(store_consts),
-                                 3 * sizeof(double), &sp.n_trips,
-                                 "storage_substeps")) == NULL)
-        return NULL;
-    sp.lag = lag_factor(sp.dt, sp.c->time_constant_s);
-    for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(blocks); j++) {
-        double wish_kw = 0.0, base_tod;
-        PyObject *block = block_at(blocks, j);
-        if (block == NULL)
-            return NULL;
-        Py_ssize_t n = PyLong_AsSsize_t(PyTuple_GET_ITEM(block, 0));
-        if (n == -1 && PyErr_Occurred())
-            return NULL;
-        PyObject *wish = PyTuple_GET_ITEM(block, 1);
-        int has_wish = wish != Py_None;
-        if ((has_wish && as_double(wish, &wish_kw))
-                || as_double(PyTuple_GET_ITEM(block, 2), &base_tod))
-            return NULL;
-        store_run(&st, &sp, 0, n, n, has_wish, wish_kw, base_tod);
-    }
-    return Py_BuildValue("(ddNd)", st.soc, st.p, PyBool_FromLong(st.saturated),
-                         st.drained);
-}
-
 /* A heat pump's state, carried from substep to substep and block to block:
    tank temperature, thermostat, saturation, COP and the realized compressor
    (the lag's state) and element powers */
@@ -475,86 +400,15 @@ hp_substep(hp_state *st, const hp_params *hp, double heat, double ambient)
     st->saturated = saturated;
 }
 
-/* n heat-pump substeps under a held heat demand and ambient temperature */
-static void
-hp_run(hp_state *st, const hp_params *hp, Py_ssize_t n, double heat,
-       double ambient)
-{
-    hp_state s = *st;
-    for (Py_ssize_t i = 0; i < n; i++)
-        hp_substep(&s, hp, heat, ambient);
-    *st = s;
-}
-
-PyDoc_STRVAR(heat_pump_doc,
-"heat_pump_substeps(t, heating, saturated, cop, p_comp, p_elem, offset_kw,\n"
-"                   dt, consts, blocks)\n"
-"--\n\n"
-"Advance a heat pump over consecutive intervals under one offset; returns\n"
-"(t, heating, saturated, cop, p_comp, p_elem) after the last.\n\n"
-"`blocks` holds an (n, heat_demand_kw, ambient_c) tuple per interval: n\n"
-"substeps under that held heat demand and ambient temperature.  Each\n"
-"interval starts from the state the one before it ends in.  `consts` is\n"
-"bytes of ten C doubles: p_el_max_kw, p_element_kw, effectiveness, t_on_c,\n"
-"t_off_c, t_min_c, t_max_c, t_element_threshold_c, storage_kwh_per_k and\n"
-"time_constant_s.");
-
-static PyObject *
-heat_pump_substeps(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    hp_state st;
-    hp_params hp;
-    const hp_consts *c;
-    double offset_kw, dt;
-    if (nargs != 10) {
-        PyErr_Format(PyExc_TypeError,
-                     "heat_pump_substeps() takes 10 arguments (%zd given)",
-                     nargs);
-        return NULL;
-    }
-    PyObject *blocks = args[9];
-    if (!PyTuple_Check(blocks)) {
-        PyErr_SetString(PyExc_TypeError, "blocks must be a tuple");
-        return NULL;
-    }
-    st.heating = PyObject_IsTrue(args[1]);
-    if (st.heating < 0)
-        return NULL;
-    st.saturated = PyObject_IsTrue(args[2]);
-    if (st.saturated < 0
-            || as_double(args[0], &st.t) || as_double(args[3], &st.cop)
-            || as_double(args[4], &st.p_comp) || as_double(args[5], &st.p_elem)
-            || as_double(args[6], &offset_kw) || as_double(args[7], &dt)
-            || (c = consts_at(args[8], sizeof(hp_consts), 0, NULL,
-                              "heat_pump_substeps")) == NULL)
-        return NULL;
-    hp_params_set(&hp, c, offset_kw, dt);
-    for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(blocks); j++) {
-        double heat, ambient;
-        PyObject *block = block_at(blocks, j);
-        if (block == NULL)
-            return NULL;
-        Py_ssize_t n = PyLong_AsSsize_t(PyTuple_GET_ITEM(block, 0));
-        if ((n == -1 && PyErr_Occurred())
-                || as_double(PyTuple_GET_ITEM(block, 1), &heat)
-                || as_double(PyTuple_GET_ITEM(block, 2), &ambient))
-            return NULL;
-        hp_run(&st, &hp, n, heat, ambient);
-    }
-    return Py_BuildValue("(dNNddd)", st.t, PyBool_FromLong(st.heating),
-                         PyBool_FromLong(st.saturated), st.cop, st.p_comp,
-                         st.p_elem);
-}
-
-/* A class entry's arguments (states, consts, inputs, counts, shared, dt):
-   tuples of `width` states per plant, of the K plants' constants, of K rows
-   of B inputs, of B counts and of B shared values, one per interval, where
-   `optional` inputs and shared may each be None (NULL here).  Only the
-   tuples and their lengths are checked; the entries read the items as they
-   run and build the new states only once every interval has run, so a bad
-   item changes nothing. */
+/* A class entry's arguments (states, consts, offsets, inputs, counts,
+   shared, dt): tuples of `width` states per plant, of the K plants'
+   constants and offsets, of K rows of B inputs, of B counts and of B shared
+   values, one per interval, where `optional` inputs and shared may each be
+   None (NULL here).  Only the tuples and their lengths are checked; the
+   entries read the items as they run and build the new states only once
+   every interval has run, so a bad item changes nothing. */
 typedef struct {
-    PyObject *states, *consts, *inputs, *counts, *shared;
+    PyObject *states, *consts, *offsets, *inputs, *counts, *shared;
     Py_ssize_t k, b;
     double dt;
 } class_args;
@@ -564,18 +418,19 @@ static int
 class_args_read(class_args *a, PyObject *const *args, Py_ssize_t nargs,
                 Py_ssize_t width, int optional, const char *fname)
 {
-    if (nargs != 6) {
-        PyErr_Format(PyExc_TypeError, "%s() takes 6 arguments (%zd given)",
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError, "%s() takes 7 arguments (%zd given)",
                      fname, nargs);
         return -1;
     }
     a->states = args[0];
     a->consts = args[1];
-    a->inputs = optional && args[2] == Py_None ? NULL : args[2];
-    a->counts = args[3];
-    a->shared = optional && args[4] == Py_None ? NULL : args[4];
+    a->offsets = args[2];
+    a->inputs = optional && args[3] == Py_None ? NULL : args[3];
+    a->counts = args[4];
+    a->shared = optional && args[5] == Py_None ? NULL : args[5];
     if (!PyTuple_Check(a->states) || !PyTuple_Check(a->consts)
-            || !PyTuple_Check(a->counts)
+            || !PyTuple_Check(a->offsets) || !PyTuple_Check(a->counts)
             || (a->inputs && !PyTuple_Check(a->inputs))
             || (a->shared && !PyTuple_Check(a->shared))) {
         PyErr_Format(PyExc_TypeError, "%s() takes tuples", fname);
@@ -584,14 +439,15 @@ class_args_read(class_args *a, PyObject *const *args, Py_ssize_t nargs,
     a->k = PyTuple_GET_SIZE(a->consts);
     a->b = PyTuple_GET_SIZE(a->counts);
     if (PyTuple_GET_SIZE(a->states) != width * a->k
+            || PyTuple_GET_SIZE(a->offsets) != a->k
             || (a->inputs && PyTuple_GET_SIZE(a->inputs) != a->k * a->b)
             || (a->shared && PyTuple_GET_SIZE(a->shared) != a->b)) {
-        PyErr_Format(PyExc_ValueError, "%s() takes %zd states per plant, an "
-                     "input per plant and interval and a shared value per "
-                     "interval", fname, width);
+        PyErr_Format(PyExc_ValueError, "%s() takes %zd states and an offset "
+                     "per plant, an input per plant and interval and a shared "
+                     "value per interval", fname, width);
         return -1;
     }
-    return as_double(args[5], &a->dt);
+    return as_double(args[6], &a->dt);
 }
 
 /* Interval j's count and, unless `values` is NULL, its value into *x;
@@ -618,18 +474,21 @@ put(PyObject *t, Py_ssize_t i, PyObject *item)
 }
 
 PyDoc_STRVAR(storage_class_doc,
-"storage_class_substeps(states, consts, wishes, counts, tods, dt)\n"
+"storage_class_substeps(states, consts, offsets, wishes, counts, tods, dt)\n"
 "--\n\n"
-"Advance K stores with no offset over one schedule of B intervals, in step:\n"
-"each store's substep i runs before any store's substep i + 1.  Returns\n"
-"the new states.\n\n"
-"`states` holds (soc, p, saturated, drained) per store and `consts` each\n"
-"store's constants as storage_substeps takes them, all tuples.  Interval\n"
-"j runs counts[j] substeps, the first at time of day tods[j] (0.0 with\n"
-"tods None), toward store k's wish wishes[k * B + j] or, with wishes None,\n"
-"toward charging until full (EVs).  Each store ends in the state\n"
-"storage_substeps leaves it in over the same intervals, bit for bit,\n"
-"skipping as it skips.");
+"Advance K stores, store k under offset offsets[k], over one schedule of B\n"
+"intervals, in step: each store's substep i runs before any store's\n"
+"substep i + 1.  Returns the new states.\n\n"
+"`states` holds (soc, p, saturated, drained) per store, all tuples.\n"
+"Interval j runs counts[j] substeps of dt seconds, the first at time of\n"
+"day tods[j] (0.0 with tods None), toward store k's wish wishes[k * B + j]\n"
+"or, with wishes None, toward charging until full (EVs).  Each interval\n"
+"starts from the state the one before it ends in.  consts[k] is bytes of C\n"
+"doubles: lo, hi (the rating bounds), capacity_kwh, eta_charge,\n"
+"eta_discharge, time_constant_s and the trip window (first departure, last\n"
+"return) in s of day, then a (departure, return, energy) triple per trip.\n"
+"A store with no trip never leaves.  Each store ends as it would alone\n"
+"(K = 1), bit for bit, skipping as it would skip.");
 
 static PyObject *
 storage_class_substeps(PyObject *module, PyObject *const *args,
@@ -665,9 +524,9 @@ storage_class_substeps(PyObject *module, PyObject *const *args,
                 || as_double(PyTuple_GET_ITEM(x, 4 * p + 1), &st[p].p)
                 || (st[p].saturated
                     = PyObject_IsTrue(PyTuple_GET_ITEM(x, 4 * p + 2))) < 0
-                || as_double(PyTuple_GET_ITEM(x, 4 * p + 3), &st[p].drained))
+                || as_double(PyTuple_GET_ITEM(x, 4 * p + 3), &st[p].drained)
+                || as_double(PyTuple_GET_ITEM(a.offsets, p), &sp[p].offset_kw))
             goto done;
-        sp[p].offset_kw = 0.0;
         sp[p].dt = a.dt;
         sp[p].lag = lag_factor(a.dt, sp[p].c->time_constant_s);
     }
@@ -736,17 +595,20 @@ done:
 }
 
 PyDoc_STRVAR(heat_pump_class_doc,
-"heat_pump_class_substeps(states, consts, demands, counts, ambients, dt)\n"
+"heat_pump_class_substeps(states, consts, offsets, demands, counts,\n"
+"                         ambients, dt)\n"
 "--\n\n"
-"Advance K heat pumps with no offset over one schedule of B intervals, in\n"
-"step: each heat pump's substep i runs before any one's substep i + 1.\n"
-"Returns the new states.\n\n"
-"`states` holds (t, heating, saturated, cop, p_comp, p_elem) per heat pump\n"
-"and `consts` each heat pump's constants as heat_pump_substeps takes them,\n"
-"all tuples.  Interval j runs counts[j] substeps at ambient temperature\n"
-"ambients[j], heat pump k under heat demand demands[k * B + j].  Each ends\n"
-"in the state heat_pump_substeps leaves it in over the same intervals, bit\n"
-"for bit.");
+"Advance K heat pumps, heat pump k under offset offsets[k], over one\n"
+"schedule of B intervals, in step: each heat pump's substep i runs before\n"
+"any one's substep i + 1.  Returns the new states.\n\n"
+"`states` holds (t, heating, saturated, cop, p_comp, p_elem) per heat\n"
+"pump, all tuples.  Interval j runs counts[j] substeps of dt seconds at\n"
+"ambient temperature ambients[j], heat pump k under heat demand\n"
+"demands[k * B + j].  Each interval starts from the state the one before\n"
+"it ends in.  consts[k] is bytes of ten C doubles: p_el_max_kw,\n"
+"p_element_kw, effectiveness, t_on_c, t_off_c, t_min_c, t_max_c,\n"
+"t_element_threshold_c, storage_kwh_per_k and time_constant_s.  Each heat\n"
+"pump ends as it would alone (K = 1), bit for bit.");
 
 static PyObject *
 heat_pump_class_substeps(PyObject *module, PyObject *const *args,
@@ -768,6 +630,7 @@ heat_pump_class_substeps(PyObject *module, PyObject *const *args,
     double *heat = (double *)(hp + K);
     for (Py_ssize_t p = 0; p < K; p++) {
         PyObject *x = a.states;
+        double offset_kw;
         const hp_consts *c = consts_at(PyTuple_GET_ITEM(a.consts, p),
                                        sizeof(hp_consts), 0, NULL,
                                        "heat_pump_class_substeps");
@@ -778,9 +641,10 @@ heat_pump_class_substeps(PyObject *module, PyObject *const *args,
                     = PyObject_IsTrue(PyTuple_GET_ITEM(x, 6 * p + 2))) < 0
                 || as_double(PyTuple_GET_ITEM(x, 6 * p + 3), &st[p].cop)
                 || as_double(PyTuple_GET_ITEM(x, 6 * p + 4), &st[p].p_comp)
-                || as_double(PyTuple_GET_ITEM(x, 6 * p + 5), &st[p].p_elem))
+                || as_double(PyTuple_GET_ITEM(x, 6 * p + 5), &st[p].p_elem)
+                || as_double(PyTuple_GET_ITEM(a.offsets, p), &offset_kw))
             goto done;
-        hp_params_set(&hp[p], c, 0.0, a.dt);
+        hp_params_set(&hp[p], c, offset_kw, a.dt);
     }
     for (Py_ssize_t j = 0; j < B; j++) {
         Py_ssize_t n;
@@ -1240,10 +1104,6 @@ pcg64_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyMethodDef loops_methods[] = {
-    {"storage_substeps", (PyCFunction)(void (*)(void))storage_substeps,
-     METH_FASTCALL, storage_doc},
-    {"heat_pump_substeps", (PyCFunction)(void (*)(void))heat_pump_substeps,
-     METH_FASTCALL, heat_pump_doc},
     {"storage_class_substeps",
      (PyCFunction)(void (*)(void))storage_class_substeps, METH_FASTCALL,
      storage_class_doc},

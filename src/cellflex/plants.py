@@ -21,24 +21,22 @@ held over each substep, so the plants apply the exact solution
 y <- y + (u - y)*(1 - exp(-dt/T)), which is stable at any step width; the
 compiled loop computes that lag factor once per call.
 
-A stateful plant's ``step(offset_kw, blocks, dt)`` advances it over a
-tuple of consecutive intervals (blocks) of dt-second substeps under one
-offset, in one call it makes to a compiled loop (``_loops.c``, built on
-first import by :mod:`cellflex._build`), which replays the Python loops kept
-in the tests (``tests/plant_reference.py``) bit for bit.  Each block holds
-its substep count and its inputs: ``(n, wish_kw, base_tod_s)`` for a store
-(a battery's PV surplus and 0.0; None and the block's start time of day for
-an EV) and ``(n, heat_demand_kw, ambient_c)`` for a heat pump.  The inputs
-are held over a block; only an EV's time of day moves from substep to
-substep.  Each block starts from the state the one before it ends in.  A
-dispatch interval is one block.  The value a ``step`` returns, and the
-``p_kw`` and ``saturated`` it leaves, are those of the last substep.
-
-The twin's warmup steps a whole class with no offset over one shared
-schedule of blocks: ``step_stores`` (all batteries, or all EVs) and
-``step_heat_pumps`` make one compiled call that runs the plants' substeps
-in step, so that their independent chains of divisions overlap, and leave
-each plant as its own ``step(0.0, blocks, dt)`` would, bit for bit.
+A stateful plant's ``step`` advances it over one interval of n substeps of
+dt seconds under an offset, its inputs held over the interval (only an EV's
+time of day moves from substep to substep):
+``BatteryStorage.step(offset_kw, n, wish_kw, dt)``,
+``ElectricVehicle.step(offset_kw, n, base_tod_s, dt)`` and
+``HeatPumpSystem.step(offset_kw, n, heat_kw, ambient_c, dt)``.  It calls its
+model's compiled class entry (``_loops.c``, built on first import by
+:mod:`cellflex._build`) with a class of one, which replays the Python loops
+kept in the tests (``tests/plant_reference.py``) bit for bit.  The value a
+``step`` returns, and the ``p_kw`` and ``saturated`` it leaves, are those of
+the last substep.  The twin's warmup steps a whole class with no offset
+over one shared schedule of intervals (blocks), each from the state the one
+before it ends in: ``step_stores`` (all batteries, or all EVs) and
+``step_heat_pumps`` call the same entry, which runs the plants' substeps in
+step, so that their independent chains of divisions overlap, and leave each
+plant as one ``step(0.0, ...)`` per block would, bit for bit.
 Batteries and EVs share one storage loop.  The PV inverter keeps no state
 and is stepped once per interval; it computes its active power and reactive
 band once per irradiance.  ``get_state`` holds each state variable once; a
@@ -48,7 +46,8 @@ Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
 which holds every parameter default, and keeps it as ``params``; the
 constructors trust it, since the loader checked it.  A stateful plant packs
-the constants its loop reads into one bytes of C doubles, ``_consts``, once.
+the constants its loop reads into one bytes of C doubles, ``_consts``, once,
+and keeps them as a class of one, ``_own_consts``, for its ``step``.
 
 A store whose connected substep leaves its state bit-identical is settled:
 its later connected substeps would repeat it, so a battery stops and an EV
@@ -72,8 +71,6 @@ __all__ = [
 
 
 _loops = load_loops()
-storage_substeps = _loops.storage_substeps
-heat_pump_substeps = _loops.heat_pump_substeps
 storage_class_substeps = _loops.storage_class_substeps
 heat_pump_class_substeps = _loops.heat_pump_class_substeps
 
@@ -103,7 +100,8 @@ class _Storage:
     departure, last return, in s of day) drain the running trip instead.
     """
 
-    __slots__ = ("params", "soc", "p_kw", "saturated", "_consts")
+    __slots__ = ("params", "soc", "p_kw", "saturated", "_consts",
+                 "_own_consts")
 
     def __init__(self, params, lo, hi, away=None, trips=()):
         # rating bounds [lo, hi]; with no trip the window is never read
@@ -115,6 +113,7 @@ class _Storage:
                              params.eta_discharge, params.time_constant_s,
                              *(away or (0.0, 0.0)),
                              *(x for trip in trips for x in trip))
+        self._own_consts = (self._consts,)
 
 
 class BatteryStorage(_Storage):
@@ -126,15 +125,15 @@ class BatteryStorage(_Storage):
         super().__init__(params, -params.p_max_discharge_kw,
                          params.p_max_charge_kw)
 
-    def step(self, offset_kw, blocks, dt):
-        """Advance over `blocks`, each ``(n, wish_kw, 0.0)``: n substeps
-        toward the feasible part of wish_kw plus `offset_kw`.
+    def step(self, offset_kw, n, wish_kw, dt):
+        """Advance n substeps of dt seconds toward the feasible part of
+        `wish_kw` plus `offset_kw`.
 
         Returns the last substep's realized power.
         """
-        self.soc, self.p_kw, self.saturated, _ = storage_substeps(
-            self.soc, self.p_kw, self.saturated, 0.0, offset_kw, dt,
-            self._consts, blocks)
+        self.soc, self.p_kw, self.saturated, _ = storage_class_substeps(
+            (self.soc, self.p_kw, self.saturated, 0.0), self._own_consts,
+            (offset_kw,), (wish_kw,), (n,), None, dt)
         return self.p_kw
 
     def get_state(self):
@@ -220,7 +219,7 @@ class HeatPumpSystem:
     __slots__ = (
         "params", "tan_phi", "heating", "t_storage_c", "p_kw", "q_kvar",
         "saturated", "last_cop", "last_p_compressor_kw", "last_p_element_kw",
-        "_consts",
+        "_consts", "_own_consts",
     )
 
     def __init__(self, params):
@@ -239,10 +238,11 @@ class HeatPumpSystem:
                              p.t_on_c, p.t_off_c, p.t_min_c, p.t_max_c,
                              p.t_element_threshold_c, p.storage_kwh_per_k,
                              p.time_constant_s)
+        self._own_consts = (self._consts,)
 
-    def step(self, offset_kw, blocks, dt):
-        """Advance over `blocks`, each ``(n, heat_demand_kw, ambient_c)``:
-        n substeps of dt seconds under that demand and ambient temperature.
+    def step(self, offset_kw, n, heat_kw, ambient_c, dt):
+        """Advance n substeps of dt seconds under heat demand `heat_kw` and
+        ambient temperature `ambient_c`.
 
         Returns the last substep's electric power, compressor plus element.
         The compressor's Carnot-based COP, effectiveness * T_sink /
@@ -252,10 +252,11 @@ class HeatPumpSystem:
         """
         (self.t_storage_c, self.heating, self.saturated, self.last_cop,
          self.last_p_compressor_kw,
-         self.last_p_element_kw) = heat_pump_substeps(
-            self.t_storage_c, self.heating, self.saturated, self.last_cop,
-            self.last_p_compressor_kw, self.last_p_element_kw, offset_kw, dt,
-            self._consts, blocks)
+         self.last_p_element_kw) = heat_pump_class_substeps(
+            (self.t_storage_c, self.heating, self.saturated, self.last_cop,
+             self.last_p_compressor_kw, self.last_p_element_kw),
+            self._own_consts, (offset_kw,), (heat_kw,), (n,), (ambient_c,),
+            dt)
         self._derive_power()
         return self.p_kw
 
@@ -304,17 +305,17 @@ class ElectricVehicle(_Storage):
         dep, ret = self._away
         return not (dep <= time_of_day_s < ret)
 
-    def step(self, offset_kw, blocks, dt):
-        """Advance over `blocks`, each ``(n, None, base_tod_s)``: n
-        substeps, the first starting at time of day base_tod_s.
+    def step(self, offset_kw, n, base_tod_s, dt):
+        """Advance n substeps of dt seconds, the first starting at time of
+        day `base_tod_s`.
 
         Returns the last substep's charger power (0 while away).
         """
         # with no trip window the loop hands trip_drain_kwh back as it was
         (self.soc, self.p_kw, self.saturated,
-         self.trip_drain_kwh) = storage_substeps(
-            self.soc, self.p_kw, self.saturated, self.trip_drain_kwh,
-            offset_kw, dt, self._consts, blocks)
+         self.trip_drain_kwh) = storage_class_substeps(
+            (self.soc, self.p_kw, self.saturated, self.trip_drain_kwh),
+            self._own_consts, (offset_kw,), None, (n,), (base_tod_s,), dt)
         return self.p_kw
 
     def get_state(self):
@@ -333,14 +334,14 @@ def step_stores(stores, wishes, counts, tods, dt):
     all with `tods` None, as a battery's blocks do); battery k wishes for
     wishes[k * len(counts) + j], and EVs, with `wishes` None, charge until
     full.  `counts`, `wishes` and `tods` are tuples.  Each store ends as
-    its ``step(0.0, blocks, dt)`` over the same blocks would leave it, bit
-    for bit.
+    one ``step(0.0, ...)`` per block would leave it, bit for bit.
     """
     evs = wishes is None
     row = iter(storage_class_substeps(
         tuple([x for s in stores for x in (
             s.soc, s.p_kw, s.saturated, s.trip_drain_kwh if evs else 0.0)]),
-        tuple([s._consts for s in stores]), wishes, counts, tods, dt))
+        tuple([s._consts for s in stores]), (0.0,) * len(stores), wishes,
+        counts, tods, dt))
     for s in stores:
         s.soc, s.p_kw, s.saturated = next(row), next(row), next(row)
         drained = next(row)
@@ -355,15 +356,14 @@ def step_heat_pumps(heat_pumps, demands, counts, ambients, dt):
     in one compiled call that runs their substeps in step.
 
     `counts`, `demands` and `ambients` are tuples.  Each heat pump ends as
-    its ``step(0.0, blocks, dt)`` over the same blocks would leave it, bit
-    for bit.
+    one ``step(0.0, ...)`` per block would leave it, bit for bit.
     """
     row = iter(heat_pump_class_substeps(
         tuple([x for h in heat_pumps for x in (
             h.t_storage_c, h.heating, h.saturated, h.last_cop,
             h.last_p_compressor_kw, h.last_p_element_kw)]),
-        tuple([h._consts for h in heat_pumps]), demands, counts, ambients,
-        dt))
+        tuple([h._consts for h in heat_pumps]), (0.0,) * len(heat_pumps),
+        demands, counts, ambients, dt))
     for h in heat_pumps:
         (h.t_storage_c, h.heating, h.saturated, h.last_cop,
          h.last_p_compressor_kw, h.last_p_element_kw) = (

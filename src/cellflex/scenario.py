@@ -269,14 +269,13 @@ _PROFILE_GRID_S = 900.0
 class ProfileSet:
     ambient: LinearSeries
     irradiance: LinearSeries
-    household: dict                  # prosumer id -> series of (p, q, heat)
     shape: StepSeries                # the cell's time-of-day shape rows
 
 
 def household_load(hh, rows):
     """Household `hh`'s active power in kW at each time-of-day shape row of
-    `rows`, as ``ProfileSet.shape`` reads them: the P of its profile series,
-    whose grid points are computed one at a time by the same formula."""
+    `rows`, as ``ProfileSet.shape`` reads them; its reactive power is P
+    times ``hh.tan_phi``."""
     p_base, p_morning, p_evening = hh.p_base_kw, hh.p_morning_kw, hh.p_evening_kw
     return [p_base + p_morning * morning + p_evening * evening
             for morning, evening, _, _, _ in rows]
@@ -284,8 +283,7 @@ def household_load(hh, rows):
 
 def household_heat(hh, rows):
     """Household `hh`'s heat demand in kW at each time-of-day shape row of
-    `rows`, as ``ProfileSet.shape`` reads them: the heat of its profile
-    series."""
+    `rows`, as ``ProfileSet.shape`` reads them."""
     heat_base, heat_ua = hh.heat_base_kw, hh.heat_ua_kw_per_k
     return [heat_base + heat_ua * cold for _, _, _, cold, _ in rows]
 
@@ -318,21 +316,9 @@ def build_profiles(scenario):
                                 _irradiance_w_m2(weather, hour))
         return kept
 
-    def household(hh):
-        p_base, p_morning, p_evening = hh.p_base_kw, hh.p_morning_kw, hh.p_evening_kw
-        tan_phi, heat_base, heat_ua = hh.tan_phi, hh.heat_base_kw, hh.heat_ua_kw_per_k
-
-        def at(k):
-            # household_load and household_heat at one grid point, inlined
-            morning, evening, _, cold, _ = shape(k)
-            p = p_base + p_morning * morning + p_evening * evening
-            return (p, p * tan_phi, heat_base + heat_ua * cold)
-        return StepSeries(t_lo, _PROFILE_GRID_S, n, at)
-
     return ProfileSet(
         LinearSeries(t_lo, _PROFILE_GRID_S, n, lambda k: shape(k)[2]),
         LinearSeries(t_lo, _PROFILE_GRID_S, n, lambda k: shape(k)[4]),
-        {pro.id: household(pro.household) for pro in scenario.prosumers},
         StepSeries(t_lo, _PROFILE_GRID_S, n, shape))
 
 

@@ -20,21 +20,21 @@ optimizer:
                               the end state becomes the next step's snapshot
                               while the frozen baseline powers are kept.
 
-The twin integrates consecutive intervals (blocks) of whole substeps.
-Profile inputs (household load and heat demand, ambient temperature,
-irradiance) are sampled at the start of each block and held constant over
-it (the weather once for the whole cell).  A dispatch interval is one
-block: each stateful plant steps over it in one ``step`` call into its
-compiled substep loop (see :mod:`cellflex.plants`), and the twin samples
-the inputs again only when the interval changes, so the evaluations of one
-dispatch step share one sample.  The warmup runs all of its coarser blocks
-at once: it samples one time-of-day shape row per block for the whole cell,
-takes each household's load and heat demand from those rows, and steps the
-batteries, the heat pumps and the EVs in one compiled call per class
-(``step_stores``, ``step_heat_pumps``), which runs the plants' substeps in
-step.  The PV inverters keep no state and step once, at the last block,
-where every bus is summed: the plants and the bus injections end as
-stepping the blocks one at a time would leave them.
+The twin integrates intervals of whole substeps.  Profile inputs
+(household load and heat demand, ambient temperature, irradiance) are
+sampled at the start of each interval and held constant over it: one
+time-of-day shape row for the cell, from which each household's load and
+heat demand are taken (``household_load``, ``household_heat``), and the
+weather.  Over a dispatch interval each stateful plant makes one ``step``
+call into its compiled substep loop (see :mod:`cellflex.plants`), and the
+twin samples the inputs again only when the interval changes, so the
+evaluations of one dispatch step share one sample.  The warmup runs all of
+its coarser intervals (blocks) at once: it samples one shape row per block
+and steps the batteries, the heat pumps and the EVs in one compiled call
+per class (``step_stores``, ``step_heat_pumps``), which runs the plants'
+substeps in step.  The PV inverters keep no state and step once, at the
+last block, where every bus is summed: the plants and the bus injections
+end as stepping the blocks one at a time would leave them.
 
 An evaluation or a probe re-integrates only the plants whose offset
 changed.  A plant's end state depends only on the snapshot it starts from
@@ -134,19 +134,18 @@ class _ProsumerTwin:
     plant values; ``i_bes``, ``i_ehp``, ``i_inv`` and ``bev_slots`` (pairs
     of EV and index) locate this prosumer's plants in both.  ``injections``
     is the twin's shared bus injection list and ``i_p`` the index of this
-    prosumer's bus P in it.  ``bes_blocks`` and ``ehp_blocks`` are the
-    battery's and the heat pump's one-block schedules last sampled.
+    prosumer's bus P in it.  ``bes_wish`` is the battery's wish and
+    ``heat_kw`` and ``ambient_c`` the heat pump's inputs last sampled.
     """
 
-    __slots__ = ("id", "household", "load_series", "pv", "bes", "ehp", "bevs",
+    __slots__ = ("id", "household", "pv", "bes", "ehp", "bevs",
                  "offsets", "values", "i_bes", "i_ehp", "i_inv",
                  "bev_slots", "injections", "i_p", "load_p", "load_q",
-                 "p_base", "q_base", "bes_blocks", "ehp_blocks")
+                 "p_base", "q_base", "bes_wish", "heat_kw", "ambient_c")
 
-    def __init__(self, spec, profiles, injections, i_p):
+    def __init__(self, spec, injections, i_p):
         self.id = spec.id
         self.household = spec.household
-        self.load_series = profiles.household[spec.id]
         self.pv = PvInverter(spec.pv) if spec.pv else None
         self.bes = BatteryStorage(spec.bes) if spec.bes else None
         self.ehp = HeatPumpSystem(spec.ehp) if spec.ehp else None
@@ -157,33 +156,36 @@ class _ProsumerTwin:
         self.injections = injections
         self.i_p = i_p
         self.load_p = self.load_q = self.p_base = self.q_base = 0.0
-        self.bes_blocks = self.ehp_blocks = ()
+        self.bes_wish = self.heat_kw = self.ambient_c = 0.0
 
-    def sample_inputs(self, t, n, amb, irr):
-        """Sample the household inputs at `t` and build the battery's and
-        heat pump's blocks: one block of n substeps at ambient `amb` and
-        irradiance `irr`, where the battery wishes for its PV surplus, the
-        inverter's active power less the load."""
-        load_p, load_q, heat = self.load_series.value(t)
+    def sample_inputs(self, rows, amb, irr):
+        """Sample the household inputs from the one-row list `rows` (a
+        time-of-day shape row) at ambient `amb` and irradiance `irr`; the
+        battery wishes for its PV surplus, the inverter's active power less
+        the load."""
+        hh = self.household
+        (load_p,) = household_load(hh, rows)
+        load_q = load_p * hh.tan_phi
         pv = self.pv
         if self.bes is not None:
             p_pv = 0.0 if pv is None else pv.active_power(irr)
-            self.bes_blocks = ((n, p_pv - load_p, 0.0),)
+            self.bes_wish = p_pv - load_p
         if self.ehp is not None:
-            self.ehp_blocks = ((n, heat, amb),)
+            (self.heat_kw,) = household_heat(hh, rows)
+            self.ambient_c = amb
         self.load_p, self.load_q = load_p, load_q
         if pv is None:
             self.p_base = load_p
             self.q_base = load_q
 
-    def integrate(self, stale, irr, ev_blocks, dt):
-        """Step the flagged plants over the blocks last sampled.
+    def integrate(self, stale, irr, n, ev_tod, dt):
+        """Step the flagged plants over the interval of n substeps of dt
+        seconds last sampled, the EVs' first at time of day `ev_tod`.
 
-        `stale` holds a flag per plant index, `ev_blocks` the EVs' blocks
-        and `dt` the substep.  Each flagged plant makes one ``step`` call,
-        and its value goes to ``values``; the others already hold their end
-        state.  The PV inverter keeps no state: it steps at the last
-        block's irradiance `irr` and sets the bus base load
+        `stale` holds a flag per plant index.  Each flagged plant makes one
+        ``step`` call, and its value goes to ``values``; the others already
+        hold their end state.  The PV inverter keeps no state: it steps at
+        the interval's irradiance `irr` and sets the bus base load
         ``p_base``/``q_base``.  The bus injection is then summed from every
         plant's final power and written in place.
         """
@@ -200,18 +202,19 @@ class _ProsumerTwin:
         if bes is not None:
             i = self.i_bes
             if stale[i]:
-                values[i] = bes.step(off[i], self.bes_blocks, dt)
+                values[i] = bes.step(off[i], n, self.bes_wish, dt)
             p += bes.p_kw
         ehp = self.ehp
         if ehp is not None:
             i = self.i_ehp
             if stale[i]:
-                values[i] = ehp.step(off[i], self.ehp_blocks, dt)
+                values[i] = ehp.step(off[i], n, self.heat_kw,
+                                     self.ambient_c, dt)
             p += ehp.p_kw
             q += ehp.q_kvar
         for bev, i in self.bev_slots:
             if stale[i]:
-                values[i] = bev.step(off[i], ev_blocks, dt)
+                values[i] = bev.step(off[i], n, ev_tod, dt)
             p += bev.p_kw
         self.injections[self.i_p] = p
         self.injections[self.i_p + 1] = q
@@ -226,19 +229,18 @@ class CellTwin:
         self.profiles = build_profiles(scenario)
         bus_ids = [b.id for b in self.topology.buses]
         self.injections = [0.0] * (2 * len(bus_ids))
-        self.prosumers = [_ProsumerTwin(p, self.profiles, self.injections,
+        self.prosumers = [_ProsumerTwin(p, self.injections,
                                         2 * bus_ids.index(p.bus))
                           for p in scenario.prosumers]
         self.internal_dt_s = scenario.simulation.internal_dt_s
         self.dispatch_step_s = scenario.simulation.dispatch_step_s
         self.start_tod_s = scenario.start_tod_s()
         self.t_s = 0.0
-        # a dispatch interval is one block of internal substeps
-        self._dispatch_counts = (
-            round(self.dispatch_step_s / self.internal_dt_s),)
-        # the schedule whose inputs are sampled, and its inputs
-        self._inputs_t0 = self._inputs_counts = None
-        self._irr = self._ev_blocks = self._last_substep_tod = None
+        # internal substeps per dispatch interval
+        self._dispatch_n = round(self.dispatch_step_s / self.internal_dt_s)
+        # the interval whose inputs are sampled, and its inputs
+        self._inputs_t0 = self._inputs_n = None
+        self._irr = self._ev_tod = self._last_substep_tod = None
         # the snapshot the plants' current state was integrated from, and the
         # offsets it was integrated under; None once anything else moved it
         self._end_of = None
@@ -324,46 +326,45 @@ class CellTwin:
     # ------------------------------------------------------------------
     # integration
 
-    def _step_interval(self, t0, counts, substep, owners=None):
-        """Integrate one block of counts[0] substeps of `substep` seconds
-        from `t0`.  With `owners`, the prosumers that own a plant flagged in
+    def _step_interval(self, t0, n, substep, owners=None):
+        """Integrate one interval of n substeps of `substep` seconds from
+        `t0`.  With `owners`, the prosumers that own a plant flagged in
         ``_stale``, only they are integrated, stepping only their flagged
         plants; without, every plant is stepped.  The caller moves the
         clock."""
         self._end_of = None
-        if t0 != self._inputs_t0 or counts != self._inputs_counts:
+        if t0 != self._inputs_t0 or n != self._inputs_n:
             # profiles are fixed once the twin is built, and a warmup and a
             # dispatch interval never share a start, so the inputs only
-            # change with the start and the block counts
-            self._sample_inputs(t0, counts, substep)
+            # change with the start and the substep count
+            self._sample_inputs(t0, n, substep)
         prosumers = self.prosumers
         stale = self._all_stale
         if owners is not None:
             prosumers, stale = owners, self._stale
-        irr, ev_blocks = self._irr, self._ev_blocks
+        irr, ev_tod = self._irr, self._ev_tod
         for pro in prosumers:
-            pro.integrate(stale, irr, ev_blocks, substep)
+            pro.integrate(stale, irr, n, ev_tod, substep)
 
-    def _sample_inputs(self, t0, counts, substep):
-        """Sample the inputs of the block of counts[0] substeps from `t0` at
-        its start and build the blocks."""
-        (n,) = counts
+    def _sample_inputs(self, t0, n, substep):
+        """Sample the inputs of the interval of n substeps from `t0` at its
+        start."""
         profiles = self.profiles
+        rows = [profiles.shape.value(t0)]
         amb = profiles.ambient.value(t0)
         irr = profiles.irradiance.value(t0)
         for pro in self.prosumers:
-            pro.sample_inputs(t0, n, amb, irr)
+            pro.sample_inputs(rows, amb, irr)
         tod = self.start_tod_s
-        self._ev_blocks = ((n, None, tod + t0),)
+        self._ev_tod = tod + t0
         self._irr = irr
         self._last_substep_tod = (tod + t0 + (n - 1) * substep) % 86400.0
         self._inputs_t0 = t0
-        self._inputs_counts = counts
+        self._inputs_n = n
 
     def step_dispatch_interval(self, owners=None):
         t0 = self.t_s
-        self._step_interval(t0, self._dispatch_counts, self.internal_dt_s,
-                            owners)
+        self._step_interval(t0, self._dispatch_n, self.internal_dt_s, owners)
         self.t_s = t0 + self.dispatch_step_s
 
     def _solve(self):
@@ -471,11 +472,12 @@ class CellTwin:
                         substep)
         # the last block's inputs, as for a dispatch interval, and the
         # inverters stepped at its irradiance; every bus is summed
-        self._sample_inputs(starts[-1], counts[-1:], substep)
+        n = counts[-1]
+        self._sample_inputs(starts[-1], n, substep)
         inverters = bytes([cls == "inv" for cls in self.plant_classes])
-        irr, ev_blocks = self._irr, self._ev_blocks
+        irr, ev_tod = self._irr, self._ev_tod
         for pro in self.prosumers:
-            pro.integrate(inverters, irr, ev_blocks, substep)
+            pro.integrate(inverters, irr, n, ev_tod, substep)
         self._values[:] = self._read_values()
         self.t_s = 0.0
         return self.capture_reference()

@@ -9,19 +9,17 @@ learned to stop a settled battery, to jump a settled EV to its next away
 substep and to run each trip window in a tight inner loop.  It visits every
 substep one at a time.  Call it with a ``BatteryStorage`` or
 ``ElectricVehicle`` as ``self``; ``battery_step_reference`` and
-``ev_step_reference`` call it once per block with the bounds each ``step``
-passes.
+``ev_step_reference`` call it with the bounds each ``step`` passes.
 
 ``heat_pump_interval_reference`` is the heat-pump loop over one interval,
-and ``heat_pump_step_reference`` calls it once per block.  Call it with a
-``HeatPumpSystem`` as ``self``.
+behind ``heat_pump_step_reference``.  Call it with a ``HeatPumpSystem`` as
+``self``.
 
-Each ``*_step_reference`` takes a step's ``(offset_kw, blocks, dt)`` and
-runs the blocks one after another, each from the state the one before it
-ends in.  ``use_references(plant)`` makes a plant step through these loops:
-its class's ``step``, which calls the compiled loop, is overridden, and with
-it every dispatch interval and the plain twin's warmup, which step through
-``step`` (``CellTwin``'s warmup steps a class in one compiled call).
+Each ``*_step_reference`` takes its plant's ``step`` arguments, one
+interval's.  ``use_references(plant)`` makes a plant step through these
+loops: its class's ``step``, which calls the compiled loop, is overridden,
+and with it every dispatch interval and the plain twin's warmup, which step
+through ``step`` (``CellTwin``'s warmup steps a class in one compiled call).
 """
 
 import math
@@ -132,31 +130,25 @@ def integrate_reference(self, wish_kw, offset_kw, lo, hi, n, dt, base_tod_s=0.0)
     return p
 
 
-def battery_step_reference(self, offset_kw, blocks, dt):
+def battery_step_reference(self, offset_kw, n, wish_kw, dt):
     """``BatteryStorage.step`` through `integrate_reference`."""
-    for n, wish_kw, _ in blocks:
-        integrate_reference(self, wish_kw, offset_kw,
-                            -self.params.p_max_discharge_kw,
-                            self.params.p_max_charge_kw, n, dt)
-    return self.p_kw
+    return integrate_reference(self, wish_kw, offset_kw,
+                               -self.params.p_max_discharge_kw,
+                               self.params.p_max_charge_kw, n, dt)
 
 
-def ev_step_reference(self, offset_kw, blocks, dt):
+def ev_step_reference(self, offset_kw, n, base_tod_s, dt):
     """``ElectricVehicle.step`` through `integrate_reference`."""
     p_rated = self.params.p_rated_kw
     lo = -p_rated if self.params.v2g else 0.0
-    for n, _, base_tod_s in blocks:
-        integrate_reference(self, None, offset_kw, lo, p_rated, n, dt,
-                            base_tod_s)
-    return self.p_kw
+    return integrate_reference(self, None, offset_kw, lo, p_rated, n, dt,
+                               base_tod_s)
 
 
-def heat_pump_step_reference(self, offset_kw, blocks, dt):
+def heat_pump_step_reference(self, offset_kw, n, heat_kw, ambient_c, dt):
     """``HeatPumpSystem.step`` through `heat_pump_interval_reference`."""
-    for n, heat_demand_kw, ambient_c in blocks:
-        heat_pump_interval_reference(self, heat_demand_kw, ambient_c,
-                                     offset_kw, n, dt)
-    return self.p_kw
+    return heat_pump_interval_reference(self, heat_kw, ambient_c, offset_kw,
+                                        n, dt)
 
 
 def heat_pump_interval_reference(self, heat_demand_kw, ambient_c, offset_kw,

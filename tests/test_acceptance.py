@@ -201,7 +201,7 @@ def test_7_integrator_matches_analytic_response():
                                        time_constant_s=time_constant))
         dt = time_constant / 100.0
         for k in range(1, 501):
-            y = bes.step(0.0, ((1, 1.0, 0.0),), dt)
+            y = bes.step(0.0, 1, 1.0, dt)
             exact = 1.0 - math.exp(-k * dt / time_constant)
             worst = max(worst, abs(y - exact) / exact)
     ok = worst <= 1e-4

@@ -24,9 +24,9 @@ bes = plants.BatteryStorage(BesParams(5.0, 3.0, 3.0, soc0=0.5))
 ehp = plants.HeatPumpSystem(EhpParams(3.0, 5.0, 0.4))
 bev = plants.ElectricVehicle(BevParams(40.0, 11.0, soc0=0.5,
                                        trips=((8.0, 18.0, 8.0),)))
-result = repr((bes.step(0.5, ((60, 1.0, 0.0),), 15.0), bes.get_state(),
-               ehp.step(1.0, ((60, 2.0, -3.0),), 15.0), ehp.get_state(),
-               bev.step(0.0, ((60, None, 7.9 * 3600.0),), 15.0),
+result = repr((bes.step(0.5, 60, 1.0, 15.0), bes.get_state(),
+               ehp.step(1.0, 60, 2.0, -3.0, 15.0), ehp.get_state(),
+               bev.step(0.0, 60, 7.9 * 3600.0, 15.0),
                bev.get_state()))
 imported = sorted(m for m in sys.modules
                   if m.partition(".")[0] in ("setuptools", "distutils"))

@@ -13,6 +13,7 @@ from cellflex.plants import (
     HeatPumpSystem,
     PvInverter,
     clamp,
+    heat_pump_class_substeps,
     step_heat_pumps,
     step_stores,
     storage_class_substeps,
@@ -41,7 +42,7 @@ def cop_after_one_substep(t_tank, ambient, effectiveness=0.5):
     """The COP a heat pump ran its first substep at, from tank temperature
     `t_tank` and ambient temperature `ambient`."""
     ehp = make_ehp(t0_c=t_tank, effectiveness=effectiveness)
-    ehp.step(0.0, ((1, 0.0, ambient),), 15.0)
+    ehp.step(0.0, 1, 0.0, ambient, 15.0)
     return ehp.last_cop
 
 
@@ -86,7 +87,7 @@ class TestFirstOrderResponse:
         bes = lag_battery(10.0)
         dt = 0.1  # T/100
         for _ in range(100):
-            y = bes.step(0.0, ((1, 1.0, 0.0),), dt)
+            y = bes.step(0.0, 1, 1.0, dt)
         expected = 1.0 - math.exp(-1.0)  # 0.6321205588285577
         assert abs(y - expected) / expected < 1e-4
         assert y == pytest.approx(0.6321205588285577, rel=1e-6)
@@ -96,7 +97,7 @@ class TestFirstOrderResponse:
         dt = 0.02  # T/100
         t = 0.0
         for _ in range(int(5 * 2.0 / dt)):
-            y = bes.step(0.0, ((1, 1.0, 0.0),), dt)
+            y = bes.step(0.0, 1, 1.0, dt)
             t += dt
             exact = 1.0 - math.exp(-t / 2.0)
             assert abs(y - exact) / exact < 1e-4
@@ -105,13 +106,13 @@ class TestFirstOrderResponse:
         # the exponential update is exact for piecewise-constant input, so
         # 150 substeps of 0.1 s and one 15 s substep end at the same power
         fine = lag_battery(2.0, p0_kw=0.3)
-        fine.step(0.0, ((150, 4.0, 0.0),), 0.1)
+        fine.step(0.0, 150, 4.0, 0.1)
         coarse = lag_battery(2.0, p0_kw=0.3)
-        coarse.step(0.0, ((1, 4.0, 0.0),), 15.0)
+        coarse.step(0.0, 1, 4.0, 15.0)
         assert coarse.p_kw == pytest.approx(fine.p_kw, abs=1e-12)
 
     def test_exact_branch_is_exact(self):
-        y = lag_battery(2.0).step(0.0, ((1, 1.0, 0.0),), 6.0)
+        y = lag_battery(2.0).step(0.0, 1, 1.0, 6.0)
         assert y == pytest.approx(1.0 - math.exp(-3.0), abs=1e-14)
 
     @pytest.mark.parametrize("dt, tau",
@@ -121,10 +122,10 @@ class TestFirstOrderResponse:
         # bit for bit 1 - exp(-(dt / T)) with math.exp's exp (the first three
         # pairs round differently as -expm1(-(dt / T)))
         lag = 1.0 - math.exp(-(dt / tau))
-        assert lag_battery(tau).step(0.0, ((1, 1.0, 0.0),), dt) == lag
+        assert lag_battery(tau).step(0.0, 1, 1.0, dt) == lag
         ehp = make_ehp(p_el_max_kw=1.0, storage_kwh_per_k=1000.0,
                        heating0=True, time_constant_s=tau)
-        ehp.step(0.0, ((1, 0.0, 0.0),), dt)
+        ehp.step(0.0, 1, 0.0, 0.0, dt)
         assert ehp.last_p_compressor_kw == lag
 
     def test_parameter_errors(self, validate_refuses):
@@ -145,7 +146,7 @@ class TestFirstOrderResponse:
         target = u
         side = math.copysign(1.0, target - y0) if target != y0 else 0.0
         for _ in range(50):
-            y = bes.step(0.0, ((1, u, 0.0),), time_constant / 10.0)
+            y = bes.step(0.0, 1, u, time_constant / 10.0)
             if side:
                 assert math.copysign(1.0, target - y) == side or abs(target - y) < 1e-12
 
@@ -166,45 +167,45 @@ class TestBatteryStorage:
         # 5 kW for 15 s into 10 kWh at unit efficiency: d_soc = 5*15/3600/10
         bes = battery_at(BesParams(10.0, 5.0, 5.0, eta_charge=1.0, eta_discharge=1.0,
                                    soc0=0.5), 5.0)
-        p = bes.step(5.0, ((1, 0.0, 0.0),), 15.0)
+        p = bes.step(5.0, 1, 0.0, 15.0)
         assert p == pytest.approx(5.0, abs=1e-12)
         assert bes.soc == pytest.approx(0.5020833333333333, abs=1e-12)
 
     def test_charge_efficiency_applies(self):
         bes = battery_at(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
                                    soc0=0.0), 4.0)
-        bes.step(4.0, ((1, 0.0, 0.0),), 900.0)
+        bes.step(4.0, 1, 0.0, 900.0)
         assert bes.soc == pytest.approx(4.0 * 0.95 * 900 / 3600 / 10.0, abs=1e-12)
 
     def test_discharge_efficiency_applies(self):
         bes = battery_at(BesParams(10.0, 5.0, 5.0, eta_charge=0.95, eta_discharge=0.95,
                                    soc0=1.0), -4.0)
-        bes.step(-4.0, ((1, 0.0, 0.0),), 900.0)
+        bes.step(-4.0, 1, 0.0, 900.0)
         assert bes.soc == pytest.approx(1.0 - 4.0 / 0.95 * 900 / 3600 / 10.0, abs=1e-12)
 
     def test_full_battery_refuses_charge(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=1.0))
-        p = bes.step(5.0, ((1, 0.0, 0.0),), 15.0)
+        p = bes.step(5.0, 1, 0.0, 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert bes.soc == 1.0
         assert bes.saturated
 
     def test_empty_battery_refuses_discharge(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.0))
-        p = bes.step(-5.0, ((1, 0.0, 0.0),), 15.0)
+        p = bes.step(-5.0, 1, 0.0, 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert bes.soc == 0.0
         assert bes.saturated
 
     def test_power_limit_clamp(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 3.0, soc0=0.5))
-        bes.step(99.0, ((1, 0.0, 0.0),), 1.0)
+        bes.step(99.0, 1, 0.0, 1.0)
         assert bes.saturated
         for _ in range(100):
-            p = bes.step(99.0, ((1, 0.0, 0.0),), 1.0)
+            p = bes.step(99.0, 1, 0.0, 1.0)
         assert p == pytest.approx(5.0, abs=1e-9)
         for _ in range(200):
-            p = bes.step(-99.0, ((1, 0.0, 0.0),), 1.0)
+            p = bes.step(-99.0, 1, 0.0, 1.0)
         assert p == pytest.approx(-3.0, abs=1e-9)
 
     def test_feasible_command_reflects_soc(self):
@@ -213,27 +214,27 @@ class TestBatteryStorage:
         def empty():
             return BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.0,
                                             time_constant_s=1e-3))
-        assert empty().step(0.0, ((1, -2.0, 0.0),), 15.0) == 0.0
-        assert empty().step(0.0, ((1, 2.0, 0.0),), 15.0) == 2.0
+        assert empty().step(0.0, 1, -2.0, 15.0) == 0.0
+        assert empty().step(0.0, 1, 2.0, 15.0) == 2.0
 
     def test_lag_shapes_response(self):
         bes = BatteryStorage(BesParams(50.0, 10.0, 10.0, soc0=0.5, time_constant_s=2.0))
-        p = bes.step(10.0, ((1, 0.0, 0.0),), 1.0)
+        p = bes.step(10.0, 1, 0.0, 1.0)
         assert 0.0 < p < 10.0  # still rising toward the setpoint
 
     @given(st.lists(st.floats(-20, 20, allow_nan=False), min_size=1, max_size=60))
     def test_soc_and_power_stay_bounded(self, setpoints):
         bes = BatteryStorage(BesParams(2.0, 5.0, 5.0, soc0=0.5))
         for sp in setpoints:
-            p = bes.step(sp, ((1, 0.0, 0.0),), 5.0)
+            p = bes.step(sp, 1, 0.0, 5.0)
             assert 0.0 <= bes.soc <= 1.0
             assert -5.0 - 1e-9 <= p <= 5.0 + 1e-9
 
     def test_state_round_trip(self):
         bes = BatteryStorage(BesParams(10.0, 5.0, 5.0, soc0=0.5))
-        bes.step(3.0, ((1, 0.0, 0.0),), 1.0)
+        bes.step(3.0, 1, 0.0, 1.0)
         state = bes.get_state()
-        bes.step(-2.0, ((1, 0.0, 0.0),), 1.0)
+        bes.step(-2.0, 1, 0.0, 1.0)
         bes.set_state(state)
         assert bes.get_state() == state
 
@@ -301,7 +302,7 @@ class TestHeatPumpSystem:
         heat_in = 0.0
         n = int(12 * 3600 / 15)
         for _ in range(n):
-            ehp.step(0.0, ((1, 2.0, 0.0),), 15.0)
+            ehp.step(0.0, 1, 2.0, 0.0, 15.0)
             temps.append(ehp.t_storage_c)
             powers.append(ehp.p_kw)
             heat_in += (ehp.last_cop * ehp.last_p_compressor_kw
@@ -326,7 +327,7 @@ class TestHeatPumpSystem:
         for k in range(600):
             demand = 2.0 + 1.5 * math.sin(k / 25.0)
             offset = 1.0 if 100 <= k < 250 else 0.0
-            ehp.step(offset, ((1, demand, -2.0),), dt)
+            ehp.step(offset, 1, demand, -2.0, dt)
             assert 35.0 < ehp.t_storage_c < 90.0  # balance only claimed inside bounds
             heat_in += (ehp.last_cop * ehp.last_p_compressor_kw
                         + ehp.last_p_element_kw) * dt / 3600.0
@@ -338,7 +339,7 @@ class TestHeatPumpSystem:
         ehp = make_ehp(t0_c=35.5)
         for _ in range(400):
             # a large negative offset pushes down
-            ehp.step(-99.0, ((1, 4.0, -5.0),), 15.0)
+            ehp.step(-99.0, 1, 4.0, -5.0, 15.0)
             assert ehp.t_storage_c >= 35.0 - 1e-9
         # at the floor the system pumps exactly the demand-covering power
         assert ehp.t_storage_c == pytest.approx(35.0, abs=0.05)
@@ -351,21 +352,21 @@ class TestHeatPumpSystem:
         # past the floor within one substep: the floor hold pins it there
         # and turns the thermostat on
         ehp = make_ehp(storage_kwh_per_k=0.02, t0_c=42.5)
-        ehp.step(0.0, ((1, 40.0, 0.0),), 15.0)
+        ehp.step(0.0, 1, 40.0, 0.0, 15.0)
         assert ehp.t_storage_c == pytest.approx(35.0, abs=1e-9)
         assert ehp.heating and ehp.saturated
 
     def test_undersized_system_pins_at_floor(self):
         ehp = make_ehp(p_el_max_kw=0.5, p_element_kw=0.3, t0_c=36.0)
         for _ in range(400):
-            ehp.step(0.0, ((1, 5.0, -5.0),), 15.0)
+            ehp.step(0.0, 1, 5.0, -5.0, 15.0)
         assert ehp.t_storage_c == pytest.approx(35.0, abs=1e-9)
 
     def test_element_extends_beyond_compressor_threshold(self):
         ehp = make_ehp()
         seen_above_threshold = False
         for _ in range(int(4 * 3600 / 15)):
-            ehp.step(99.0, ((1, 0.0, 0.0),), 15.0)
+            ehp.step(99.0, 1, 0.0, 0.0, 15.0)
             assert ehp.t_storage_c <= 90.0 + 1e-9
             if ehp.t_storage_c > 51.0:
                 seen_above_threshold = True
@@ -378,33 +379,33 @@ class TestHeatPumpSystem:
     def test_element_inactive_without_offset(self):
         ehp = make_ehp(t0_c=45.0)
         for _ in range(200):
-            ehp.step(0.0, ((1, 2.0, 0.0),), 15.0)
+            ehp.step(0.0, 1, 2.0, 0.0, 15.0)
             assert ehp.last_p_element_kw == 0.0
 
     def test_negative_offset_clamps_at_zero_power(self):
         # tank above t_on: thermostat off, a negative command cannot realize
         ehp = make_ehp(t0_c=46.0)
-        p = ehp.step(-5.0, ((1, 1.0, 0.0),), 15.0)
+        p = ehp.step(-5.0, 1, 1.0, 0.0, 15.0)
         assert p == pytest.approx(0.0, abs=1e-12)
         assert ehp.saturated
 
     def test_reactive_power_tracks_fixed_power_factor(self):
         ehp = make_ehp()
-        ehp.step(1.0, ((1, 3.0, 0.0),), 15.0)
+        ehp.step(1.0, 1, 3.0, 0.0, 15.0)
         assert ehp.q_kvar == pytest.approx(ehp.p_kw * math.tan(math.acos(0.95)), abs=1e-12)
 
     @given(st.lists(st.floats(-8, 8, allow_nan=False), min_size=1, max_size=50))
     def test_temperature_stays_bounded(self, offsets):
         ehp = make_ehp(t0_c=40.0)
         for off in offsets:
-            ehp.step(off, ((1, 3.0, -2.0),), 15.0)
+            ehp.step(off, 1, 3.0, -2.0, 15.0)
             assert 35.0 - 1e-9 <= ehp.t_storage_c <= 90.0 + 1e-9
 
     def test_state_round_trip(self):
         ehp = make_ehp()
-        ehp.step(0.5, ((1, 2.0, 0.0),), 15.0)
+        ehp.step(0.5, 1, 2.0, 0.0, 15.0)
         state = ehp.get_state()
-        ehp.step(-0.5, ((1, 3.0, 1.0),), 15.0)
+        ehp.step(-0.5, 1, 3.0, 1.0, 15.0)
         ehp.set_state(state)
         assert ehp.get_state() == state
 
@@ -442,7 +443,7 @@ class TestElectricVehicle:
 
     def test_away_power_is_exactly_zero(self):
         bev = make_bev()
-        p = bev.step(5.0, ((1, None, 12 * 3600.0),), 900.0)
+        p = bev.step(5.0, 1, 12 * 3600.0, 900.0)
         assert p == 0.0
         assert bev.p_kw == 0.0
 
@@ -451,31 +452,31 @@ class TestElectricVehicle:
         # whole trip window at 900 s steps: 8 kWh over 10 h
         t = 8 * 3600.0
         while t < 18 * 3600.0:
-            bev.step(0.0, ((1, None, t),), 900.0)
+            bev.step(0.0, 1, t, 900.0)
             t += 900.0
         assert bev.soc == pytest.approx(0.9 - 8.0 / 40.0, abs=1e-9)
         assert bev.trip_drain_kwh == pytest.approx(8.0, abs=1e-9)
 
     def test_charges_at_rated_until_full(self):
         bev = make_bev(soc0=0.995, eta_charge=1.0, time_constant_s=1e-3)
-        p = bev.step(0.0, ((1, None, 19 * 3600.0),), 60.0)
+        p = bev.step(0.0, 1, 19 * 3600.0, 60.0)
         assert p == pytest.approx(11.0, abs=1e-6)
         for _ in range(60):
-            p = bev.step(0.0, ((1, None, 19 * 3600.0),), 60.0)
+            p = bev.step(0.0, 1, 19 * 3600.0, 60.0)
         assert bev.soc == pytest.approx(1.0, abs=1e-12)
         assert p == pytest.approx(0.0, abs=1e-9)
 
     def test_unidirectional_floor_is_zero(self):
         bev = make_bev(v2g=False)
         for _ in range(20):
-            p = bev.step(-99.0, ((1, None, 19 * 3600.0),), 5.0)
+            p = bev.step(-99.0, 1, 19 * 3600.0, 5.0)
         assert p == pytest.approx(0.0, abs=1e-9)
         assert bev.saturated
 
     def test_v2g_discharges_to_negative_rated(self):
         bev = make_bev(v2g=True)
         for _ in range(40):
-            p = bev.step(-99.0, ((1, None, 19 * 3600.0),), 5.0)
+            p = bev.step(-99.0, 1, 19 * 3600.0, 5.0)
         assert p == pytest.approx(-11.0, abs=1e-9)
 
     def test_no_trips_always_connected(self):
@@ -491,7 +492,7 @@ class TestElectricVehicle:
         dt = 86400.0 / len(offsets)
         t = 0.0
         for off in offsets:
-            p = bev.step(off, ((1, None, t % 86400.0),), dt)
+            p = bev.step(off, 1, t % 86400.0, dt)
             assert 0.0 <= bev.soc <= 1.0
             if p > 0:
                 charged += p * bev.params.eta_charge * dt / 3600.0
@@ -529,9 +530,9 @@ class TestElectricVehicle:
 
     def test_state_round_trip(self):
         bev = make_bev()
-        bev.step(2.0, ((1, None, 19 * 3600.0),), 5.0)
+        bev.step(2.0, 1, 19 * 3600.0, 5.0)
         state = bev.get_state()
-        bev.step(-2.0, ((1, None, 20 * 3600.0),), 5.0)
+        bev.step(-2.0, 1, 20 * 3600.0, 5.0)
         bev.set_state(state)
         assert bev.get_state() == state
 
@@ -568,10 +569,10 @@ class TestSettledSubsteps:
         n, dt = grid
         start = (soc, p0, False)
         want = substep_by_substep(
-            bes, lambda _tod, m: bes.step(offset, ((m, wish, 0.0),), dt),
+            bes, lambda _tod, m: bes.step(offset, m, wish, dt),
             start, n, dt)
         bes.set_state(start)
-        bes.step(offset, ((n, wish, 0.0),), dt)
+        bes.step(offset, n, wish, dt)
         assert end_bits(bes) == want
 
     @given(soc=socs, p0=powers, drained=st.floats(0.0, 5.0), v2g=st.booleans(),
@@ -590,11 +591,10 @@ class TestSettledSubsteps:
         start = (soc, p0, False, drained)
         want = substep_by_substep(
             bev,
-            lambda tod, m: bev.step(offset, ((m, None, tod_h * 3600.0 + tod),),
-                                    dt),
+            lambda tod, m: bev.step(offset, m, tod_h * 3600.0 + tod, dt),
             start, n, dt)
         bev.set_state(start)
-        bev.step(offset, ((n, None, tod_h * 3600.0),), dt)
+        bev.step(offset, n, tod_h * 3600.0, dt)
         assert end_bits(bev) == want
 
     def test_a_trip_inside_the_interval_ends_the_settled_state(self):
@@ -605,7 +605,7 @@ class TestSettledSubsteps:
         start = (1.0, 0.0, False, 0.0)
 
         def run(tod, m):
-            bev.step(0.0, ((m, None, 11.95 * 3600.0 + tod),), 15.0)
+            bev.step(0.0, m, 11.95 * 3600.0 + tod, 15.0)
 
         want = substep_by_substep(bev, run, start, 60, 15.0)
         bev.set_state(start)
@@ -646,7 +646,7 @@ class TestReplayFromState:
     def test_battery(self, soc, p0, saturated, wish, offset, other, grid):
         bes = BatteryStorage(BesParams(0.05, 5.0, 3.0))
         n, dt = grid
-        check_replay(bes, lambda off: bes.step(off, ((n, wish, 0.0),), dt),
+        check_replay(bes, lambda off: bes.step(off, n, wish, dt),
                      (soc, p0, saturated), offset, other)
 
     @given(soc=socs, p0=powers, saturated=st.booleans(),
@@ -662,7 +662,7 @@ class TestReplayFromState:
         if not v2g:
             p0 = abs(p0)
         check_replay(bev,
-                     lambda off: bev.step(off, ((n, None, tod_h * 3600.0),), dt),
+                     lambda off: bev.step(off, n, tod_h * 3600.0, dt),
                      (soc, p0, saturated, drained), offset, other)
 
     @given(t0=st.one_of(st.floats(35.0, 90.0), st.sampled_from([35.0, 90.0])),
@@ -675,7 +675,7 @@ class TestReplayFromState:
         ehp = make_ehp()
         n, dt = grid
         check_replay(ehp,
-                     lambda off: ehp.step(off, ((n, demand, ambient),), dt),
+                     lambda off: ehp.step(off, n, demand, ambient, dt),
                      (t0, heating, saturated, p_comp, p_elem), offset, other)
 
 
@@ -755,7 +755,7 @@ class TestStorageLoopReference:
         n, dt = grid
         check_storage(
             bes, (soc, p0, saturated),
-            [lambda b, w=w: b.step(offset, ((n, w, 0.0),), dt)
+            [lambda b, w=w: b.step(offset, n, w, dt)
              for w in wishes])
 
     @given(capacity=st.floats(0.2, 60.0), p_rated=st.floats(0.5, 22.0),
@@ -772,8 +772,7 @@ class TestStorageLoopReference:
         n, dt = WARMUP_BLOCK
         check_storage(
             bev, (soc, p0, saturated, drained),
-            [lambda b, j=j: b.step(offset, ((n, None, start + j * n * dt),),
-                                   dt)
+            [lambda b, j=j: b.step(offset, n, start + j * n * dt, dt)
              for j in range(96)])
 
     @given(capacity=st.floats(0.2, 60.0), p_rated=st.floats(0.5, 22.0),
@@ -788,8 +787,7 @@ class TestStorageLoopReference:
         n, dt = DISPATCH_STEP
         check_storage(
             bev, (soc, p0, saturated, drained),
-            [lambda b, j=j, off=off: b.step(
-                off, ((n, None, start + j * n * dt),), dt)
+            [lambda b, j=j, off=off: b.step(off, n, start + j * n * dt, dt)
              for j, off in enumerate(offsets_)])
 
     @given(capacity=st.floats(0.2, 60.0), v2g=st.booleans(), trips=trip_days(),
@@ -804,8 +802,7 @@ class TestStorageLoopReference:
         n, dt = grid
         check_storage(
             bev, (soc, p0, False, drained),
-            [lambda b, j=j: b.step(offset, ((n, None, start + j * n * dt),),
-                                   dt)
+            [lambda b, j=j: b.step(offset, n, start + j * n * dt, dt)
              for j in range(3)])
 
     @pytest.mark.parametrize("trip, start, grid", [
@@ -822,7 +819,7 @@ class TestStorageLoopReference:
         ref = with_reference(bev)
         n, dt = grid
         for plant in (bev, ref):
-            plant.step(0.0, ((n, None, start),), dt)
+            plant.step(0.0, n, start, dt)
         assert storage_bits(bev, bev.p_kw) == storage_bits(ref, ref.p_kw)
         assert bev.trip_drain_kwh > 0.0
 
@@ -835,7 +832,7 @@ class TestStorageLoopReference:
         bev = make_bev(capacity_kwh=5.0, trips=((0.0, 0.01, 0.5),))
         ref = with_reference(bev)
         for plant in (bev, ref):
-            plant.step(0.0, ((4, None, start),), 15.0)
+            plant.step(0.0, 4, start, 15.0)
         assert storage_bits(bev, bev.p_kw) == storage_bits(ref, ref.p_kw)
 
     def test_a_trip_that_empties_the_store_mid_window(self):
@@ -846,7 +843,7 @@ class TestStorageLoopReference:
         n, dt = WARMUP_BLOCK
         for plant in (bev, ref):
             for j in range(8):
-                plant.step(0.0, ((n, None, 8 * 3600.0 + j * 900.0),), dt)
+                plant.step(0.0, n, 8 * 3600.0 + j * 900.0, dt)
         assert storage_bits(bev, bev.p_kw) == storage_bits(ref, ref.p_kw)
         assert abs(bev.soc) < 1e-12
         assert bev.trip_drain_kwh == pytest.approx(5.0)
@@ -899,7 +896,7 @@ class TestHeatPumpLoopReference:
         n, dt = grid
         check_heat_pump(
             ehp, (t0, heating, saturated, p_comp, p_elem),
-            [lambda e, off=off: e.step(off, ((n, demand, ambient),), dt)
+            [lambda e, off=off: e.step(off, n, demand, ambient, dt)
              for off in offsets_ + [math.nan] * nan_last])
 
     @pytest.mark.parametrize("params, start, inputs, t_end", [
@@ -926,13 +923,13 @@ class TestHeatPumpLoopReference:
         n, dt = grid
         check_heat_pump(
             ehp, start,
-            [lambda e: e.step(offset, ((n, demand, ambient),), dt)] * 40)
+            [lambda e: e.step(offset, n, demand, ambient, dt)] * 40)
         if t_end is not None:
             assert ehp.t_storage_c == t_end and ehp.saturated
 
 
-# up to eight blocks of up to 60 substeps, on the warmup's substep widths
-# and coarser ones; an empty block hands its start state on unchanged
+# up to eight intervals of up to 60 substeps, on the warmup's substep widths
+# and coarser ones; an empty interval hands its start state on unchanged
 block_counts = st.lists(st.one_of(st.integers(0, 60), st.just(0)),
                         min_size=1, max_size=8)
 block_dts = st.sampled_from([5.0, 15.0, 40.0])
@@ -941,8 +938,8 @@ block_offsets = st.one_of(st.just(0.0), offsets)
 
 
 def block_starts(start, counts, dt):
-    """Each block's start, on the clock the warmup keeps: a block starts
-    where the one before it ends."""
+    """Each interval's start, on the clock the warmup keeps: an interval
+    starts where the one before it ends."""
     starts = []
     t = start
     for n in counts:
@@ -951,21 +948,70 @@ def block_starts(start, counts, dt):
     return starts
 
 
-def check_blocks(plant, other, bits, offset, blocks, dt):
-    """Step `plant` over `blocks` in one call and `other`, a plant in the
-    same state, one block per call: both must end bit-identical, with the
-    same returned power."""
-    p = plant.step(offset, blocks, dt)
+def flat(rows):
+    """Rows of per-interval inputs as the class entries take them."""
+    return tuple([x for row in rows for x in row])
+
+
+# the state fields a class entry takes and returns per plant, in its order
+STORE_FIELDS = ("soc", "p_kw", "saturated", "trip_drain_kwh")
+HEAT_PUMP_FIELDS = ("t_storage_c", "heating", "saturated", "last_cop",
+                    "last_p_compressor_kw", "last_p_element_kw")
+
+
+def class_call(plants, offsets, inputs, counts, shared, dt):
+    """Step `plants`, all of one model, plant k under offsets[k], over the
+    intervals of counts[j] substeps in one call to the model's class entry:
+    the call ``step_stores`` and ``step_heat_pumps`` make with zero offsets.
+    inputs[k] holds plant k's input per interval (`inputs` is None for EVs),
+    `shared` each interval's time of day (None for batteries) or ambient
+    temperature."""
+    heat_pumps = isinstance(plants[0], HeatPumpSystem)
+    fields = HEAT_PUMP_FIELDS if heat_pumps else STORE_FIELDS
+    entry = heat_pump_class_substeps if heat_pumps else storage_class_substeps
+    new = iter(entry(
+        tuple([getattr(p, field, 0.0) for p in plants for field in fields]),
+        tuple([p._consts for p in plants]), tuple(offsets),
+        None if inputs is None else flat(inputs), tuple(counts),
+        None if shared is None else tuple(shared), dt))
+    for plant in plants:
+        for field in fields:
+            value = next(new)
+            if hasattr(plant, field):       # a battery keeps no trip drain
+                setattr(plant, field, value)
+        if heat_pumps:
+            plant._derive_power()
+
+
+def step_block(plant, offset, block, dt):
+    """One ``step`` of `plant` over the interval ``(n, input, shared)``."""
+    n, x, shared = block
+    if isinstance(plant, HeatPumpSystem):
+        return plant.step(offset, n, x, shared, dt)
+    if isinstance(plant, ElectricVehicle):
+        return plant.step(offset, n, shared, dt)
+    return plant.step(offset, n, x, dt)
+
+
+def check_intervals(plant, other, bits, offset, blocks, dt):
+    """Step `plant` over `blocks`, each ``(n, input, shared)``, in one class
+    call of one plant and `other`, a plant in the same state, one ``step``
+    per block: both must end bit-identical, the call with the last step's
+    returned power."""
+    counts, inputs, shared = zip(*blocks)
+    class_call([plant], [offset],
+               None if isinstance(plant, ElectricVehicle) else [inputs],
+               counts, shared, dt)
     for block in blocks:
-        q = other.step(offset, (block,), dt)
-    assert bits(plant, p) == bits(other, q)
+        q = step_block(other, offset, block, dt)
+    assert bits(plant, plant.p_kw) == bits(other, q)
 
 
-class TestBlockLoops:
-    """One ``step`` over a run of blocks, the warmup's call, ends
-    bit-identical to one one-block ``step`` per block under the same offset:
-    every state variable, the saturation flag and the lag's state carry from
-    each block into the next."""
+class TestIntervalsInOneCall:
+    """One class call of one plant over a run of intervals, the warmup's
+    call, ends bit-identical to one ``step`` per interval under the same
+    offset: every state variable, the saturation flag and the lag's state
+    carry from each interval into the next."""
 
     @given(capacity=st.floats(0.01, 20.0), p_charge=st.floats(0.0, 10.0),
            p_discharge=st.floats(0.0, 10.0), tau=st.floats(0.1, 30.0),
@@ -976,15 +1022,15 @@ class TestBlockLoops:
            offset=block_offsets, dt=block_dts)
     def test_battery(self, capacity, p_charge, p_discharge, tau, soc, p0,
                      saturated, counts, wishes, offset, dt):
-        # a battery settles mid-block once its wish is out of reach
+        # a battery settles mid-interval once its wish is out of reach
         plants = []
         for _ in range(2):
             bes = BatteryStorage(BesParams(capacity, p_charge, p_discharge,
                                            time_constant_s=tau))
             bes.set_state((soc, p0, saturated))
             plants.append(bes)
-        check_blocks(*plants, storage_bits, offset,
-                     tuple(zip(counts, wishes, repeat(0.0))), dt)
+        check_intervals(*plants, storage_bits, offset,
+                        tuple(zip(counts, wishes, repeat(0.0))), dt)
 
     @given(capacity=st.floats(0.2, 60.0), p_rated=st.floats(0.5, 22.0),
            v2g=st.booleans(), trips=trip_days(), energy=st.floats(0.5, 80.0),
@@ -997,9 +1043,9 @@ class TestBlockLoops:
     def test_ev(self, capacity, p_rated, v2g, trips, energy, soc, p0,
                 saturated, drained, counts, offset, dt, edge, lead):
         # the first trip's departure or return falls inside one of the
-        # blocks before the last, or on its start (`lead` of the way through
-        # them), and the trips drain energy; a full, idle vehicle settles on
-        # its first substep and leaves later in the run
+        # intervals before the last, or on its start (`lead` of the way
+        # through them), and the trips drain energy; a full, idle vehicle
+        # settles on its first substep and leaves later in the run
         trips = tuple((depart, ret, energy) for depart, ret, _ in trips)
         plants = []
         for _ in range(2):
@@ -1010,8 +1056,8 @@ class TestBlockLoops:
             plants.append(bev)
         first = trips[0][edge] * 3600.0 - lead * sum(counts[:-1]) * dt
         starts = block_starts(first, counts, dt)
-        check_blocks(*plants, storage_bits, offset,
-                     tuple(zip(counts, repeat(None), starts)), dt)
+        check_intervals(*plants, storage_bits, offset,
+                        tuple(zip(counts, repeat(None), starts)), dt)
 
     @given(p_el_max=st.floats(0.1, 6.0), p_element=st.floats(0.0, 9.0),
            storage=st.floats(0.02, 0.5), tau=st.floats(0.1, 30.0),
@@ -1026,36 +1072,43 @@ class TestBlockLoops:
     def test_heat_pump(self, p_el_max, p_element, storage, tau, t0, heating,
                        saturated, p_comp, p_elem, counts, demands, ambients,
                        offset, dt):
-        # short blocks and a small tank that starts on or near a thermostat
-        # edge: the thermostat switches in one block and holds, inside the
-        # band, into the next
+        # short intervals and a small tank that starts on or near a
+        # thermostat edge: the thermostat switches in one interval and
+        # holds, inside the band, into the next
         plants = []
         for _ in range(2):
             ehp = HeatPumpSystem(EhpParams(p_el_max, p_element, storage,
                                            time_constant_s=tau))
             ehp.set_state((t0, heating, saturated, p_comp, p_elem))
             plants.append(ehp)
-        check_blocks(*plants, heat_pump_bits, offset,
-                     tuple(zip(counts, demands, ambients)), dt)
+        check_intervals(*plants, heat_pump_bits, offset,
+                        tuple(zip(counts, demands, ambients)), dt)
 
-    def test_a_bad_block_leaves_the_plant_as_it_was(self):
-        # the second block's count is no integer: the first block has run in
-        # the loop, but nothing is written back
+    def test_a_bad_step_leaves_the_plant_as_it_was(self):
+        # a count that is no integer, or an offset or input that is no
+        # float: the entry raises, and no state is written back
         bes = BatteryStorage(BesParams(5.0, 3.0, 3.0))
         ehp = make_ehp()
         bev = make_bev()
         before = [end_bits(plant) for plant in (bes, ehp, bev)]
-        with pytest.raises(TypeError):
-            bes.step(0.0, ((60, 1.0, 0.0), (1.5, 1.0, 0.0)), 15.0)
-        with pytest.raises(TypeError):
-            ehp.step(0.0, ((60, 2.0, 0.0), (1.5, 2.0, 0.0)), 15.0)
-        with pytest.raises(TypeError):
-            bev.step(0.0, ((60, None, 0.0), (1.5, None, 900.0)), 15.0)
+        for step in (lambda: bes.step(0.0, 1.5, 1.0, 15.0),
+                     lambda: bes.step(0.0, 60, "1.0", 15.0),
+                     lambda: bes.step(None, 60, 1.0, 15.0),
+                     lambda: ehp.step(0.0, 1.5, 2.0, 0.0, 15.0),
+                     lambda: ehp.step(0.0, 60, 2.0, None, 15.0),
+                     lambda: bev.step(0.0, 1.5, 0.0, 15.0),
+                     lambda: bev.step(0.0, 60, None, 15.0)):
+            with pytest.raises(TypeError):
+                step()
         assert [end_bits(plant) for plant in (bes, ehp, bev)] == before
 
-    @pytest.mark.parametrize("make, block", [(make_bev, (60, None, 0.0)),
-                                             (make_ehp, (60, 2.0, 0.0))],
-                             ids=["storage", "heat_pump"])
+    @pytest.mark.parametrize("make, step", [
+        (make_bev, lambda ev: ev.step(0.0, 60, 0.0, 15.0)),
+        (make_ehp, lambda hp: hp.step(0.0, 60, 2.0, 0.0, 15.0)),
+        (make_bev, lambda ev: step_stores([ev], None, (60,), (0.0,), 15.0)),
+        (make_ehp,
+         lambda hp: step_heat_pumps([hp], (2.0,), (60,), (0.0,), 15.0)),
+    ], ids=["storage", "heat_pump", "storage_class", "heat_pump_class"])
     @pytest.mark.parametrize("spoil", [
         pytest.param(bytearray, id="not_bytes"),
         pytest.param(lambda consts: consts[:40], id="short_of_the_fixed_part"),
@@ -1063,53 +1116,92 @@ class TestBlockLoops:
         pytest.param(lambda consts: consts + pack("2d", 1.0, 2.0),
                      id="two_doubles_more"),
     ])
-    def test_bad_constants_are_refused_before_any_is_read(self, make, block,
+    def test_bad_constants_are_refused_before_any_is_read(self, make, step,
                                                           spoil):
         # the EV's constants end in one trip, so two doubles more leave a
         # trip tail of five (for a heat pump: two too many), and five
         # doubles fall a whole trip short of the EV's fixed eight; the entry
-        # refuses each buffer whole, before its first block
+        # refuses each buffer whole, before its first interval, whether a
+        # step or a class call passes it
         plant = make()
         before = end_bits(plant)
         plant._consts = spoil(plant._consts)
+        plant._own_consts = (plant._consts,)
         with pytest.raises(TypeError, match="constants as bytes of C doubles"):
-            plant.step(0.0, (block,), 15.0)
+            step(plant)
         assert end_bits(plant) == before
 
 
-def step_each(plants, inputs, shared, counts, dt):
-    """Copies of `plants`, each stepped once with no offset over its own
-    blocks ``(n, input, shared)``: the per-plant result of a class call."""
-    stepped = []
-    for plant, row in zip(plants, inputs):
-        plant = copy.copy(plant)
-        plant.step(0.0, tuple(zip(counts, row, shared)), dt)
-        stepped.append(plant)
-    return stepped
+def end_state(plant):
+    """Every state field of a plant and its returned power, at full
+    precision."""
+    if isinstance(plant, HeatPumpSystem):
+        return heat_pump_bits(plant, plant.p_kw)
+    return storage_bits(plant, plant.p_kw)
 
 
-def flat(rows):
-    """Rows of per-block inputs as the class calls take them."""
-    return tuple([x for row in rows for x in row])
+def check_class(plants, offsets, inputs, counts, shared, dt, warmup=False):
+    """Step `plants` in one class call, plant k under offsets[k] (with
+    `warmup`, the warmup's ``step_stores`` or ``step_heat_pumps``, whose
+    offsets are zero), over the intervals of counts[j] substeps, with the
+    inputs and shared values `class_call` takes.  Each plant must end
+    bit-identical to its own class call, alone, and to the Python reference
+    loops, one ``step`` per interval."""
+    rows = repeat(None) if inputs is None else inputs
+    alone, reference = [], []
+    for plant, offset, row in zip(plants, offsets, rows):
+        own = copy.copy(plant)
+        class_call([own], [offset], None if row is None else [row], counts,
+                   shared, dt)
+        alone.append(end_state(own))
+        ref = with_reference(plant)
+        for block in zip(counts, repeat(None) if row is None else row,
+                         repeat(0.0) if shared is None else shared):
+            step_block(ref, offset, block, dt)
+        reference.append(end_state(ref))
+    if not warmup:
+        class_call(plants, offsets, inputs, counts, shared, dt)
+    elif isinstance(plants[0], HeatPumpSystem):
+        step_heat_pumps(plants, flat(inputs), tuple(counts), tuple(shared),
+                        dt)
+    else:
+        step_stores(plants, None if inputs is None else flat(inputs),
+                    tuple(counts), None if shared is None else tuple(shared),
+                    dt)
+    together = [end_state(plant) for plant in plants]
+    assert together == alone
+    assert together == reference
 
 
 # a battery or EV start that settles on its first substep: full and idle,
 # empty and idle
 settled_stores = st.sampled_from([(1.0, 0.0), (0.0, 0.0), (0.0, -0.0)])
-# a day of warmup blocks, or up to eight blocks of up to 60 substeps
+# a day of warmup blocks, or up to eight intervals of up to 60 substeps
 class_counts = st.one_of(block_counts, st.just([60] * 96))
+# a plant's own offset in a class call: signed zeros, offsets that saturate
+# every plant drawn here and offsets inside their bands
+class_offsets = st.one_of(st.sampled_from([0.0, -0.0, -99.0, 99.0]),
+                          st.floats(-5.0, 5.0))
+
+
+def draw_offsets(data, k, warmup):
+    """K offsets, one per plant: the warmup's zeros, or each drawn alone."""
+    if warmup:
+        return [0.0] * k
+    return [data.draw(class_offsets) for _ in range(k)]
 
 
 class TestClassLoops:
-    """One class call over K plants of a model, the warmup's call, leaves
-    each plant bit-identical to its own ``step`` over the same blocks with
-    no offset: every state field, the flags and the lag's state.  The call
-    runs the plants' substeps in step, each store skipping and resuming on
-    its own."""
+    """One class call over K plants of a model, each under its own offset,
+    leaves each plant bit-identical to its own call and to the Python
+    reference loops over the same intervals: every state field, the flags
+    and the lag's state.  The call runs the plants' substeps in step, each
+    store skipping and resuming on its own; the warmup makes it with zero
+    offsets."""
 
     @given(data=st.data(), k=st.integers(1, 5), counts=class_counts,
-           dt=block_dts)
-    def test_batteries(self, data, k, counts, dt):
+           dt=block_dts, warmup=st.booleans())
+    def test_batteries(self, data, k, counts, dt, warmup):
         batteries, wishes = [], []
         for _ in range(k):
             bes = BatteryStorage(BesParams(
@@ -1120,25 +1212,22 @@ class TestClassLoops:
                                           settled_stores))
             bes.set_state((soc, p0, data.draw(st.booleans())))
             batteries.append(bes)
-            # a wish out of reach settles the battery mid-block
+            # a wish out of reach settles the battery mid-interval
             wishes.append(data.draw(st.lists(
                 st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0])),
                 min_size=len(counts), max_size=len(counts))))
-        tods = block_starts(0.0, counts, dt)
-        want = step_each(batteries, wishes, repeat(0.0), counts, dt)
-        step_stores(batteries, flat(wishes), tuple(counts), tuple(tods),
-                    dt)
-        assert [storage_bits(b, b.p_kw) for b in batteries] \
-            == [storage_bits(b, b.p_kw) for b in want]
+        check_class(batteries, draw_offsets(data, k, warmup), wishes, counts,
+                    None, dt, warmup)
 
     @given(data=st.data(), k=st.integers(1, 5), counts=class_counts,
            dt=block_dts, start=interval_starts, edge=st.sampled_from([0, 1]),
-           lead=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])))
-    def test_evs(self, data, k, counts, dt, start, edge, lead):
+           lead=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+           warmup=st.booleans())
+    def test_evs(self, data, k, counts, dt, start, edge, lead, warmup):
         # the first EV's first departure or return falls inside the run
-        # (`lead` of the way through the blocks before the last) or on a
-        # block's start; the run starts at `start` for the others, which
-        # puts midnight inside a block from 23:45 on
+        # (`lead` of the way through the intervals before the last) or on an
+        # interval's start; the run starts at `start` for the others, which
+        # puts midnight inside an interval from 23:45 on
         evs = []
         for _ in range(k):
             ev = ElectricVehicle(BevParams(
@@ -1152,15 +1241,12 @@ class TestClassLoops:
             evs.append(ev)
         if data.draw(st.booleans()):
             start = evs[0].trips[0][edge] - lead * sum(counts[:-1]) * dt
-        tods = block_starts(start, counts, dt)
-        want = step_each(evs, repeat(repeat(None)), tods, counts, dt)
-        step_stores(evs, None, tuple(counts), tuple(tods), dt)
-        assert [storage_bits(e, e.p_kw) for e in evs] \
-            == [storage_bits(e, e.p_kw) for e in want]
+        check_class(evs, draw_offsets(data, k, warmup), None, counts,
+                    block_starts(start, counts, dt), dt, warmup)
 
     @given(data=st.data(), k=st.integers(1, 5), counts=class_counts,
-           dt=block_dts)
-    def test_heat_pumps(self, data, k, counts, dt):
+           dt=block_dts, warmup=st.booleans())
+    def test_heat_pumps(self, data, k, counts, dt, warmup):
         # small tanks from the band's edges, the floor and the ceiling
         # included, with the compressor's lag still running
         heat_pumps, demands = [], []
@@ -1180,11 +1266,8 @@ class TestClassLoops:
         ambients = data.draw(st.lists(st.floats(-20.0, 30.0),
                                       min_size=len(counts),
                                       max_size=len(counts)))
-        want = step_each(heat_pumps, demands, ambients, counts, dt)
-        step_heat_pumps(heat_pumps, flat(demands), tuple(counts),
-                        tuple(ambients), dt)
-        assert [heat_pump_bits(h, h.p_kw) for h in heat_pumps] \
-            == [heat_pump_bits(h, h.p_kw) for h in want]
+        check_class(heat_pumps, draw_offsets(data, k, warmup), demands,
+                    counts, ambients, dt, warmup)
 
     def test_sleeping_stores_wake_at_their_own_substeps(self):
         # three full, idle EVs settle on their first substep and sleep to
@@ -1193,12 +1276,8 @@ class TestClassLoops:
         evs = [make_bev(capacity_kwh=20.0, soc0=soc, trips=(trip,))
                for soc, trip in ((1.0, (7.3, 8.1, 4.0)), (1.0, (7.6, 7.9, 2.0)),
                                  (1.0, (7.55, 9.2, 6.0)), (0.4, (9.0, 9.5, 1.0)))]
-        counts = (240, 240)
-        tods = (7.0 * 3600.0, 8.0 * 3600.0)
-        want = step_each(evs, repeat(repeat(None)), tods, counts, 15.0)
-        step_stores(evs, None, counts, tods, 15.0)
-        assert [storage_bits(e, e.p_kw) for e in evs] \
-            == [storage_bits(e, e.p_kw) for e in want]
+        check_class(evs, [0.0] * 4, None, (240, 240),
+                    (7.0 * 3600.0, 8.0 * 3600.0), 15.0, warmup=True)
 
     def test_a_bad_count_leaves_the_plants_as_they_were(self):
         # the second block's count is no integer: the first block has run
@@ -1216,21 +1295,26 @@ class TestClassLoops:
             step_heat_pumps([ehp], (2.0, 2.0), counts, (0.0, 0.0), 15.0)
         assert [end_bits(plant) for plant in (bes, bev, ehp)] == before
 
-    @pytest.mark.parametrize("states, wishes, tods, error", [
-        # a state, an input or a shared value short
-        ((0.5, 0.0, False), (1.0, 1.0), None, ValueError),
-        ((0.5, 0.0, False, 0.0), (1.0,), None, ValueError),
-        ((0.5, 0.0, False, 0.0), None, (0.0,), ValueError),
+    @pytest.mark.parametrize("states, offsets_, wishes, tods, error", [
+        # a state, an offset, an input or a shared value short
+        ((0.5, 0.0, False), (0.0,), (1.0, 1.0), None, ValueError),
+        ((0.5, 0.0, False, 0.0), (), (1.0, 1.0), None, ValueError),
+        ((0.5, 0.0, False, 0.0), (0.0,), (1.0,), None, ValueError),
+        ((0.5, 0.0, False, 0.0), (0.0,), None, (0.0,), ValueError),
         # a list, not a tuple
-        ([0.5, 0.0, False, 0.0], (1.0, 1.0), None, TypeError),
-        # an item of no float, the second block's wish
-        ((0.5, 0.0, False, 0.0), (1.0, "1.0"), None, TypeError),
-    ], ids=["states", "wishes", "tods", "list", "item"])
-    def test_bad_arguments_are_refused(self, states, wishes, tods, error):
+        ([0.5, 0.0, False, 0.0], (0.0,), (1.0, 1.0), None, TypeError),
+        ((0.5, 0.0, False, 0.0), [0.0], (1.0, 1.0), None, TypeError),
+        # an item of no float: the offset, the second block's wish
+        ((0.5, 0.0, False, 0.0), ("0.0",), (1.0, 1.0), None, TypeError),
+        ((0.5, 0.0, False, 0.0), (0.0,), (1.0, "1.0"), None, TypeError),
+    ], ids=["states", "offsets", "wishes", "tods", "list", "offsets_list",
+            "offset_item", "item"])
+    def test_bad_arguments_are_refused(self, states, offsets_, wishes, tods,
+                                       error):
         bes = BatteryStorage(BesParams(5.0, 3.0, 3.0))
         with pytest.raises(error):
-            storage_class_substeps(states, (bes._consts,), wishes, (60, 60),
-                                   tods, 15.0)
+            storage_class_substeps(states, (bes._consts,), offsets_, wishes,
+                                   (60, 60), tods, 15.0)
 
 
 # hand-picked inputs, each with its own blocks of (n, input, shared) and a
@@ -1306,29 +1390,23 @@ def run_class(plant, blocks, dt):
         step_stores([plant], inputs, counts, shared, dt)
 
 
-def end_state(plant):
-    """Every state field of a plant and its returned power, at full
-    precision."""
-    if isinstance(plant, HeatPumpSystem):
-        return heat_pump_bits(plant, plant.p_kw)
-    return storage_bits(plant, plant.p_kw)
-
-
 class TestFixedInputs:
     """Hand-picked inputs on each branch a mutant of a loop body could
-    change by one ulp, through the per-plant entry and the class entry,
-    against the Python reference loops, bit for bit."""
+    change by one ulp, one ``step`` per interval and in one class call over
+    all of them, against the Python reference loops, bit for bit."""
 
     @pytest.mark.parametrize("case", sorted(FIXED_CASES))
-    def test_both_entries_match_the_reference(self, case):
+    def test_steps_and_the_class_call_match_the_reference(self, case):
         make, start, blocks, dt, ends_as_expected = FIXED_CASES[case]
         plants = [make() for _ in range(3)]
         for plant in plants:
             plant.set_state(start)
-        reference, per_plant, in_class = plants
-        use_references(reference).step(0.0, blocks, dt)
-        per_plant.step(0.0, blocks, dt)
+        reference, stepped, in_class = plants
+        use_references(reference)
+        for block in blocks:
+            step_block(reference, 0.0, block, dt)
+            step_block(stepped, 0.0, block, dt)
         run_class(in_class, blocks, dt)
-        assert end_state(per_plant) == end_state(reference)
+        assert end_state(stepped) == end_state(reference)
         assert end_state(in_class) == end_state(reference)
         assert ends_as_expected(reference)

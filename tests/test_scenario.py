@@ -38,6 +38,7 @@ from cellflex.scenario import (
     scenario_to_dict,
     warmup_schedule,
 )
+from cellflex.twin import CellTwin
 
 
 def minimal_dict(**overrides):
@@ -502,15 +503,15 @@ class TestProfiles:
         d["prosumers"][0]["household"] = {
             "p_base_kw": 0.3, "p_morning_kw": 0.6, "p_evening_kw": 1.2}
         s = scenario_from_dict(d)
-        household = build_profiles(s).household["p01"]
-        p_at_20h, q_at_20h, _ = household.value(0.0)
+        shape = build_profiles(s).shape
+        (p_at_20h, p_at_3h) = household_load(
+            hh, [shape.value(0.0), shape.value(7 * 3600.0)])
         # t = 0 is 20:00; evening shoulder well above the small hours
-        assert p_at_20h > household.value(7 * 3600.0)[0]  # 20:00 vs 03:00
-        assert q_at_20h == pytest.approx(p_at_20h * 0.20)
+        assert p_at_20h > p_at_3h
         peak_evening = hh.p_base_kw + hh.p_evening_kw \
             + hh.p_morning_kw * math.exp(-(12.0 / 1.3) ** 2)
         # the sampled grid straddles 19:30; allow the 15-min discretization
-        p_values = [household.at(k)[0] for k in range(household.n)]
+        p_values = household_load(hh, map(shape.at, range(shape.n)))
         assert max(p_values) == pytest.approx(peak_evening, rel=0.05)
 
     def test_irradiance_zero_at_night_positive_at_noon(self):
@@ -533,8 +534,8 @@ class TestProfiles:
             {"heat_ua_kw_per_k": 0.1, "heat_base_kw": 0.2})
         d["weather"] = {"ambient_mean_c": -1.0, "ambient_swing_c": 0.0}
         s = scenario_from_dict(d)
-        profiles = build_profiles(s)
-        _, _, heat = profiles.household["p01"].value(0.0)
+        row = build_profiles(s).shape.value(0.0)
+        (heat,) = household_heat(s.prosumers[0].household, [row])
         assert heat == pytest.approx(0.2 + 0.1 * 18.0)
 
     def test_coverage_matches_configured_window(self):
@@ -594,22 +595,31 @@ class TestProfilesOnDemand:
         for series, values in ((profiles.ambient, amb), (profiles.irradiance, irr)):
             assert (series.t0_s, series.n) == (t_lo, n)
             assert repr([series.at(k) for k in range(n)]) == repr(list(values))
-        assert household.keys() == profiles.household.keys()
-        for pid, (p, q, heat) in household.items():
-            series = profiles.household[pid]
-            assert (series.t0_s, series.n) == (t_lo, n)
-            assert repr([series.at(k) for k in range(n)]) \
-                == repr(list(zip(p, q, heat)))
-            # a step series reads the grid point its time falls in
-            assert series.value(t_lo + 450.0) == series.at(0)
-        # the warmup's form: each household's load and heat over the shape
-        # rows of the whole grid at once
+        # each household's load and heat over the shape rows of the whole
+        # grid at once, the warmup's form
         assert (profiles.shape.t0_s, profiles.shape.n) == (t_lo, n)
         rows = [profiles.shape.at(k) for k in range(n)]
         for pro in scenario.prosumers:
             p, _, heat = household[pro.id]
             assert repr(household_load(pro.household, rows)) == repr(list(p))
             assert repr(household_heat(pro.household, rows)) == repr(list(heat))
+        # a step series reads the grid point its time falls in
+        assert profiles.shape.value(t_lo + 450.0) is profiles.shape.at(0)
+
+    def test_a_dispatch_sample_reads_the_eager_formula(self, make):
+        # the twin takes an interval's P, Q and heat demand from the shape
+        # row of the grid point its start falls in
+        scenario = make()
+        twin = CellTwin(scenario)
+        t_lo, _, _, household = eager_profile_values(scenario)
+        for t in (0.0, 450.0, 899.0, -7.5 * 3600.0):
+            twin._sample_inputs(t, 3, 5.0)
+            k = int((t - t_lo) // _PROFILE_GRID_S)
+            for pro in twin.prosumers:
+                p, q, heat = household[pro.id]
+                assert repr((pro.load_p, pro.load_q)) == repr((p[k], q[k]))
+                if pro.ehp is not None:
+                    assert repr(pro.heat_kw) == repr(heat[k])
 
     def test_weather_interpolates_between_grid_points(self, make):
         profiles = build_profiles(make())
@@ -627,9 +637,7 @@ class TestProfilesOnDemand:
         sim = scenario.simulation
         before = -sim.profile_back_days * 86400.0 - 1.0
         after = sim.profile_forward_days * 86400.0 + 2 * _PROFILE_GRID_S
-        series = [profiles.ambient, profiles.irradiance,
-                  *profiles.household.values()]
-        for s in series:
+        for s in (profiles.ambient, profiles.irradiance, profiles.shape):
             for t in (before, after):
                 with pytest.raises(ConfigurationError, match="does not cover"):
                     s.value(t)

@@ -4,8 +4,9 @@
 the Python loops of ``plant_reference`` instead of the compiled ones, it
 warms up one block at a time, every prosumer sampled and every plant
 stepped once per warmup block by the dispatch interval's
-``_step_interval`` (``CellTwin.run_warmup`` samples all of the blocks at
-once and steps each plant class in one compiled call), it restores
+``_step_interval``, one interval of n substeps (``CellTwin.run_warmup``
+samples all of the blocks at once and steps each plant class in one
+compiled call), it restores
 and re-integrates every plant and every prosumer on every evaluation and
 probe (``restore`` and ``step_dispatch_interval`` ignore the stale plants
 they are given), and it solves every power flow with the Python sweep
@@ -34,7 +35,7 @@ class PlainTwin(CellTwin):
         self.set_offsets([0.0] * self.n_plants)
         t = -warmup_s
         for n in counts:
-            self._step_interval(t, (n,), substep)
+            self._step_interval(t, n, substep)
             t = t + n * substep
         self.t_s = 0.0
         return self.capture_reference()
