@@ -46,8 +46,7 @@ Each plant is built from its scenario params record (``BesParams``,
 ``PvParams``, ``EhpParams`` or ``BevParams`` in :mod:`cellflex.scenario`),
 which holds every parameter default, and keeps it as ``params``; the
 constructors trust it, since the loader checked it.  A stateful plant packs
-the constants its loop reads into one bytes of C doubles, ``_consts``, once,
-and keeps them as a class of one, ``_own_consts``, for its ``step``.
+the constants its loop reads into one bytes of C doubles, ``_consts``, once.
 
 A store whose connected substep leaves its state bit-identical is settled:
 its later connected substeps would repeat it, so a battery stops and an EV
@@ -100,8 +99,7 @@ class _Storage:
     departure, last return, in s of day) drain the running trip instead.
     """
 
-    __slots__ = ("params", "soc", "p_kw", "saturated", "_consts",
-                 "_own_consts")
+    __slots__ = ("params", "soc", "p_kw", "saturated", "_consts")
 
     def __init__(self, params, lo, hi, away=None, trips=()):
         # rating bounds [lo, hi]; with no trip the window is never read
@@ -113,7 +111,6 @@ class _Storage:
                              params.eta_discharge, params.time_constant_s,
                              *(away or (0.0, 0.0)),
                              *(x for trip in trips for x in trip))
-        self._own_consts = (self._consts,)
 
 
 class BatteryStorage(_Storage):
@@ -132,7 +129,7 @@ class BatteryStorage(_Storage):
         Returns the last substep's realized power.
         """
         self.soc, self.p_kw, self.saturated, _ = storage_class_substeps(
-            (self.soc, self.p_kw, self.saturated, 0.0), self._own_consts,
+            (self.soc, self.p_kw, self.saturated, 0.0), (self._consts,),
             (offset_kw,), (wish_kw,), (n,), None, dt)
         return self.p_kw
 
@@ -219,7 +216,7 @@ class HeatPumpSystem:
     __slots__ = (
         "params", "tan_phi", "heating", "t_storage_c", "p_kw", "q_kvar",
         "saturated", "last_cop", "last_p_compressor_kw", "last_p_element_kw",
-        "_consts", "_own_consts",
+        "_consts",
     )
 
     def __init__(self, params):
@@ -238,7 +235,6 @@ class HeatPumpSystem:
                              p.t_on_c, p.t_off_c, p.t_min_c, p.t_max_c,
                              p.t_element_threshold_c, p.storage_kwh_per_k,
                              p.time_constant_s)
-        self._own_consts = (self._consts,)
 
     def step(self, offset_kw, n, heat_kw, ambient_c, dt):
         """Advance n substeps of dt seconds under heat demand `heat_kw` and
@@ -255,7 +251,7 @@ class HeatPumpSystem:
          self.last_p_element_kw) = heat_pump_class_substeps(
             (self.t_storage_c, self.heating, self.saturated, self.last_cop,
              self.last_p_compressor_kw, self.last_p_element_kw),
-            self._own_consts, (offset_kw,), (heat_kw,), (n,), (ambient_c,),
+            (self._consts,), (offset_kw,), (heat_kw,), (n,), (ambient_c,),
             dt)
         self._derive_power()
         return self.p_kw
@@ -315,7 +311,7 @@ class ElectricVehicle(_Storage):
         (self.soc, self.p_kw, self.saturated,
          self.trip_drain_kwh) = storage_class_substeps(
             (self.soc, self.p_kw, self.saturated, self.trip_drain_kwh),
-            self._own_consts, (offset_kw,), None, (n,), (base_tod_s,), dt)
+            (self._consts,), (offset_kw,), None, (n,), (base_tod_s,), dt)
         return self.p_kw
 
     def get_state(self):

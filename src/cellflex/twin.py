@@ -135,13 +135,13 @@ class _ProsumerTwin:
     of EV and index) locate this prosumer's plants in both.  ``injections``
     is the twin's shared bus injection list and ``i_p`` the index of this
     prosumer's bus P in it.  ``bes_wish`` is the battery's wish and
-    ``heat_kw`` and ``ambient_c`` the heat pump's inputs last sampled.
+    ``heat_kw`` the heat pump's demand last sampled.
     """
 
     __slots__ = ("id", "household", "pv", "bes", "ehp", "bevs",
                  "offsets", "values", "i_bes", "i_ehp", "i_inv",
                  "bev_slots", "injections", "i_p", "load_p", "load_q",
-                 "p_base", "q_base", "bes_wish", "heat_kw", "ambient_c")
+                 "p_base", "q_base", "bes_wish", "heat_kw")
 
     def __init__(self, spec, injections, i_p):
         self.id = spec.id
@@ -156,13 +156,12 @@ class _ProsumerTwin:
         self.injections = injections
         self.i_p = i_p
         self.load_p = self.load_q = self.p_base = self.q_base = 0.0
-        self.bes_wish = self.heat_kw = self.ambient_c = 0.0
+        self.bes_wish = self.heat_kw = 0.0
 
-    def sample_inputs(self, rows, amb, irr):
+    def sample_inputs(self, rows, irr):
         """Sample the household inputs from the one-row list `rows` (a
-        time-of-day shape row) at ambient `amb` and irradiance `irr`; the
-        battery wishes for its PV surplus, the inverter's active power less
-        the load."""
+        time-of-day shape row) at irradiance `irr`; the battery wishes for
+        its PV surplus, the inverter's active power less the load."""
         hh = self.household
         (load_p,) = household_load(hh, rows)
         load_q = load_p * hh.tan_phi
@@ -172,22 +171,22 @@ class _ProsumerTwin:
             self.bes_wish = p_pv - load_p
         if self.ehp is not None:
             (self.heat_kw,) = household_heat(hh, rows)
-            self.ambient_c = amb
         self.load_p, self.load_q = load_p, load_q
         if pv is None:
             self.p_base = load_p
             self.q_base = load_q
 
-    def integrate(self, stale, irr, n, ev_tod, dt):
+    def integrate(self, stale, irr, amb, n, ev_tod, dt):
         """Step the flagged plants over the interval of n substeps of dt
-        seconds last sampled, the EVs' first at time of day `ev_tod`.
+        seconds last sampled, at irradiance `irr` and ambient `amb`, the
+        EVs' first substep at time of day `ev_tod`.
 
         `stale` holds a flag per plant index.  Each flagged plant makes one
         ``step`` call, and its value goes to ``values``; the others already
         hold their end state.  The PV inverter keeps no state: it steps at
-        the interval's irradiance `irr` and sets the bus base load
-        ``p_base``/``q_base``.  The bus injection is then summed from every
-        plant's final power and written in place.
+        `irr` and sets the bus base load ``p_base``/``q_base``.  The bus
+        injection is then summed from every plant's final power and written
+        in place.
         """
         off, values = self.offsets, self.values
         i = self.i_inv
@@ -208,8 +207,7 @@ class _ProsumerTwin:
         if ehp is not None:
             i = self.i_ehp
             if stale[i]:
-                values[i] = ehp.step(off[i], n, self.heat_kw,
-                                     self.ambient_c, dt)
+                values[i] = ehp.step(off[i], n, self.heat_kw, amb, dt)
             p += ehp.p_kw
             q += ehp.q_kvar
         for bev, i in self.bev_slots:
@@ -240,7 +238,7 @@ class CellTwin:
         self._dispatch_n = round(self.dispatch_step_s / self.internal_dt_s)
         # the interval whose inputs are sampled, and its inputs
         self._inputs_t0 = self._inputs_n = None
-        self._irr = self._ev_tod = self._last_substep_tod = None
+        self._irr = self._amb = self._ev_tod = self._last_substep_tod = None
         # the snapshot the plants' current state was integrated from, and the
         # offsets it was integrated under; None once anything else moved it
         self._end_of = None
@@ -342,22 +340,22 @@ class CellTwin:
         stale = self._all_stale
         if owners is not None:
             prosumers, stale = owners, self._stale
-        irr, ev_tod = self._irr, self._ev_tod
+        irr, amb, ev_tod = self._irr, self._amb, self._ev_tod
         for pro in prosumers:
-            pro.integrate(stale, irr, n, ev_tod, substep)
+            pro.integrate(stale, irr, amb, n, ev_tod, substep)
 
     def _sample_inputs(self, t0, n, substep):
         """Sample the inputs of the interval of n substeps from `t0` at its
         start."""
         profiles = self.profiles
         rows = [profiles.shape.value(t0)]
-        amb = profiles.ambient.value(t0)
         irr = profiles.irradiance.value(t0)
         for pro in self.prosumers:
-            pro.sample_inputs(rows, amb, irr)
+            pro.sample_inputs(rows, irr)
         tod = self.start_tod_s
         self._ev_tod = tod + t0
         self._irr = irr
+        self._amb = profiles.ambient.value(t0)
         self._last_substep_tod = (tod + t0 + (n - 1) * substep) % 86400.0
         self._inputs_t0 = t0
         self._inputs_n = n
@@ -475,9 +473,9 @@ class CellTwin:
         n = counts[-1]
         self._sample_inputs(starts[-1], n, substep)
         inverters = bytes([cls == "inv" for cls in self.plant_classes])
-        irr, ev_tod = self._irr, self._ev_tod
+        irr, amb, ev_tod = self._irr, self._amb, self._ev_tod
         for pro in self.prosumers:
-            pro.integrate(inverters, irr, n, ev_tod, substep)
+            pro.integrate(inverters, irr, amb, n, ev_tod, substep)
         self._values[:] = self._read_values()
         self.t_s = 0.0
         return self.capture_reference()

@@ -928,10 +928,14 @@ class TestHeatPumpLoopReference:
             assert ehp.t_storage_c == t_end and ehp.saturated
 
 
+# the most intervals a class test replays through the Python reference
+# loops: over a day of warmup blocks they would take seconds an example,
+# and minutes to shrink a failing one
+SHORT_SCHEDULE = 8
 # up to eight intervals of up to 60 substeps, on the warmup's substep widths
 # and coarser ones; an empty interval hands its start state on unchanged
 block_counts = st.lists(st.one_of(st.integers(0, 60), st.just(0)),
-                        min_size=1, max_size=8)
+                        min_size=1, max_size=SHORT_SCHEDULE)
 block_dts = st.sampled_from([5.0, 15.0, 40.0])
 # the warmup's zero offset half of the time
 block_offsets = st.one_of(st.just(0.0), offsets)
@@ -961,19 +965,26 @@ HEAT_PUMP_FIELDS = ("t_storage_c", "heating", "saturated", "last_cop",
 
 def class_call(plants, offsets, inputs, counts, shared, dt):
     """Step `plants`, all of one model, plant k under offsets[k], over the
-    intervals of counts[j] substeps in one call to the model's class entry:
-    the call ``step_stores`` and ``step_heat_pumps`` make with zero offsets.
-    inputs[k] holds plant k's input per interval (`inputs` is None for EVs),
-    `shared` each interval's time of day (None for batteries) or ambient
-    temperature."""
+    intervals of counts[j] substeps in one call to the model's class entry;
+    with `offsets` None, the warmup's call, ``step_stores`` or
+    ``step_heat_pumps``, whose offsets are zero.  inputs[k] holds plant k's
+    input per interval (read for no EV, so None will do), `shared` each
+    interval's time of day (None for batteries) or ambient temperature."""
     heat_pumps = isinstance(plants[0], HeatPumpSystem)
+    # an EV takes no input
+    inputs = None if isinstance(plants[0], ElectricVehicle) else flat(inputs)
+    counts = tuple(counts)
+    shared = None if shared is None else tuple(shared)
+    if offsets is None:
+        warmup = step_heat_pumps if heat_pumps else step_stores
+        warmup(plants, inputs, counts, shared, dt)
+        return
     fields = HEAT_PUMP_FIELDS if heat_pumps else STORE_FIELDS
     entry = heat_pump_class_substeps if heat_pumps else storage_class_substeps
     new = iter(entry(
         tuple([getattr(p, field, 0.0) for p in plants for field in fields]),
-        tuple([p._consts for p in plants]), tuple(offsets),
-        None if inputs is None else flat(inputs), tuple(counts),
-        None if shared is None else tuple(shared), dt))
+        tuple([p._consts for p in plants]), tuple(offsets), inputs, counts,
+        shared, dt))
     for plant in plants:
         for field in fields:
             value = next(new)
@@ -999,9 +1010,7 @@ def check_intervals(plant, other, bits, offset, blocks, dt):
     per block: both must end bit-identical, the call with the last step's
     returned power."""
     counts, inputs, shared = zip(*blocks)
-    class_call([plant], [offset],
-               None if isinstance(plant, ElectricVehicle) else [inputs],
-               counts, shared, dt)
+    class_call([plant], [offset], [inputs], counts, shared, dt)
     for block in blocks:
         q = step_block(other, offset, block, dt)
     assert bits(plant, plant.p_kw) == bits(other, q)
@@ -1126,7 +1135,6 @@ class TestIntervalsInOneCall:
         plant = make()
         before = end_bits(plant)
         plant._consts = spoil(plant._consts)
-        plant._own_consts = (plant._consts,)
         with pytest.raises(TypeError, match="constants as bytes of C doubles"):
             step(plant)
         assert end_bits(plant) == before
@@ -1145,32 +1153,28 @@ def check_class(plants, offsets, inputs, counts, shared, dt, warmup=False):
     `warmup`, the warmup's ``step_stores`` or ``step_heat_pumps``, whose
     offsets are zero), over the intervals of counts[j] substeps, with the
     inputs and shared values `class_call` takes.  Each plant must end
-    bit-identical to its own class call, alone, and to the Python reference
-    loops, one ``step`` per interval."""
+    bit-identical to its own class call, alone, and over a schedule of at
+    most ``SHORT_SCHEDULE`` intervals to the Python reference loops, one
+    ``step`` per interval."""
+    replay = len(counts) <= SHORT_SCHEDULE
     rows = repeat(None) if inputs is None else inputs
     alone, reference = [], []
     for plant, offset, row in zip(plants, offsets, rows):
         own = copy.copy(plant)
-        class_call([own], [offset], None if row is None else [row], counts,
-                   shared, dt)
+        class_call([own], [offset], [row], counts, shared, dt)
         alone.append(end_state(own))
-        ref = with_reference(plant)
-        for block in zip(counts, repeat(None) if row is None else row,
-                         repeat(0.0) if shared is None else shared):
-            step_block(ref, offset, block, dt)
-        reference.append(end_state(ref))
-    if not warmup:
-        class_call(plants, offsets, inputs, counts, shared, dt)
-    elif isinstance(plants[0], HeatPumpSystem):
-        step_heat_pumps(plants, flat(inputs), tuple(counts), tuple(shared),
-                        dt)
-    else:
-        step_stores(plants, None if inputs is None else flat(inputs),
-                    tuple(counts), None if shared is None else tuple(shared),
-                    dt)
+        if replay:
+            ref = with_reference(plant)
+            for block in zip(counts, row or repeat(None),
+                             shared or repeat(0.0)):
+                step_block(ref, offset, block, dt)
+            reference.append(end_state(ref))
+    class_call(plants, None if warmup else offsets, inputs, counts, shared,
+               dt)
     together = [end_state(plant) for plant in plants]
     assert together == alone
-    assert together == reference
+    if replay:
+        assert together == reference
 
 
 # a battery or EV start that settles on its first substep: full and idle,
@@ -1379,17 +1383,6 @@ FIXED_CASES = {
 }
 
 
-def run_class(plant, blocks, dt):
-    """Step `plant` over `blocks` with no offset through its class entry."""
-    counts, inputs, shared = zip(*blocks)
-    if isinstance(plant, HeatPumpSystem):
-        step_heat_pumps([plant], inputs, counts, shared, dt)
-    elif isinstance(plant, ElectricVehicle):
-        step_stores([plant], None, counts, shared, dt)
-    else:
-        step_stores([plant], inputs, counts, shared, dt)
-
-
 class TestFixedInputs:
     """Hand-picked inputs on each branch a mutant of a loop body could
     change by one ulp, one ``step`` per interval and in one class call over
@@ -1406,7 +1399,8 @@ class TestFixedInputs:
         for block in blocks:
             step_block(reference, 0.0, block, dt)
             step_block(stepped, 0.0, block, dt)
-        run_class(in_class, blocks, dt)
+        counts, inputs, shared = zip(*blocks)
+        class_call([in_class], None, [inputs], counts, shared, dt)
         assert end_state(stepped) == end_state(reference)
         assert end_state(in_class) == end_state(reference)
         assert ends_as_expected(reference)

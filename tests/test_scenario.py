@@ -503,15 +503,22 @@ class TestProfiles:
         d["prosumers"][0]["household"] = {
             "p_base_kw": 0.3, "p_morning_kw": 0.6, "p_evening_kw": 1.2}
         s = scenario_from_dict(d)
-        shape = build_profiles(s).shape
-        (p_at_20h, p_at_3h) = household_load(
-            hh, [shape.value(0.0), shape.value(7 * 3600.0)])
+        twin = CellTwin(s)
+        pro = twin.prosumers[0]
+        assert pro.id == "p01"
+        # the household the loader built, sampled as a dispatch interval is
+        twin._sample_inputs(0.0, 1, 5.0)
+        p_at_20h, q_at_20h = pro.load_p, pro.load_q
+        twin._sample_inputs(7 * 3600.0, 1, 5.0)
         # t = 0 is 20:00; evening shoulder well above the small hours
-        assert p_at_20h > p_at_3h
+        assert p_at_20h > pro.load_p                      # 20:00 vs 03:00
+        assert q_at_20h == pytest.approx(p_at_20h * 0.20)
         peak_evening = hh.p_base_kw + hh.p_evening_kw \
             + hh.p_morning_kw * math.exp(-(12.0 / 1.3) ** 2)
         # the sampled grid straddles 19:30; allow the 15-min discretization
-        p_values = household_load(hh, map(shape.at, range(shape.n)))
+        shape = twin.profiles.shape
+        p_values = household_load(s.prosumers[0].household,
+                                  map(shape.at, range(shape.n)))
         assert max(p_values) == pytest.approx(peak_evening, rel=0.05)
 
     def test_irradiance_zero_at_night_positive_at_noon(self):
