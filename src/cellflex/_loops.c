@@ -1,6 +1,6 @@
 /* The cell's compiled inner loops: the plants' substeps, the radial power
- * flow, the twin's changed-offset scan, the objective's plant cost and Basin
- * Hopping's random draws.
+ * flow, the twin's changed-offset scan, the objective's plant cost, Basin
+ * Hopping's random draws and Nelder-Mead's simplex.
  *
  * store_run is the substep body of batteries and EVs, hp_substep that of
  * heat pumps, each written once and each run by one entry.
@@ -23,7 +23,10 @@
  * summed in plant order so that no BLAS kernel picks the order of its
  * additions.  pcg64_fill draws a vector of uniform numbers from a PCG64
  * state that optimizer.PCG64 seeds, the same bits as
- * numpy.random.default_rng with the same seed.
+ * numpy.random.default_rng with the same seed.  nelder_mead runs
+ * optimizer.nelder_mead's simplex search, calling back into Python once per
+ * evaluation with the clipped point; it replays numpy's clip, stable sort
+ * (NaN last), mean and max, and Python's min, on the same doubles.
  *
  * Each loop replays Python float arithmetic bit for bit: the same operations
  * in the same order, comparisons instead of min/max with Python's tie rules,
@@ -1103,6 +1106,242 @@ pcg64_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
+/* numpy's clip of a float: max(x, lo), then min(that, hi), where each
+   keeps a NaN first operand and otherwise takes the second operand unless
+   the first compares greater (smaller) */
+INLINE double
+np_clip(double x, double lo, double hi)
+{
+    if (!isnan(x) && !(x > lo))
+        x = lo;
+    if (!isnan(x) && !(x < hi))
+        x = hi;
+    return x;
+}
+
+/* numpy's float sort order, which puts NaN last: a before b */
+#define SORTS_BEFORE(a, b) ((a) < (b) || ((b) != (b) && (a) == (a)))
+
+/* One Nelder-Mead search: its objective, box, budget and best point */
+typedef struct {
+    PyObject *evaluate, *best;
+    const double *box;          /* (lo, hi) per coordinate */
+    Py_ssize_t d, n_evals, maxfev;
+    double f_best;
+    int feasible_best;
+} nm_search;
+
+/* Evaluate the vertex v clipped into the box, its objective into *fx: 0,
+   1 once the budget is spent (nothing evaluated), -1 with an exception
+   set.  The clipped point goes to `evaluate` as a new bytearray of d
+   doubles, kept as the best point if its objective is the lowest yet. */
+static int
+nm_eval(nm_search *s, const double *v, double *fx)
+{
+    if (s->n_evals >= s->maxfev)
+        return 1;
+    PyObject *point = PyByteArray_FromStringAndSize(
+        NULL, s->d * (Py_ssize_t)sizeof(double));
+    if (point == NULL)
+        return -1;
+    double *x = (double *)PyByteArray_AS_STRING(point);
+    for (Py_ssize_t j = 0; j < s->d; j++)
+        x[j] = np_clip(v[j], s->box[2 * j], s->box[2 * j + 1]);
+    PyObject *r = PyObject_CallOneArg(s->evaluate, point);
+    int feasible = -1;
+    if (r != NULL && (!PyTuple_Check(r) || PyTuple_GET_SIZE(r) != 2))
+        PyErr_SetString(PyExc_TypeError,
+                        "nelder_mead() needs (of, feasible) from evaluate");
+    else if (r != NULL && !as_double(PyTuple_GET_ITEM(r, 0), fx))
+        feasible = PyObject_IsTrue(PyTuple_GET_ITEM(r, 1));
+    Py_XDECREF(r);
+    if (feasible < 0) {
+        Py_DECREF(point);
+        return -1;
+    }
+    s->n_evals += 1;
+    if (*fx < s->f_best) {
+        Py_XSETREF(s->best, point);
+        s->f_best = *fx;
+        s->feasible_best = feasible;
+    }
+    else {
+        Py_DECREF(point);
+    }
+    return 0;
+}
+
+/* Put vertex v, of objective fv, in place of the row `row` */
+static void
+nm_replace(double *row, double *f_row, const double *v, double fv,
+           Py_ssize_t d)
+{
+    memcpy(row, v, d * sizeof(double));
+    *f_row = fv;
+}
+
+PyDoc_STRVAR(nelder_mead_doc,
+"nelder_mead(evaluate, x0, box, scale, fatol, xatol, maxfev)\n"
+"--\n\n"
+"Nelder-Mead's downhill simplex (Nelder & Mead 1965) from x0, a buffer of\n"
+"d C doubles, with the box `box`, a buffer of (lo, hi) per coordinate.\n"
+"Returns (best, f_best, n_evals, feasible_best).\n\n"
+"The first simplex displaces each coordinate of x0 by `scale`.  Each\n"
+"vertex is clipped into the box as numpy's clip does and handed to\n"
+"evaluate as a new bytearray of d doubles; evaluate returns (of,\n"
+"feasible).  `best` is the bytearray of the first strict minimum, None if\n"
+"no objective compared below inf, and feasible_best its flag.  The search\n"
+"ends at convergence (the objectives within fatol and every vertex within\n"
+"xatol of the best in every coordinate) or at the evaluation past maxfev,\n"
+"which is not made.  Each step makes the numpy search's float operations\n"
+"in its order (tests/optimizer_reference.py), bit for bit: a stable sort\n"
+"with NaN last, the centroid of the d best vertices summed from +0.0 and\n"
+"divided by d, the reflection, expansion, contractions and shrink with\n"
+"coefficients 1, 2, 1/2 and 1/2, and Python's min for the contraction's\n"
+"test.");
+
+static PyObject *
+nelder_mead(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    double scale, fatol, xatol;
+    nm_search s = {.best = NULL, .n_evals = 0, .f_best = INFINITY,
+                   .feasible_best = 0};
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError,
+                     "nelder_mead() takes 7 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    s.evaluate = args[0];
+    /* a budget beyond Py_ssize_t is no budget: it is clamped */
+    s.maxfev = PyNumber_AsSsize_t(args[6], NULL);
+    if ((s.maxfev == -1 && PyErr_Occurred()) || as_double(args[3], &scale)
+            || as_double(args[4], &fatol) || as_double(args[5], &xatol))
+        return NULL;
+    Py_buffer views[2];
+    Py_ssize_t n[2];
+    if (get_doubles(args[1], &views[0], &n[0], 0, "nelder_mead") < 0)
+        return NULL;
+    if (get_doubles(args[2], &views[1], &n[1], 0, "nelder_mead") < 0) {
+        PyBuffer_Release(&views[0]);
+        return NULL;
+    }
+    const Py_ssize_t d = s.d = n[0];
+    PyObject *result = NULL;
+    /* the simplex, a row per vertex, each row's objective, the rows in
+       sorted order, and the centroid and three trial points */
+    double *simplex = NULL;
+    if (d < 1 || n[1] != 2 * d) {
+        PyErr_SetString(PyExc_ValueError,
+                        "nelder_mead() takes d >= 1 doubles and d (lo, hi) "
+                        "pairs");
+        goto done;
+    }
+    simplex = PyMem_Malloc(((d + 1) * (d + 1) + 4 * d) * sizeof(double)
+                           + (d + 1) * sizeof(Py_ssize_t));
+    if (simplex == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    double *fv = simplex + (d + 1) * d, *c = fv + d + 1, *xr = c + d;
+    double *xe = xr + d, *xc = xe + d;
+    Py_ssize_t *order = (Py_ssize_t *)(xc + d);
+    const double *x0 = views[0].buf;
+    s.box = views[1].buf;
+    int rc;
+    double fr, fe, fc;
+
+    /* the first simplex: x0, then x0 displaced along each coordinate */
+    for (Py_ssize_t i = 0; i <= d; i++) {
+        double *row = simplex + i * d;
+        memcpy(row, x0, d * sizeof(double));
+        if (i > 0)
+            row[i - 1] += scale;
+        order[i] = i;
+        if ((rc = nm_eval(&s, row, &fv[i])) != 0)
+            goto spent;
+    }
+    for (;;) {
+        /* stable insertion sort of the rows by objective */
+        for (Py_ssize_t k = 1; k <= d; k++) {
+            Py_ssize_t r = order[k], m = k;
+            while (m > 0 && SORTS_BEFORE(fv[r], fv[order[m - 1]])) {
+                order[m] = order[m - 1];
+                m--;
+            }
+            order[m] = r;
+        }
+        double *best = simplex + order[0] * d, *worst = simplex + order[d] * d;
+        double *f_worst = &fv[order[d]];
+        if (*f_worst - fv[order[0]] <= fatol) {
+            int close = 1;
+            for (Py_ssize_t k = 1; close && k <= d; k++)
+                for (Py_ssize_t j = 0; close && j < d; j++)
+                    close = fabs(simplex[order[k] * d + j] - best[j]) <= xatol;
+            if (close)
+                break;
+        }
+        for (Py_ssize_t j = 0; j < d; j++)
+            c[j] = 0.0;
+        for (Py_ssize_t k = 0; k < d; k++)
+            for (Py_ssize_t j = 0; j < d; j++)
+                c[j] += simplex[order[k] * d + j];
+        for (Py_ssize_t j = 0; j < d; j++) {
+            c[j] = c[j] / (double)d;
+            xr[j] = c[j] + 1.0 * (c[j] - worst[j]);
+        }
+        if ((rc = nm_eval(&s, xr, &fr)) != 0)
+            goto spent;
+        if (fr < fv[order[0]]) {
+            for (Py_ssize_t j = 0; j < d; j++)
+                xe[j] = c[j] + 2.0 * (xr[j] - c[j]);
+            if ((rc = nm_eval(&s, xe, &fe)) != 0)
+                goto spent;
+            if (fe < fr)
+                nm_replace(worst, f_worst, xe, fe, d);
+            else
+                nm_replace(worst, f_worst, xr, fr, d);
+        }
+        else if (fr < fv[order[d - 1]]) {
+            nm_replace(worst, f_worst, xr, fr, d);
+        }
+        else {
+            /* contract outside, toward xr, or inside, toward the worst */
+            const int outside = fr < *f_worst;
+            for (Py_ssize_t j = 0; j < d; j++)
+                xc[j] = outside ? c[j] + 0.5 * (xr[j] - c[j])
+                                : c[j] - 0.5 * (c[j] - worst[j]);
+            if ((rc = nm_eval(&s, xc, &fc)) != 0)
+                goto spent;
+            /* min(fr, f_worst), ties to fr */
+            if (fc < (*f_worst < fr ? *f_worst : fr)) {
+                nm_replace(worst, f_worst, xc, fc, d);
+            }
+            else {
+                /* shrink toward the best vertex */
+                for (Py_ssize_t k = 1; k <= d; k++) {
+                    double *row = simplex + order[k] * d;
+                    for (Py_ssize_t j = 0; j < d; j++)
+                        row[j] = best[j] + 0.5 * (row[j] - best[j]);
+                    if ((rc = nm_eval(&s, row, &fv[order[k]])) != 0)
+                        goto spent;
+                }
+            }
+        }
+    }
+    rc = 0;
+spent:
+    if (rc >= 0)
+        result = Py_BuildValue("(OdnO)", s.best ? s.best : Py_None, s.f_best,
+                               s.n_evals,
+                               s.feasible_best ? Py_True : Py_False);
+done:
+    Py_XDECREF(s.best);
+    PyMem_Free(simplex);
+    PyBuffer_Release(&views[0]);
+    PyBuffer_Release(&views[1]);
+    return result;
+}
+
 static PyMethodDef loops_methods[] = {
     {"storage_class_substeps",
      (PyCFunction)(void (*)(void))storage_class_substeps, METH_FASTCALL,
@@ -1118,6 +1357,8 @@ static PyMethodDef loops_methods[] = {
      plant_cost_doc},
     {"pcg64_fill", (PyCFunction)(void (*)(void))pcg64_fill, METH_FASTCALL,
      pcg64_fill_doc},
+    {"nelder_mead", (PyCFunction)(void (*)(void))nelder_mead, METH_FASTCALL,
+     nelder_mead_doc},
     {NULL, NULL, 0, NULL}
 };
 

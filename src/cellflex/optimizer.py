@@ -5,7 +5,10 @@ Both minimize an objective over a real vector; the dispatch step's is
 ``(of, feasible)`` pair, where a bare float counts as feasible.  Nelder-Mead
 counts its evaluations in one place, which ends the search once
 ``NelderMeadSettings.maxfev`` of them are spent, and reports whether the
-point it returns is feasible.
+point it returns is feasible.  Its simplex runs compiled, in one call per
+search (``nelder_mead`` in ``_loops.c``), which replays numpy's float
+operations on the simplex bit for bit and calls back into Python once per
+evaluation.
 
 Basin Hopping: each iteration perturbs the incumbent uniformly within the
 current step size, runs a Nelder-Mead refinement of at most
@@ -193,6 +196,10 @@ def adapt_step_size(step_size, n_accepted, interval):
 # ---------------------------------------------------------------------------
 # Nelder-Mead local search
 
+_nelder_mead = load_loops().nelder_mead
+_frombuffer = np.frombuffer
+
+
 @dataclass(frozen=True)
 class NelderMeadSettings:
     """Tolerances and evaluation budget of one Nelder-Mead call.
@@ -218,10 +225,11 @@ class NelderMeadSettings:
 
 
 def _box(bounds, size):
-    """``bounds`` as a ``(size, 2)`` float array; None is the unbounded box."""
+    """``bounds`` as a C-contiguous ``(size, 2)`` float array; None is the
+    unbounded box."""
     if bounds is None:
         return np.tile([-math.inf, math.inf], (size, 1))
-    bounds = np.asarray(bounds, dtype=float)
+    bounds = np.ascontiguousarray(bounds, dtype=float)
     if bounds.shape != (size, 2):
         raise ConfigurationError(
             f"bounds shape {bounds.shape} does not match vector size {size}")
@@ -233,10 +241,6 @@ def _scored(r):
     return (float(r[0]), bool(r[1])) if isinstance(r, tuple) else (float(r), True)
 
 
-class _BudgetSpent(Exception):
-    """Ends a Nelder-Mead search whose evaluation budget is used up."""
-
-
 def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings()):
     """Downhill-simplex minimization with clamp-at-evaluation box handling.
 
@@ -246,78 +250,20 @@ def nelder_mead(f, x0, *, bounds=None, scale=0.1, settings=NelderMeadSettings())
     Returns ``(x_best, f_best, n_evals, feasible_best)``: the first strict
     minimum over the evaluated points, so never a point worse than the start
     point, and its feasibility flag (False if no point scored below inf).
+    The evaluation past ``settings.maxfev`` ends the search.
+
+    The simplex runs compiled (``nelder_mead`` in ``_loops.c``), which hands
+    each clamped point back here as the bytes of a new array for ``f``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    d = x0.size
-    if d == 0:
+    x0 = np.ascontiguousarray(x0, dtype=float)
+    if x0.size == 0:
         raise ConfigurationError("cannot optimize a zero-dimensional vector")
-    lo, hi = _box(bounds, d).T
-
-    x_best, f_best, n_evals, feasible_best = None, math.inf, 0, False
-
-    def evaluate(x):
-        nonlocal x_best, f_best, n_evals, feasible_best
-        # the one budget check: the evaluation past maxfev ends the search
-        if n_evals >= settings.maxfev:
-            raise _BudgetSpent
-        xe = x.clip(lo, hi)
-        fx, feasible = _scored(f(xe))
-        n_evals += 1
-        if fx < f_best:
-            x_best, f_best, feasible_best = xe, fx, feasible
-        return fx
-
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    try:
-        # initial simplex: start point plus one displaced vertex per dimension
-        simplex = [x0.copy()]
-        fvals = [evaluate(x0)]
-        for i in range(d):
-            v = x0.copy()
-            v[i] += scale
-            simplex.append(v)
-            fvals.append(evaluate(v))
-        simplex = np.array(simplex)
-        fvals = np.array(fvals)
-
-        while True:
-            order = np.argsort(fvals, kind="stable")
-            simplex = simplex[order]
-            fvals = fvals[order]
-
-            if (fvals[-1] - fvals[0] <= settings.fatol
-                    and np.max(np.abs(simplex[1:] - simplex[0])) <= settings.xatol):
-                break
-
-            centroid = simplex[:-1].mean(axis=0)
-            xr = centroid + alpha * (centroid - simplex[-1])
-            fr = evaluate(xr)
-
-            if fr < fvals[0]:
-                xe_ = centroid + gamma * (xr - centroid)
-                fe = evaluate(xe_)
-                if fe < fr:
-                    simplex[-1], fvals[-1] = xe_, fe
-                else:
-                    simplex[-1], fvals[-1] = xr, fr
-            elif fr < fvals[-2]:
-                simplex[-1], fvals[-1] = xr, fr
-            else:
-                if fr < fvals[-1]:
-                    xc = centroid + rho * (xr - centroid)       # outside contraction
-                else:
-                    xc = centroid - rho * (centroid - simplex[-1])  # inside
-                fc = evaluate(xc)
-                if fc < min(fr, fvals[-1]):
-                    simplex[-1], fvals[-1] = xc, fc
-                else:
-                    # shrink toward the best vertex
-                    for i in range(1, d + 1):
-                        simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                        fvals[i] = evaluate(simplex[i])
-    except _BudgetSpent:
-        pass
-    return x_best, f_best, n_evals, feasible_best
+    best, f_best, n_evals, feasible_best = _nelder_mead(
+        lambda point: _scored(f(_frombuffer(point))), x0,
+        _box(bounds, x0.size), scale, settings.fatol, settings.xatol,
+        settings.maxfev)
+    return (None if best is None else _frombuffer(best), f_best, n_evals,
+            feasible_best)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ depends only on the snapshot it starts from and its own offset (the
 separability the incremental twin rests on).  So before the scan, one probe
 per axis point moves that plant alone from the first grid point
 (``_probe_axes``, through ``CellTwin.probe_plant``: the other plants are
-integrated once, then each probe restores and steps that plant alone and
-reads its value and the twin's bus-injection vector, a (p, q) row per bus
-with the slack's always zero; no power flow is solved, since the
+integrated once, then one compiled call steps that plant from the snapshot
+under every offset of the axis, and each probe reads its value and the
+twin's bus-injection vector, a (p, q) row per bus with the slack's always
+zero; no power flow is solved, since the
 bound below never needs one).  The probes give a lower bound on the
 objective at every grid point (branch and bound, Land & Doig 1960), computed
 for the whole grid at once by numpy broadcasting (``_lower_bounds``) from
@@ -75,11 +76,20 @@ plant values and the bus injections, and a plant's value fixes its share
 of its bus injection (a heat pump's Q is P tan(phi); an inverter's P does
 not depend on its Q offset).  So two offsets of one plant whose probes give
 the same plant value and bus injections, bit for bit, give the same
-objective bits at every grid point.  The scan's objective is keyed on each
-axis's first offset with that probe record: the first point of a key is
-evaluated and the others reuse its objective, the value they would have
-had, so the scan's answer is unchanged.  On the toy cell this skips the
-battery offsets below its discharge clamp, which share the clamp's bound.
+objective bits at every grid point, and the same bound bits.  The bound and
+the scan run on the sub-grid of each axis's first offset with each distinct
+probe record (``_distinct``); every other point is represented by the point
+of those first offsets.  A representative's indices are at or below those
+of every point it stands for, so it comes first in product order, and it
+has the same bound bits.  So the full grid's first minimizer is a
+representative, and the first of the lowest bounds is too.  When the scan
+of the full grid reaches any other point, its representative was either
+skipped, and the point, with the same bound against a best so far no
+higher, is skipped too, or evaluated, and the point's objective, the same
+bits, cannot pass the strict update again.  So the answer is unchanged, and
+so is the count of points evaluated.  ``n_points`` and ``n_pruned`` count
+the full grid.  On the toy cell at 0.05 this leaves 81 of the 161 battery
+offsets: those below its discharge clamp share the clamp's probe record.
 """
 
 import math
@@ -183,13 +193,15 @@ def _probe_axes(f, axes):
     return [f.twin.probe_plant(f.ref, base, i, axis) for i, axis in enumerate(axes)]
 
 
-def _first_alike(values, injections):
-    """Per probe of one axis, the index of its first probe with the same
-    plant value and bus injections, bit for bit."""
+def _distinct(values, injections):
+    """The indices of one axis's distinct probe records, in order: each
+    the first probe with its plant value and bus injections, bit for
+    bit."""
     records = np.column_stack([values, injections.reshape(len(values), -1)])
-    seen = {}
-    return [seen.setdefault(record.tobytes(), j)
-            for j, record in enumerate(records)]
+    rows = records.view(np.dtype((np.void, records.itemsize
+                                  * records.shape[1]))).ravel()
+    # the stable sort of np.unique gives each record's first index
+    return np.sort(np.unique(rows, return_index=True)[1])
 
 
 def _lower_bounds(f, probes):
@@ -293,24 +305,24 @@ def grid_search_oracle(scenario, request, *, resolution=0.05):
     axes = _grid_axes(f.bounds, resolution)
     probes = _probe_axes(f, axes)
     n_probes = sum(map(len, axes))
-    lb = _lower_bounds(f, probes)
-    firsts = [_first_alike(*probe) for probe in probes]
+    n_points = math.prod(map(len, axes))
+    # the sub-grid of each axis's distinct probe records
+    kept = [_distinct(*probe) for probe in probes]
+    axes = [a[j] for a, j in zip(axes, kept)]
+    lb = _lower_bounds(f, [(v[j], inj[j]) for (v, inj), j in zip(probes, kept)])
 
     def point(k):
         return np.array([a[j] for a, j in zip(axes, np.unravel_index(k, lb.shape))])
 
-    scored = {}
+    n_scanned = 0
 
     def objective(k):
-        # points whose plants all probe alike score the same bits
-        key = tuple(first[j] for first, j in
-                    zip(firsts, np.unravel_index(k, lb.shape)))
-        if key not in scored:
-            scored[key] = f(point(k))[0]
-        return scored[key]
+        nonlocal n_scanned
+        n_scanned += 1
+        return f(point(k))[0]
 
     best_of, best = _scan(lb.ravel(), objective)
     best_x = None if best is None else point(best)
-    return OracleResult(of=best_of, x=best_x, n_evals=n_probes + len(scored),
-                        n_points=lb.size, resolution=resolution,
-                        n_probes=n_probes, n_pruned=lb.size - len(scored))
+    return OracleResult(of=best_of, x=best_x, n_evals=n_probes + n_scanned,
+                        n_points=n_points, resolution=resolution,
+                        n_probes=n_probes, n_pruned=n_points - n_scanned)

@@ -36,7 +36,11 @@ over one shared schedule of intervals (blocks), each from the state the one
 before it ends in: ``step_stores`` (all batteries, or all EVs) and
 ``step_heat_pumps`` call the same entry, which runs the plants' substeps in
 step, so that their independent chains of divisions overlap, and leave each
-plant as one ``step(0.0, ...)`` per block would, bit for bit.
+plant as one ``step(0.0, ...)`` per block would, bit for bit.  A stateful
+plant's ``probe`` calls it too, with a copy of the plant per offset from a
+given state over one interval, and returns the power each copy realizes,
+as ``step`` would return it, leaving the plant as it is (the twin's
+``probe_plant``).
 Batteries and EVs share one storage loop.  The PV inverter keeps no state
 and is stepped once per interval; it computes its active power and reactive
 band once per irradiance.  ``get_state`` holds each state variable once; a
@@ -132,6 +136,16 @@ class BatteryStorage(_Storage):
             (self.soc, self.p_kw, self.saturated, 0.0), (self._consts,),
             (offset_kw,), (wish_kw,), (n,), None, dt)
         return self.p_kw
+
+    def probe(self, state, offsets, n, wish_kw, dt):
+        """The power each offset of the tuple `offsets` realizes over one
+        ``step(offset, n, wish_kw, dt)`` from `state`, a ``get_state``
+        tuple, in one class call with a copy of this battery per offset.
+        Leaves the battery as it is."""
+        k = len(offsets)
+        return storage_class_substeps(
+            (*state, 0.0) * k, (self._consts,) * k, offsets, (wish_kw,) * k,
+            (n,), None, dt)[1::4]
 
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated)
@@ -256,6 +270,20 @@ class HeatPumpSystem:
         self._derive_power()
         return self.p_kw
 
+    def probe(self, state, offsets, n, heat_kw, ambient_c, dt):
+        """The electric power each offset of the tuple `offsets` realizes
+        over one ``step(offset, n, heat_kw, ambient_c, dt)`` from `state`, a
+        ``get_state`` tuple, in one class call with a copy of this heat pump
+        per offset.  Leaves the heat pump as it is."""
+        t, heating, saturated, p_comp, p_elem = state
+        k = len(offsets)
+        # each substep takes its COP afresh, so the one handed in is unread
+        row = heat_pump_class_substeps(
+            (t, heating, saturated, 0.0, p_comp, p_elem) * k,
+            (self._consts,) * k, offsets, (heat_kw,) * k, (n,), (ambient_c,),
+            dt)
+        return [a + b for a, b in zip(row[4::6], row[5::6])]
+
     def _derive_power(self):
         p_total = self.last_p_compressor_kw + self.last_p_element_kw
         self.p_kw = p_total
@@ -313,6 +341,16 @@ class ElectricVehicle(_Storage):
             (self.soc, self.p_kw, self.saturated, self.trip_drain_kwh),
             (self._consts,), (offset_kw,), None, (n,), (base_tod_s,), dt)
         return self.p_kw
+
+    def probe(self, state, offsets, n, base_tod_s, dt):
+        """The charger power each offset of the tuple `offsets` realizes
+        over one ``step(offset, n, base_tod_s, dt)`` from `state`, a
+        ``get_state`` tuple, in one class call with a copy of this EV per
+        offset.  Leaves the EV as it is."""
+        k = len(offsets)
+        return storage_class_substeps(
+            state * k, (self._consts,) * k, offsets, None, (n,),
+            (base_tod_s,), dt)[1::4]
 
     def get_state(self):
         return (self.soc, self.p_kw, self.saturated, self.trip_drain_kwh)

@@ -15,7 +15,12 @@ optimizer:
                               moved through a list of values from a common
                               base: per value, that plant's realized value
                               and the bus injections, without a power flow
-                              (the oracle's axis probes).
+                              (the oracle's axis probes).  The other plants
+                              are integrated once; the plant then steps
+                              from the snapshot under all values in one
+                              compiled class call (an inverter, which keeps
+                              no state, once per value), and its owner's
+                              bus is re-summed per value.
 * ``advance_reference``     - commit one dispatch step: same integration, but
                               the end state becomes the next step's snapshot
                               while the frozen baseline powers are kept.
@@ -36,11 +41,12 @@ substeps in step.  The PV inverters keep no state and step once, at the
 last block, where every bus is summed: the plants and the bus injections
 end as stepping the blocks one at a time would leave them.
 
-An evaluation or a probe re-integrates only the plants whose offset
-changed.  A plant's end state depends only on the snapshot it starts from
-and its own offset, so when the twin still holds the end state of the same
-snapshot object, a plant keeps its state if its offset is the same float as
-in that integration (sign of zero included; NaN never is).  One compiled
+An evaluation, or a probe's integration of the other plants, re-integrates
+only the plants whose offset changed.  A plant's end state depends only on
+the snapshot it starts from and its own offset, so when the twin still holds
+the end state of the same snapshot object, a plant keeps its state if its
+offset is the same float as in that integration (sign of zero included; NaN
+never is).  One compiled
 scan (``changed_offsets`` in ``_loops.c``) lists the other plants, flags
 them in a byte mask the prosumers read and hands back their owners.  Only
 those plants are restored and stepped, and only their owners are
@@ -216,6 +222,48 @@ class _ProsumerTwin:
             p += bev.p_kw
         self.injections[self.i_p] = p
         self.injections[self.i_p + 1] = q
+
+    def probe(self, i, state, offsets, irr, amb, n, ev_tod, dt):
+        """Plant i's value and this bus's (p, q) under each offset of the
+        tuple `offsets`, as lists: plant i stepped from `state` over the
+        interval `integrate` steps, every other plant at the end state it
+        holds.
+
+        A stateful plant makes one class call for all offsets; the inverter
+        steps once per offset, ending at the last.  Each bus pair is summed
+        in ``integrate``'s order.
+        """
+        k = len(offsets)
+        pv = self.pv
+        if i == self.i_inv:
+            values = [pv.step(irr, x)[1] for x in offsets]
+            p = [self.load_p - pv.p_ac_kw] * k
+            q = [self.load_q + q_pv for q_pv in values]
+        else:
+            p, q = [self.p_base] * k, [self.q_base] * k
+        bes = self.bes
+        if bes is not None:
+            if i == self.i_bes:
+                values = bes.probe(state, offsets, n, self.bes_wish, dt)
+                p = [a + b for a, b in zip(p, values)]
+            else:
+                p = [a + bes.p_kw for a in p]
+        ehp = self.ehp
+        if ehp is not None:
+            if i == self.i_ehp:
+                values = ehp.probe(state, offsets, n, self.heat_kw, amb, dt)
+                p = [a + b for a, b in zip(p, values)]
+                q = [a + b * ehp.tan_phi for a, b in zip(q, values)]
+            else:
+                p = [a + ehp.p_kw for a in p]
+                q = [a + ehp.q_kvar for a in q]
+        for bev, j in self.bev_slots:
+            if i == j:
+                values = bev.probe(state, offsets, n, ev_tod, dt)
+                p = [a + b for a, b in zip(p, values)]
+            else:
+                p = [a + bev.p_kw for a in p]
+        return values, p, q
 
 
 class CellTwin:
@@ -556,24 +604,33 @@ class CellTwin:
         with x = `base` and x[i] = values[k]: plant i's realized value (P in
         kW; Q in kVAr for an inverter) and ``(p_kw, q_kvar)`` per bus in
         ``topology.buses`` order, the slack's included (always zero),
-        returned as arrays of shape ``(K,)`` and ``(K, n_buses, 2)``.  No power flow is solved and nothing is
-        counted in ``n_evaluations``.  The other plants are integrated under
-        `base` once, unless the twin already holds that end state; each
-        value then restores and steps plant i alone.
+        returned as arrays of shape ``(K,)`` and ``(K, n_buses, 2)``.  No
+        power flow is solved and nothing is counted in ``n_evaluations``.
+        The twin integrates under x[i] = values[-1] first, as an evaluation
+        would, unless it already holds that end state; the other plants'
+        end states do not depend on x[i].  Then plant i steps from the
+        snapshot once per value, a stateful plant in one class call with K
+        copies of itself, and its owner's bus is re-summed per row.  The
+        twin ends as the last value's evaluation leaves it.
         """
         offsets = self._checked_offsets(base)
-        plant, attr = self._plants[i], self._plant_attrs[i]
-        plant_values, injections = [], []
-        for value in values:
-            # a new list: the twin keeps the last one as its end offsets
-            offsets = offsets.copy()
-            offsets[i] = float(value)
-            self._integrate(ref.snapshot, offsets)
-            plant_values.append(getattr(plant, attr))
-            injections.append(tuple(self.injections))
+        values = tuple(np.asarray(values, dtype=float).tolist())
+        k, n_buses = len(values), len(self.topology.buses)
+        if not k:
+            return np.empty(0), np.empty((0, n_buses, 2))
+        offsets[i] = values[-1]
+        snap = ref.snapshot
+        self._integrate(snap, offsets)
+        pro = self._owners[i]
+        plant_values, p, q = pro.probe(
+            i, snap[1][i], values, self._irr, self._amb, self._dispatch_n,
+            self._ev_tod, self.internal_dt_s)
+        rows = np.empty((k, len(self.injections)))
+        rows[:] = self.injections
+        rows[:, pro.i_p] = p
+        rows[:, pro.i_p + 1] = q
         return (np.array(plant_values, dtype=float),
-                np.array(injections, dtype=float).reshape(
-                    len(injections), len(self.topology.buses), 2))
+                rows.reshape(k, n_buses, 2))
 
     def advance_reference(self, ref, offsets):
         """Commit a dispatch step: integrate and adopt the end state.

@@ -51,7 +51,7 @@ from cellflex.scenario import (
     scenario_to_dict,
 )
 from cellflex.twin import CellTwin
-from oracle_reference import brute_force_oracle
+from oracle_reference import brute_force_oracle, keyed_oracle
 from test_twin import small_cells, weak_feeder_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -614,6 +614,40 @@ class TestOracle:
         assert run.steps[0].of <= oracle.of + 1e-3
         assert oracle.x[0] == pytest.approx(1.0, abs=0.05)
         assert oracle.x[1] == pytest.approx(0.3, abs=0.05)
+
+
+def check_keyed(scenario, request, resolution):
+    """The oracle answers and counts as the keyed scan over the full grid."""
+    result = grid_search_oracle(scenario, request, resolution=resolution)
+    of, x, n_evals, n_pruned = keyed_oracle(scenario, request, resolution)
+    assert result.of.hex() == of.hex()
+    assert (None if result.x is None else result.x.tobytes()) == (
+        None if x is None else x.tobytes())
+    assert (result.n_evals, result.n_pruned) == (n_evals, n_pruned)
+
+
+class TestOracleCounts:
+    """The scan over each axis's distinct probe records evaluates the points
+    the keyed scan over the full grid evaluated (``keyed_oracle``)."""
+
+    # the minimizer discharges the battery at its clamp, below which every
+    # offset probes alike
+    @example(dp=toy_requests(92, 25)[16][0].dp_kw,
+             dq=toy_requests(92, 25)[16][0].dq_kvar, resolution=0.05)
+    @given(dp=st.floats(-1.5, 1.5), dq=st.floats(-0.6, 0.6),
+           resolution=st.floats(0.05, 1.0))
+    def test_toy_cell(self, dp, dq, resolution):
+        check_keyed(make_toy_scenario(), FlexibilityRequest(dp, dq),
+                    resolution)
+
+    @given(cell=small_cells(max_plants=3), dp=st.floats(-3.0, 3.0),
+           dq=st.floats(-1.0, 1.0), steps=st.integers(1, 6))
+    def test_generated_cells(self, cell, dp, dq, steps):
+        scenario = scenario_from_dict(cell)
+        bounds = CellTwin(scenario).plant_bounds()
+        # `steps` steps across the widest plant: at most 7^3 points
+        resolution = float(np.max(bounds[:, 1] - bounds[:, 0])) / steps
+        check_keyed(scenario, FlexibilityRequest(dp, dq), resolution)
 
 
 def bounds_and_objectives(scenario, request, resolution):

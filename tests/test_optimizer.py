@@ -252,16 +252,24 @@ class TestAdaptiveStep:
             assert out == step
 
 
-def plateau_objective(center, step, feasible_cut, paired):
+def plateau_objective(center, step, feasible_cut, paired, nan_above=math.inf):
     """A bowl around ``center`` floored to multiples of ``step`` (0: none),
-    so that nearby points tie; paired, it is feasible for x[0] >= the cut."""
+    so that nearby points tie, and NaN where x[-1] > ``nan_above``; paired,
+    it is feasible for x[0] >= the cut."""
     def f(x):
         d = x - center
         v = float(np.sum(np.abs(d)) + 0.5 * float(d @ d))
         if step:
             v = math.floor(v / step) * step
+        if x[-1] > nan_above:
+            v = math.nan
         return (v, bool(x[0] >= feasible_cut)) if paired else v
     return f
+
+
+def zero_sign(x):
+    """-1 where x[0] is -0.0 or below, 1 where it is +0.0 or above."""
+    return math.copysign(1.0, float(x[0]))
 
 
 class TestNelderMead:
@@ -337,6 +345,20 @@ class TestNelderMead:
         assert calls == [True, False] + [True] * 8
         assert feasible is False
 
+    @pytest.mark.parametrize("bad_call", [1, 5])
+    def test_an_objective_error_ends_the_search(self, bad_call):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) == bad_call:
+                raise ZeroDivisionError("bad point")
+            return float(np.sum(x ** 2))
+
+        with pytest.raises(ZeroDivisionError, match="bad point"):
+            nelder_mead(f, np.array([1.0, 2.0]))
+        assert len(calls) == bad_call
+
     def test_zero_dimensional_rejected(self):
         with pytest.raises(ConfigurationError, match="zero-dimensional"):
             nelder_mead(lambda x: 0.0, np.array([]))
@@ -358,7 +380,8 @@ def search_problems(draw, paired=st.booleans()):
                                     max_size=d)))
     x0 = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
     f = plateau_objective(center, draw(st.sampled_from([0.0, 0.1, 1.0, 1e3])),
-                          draw(st.floats(-2.0, 2.0)), draw(paired))
+                          draw(st.floats(-2.0, 2.0)), draw(paired),
+                          draw(st.sampled_from([math.inf, -1.0, 0.5])))
     bounds = None
     if draw(st.booleans()):
         lo = np.array(draw(st.lists(st.floats(-3.0, 0.0), min_size=d,
@@ -388,6 +411,24 @@ class TestSearchReference:
 
     @given(problem=search_problems(paired=st.just(False)),
            scale=st.floats(0.01, 2.0))
+    # one dimension: the centroid is the best vertex alone
+    @example(problem=(plateau_objective(np.array([1.5]), 0.0, 0.0, False),
+                      np.array([-0.0]), np.array([[-1.0, 1.0]]),
+                      NelderMeadSettings(maxfev=30)), scale=0.5)
+    # a budget of one evaluation: the start point only
+    @example(problem=(plateau_objective(np.zeros(3), 0.0, 0.0, False),
+                      np.array([0.5, -0.0, 2.0]), None,
+                      NelderMeadSettings(maxfev=1)), scale=0.25)
+    # NaN over the upper half: NaN sorts last and fails every test
+    @example(problem=(plateau_objective(np.array([0.3, 0.4]), 0.0, 0.0,
+                                        False, 0.5),
+                      np.array([0.0, 0.45]), None, NelderMeadSettings()),
+             scale=0.1)
+    # an objective of the zero's sign from the vertices -0.0 and +0.0
+    # (x0 plus a zero step): numpy's mean sums from +0.0, so the centroid
+    # and the reflected point are +0.0
+    @example(problem=(zero_sign, np.array([-0.0]), None,
+                      NelderMeadSettings(maxfev=6)), scale=0.0)
     def test_nelder_mead(self, problem, scale):
         f, x0, bounds, nm = problem
         runs = []
@@ -395,7 +436,8 @@ class TestSearchReference:
             g, calls = recorded(f)
             x, fx, n = search(g, x0, bounds=bounds, scale=scale,
                               settings=nm)[:3]
-            runs.append((x.tobytes(), fx.hex(), n, calls))
+            runs.append((None if x is None else x.tobytes(), fx.hex(), n,
+                         calls))
         assert runs[0] == runs[1]
 
     @given(problem=search_problems(), n_iter=st.integers(0, 8),

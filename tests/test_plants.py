@@ -1361,6 +1361,14 @@ FIXED_CASES = {
                                          time_constant_s=36.28)),
         (0.9835, 3.24, False), ((3, 3.79, 0.0), (1, 3.74, 0.0)), 15.0,
         lambda b: b.saturated),
+    # a battery covering a household deficit discharges, its lag running
+    # toward the wish, which neither the rating nor the SOC clamps
+    "discharge": (
+        lambda: BatteryStorage(BesParams(12.73, 1.59, 4.46, eta_charge=0.86,
+                                         eta_discharge=0.91,
+                                         time_constant_s=30.21)),
+        (0.4645, -3.71, False), ((2, -4.29, 0.0), (1, -3.9, 0.0)), 15.0,
+        lambda b: -4.46 < b.p_kw < -3.71 and not b.saturated),
     # an 8:07-9:07 trip from 7:42 on 15-minute blocks: it starts inside
     # the second block and ends inside the sixth and last, which ends
     # while the charger's lag runs up again

@@ -765,8 +765,10 @@ def check_probes(scenario, rng):
     for i in range(twin.n_plants):
         base = rng.uniform(bounds[:, 0], bounds[:, 1])
         lo, hi = bounds[i]
-        # a repeat, a zero and its sign, past the bound, then off the grid
-        values = [lo, lo, 0.0, -0.0, hi, 2.0 * hi, rng.uniform(lo, hi)]
+        # a repeat, a zero and its sign, past the bound, NaN, then off the
+        # grid
+        values = [lo, lo, 0.0, -0.0, hi, 2.0 * hi, math.nan,
+                  rng.uniform(lo, hi)]
         n_evaluations = twin.n_evaluations
         got_values, got_inj = twin.probe_plant(ref, base, i, values)
         label = twin.plant_labels[i]
