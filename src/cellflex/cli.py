@@ -28,7 +28,7 @@ import pathlib
 import re
 import sys
 
-from .dispatch import STALL_ITERATIONS, run_dispatch, temperature_panel
+from .dispatch import STALL_ITERATIONS, dispatch_on, temperature_panel
 from .errors import CellflexError, ConfigurationError, DispatchError, PowerFlowError
 from .optimizer import BasinHoppingConfig, FlexibilityRequest, NelderMeadSettings
 from .reporting import (
@@ -156,8 +156,8 @@ def _cmd_simulate(args):
 def _cmd_dispatch(args):
     scenario = _load(args)
     with _output_dir(args.out) as out:
-        run = run_dispatch(
-            scenario,
+        run = dispatch_on(
+            CellTwin(scenario),
             FlexibilityRequest(args.dp_kw, args.dq_kvar),
             n_steps=args.steps,
             config=_config(args),
@@ -192,7 +192,7 @@ def _cmd_sweep_temperature(args):
                                 nm=NelderMeadSettings(maxfev=45))
     with _output_dir(args.out) as out:
         means, results = temperature_panel(
-            scenario, FlexibilityRequest(args.dp_kw, args.dq_kvar),
+            CellTwin(scenario), FlexibilityRequest(args.dp_kw, args.dq_kvar),
             temperatures, seeds, config)
     summary = write_panel(temperatures, seeds, means, results, out)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -200,13 +200,13 @@ def _cmd_sweep_temperature(args):
 
 
 def _cmd_oracle(args):
-    from .oracle import grid_search_oracle, make_toy_scenario
+    from .oracle import make_toy_scenario, oracle_on
 
-    scenario = make_toy_scenario()
+    twin = CellTwin(make_toy_scenario())    # one warmup for both searches
     request = FlexibilityRequest(args.dp_kw, args.dq_kvar)
     config = _config(args)
-    oracle = grid_search_oracle(scenario, request)
-    step = run_dispatch(scenario, request, n_steps=1, config=config).steps[0]
+    oracle = oracle_on(twin, request)
+    step = dispatch_on(twin, request, n_steps=1, config=config).steps[0]
 
     report = {
         "oracle_of": oracle.of,

@@ -17,19 +17,20 @@ unit is ``EUR_PER_UNIT`` EUR.  A point whose power flow fails scores
 right in plant order by one compiled call, ``plant_cost(weights, values,
 ref)``, not by BLAS, so the objective's bits do not depend on the CPU.
 
-``run_dispatch`` checks that the run fits the scenario's profile window,
-captures the pre-request reference state and builds the run's one
-``StepObjective`` (plant weights, offset bounds, PCC targets and collapse
-score; the same objective the grid-search oracle minimizes).  Then for each
-15 s dispatch step it builds a start vector with the exchange pass, refines
-it with one Basin Hopping (BH) round over the plant-offset vector, commits
-the best found vector to the twin, moves the objective's reference forward
-and records the realized PCC reading, per-class shares and cost.  The start
-vector is evaluated as BH iteration 0 and becomes the first incumbent, and a
-step's search stops after ``STALL_ITERATIONS`` (1) iteration without a
-better candidate: BH runs one Nelder-Mead refinement of the start and goes
-on only while it keeps finding better candidates.  Each refinement spends at most
-``NelderMeadSettings.maxfev`` evaluations (40 by default, see there).
+``dispatch_on`` runs on a twin its caller passes in, which can serve the
+oracle, other dispatches and the panel too, since a twin warms up once.  It
+checks that the run fits the scenario's profile window and takes the run's one
+``StepObjective`` from ``warm_objective``.  Then for each 15 s dispatch step it
+builds a start vector with the exchange pass, refines it with one Basin Hopping
+(BH) round over the plant-offset vector, commits the best found vector to the
+twin, moves the objective's reference forward and records the realized PCC
+reading, per-class shares and cost.  The start vector is evaluated as BH
+iteration 0 and becomes the first incumbent, and a step's search stops after
+``STALL_ITERATIONS`` (1) iteration without a better candidate: BH runs one
+Nelder-Mead refinement of the start and goes on only while it keeps finding
+better candidates.  Each refinement spends at most
+``NelderMeadSettings.maxfev`` evaluations (40 by default, see there), or the
+plant count plus 2 if more, so that NM's initial simplex fits.
 
 Since a step's search stops at its first worse candidate, the BH temperature
 can change only whether that candidate is marked accepted, unless an
@@ -71,11 +72,11 @@ from .twin import CellTwin
 
 log = logging.getLogger("cellflex.dispatch")
 
-__all__ = ["ObjectiveBreakdown", "objective_breakdown",
-           "StepRecord", "DispatchRun", "run_dispatch", "StepObjective",
-           "temperature_panel", "technology_shares", "exchange_pass",
-           "STALL_ITERATIONS", "K_PCC_P", "K_PCC_Q", "K_INFEASIBLE",
-           "EUR_PER_UNIT"]
+__all__ = ["ObjectiveBreakdown", "objective_breakdown", "StepRecord",
+           "DispatchRun", "dispatch_on", "run_dispatch", "StepObjective",
+           "warm_objective", "temperature_panel", "technology_shares",
+           "exchange_pass", "STALL_ITERATIONS", "K_PCC_P", "K_PCC_Q",
+           "K_INFEASIBLE", "EUR_PER_UNIT"]
 
 # BH iterations in a row without a better candidate that end a dispatch step
 STALL_ITERATIONS = 1
@@ -183,16 +184,31 @@ class StepObjective:
         return self.score(self.twin.evaluate_dispatch(self.ref, x))
 
 
-def temperature_panel(scenario, request, temperatures, seeds, config):
-    """Basin Hopping's temperature study on one dispatch step.
+def warm_objective(twin, request, initial_bes_soc=None):
+    """``request``'s objective from ``twin``'s warmup reference, with any SOC override."""
+    if twin.n_plants == 0:
+        raise ConfigurationError(
+            f"scenario '{twin.scenario.name}' has no controllable plants to "
+            f"dispatch (no battery, heat pump, EV or PV inverter)")
+    if initial_bes_soc is not None:
+        twin.check_bes_soc(initial_bes_soc)
+    ref = twin.run_warmup()
+    if initial_bes_soc is not None:
+        twin.restore(ref.snapshot)
+        twin.override_bes_soc(initial_bes_soc)
+        ref = twin.capture_reference()
+    return StepObjective(twin, ref, request)
 
-    From the reference after the scenario's ``simulation.warmup_s`` warmup,
-    runs one BH search per temperature and seed from zero offsets, without
-    a stall stop, on its :class:`StepObjective`; ``config`` gives
-    ``n_iter``, ``step_size`` and ``nm``.  Returns ``(means, results)``: per temperature, the mean
-    over seeds of each search's mean candidate OF (iterations >= 1), and
-    the seeds' ``BasinHoppingResult`` list.  Invalid input raises
-    :class:`ConfigurationError` before the warmup.
+
+def temperature_panel(twin, request, temperatures, seeds, config):
+    """Basin Hopping's temperature study on one dispatch step of ``twin``.
+
+    From the warmup reference, runs one BH search per temperature and seed from
+    zero offsets, without a stall stop, on its :class:`StepObjective`;
+    ``config`` gives ``n_iter``, ``step_size`` and ``nm``.  Returns ``(means,
+    results)``: per temperature, the mean over seeds of each search's mean
+    candidate OF (iterations >= 1), and the seeds' ``BasinHoppingResult`` list.
+    Invalid input raises :class:`ConfigurationError` before the warmup.
     """
     configs = [[replace(config, temperature=t_bh, seed=seed) for seed in seeds]
                for t_bh in temperatures]
@@ -200,9 +216,7 @@ def temperature_panel(scenario, request, temperatures, seeds, config):
         raise ConfigurationError(
             f"a temperature panel needs a temperature, a seed and n_iter >= 1, "
             f"got {len(temperatures)}, {len(seeds)} and {config.n_iter}")
-    twin = CellTwin(scenario)
-    twin.check_plants()
-    f = StepObjective(twin, twin.run_warmup(), request)
+    f = warm_objective(twin, request)
     results = [[basin_hopping(f, np.zeros(twin.n_plants), cfg, bounds=f.bounds)
                 for cfg in row] for row in configs]
     per_seed = [[sum(r.of_local for r in res.iterations[1:])
@@ -355,38 +369,29 @@ class DispatchRun:
     runtime_s: float               # wall time; never written to output files
 
 
-def run_dispatch(scenario, request, *, n_steps,
-                 config: BasinHoppingConfig = None,
-                 initial_bes_soc=None):
-    """Disaggregate ``request`` across the cell's plants over ``n_steps`` steps.
+def dispatch_on(twin, request, *, n_steps, config: BasinHoppingConfig = None,
+                initial_bes_soc=None):
+    """Disaggregate ``request`` across ``twin``'s plants over ``n_steps`` steps.
 
-    ``initial_bes_soc`` overrides every battery's state of charge after warmup
-    and before the reference capture (depletion studies).  Raises
-    :class:`ConfigurationError` before the warmup if the run outlasts the
-    scenario's profile window, the cell has no controllable plant or
-    ``initial_bes_soc`` lies outside [0, 1], and
+    ``initial_bes_soc`` overrides every battery's state of charge in the warmup
+    reference (depletion studies).  Raises :class:`ConfigurationError` before
+    the warmup if the run outlasts the scenario's profile window, the cell has
+    no controllable plant or ``initial_bes_soc`` lies outside [0, 1], and
     :class:`DispatchError` if a committed step fails to solve; partial results
     travel in the exception's ``trace`` attribute.
     """
     config = config or BasinHoppingConfig()
     t_start = time.perf_counter()
-
-    scenario.check_horizon(n_steps)
-    twin = CellTwin(scenario)
-    twin.check_plants()
-    if initial_bes_soc is not None:
-        twin.check_bes_soc(initial_bes_soc)
-    ref = twin.run_warmup()
-    if initial_bes_soc is not None:
-        twin.override_bes_soc(initial_bes_soc)
-        ref = twin.capture_reference()
-
-    f = StepObjective(twin, ref, request)
+    twin.scenario.check_horizon(n_steps)
+    f = warm_objective(twin, request, initial_bes_soc)
+    ref = f.ref
+    nm = replace(config.nm, maxfev=max(config.nm.maxfev, twin.n_plants + 2))
+    config = replace(config, nm=nm)     # NM's initial simplex fits its budget
     rng = PCG64(config.seed)
 
     log.info("dispatch: request (%+.3f kW, %+.3f kVAr) on '%s', %d steps, "
              "T=%.3g, n_iter=%d, seed=%s",
-             request.dp_kw, request.dq_kvar, scenario.name, n_steps,
+             request.dp_kw, request.dq_kvar, twin.scenario.name, n_steps,
              config.temperature, config.n_iter, config.seed)
 
     steps = []
@@ -435,7 +440,7 @@ def run_dispatch(scenario, request, *, n_steps,
                   len(result.iterations) - 1, start_evals)
 
     return DispatchRun(
-        scenario_name=scenario.name,
+        scenario_name=twin.scenario.name,
         request=request,
         config=config,
         plant_labels=twin.plant_labels,
@@ -445,3 +450,10 @@ def run_dispatch(scenario, request, *, n_steps,
         steps=steps,
         runtime_s=time.perf_counter() - t_start,
     )
+
+
+def run_dispatch(scenario, request, *, n_steps,
+                 config: BasinHoppingConfig = None, initial_bes_soc=None):
+    """``dispatch_on`` a new twin of ``scenario`` (the benchmark's entry)."""
+    return dispatch_on(CellTwin(scenario), request, n_steps=n_steps,
+                       config=config, initial_bes_soc=initial_bes_soc)

@@ -97,12 +97,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispatch import K_PCC_P, K_PCC_Q, StepObjective
+from .dispatch import K_PCC_P, K_PCC_Q, warm_objective
 from .errors import ConfigurationError
 from .grid import V_COLLAPSE_PU
 from .twin import CellTwin
 
-__all__ = ["make_toy_scenario", "grid_search_oracle", "OracleResult"]
+__all__ = ["make_toy_scenario", "oracle_on", "grid_search_oracle", "OracleResult"]
 
 _MAX_ORACLE_PLANTS = 3
 # at most a million grid points: ~17 s of evaluations on the toy cell (~17 us
@@ -277,15 +277,14 @@ def _scan(lb, objective):
     return best_of, best
 
 
-def grid_search_oracle(scenario, request, *, resolution=0.05):
-    """Exhaustively minimize one dispatch step's objective on an offset grid.
+def oracle_on(twin, request, *, resolution=0.05):
+    """Exhaustively minimize ``twin``'s first dispatch step from its warmup
+    reference, the step a dispatch on the same twin solves, on an offset grid.
 
     Raises :class:`ConfigurationError` before the warmup if the cell has no
     plant or more than three, the resolution is not finite and positive, or
     the grid would hold more than ``_MAX_ORACLE_POINTS`` points.
     """
-    twin = CellTwin(scenario)
-    twin.check_plants()
     if twin.n_plants > _MAX_ORACLE_PLANTS:
         raise ConfigurationError(
             f"grid-search oracle handles at most {_MAX_ORACLE_PLANTS} plants, "
@@ -301,7 +300,7 @@ def grid_search_oracle(scenario, request, *, resolution=0.05):
             f"resolution {resolution:g} gives a grid of about {n_points:.3g} "
             f"points; the oracle enumerates at most {_MAX_ORACLE_POINTS:,}")
 
-    f = StepObjective(twin, twin.run_warmup(), request)
+    f = warm_objective(twin, request)
     axes = _grid_axes(f.bounds, resolution)
     probes = _probe_axes(f, axes)
     n_probes = sum(map(len, axes))
@@ -326,3 +325,8 @@ def grid_search_oracle(scenario, request, *, resolution=0.05):
     return OracleResult(of=best_of, x=best_x, n_evals=n_probes + n_scanned,
                         n_points=n_points, resolution=resolution,
                         n_probes=n_probes, n_pruned=n_points - n_scanned)
+
+
+def grid_search_oracle(scenario, request, *, resolution=0.05):
+    """``oracle_on`` a new twin of ``scenario`` (the benchmark's entry)."""
+    return oracle_on(CellTwin(scenario), request, resolution=resolution)

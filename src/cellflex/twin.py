@@ -5,8 +5,8 @@ EV chargers) onto the radial feeder and integrates all device dynamics on a
 fixed internal substep.  Exposes the dispatch evaluation primitive used by the
 optimizer:
 
-* ``run_warmup``            - settle local-control dynamics, then freeze a
-                              :class:`ReferenceState` (pre-request baseline).
+* ``run_warmup``            - settle local-control dynamics once, then freeze
+                              a :class:`ReferenceState` (pre-request baseline).
 * ``evaluate_dispatch``     - restore the reference snapshot, apply a vector of
                               plant offsets, integrate one dispatch step and
                               solve the network; side-effect free w.r.t. the
@@ -292,6 +292,7 @@ class CellTwin:
         self._end_of = None
         self._end_offsets = None
         self.n_evaluations = 0          # evaluate_dispatch calls so far
+        self._warm_ref = None           # the reference the warmup captured
         self._solved = {}   # bits of the injection list -> power flow
         self._pack = Struct(f"{len(self.injections)}d").pack
         self._build_plant_table()
@@ -466,16 +467,17 @@ class CellTwin:
         offsets zero, on the coarse schedule of
         :func:`~cellflex.scenario.warmup_schedule` (first-order lags use
         exact exponential updates, so coarse stepping does not degrade the
-        settled state).  Each block starts where the one before it ends and
-        holds the inputs sampled at its start: one profile shape row per
-        block for the whole cell, from which each household's load and heat
-        demand are taken.  The batteries, the heat pumps and the EVs each
-        integrate all blocks in one compiled call per class; then, as after
-        a dispatch interval, the PV inverters step once, at the last block,
-        where every bus is summed.  The scenario loader has checked the
-        warmup against the profile window and the substep grid.  Must be
-        called once, right after construction.
+        settled state), in blocks stepped as the module docstring describes.
+        The scenario loader has checked the warmup against the profile
+        window and the substep grid.  The warmup runs once: later calls
+        return the reference the first one captured, whatever ran since.
         """
+        if self._warm_ref is None:
+            self._integrate_warmup()
+            self._warm_ref = self.capture_reference()
+        return self._warm_ref
+
+    def _integrate_warmup(self):
         warmup_s = self.scenario.simulation.warmup_s
         substep, counts = warmup_schedule(self.internal_dt_s, warmup_s)
         counts = tuple(counts)
@@ -526,7 +528,6 @@ class CellTwin:
             pro.integrate(inverters, irr, amb, n, ev_tod, substep)
         self._values[:] = self._read_values()
         self.t_s = 0.0
-        return self.capture_reference()
 
     def capture_reference(self):
         res = self.solve()
@@ -537,13 +538,6 @@ class CellTwin:
             snapshot=self.snapshot(),
             t_s=self.t_s,
         )
-
-    def check_plants(self):
-        """Raise ConfigurationError unless the cell has a plant to dispatch."""
-        if self.n_plants == 0:
-            raise ConfigurationError(
-                f"scenario '{self.scenario.name}' has no controllable plants to "
-                f"dispatch (no battery, heat pump, EV or PV inverter)")
 
     @staticmethod
     def check_bes_soc(soc):

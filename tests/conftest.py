@@ -3,6 +3,7 @@ import json
 import hypothesis
 import pytest
 
+import cellflex.twin
 from cellflex.cli import main
 from cellflex.scenario import load_bundled_scenario, scenario_to_dict
 
@@ -36,3 +37,27 @@ def validate_refuses(tmp_path, capsys):
         err = capsys.readouterr().err
         assert expected in err, err
     return run
+
+
+@pytest.fixture
+def warmup_fails(monkeypatch):
+    """Make any twin's warmup fail at its first step, so that a call which
+    must reject its input before the warmup shows it did."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the warmup started")
+
+    monkeypatch.setattr(cellflex.twin, "warmup_schedule", fail)
+
+
+@pytest.fixture
+def twins_built(monkeypatch):
+    """A list that gains one entry for each twin built from now on."""
+    built = []
+    build_profiles = cellflex.twin.build_profiles
+
+    def counted(scenario):
+        built.append(scenario.name)
+        return build_profiles(scenario)
+
+    monkeypatch.setattr(cellflex.twin, "build_profiles", counted)
+    return built

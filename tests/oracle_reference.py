@@ -18,16 +18,14 @@ import itertools
 
 import numpy as np
 
-from cellflex.dispatch import StepObjective
+from cellflex.dispatch import warm_objective
 from cellflex.oracle import _grid_axes, _lower_bounds, _probe_axes, _scan
 from cellflex.twin import CellTwin
 
 
 def brute_force_oracle(scenario, request, resolution):
     """``(of, x, n_points)`` of an exhaustive search over the offset grid."""
-    twin = CellTwin(scenario)
-    ref = twin.run_warmup()
-    f = StepObjective(twin, ref, request)
+    f = warm_objective(CellTwin(scenario), request)
     axes = [np.clip(lo + resolution * np.arange(round((hi - lo) / resolution) + 1),
                     lo, hi)
             for lo, hi in f.bounds]
@@ -52,8 +50,7 @@ def _first_alike(values, injections):
 
 def keyed_oracle(scenario, request, resolution):
     """``(of, x, n_evals, n_pruned)`` of the keyed scan over the full grid."""
-    twin = CellTwin(scenario)
-    f = StepObjective(twin, twin.run_warmup(), request)
+    f = warm_objective(CellTwin(scenario), request)
     axes = _grid_axes(f.bounds, resolution)
     probes = _probe_axes(f, axes)
     n_probes = sum(map(len, axes))

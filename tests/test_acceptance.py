@@ -28,6 +28,7 @@ from cellflex.oracle import grid_search_oracle, make_toy_scenario
 from cellflex.plants import BatteryStorage
 from cellflex.reporting import summary_dict
 from cellflex.scenario import BesParams, load_bundled_scenario
+from cellflex.twin import CellTwin
 
 from gs_reference import bus_vector, gauss_seidel_pf, random_radial_case
 
@@ -170,8 +171,8 @@ def test_5_adaptive_step_keeps_acceptance_centered():
 def test_6_temperature_controls_exploration():
     temperatures = (0.2, 0.5, 2.0, 10.0)
     panel_means, results = temperature_panel(
-        load_bundled_scenario(), FlexibilityRequest(28.0, 1.0), temperatures,
-        (5, 11, 23, 31, 47), BasinHoppingConfig(
+        CellTwin(load_bundled_scenario()), FlexibilityRequest(28.0, 1.0),
+        temperatures, (5, 11, 23, 31, 47), BasinHoppingConfig(
             n_iter=120, step_size=4.0, nm=NelderMeadSettings(maxfev=45)))
     traces_monotone = all(
         b.of_global_best <= a.of_global_best + 1e-15

@@ -12,11 +12,10 @@ import pytest
 
 import cellflex.cli
 from cellflex.cli import build_parser, main
-from cellflex.dispatch import run_dispatch, temperature_panel
+from cellflex.dispatch import dispatch_on, temperature_panel
 from cellflex.optimizer import BasinHoppingConfig, NelderMeadSettings
 from cellflex.oracle import make_toy_scenario
 from cellflex.scenario import load_bundled_scenario, save_scenario, scenario_to_dict
-from cellflex.twin import CellTwin
 
 
 @pytest.fixture(scope="module")
@@ -109,11 +108,7 @@ class TestSimulate:
         assert "Traceback" not in captured.err
 
     def test_out_in_missing_directory_fails_before_the_warmup(
-            self, toy_path, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("the warmup started")
-
-        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+            self, toy_path, tmp_path, capsys, warmup_fails):
         assert main(["simulate", "--scenario", str(toy_path),
                      "--out", str(tmp_path / "missing" / "x.csv")]) == 1
         captured = capsys.readouterr()
@@ -217,13 +212,9 @@ class TestDispatch:
         assert not out.exists()
 
     def test_warmup_off_the_substep_grid_exits_1_before_integrating(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, twins_built):
         # 0.3333 days is 28797.12 s, not a whole number of 15 s substeps
         # the loader refuses the file, so no twin is ever built
-        def fail(*args, **kwargs):
-            raise AssertionError("a twin was built")
-
-        monkeypatch.setattr(CellTwin, "__init__", fail)
         data = scenario_to_dict(make_toy_scenario())
         data["simulation"]["warmup_s"] = 0.3333 * 86400.0
         path = tmp_path / "odd.json"
@@ -235,13 +226,14 @@ class TestDispatch:
         assert "28797.1 s is not a whole number of 15 s warmup substeps" \
             in capsys.readouterr().err
         assert not out.exists()
+        assert twins_built == []
 
     def test_out_that_is_a_file_exits_1_before_dispatching(
             self, toy_path, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("run_dispatch was entered")
+            raise AssertionError("dispatch_on was entered")
 
-        monkeypatch.setattr(cellflex.cli, "run_dispatch", fail)
+        monkeypatch.setattr(cellflex.cli, "dispatch_on", fail)
         out = tmp_path / "taken"
         out.write_text("")
         assert main(["dispatch", "--scenario", str(toy_path),
@@ -351,9 +343,9 @@ class TestSweepTemperature:
             self, toy_path, tmp_path, capsys, monkeypatch):
         seen = []
 
-        def panel(scenario, request, temperatures, seeds, config):
+        def panel(twin, request, temperatures, seeds, config):
             seen.append((temperatures, seeds, config))
-            return temperature_panel(scenario, request, temperatures, seeds,
+            return temperature_panel(twin, request, temperatures, seeds,
                                      config)
 
         monkeypatch.setattr(cellflex.cli, "temperature_panel", panel)
@@ -408,11 +400,7 @@ class TestSweepTemperature:
         (["--seeds", "2,3,2"], "--seeds: '2' is named twice"),
     ])
     def test_bad_search_settings_exit_1_before_the_warmup(
-            self, flags, message, toy_path, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("the warmup started")
-
-        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+            self, flags, message, toy_path, tmp_path, capsys, warmup_fails):
         out = tmp_path / "sweep"
         assert main(["sweep-temperature", "--scenario", str(toy_path),
                      *flags, "--out", str(out)]) == 1
@@ -431,15 +419,20 @@ class TestOracleCommand:
         assert report["oracle_points"] == 161 * 37
         assert 0 < report["oracle_evals"] < report["oracle_points"]
 
+    def test_builds_one_twin_for_both_searches(self, capsys, twins_built):
+        assert main(["oracle", "--n-iter", "3", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert twins_built == ["toy2"]
+
     def test_searches_with_the_config_defaults(self, capsys, monkeypatch):
         # the grid is checked at 0.05 by test_reports_gap's point count
         seen = []
 
         def dispatch(*args, config, **kwargs):
             seen.append(config)
-            return run_dispatch(*args, config=config, **kwargs)
+            return dispatch_on(*args, config=config, **kwargs)
 
-        monkeypatch.setattr(cellflex.cli, "run_dispatch", dispatch)
+        monkeypatch.setattr(cellflex.cli, "dispatch_on", dispatch)
         assert main(["oracle", "--n-iter", "3", "--seed", "5"]) == 0
         capsys.readouterr()
         config, = seen

@@ -11,17 +11,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cellflex import dispatch
+from cellflex import dispatch, optimizer
 from cellflex.dispatch import (
     K_INFEASIBLE,
     K_PCC_P,
     K_PCC_Q,
     DispatchRun,
     StepObjective,
+    dispatch_on,
     exchange_pass,
     run_dispatch,
     technology_shares,
     temperature_panel,
+    warm_objective,
 )
 from cellflex.errors import ConfigurationError, DispatchError, PowerFlowError
 from cellflex.optimizer import (
@@ -36,6 +38,7 @@ from cellflex.oracle import (
     _scan,
     grid_search_oracle,
     make_toy_scenario,
+    oracle_on,
 )
 from cellflex.reporting import (
     DISPATCH_COLUMNS,
@@ -59,6 +62,20 @@ from workloads import toy_requests  # noqa: E402
 
 TOY_REQUEST = FlexibilityRequest(1.0, 0.3)
 TOY_CONFIG = BasinHoppingConfig(n_iter=20, seed=6)
+# each study's two forms: its scenario wrapper, and its twin entry on a new
+# twin of the scenario
+DISPATCH_FORMS = {
+    "wrapper": lambda scn, **kw: run_dispatch(scn, TOY_REQUEST, **kw),
+    "twin": lambda scn, **kw: dispatch_on(CellTwin(scn), TOY_REQUEST, **kw),
+}
+ORACLE_FORMS = {
+    "wrapper": lambda scn, **kw: grid_search_oracle(scn, TOY_REQUEST, **kw),
+    "twin": lambda scn, **kw: oracle_on(CellTwin(scn), TOY_REQUEST, **kw),
+}
+dispatch_forms = pytest.mark.parametrize(
+    "dispatch_", DISPATCH_FORMS.values(), ids=list(DISPATCH_FORMS))
+oracle_forms = pytest.mark.parametrize(
+    "oracle_", ORACLE_FORMS.values(), ids=list(ORACLE_FORMS))
 
 
 @pytest.fixture(scope="module")
@@ -86,64 +103,61 @@ class TestTechnologyShares:
             technology_shares([1.0], ("geothermal",), 5.0, 1.0)
 
 
+@pytest.mark.usefixtures("warmup_fails")
 class TestHorizon:
+    """Each study rejects its input before the warmup, in both forms."""
+
+    @dispatch_forms
     def test_horizon_beyond_profile_window_rejected_before_warmup(
-            self, monkeypatch):
+            self, monkeypatch, dispatch_):
         # toy cell: one forward profile day holds 5760 steps of 15 s
         def fail(*args, **kwargs):
             raise AssertionError("the run started")
 
         monkeypatch.setattr("cellflex.dispatch.basin_hopping", fail)
-        monkeypatch.setattr(CellTwin, "run_warmup", fail)
         with pytest.raises(ConfigurationError, match="profile_forward_days"):
-            run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=5761,
-                         config=TOY_CONFIG)
+            dispatch_(make_toy_scenario(), n_steps=5761, config=TOY_CONFIG)
         make_toy_scenario().check_horizon(5760)
 
     @pytest.mark.parametrize("entry", [
-        lambda scn: run_dispatch(scn, TOY_REQUEST, n_steps=1, config=TOY_CONFIG),
-        lambda scn: grid_search_oracle(scn, TOY_REQUEST),
-        lambda scn: temperature_panel(scn, TOY_REQUEST, [0.1], [1], TOY_CONFIG),
-    ], ids=["dispatch", "oracle", "panel"])
-    def test_cell_without_plants_rejected_before_warmup(self, monkeypatch,
-                                                        entry):
-        def fail(*args, **kwargs):
-            raise AssertionError("the run started")
-
+        *(functools.partial(form, n_steps=1, config=TOY_CONFIG)
+          for form in DISPATCH_FORMS.values()),
+        *ORACLE_FORMS.values(),
+        lambda scn: temperature_panel(CellTwin(scn), TOY_REQUEST, [0.1], [1],
+                                      TOY_CONFIG),
+    ], ids=["dispatch", "dispatch_on", "oracle", "oracle_on", "panel"])
+    def test_cell_without_plants_rejected_before_warmup(self, entry):
         data = scenario_to_dict(make_toy_scenario())
         del data["prosumers"][0]["pv"], data["prosumers"][0]["bes"]
-        monkeypatch.setattr(CellTwin, "run_warmup", fail)
         with pytest.raises(ConfigurationError,
                            match="'toy2' has no controllable plants"):
             entry(scenario_from_dict(data))
 
+    @dispatch_forms
     @pytest.mark.parametrize("soc", [1.5, -0.1, math.nan])
     def test_bes_soc_outside_unit_interval_rejected_before_warmup(
-            self, monkeypatch, soc):
-        def fail(*args, **kwargs):
-            raise AssertionError("the run started")
-
-        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+            self, dispatch_, soc):
         with pytest.raises(ConfigurationError, match=r"outside \[0, 1\]"):
-            run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=1,
-                         config=TOY_CONFIG, initial_bes_soc=soc)
+            dispatch_(make_toy_scenario(), n_steps=1, config=TOY_CONFIG,
+                      initial_bes_soc=soc)
 
-    def test_zero_steps_rejected(self):
-        with pytest.raises(ConfigurationError, match="at least 1 step, got 0"):
-            run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=0,
-                         config=TOY_CONFIG)
-
-    @pytest.mark.parametrize("n_steps", [2.5, math.nan])
-    def test_non_integer_steps_rejected_before_warmup(self, monkeypatch,
-                                                      n_steps):
-        def fail(*args, **kwargs):
-            raise AssertionError("the run started")
-
-        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+    @dispatch_forms
+    @pytest.mark.parametrize("n_steps", [0, 2.5, math.nan])
+    def test_non_integer_or_zero_steps_rejected_before_warmup(
+            self, dispatch_, n_steps):
         with pytest.raises(ConfigurationError,
                            match=f"at least 1 step, got {n_steps!r}"):
-            run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=n_steps,
-                         config=TOY_CONFIG)
+            dispatch_(make_toy_scenario(), n_steps=n_steps, config=TOY_CONFIG)
+
+    @pytest.mark.parametrize("temperatures, seeds, n_iter", [
+        ([], [1], 3), ([0.1], [], 3), ([0.1], [1], 0)])
+    def test_panel_without_a_search_rejected_before_warmup(
+            self, temperatures, seeds, n_iter):
+        with pytest.raises(ConfigurationError,
+                           match="needs a temperature, a seed and n_iter >= 1"):
+            temperature_panel(CellTwin(make_toy_scenario()), TOY_REQUEST,
+                              temperatures, seeds,
+                              BasinHoppingConfig(n_iter=n_iter))
 
 
 class TestToyTracking:
@@ -226,20 +240,19 @@ class TestToyTracking:
         assert socs[0] < 0.03          # override took, not the warm ~0.5
         assert socs[1] <= socs[0]      # reduction keeps draining it
 
-    def test_commit_failure_raises_with_partial_trace(self, monkeypatch):
-        original = CellTwin.advance_reference
-        calls = {"n": 0}
+    def test_commit_failure_raises_with_partial_trace(self):
+        class FlakyTwin(CellTwin):
+            commits = 0
 
-        def flaky(self, ref, offsets):
-            calls["n"] += 1
-            if calls["n"] >= 2:
-                raise PowerFlowError("synthetic network failure")
-            return original(self, ref, offsets)
+            def advance_reference(self, ref, offsets):
+                self.commits += 1
+                if self.commits >= 2:
+                    raise PowerFlowError("synthetic network failure")
+                return super().advance_reference(ref, offsets)
 
-        monkeypatch.setattr(CellTwin, "advance_reference", flaky)
         with pytest.raises(DispatchError, match="step 1") as err:
-            run_dispatch(make_toy_scenario(), TOY_REQUEST, n_steps=3,
-                         config=BasinHoppingConfig(n_iter=5, seed=1))
+            dispatch_on(FlakyTwin(make_toy_scenario()), TOY_REQUEST,
+                        n_steps=3, config=BasinHoppingConfig(n_iter=5, seed=1))
         assert len(err.value.trace) == 1
         assert err.value.trace[0].index == 0
 
@@ -315,9 +328,8 @@ class TestMeritOrderStart:
         (load_bundled_scenario, FlexibilityRequest(-5.0, -1.0)),
     ])
     def test_tracks_the_request_cheapest_class_first(self, scenario, request_):
-        twin = CellTwin(scenario())
-        ref = twin.run_warmup()
-        f = StepObjective(twin, ref, request_)
+        f = warm_objective(CellTwin(scenario()), request_)
+        twin, ref = f.twin, f.ref
         evaluated = []
         evaluate = twin.evaluate_dispatch
 
@@ -352,12 +364,8 @@ class TestExchangePass:
     ])
     def test_lowers_the_objective_within_bounds_and_budget(
             self, scenario, request_, bes_soc):
-        twin = CellTwin(scenario())
-        ref = twin.run_warmup()
-        if bes_soc is not None:
-            twin.override_bes_soc(bes_soc)
-            ref = twin.capture_reference()
-        f = StepObjective(twin, ref, request_)
+        f = warm_objective(CellTwin(scenario()), request_, bes_soc)
+        twin, ref = f.twin, f.ref
         x0 = np.zeros(twin.n_plants)
         of0, _ = f(x0)
         calls = []
@@ -383,10 +391,8 @@ class TestExchangePass:
     def test_returns_the_input_when_nothing_improves(self):
         # on the toy cell a second exchange finds nothing better than the
         # first one's result, and hands back the vector it was given
-        twin = CellTwin(make_toy_scenario())
-        ref = twin.run_warmup()
-        f = StepObjective(twin, ref, TOY_REQUEST)
-        x0 = exchange_pass(f, np.zeros(twin.n_plants))
+        f = warm_objective(CellTwin(make_toy_scenario()), TOY_REQUEST)
+        x0 = exchange_pass(f, np.zeros(f.twin.n_plants))
         assert exchange_pass(f, x0) is x0
 
 
@@ -401,12 +407,11 @@ class TestStepObjective:
         # a fresh objective on a fresh twin, its reference moved forward over
         # the committed offsets, scores every step as the run recorded it
         run = run_dispatch(scenario(), request_, n_steps=3, config=config)
-        twin = CellTwin(scenario())
-        f = StepObjective(twin, twin.run_warmup(), request_)
+        f = warm_objective(CellTwin(scenario()), request_)
         for st in run.steps:
             of, feasible = f(st.offsets)
             assert (of.hex(), feasible) == (st.of.hex(), st.feasible)
-            f.ref, _ = twin.advance_reference(f.ref, st.offsets)
+            f.ref, _ = f.twin.advance_reference(f.ref, st.offsets)
 
 
     @staticmethod
@@ -444,41 +449,76 @@ class TestStepObjective:
 
 class TestEvaluationBudget:
     @staticmethod
-    def calls_per_step(monkeypatch, scenario, request_, n_steps, config):
+    def calls_per_step(scenario, request_, n_steps, config):
         """Run a dispatch; evaluate_dispatch calls between its commits."""
         calls, marks = [], []
-        evaluate = CellTwin.evaluate_dispatch
-        advance = CellTwin.advance_reference
 
-        def counted(self, ref, offsets):
-            calls.append(1)
-            return evaluate(self, ref, offsets)
+        class CountingTwin(CellTwin):
+            def evaluate_dispatch(self, ref, offsets):
+                calls.append(1)
+                return super().evaluate_dispatch(ref, offsets)
 
-        def marked(self, ref, offsets):
-            marks.append(len(calls))
-            return advance(self, ref, offsets)
+            def advance_reference(self, ref, offsets):
+                marks.append(len(calls))
+                return super().advance_reference(ref, offsets)
 
-        monkeypatch.setattr(CellTwin, "evaluate_dispatch", counted)
-        monkeypatch.setattr(CellTwin, "advance_reference", marked)
-        run = run_dispatch(scenario, request_, n_steps=n_steps, config=config)
+        run = dispatch_on(CountingTwin(scenario), request_, n_steps=n_steps,
+                          config=config)
         return run, np.diff([0] + marks)
 
-    def test_start_and_search_evaluations_add_up_to_the_calls(
-            self, monkeypatch):
+    def test_start_and_search_evaluations_add_up_to_the_calls(self):
         run, per_step = self.calls_per_step(
-            monkeypatch, make_toy_scenario(), TOY_REQUEST, 3, TOY_CONFIG)
+            make_toy_scenario(), TOY_REQUEST, 3, TOY_CONFIG)
         assert [st.start_evals + st.n_evals for st in run.steps] \
             == per_step.tolist()
         assert all(st.start_evals > 0 for st in run.steps)
 
-    def test_bundled_gain_step_spends_at_most_500_evaluations(
-            self, monkeypatch):
+    def test_bundled_gain_step_spends_at_most_500_evaluations(self):
         run, per_step = self.calls_per_step(
-            monkeypatch, load_bundled_scenario(), FlexibilityRequest(5.0, 1.0),
+            load_bundled_scenario(), FlexibilityRequest(5.0, 1.0),
             3, BasinHoppingConfig(seed=42))
         assert max(per_step) <= 500
         assert [st.start_evals + st.n_evals for st in run.steps] \
             == per_step.tolist()
+
+    @staticmethod
+    def doubled_bundled_cell():
+        """The bundled cell with a copy of each prosumer on a stub bus off
+        its own: 76 plants, more than NM's default budget of 40 reaches."""
+        data = scenario_to_dict(load_bundled_scenario())
+        topology = data["topology"]
+        for pro in list(data["prosumers"]):
+            bus = pro["bus"] + "b"
+            topology["buses"].append({"id": bus})
+            topology["lines"].append({"from": pro["bus"], "to": bus,
+                                      "r_ohm": 0.01, "x_ohm": 0.004,
+                                      "i_max_a": 270.0})
+            data["prosumers"].append(dict(pro, id=pro["id"] + "b", bus=bus))
+        return scenario_from_dict(data)
+
+    def test_first_nelder_mead_call_moves_every_plant(self, monkeypatch):
+        # NM's initial simplex displaces one plant per vertex, so a budget
+        # below the plant count plus 1 leaves the last plants unmoved
+        nelder_mead, moved = optimizer.nelder_mead, []
+
+        def first_recorded(f, x0, **kwargs):
+            if moved:
+                return nelder_mead(f, x0, **kwargs)
+            moved.append(np.zeros(len(x0), dtype=bool))
+
+            def recorded(x):
+                moved[0] |= x != x0
+                return f(x)
+
+            return nelder_mead(recorded, x0, **kwargs)
+
+        monkeypatch.setattr(optimizer, "nelder_mead", first_recorded)
+        twin = CellTwin(self.doubled_bundled_cell())
+        run = dispatch_on(twin, FlexibilityRequest(5.0, 1.0), n_steps=1,
+                          config=BasinHoppingConfig(n_iter=1, seed=1))
+        assert twin.n_plants == 76
+        assert moved[0].all(), np.flatnonzero(~moved[0])
+        assert summary_dict(run)["optimizer"]["nm_maxfev"] == 76 + 2
 
     def test_larger_nm_budget_commits_the_same_gain_dispatch(self):
         # the default Nelder-Mead budget is small because a larger one buys
@@ -494,29 +534,28 @@ class TestEvaluationBudget:
 
 
 class TestOracle:
-    def test_oracle_refuses_large_cells(self):
+    @oracle_forms
+    def test_oracle_refuses_large_cells_before_warmup(self, warmup_fails,
+                                                      oracle_):
         with pytest.raises(ConfigurationError, match="at most 3"):
-            grid_search_oracle(load_bundled_scenario(), TOY_REQUEST)
+            oracle_(load_bundled_scenario())
 
-    def test_oracle_rejects_bad_resolution(self):
-        for resolution in (0.0, math.nan, math.inf):
-            with pytest.raises(ConfigurationError, match="resolution"):
-                grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
-                                   resolution=resolution)
+    @oracle_forms
+    @pytest.mark.parametrize("resolution", [0.0, math.nan, math.inf])
+    def test_oracle_rejects_bad_resolution_before_warmup(
+            self, warmup_fails, oracle_, resolution):
+        with pytest.raises(ConfigurationError, match="resolution"):
+            oracle_(make_toy_scenario(), resolution=resolution)
 
-    def test_oracle_rejects_oversized_grid_before_warmup(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("the warmup started")
-
-        monkeypatch.setattr(CellTwin, "run_warmup", fail)
+    @oracle_forms
+    def test_oracle_rejects_oversized_grid_before_warmup(self, warmup_fails,
+                                                         oracle_):
         # 80,001 x 18,001 points on the toy cell
         with pytest.raises(ConfigurationError,
                            match=r"about 1\.44e\+09 points.*at most 1,000,000"):
-            grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
-                               resolution=1e-4)
+            oracle_(make_toy_scenario(), resolution=1e-4)
         with pytest.raises(ConfigurationError, match="about inf points"):
-            grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
-                               resolution=5e-324)
+            oracle_(make_toy_scenario(), resolution=5e-324)
 
     def test_oracle_covers_the_offset_grid(self):
         result = grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
@@ -532,28 +571,25 @@ class TestOracle:
         assert result.resolution == 0.5
 
     @pytest.mark.parametrize("resolution", [0.5, 0.7])
-    def test_oracle_grid_stays_inside_the_offset_box(self, monkeypatch,
-                                                     resolution):
+    def test_oracle_grid_stays_inside_the_offset_box(self, resolution):
         # 0.5 and 0.7 do not divide the inverter's span of 1.8 kVAr, so the
         # unclipped axis would end at 1.1 and 1.2 kVAr.  Records the probed
         # points and the scanned ones
         points = []
-        evaluate, probe = CellTwin.evaluate_dispatch, CellTwin.probe_plant
 
-        def recording(twin, ref, offsets):
-            points.append(np.array(offsets, dtype=float))
-            return evaluate(twin, ref, offsets)
+        class RecordingTwin(CellTwin):
+            def evaluate_dispatch(self, ref, offsets):
+                points.append(np.array(offsets, dtype=float))
+                return super().evaluate_dispatch(ref, offsets)
 
-        def recording_probe(twin, ref, base, i, values):
-            for value in values:
-                points.append(np.array(base, dtype=float))
-                points[-1][i] = value
-            return probe(twin, ref, base, i, values)
+            def probe_plant(self, ref, base, i, values):
+                for value in values:
+                    points.append(np.array(base, dtype=float))
+                    points[-1][i] = value
+                return super().probe_plant(ref, base, i, values)
 
-        monkeypatch.setattr(CellTwin, "evaluate_dispatch", recording)
-        monkeypatch.setattr(CellTwin, "probe_plant", recording_probe)
-        result = grid_search_oracle(make_toy_scenario(), TOY_REQUEST,
-                                    resolution=resolution)
+        result = oracle_on(RecordingTwin(make_toy_scenario()), TOY_REQUEST,
+                           resolution=resolution)
         bounds = CellTwin(make_toy_scenario()).plant_bounds()
         assert len(points) == result.n_evals
         for x in (*points, result.x):
@@ -653,9 +689,7 @@ class TestOracleCounts:
 def bounds_and_objectives(scenario, request, resolution):
     """The oracle's lower bound and the objective at every point of the full
     offset grid, each with one axis per plant."""
-    twin = CellTwin(scenario)
-    ref = twin.run_warmup()
-    f = StepObjective(twin, ref, request)
+    f = warm_objective(CellTwin(scenario), request)
     axes = _grid_axes(f.bounds, resolution)
     lb = _lower_bounds(f, _probe_axes(f, axes))
     of = [f(np.array(x))[0] for x in itertools.product(*axes)]

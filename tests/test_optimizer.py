@@ -19,8 +19,8 @@ from cellflex.dispatch import (
     K_INFEASIBLE,
     K_PCC_P,
     K_PCC_Q,
-    StepObjective,
     objective_breakdown,
+    warm_objective,
 )
 from cellflex.errors import ConfigurationError
 from cellflex.optimizer import (
@@ -44,9 +44,9 @@ class TestCostTable:
         assert K_PCC_P == K_PCC_Q == pytest.approx(2.78e-2)
         assert K_INFEASIBLE == 10.0
         assert EUR_PER_UNIT == 0.1
-        twin = CellTwin(load_bundled_scenario())
-        ref = twin.run_warmup()
-        f = StepObjective(twin, ref, FlexibilityRequest(5.0, 1.0))
+        f = warm_objective(CellTwin(load_bundled_scenario()),
+                           FlexibilityRequest(5.0, 1.0))
+        twin, ref = f.twin, f.ref
         assert f.collapse_of == K_INFEASIBLE * (len(twin.topology.lines) + 1)
         ev = twin.evaluate_dispatch(ref, np.full(twin.n_plants, 0.5))
         bd = f.breakdown(ev)
@@ -54,8 +54,9 @@ class TestCostTable:
         assert bd.cost_eur == EUR_PER_UNIT * bd.plant_cost
 
     def test_weights_for_classes(self):
-        twin = CellTwin(load_bundled_scenario())
-        f = StepObjective(twin, twin.run_warmup(), FlexibilityRequest(5.0, 1.0))
+        f = warm_objective(CellTwin(load_bundled_scenario()),
+                           FlexibilityRequest(5.0, 1.0))
+        twin = f.twin
         k = {"bes": 2.78e-4, "inv": 1.38e-4, "ehp": 7.92e-3,
              "bev_v1g": 5.56e-4, "bev_v2g": 9.72e-4}
         assert set(twin.plant_classes) == set(k)

@@ -1,16 +1,15 @@
 """The shortcuts of the evaluation path change no output byte.
 
-Each command runs twice, once on the package's ``CellTwin`` (compiled plant
+Each study runs twice, once on the package's ``CellTwin`` (compiled plant
 loops and sweep, stale-plant and prosumer skip, power-flow memo) and once on
 ``PlainTwin`` (Python reference loops and sweep, every plant and every power
-flow each time), and the two
-runs' output files must match byte for byte: a few steps of both acceptance
-requests, a short temperature panel, the toy oracle problem and two steps on
-generated radial feeders.  The outputs print rounded floats, so
-the warmup reference is compared at full precision too.
+flow each time), passed in as the study's twin.  The two runs' results must
+match at full precision and their output files byte for byte: a few steps of
+both acceptance requests, a short temperature panel, the toy oracle problem
+and its dispatch, and two steps on generated radial feeders.  The warmup
+reference is compared at full precision too.
 """
 
-import json
 import tempfile
 from pathlib import Path
 
@@ -18,62 +17,86 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellflex.cli import main
-from cellflex.oracle import make_toy_scenario
+from cellflex.dispatch import dispatch_on, temperature_panel
+from cellflex.optimizer import (BasinHoppingConfig, FlexibilityRequest,
+                                NelderMeadSettings)
+from cellflex.oracle import make_toy_scenario, oracle_on
+from cellflex.reporting import (write_dispatch_csv, write_iterations_csv,
+                                write_panel, write_summary_json)
 from cellflex.scenario import (load_bundled_scenario, scenario_from_dict,
                                scenario_to_dict)
 from cellflex.twin import CellTwin
 from test_twin import radial_cells
-from twin_reference import PlainTwin, use_plain_twin
+from twin_reference import PlainTwin, bits
 
-DISPATCH_FILES = ("dispatch.csv", "iterations.csv", "summary.json")
-PANEL_FILES = ("sweep_summary.json", "iterations_T0.csv", "iterations_T10.csv")
-COMMANDS = {
+TWINS = {"real": CellTwin, "plain": PlainTwin}
+DISPATCHES = {
     # acceptance 1's request, seed and search budget
-    "gain": ["dispatch", "--dp-kw", "5", "--dq-kvar", "1", "--steps", "3",
-             "--seed", "42"],
+    "gain": dict(request=FlexibilityRequest(5.0, 1.0), n_steps=3,
+                 config=BasinHoppingConfig(seed=42)),
     # acceptance 2's: almost-empty batteries, 30 Basin Hopping iterations
-    "reduction": ["dispatch", "--dp-kw", "-5", "--dq-kvar", "-1", "--steps",
-                  "3", "--seed", "77", "--n-iter", "30", "--bes-soc", "0.04"],
+    "reduction": dict(request=FlexibilityRequest(-5.0, -1.0), n_steps=3,
+                      config=BasinHoppingConfig(seed=77, n_iter=30),
+                      initial_bes_soc=0.04),
 }
+# acceptance 6's panel, cut to two temperatures, two seeds, 3 iterations
+PANEL = dict(request=FlexibilityRequest(28.0, 1.0), temperatures=[0.0, 10.0],
+             seeds=[5, 11],
+             config=BasinHoppingConfig(n_iter=3, step_size=4.0,
+                                       nm=NelderMeadSettings(maxfev=45)))
 
 
-def dispatch_outputs(args, out):
-    assert main(args + ["--out", str(out)]) == 0
-    return {name: (out / name).read_bytes() for name in DISPATCH_FILES}
+def written_dispatch(run, out):
+    """The bytes of the files ``cellflex dispatch`` writes for ``run``."""
+    out.mkdir()
+    for write, name in ((write_dispatch_csv, "dispatch.csv"),
+                        (write_iterations_csv, "iterations.csv"),
+                        (write_summary_json, "summary.json")):
+        write(run, out / name)
+    return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
-@pytest.mark.parametrize("request_", sorted(COMMANDS))
-def test_dispatch_outputs_match_the_plain_twin(request_, tmp_path, monkeypatch,
-                                               capsys):
-    args = COMMANDS[request_]
-    real = dispatch_outputs(args, tmp_path / "real")
-    use_plain_twin(monkeypatch)
-    assert dispatch_outputs(args, tmp_path / "plain") == real
+def dispatched(scenario, request, out, **kwargs):
+    """Each twin's dispatch run and written files, by twin."""
+    runs = {name: dispatch_on(cls(scenario), request, **kwargs)
+            for name, cls in TWINS.items()}
+    return {name: (bits(run), written_dispatch(run, out / name))
+            for name, run in runs.items()}
 
 
-def test_temperature_panel_matches_the_plain_twin(tmp_path, monkeypatch,
-                                                  capsys):
-    # acceptance 6's panel, cut to two temperatures, two seeds, 3 iterations
-    args = ["sweep-temperature", "--temperatures", "0,10", "--seeds", "5,11",
-            "--n-iter", "3"]
-
-    def outputs(out):
-        assert main(args + ["--out", str(out)]) == 0
-        return {name: (out / name).read_bytes() for name in PANEL_FILES}
-
-    real = outputs(tmp_path / "real")
-    use_plain_twin(monkeypatch)
-    assert outputs(tmp_path / "plain") == real
+@pytest.mark.parametrize("request_", sorted(DISPATCHES))
+def test_dispatch_outputs_match_the_plain_twin(request_, tmp_path):
+    outputs = dispatched(load_bundled_scenario(), out=tmp_path,
+                         **DISPATCHES[request_])
+    assert outputs["plain"] == outputs["real"]
 
 
-def test_oracle_report_matches_the_plain_twin(monkeypatch, capsys):
-    args = ["oracle", "--n-iter", "30", "--seed", "2"]
-    assert main(args) == 0
-    real = capsys.readouterr().out
-    use_plain_twin(monkeypatch)
-    assert main(args) == 0
-    assert capsys.readouterr().out == real
+def test_temperature_panel_matches_the_plain_twin(tmp_path):
+    outputs = {}
+    for name, cls in TWINS.items():
+        means, results = temperature_panel(cls(load_bundled_scenario()),
+                                           **PANEL)
+        out = tmp_path / name
+        out.mkdir()
+        summary = write_panel(PANEL["temperatures"], PANEL["seeds"], means,
+                              results, out)
+        outputs[name] = (bits((means, results)), summary,
+                         {path.name: path.read_bytes()
+                          for path in out.iterdir()})
+    assert outputs["plain"] == outputs["real"]
+
+
+def test_oracle_and_its_dispatch_match_the_plain_twin():
+    # the oracle command's problem: both searches on one toy twin
+    request = FlexibilityRequest(1.0, 0.3)
+    outputs = {}
+    for name, cls in TWINS.items():
+        twin = cls(make_toy_scenario())
+        outputs[name] = bits((
+            oracle_on(twin, request),
+            dispatch_on(twin, request, n_steps=1,
+                        config=BasinHoppingConfig(n_iter=30, seed=2))))
+    assert outputs["plain"] == outputs["real"]
 
 
 def warmed_up(twin):
@@ -128,12 +151,9 @@ class TestRadialFeeders:
     @given(cell=radial_cells(), dp=st.floats(-3.0, 3.0),
            dq=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16))
     def test_dispatch_outputs_match_the_plain_twin(self, cell, dp, dq, seed):
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            tmp = Path(tmp)
-            (tmp / "cell.json").write_text(json.dumps(cell))
-            args = ["dispatch", "--scenario", str(tmp / "cell.json"),
-                    f"--dp-kw={dp!r}", f"--dq-kvar={dq!r}", "--steps", "2",
-                    "--n-iter", "3", "--seed", str(seed)]
-            real = dispatch_outputs(args, tmp / "real")
-            use_plain_twin(mp)
-            assert dispatch_outputs(args, tmp / "plain") == real
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = dispatched(
+                scenario_from_dict(cell), FlexibilityRequest(dp, dq),
+                Path(tmp), n_steps=2,
+                config=BasinHoppingConfig(n_iter=3, seed=seed))
+        assert outputs["plain"] == outputs["real"]
